@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["QuadratureError", "adaptive_quadrature", "gauss_kronrod_panel"]
+__all__ = [
+    "QuadratureError",
+    "adaptive_quadrature",
+    "adaptive_quadrature_batch",
+    "gauss_kronrod_panel",
+]
 
 
 class QuadratureError(Exception):
@@ -90,26 +95,59 @@ def adaptive_quadrature(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpoints=(
     Raises QuadratureError (carrying the achieved residual) if the cap is
     hit first.
     """
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    cuts = sorted({float(p) for p in breakpoints if a < float(p) < b})
-    edges = np.array([a] + cuts + [b])
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-    span = b - a
-    done_val = 0.0
-    done_err = 0.0
+    values, _ = adaptive_quadrature_batch(
+        lambda x, owner: fn(x), [a], [b], abs_tol=abs_tol,
+        max_levels=max_levels, breakpoints=[breakpoints])
+    return float(values[0])
+
+
+def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpoints=None):
+    """Integrate many integrals over [a[k], b[k]] in one worklist.
+
+    ``a`` and ``b`` are equal-length sequences of limits. ``fn(x, owner)``
+    evaluates every integrand on a flat batch of nodes; ``owner[i]`` is the
+    index k of the integral node ``x[i]`` belongs to. ``breakpoints``, if
+    given, holds one sequence of cut points per integral. Each integral is
+    bisected, settled and tested for convergence on its own, exactly as a
+    lone call would do it, and leaves the worklist once converged. Returns
+    arrays of values and error estimates. Raises QuadratureError for the
+    first integral still short of ``abs_tol`` after ``max_levels`` rounds
+    of bisection.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"limits must be equal-length 1-d sequences, got {a.shape} and {b.shape}")
+    n = a.size
+    sign = np.where(b < a, -1.0, 1.0)
+    left = np.minimum(a, b)
+    right = np.maximum(a, b)
+    span = right - left
+    if breakpoints is None:
+        breakpoints = [()] * n
+    lo, hi, owner = [], [], []
+    for k in np.flatnonzero(span > 0.0):
+        lo_k, hi_k = float(left[k]), float(right[k])
+        edges = [lo_k, *sorted({float(p) for p in breakpoints[k] if lo_k < float(p) < hi_k}), hi_k]
+        lo += edges[:-1]
+        hi += edges[1:]
+        owner += [k] * (len(edges) - 1)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    owner = np.array(owner, dtype=np.intp)
+    values = np.zeros(n)
+    errors = np.zeros(n)
+    done_val = np.zeros(n)
+    done_err = np.zeros(n)
+    running = span > 0.0
+    if not running.any():
+        return values, errors
 
     for level in range(max_levels + 1):
-        val, err = gauss_kronrod_panel(fn, lo, hi)
+        nodes_owner = np.repeat(owner, _NODES.size)
+        val, err = gauss_kronrod_panel(lambda x: fn(x, nodes_owner), lo, hi)
         if not np.isfinite(val).all():
-            bad = lo[~np.isfinite(val)][0]
+            bad = float(lo[~np.isfinite(val)][0])
             raise QuadratureError(
                 f"integrand returned non-finite values near x={bad!r}",
                 value=float("nan"), achieved=float("inf"))
@@ -118,26 +156,38 @@ def adaptive_quadrature(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpoints=(
         # floor, an integrable singularity keeps every nearby panel alive
         # and the worklist doubles each level.
         width = hi - lo
+        own_span = span[owner]
         settled = (
-            (err <= abs_tol * 1e-3 * width / span)
+            (err <= abs_tol * 1e-3 * width / own_span)
             | (err <= 50.0 * np.finfo(float).eps * np.abs(val))
-            | (width <= span * 2.0 ** -50)
+            | (width <= own_span * 2.0 ** -50)
         )
-        if settled.any():
-            done_val += float(val[settled].sum())
-            done_err += float(err[settled].sum())
-            keep = ~settled
-            lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
-        total_err = done_err + float(err.sum())
-        if lo.size == 0 or total_err <= abs_tol:
-            return sign * (done_val + float(val.sum()))
+        # bincount adds each integral's terms in worklist order; the zeros
+        # put in for the other group leave every partial sum unchanged.
+        split = ~settled
+        settled_val = np.where(settled, val, 0.0)
+        settled_err = np.where(settled, err, 0.0)
+        done_val += np.bincount(owner, settled_val, n)
+        done_err += np.bincount(owner, settled_err, n)
+        live_val = done_val + np.bincount(owner, val - settled_val, n)
+        live_err = done_err + np.bincount(owner, err - settled_err, n)
+        finished = running & ((live_err <= abs_tol) | (np.bincount(owner, split, n) == 0))
+        if finished.any():
+            values[finished] = live_val[finished]
+            errors[finished] = live_err[finished]
+            running &= ~finished
+            if not running.any():
+                return sign * values, errors
+            split &= running[owner]
         if level == max_levels:
-            best = sign * (done_val + float(val.sum()))
+            k = np.flatnonzero(running)[0]
             raise QuadratureError(
-                f"quadrature did not converge: achieved {total_err:.3e} "
+                f"quadrature did not converge: achieved {live_err[k]:.3e} "
                 f"> tolerance {abs_tol:.3e} after {max_levels} levels",
-                value=best, achieved=total_err)
+                value=float(sign[k] * live_val[k]), achieved=float(live_err[k]))
+        lo, hi, owner = lo[split], hi[split], owner[split]
         mid = 0.5 * (lo + hi)
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
+        owner = np.concatenate([owner, owner])
     raise AssertionError("unreachable")

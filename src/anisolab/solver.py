@@ -226,15 +226,13 @@ def numerical_flux_llf(model, u_left, u_right, axis, alpha):
 
 
 def _wave_bounds(model, lo, hi, n=129):
-    """Bounds for |a| per axis, |A| per entry and |f| over [lo, hi]."""
+    """Bounds for |a| per axis and |A| per entry over [lo, hi]."""
     us = np.linspace(lo, hi, n)
     a = speed_vector(model, us)
     alphas = np.abs(a).max(axis=0)
     mats = _as_matrix(model.diffusion(us), us.shape, model.dimension, "diffusion")
     lams = np.abs(mats).max(axis=0)
-    f = _as_components(model.flux(us), us.shape, model.dimension, "flux")
-    fmax = np.abs(f).max(axis=0)
-    return alphas, lams, fmax
+    return alphas, lams
 
 
 def _hyperbolic(values, model, grid, alphas):
@@ -272,7 +270,7 @@ def _diffusion(values, grid, tables):
 def hyperbolic_div(model, fld, grid):
     """Discrete divergence of f(u); alpha from the current field range."""
     values = np.asarray(fld.values, dtype=float)
-    alphas, _, _ = _wave_bounds(model, float(values.min()), float(values.max()))
+    alphas, _ = _wave_bounds(model, float(values.min()), float(values.max()))
     return _hyperbolic(values, model, grid, alphas)
 
 
@@ -304,7 +302,7 @@ def stable_dt(model, fld, grid, cfl=0.4, output_every=None):
     values = np.asarray(fld.values, dtype=float)
     if not np.isfinite(values).all():
         raise ConfigurationError("field contains non-finite values")
-    alphas, lams, _ = _wave_bounds(model, float(values.min()), float(values.max()))
+    alphas, lams = _wave_bounds(model, float(values.min()), float(values.max()))
     dt = _dt_from_bounds(alphas, lams, grid, cfl)
     if math.isinf(dt) and output_every is not None:
         return float(output_every)
@@ -331,7 +329,7 @@ def _advance(values, model, grid, dt, alphas, tables, integrator, skip_flux):
 def step(state, model, grid, config, *, dt=None):
     """Advance one step; dt defaults to the stable step for this field."""
     values = np.asarray(state.values, dtype=float)
-    alphas, lams, fmax = _wave_bounds(model, float(values.min()), float(values.max()))
+    alphas, lams = _wave_bounds(model, float(values.min()), float(values.max()))
     if dt is None:
         dt = _dt_from_bounds(alphas, lams, grid, config.cfl)
         if not np.isfinite(dt):
@@ -492,7 +490,7 @@ def run(model, grid, profile, scheme, hooks=()):
     while idx < len(bounds_list):
         target, is_row, is_snap = bounds_list[idx]
         while t < target - eps_end:
-            alphas, lams, fmax = _wave_bounds(model, float(values.min()), float(values.max()))
+            alphas, lams = _wave_bounds(model, float(values.min()), float(values.max()))
             dt = _dt_from_bounds(alphas, lams, grid, scheme.cfl)
             dt = min(dt, target - t)
             if not np.isfinite(dt) or dt <= 0.0:
@@ -577,7 +575,7 @@ def run_lockstep(model, grid, profile_a, profile_b, scheme):
         while t < target - eps_end:
             lo = min(float(va.min()), float(vb.min()))
             hi = max(float(va.max()), float(vb.max()))
-            alphas, lams, fmax = _wave_bounds(model, lo, hi)
+            alphas, lams = _wave_bounds(model, lo, hi)
             dt = _dt_from_bounds(alphas, lams, grid, scheme.cfl)
             dt = min(dt, target - t)
             if not np.isfinite(dt) or dt <= 0.0:

@@ -1,10 +1,14 @@
 """Tests for kinetic representations and the nondegeneracy functional."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anisolab import kinetic
 from anisolab.kinetic import (
     FrequencyPoint,
     SamplingPlan,
@@ -277,3 +281,55 @@ def test_verdict_flags_non_monotone_ladder():
     assert _verdict([0.1, 0.5], 0.2) == "inconclusive"
     assert _verdict([0.5, 0.1, 0.01], 0.2) == "pass"
     assert _verdict([1.9, 1.9, 1.9], 0.2) == "fail"
+
+
+# --- batched omega loop --------------------------------------------------------
+
+_points = st.lists(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 4.0)), min_size=1, max_size=9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pairs=_points, lam=st.floats(1e-6, 1.0))
+def test_batched_omega_matches_omega_at_and_arctan(pairs, lam):
+    m = preset("burgers")
+    pts = [FrequencyPoint(tau=tau, kappa=(kap,)) for tau, kap in pairs]
+    # Small blocks so one example spans several worklists.
+    with mock.patch.object(kinetic, "OMEGA_BLOCK", 4):
+        blocks = list(kinetic._omega_blocks(m, pts, [lam], kinetic.KINETIC_QUAD_TOL))
+    got = np.concatenate([vals for _, _, vals, _ in blocks])
+    assert got.shape == (len(pts),)
+    for val, fp, (tau, kap) in zip(got, pts, pairs):
+        assert val == pytest.approx(omega_at(m, fp, lam), abs=1e-14)
+        assert val == pytest.approx(_burgers_omega_exact(tau, kap, lam, 1.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("name", ["burgers", "linear-advection", "anisotropic-2d"])
+def test_omega_delta_matches_one_lambda_check(name):
+    m = preset(name)
+    for lam in (1e-1, 1e-4):
+        val, fp = omega_delta(m, 1.0, lam, FAST_PLAN)
+        report = check_condition(m, lambdas=[lam], sampling=FAST_PLAN)
+        assert (val, fp) == (report.omegas[0], report.witnesses[0])
+
+
+def test_check_condition_blocks_keep_first_witness():
+    # Ties go to the first point, across block boundaries as within one.
+    for name in ("linear-advection", "burgers"):
+        m = preset(name)
+        whole = check_condition(m, sampling=FAST_PLAN)
+        with mock.patch.object(kinetic, "OMEGA_BLOCK", 3):
+            split = check_condition(m, sampling=FAST_PLAN)
+        assert split.omegas == whole.omegas
+        assert split.witnesses == whole.witnesses
+        points = FAST_PLAN.frequency_points(m, 1.0)
+        for lam, om, fp in zip(whole.lambdas, whole.omegas, whole.witnesses):
+            first = next(p for p in points if omega_at(m, p, lam) == om)
+            assert fp == first
+
+
+def test_check_condition_reports_points_and_error_estimate():
+    m = preset("burgers")
+    report = check_condition(m, sampling=FAST_PLAN)
+    assert report.points == len(FAST_PLAN.frequency_points(m, 1.0))
+    assert 0.0 < report.max_error_estimate <= kinetic.KINETIC_QUAD_TOL

@@ -1,9 +1,16 @@
 """Tests for the adaptive Gauss-Kronrod integrator."""
 
+import re
+
 import numpy as np
 import pytest
 
-from anisolab.quadrature import QuadratureError, adaptive_quadrature, gauss_kronrod_panel
+from anisolab.quadrature import (
+    QuadratureError,
+    adaptive_quadrature,
+    adaptive_quadrature_batch,
+    gauss_kronrod_panel,
+)
 
 
 def test_cubic_is_exact():
@@ -95,3 +102,65 @@ def test_panel_requires_batch_callable():
 
     with pytest.raises(TypeError):
         adaptive_quadrature(scalar_only, 0.0, 1.0)
+
+
+# --- many integrals in one worklist -------------------------------------------
+
+_OWNER_FUNCS = (
+    lambda x: np.abs(x - 0.3),
+    lambda x: np.sqrt(np.abs(x)),
+    np.exp,
+    lambda x: np.sin(40.0 * x),
+    lambda x: x**3,
+)
+
+
+def _by_owner(funcs):
+    def fn(x, owner):
+        out = np.empty_like(x)
+        for k, f in enumerate(funcs):
+            sel = owner == k
+            out[sel] = f(x[sel])
+        return out
+    return fn
+
+
+def test_batch_owners_match_standalone_calls():
+    # Breakpoints, a reversed interval (b < a) and a zero-width interval.
+    a = [-1.0, 1.0, 1.5, 0.0, 2.0]
+    b = [1.0, -1.0, 1.5, 1.0, -0.5]
+    cuts = [(0.3,), (0.0,), (), (), (0.1, 9.0)]
+    vals, errs = adaptive_quadrature_batch(
+        _by_owner(_OWNER_FUNCS), a, b, abs_tol=1e-12, breakpoints=cuts)
+    assert vals.shape == errs.shape == (5,)
+    for k, f in enumerate(_OWNER_FUNCS):
+        alone = adaptive_quadrature(f, a[k], b[k], abs_tol=1e-12, breakpoints=cuts[k])
+        assert vals[k] == pytest.approx(alone, abs=1e-15), k
+        # Each owner stops refining when it converges, not when all do.
+        _, err_alone = adaptive_quadrature_batch(
+            lambda x, owner: f(x), [a[k]], [b[k]], abs_tol=1e-12, breakpoints=[cuts[k]])
+        assert errs[k] == pytest.approx(err_alone[0], abs=1e-14), k
+    assert vals[1] == pytest.approx(-4.0 / 3.0, abs=1e-12)
+    assert vals[2] == 0.0 and errs[2] == 0.0
+    assert np.all(errs <= 1e-12)
+
+
+def test_batch_nonconverging_owner_raises_with_achieved():
+    funcs = (np.cos, lambda x: 1.0 / x, np.exp)
+    with pytest.raises(QuadratureError, match="did not converge") as info:
+        adaptive_quadrature_batch(_by_owner(funcs), [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    with pytest.raises(QuadratureError) as alone:
+        adaptive_quadrature(funcs[1], 0.0, 1.0)
+    assert info.value.achieved > 1e-10
+    assert info.value.achieved == pytest.approx(alone.value.achieved, rel=1e-12)
+    assert info.value.value == pytest.approx(alone.value.value, rel=1e-12)
+    assert str(info.value) == str(alone.value)
+
+
+def test_batch_non_finite_integrand_names_its_x():
+    funcs = (np.cos, lambda x: np.where(x > 2.5, np.inf, 1.0))
+    with pytest.raises(QuadratureError, match="non-finite") as info:
+        adaptive_quadrature_batch(_by_owner(funcs), [0.0, 2.0], [1.0, 3.0])
+    x = float(re.search(r"near x=([-+0-9.e]+)", str(info.value)).group(1))
+    assert 2.0 <= x <= 3.0
+    assert info.value.achieved == float("inf")
