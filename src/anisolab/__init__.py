@@ -64,7 +64,7 @@ from .model import (
     sqrt_factor_eval,
     validate_model,
 )
-from .quadrature import QuadratureError, adaptive_quadrature, adaptive_quadrature_batch
+from .quadrature import QuadratureError, adaptive_quadrature
 from .solver import (
     BlowUpError,
     CellField,
@@ -112,5 +112,5 @@ __all__ = [
     "default_config", "make_model", "make_grid", "make_scheme",
     "make_sampling", "make_initial", "lcg_values",
     # quadrature
-    "QuadratureError", "adaptive_quadrature", "adaptive_quadrature_batch",
+    "QuadratureError", "adaptive_quadrature",
 ]

@@ -109,8 +109,13 @@ class FrequencyPoint:
 
 
 def _symbol_parts(tau, kappa, a, mats):
-    """Advection and diffusion parts of the symbol from sampled a and A."""
-    return tau + a @ kappa, np.einsum("i,...ij,j->...", kappa, mats, kappa)
+    """Advection and diffusion parts of the symbol from sampled a and A.
+
+    tau, kappa and the samples broadcast against each other: one frequency
+    against many states, or one frequency per state.
+    """
+    return (tau + np.einsum("...i,...i->...", a, kappa),
+            np.einsum("...i,...ij,...j->...", kappa, mats, kappa))
 
 
 def _denominator_parts(model, tau, kappa, xi):
@@ -166,11 +171,7 @@ def _omega_blocks(model, points, lambdas, abs_tol):
         for k, lam in enumerate(lambdas):
 
             def integrand(xi, owner):
-                a = speed_vector(model, xi)
-                mats = _as_matrix(model.diffusion(xi), xi.shape, model.dimension, "diffusion")
-                kap = kappas[owner]
-                adv = taus[owner] + np.einsum("ni,ni->n", a, kap)
-                quad = np.einsum("ni,nij,nj->n", kap, mats, kap)
+                adv, quad = _denominator_parts(model, taus[owner], kappas[owner], xi)
                 return lam / (lam + adv ** 2 + quad ** 2)
 
             vals, errs = adaptive_quadrature_batch(

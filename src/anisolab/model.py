@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .quadrature import QuadratureError, adaptive_quadrature
+from .quadrature import QuadratureError, adaptive_quadrature, adaptive_quadrature_batch
 
 __all__ = [
     "ModelError",
@@ -418,17 +418,15 @@ def _component_fn(primitive, i, j, d):
 def _spline_primitive(integrand_vec, span):
     """Cumulative primitive of a vectorized integrand as a Hermite spline."""
     nodes = np.linspace(-span, span, 1025)
-    vals = np.empty_like(nodes)
+    segments, _ = adaptive_quadrature_batch(
+        lambda v, owner: integrand_vec(v), nodes[:-1], nodes[1:],
+        abs_tol=1e-13, max_levels=QUAD_LEVELS)
+    # Accumulate outward from the middle node, where the primitive is 0.
     i0 = nodes.size // 2
+    vals = np.empty_like(nodes)
     vals[i0] = 0.0
-    for idx in range(i0 + 1, nodes.size):
-        vals[idx] = vals[idx - 1] + adaptive_quadrature(
-            integrand_vec, nodes[idx - 1], nodes[idx],
-            abs_tol=1e-13, max_levels=QUAD_LEVELS)
-    for idx in range(i0 - 1, -1, -1):
-        vals[idx] = vals[idx + 1] - adaptive_quadrature(
-            integrand_vec, nodes[idx], nodes[idx + 1],
-            abs_tol=1e-13, max_levels=QUAD_LEVELS)
+    vals[i0 + 1:] = np.cumsum(segments[i0:])
+    vals[:i0] = -np.cumsum(segments[i0 - 1::-1])[::-1]
     slopes = integrand_vec(nodes)
     spline = CubicHermiteSpline(nodes, vals, slopes)
 
@@ -560,16 +558,15 @@ def validate_model(model, samples=101, *, tol_psd=TOL_PSD, tol_factor=TOL_FACTOR
             for j in range(d):
                 vals_beta = [beta_eval(model, u, i, j, abs_tol=1e-12) for u in pairs]
                 vals_b = [bprimitive_eval(model, u, i, j, abs_tol=1e-12) for u in pairs]
-                for k in range(len(pairs) - 1):
-                    seg_beta = adaptive_quadrature(
-                        lambda v, i=i, j=j: sqrt_factor_vector(model, v)[..., i, j],
-                        pairs[k], pairs[k + 1], abs_tol=1e-12, max_levels=QUAD_LEVELS)
-                    seg_b = adaptive_quadrature(
-                        lambda v, i=i, j=j: _as_matrix(
-                            model.diffusion(v), np.shape(v), d, "diffusion")[..., i, j],
-                        pairs[k], pairs[k + 1], abs_tol=1e-12, max_levels=QUAD_LEVELS)
-                    worst_beta = max(worst_beta, abs(vals_beta[k + 1] - vals_beta[k] - seg_beta))
-                    worst_b = max(worst_b, abs(vals_b[k + 1] - vals_b[k] - seg_b))
+                seg_beta, _ = adaptive_quadrature_batch(
+                    lambda v, owner, i=i, j=j: sqrt_factor_vector(model, v)[..., i, j],
+                    pairs[:-1], pairs[1:], abs_tol=1e-12, max_levels=QUAD_LEVELS)
+                seg_b, _ = adaptive_quadrature_batch(
+                    lambda v, owner, i=i, j=j: _as_matrix(
+                        model.diffusion(v), np.shape(v), d, "diffusion")[..., i, j],
+                    pairs[:-1], pairs[1:], abs_tol=1e-12, max_levels=QUAD_LEVELS)
+                worst_beta = max(worst_beta, float(np.abs(np.diff(vals_beta) - seg_beta).max()))
+                worst_b = max(worst_b, float(np.abs(np.diff(vals_b) - seg_b).max()))
         _check(report, "primitive_beta", worst_beta, tol_primitive)
         _check(report, "primitive_b", worst_b, tol_primitive)
     except (ModelError, QuadratureError):
@@ -581,18 +578,16 @@ def validate_model(model, samples=101, *, tol_psd=TOL_PSD, tol_factor=TOL_FACTOR
     spots = big * np.array([-0.9, -0.55, -0.25, 0.1, 0.35, 0.65, 0.9])
     worst_chain = 0.0
     try:
-        for u in spots:
-            h = H_FD_SCALE * max(1.0, abs(u))
-            for i in range(d):
-                for k in range(d):
-                    seg = adaptive_quadrature(
-                        lambda v, i=i, k=k: np.exp(-0.5 * np.asarray(v) ** 2)
-                        * sqrt_factor_vector(model, v)[..., i, k],
-                        u - h, u + h, abs_tol=1e-16, max_levels=QUAD_LEVELS)
-                    lhs = seg / (2.0 * h)
-                    rhs = float(np.exp(-0.5 * u ** 2)
-                                * sqrt_factor_vector(model, np.asarray(u))[..., i, k])
-                    worst_chain = max(worst_chain, abs(lhs - rhs))
+        h = H_FD_SCALE * np.maximum(1.0, np.abs(spots))
+        rhs = np.exp(-0.5 * spots ** 2)[:, None, None] * sqrt_factor_vector(model, spots)
+        for i in range(d):
+            for k in range(d):
+                seg, _ = adaptive_quadrature_batch(
+                    lambda v, owner, i=i, k=k: np.exp(-0.5 * v ** 2)
+                    * sqrt_factor_vector(model, v)[..., i, k],
+                    spots - h, spots + h, abs_tol=1e-16, max_levels=QUAD_LEVELS)
+                lhs = seg / (2.0 * h)
+                worst_chain = max(worst_chain, float(np.abs(lhs - rhs[:, i, k]).max()))
         _check(report, "chain_rule", worst_chain, tol_chain)
     except (ModelError, QuadratureError):
         _check(report, "chain_rule", float("inf"), tol_chain)

@@ -8,6 +8,8 @@ shape. Narrow features the initial rule cannot see should be announced via
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -65,6 +67,7 @@ _NODES = np.concatenate([-_XGK_HALF[:7], _XGK_HALF[::-1]])
 _WK = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
 _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 def gauss_kronrod_panel(fn, lo, hi):
@@ -104,48 +107,50 @@ def adaptive_quadrature(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpoints=(
 def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpoints=None):
     """Integrate many integrals over [a[k], b[k]] in one worklist.
 
-    ``a`` and ``b`` are equal-length sequences of limits. ``fn(x, owner)``
-    evaluates every integrand on a flat batch of nodes; ``owner[i]`` is the
-    index k of the integral node ``x[i]`` belongs to. ``breakpoints``, if
-    given, holds one sequence of cut points per integral. Each integral is
-    bisected, settled and tested for convergence on its own, exactly as a
-    lone call would do it, and leaves the worklist once converged. Returns
-    arrays of values and error estimates. Raises QuadratureError for the
-    first integral still short of ``abs_tol`` after ``max_levels`` rounds
-    of bisection.
+    ``a`` and ``b`` are equal-length sequences of finite limits.
+    ``fn(x, owner)`` evaluates every integrand on a flat batch of nodes;
+    ``owner[i]`` is the index k of the integral node ``x[i]`` belongs to.
+    ``breakpoints``, if given, holds one sequence of cut points per
+    integral. Each integral is bisected, settled and tested for convergence
+    on its own, exactly as a lone call would do it, and leaves the worklist
+    once converged. Returns arrays of values and error estimates. Raises
+    QuadratureError for the first integral still short of ``abs_tol`` after
+    ``max_levels`` rounds of bisection.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"limits must be equal-length 1-d sequences, got {a.shape} and {b.shape}")
     n = a.size
-    sign = np.where(b < a, -1.0, 1.0)
-    left = np.minimum(a, b)
-    right = np.maximum(a, b)
-    span = right - left
-    if breakpoints is None:
-        breakpoints = [()] * n
-    lo, hi, owner = [], [], []
-    for k in np.flatnonzero(span > 0.0):
-        lo_k, hi_k = float(left[k]), float(right[k])
-        edges = [lo_k, *sorted({float(p) for p in breakpoints[k] if lo_k < float(p) < hi_k}), hi_k]
+    sign, span, lo, hi, owner = [1.0] * n, [0.0] * n, [], [], []
+    for k, (lo_k, hi_k) in enumerate(zip(a.tolist(), b.tolist())):
+        if not (math.isfinite(lo_k) and math.isfinite(hi_k)):
+            raise QuadratureError(
+                f"integration limits must be finite, got [{lo_k!r}, {hi_k!r}]",
+                value=float("nan"), achieved=float("inf"))
+        if hi_k < lo_k:
+            lo_k, hi_k, sign[k] = hi_k, lo_k, -1.0
+        if lo_k == hi_k:
+            continue
+        span[k] = hi_k - lo_k
+        cuts = () if breakpoints is None else breakpoints[k]
+        edges = [lo_k, *sorted({float(p) for p in cuts if lo_k < float(p) < hi_k}), hi_k]
         lo += edges[:-1]
         hi += edges[1:]
         owner += [k] * (len(edges) - 1)
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    owner = np.array(owner, dtype=np.intp)
-    values = np.zeros(n)
-    errors = np.zeros(n)
-    done_val = np.zeros(n)
-    done_err = np.zeros(n)
-    running = span > 0.0
-    if not running.any():
+    values, errors, done_val, done_err = np.zeros((4, n))
+    remaining = n - span.count(0.0)
+    if not remaining:
         return values, errors
+    span = np.array(span)
+    running = span > 0.0
+    lo = np.array(lo)
+    hi = np.array(hi)
+    owner = np.array(owner, dtype=np.intp)
 
     for level in range(max_levels + 1):
-        nodes_owner = np.repeat(owner, _NODES.size)
-        val, err = gauss_kronrod_panel(lambda x: fn(x, nodes_owner), lo, hi)
+        node_owner = owner.repeat(_NODES.size)
+        val, err = gauss_kronrod_panel(lambda x: fn(x, node_owner), lo, hi)
         if not np.isfinite(val).all():
             bad = float(lo[~np.isfinite(val)][0])
             raise QuadratureError(
@@ -159,25 +164,31 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
         own_span = span[owner]
         settled = (
             (err <= abs_tol * 1e-3 * width / own_span)
-            | (err <= 50.0 * np.finfo(float).eps * np.abs(val))
+            | (err <= _ROUNDOFF * np.abs(val))
             | (width <= own_span * 2.0 ** -50)
         )
-        # bincount adds each integral's terms in worklist order; the zeros
-        # put in for the other group leave every partial sum unchanged.
         split = ~settled
-        settled_val = np.where(settled, val, 0.0)
-        settled_err = np.where(settled, err, 0.0)
-        done_val += np.bincount(owner, settled_val, n)
-        done_err += np.bincount(owner, settled_err, n)
-        live_val = done_val + np.bincount(owner, val - settled_val, n)
-        live_err = done_err + np.bincount(owner, err - settled_err, n)
-        finished = running & ((live_err <= abs_tol) | (np.bincount(owner, split, n) == 0))
-        if finished.any():
+        # One bincount per quantity sums each integral's settled terms into
+        # slots [0, n) and its terms left to split into [n, 2n), in
+        # worklist order. Intervals left to split have positive error, so
+        # an integral with nothing left to split has zero open error.
+        slot = owner + n * split
+        val_sums = np.bincount(slot, val, 2 * n)
+        err_sums = np.bincount(slot, err, 2 * n)
+        done_val += val_sums[:n]
+        done_err += err_sums[:n]
+        open_err = err_sums[n:]
+        live_err = done_err + open_err
+        finished = running & ((live_err <= abs_tol) | (open_err == 0.0))
+        n_finished = np.count_nonzero(finished)
+        live_val = done_val + val_sums[n:]
+        if n_finished:
             values[finished] = live_val[finished]
             errors[finished] = live_err[finished]
+            remaining -= n_finished
+            if not remaining:
+                return np.array(sign) * values, errors
             running &= ~finished
-            if not running.any():
-                return sign * values, errors
             split &= running[owner]
         if level == max_levels:
             k = np.flatnonzero(running)[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anisolab.model import (
+    QUAD_LEVELS,
     ModelError,
     ModelSpec,
     NotPSDError,
@@ -18,7 +19,9 @@ from anisolab.model import (
     speed_eval,
     sqrt_factor_eval,
     validate_model,
+    _spline_primitive,
 )
+from anisolab.quadrature import adaptive_quadrature
 
 PRESET_NAMES = [
     "anisotropic-2d",
@@ -245,6 +248,29 @@ def test_primitive_tables_spline_fallback_accuracy():
     us = np.linspace(-1.0, 1.0, 401)
     got = tables.b[0][0](us)
     assert np.abs(got - us**3 / 3.0).max() < 1e-8
+
+
+
+def test_spline_primitive_matches_gap_by_gap_accumulation():
+    # Reference: one adaptive_quadrature call per knot gap, accumulated
+    # outward from the middle knot. The batched build sums the same gaps,
+    # so the knots agree to the rounding of 512 additions.
+    def f(v):
+        v = np.asarray(v, dtype=float)
+        return np.abs(v) ** 1.5 * np.cos(3.0 * v)
+
+    span = 1.05
+    nodes = np.linspace(-span, span, 1025)
+    ref = np.zeros_like(nodes)
+    i0 = nodes.size // 2
+    for idx in range(i0 + 1, nodes.size):
+        ref[idx] = ref[idx - 1] + adaptive_quadrature(
+            f, nodes[idx - 1], nodes[idx], abs_tol=1e-13, max_levels=QUAD_LEVELS)
+    for idx in range(i0 - 1, -1, -1):
+        ref[idx] = ref[idx + 1] - adaptive_quadrature(
+            f, nodes[idx], nodes[idx + 1], abs_tol=1e-13, max_levels=QUAD_LEVELS)
+    got = _spline_primitive(f, span)(nodes)
+    assert np.abs(got - ref).max() <= 512 * np.finfo(float).eps * np.abs(ref).max()
 
 
 # --- validation --------------------------------------------------------------

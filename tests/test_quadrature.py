@@ -164,3 +164,11 @@ def test_batch_non_finite_integrand_names_its_x():
     x = float(re.search(r"near x=([-+0-9.e]+)", str(info.value)).group(1))
     assert 2.0 <= x <= 3.0
     assert info.value.achieved == float("inf")
+
+
+@pytest.mark.parametrize("a, b", [(np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)])
+def test_non_finite_limits_raise(a, b):
+    with pytest.raises(QuadratureError, match="limits must be finite"):
+        adaptive_quadrature(np.exp, a, b)
+    with pytest.raises(QuadratureError, match="limits must be finite"):
+        adaptive_quadrature_batch(lambda x, owner: np.exp(x), [0.0, a], [1.0, b])
