@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    SWEEP_AXES,
     ConfigError,
     default_config,
     make_grid,
@@ -132,13 +133,16 @@ def read_trajectory_csv(path):
     return {name: data[:, k] for k, name in enumerate(names)}
 
 
-def cmd_run(cfg, out_dir, quiet=False):
-    """Integrate, audit, summarize decay; write all artifacts."""
+def _run_and_write(cfg, out):
+    """Integrate, audit and summarize one config and write its artifacts.
+
+    Returns (trajectory, audit report, decay summary), or None after a
+    blow-up (reported on stderr, with the partial trajectory written).
+    """
     model = make_model(cfg)
     grid = make_grid(cfg, model.dimension)
     scheme = make_scheme(cfg)
     fld = make_initial(cfg, grid)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "config.txt", serialize_config(cfg))
 
@@ -148,7 +152,7 @@ def cmd_run(cfg, out_dir, quiet=False):
         print(f"error: {exc}", file=sys.stderr)
         if exc.trajectory is not None:
             write_trajectory_csv(out / "trajectory.csv", exc.trajectory)
-        return 1
+        return None
 
     write_trajectory_csv(out / "trajectory.csv", traj)
     for k, snap in enumerate(traj.snapshots):
@@ -160,9 +164,18 @@ def cmd_run(cfg, out_dir, quiet=False):
     _write_text(out / "audit.txt", "\n".join(report.lines()) + "\n")
     _write_jsonl(out / "decay.jsonl", summary.as_dicts())
     _write_text(out / "decay.txt", "\n".join(summary.lines()) + "\n")
+    return traj, report, summary
 
+
+def cmd_run(cfg, out_dir, quiet=False):
+    """Integrate, audit, summarize decay; write all artifacts."""
+    out = Path(out_dir)
+    result = _run_and_write(cfg, out)
+    if result is None:
+        return 1
+    traj, report, summary = result
     if not quiet:
-        print(f"model {model.name}: {traj.stats.steps} steps to t={scheme.t_end:g}")
+        print(f"model {traj.model_name}: {traj.stats.steps} steps to t={traj.scheme.t_end:g}")
         print("\n".join(report.lines()))
         print("\n".join(summary.lines()))
         print(f"artifacts in {out}")
@@ -236,23 +249,17 @@ def _sweep_run_one(cfg, axis, value, out):
         sub.amplitude = float(value)
         tag = f"amplitude-{float(value):g}"
 
-    sub_dir = out / tag
-    row = {"value": value, "status": "ok",
-           "l1_initial": float("nan"), "l1_final": float("nan"),
-           "mean_drift": float("nan"), "max_principle_violation": float("nan"),
-           "audit_pass": False}
-    code = cmd_run(sub, sub_dir, quiet=True)
-    if code == 1:
-        row["status"] = "blow-up"
-        return row
-    cols = read_trajectory_csv(sub_dir / "trajectory.csv")
-    report = json.loads((sub_dir / "audit.jsonl").read_text(encoding="utf-8"))
-    row["l1_initial"] = float(cols["l1_to_mean"][0])
-    row["l1_final"] = float(cols["l1_to_mean"][-1])
-    row["mean_drift"] = report["mean_drift"]
-    row["max_principle_violation"] = report["max_principle_violation"]
-    row["audit_pass"] = bool(report["passed"])
-    return row
+    result = _run_and_write(sub, out / tag)
+    if result is None:
+        nan = float("nan")
+        return {"value": value, "status": "blow-up", "l1_initial": nan, "l1_final": nan,
+                "mean_drift": nan, "max_principle_violation": nan, "audit_pass": False}
+    traj, report, _ = result
+    return {"value": value, "status": "ok",
+            "l1_initial": traj.rows[0].l1_to_mean, "l1_final": traj.rows[-1].l1_to_mean,
+            "mean_drift": report.mean_drift,
+            "max_principle_violation": report.max_principle_violation,
+            "audit_pass": bool(report.passed)}
 
 
 def _sweep_condition_one(cfg, floor, out):
@@ -280,9 +287,9 @@ def cmd_sweep(cfg, out_dir, quiet=False, axis=None, values=None):
     """
     axis = axis if axis is not None else cfg.sweep_axis
     values = values if values is not None else cfg.sweep_values
-    if axis is None or axis not in ("cells", "cfl", "amplitude", "lambda_floor"):
-        raise ConfigError([f"sweep axis must be cells, cfl, amplitude or "
-                           f"lambda_floor, got {axis!r}"])
+    if axis not in SWEEP_AXES:
+        raise ConfigError([f"sweep axis must be {', '.join(SWEEP_AXES[:-1])} or "
+                           f"{SWEEP_AXES[-1]}, got {axis!r}"])
     values = list(values)
     if not values:
         raise ConfigError(["sweep needs a non-empty value list"])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .kinetic import SamplingPlan
 from .model import list_presets, polynomial_model, preset
-from .solver import PeriodicGrid, SchemeConfig, init_field
+from .solver import INTEGRATORS, PeriodicGrid, SchemeConfig, init_field
 
 __all__ = [
     "ConfigError",
@@ -265,8 +265,8 @@ def _assign(cfg, p, section, key, raw, lineno, inline_seen):
             else:
                 cfg.cfl = val
         elif key == "integrator":
-            if raw not in ("euler", "ssp-rk2"):
-                p.fail(lineno, f"integrator must be euler or ssp-rk2, got {raw!r}")
+            if raw not in INTEGRATORS:
+                p.fail(lineno, f"integrator must be {' or '.join(INTEGRATORS)}, got {raw!r}")
             else:
                 cfg.integrator = raw
         elif key in ("output_every", "snapshot_every"):

@@ -6,7 +6,9 @@ part (with the mixed second difference for off-diagonal entries). Explicit
 Euler and a two-stage strong-stability-preserving Runge-Kutta integrator
 are available; both are convex combinations of monotone Euler stages under
 the time-step rule, so the discrete maximum principle, L1 contraction and
-entropy decay hold step by step and are tracked while running.
+entropy decay hold step by step and are tracked while running. One step
+function and one stop-point loop serve step, run and run_lockstep; lockstep
+is a batch of two fields on that shared stepper.
 
 Off-diagonal diffusion breaks the monotone structure when it dominates the
 diagonal; that regime is a documented limitation and not exercised by the
@@ -16,7 +18,7 @@ bundled presets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -235,34 +237,39 @@ def _wave_bounds(model, lo, hi, n=129):
     return alphas, lams
 
 
+# The stencils roll over the trailing grid axes (k - d), so leading batch
+# axes pass straight through.
+
 def _hyperbolic(values, model, grid, alphas):
     """Divergence of the LLF flux, summed over axes."""
     f = _as_components(model.flux(values), values.shape, model.dimension, "flux")
+    d = grid.dimension
     out = np.zeros_like(values)
-    for ax in range(grid.dimension):
-        fa = f[..., ax]
-        up = np.roll(values, -1, axis=ax)
-        interface = 0.5 * (fa + np.roll(fa, -1, axis=ax)) - 0.5 * alphas[ax] * (up - values)
-        out += (interface - np.roll(interface, 1, axis=ax)) / grid.spacings[ax]
+    for k in range(d):
+        fa = f[..., k]
+        up = np.roll(values, -1, axis=k - d)
+        interface = 0.5 * (fa + np.roll(fa, -1, axis=k - d)) - 0.5 * alphas[k] * (up - values)
+        out += (interface - np.roll(interface, 1, axis=k - d)) / grid.spacings[k]
     return out
 
 
 def _diffusion(values, grid, tables):
     """Second differences of B(u), including the mixed stencil in 2-d."""
+    d = grid.dimension
     out = np.zeros_like(values)
     hs = grid.spacings
-    for i in range(grid.dimension):
+    for i in range(d):
         entry = tables.b[i][i]
         if entry is None:
             continue
         bb = entry(values)
-        out += (np.roll(bb, -1, axis=i) - 2.0 * bb + np.roll(bb, 1, axis=i)) / hs[i] ** 2
-    if grid.dimension == 2 and tables.b[0][1] is not None:
+        out += (np.roll(bb, -1, axis=i - d) - 2.0 * bb + np.roll(bb, 1, axis=i - d)) / hs[i] ** 2
+    if d == 2 and tables.b[0][1] is not None:
         bb = tables.b[0][1](values)
-        pp = np.roll(np.roll(bb, -1, axis=0), -1, axis=1)
-        pm = np.roll(np.roll(bb, -1, axis=0), 1, axis=1)
-        mp = np.roll(np.roll(bb, 1, axis=0), -1, axis=1)
-        mm = np.roll(np.roll(bb, 1, axis=0), 1, axis=1)
+        pp = np.roll(np.roll(bb, -1, axis=-2), -1, axis=-1)
+        pm = np.roll(np.roll(bb, -1, axis=-2), 1, axis=-1)
+        mp = np.roll(np.roll(bb, 1, axis=-2), -1, axis=-1)
+        mm = np.roll(np.roll(bb, 1, axis=-2), 1, axis=-1)
         out += 2.0 * (pp - pm - mp + mm) / (4.0 * hs[0] * hs[1])
     return out
 
@@ -279,7 +286,8 @@ def diffusion_div(model, fld, grid):
     return _diffusion(np.asarray(fld.values, dtype=float), grid, primitive_tables(model))
 
 
-def _dt_from_bounds(alphas, lams, grid, cfl):
+def _cfl_dt(alphas, lams, grid, cfl):
+    """cfl / (sum_i alpha_i/h_i + 2 sum_ij lambda_ij/(h_i h_j)); inf without dynamics."""
     hs = grid.spacings
     denom = sum(alphas[i] / hs[i] for i in range(grid.dimension))
     denom += 2.0 * sum(
@@ -303,7 +311,7 @@ def stable_dt(model, fld, grid, cfl=0.4, output_every=None):
     if not np.isfinite(values).all():
         raise ConfigurationError("field contains non-finite values")
     alphas, lams = _wave_bounds(model, float(values.min()), float(values.max()))
-    dt = _dt_from_bounds(alphas, lams, grid, cfl)
+    dt = _cfl_dt(alphas, lams, grid, cfl)
     if math.isinf(dt) and output_every is not None:
         return float(output_every)
     if math.isnan(dt) or dt <= 0.0:
@@ -311,41 +319,53 @@ def stable_dt(model, fld, grid, cfl=0.4, output_every=None):
     return dt
 
 
-def _advance(values, model, grid, dt, alphas, tables, integrator, skip_flux):
-    def tendency(v):
+def _stepper(model, grid, tables, scheme):
+    """The scheme map, shared by step, run and run_lockstep.
+
+    Returns ``advance(values, t, cap, idle, dt=None) -> (new_values, dt)``.
+    ``values`` may carry leading batch axes; the wave bounds, and so dt,
+    come from the range over the whole batch. Without a forced ``dt`` the
+    step is the CFL step capped at ``cap``, replaced by ``idle`` when that
+    is not finite or not positive (a model without dynamics); ``idle=None``
+    then raises ConfigurationError.
+    """
+
+    def tendency(v, alphas, skip_flux):
         out = _diffusion(v, grid, tables) if tables.has_diffusion else np.zeros_like(v)
         if not skip_flux:
             out -= _hyperbolic(v, model, grid, alphas)
         return out
 
-    # Overflow here is a diagnosed outcome (BlowUpError), not a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        stage1 = values + dt * tendency(values)
-        if integrator == "euler":
-            return stage1
-        return 0.5 * (values + stage1 + dt * tendency(stage1))
+    def advance(values, t, cap, idle, dt=None):
+        alphas, lams = _wave_bounds(model, float(values.min()), float(values.max()))
+        if dt is None:
+            dt = min(_cfl_dt(alphas, lams, grid, scheme.cfl), cap)
+            if not (math.isfinite(dt) and dt > 0.0):
+                if idle is None:
+                    raise ConfigurationError(
+                        "model has no dynamics; set output_every or pass dt explicitly")
+                dt = idle
+        skip_flux = tables.flux_is_zero and float(alphas.max(initial=0.0)) == 0.0
+        # Overflow here is a diagnosed outcome (BlowUpError), not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_values = values + dt * tendency(values, alphas, skip_flux)
+            if scheme.integrator != "euler":
+                new_values = 0.5 * (values + new_values
+                                    + dt * tendency(new_values, alphas, skip_flux))
+        if not np.isfinite(new_values).all():
+            finite = new_values[np.isfinite(new_values)]
+            peak = float(np.abs(finite).max()) if finite.size else math.inf
+            raise BlowUpError(t + dt, peak)
+        return new_values, dt
+
+    return advance
 
 
 def step(state, model, grid, config, *, dt=None):
     """Advance one step; dt defaults to the stable step for this field."""
-    values = np.asarray(state.values, dtype=float)
-    alphas, lams = _wave_bounds(model, float(values.min()), float(values.max()))
-    if dt is None:
-        dt = _dt_from_bounds(alphas, lams, grid, config.cfl)
-        if not np.isfinite(dt):
-            cadence = config.output_every
-            if cadence is None:
-                raise ConfigurationError(
-                    "model has no dynamics; set output_every or pass dt explicitly")
-            dt = cadence
-    tables = primitive_tables(model)
-    skip_flux = tables.flux_is_zero and float(alphas.max(initial=0.0)) == 0.0
-    new_values = _advance(values, model, grid, dt, alphas, tables,
-                          config.integrator, skip_flux)
-    if not np.isfinite(new_values).all():
-        finite = new_values[np.isfinite(new_values)]
-        peak = float(np.abs(finite).max()) if finite.size else math.inf
-        raise BlowUpError(state.time + dt, peak)
+    advance = _stepper(model, grid, primitive_tables(model), config)
+    new_values, dt = advance(np.asarray(state.values, dtype=float), state.time,
+                             math.inf, config.output_every, dt)
     return CellField(values=new_values, time=state.time + dt)
 
 
@@ -365,7 +385,7 @@ def _resolved_dissipation(values, grid, tables):
             if entry is None:
                 continue
             bb = entry(values)
-            grad = (np.roll(bb, -1, axis=i) - np.roll(bb, 1, axis=i)) / (2.0 * hs[i])
+            grad = (np.roll(bb, -1, axis=i - d) - np.roll(bb, 1, axis=i - d)) / (2.0 * hs[i])
             acc = grad if acc is None else acc + grad
         if acc is not None:
             total += float(np.vdot(acc, acc).real)
@@ -384,35 +404,43 @@ def _contraction_constants(lo, hi, mean):
 
 def _boundaries(t_end, out_every, snap_every):
     """Sorted (time, is_row, is_snap) stop points, always ending at t_end."""
-    times = {}
-    k = 0
-    while True:
-        t = k * out_every
-        if t > t_end * (1 + 1e-12):
-            break
-        times[round(t / out_every)] = (min(t, t_end), True, False)
-        k += 1
-    marks = {t: [is_row, is_snap] for t, is_row, is_snap in times.values()}
-    if snap_every is not None:
+
+    def ladder(every):
         k = 0
-        while True:
-            t = k * snap_every
-            if t > t_end * (1 + 1e-12):
-                break
-            entry = marks.setdefault(t, [False, False])
-            entry[1] = True
+        while every is not None and k * every <= t_end * (1 + 1e-12):
+            yield k * every
             k += 1
-    entry = marks.setdefault(t_end, [False, False])
-    entry[0] = True
-    out = sorted((t, m[0], m[1]) for t, m in marks.items())
+
+    marks = sorted([(min(t, t_end), True, False) for t in ladder(out_every)]
+                   + [(t, False, True) for t in ladder(snap_every)] + [(t_end, True, False)])
     merged = []
-    for t, is_row, is_snap in out:
-        if merged and abs(t - merged[-1][0]) <= 1e-12 * max(1.0, t_end):
-            prev = merged.pop()
-            merged.append((prev[0], prev[1] or is_row, prev[2] or is_snap))
-        else:
-            merged.append((t, is_row, is_snap))
+    for t, is_row, is_snap in marks:
+        # Marks closer than the end tolerance collapse onto the earliest.
+        if merged and t - merged[-1][0] <= 1e-12 * max(1.0, t_end):
+            t, was_row, was_snap = merged.pop()
+            is_row, is_snap = is_row or was_row, is_snap or was_snap
+        merged.append((t, is_row, is_snap))
     return merged
+
+
+def _march(advance, values, scheme):
+    """The one stop-point loop: step from t=0 through every stop to t_end.
+
+    Yields ``(t, values, dt, None)`` after each step and
+    ``(t, values, None, (is_row, is_snap))`` at each stop point, the first
+    one at t=0. Steps are cut short to land on the stop points.
+    """
+    t_end = float(scheme.t_end)
+    out_every = scheme.output_every if scheme.output_every is not None else t_end / 50.0
+    eps_end = 1e-12 * max(1.0, t_end)
+    t = 0.0
+    for target, is_row, is_snap in _boundaries(t_end, out_every, scheme.snapshot_every):
+        while t < target - eps_end:
+            values, dt = advance(values, t, target - t, target - t)
+            t = t + dt
+            yield t, values, dt, None
+        t = target
+        yield t, values, None, (is_row, is_snap)
 
 
 def run(model, grid, profile, scheme, hooks=()):
@@ -429,9 +457,6 @@ def run(model, grid, profile, scheme, hooks=()):
     tables = primitive_tables(model)
     vol = grid.cell_volume
     ncells = values.size
-    t_end = float(scheme.t_end)
-    out_every = scheme.output_every if scheme.output_every is not None else t_end / 50.0
-    bounds_list = _boundaries(t_end, out_every, scheme.snapshot_every)
 
     mean0 = float(values.sum()) / ncells
     u0_min = float(values.min())
@@ -461,9 +486,8 @@ def run(model, grid, profile, scheme, hooks=()):
             [float(np.abs(values - c).sum()) * vol for c in stats.contraction_constants])
         for hook in hooks:
             hook(CellField(values=values.copy(), time=t), row)
-        return row
 
-    def partial_trajectory():
+    def trajectory():
         return Trajectory(model_name=model.name, grid=grid, scheme=scheme,
                           rows=rows, snapshots=snaps, stats=stats,
                           final=CellField(values=values.copy(), time=t))
@@ -474,34 +498,18 @@ def run(model, grid, profile, scheme, hooks=()):
     window_diss = 0.0
     energy_cur = float(np.vdot(values, values).real) * vol
     mean_cur = mean0
-    min_seen = u0_min
-    max_seen = u0_max
 
-    idx = 0
-    t0, is_row0, is_snap0 = bounds_list[0]
-    if t0 == 0.0:
-        if is_row0:
-            make_row(0.0, 0.0)
-        if is_snap0:
-            snaps.append(CellField(values=values.copy(), time=0.0))
-        idx = 1
-
-    eps_end = 1e-12 * max(1.0, t_end)
-    while idx < len(bounds_list):
-        target, is_row, is_snap = bounds_list[idx]
-        while t < target - eps_end:
-            alphas, lams = _wave_bounds(model, float(values.min()), float(values.max()))
-            dt = _dt_from_bounds(alphas, lams, grid, scheme.cfl)
-            dt = min(dt, target - t)
-            if not np.isfinite(dt) or dt <= 0.0:
-                dt = target - t
-            skip_flux = tables.flux_is_zero and float(alphas.max(initial=0.0)) == 0.0
-            new_values = _advance(values, model, grid, dt, alphas, tables,
-                                  scheme.integrator, skip_flux)
-            if not np.isfinite(new_values).all():
-                finite = new_values[np.isfinite(new_values)]
-                peak = float(np.abs(finite).max()) if finite.size else math.inf
-                raise BlowUpError(t + dt, peak, trajectory=partial_trajectory())
+    try:
+        for t, new_values, dt, stop in _march(_stepper(model, grid, tables, scheme),
+                                              values, scheme):
+            if stop is not None:
+                is_row, is_snap = stop
+                if is_row:
+                    make_row(t, window_diss)
+                    window_diss = 0.0
+                if is_snap:
+                    snaps.append(CellField(values=values.copy(), time=t))
+                continue
             stats.steps += 1
             stats.dt_min = min(stats.dt_min, dt)
             stats.dt_max = max(stats.dt_max, dt)
@@ -509,8 +517,6 @@ def run(model, grid, profile, scheme, hooks=()):
             new_max = float(new_values.max())
             stats.max_principle_violation = max(
                 stats.max_principle_violation, new_max - u0_max, u0_min - new_min)
-            min_seen = min(min_seen, new_min)
-            max_seen = max(max_seen, new_max)
             new_energy = float(np.vdot(new_values, new_values).real) * vol
             stats.energy_max_step_jump = max(
                 stats.energy_max_step_jump, new_energy - energy_cur)
@@ -525,70 +531,30 @@ def run(model, grid, profile, scheme, hooks=()):
             values = new_values
             energy_cur = new_energy
             mean_cur = new_mean
-            t = t + dt
-        t = target
-        if is_row:
-            make_row(t, window_diss)
-            window_diss = 0.0
-        if is_snap:
-            snaps.append(CellField(values=values.copy(), time=t))
-        idx += 1
-
-    return Trajectory(model_name=model.name, grid=grid, scheme=scheme,
-                      rows=rows, snapshots=snaps, stats=stats,
-                      final=CellField(values=values.copy(), time=t))
+    except BlowUpError as exc:
+        exc.trajectory = trajectory()
+        raise
+    return trajectory()
 
 
 def run_lockstep(model, grid, profile_a, profile_b, scheme):
     """Advance two initial data under the identical scheme map.
 
-    Both fields share each step's dt and flux bound (taken over the union
-    of their ranges), which is exactly the setting in which the monotone
-    scheme contracts the L1 distance. Returns (times, distances, field_a,
-    field_b) with distances sampled at the output cadence.
+    Lockstep is a batch of two fields on the shared stepper: both take
+    each step's dt and flux bound from the union of their ranges, which is
+    exactly the setting in which the monotone scheme contracts the L1
+    distance. Returns (times, distances, field_a, field_b) with distances
+    sampled at the output cadence; snapshot_every is ignored.
     """
-    fa = profile_a if isinstance(profile_a, CellField) else init_field(grid, profile_a)
-    fb = profile_b if isinstance(profile_b, CellField) else init_field(grid, profile_b)
-    va = np.asarray(fa.values, dtype=float).copy()
-    vb = np.asarray(fb.values, dtype=float).copy()
-    tables = primitive_tables(model)
-    vol = grid.cell_volume
-    t_end = float(scheme.t_end)
-    out_every = scheme.output_every if scheme.output_every is not None else t_end / 50.0
-    bounds_list = _boundaries(t_end, out_every, None)
-
+    fields = [p if isinstance(p, CellField) else init_field(grid, p)
+              for p in (profile_a, profile_b)]
+    values = np.stack([np.asarray(f.values, dtype=float) for f in fields])
+    advance = _stepper(model, grid, primitive_tables(model), scheme)
     times = []
     dists = []
-
-    def record(t):
-        times.append(t)
-        dists.append(float(np.abs(va - vb).sum()) * vol)
-
-    t = 0.0
-    idx = 0
-    if bounds_list[0][0] == 0.0:
-        record(0.0)
-        idx = 1
-    eps_end = 1e-12 * max(1.0, t_end)
-    while idx < len(bounds_list):
-        target, is_row, _ = bounds_list[idx]
-        while t < target - eps_end:
-            lo = min(float(va.min()), float(vb.min()))
-            hi = max(float(va.max()), float(vb.max()))
-            alphas, lams = _wave_bounds(model, lo, hi)
-            dt = _dt_from_bounds(alphas, lams, grid, scheme.cfl)
-            dt = min(dt, target - t)
-            if not np.isfinite(dt) or dt <= 0.0:
-                dt = target - t
-            skip_flux = tables.flux_is_zero and float(alphas.max(initial=0.0)) == 0.0
-            va2 = _advance(va, model, grid, dt, alphas, tables, scheme.integrator, skip_flux)
-            vb2 = _advance(vb, model, grid, dt, alphas, tables, scheme.integrator, skip_flux)
-            if not (np.isfinite(va2).all() and np.isfinite(vb2).all()):
-                raise BlowUpError(t + dt, math.inf)
-            va, vb = va2, vb2
-            t = t + dt
-        t = target
-        if is_row:
-            record(t)
-        idx += 1
-    return times, dists, CellField(va, t), CellField(vb, t)
+    # Without snapshots every stop point is an output row.
+    for t, values, _, stop in _march(advance, values, replace(scheme, snapshot_every=None)):
+        if stop is not None:
+            times.append(t)
+            dists.append(float(np.abs(values[0] - values[1]).sum()) * grid.cell_volume)
+    return times, dists, CellField(values[0], t), CellField(values[1], t)

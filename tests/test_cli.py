@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from anisolab.cli import main, read_trajectory_csv
+from anisolab.cli import cmd_sweep, main, read_trajectory_csv
+from anisolab.config import ConfigError, default_config
 
 RUN_CFG = """\
 [model]
@@ -269,6 +270,30 @@ def test_sweep_cfl_blow_up_row_exits_2(tmp_path):
     status = {l.split(",")[0]: l.split(",")[1] for l in rows}
     assert status["0.4"] == "ok"
     assert status["2.0"] == "blow-up"
+
+
+def test_sweep_rows_match_each_run_artifacts(tmp_path):
+    cfg = write(tmp_path / "s.cfg", SWEEP_BASE.replace("linear-advection", "burgers").format(
+        axis="amplitude", values="0.5, 1.0"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    rows = [l.split(",") for l in (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+            if not l.startswith("#") and not l.startswith("value")]
+    for row in rows:
+        sub = out / f"amplitude-{float(row[0]):g}"
+        cols = read_trajectory_csv(sub / "trajectory.csv")
+        report = json.loads((sub / "audit.jsonl").read_text(encoding="utf-8"))
+        assert row[1:] == [
+            "ok", repr(float(cols["l1_to_mean"][0])), repr(float(cols["l1_to_mean"][-1])),
+            repr(report["mean_drift"]), repr(report["max_principle_violation"]),
+            "true" if report["passed"] else "false"]
+
+
+def test_sweep_rejects_unknown_axis(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        cmd_sweep(default_config("burgers"), tmp_path / "o", axis="dt", values=[1.0])
+    assert info.value.errors == [
+        "sweep axis must be cells, cfl, amplitude or lambda_floor, got 'dt'"]
 
 
 def test_sweep_lambda_floor_axis(tmp_path):

@@ -155,6 +155,12 @@ def test_error_on_unknown_preset():
         parse_config("[model]\npreset = kdv\n")
 
 
+def test_error_on_unknown_integrator():
+    with pytest.raises(ConfigError) as info:
+        parse_config(MINIMAL + "[scheme]\nintegrator = rk4\n")
+    assert info.value.errors == ["line 4: integrator must be euler or ssp-rk2, got 'rk4'"]
+
+
 def test_error_on_sweep_axis_value_pairing():
     base = "[model]\npreset = burgers\n\n[sweep]\n"
     with pytest.raises(ConfigError, match="values"):

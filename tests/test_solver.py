@@ -387,3 +387,37 @@ def test_run_lockstep_distances_non_increasing():
     assert fa.time == pytest.approx(0.5, abs=1e-9)
     l1_final = np.abs(fa.values - fb.values).sum() * g.cell_volume
     assert l1_final == pytest.approx(dists[-1], abs=1e-12)
+
+
+def test_run_lockstep_blow_up_reports_the_peak_run_reports():
+    g = PeriodicGrid.make([1.0], [32])
+    m = preset("burgers")
+    scheme = SchemeConfig(t_end=10.0, cfl=2.0)
+    with pytest.raises(BlowUpError) as single:
+        run(m, g, sin_profile, scheme)
+    with pytest.raises(BlowUpError) as pair:
+        run_lockstep(m, g, sin_profile, sin_profile, scheme)
+    assert np.isfinite(single.value.max_abs)
+    assert pair.value.time == single.value.time
+    assert pair.value.max_abs == single.value.max_abs
+
+
+@pytest.mark.parametrize("name,cells,profile", [
+    ("burgers-degenerate", [64], sin_profile),
+    ("anisotropic-2d", [12, 16],
+     lambda x, y: np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)),
+])
+def test_run_lockstep_of_equal_data_is_run(name, cells, profile):
+    # Lockstep is a batch of two on the same stepper as run, so twin data
+    # must stay at distance exactly 0 and end on run's field bit for bit.
+    g = PeriodicGrid.make([1.0] * len(cells), cells)
+    m = preset(name)
+    scheme = SchemeConfig(t_end=0.1, output_every=0.025)
+    times, dists, fa, fb = run_lockstep(m, g, profile, profile, scheme)
+    single = run(m, g, profile, scheme)
+    assert times == [row.t for row in single.rows]
+    assert dists == [0.0] * len(times)
+    assert fa.values.shape == tuple(cells)
+    assert fa.values.tobytes() == single.final.values.tobytes()
+    assert fb.values.tobytes() == single.final.values.tobytes()
+    assert fa.time == single.final.time
