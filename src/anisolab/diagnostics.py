@@ -22,7 +22,7 @@ from .solver import (
     CellField,
     DiagnosticsRow,
     Trajectory,
-    _resolved_dissipation,
+    _Stencils,
     run,
 )
 
@@ -73,7 +73,8 @@ def parabolic_dissipation(model, field, grid):
 
     Nonnegative by construction; zero whenever the diffusion vanishes.
     """
-    return _resolved_dissipation(_values(field), grid, primitive_tables(model))
+    values = _values(field)
+    return _Stencils(model, grid, values.shape, primitive_tables(model)).dissipation(values)
 
 
 @dataclass(frozen=True)
@@ -210,12 +211,7 @@ def audit(trajectory, tolerances=None):
         mp_violation = stats.max_principle_violation
         energy_violation = stats.energy_max_step_jump
         mean_drift = stats.mean_drift
-        contraction = 0.0
-        ladder = stats.contraction_l1
-        if ladder:
-            for k in range(len(ladder[0])):
-                contraction = max(contraction,
-                                  _max_positive_jump([row[k] for row in ladder]))
+        contraction = stats.contraction_max_step_jump
     else:
         m_inf = rows[0].linf
         mp_violation = max(0.0, max(r.linf for r in rows) - rows[0].linf)

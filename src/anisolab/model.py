@@ -230,6 +230,12 @@ def _matrix(u, entries, d):
     return out
 
 
+def _cube(u):
+    """u**3 as u*u*u: numpy's power takes a slow path on sign-changing data."""
+    u = np.asarray(u, dtype=float)
+    return u * u * u
+
+
 def _linear_advection(state_bound=1.0):
     return ModelSpec(
         dimension=1,
@@ -270,8 +276,7 @@ def _burgers_degenerate(state_bound=1.0):
         diffusion=lambda u: _matrix(u, {(0, 0): np.square(np.asarray(u, dtype=float))}, 1),
         sqrt_factor=lambda u: _matrix(u, {(0, 0): np.abs(np.asarray(u, dtype=float))}, 1),
         beta_primitive=beta,
-        b_primitive=lambda u: _matrix(
-            u, {(0, 0): np.asarray(u, dtype=float) ** 3 / 3.0}, 1),
+        b_primitive=lambda u: _matrix(u, {(0, 0): _cube(u) / 3.0}, 1),
         state_bound=state_bound,
         name="burgers-degenerate",
     )
@@ -304,7 +309,7 @@ def _porous_medium(state_bound=1.0, m=2):
 def _anisotropic_2d(state_bound=1.0):
     def flux(u):
         u = np.asarray(u, dtype=float)
-        return _stack(u, [0.5 * u ** 2, u ** 3 / 3.0])
+        return _stack(u, [0.5 * u ** 2, _cube(u) / 3.0])
 
     def speed(u):
         u = np.asarray(u, dtype=float)
@@ -318,7 +323,7 @@ def _anisotropic_2d(state_bound=1.0):
         sqrt_factor=lambda u: _matrix(u, {(0, 0): np.abs(np.asarray(u, dtype=float))}, 2),
         beta_primitive=lambda u: _matrix(
             u, {(0, 0): 0.5 * np.asarray(u, dtype=float) * np.abs(np.asarray(u, dtype=float))}, 2),
-        b_primitive=lambda u: _matrix(u, {(0, 0): np.asarray(u, dtype=float) ** 3 / 3.0}, 2),
+        b_primitive=lambda u: _matrix(u, {(0, 0): _cube(u) / 3.0}, 2),
         state_bound=state_bound,
         name="anisotropic-2d",
     )

@@ -10,6 +10,14 @@ entropy decay hold step by step and are tracked while running. One step
 function and one stop-point loop serve step, run and run_lockstep; lockstep
 is a batch of two fields on that shared stepper.
 
+The stencils are periodic slice kernels (_Stencils): a shifted operand is
+read through index slices, split where the index wraps, and results go
+into work arrays allocated once per run. Grid constants are fixed per run,
+and the flux and an analytic B or beta primitive are evaluated once per
+stage. The kernels divide by h and h^2 rather than multiply by
+reciprocals, so they match the whole-array periodic-shift form of each
+stencil bit for bit; the tests keep that form as the reference.
+
 Off-diagonal diffusion breaks the monotone structure when it dominates the
 diagonal; that regime is a documented limitation and not exercised by the
 bundled presets.
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -154,7 +163,14 @@ class DiagnosticsRow:
 
 @dataclass
 class RunStats:
-    """Per-step extremes accumulated while running."""
+    """Per-step extremes accumulated while running.
+
+    ``dt_min`` and ``dt_max`` cover the steps whose length the CFL rule
+    set; ``truncated_steps`` counts the steps cut short to land on a stop
+    point. ``contraction_max_step_jump`` is the largest one-step rise of
+    the L1 distance to any of ``contraction_constants``;
+    ``contraction_l1`` holds those distances at each output row.
+    """
 
     steps: int = 0
     initial_min: float = 0.0
@@ -166,7 +182,9 @@ class RunStats:
     mean_drift: float = 0.0
     dt_min: float = math.inf
     dt_max: float = 0.0
+    truncated_steps: int = 0
     contraction_constants: tuple = ()
+    contraction_max_step_jump: float = 0.0
     contraction_l1: list = field(default_factory=list)
 
 
@@ -237,62 +255,173 @@ def _wave_bounds(model, lo, hi, n=129):
     return alphas, lams
 
 
-# The stencils roll over the trailing grid axes (k - d), so leading batch
-# axes pass straight through.
+@lru_cache(maxsize=256)
+def _segments(n, axis, sx, sy):
+    """(out, x, y) index triples that cover out[i] = op(x[i + sx], y[i + sy]).
 
-def _hyperbolic(values, model, grid, alphas):
-    """Divergence of the LLF flux, summed over axes."""
-    f = _as_components(model.flux(values), values.shape, model.dimension, "flux")
-    d = grid.dimension
-    out = np.zeros_like(values)
-    for k in range(d):
-        fa = f[..., k]
-        up = np.roll(values, -1, axis=k - d)
-        interface = 0.5 * (fa + np.roll(fa, -1, axis=k - d)) - 0.5 * alphas[k] * (up - values)
-        out += (interface - np.roll(interface, 1, axis=k - d)) / grid.spacings[k]
+    Indexes run mod n along the trailing axis ``axis`` (negative), so any
+    leading batch axes pass straight through. There is one triple per
+    stretch of i on which neither shifted index wraps.
+    """
+    cuts = sorted({0, n, -sx % n, -sy % n})
+    tail = (slice(None),) * (-axis - 1)
+
+    def at(lo, hi):
+        return (Ellipsis, slice(lo, hi)) + tail
+
+    return tuple((at(lo, hi), at((lo + sx) % n, (lo + sx) % n + hi - lo),
+                  at((lo + sy) % n, (lo + sy) % n + hi - lo))
+                 for lo, hi in zip(cuts, cuts[1:]))
+
+
+def _periodic(ufunc, x, sx, y, sy, axis, out):
+    """out[i] = ufunc(x[i + sx], y[i + sy]) along ``axis``, periodically."""
+    for o, ix, iy in _segments(out.shape[axis], axis, sx, sy):
+        ufunc(x[ix], y[iy], out=out[o])
     return out
 
 
-def _diffusion(values, grid, tables):
-    """Second differences of B(u), including the mixed stencil in 2-d."""
-    d = grid.dimension
-    out = np.zeros_like(values)
-    hs = grid.spacings
-    for i in range(d):
-        entry = tables.b[i][i]
-        if entry is None:
-            continue
-        bb = entry(values)
-        out += (np.roll(bb, -1, axis=i - d) - 2.0 * bb + np.roll(bb, 1, axis=i - d)) / hs[i] ** 2
-    if d == 2 and tables.b[0][1] is not None:
-        bb = tables.b[0][1](values)
-        pp = np.roll(np.roll(bb, -1, axis=-2), -1, axis=-1)
-        pm = np.roll(np.roll(bb, -1, axis=-2), 1, axis=-1)
-        mp = np.roll(np.roll(bb, 1, axis=-2), -1, axis=-1)
-        mm = np.roll(np.roll(bb, 1, axis=-2), 1, axis=-1)
-        out += 2.0 * (pp - pm - mp + mm) / (4.0 * hs[0] * hs[1])
+def _shifted(x, s, axis, out):
+    """out[i] = x[i + s] along ``axis``, periodically."""
+    for o, ix, _ in _segments(out.shape[axis], axis, s, 0):
+        out[o] = x[ix]
     return out
+
+
+def _entry_reader(table, primitive, d, entries):
+    """Evaluator of the nonzero ``entries`` (i, j) of a primitive table, as {(i, j): array}.
+
+    An analytic primitive is called once for all of them; spline entries
+    are called one by one.
+    """
+    keys = [(i, j) for i, j in entries if table[i][j] is not None]
+    if primitive is None:
+        return lambda v: {(i, j): table[i][j](v) for i, j in keys}
+
+    def read(v):
+        mats = _as_matrix(primitive(v), v.shape, d, "primitive")
+        return {(i, j): mats[..., i, j] for i, j in keys}
+    return read
+
+
+class _Stencils:
+    """The scheme's periodic stencils for one model and grid, on fields of one shape.
+
+    Grid constants, the primitive evaluators and the work arrays are set
+    up once, so a run allocates nothing per stage. Leading batch axes of
+    ``shape`` (a lockstep pair) pass through. ``tables`` is
+    primitive_tables(model); hyperbolic() alone works without it.
+    """
+
+    def __init__(self, model, grid, shape, tables=None):
+        d = grid.dimension
+        self.model, self.d, self.shape = model, d, tuple(shape)
+        self.h = grid.spacings
+        self.h2 = tuple(h ** 2 for h in self.h)
+        self.two_h = tuple(2.0 * h for h in self.h)
+        self.four_hh = 4.0 * self.h[0] * self.h[-1]
+        self.cell_volume = grid.cell_volume
+        self.work = [np.empty(shape) for _ in range(3)]
+        if tables is None:
+            return
+        self.has_diffusion = tables.has_diffusion
+        self.flux_is_zero = tables.flux_is_zero
+        self.b = _entry_reader(tables.b, model.b_primitive, d,
+                               [(i, i) for i in range(d)] + [(0, 1)] * (d == 2))
+        self.beta = _entry_reader(tables.beta, model.beta_primitive, d,
+                                  [(i, k) for i in range(d) for k in range(d)])
+
+    def hyperbolic(self, values, alphas, out):
+        """Divergence of the LLF flux, summed over axes, into ``out``."""
+        d = self.d
+        f = _as_components(self.model.flux(values), values.shape, d, "flux")
+        face, diff = self.work[0], self.work[1]
+        out.fill(0.0)
+        for k in range(d):
+            fa = f[..., k]
+            # face[i] = 0.5 (f[i] + f[i+1]) - 0.5 alpha (u[i+1] - u[i])
+            _periodic(np.add, fa, 0, fa, 1, k - d, face)
+            face *= 0.5
+            _periodic(np.subtract, values, 1, values, 0, k - d, diff)
+            diff *= 0.5 * alphas[k]
+            face -= diff
+            _periodic(np.subtract, face, 0, face, -1, k - d, diff)
+            diff /= self.h[k]
+            out += diff
+        return out
+
+    def diffusion(self, values, out):
+        """Second differences of B(u), with the mixed stencil in 2-d, into ``out``."""
+        d = self.d
+        b = self.b(values)
+        w0, w1, w2 = self.work
+        out.fill(0.0)
+        for i in range(d):
+            if (i, i) not in b:
+                continue
+            bb = b[i, i]
+            # (B[i+1] - 2 B[i]) + B[i-1]
+            np.multiply(bb, 2.0, out=w0)
+            _periodic(np.subtract, bb, 1, w0, 0, i - d, w1)
+            _periodic(np.add, w1, 0, bb, -1, i - d, w1)
+            w1 /= self.h2[i]
+            out += w1
+        if d == 2 and (0, 1) in b:
+            # ((B[i+1,j+1] - B[i+1,j-1]) - B[i-1,j+1]) + B[i-1,j-1]
+            bb = b[0, 1]
+            _shifted(bb, 1, -2, w0)
+            _shifted(bb, -1, -2, w1)
+            _periodic(np.subtract, w0, 1, w0, -1, -1, w2)
+            _periodic(np.subtract, w2, 0, w1, 1, -1, w2)
+            _periodic(np.add, w2, 0, w1, -1, -1, w2)
+            w2 *= 2.0
+            w2 /= self.four_hh
+            out += w2
+        return out
+
+    def dissipation(self, values):
+        """Discrete parabolic dissipation: sum over k of (sum_i D_i beta_ik)^2.
+
+        D_i is the centered difference along axis i; the total is scaled
+        by the cell volume.
+        """
+        d = self.d
+        beta = self.beta(values)
+        acc, grad = self.work[0], self.work[1]
+        total = 0.0
+        for k in range(d):
+            terms = [(i, beta[i, k]) for i in range(d) if (i, k) in beta]
+            for n, (i, bb) in enumerate(terms):
+                g = grad if n else acc
+                _periodic(np.subtract, bb, 1, bb, -1, i - d, g)
+                g /= self.two_h[i]
+                if n:
+                    acc += grad
+            if terms:
+                total += float(np.vdot(acc, acc).real)
+        return total * self.cell_volume
 
 
 def hyperbolic_div(model, fld, grid):
     """Discrete divergence of f(u); alpha from the current field range."""
     values = np.asarray(fld.values, dtype=float)
     alphas, _ = _wave_bounds(model, float(values.min()), float(values.max()))
-    return _hyperbolic(values, model, grid, alphas)
+    stencils = _Stencils(model, grid, values.shape)
+    return stencils.hyperbolic(values, alphas, np.empty_like(values))
 
 
 def diffusion_div(model, fld, grid):
     """Discrete divergence of A(u) grad u via primitives of A."""
-    return _diffusion(np.asarray(fld.values, dtype=float), grid, primitive_tables(model))
+    values = np.asarray(fld.values, dtype=float)
+    stencils = _Stencils(model, grid, values.shape, primitive_tables(model))
+    return stencils.diffusion(values, np.empty_like(values))
 
 
-def _cfl_dt(alphas, lams, grid, cfl):
+def _cfl_dt(alphas, lams, hs, cfl):
     """cfl / (sum_i alpha_i/h_i + 2 sum_ij lambda_ij/(h_i h_j)); inf without dynamics."""
-    hs = grid.spacings
-    denom = sum(alphas[i] / hs[i] for i in range(grid.dimension))
-    denom += 2.0 * sum(
-        lams[i][j] / (hs[i] * hs[j])
-        for i in range(grid.dimension) for j in range(grid.dimension))
+    d = len(hs)
+    denom = sum(alphas[i] / hs[i] for i in range(d))
+    denom += 2.0 * sum(lams[i][j] / (hs[i] * hs[j]) for i in range(d) for j in range(d))
     if denom <= 0.0:
         return math.inf
     return cfl / denom
@@ -311,7 +440,7 @@ def stable_dt(model, fld, grid, cfl=0.4, output_every=None):
     if not np.isfinite(values).all():
         raise ConfigurationError("field contains non-finite values")
     alphas, lams = _wave_bounds(model, float(values.min()), float(values.max()))
-    dt = _cfl_dt(alphas, lams, grid, cfl)
+    dt = _cfl_dt(alphas, lams, grid.spacings, cfl)
     if math.isinf(dt) and output_every is not None:
         return float(output_every)
     if math.isnan(dt) or dt <= 0.0:
@@ -319,77 +448,71 @@ def stable_dt(model, fld, grid, cfl=0.4, output_every=None):
     return dt
 
 
-def _stepper(model, grid, tables, scheme):
+def _stepper(stencils, scheme):
     """The scheme map, shared by step, run and run_lockstep.
 
-    Returns ``advance(values, t, cap, idle, dt=None) -> (new_values, dt)``.
-    ``values`` may carry leading batch axes; the wave bounds, and so dt,
-    come from the range over the whole batch. Without a forced ``dt`` the
-    step is the CFL step capped at ``cap``, replaced by ``idle`` when that
-    is not finite or not positive (a model without dynamics); ``idle=None``
-    then raises ConfigurationError.
+    Returns ``advance(values, t, cap, idle, dt=None) -> (new_values, dt, cut)``
+    for fields of the stencils' shape. ``values`` may carry leading batch
+    axes; the wave bounds, and so dt, come from the range over the whole
+    batch. Without a forced ``dt`` the step is the CFL step capped at
+    ``cap``, replaced by ``idle`` when that is not finite or not positive
+    (a model without dynamics); ``idle=None`` then raises
+    ConfigurationError. ``cut`` says the step is shorter than the CFL step
+    (capped, or the ``idle`` step).
     """
+    model = stencils.model
+    two_stage = scheme.integrator != "euler"
+    tend = np.empty(stencils.shape)
+    hyp = np.empty(stencils.shape)
 
     def tendency(v, alphas, skip_flux):
-        out = _diffusion(v, grid, tables) if tables.has_diffusion else np.zeros_like(v)
+        if stencils.has_diffusion:
+            stencils.diffusion(v, tend)
+        else:
+            tend.fill(0.0)
         if not skip_flux:
-            out -= _hyperbolic(v, model, grid, alphas)
-        return out
+            np.subtract(tend, stencils.hyperbolic(v, alphas, hyp), out=tend)
+        return tend
 
     def advance(values, t, cap, idle, dt=None):
         alphas, lams = _wave_bounds(model, float(values.min()), float(values.max()))
+        cut = False
         if dt is None:
-            dt = min(_cfl_dt(alphas, lams, grid, scheme.cfl), cap)
+            cfl_dt = _cfl_dt(alphas, lams, stencils.h, scheme.cfl)
+            dt, cut = min(cfl_dt, cap), cap < cfl_dt
             if not (math.isfinite(dt) and dt > 0.0):
                 if idle is None:
                     raise ConfigurationError(
                         "model has no dynamics; set output_every or pass dt explicitly")
-                dt = idle
-        skip_flux = tables.flux_is_zero and float(alphas.max(initial=0.0)) == 0.0
+                dt, cut = idle, True
+        skip_flux = stencils.flux_is_zero and float(alphas.max(initial=0.0)) == 0.0
         # Overflow here is a diagnosed outcome (BlowUpError), not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            new_values = values + dt * tendency(values, alphas, skip_flux)
-            if scheme.integrator != "euler":
-                new_values = 0.5 * (values + new_values
-                                    + dt * tendency(new_values, alphas, skip_flux))
+            inc = tendency(values, alphas, skip_flux)
+            inc *= dt
+            new_values = values + inc
+            if two_stage:
+                # 0.5 * ((u + u1) + dt * L(u1))
+                inc = tendency(new_values, alphas, skip_flux)
+                inc *= dt
+                new_values += values
+                new_values += inc
+                new_values *= 0.5
         if not np.isfinite(new_values).all():
             finite = new_values[np.isfinite(new_values)]
             peak = float(np.abs(finite).max()) if finite.size else math.inf
             raise BlowUpError(t + dt, peak)
-        return new_values, dt
+        return new_values, dt, cut
 
     return advance
 
 
 def step(state, model, grid, config, *, dt=None):
     """Advance one step; dt defaults to the stable step for this field."""
-    advance = _stepper(model, grid, primitive_tables(model), config)
-    new_values, dt = advance(np.asarray(state.values, dtype=float), state.time,
-                             math.inf, config.output_every, dt)
+    values = np.asarray(state.values, dtype=float)
+    advance = _stepper(_Stencils(model, grid, values.shape, primitive_tables(model)), config)
+    new_values, dt, _ = advance(values, state.time, math.inf, config.output_every, dt)
     return CellField(values=new_values, time=state.time + dt)
-
-
-def _resolved_dissipation(values, grid, tables):
-    """Discrete parabolic dissipation: sum over k of (sum_i D_i beta_ik)^2.
-
-    D_i is the centered difference along axis i; the total is scaled by
-    the cell volume.
-    """
-    d = grid.dimension
-    hs = grid.spacings
-    total = 0.0
-    for k in range(d):
-        acc = None
-        for i in range(d):
-            entry = tables.beta[i][k]
-            if entry is None:
-                continue
-            bb = entry(values)
-            grad = (np.roll(bb, -1, axis=i - d) - np.roll(bb, 1, axis=i - d)) / (2.0 * hs[i])
-            acc = grad if acc is None else acc + grad
-        if acc is not None:
-            total += float(np.vdot(acc, acc).real)
-    return total * grid.cell_volume
 
 
 def _contraction_constants(lo, hi, mean):
@@ -426,9 +549,9 @@ def _boundaries(t_end, out_every, snap_every):
 def _march(advance, values, scheme):
     """The one stop-point loop: step from t=0 through every stop to t_end.
 
-    Yields ``(t, values, dt, None)`` after each step and
-    ``(t, values, None, (is_row, is_snap))`` at each stop point, the first
-    one at t=0. Steps are cut short to land on the stop points.
+    Yields ``(t, values, dt, cut, None)`` after each step and
+    ``(t, values, None, None, (is_row, is_snap))`` at each stop point, the
+    first one at t=0. Steps are cut short to land on the stop points.
     """
     t_end = float(scheme.t_end)
     out_every = scheme.output_every if scheme.output_every is not None else t_end / 50.0
@@ -436,11 +559,11 @@ def _march(advance, values, scheme):
     t = 0.0
     for target, is_row, is_snap in _boundaries(t_end, out_every, scheme.snapshot_every):
         while t < target - eps_end:
-            values, dt = advance(values, t, target - t, target - t)
+            values, dt, cut = advance(values, t, target - t, target - t)
             t = t + dt
-            yield t, values, dt, None
+            yield t, values, dt, cut, None
         t = target
-        yield t, values, None, (is_row, is_snap)
+        yield t, values, None, None, (is_row, is_snap)
 
 
 def run(model, grid, profile, scheme, hooks=()):
@@ -449,13 +572,15 @@ def run(model, grid, profile, scheme, hooks=()):
     Returns a Trajectory with diagnostic rows at the output cadence,
     optional snapshots, and RunStats holding per-step extremes (maximum
     principle violation, largest positive energy jump, mean drift, and the
-    L1 distances to a ladder of constants for the contraction audit).
-    Blow-up raises BlowUpError with the partial trajectory attached.
+    largest rise of the L1 distance to a ladder of constants, which the
+    contraction audit reads). Blow-up raises BlowUpError with the partial
+    trajectory attached.
     """
     fld = profile if isinstance(profile, CellField) else init_field(grid, profile)
     values = np.asarray(fld.values, dtype=float).copy()
     tables = primitive_tables(model)
-    vol = grid.cell_volume
+    stencils = _Stencils(model, grid, values.shape, tables)
+    vol = stencils.cell_volume
     ncells = values.size
 
     mean0 = float(values.sum()) / ncells
@@ -465,6 +590,14 @@ def run(model, grid, profile, scheme, hooks=()):
         initial_min=u0_min, initial_max=u0_max, initial_mean=mean0,
         contraction_constants=tuple(_contraction_constants(u0_min, u0_max, mean0)),
     )
+    consts = np.array(stats.contraction_constants).reshape((-1,) + (1,) * values.ndim)
+    gaps = np.empty(consts.shape[:1] + values.shape)
+
+    def ladder_l1(v):
+        """L1 distance of v to every contraction constant, in one pass."""
+        np.subtract(v, consts, out=gaps)
+        np.abs(gaps, out=gaps)
+        return gaps.reshape(len(consts), -1).sum(axis=1) * vol
 
     rows = []
     snaps = []
@@ -482,8 +615,7 @@ def run(model, grid, profile, scheme, hooks=()):
             linf=float(np.abs(values).max()),
             dissipation_resolved=window_diss, dissipation_budget=budget)
         rows.append(row)
-        stats.contraction_l1.append(
-            [float(np.abs(values - c).sum()) * vol for c in stats.contraction_constants])
+        stats.contraction_l1.append(ladder_cur.tolist())
         for hook in hooks:
             hook(CellField(values=values.copy(), time=t), row)
 
@@ -494,14 +626,14 @@ def run(model, grid, profile, scheme, hooks=()):
 
     t = 0.0
     has_diff = tables.has_diffusion
-    n_prev = _resolved_dissipation(values, grid, tables) if has_diff else 0.0
+    n_prev = stencils.dissipation(values) if has_diff else 0.0
     window_diss = 0.0
     energy_cur = float(np.vdot(values, values).real) * vol
     mean_cur = mean0
+    ladder_cur = ladder_l1(values)
 
     try:
-        for t, new_values, dt, stop in _march(_stepper(model, grid, tables, scheme),
-                                              values, scheme):
+        for t, new_values, dt, cut, stop in _march(_stepper(stencils, scheme), values, scheme):
             if stop is not None:
                 is_row, is_snap = stop
                 if is_row:
@@ -511,8 +643,11 @@ def run(model, grid, profile, scheme, hooks=()):
                     snaps.append(CellField(values=values.copy(), time=t))
                 continue
             stats.steps += 1
-            stats.dt_min = min(stats.dt_min, dt)
-            stats.dt_max = max(stats.dt_max, dt)
+            if cut:
+                stats.truncated_steps += 1
+            else:
+                stats.dt_min = min(stats.dt_min, dt)
+                stats.dt_max = max(stats.dt_max, dt)
             new_min = float(new_values.min())
             new_max = float(new_values.max())
             stats.max_principle_violation = max(
@@ -524,13 +659,17 @@ def run(model, grid, profile, scheme, hooks=()):
             stats.max_step_mean_jump = max(
                 stats.max_step_mean_jump, abs(new_mean - mean_cur))
             stats.mean_drift = max(stats.mean_drift, abs(new_mean - mean0))
+            new_ladder = ladder_l1(new_values)
+            stats.contraction_max_step_jump = max(
+                stats.contraction_max_step_jump, float((new_ladder - ladder_cur).max()))
             if has_diff:
-                n_new = _resolved_dissipation(new_values, grid, tables)
+                n_new = stencils.dissipation(new_values)
                 window_diss += 0.5 * dt * (n_prev + n_new)
                 n_prev = n_new
             values = new_values
             energy_cur = new_energy
             mean_cur = new_mean
+            ladder_cur = new_ladder
     except BlowUpError as exc:
         exc.trajectory = trajectory()
         raise
@@ -549,11 +688,11 @@ def run_lockstep(model, grid, profile_a, profile_b, scheme):
     fields = [p if isinstance(p, CellField) else init_field(grid, p)
               for p in (profile_a, profile_b)]
     values = np.stack([np.asarray(f.values, dtype=float) for f in fields])
-    advance = _stepper(model, grid, primitive_tables(model), scheme)
+    advance = _stepper(_Stencils(model, grid, values.shape, primitive_tables(model)), scheme)
     times = []
     dists = []
     # Without snapshots every stop point is an output row.
-    for t, values, _, stop in _march(advance, values, replace(scheme, snapshot_every=None)):
+    for t, values, _, _, stop in _march(advance, values, replace(scheme, snapshot_every=None)):
         if stop is not None:
             times.append(t)
             dists.append(float(np.abs(values[0] - values[1]).sum()) * grid.cell_volume)

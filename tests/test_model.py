@@ -273,6 +273,21 @@ def test_spline_primitive_matches_gap_by_gap_accumulation():
     assert np.abs(got - ref).max() <= 512 * np.finfo(float).eps * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("name,cubic", [
+    ("anisotropic-2d", lambda m, u: m.flux(u)[..., 1]),
+    ("anisotropic-2d", lambda m, u: m.b_primitive(u)[..., 0, 0]),
+    ("burgers-degenerate", lambda m, u: m.b_primitive(u)[..., 0, 0]),
+])
+def test_preset_cubics_match_closed_form(name, cubic):
+    # Written as u*u*u, not with numpy's power; a few ulp from u**3/3.
+    m = preset(name)
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, 4001)
+    u[:3] = (-1.0, 0.0, 1.0)
+    np.testing.assert_allclose(cubic(m, u), u ** 3 / 3.0, rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert cubic(m, -0.5) == pytest.approx(-0.125 / 3.0, rel=4 * np.finfo(float).eps)
+    assert validate_model(m).overall_pass
+
+
 # --- validation --------------------------------------------------------------
 
 def test_validate_model_passes_on_degenerate_preset():

@@ -1,9 +1,12 @@
 """Tests for the finite-volume scheme and time integration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from anisolab.model import polynomial_model, preset
+from anisolab.diagnostics import audit
+from anisolab.model import polynomial_model, preset, primitive_tables
 from anisolab.solver import (
     BlowUpError,
     CellField,
@@ -19,6 +22,7 @@ from anisolab.solver import (
     stable_dt,
     step,
 )
+from anisolab.solver import _Stencils, _wave_bounds
 
 HEAT = polynomial_model("heat", [(0.0,)], {(0, 0): (1.0,)}, 1, 1.0)
 
@@ -185,6 +189,93 @@ def test_diffusion_div_mixed_term_second_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
 
 
+# The slice kernels must equal these whole-array np.roll forms of the
+# stencils bit for bit.
+
+def roll_hyperbolic(values, model, grid, alphas):
+    f = model.flux(values)
+    d = grid.dimension
+    out = np.zeros_like(values)
+    for k in range(d):
+        fa = f[..., k]
+        up = np.roll(values, -1, axis=k - d)
+        interface = 0.5 * (fa + np.roll(fa, -1, axis=k - d)) - 0.5 * alphas[k] * (up - values)
+        out += (interface - np.roll(interface, 1, axis=k - d)) / grid.spacings[k]
+    return out
+
+
+def roll_diffusion(values, grid, tables):
+    d = grid.dimension
+    out = np.zeros_like(values)
+    hs = grid.spacings
+    for i in range(d):
+        if tables.b[i][i] is not None:
+            bb = tables.b[i][i](values)
+            out += (np.roll(bb, -1, axis=i - d) - 2.0 * bb + np.roll(bb, 1, axis=i - d)) / hs[i] ** 2
+    if d == 2 and tables.b[0][1] is not None:
+        bb = tables.b[0][1](values)
+        pp = np.roll(np.roll(bb, -1, axis=-2), -1, axis=-1)
+        pm = np.roll(np.roll(bb, -1, axis=-2), 1, axis=-1)
+        mp = np.roll(np.roll(bb, 1, axis=-2), -1, axis=-1)
+        mm = np.roll(np.roll(bb, 1, axis=-2), 1, axis=-1)
+        out += 2.0 * (pp - pm - mp + mm) / (4.0 * hs[0] * hs[1])
+    return out
+
+
+def roll_dissipation(values, grid, tables):
+    d = grid.dimension
+    total = 0.0
+    for k in range(d):
+        acc = None
+        for i in range(d):
+            if tables.beta[i][k] is None:
+                continue
+            bb = tables.beta[i][k](values)
+            grad = (np.roll(bb, -1, axis=i - d) - np.roll(bb, 1, axis=i - d)) / (2.0 * grid.spacings[i])
+            acc = grad if acc is None else acc + grad
+        if acc is not None:
+            total += float(np.vdot(acc, acc).real)
+    return total * grid.cell_volume
+
+
+COUPLED_2D = polynomial_model(
+    "coupled-cubic", [(0.0, 0.5, 0.2), (0.0, -0.4, 0.0, 0.3)],
+    {(0, 0): (0.4, 0.0, 0.3), (0, 1): (0.05, 0.0, 0.02), (1, 1): (0.3, 0.1)}, 2, 1.0)
+# Without the analytic B primitive every entry is a spline table.
+STENCIL_MODELS = {"coupled-cubic": COUPLED_2D,
+                  "coupled-spline": replace(COUPLED_2D, b_primitive=None, name="coupled-spline")}
+
+STENCIL_CASES = [
+    ("burgers-degenerate", (1.0,), (), (32,)),
+    ("porous-medium", (2.5,), (2,), (20,)),
+    ("anisotropic-2d", (1.0, 1.0), (), (12, 16)),
+    ("anisotropic-2d", (1.0, 2.0), (2,), (12, 16)),
+    ("coupled-cubic", (1.0, 1.0), (), (10, 14)),
+    ("coupled-cubic", (1.0, 3.0), (2,), (10, 14)),
+    ("coupled-spline", (1.0, 1.0), (2,), (10, 14)),
+]
+
+
+@pytest.mark.parametrize("name,periods,batch,cells", STENCIL_CASES)
+def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, cells):
+    m = STENCIL_MODELS[name] if name in STENCIL_MODELS else preset(name)
+    g = PeriodicGrid.make(list(periods), list(cells))
+    values = np.random.default_rng(7).uniform(-0.9, 0.9, batch + cells)
+    tables = primitive_tables(m)
+    alphas, _ = _wave_bounds(m, float(values.min()), float(values.max()))
+    stencils = _Stencils(m, g, values.shape, tables)
+    for _ in range(2):  # the second call reuses the work arrays
+        hyp = stencils.hyperbolic(values, alphas, np.empty_like(values))
+        assert hyp.tobytes() == roll_hyperbolic(values, m, g, alphas).tobytes()
+        diff = stencils.diffusion(values, np.empty_like(values))
+        assert diff.tobytes() == roll_diffusion(values, g, tables).tobytes()
+        assert stencils.dissipation(values) == roll_dissipation(values, g, tables)
+    if not batch:
+        fld = CellField(values, 0.0)
+        assert hyperbolic_div(m, fld, g).tobytes() == roll_hyperbolic(values, m, g, alphas).tobytes()
+        assert diffusion_div(m, fld, g).tobytes() == roll_diffusion(values, g, tables).tobytes()
+
+
 # --- stable_dt ---------------------------------------------------------------
 
 def test_stable_dt_advection():
@@ -315,8 +406,44 @@ def test_run_stats_respect_monotone_bounds():
     ladder = np.asarray(s.contraction_l1)
     jumps = np.diff(ladder, axis=0)
     assert jumps.max(initial=0.0) <= 1e-12
+    assert s.contraction_max_step_jump <= 1e-12
     energies = [row.l2_energy for row in traj.rows]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+
+
+def test_run_contraction_jump_is_taken_per_step():
+    # With a cadence finer than the CFL step every step ends on a row, so
+    # the per-step rise equals the largest rise between rows exactly.
+    g = PeriodicGrid.make([1.0], [64])
+    traj = run(preset("burgers-degenerate"), g, sin_profile,
+               SchemeConfig(t_end=1e-3, output_every=1e-5))
+    s = traj.stats
+    assert s.steps == len(traj.rows) - 1
+    jumps = np.diff(np.asarray(s.contraction_l1), axis=0)
+    assert s.contraction_max_step_jump == max(0.0, float(jumps.max()))
+
+
+def test_audit_reads_the_per_step_contraction():
+    g = PeriodicGrid.make([1.0], [32])
+    traj = run(preset("burgers"), g, sin_profile, SchemeConfig(t_end=0.1, output_every=0.05))
+    assert audit(traj).contraction_violation == traj.stats.contraction_max_step_jump
+    traj.stats.contraction_max_step_jump = 1e-9
+    report = audit(traj)
+    assert report.contraction_violation == 1e-9
+    assert not report.passed
+
+
+def test_run_dt_extremes_exclude_truncated_steps():
+    # Linear advection has the same CFL step for every field, so only the
+    # steps cut to land on a row can differ from it.
+    g = PeriodicGrid.make([1.0], [64])
+    m = preset("linear-advection")
+    traj = run(m, g, sin_profile, SchemeConfig(t_end=0.1, output_every=0.013))
+    s = traj.stats
+    cfl_dt = stable_dt(m, init_field(g, sin_profile), g, cfl=0.4)
+    assert s.dt_min == s.dt_max == cfl_dt
+    assert s.truncated_steps == len(traj.rows) - 1
+    assert s.steps > s.truncated_steps
 
 
 def test_run_porous_energy_strictly_decreasing():
