@@ -211,7 +211,14 @@ def audit(trajectory, tolerances=None):
         mp_violation = stats.max_principle_violation
         energy_violation = stats.energy_max_step_jump
         mean_drift = stats.mean_drift
+        # Per-step rise, plus the rise between rows so that a drift of
+        # many sub-tolerance steps still shows.
         contraction = stats.contraction_max_step_jump
+        ladder = stats.contraction_l1
+        if ladder:
+            for k in range(len(ladder[0])):
+                contraction = max(contraction,
+                                  _max_positive_jump([row[k] for row in ladder]))
     else:
         m_inf = rows[0].linf
         mp_violation = max(0.0, max(r.linf for r in rows) - rows[0].linf)

@@ -13,7 +13,7 @@ is a batch of two fields on that shared stepper.
 The stencils are periodic slice kernels (_Stencils): a shifted operand is
 read through index slices, split where the index wraps, and results go
 into work arrays allocated once per run. Grid constants are fixed per run,
-and the flux and an analytic B or beta primitive are evaluated once per
+and the flux and each nonzero B or beta entry are evaluated once per
 stage. The kernels divide by h and h^2 rather than multiply by
 reciprocals, so they match the whole-array periodic-shift form of each
 stencil bit for bit; the tests keep that form as the reference.
@@ -166,8 +166,9 @@ class RunStats:
     """Per-step extremes accumulated while running.
 
     ``dt_min`` and ``dt_max`` cover the steps whose length the CFL rule
-    set; ``truncated_steps`` counts the steps cut short to land on a stop
-    point. ``contraction_max_step_jump`` is the largest one-step rise of
+    set; when no step was (a cadence finer than the CFL step, or a model
+    without dynamics) they cover the cut steps instead. ``truncated_steps``
+    counts the steps cut short to land on a stop point. ``contraction_max_step_jump`` is the largest one-step rise of
     the L1 distance to any of ``contraction_constants``;
     ``contraction_l1`` holds those distances at each output row.
     """
@@ -288,27 +289,12 @@ def _shifted(x, s, axis, out):
     return out
 
 
-def _entry_reader(table, primitive, d, entries):
-    """Evaluator of the nonzero ``entries`` (i, j) of a primitive table, as {(i, j): array}.
-
-    An analytic primitive is called once for all of them; spline entries
-    are called one by one.
-    """
-    keys = [(i, j) for i, j in entries if table[i][j] is not None]
-    if primitive is None:
-        return lambda v: {(i, j): table[i][j](v) for i, j in keys}
-
-    def read(v):
-        mats = _as_matrix(primitive(v), v.shape, d, "primitive")
-        return {(i, j): mats[..., i, j] for i, j in keys}
-    return read
-
-
 class _Stencils:
     """The scheme's periodic stencils for one model and grid, on fields of one shape.
 
-    Grid constants, the primitive evaluators and the work arrays are set
-    up once, so a run allocates nothing per stage. Leading batch axes of
+    Grid constants, the nonzero primitive entries and the work arrays are
+    set up once; per stage only the flux and primitive values are new
+    arrays. Leading batch axes of
     ``shape`` (a lockstep pair) pass through. ``tables`` is
     primitive_tables(model); hyperbolic() alone works without it.
     """
@@ -326,10 +312,12 @@ class _Stencils:
             return
         self.has_diffusion = tables.has_diffusion
         self.flux_is_zero = tables.flux_is_zero
-        self.b = _entry_reader(tables.b, model.b_primitive, d,
-                               [(i, i) for i in range(d)] + [(0, 1)] * (d == 2))
-        self.beta = _entry_reader(tables.beta, model.beta_primitive, d,
-                                  [(i, k) for i in range(d) for k in range(d)])
+        self.b_entries = {(i, j): tables.b[i][j]
+                          for i, j in [(i, i) for i in range(d)] + [(0, 1)] * (d == 2)
+                          if tables.b[i][j] is not None}
+        self.beta_entries = {(i, k): tables.beta[i][k]
+                             for i in range(d) for k in range(d)
+                             if tables.beta[i][k] is not None}
 
     def hyperbolic(self, values, alphas, out):
         """Divergence of the LLF flux, summed over axes, into ``out``."""
@@ -353,7 +341,7 @@ class _Stencils:
     def diffusion(self, values, out):
         """Second differences of B(u), with the mixed stencil in 2-d, into ``out``."""
         d = self.d
-        b = self.b(values)
+        b = {ij: fn(values) for ij, fn in self.b_entries.items()}
         w0, w1, w2 = self.work
         out.fill(0.0)
         for i in range(d):
@@ -386,7 +374,7 @@ class _Stencils:
         by the cell volume.
         """
         d = self.d
-        beta = self.beta(values)
+        beta = {ik: fn(values) for ik, fn in self.beta_entries.items()}
         acc, grad = self.work[0], self.work[1]
         total = 0.0
         for k in range(d):
@@ -620,6 +608,8 @@ def run(model, grid, profile, scheme, hooks=()):
             hook(CellField(values=values.copy(), time=t), row)
 
     def trajectory():
+        if stats.steps and stats.truncated_steps == stats.steps:
+            stats.dt_min, stats.dt_max = cut_dt_min, cut_dt_max
         return Trajectory(model_name=model.name, grid=grid, scheme=scheme,
                           rows=rows, snapshots=snaps, stats=stats,
                           final=CellField(values=values.copy(), time=t))
@@ -631,6 +621,7 @@ def run(model, grid, profile, scheme, hooks=()):
     energy_cur = float(np.vdot(values, values).real) * vol
     mean_cur = mean0
     ladder_cur = ladder_l1(values)
+    cut_dt_min, cut_dt_max = math.inf, 0.0
 
     try:
         for t, new_values, dt, cut, stop in _march(_stepper(stencils, scheme), values, scheme):
@@ -645,6 +636,7 @@ def run(model, grid, profile, scheme, hooks=()):
             stats.steps += 1
             if cut:
                 stats.truncated_steps += 1
+                cut_dt_min, cut_dt_max = min(cut_dt_min, dt), max(cut_dt_max, dt)
             else:
                 stats.dt_min = min(stats.dt_min, dt)
                 stats.dt_max = max(stats.dt_max, dt)

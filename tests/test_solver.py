@@ -421,16 +421,40 @@ def test_run_contraction_jump_is_taken_per_step():
     assert s.steps == len(traj.rows) - 1
     jumps = np.diff(np.asarray(s.contraction_l1), axis=0)
     assert s.contraction_max_step_jump == max(0.0, float(jumps.max()))
+    # Every step was cut, so the dt extremes are those of the cut steps.
+    assert s.truncated_steps == s.steps
+    assert s.dt_min == pytest.approx(1e-5, rel=1e-9)
+    assert s.dt_max == pytest.approx(1e-5, rel=1e-9)
 
 
 def test_audit_reads_the_per_step_contraction():
     g = PeriodicGrid.make([1.0], [32])
     traj = run(preset("burgers"), g, sin_profile, SchemeConfig(t_end=0.1, output_every=0.05))
-    assert audit(traj).contraction_violation == traj.stats.contraction_max_step_jump
+    assert audit(traj).passed
     traj.stats.contraction_max_step_jump = 1e-9
     report = audit(traj)
     assert report.contraction_violation == 1e-9
     assert not report.passed
+
+
+def test_audit_still_checks_the_contraction_between_rows():
+    # Sub-tolerance rises on every step can add up to a rise between rows.
+    g = PeriodicGrid.make([1.0], [32])
+    traj = run(preset("burgers"), g, sin_profile, SchemeConfig(t_end=0.1, output_every=0.05))
+    traj.stats.contraction_max_step_jump = 0.0
+    traj.stats.contraction_l1[-1][0] = traj.stats.contraction_l1[-2][0] + 1e-9
+    report = audit(traj)
+    assert report.contraction_violation == pytest.approx(1e-9, rel=1e-6)
+    assert not report.passed
+
+
+def test_run_dt_extremes_of_a_model_without_dynamics():
+    # Every step is the idle step at the output cadence.
+    zero = polynomial_model("still", [(0.0,)], {}, 1, 1.0)
+    g = PeriodicGrid.make([1.0], [16])
+    s = run(zero, g, sin_profile, SchemeConfig(t_end=0.1, output_every=0.025)).stats
+    assert s.steps == s.truncated_steps == 4
+    assert s.dt_min == pytest.approx(0.025) and s.dt_max == pytest.approx(0.025)
 
 
 def test_run_dt_extremes_exclude_truncated_steps():
