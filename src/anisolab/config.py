@@ -3,9 +3,9 @@
 The format is line-oriented so configs diff cleanly and any language can
 parse them: full-line # comments, [model] / [grid] / [initial] / [scheme]
 / [condition] / [output] / [sweep] sections, one assignment per line.
-parse_config collects every problem it finds with its line number instead
-of stopping at the first. serialize_config emits a canonical form that
-parses back to an equal config.
+One key table, _TABLE, drives parse_config, which collects every problem
+with its line number instead of stopping at the first, and serialize_config,
+whose canonical form parses back to an equal config.
 
 Random initial profiles use a 64-bit linear congruential generator fixed
 here for cross-implementation reproducibility: state' = (state * 6364136223846793005
@@ -98,45 +98,132 @@ class ExperimentConfig:
     sweep_values: tuple = ()
 
 
-_SECTIONS = ("model", "grid", "initial", "scheme", "condition", "output", "sweep")
+# Written even when every field holds its default; the others only when one differs.
+_ALWAYS_WRITTEN = ("model", "initial", "condition")
 _INLINE_MODEL_KEYS = ("f1", "f2", "A11", "A12", "A22")
+_DEFAULTS = ExperimentConfig()
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+_LISTS = ("floats", "ints")
 
 
-class _Parser:
-    def __init__(self):
-        self.errors = []
-        self.lines_seen = {}
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its value kind, its checks and the field it sets.
 
-    def fail(self, lineno, message):
-        self.errors.append(f"line {lineno}: {message}")
+    ``kind`` is float, int, bool, choice, str (kept as written) or a number
+    list, floats or ints. ``checks`` are (predicate, message) pairs tried in
+    order on the parsed value; a message is formatted with key, raw (the
+    text as written) and val. Every float must also be finite. ``field``
+    defaults to the key; the inline model coefficients set no field.
+    """
 
-    def number(self, lineno, key, raw, kind=float):
-        try:
-            return kind(raw)
-        except ValueError:
-            self.fail(lineno, f"{key}: malformed number {raw!r}")
-            return None
+    key: str
+    kind: str
+    checks: tuple = ()
+    field: Optional[str] = None
 
-    def number_list(self, lineno, key, raw, kind=float):
-        out = []
-        for piece in raw.split(","):
-            val = self.number(lineno, key, piece.strip(), kind)
-            if val is None:
-                return None
-            out.append(val)
-        if not out:
-            self.fail(lineno, f"{key}: empty list")
-            return None
-        return tuple(out)
 
-    def boolean(self, lineno, key, raw):
-        low = raw.strip().lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        self.fail(lineno, f"{key}: expected true/false, got {raw!r}")
-        return None
+def _positive(x):
+    return x > 0 and math.isfinite(x)
+
+
+_POSITIVE = ((_positive, "{key} must be positive, got {raw}"),)
+
+
+def _one_of(options, message):
+    return ((lambda raw: raw in options, message),)
+
+
+# Section by section, in the order serialize_config writes them.
+_TABLE = {
+    "model": (
+        _Key("preset", "choice", _one_of(list_presets(), "unknown preset {raw!r}; "
+                                         f"available: {', '.join(list_presets())}")),
+        _Key("name", "str", field="model_name"),
+        _Key("dimension", "int", ((lambda d: d in (1, 2), "{key} must be 1 or 2, got {val}"),)),
+        *(_Key(key, "floats") for key in _INLINE_MODEL_KEYS),
+        _Key("state_bound", "float", _POSITIVE)),
+    "grid": (
+        _Key("periods", "floats",
+             ((lambda v: all(map(_positive, v)), "{key} must be positive, got {raw}"),)),
+        _Key("cells", "ints",
+             ((lambda v: min(v) >= 4, "{key} must be at least 4 per axis, got {raw}"),))),
+    "initial": (
+        _Key("profile", "choice", _one_of(
+            PROFILES, f"unknown profile {{raw!r}}; available: {', '.join(PROFILES)}")),
+        _Key("amplitude", "float"),
+        _Key("zero_mean", "bool"),
+        _Key("seed", "int", ((lambda n: n >= 0, "{key} must be nonnegative, got {val}"),))),
+    "scheme": (
+        _Key("t_end", "float", _POSITIVE),
+        _Key("cfl", "float", _POSITIVE),
+        _Key("integrator", "choice", _one_of(
+            INTEGRATORS, f"{{key}} must be {' or '.join(INTEGRATORS)}, got {{raw!r}}")),
+        _Key("output_every", "float", _POSITIVE),
+        _Key("snapshot_every", "float", _POSITIVE)),
+    "condition": (
+        _Key("delta", "float", _POSITIVE),
+        _Key("lambdas", "floats", (
+            (lambda v: all(x > 0 for x in v), "{key} must all be positive"),
+            (lambda v: all(b < a for a, b in zip(v, v[1:])), "{key} must be strictly decreasing"))),
+        _Key("n_dir", "int", ((lambda n: n >= 4, "{key} must be at least 4, got {val}"),)),
+        _Key("r_max", "float", _POSITIVE),
+        _Key("n_resonant", "int", ((lambda n: n >= 2, "{key} must be at least 2, got {val}"),)),
+        _Key("lattice", "bool")),
+    "output": (_Key("directory", "str"),),
+    "sweep": (
+        _Key("axis", "choice", field="sweep_axis", checks=_one_of(
+            SWEEP_AXES, f"{{key}} must be one of {', '.join(SWEEP_AXES)}, got {{raw!r}}")),
+        _Key("values", "floats", field="sweep_values")),
+}
+_BY_NAME = {(section, spec.key): spec for section, specs in _TABLE.items() for spec in specs}
+
+# What the sweep values on an axis must be: (predicate, description).
+_SWEEP_VALUE_RULES = {
+    "cells": (lambda v: v >= 4 and float(v).is_integer(), "integers of at least 4"),
+    "cfl": (_positive, "positive"), "lambda_floor": (_positive, "positive")}
+
+
+def _coeff_index(key):
+    """Zero-based index of an inline coefficient key: f2 -> (1,), A12 -> (0, 1)."""
+    return tuple(int(c) - 1 for c in key[1:])
+
+
+def _read(spec, raw):
+    """(value, None) for an accepted raw value, else (None, error message)."""
+    key, kind = spec.key, spec.kind
+    if kind in ("str", "choice"):
+        val = raw
+    elif kind == "bool":
+        val = _BOOLEANS.get(raw.lower())
+        if val is None:
+            return None, f"{key}: expected true/false, got {raw!r}"
+    else:
+        number = float if kind.startswith("float") else int
+        numbers = []
+        for piece in raw.split(",") if kind in _LISTS else [raw]:
+            try:
+                numbers.append(number(piece.strip()))
+            except ValueError:
+                return None, f"{key}: malformed number {piece.strip()!r}"
+        val = tuple(numbers) if kind in _LISTS else numbers[0]
+    for ok, message in spec.checks:
+        if not ok(val):
+            return None, message.format(key=key, raw=raw, val=val)
+    if kind.startswith("float") and not all(map(math.isfinite, numbers)):
+        return None, f"{key} must be finite, got {raw}"
+    return val, None
+
+
+def _format(kind, val):
+    if kind in _LISTS:
+        return ", ".join(_format(kind[:-1], v) for v in val)
+    if kind == "bool":
+        return "true" if val else "false"
+    if kind == "float":  # a numpy scalar's repr names its type; a builtin float's round-trips
+        return repr(float(val))
+    return str(int(val)) if kind == "int" else str(val)
 
 
 def parse_config(text, required_sections=("model",)):
@@ -144,13 +231,16 @@ def parse_config(text, required_sections=("model",)):
 
     Unknown sections and keys, malformed numbers and invalid values are
     reported with their line numbers; missing required sections are
-    reported at the end.
+    reported at the end. A rejected line leaves its field as it was.
     """
     cfg = ExperimentConfig()
-    p = _Parser()
+    errors, lines_seen, inline = [], {}, {}
+
+    def fail(lineno, message):
+        errors.append(f"line {lineno}: {message}")
+
     section = None
     seen_sections = set()
-    inline_seen = {}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -158,313 +248,121 @@ def parse_config(text, required_sections=("model",)):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
-                p.fail(lineno, f"unknown section [{name}]")
+            if name not in _TABLE:
+                fail(lineno, f"unknown section [{name}]")
                 section = None
             else:
                 section = name
                 seen_sections.add(name)
             continue
         if "=" not in line:
-            p.fail(lineno, f"expected key = value, got {raw_line.strip()!r}")
+            fail(lineno, f"expected key = value, got {raw_line.strip()!r}")
             continue
         if section is None:
-            p.fail(lineno, "assignment outside any [section]")
+            fail(lineno, "assignment outside any [section]")
             continue
         key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        p.lines_seen[(section, key)] = lineno
-        _assign(cfg, p, section, key, raw, lineno, inline_seen)
+        key, raw = key.strip(), raw.strip()
+        lines_seen[(section, key)] = lineno
+        spec = _BY_NAME.get((section, key))
+        if (section, key) == ("model", "A21"):
+            fail(lineno, "A21 is not accepted; give the upper-triangle entry A12")
+        elif spec is None:
+            fail(lineno, f"unknown key {key!r} in [{section}]")
+        else:
+            val, error = _read(spec, raw)
+            if error is not None:
+                fail(lineno, error)
+            elif key in _INLINE_MODEL_KEYS:
+                inline[key] = (lineno, val)
+            else:
+                setattr(cfg, spec.field or key, val)
 
     for name in required_sections:
         if name not in seen_sections:
-            p.errors.append(f"missing required section [{name}]")
+            errors.append(f"missing required section [{name}]")
 
-    _cross_checks(cfg, p, inline_seen)
-    if p.errors:
-        raise ConfigError(p.errors)
+    _cross_checks(cfg, fail, lines_seen, inline)
+    if errors:
+        raise ConfigError(errors)
     return cfg
 
 
-def _assign(cfg, p, section, key, raw, lineno, inline_seen):
-    if section == "model":
-        if key == "preset":
-            if raw not in list_presets():
-                p.fail(lineno, f"unknown preset {raw!r}; available: {', '.join(list_presets())}")
-            else:
-                cfg.preset = raw
-        elif key == "name":
-            cfg.model_name = raw
-        elif key == "dimension":
-            val = p.number(lineno, key, raw, int)
-            if val is not None and val not in (1, 2):
-                p.fail(lineno, f"dimension must be 1 or 2, got {val}")
-            else:
-                cfg.dimension = val
-        elif key == "state_bound":
-            val = p.number(lineno, key, raw)
-            if val is not None and not (val > 0 and math.isfinite(val)):
-                p.fail(lineno, f"state_bound must be positive, got {raw}")
-            else:
-                cfg.state_bound = val
-        elif key == "A21":
-            p.fail(lineno, "A21 is not accepted; give the upper-triangle entry A12")
-        elif key in _INLINE_MODEL_KEYS:
-            val = p.number_list(lineno, key, raw)
-            if val is not None:
-                inline_seen[key] = (lineno, val)
-        else:
-            p.fail(lineno, f"unknown key {key!r} in [model]")
-    elif section == "grid":
-        if key == "periods":
-            val = p.number_list(lineno, key, raw)
-            if val is not None and any(not (x > 0 and math.isfinite(x)) for x in val):
-                p.fail(lineno, f"periods must be positive, got {raw}")
-            else:
-                cfg.periods = val
-        elif key == "cells":
-            val = p.number_list(lineno, key, raw, int)
-            if val is not None and any(n < 4 for n in val):
-                p.fail(lineno, f"cells must be at least 4 per axis, got {raw}")
-            else:
-                cfg.cells = val
-        else:
-            p.fail(lineno, f"unknown key {key!r} in [grid]")
-    elif section == "initial":
-        if key == "profile":
-            if raw not in PROFILES:
-                p.fail(lineno, f"unknown profile {raw!r}; available: {', '.join(PROFILES)}")
-            else:
-                cfg.profile = raw
-        elif key == "amplitude":
-            cfg.amplitude = p.number(lineno, key, raw)
-        elif key == "zero_mean":
-            val = p.boolean(lineno, key, raw)
-            if val is not None:
-                cfg.zero_mean = val
-        elif key == "seed":
-            val = p.number(lineno, key, raw, int)
-            if val is not None and val < 0:
-                p.fail(lineno, f"seed must be nonnegative, got {val}")
-            else:
-                cfg.seed = val
-        else:
-            p.fail(lineno, f"unknown key {key!r} in [initial]")
-    elif section == "scheme":
-        if key == "t_end":
-            val = p.number(lineno, key, raw)
-            if val is not None and not (val > 0 and math.isfinite(val)):
-                p.fail(lineno, f"t_end must be positive, got {raw}")
-            else:
-                cfg.t_end = val
-        elif key == "cfl":
-            val = p.number(lineno, key, raw)
-            if val is not None and not (val > 0 and math.isfinite(val)):
-                p.fail(lineno, f"cfl must be positive, got {raw}")
-            else:
-                cfg.cfl = val
-        elif key == "integrator":
-            if raw not in INTEGRATORS:
-                p.fail(lineno, f"integrator must be {' or '.join(INTEGRATORS)}, got {raw!r}")
-            else:
-                cfg.integrator = raw
-        elif key in ("output_every", "snapshot_every"):
-            val = p.number(lineno, key, raw)
-            if val is not None and not (val > 0 and math.isfinite(val)):
-                p.fail(lineno, f"{key} must be positive, got {raw}")
-            else:
-                setattr(cfg, key, val)
-        else:
-            p.fail(lineno, f"unknown key {key!r} in [scheme]")
-    elif section == "condition":
-        if key == "delta":
-            val = p.number(lineno, key, raw)
-            if val is not None and not (val > 0 and math.isfinite(val)):
-                p.fail(lineno, f"delta must be positive, got {raw}")
-            else:
-                cfg.delta = val
-        elif key == "lambdas":
-            val = p.number_list(lineno, key, raw)
-            if val is not None:
-                if any(not (x > 0) for x in val):
-                    p.fail(lineno, "lambdas must all be positive")
-                elif any(b >= a for a, b in zip(val, val[1:])):
-                    p.fail(lineno, "lambdas must be strictly decreasing")
-                else:
-                    cfg.lambdas = val
-        elif key == "n_dir":
-            val = p.number(lineno, key, raw, int)
-            if val is not None and val < 4:
-                p.fail(lineno, f"n_dir must be at least 4, got {val}")
-            else:
-                cfg.n_dir = val
-        elif key == "r_max":
-            val = p.number(lineno, key, raw)
-            if val is not None and not (val > 0 and math.isfinite(val)):
-                p.fail(lineno, f"r_max must be positive, got {raw}")
-            else:
-                cfg.r_max = val
-        elif key == "n_resonant":
-            val = p.number(lineno, key, raw, int)
-            if val is not None and val < 2:
-                p.fail(lineno, f"n_resonant must be at least 2, got {val}")
-            else:
-                cfg.n_resonant = val
-        elif key == "lattice":
-            val = p.boolean(lineno, key, raw)
-            if val is not None:
-                cfg.lattice = val
-        else:
-            p.fail(lineno, f"unknown key {key!r} in [condition]")
-    elif section == "output":
-        if key == "directory":
-            cfg.directory = raw
-        else:
-            p.fail(lineno, f"unknown key {key!r} in [output]")
-    elif section == "sweep":
-        if key == "axis":
-            if raw not in SWEEP_AXES:
-                p.fail(lineno, f"axis must be one of {', '.join(SWEEP_AXES)}, got {raw!r}")
-            else:
-                cfg.sweep_axis = raw
-        elif key == "values":
-            val = p.number_list(lineno, key, raw)
-            if val is not None:
-                cfg.sweep_values = val
-        else:
-            p.fail(lineno, f"unknown key {key!r} in [sweep]")
-
-
-def _cross_checks(cfg, p, inline_seen):
+def _cross_checks(cfg, fail, lines_seen, inline):
     def line_of(section, key):
-        return p.lines_seen.get((section, key))
+        return lines_seen.get((section, key))
 
-    if inline_seen:
+    if inline:
         if cfg.preset is not None:
-            p.errors.append(
-                f"line {line_of('model', 'preset')}: preset and inline "
-                "coefficients are mutually exclusive")
+            fail(line_of("model", "preset"),
+                 "preset and inline coefficients are mutually exclusive")
         if cfg.dimension is None:
-            first = min(line for line, _ in inline_seen.values())
-            p.errors.append(f"line {first}: inline model needs an explicit dimension")
+            first = min(line for line, _ in inline.values())
+            fail(first, "inline model needs an explicit dimension")
         else:
             d = cfg.dimension
             flux = [None] * d
             diff = {}
-            for key, (lineno, coeffs) in inline_seen.items():
-                if key.startswith("f"):
-                    comp = int(key[1]) - 1
-                    if comp >= d:
-                        p.fail(lineno, f"{key} given but dimension is {d}")
-                    else:
-                        flux[comp] = coeffs
+            for key, (lineno, coeffs) in inline.items():
+                index = _coeff_index(key)
+                if index[-1] >= d:
+                    fail(lineno, f"{key} given but dimension is {d}")
+                elif key.startswith("f"):
+                    flux[index[0]] = coeffs
                 else:
-                    i, j = int(key[1]) - 1, int(key[2]) - 1
-                    if j >= d:
-                        p.fail(lineno, f"{key} given but dimension is {d}")
-                    else:
-                        diff[(i, j)] = coeffs
+                    diff[index] = coeffs
             cfg.flux_coeffs = tuple(c if c is not None else (0.0,) for c in flux)
             cfg.diffusion_coeffs = diff
 
-    if cfg.periods is not None and cfg.cells is not None:
-        if len(cfg.periods) != len(cfg.cells):
-            p.errors.append(
-                f"line {line_of('grid', 'cells')}: periods and cells "
-                "must have the same number of axes")
+    if cfg.periods is not None and cfg.cells is not None and len(cfg.periods) != len(cfg.cells):
+        fail(line_of("grid", "cells"), "periods and cells must have the same number of axes")
     dim = cfg.dimension
     if cfg.preset is not None:
         dim = preset(cfg.preset).dimension
+        if cfg.dimension not in (None, dim):
+            fail(line_of("model", "dimension"),
+                 f"dimension is {cfg.dimension} but preset {cfg.preset} has dimension {dim}")
     if dim is not None and cfg.cells is not None and len(cfg.cells) != dim:
-        p.errors.append(
-            f"line {line_of('grid', 'cells')}: cells has {len(cfg.cells)} "
-            f"axis value(s) but the model dimension is {dim}")
+        fail(line_of("grid", "cells"),
+             f"cells has {len(cfg.cells)} axis value(s) but the model dimension is {dim}")
     if cfg.sweep_axis is not None and not cfg.sweep_values:
-        p.errors.append(
-            f"line {line_of('sweep', 'axis')}: sweep axis set but values are empty")
+        fail(line_of("sweep", "axis"), "sweep axis set but values are empty")
     if cfg.sweep_values and cfg.sweep_axis is None:
-        p.errors.append(
-            f"line {line_of('sweep', 'values')}: sweep values set but axis is missing")
+        fail(line_of("sweep", "values"), "sweep values set but axis is missing")
+    ok, wanted = _SWEEP_VALUE_RULES.get(cfg.sweep_axis, (lambda v: True, None))
+    bad = [v for v in cfg.sweep_values if not ok(v)]
+    if bad:
+        fail(line_of("sweep", "values"), f"values on the {cfg.sweep_axis} axis must be "
+                                         f"{wanted}, got {_format('float', bad[0])}")
 
 
-def _fmt_value(val):
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    if isinstance(val, (int, np.integer)):
-        return str(int(val))
-    if isinstance(val, float):
-        return repr(val)
-    if isinstance(val, (tuple, list)):
-        return ", ".join(_fmt_value(v) for v in val)
-    return str(val)
+def _value_of(cfg, spec):
+    if spec.key not in _INLINE_MODEL_KEYS:
+        return getattr(cfg, spec.field or spec.key)
+    index = _coeff_index(spec.key)
+    if spec.key.startswith("f"):
+        return dict(enumerate(cfg.flux_coeffs or ())).get(index[0])
+    return (cfg.diffusion_coeffs or {}).get(index)
 
 
 def serialize_config(cfg):
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-    out = ["[model]"]
-    if cfg.preset is not None:
-        out.append(f"preset = {cfg.preset}")
-    if cfg.model_name is not None:
-        out.append(f"name = {cfg.model_name}")
-    if cfg.dimension is not None and cfg.preset is None:
-        out.append(f"dimension = {cfg.dimension}")
-    if cfg.flux_coeffs is not None:
-        for comp, coeffs in enumerate(cfg.flux_coeffs):
-            out.append(f"f{comp + 1} = {_fmt_value(coeffs)}")
-    if cfg.diffusion_coeffs:
-        for (i, j) in sorted(cfg.diffusion_coeffs):
-            out.append(f"A{i + 1}{j + 1} = {_fmt_value(cfg.diffusion_coeffs[(i, j)])}")
-    out.append(f"state_bound = {_fmt_value(cfg.state_bound)}")
+    """Canonical text form; parse_config(serialize_config(c)) == c.
 
-    if cfg.periods is not None or cfg.cells is not None:
-        out.append("")
-        out.append("[grid]")
-        if cfg.periods is not None:
-            out.append(f"periods = {_fmt_value(cfg.periods)}")
-        if cfg.cells is not None:
-            out.append(f"cells = {_fmt_value(cfg.cells)}")
-
-    out.append("")
-    out.append("[initial]")
-    out.append(f"profile = {cfg.profile}")
-    out.append(f"amplitude = {_fmt_value(cfg.amplitude)}")
-    out.append(f"zero_mean = {_fmt_value(cfg.zero_mean)}")
-    out.append(f"seed = {cfg.seed}")
-
-    if cfg.t_end is not None:
-        out.append("")
-        out.append("[scheme]")
-        out.append(f"t_end = {_fmt_value(cfg.t_end)}")
-        out.append(f"cfl = {_fmt_value(cfg.cfl)}")
-        out.append(f"integrator = {cfg.integrator}")
-        if cfg.output_every is not None:
-            out.append(f"output_every = {_fmt_value(cfg.output_every)}")
-        if cfg.snapshot_every is not None:
-            out.append(f"snapshot_every = {_fmt_value(cfg.snapshot_every)}")
-
-    out.append("")
-    out.append("[condition]")
-    out.append(f"delta = {_fmt_value(cfg.delta)}")
-    out.append(f"lambdas = {_fmt_value(cfg.lambdas)}")
-    if cfg.n_dir is not None:
-        out.append(f"n_dir = {cfg.n_dir}")
-    out.append(f"r_max = {_fmt_value(cfg.r_max)}")
-    out.append(f"n_resonant = {cfg.n_resonant}")
-    out.append(f"lattice = {_fmt_value(cfg.lattice)}")
-
-    if cfg.directory is not None:
-        out.append("")
-        out.append("[output]")
-        out.append(f"directory = {cfg.directory}")
-
-    if cfg.sweep_axis is not None:
-        out.append("")
-        out.append("[sweep]")
-        out.append(f"axis = {cfg.sweep_axis}")
-        out.append(f"values = {_fmt_value(cfg.sweep_values)}")
-
-    return "\n".join(out) + "\n"
+    Every key whose value is not None is written, in table order; a section
+    outside _ALWAYS_WRITTEN is left out when all its fields hold defaults.
+    """
+    blocks = []
+    for section, specs in _TABLE.items():
+        if section not in _ALWAYS_WRITTEN and all(
+                _value_of(cfg, s) == _value_of(_DEFAULTS, s) for s in specs):
+            continue
+        lines = [f"[{section}]"]
+        for spec in specs:
+            val = _value_of(cfg, spec)
+            if val is not None:
+                lines.append(f"{spec.key} = {_format(spec.kind, val)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def default_config(preset_name):

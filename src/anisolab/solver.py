@@ -18,9 +18,11 @@ stage. The kernels divide by h and h^2 rather than multiply by
 reciprocals, so they match the whole-array periodic-shift form of each
 stencil bit for bit; the tests keep that form as the reference.
 
-Off-diagonal diffusion breaks the monotone structure when it dominates the
-diagonal; that regime is a documented limitation and not exercised by the
-bundled presets.
+Off-diagonal diffusion breaks the monotone structure whenever it is
+nonzero: the 4-corner mixed stencil weights B_01 at two corners with a
+negative sign, however strongly the diagonal dominates, so the maximum
+principle and L1 contraction are no longer guaranteed. The bundled presets
+are diagonal; the audit reports what an off-diagonal model violates.
 """
 
 from __future__ import annotations

@@ -1,11 +1,17 @@
 """Tests for config parsing, serialization, and experiment builders."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisolab.config import (
     DEFAULT_LAMBDAS,
+    PROFILES,
     ConfigError,
+    ExperimentConfig,
     default_config,
     lcg_values,
     make_grid,
@@ -16,7 +22,8 @@ from anisolab.config import (
     parse_config,
     serialize_config,
 )
-from anisolab.model import diffusion_eval, flux_eval
+from anisolab.model import diffusion_eval, flux_eval, list_presets, preset
+from anisolab.solver import INTEGRATORS
 
 MINIMAL = "[model]\npreset = burgers\n"
 
@@ -72,10 +79,146 @@ def test_round_trip_identity_inline():
 
 
 def test_round_trip_identity_presets():
-    for name in ("burgers", "porous-medium", "anisotropic-2d"):
+    for name in ("burgers", "porous-medium", "anisotropic-2d", "linear-advection",
+                 "burgers-degenerate"):
         cfg = default_config(name)
         again = parse_config(serialize_config(cfg))
         assert again == cfg, name
+
+
+def test_round_trip_scheme_without_t_end():
+    cfg = parse_config(MINIMAL + "[scheme]\ncfl = 0.2\nintegrator = euler\n"
+                       "output_every = 0.1\n")
+    text = serialize_config(cfg)
+    assert "[scheme]\ncfl = 0.2\nintegrator = euler\noutput_every = 0.1\n" in text
+    assert parse_config(text) == cfg
+
+
+def test_round_trip_dimension_matching_preset():
+    cfg = parse_config(MINIMAL + "dimension = 1\n")
+    assert cfg.dimension == 1
+    assert "dimension = 1" in serialize_config(cfg)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_error_on_dimension_contradicting_preset():
+    with pytest.raises(ConfigError) as info:
+        parse_config(MINIMAL + "dimension = 2\n")
+    assert info.value.errors == ["line 3: dimension is 2 but preset burgers has dimension 1"]
+
+
+def test_serialize_writes_numpy_scalars_as_plain_numbers():
+    cfg = default_config("burgers")
+    cfg.cfl = np.float64(0.3)
+    cfg.periods = (np.float64(1.0),)
+    cfg.seed = np.int64(5)
+    text = serialize_config(cfg)
+    assert "cfl = 0.3\n" in text
+    assert "periods = 1.0\n" in text
+    assert "seed = 5\n" in text
+    assert parse_config(text) == cfg
+
+
+@pytest.mark.parametrize("text, error", [
+    (MINIMAL + "[initial]\namplitude = nan\n", "line 4: amplitude must be finite, got nan"),
+    (MINIMAL + "[initial]\namplitude = inf\n", "line 4: amplitude must be finite, got inf"),
+    (MINIMAL + "[condition]\nlambdas = inf, 1\n",
+     "line 4: lambdas must be finite, got inf, 1"),
+    ("[model]\ndimension = 1\nf1 = 0, nan\n", "line 3: f1 must be finite, got 0, nan"),
+    ("[model]\ndimension = 1\nA11 = inf\n", "line 3: A11 must be finite, got inf"),
+    (MINIMAL + "[sweep]\naxis = cfl\nvalues = -1, nan\n",
+     "line 5: values must be finite, got -1, nan"),
+    (MINIMAL + "[sweep]\naxis = cfl\nvalues = 0.2, -1\n",
+     "line 5: values on the cfl axis must be positive, got -1.0"),
+    (MINIMAL + "[sweep]\naxis = lambda_floor\nvalues = 1e-3, 0\n",
+     "line 5: values on the lambda_floor axis must be positive, got 0.0"),
+    (MINIMAL + "[sweep]\naxis = cells\nvalues = 10.5\n",
+     "line 5: values on the cells axis must be integers of at least 4, got 10.5"),
+    (MINIMAL + "[sweep]\naxis = cells\nvalues = 16, 2\n",
+     "line 5: values on the cells axis must be integers of at least 4, got 2.0"),
+], ids=["amplitude-nan", "amplitude-inf", "lambdas-inf", "f1-nan", "A11-inf",
+        "cfl-values-nan", "cfl-values-negative", "lambda-floor-values-zero",
+        "cells-values-fraction", "cells-values-too-few"])
+def test_error_on_non_finite_and_ill_typed_values(text, error):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.errors[0] == error
+
+
+def test_sweep_values_on_amplitude_axis_may_be_any_finite_number():
+    cfg = parse_config(MINIMAL + "[sweep]\naxis = amplitude\nvalues = -1, 0, 2.5\n")
+    assert cfg.sweep_values == (-1.0, 0.0, 2.5)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    cfg = parse_config(block, required_sections=("model", "grid", "scheme"))
+    assert cfg.preset == "burgers" and cfg.cells == (256,)
+    assert cfg.output_every == 0.05 and cfg.directory == "out/run1"
+    assert cfg.sweep_axis == "cells" and cfg.sweep_values == (64.0, 128.0, 256.0)
+
+
+# --- round trip over random valid configs -----------------------------------
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_WORD = st.text("abcdefghijklmnopqrstuvwxyz0123456789-_./", max_size=12)
+_COEFFS = st.lists(_FINITE, min_size=1, max_size=4).map(tuple)
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def _valid_configs(draw):
+    cfg = ExperimentConfig()
+    if draw(st.booleans()):
+        cfg.preset = draw(st.sampled_from(list_presets()))
+        dim = preset(cfg.preset).dimension
+        cfg.dimension = draw(st.sampled_from((None, dim)))
+    else:
+        dim = cfg.dimension = draw(st.sampled_from((1, 2)))
+        cfg.flux_coeffs = tuple(draw(_COEFFS) for _ in range(dim))
+        entries = [(0, 0), (0, 1), (1, 1)] if dim == 2 else [(0, 0)]
+        chosen = draw(st.lists(st.sampled_from(entries), unique=True))
+        cfg.diffusion_coeffs = {ij: draw(_COEFFS) for ij in chosen}
+    cfg.model_name = draw(_optional(_WORD))
+    cfg.state_bound = draw(_POSITIVE)
+    cfg.periods = draw(_optional(st.tuples(*[_POSITIVE] * dim)))
+    cfg.cells = draw(_optional(st.tuples(*[st.integers(4, 4096)] * dim)))
+    cfg.profile = draw(st.sampled_from(PROFILES))
+    cfg.amplitude = draw(_FINITE)
+    cfg.zero_mean = draw(st.booleans())
+    cfg.seed = draw(st.integers(0, 2 ** 64))
+    if draw(st.booleans()):
+        cfg.t_end = draw(_optional(_POSITIVE))
+        cfg.cfl = draw(_POSITIVE)
+        cfg.integrator = draw(st.sampled_from(INTEGRATORS))
+        cfg.output_every = draw(_optional(_POSITIVE))
+        cfg.snapshot_every = draw(_optional(_POSITIVE))
+    cfg.delta = draw(_POSITIVE)
+    lambdas = draw(st.lists(_POSITIVE, min_size=1, max_size=6, unique=True))
+    cfg.lambdas = tuple(sorted(lambdas, reverse=True))
+    cfg.n_dir = draw(_optional(st.integers(4, 512)))
+    cfg.r_max = draw(_POSITIVE)
+    cfg.n_resonant = draw(st.integers(2, 200))
+    cfg.lattice = draw(st.booleans())
+    cfg.directory = draw(_optional(_WORD))
+    if draw(st.booleans()):
+        cfg.sweep_axis = draw(st.sampled_from(("cells", "cfl", "amplitude", "lambda_floor")))
+        values = {"cells": st.integers(4, 4096).map(float), "amplitude": _FINITE}
+        cfg.sweep_values = tuple(draw(st.lists(values.get(cfg.sweep_axis, _POSITIVE),
+                                               min_size=1, max_size=5)))
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_configs())
+def test_round_trip_random_valid_configs(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_errors_carry_line_numbers_and_accumulate():
