@@ -32,6 +32,7 @@ from .config import (
     make_scheme,
     parse_config,
     serialize_config,
+    sweep_value_error,
 )
 from .diagnostics import audit, decay_summary
 from .kinetic import check_condition
@@ -291,8 +292,9 @@ def cmd_sweep(cfg, out_dir, quiet=False, axis=None, values=None):
         raise ConfigError([f"sweep axis must be {', '.join(SWEEP_AXES[:-1])} or "
                            f"{SWEEP_AXES[-1]}, got {axis!r}"])
     values = list(values)
-    if not values:
-        raise ConfigError(["sweep needs a non-empty value list"])
+    error = sweep_value_error(axis, values) if values else "sweep needs a non-empty value list"
+    if error is not None:
+        raise ConfigError([error])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

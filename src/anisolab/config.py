@@ -325,15 +325,23 @@ def _cross_checks(cfg, fail, lines_seen, inline):
     if dim is not None and cfg.cells is not None and len(cfg.cells) != dim:
         fail(line_of("grid", "cells"),
              f"cells has {len(cfg.cells)} axis value(s) but the model dimension is {dim}")
-    if cfg.sweep_axis is not None and not cfg.sweep_values:
+    # A values line that was given but rejected has its own error already.
+    if cfg.sweep_axis is not None and line_of("sweep", "values") is None:
         fail(line_of("sweep", "axis"), "sweep axis set but values are empty")
     if cfg.sweep_values and cfg.sweep_axis is None:
         fail(line_of("sweep", "values"), "sweep values set but axis is missing")
-    ok, wanted = _SWEEP_VALUE_RULES.get(cfg.sweep_axis, (lambda v: True, None))
-    bad = [v for v in cfg.sweep_values if not ok(v)]
-    if bad:
-        fail(line_of("sweep", "values"), f"values on the {cfg.sweep_axis} axis must be "
-                                         f"{wanted}, got {_format('float', bad[0])}")
+    message = sweep_value_error(cfg.sweep_axis, cfg.sweep_values)
+    if message is not None:
+        fail(line_of("sweep", "values"), message)
+
+
+def sweep_value_error(axis, values):
+    """Why ``values`` cannot be swept on ``axis`` (its first bad value), or None."""
+    ok, wanted = _SWEEP_VALUE_RULES.get(axis, (lambda v: True, None))
+    for v in values:
+        if not ok(v):
+            return f"values on the {axis} axis must be {wanted}, got {_format('float', v)}"
+    return None
 
 
 def _value_of(cfg, spec):

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import primitive_tables
 from .solver import (
     CellField,
     DiagnosticsRow,
@@ -74,7 +73,7 @@ def parabolic_dissipation(model, field, grid):
     Nonnegative by construction; zero whenever the diffusion vanishes.
     """
     values = _values(field)
-    return _Stencils(model, grid, values.shape, primitive_tables(model)).dissipation(values)
+    return _Stencils(model, grid, values.shape).dissipation(values)
 
 
 @dataclass(frozen=True)

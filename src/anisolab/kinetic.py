@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import speed_vector, _as_matrix
+from .model import speed_vector, _vector
 from .quadrature import adaptive_quadrature, adaptive_quadrature_batch
 
 __all__ = [
@@ -122,7 +122,7 @@ def _denominator_parts(model, tau, kappa, xi):
     """Advection and diffusion parts of the symbol at a batch of xi."""
     xi = np.asarray(xi, dtype=float)
     a = speed_vector(model, xi)
-    mats = _as_matrix(model.diffusion(xi), xi.shape, model.dimension, "diffusion")
+    mats = _vector(model, "diffusion", xi)
     return _symbol_parts(tau, kappa, a, mats)
 
 
@@ -161,7 +161,7 @@ def _omega_blocks(model, points, lambdas, abs_tol):
     big = model.state_bound
     scan = np.linspace(-big, big, RESONANCE_SCAN)
     scan_a = speed_vector(model, scan)
-    scan_mats = _as_matrix(model.diffusion(scan), scan.shape, model.dimension, "diffusion")
+    scan_mats = _vector(model, "diffusion", scan)
     for start in range(0, len(points), OMEGA_BLOCK):
         block = points[start:start + OMEGA_BLOCK]
         taus = np.array([fp.tau for fp in block])

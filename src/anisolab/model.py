@@ -14,15 +14,20 @@ positive semidefinite diffusion matrix ``A``, a square-root factor
 whose discrete differences drive the diffusion stencil and the resolved
 dissipation estimate.
 
-Callable convention: every model callable is vectorized. For an input of
-shape S, ``flux`` and ``speed`` return shape S + (d,), while ``diffusion``,
-``sqrt_factor`` and the optional primitives return shape S + (d, d).
+Entries: a model is one entry per component (f_k, a_k, A_ij, sigma_ik,
+B_ij, beta_ik): a ``Poly`` (a polynomial that keeps its coefficients), a
+hand-written vectorized function of u, or None when identically zero.
+Presets and ``polynomial_model`` assemble their ``ModelSpec`` callables
+from entries: for an input of shape S, ``flux`` and ``speed`` return shape
+S + (d,), ``diffusion``, ``sqrt_factor`` and the primitives S + (d, d). A
+hand-built ``ModelSpec`` supplies whole callables of those shapes instead,
+which ``model_table`` slices into entries for the solver and validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,23 +36,10 @@ from scipy.interpolate import CubicHermiteSpline
 from .quadrature import QuadratureError, adaptive_quadrature, adaptive_quadrature_batch
 
 __all__ = [
-    "ModelError",
-    "NotPSDError",
-    "ModelSpec",
-    "ModelValidationReport",
-    "CheckResult",
-    "flux_eval",
-    "speed_eval",
-    "diffusion_eval",
-    "sqrt_factor_eval",
-    "beta_eval",
-    "bprimitive_eval",
-    "validate_model",
-    "preset",
-    "list_presets",
-    "polynomial_model",
-    "primitive_tables",
-    "speed_vector",
+    "ModelError", "NotPSDError", "ModelSpec", "ModelTable", "ModelValidationReport",
+    "CheckResult", "Poly", "flux_eval", "speed_eval", "diffusion_eval", "sqrt_factor_eval",
+    "beta_eval", "bprimitive_eval", "validate_model", "preset", "list_presets",
+    "polynomial_model", "model_table", "primitive_tables", "speed_vector",
 ]
 
 TOL_PSD = 1e-12
@@ -58,6 +50,10 @@ TOL_CHAIN = 1e-10
 H_FD_SCALE = 1e-6
 QUAD_TOL = 1e-10
 QUAD_LEVELS = 40
+SAMPLED_BOUND_POINTS = 129
+_EPS = float(np.finfo(float).eps)
+_RANK = dict(flux=1, speed=1, diffusion=2, sqrt_factor=2, b_primitive=2, beta_primitive=2)
+_INTEGRAND = {"b_primitive": "diffusion", "beta_primitive": "sqrt_factor"}
 
 
 class ModelError(Exception):
@@ -96,245 +92,235 @@ class ModelSpec:
             raise ValueError(f"state_bound must be positive, got {self.state_bound}")
 
 
-def _as_components(out, u_shape, d, what):
-    arr = np.asarray(out, dtype=float)
-    want = tuple(u_shape) + (d,)
-    if arr.shape != want:
-        raise ModelError(f"{what} returned shape {arr.shape}, expected {want}")
-    return arr
+# --- evaluation --------------------------------------------------------------
 
+def _vector(model, name, u):
+    """Quantity ``name`` on an array u, with its shape S + (d,) or S + (d, d) checked.
 
-def _as_matrix(out, u_shape, d, what):
-    arr = np.asarray(out, dtype=float)
-    want = tuple(u_shape) + (d, d)
-    if arr.shape != want:
-        raise ModelError(f"{what} returned shape {arr.shape}, expected {want}")
-    return arr
-
-
-def flux_eval(model, u):
-    """Flux vector f(u) as a (d,) array; rejects non-finite output."""
-    u = float(u)
-    out = _as_components(model.flux(u), (), model.dimension, "flux")
-    if not np.isfinite(out).all():
-        raise ModelError(f"flux({u!r}) is not finite: {out}")
-    return out
-
-
-def speed_eval(model, u):
-    """Speed a(u) = f'(u); centered-difference fallback when not supplied."""
-    u = float(u)
-    if model.speed is not None:
-        out = _as_components(model.speed(u), (), model.dimension, "speed")
-    else:
-        h = H_FD_SCALE * max(1.0, abs(u))
-        out = (flux_eval(model, u + h) - flux_eval(model, u - h)) / (2.0 * h)
-    if not np.isfinite(out).all():
-        raise ModelError(f"speed({u!r}) is not finite: {out}")
+    A missing speed falls back to centered differences of the flux, a
+    missing sqrt_factor to the symmetric PSD square root of A.
+    """
+    u = np.asarray(u, dtype=float)
+    fn = getattr(model, name)
+    if fn is None and name == "speed":
+        h = H_FD_SCALE * np.maximum(1.0, np.abs(u))
+        return (_vector(model, "flux", u + h) - _vector(model, "flux", u - h)) / (2 * h[..., None])
+    if fn is None and name == "sqrt_factor":
+        w, v = np.linalg.eigh(_vector(model, "diffusion", u))
+        if w.min() < -TOL_PSD:
+            raise NotPSDError(
+                f"diffusion matrix has eigenvalue {w.min():.3e} below -{TOL_PSD:g}")
+        return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+    out = np.asarray(fn(u), dtype=float)
+    want = u.shape + (model.dimension,) * _RANK[name]
+    if out.shape != want:
+        raise ModelError(f"{name} returned shape {out.shape}, expected {want}")
     return out
 
 
 def speed_vector(model, u):
     """Vectorized speed: input shape S, output shape S + (d,)."""
-    u = np.asarray(u, dtype=float)
-    if model.speed is not None:
-        return _as_components(model.speed(u), u.shape, model.dimension, "speed")
-    h = H_FD_SCALE * np.maximum(1.0, np.abs(u))
-    f_hi = _as_components(model.flux(u + h), u.shape, model.dimension, "flux")
-    f_lo = _as_components(model.flux(u - h), u.shape, model.dimension, "flux")
-    return (f_hi - f_lo) / (2.0 * h[..., None])
+    return _vector(model, "speed", u)
+
+
+def _point(model, name, u, index=(), abs_tol=QUAD_TOL):
+    """Quantity ``name`` at the scalar u, checked finite (and A symmetric).
+
+    With an ``index`` that entry is returned as a float; a primitive the
+    model lacks is then integrated from 0 by adaptive quadrature.
+    """
+    u, d = float(u), model.dimension
+    if not all(0 <= i < d for i in index):
+        raise IndexError(f"component {index} out of range for dimension {d}")
+    if index and getattr(model, name) is None:
+        return adaptive_quadrature(
+            lambda v: _vector(model, _INTEGRAND[name], v)[(Ellipsis,) + index],
+            0.0, u, abs_tol=abs_tol, max_levels=QUAD_LEVELS)
+    out = _vector(model, name, u)
+    if not np.isfinite(out).all():
+        raise ModelError(f"{name}({u!r}) is not finite: {out}")
+    skew = np.abs(out - out.T).max() if name == "diffusion" else 0.0
+    if skew > TOL_SYMMETRY * (1.0 + np.abs(out).max()):
+        raise ModelError(f"diffusion({u!r}) is not symmetric (skew {skew:.3e})")
+    return float(out[index]) if index else out
+
+
+def flux_eval(model, u):
+    """Flux vector f(u) as a (d,) array; rejects non-finite output."""
+    return _point(model, "flux", u)
+
+
+def speed_eval(model, u):
+    """Speed a(u) = f'(u); centered-difference fallback when not supplied."""
+    return _point(model, "speed", u)
 
 
 def diffusion_eval(model, u):
     """Diffusion matrix A(u) as a (d, d) array; must be symmetric."""
-    u = float(u)
-    out = _as_matrix(model.diffusion(u), (), model.dimension, "diffusion")
-    if not np.isfinite(out).all():
-        raise ModelError(f"diffusion({u!r}) is not finite")
-    skew = np.abs(out - out.T).max()
-    if skew > TOL_SYMMETRY * (1.0 + np.abs(out).max()):
-        raise ModelError(f"diffusion({u!r}) is not symmetric (skew {skew:.3e})")
-    return out
-
-
-def _sqrt_psd(mats):
-    """Symmetric PSD square root of a stack of symmetric matrices."""
-    w, v = np.linalg.eigh(mats)
-    if w.min() < -TOL_PSD:
-        raise NotPSDError(
-            f"diffusion matrix has eigenvalue {w.min():.3e} below -{TOL_PSD:g}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-
-
-def sqrt_factor_vector(model, u):
-    """Vectorized sigma(u) with sigma sigma^T = A(u); eigen fallback."""
-    u = np.asarray(u, dtype=float)
-    if model.sqrt_factor is not None:
-        return _as_matrix(model.sqrt_factor(u), u.shape, model.dimension, "sqrt_factor")
-    mats = _as_matrix(model.diffusion(u), u.shape, model.dimension, "diffusion")
-    return _sqrt_psd(mats)
+    return _point(model, "diffusion", u)
 
 
 def sqrt_factor_eval(model, u):
     """sigma(u) as a (d, d) array. Raises NotPSDError when A(u) is not PSD."""
-    out = sqrt_factor_vector(model, float(u))
-    if not np.isfinite(out).all():
-        raise ModelError(f"sqrt_factor({u!r}) is not finite")
-    return out
+    return _point(model, "sqrt_factor", u)
 
 
 def beta_eval(model, u, i, k, *, abs_tol=QUAD_TOL):
     """beta_ik(u), the primitive of sigma_ik from 0 to u."""
-    u = float(u)
-    d = model.dimension
-    if not (0 <= i < d and 0 <= k < d):
-        raise IndexError(f"component ({i},{k}) out of range for dimension {d}")
-    if model.beta_primitive is not None:
-        return float(_as_matrix(model.beta_primitive(u), (), d, "beta_primitive")[i, k])
-    return adaptive_quadrature(
-        lambda v: sqrt_factor_vector(model, v)[..., i, k],
-        0.0, u, abs_tol=abs_tol, max_levels=QUAD_LEVELS)
+    return _point(model, "beta_primitive", u, (i, k), abs_tol)
 
 
 def bprimitive_eval(model, u, i, j, *, abs_tol=QUAD_TOL):
     """B_ij(u), the primitive of A_ij from 0 to u."""
-    u = float(u)
-    d = model.dimension
-    if not (0 <= i < d and 0 <= j < d):
-        raise IndexError(f"component ({i},{j}) out of range for dimension {d}")
-    if model.b_primitive is not None:
-        return float(_as_matrix(model.b_primitive(u), (), d, "b_primitive")[i, j])
-    return adaptive_quadrature(
-        lambda v: _as_matrix(model.diffusion(v), v.shape, d, "diffusion")[..., i, j],
-        0.0, u, abs_tol=abs_tol, max_levels=QUAD_LEVELS)
+    return _point(model, "b_primitive", u, (i, j), abs_tol)
+
+
+# --- entries -----------------------------------------------------------------
+
+class Poly:
+    """The polynomial entry (sum_n coeffs[n] u^n) / div, constant term first.
+
+    It is evaluated by Horner's rule, skipping zero coefficients, on an
+    array or a float alike; ``div`` keeps an exact divisor such as the 3 of
+    u^3/3 out of the coefficients.
+    """
+
+    def __init__(self, coeffs, div=1.0):
+        c = [float(x) for x in coeffs] or [0.0]
+        while len(c) > 1 and c[-1] == 0.0:
+            c.pop()
+        self.coeffs, self.div = tuple(c), float(div)
+
+    def __call__(self, u):
+        c = self.coeffs
+        if len(c) == 1:
+            return np.full(np.shape(u), c[0] / self.div)
+        acc = c[-1] * u
+        for n in range(len(c) - 2, -1, -1):
+            if c[n]:
+                acc += c[n]
+            if n:
+                acc *= u
+        if self.div != 1.0:
+            acc /= self.div
+        return acc
+
+    def derivative(self):
+        """The derivative as a Poly."""
+        return Poly([n * c / self.div for n, c in enumerate(self.coeffs)][1:])
+
+    def integral(self):
+        """The primitive vanishing at 0, as a Poly."""
+        return Poly([0.0] + [c / (n + 1) / self.div for n, c in enumerate(self.coeffs)])
+
+    @cached_property
+    def critical(self):
+        """Real parts of the roots of p': every interior extremum is among them.
+
+        Leading coefficients of p' at the rounding level of the others are
+        dropped; they only add roots far outside any state range.
+        """
+        c = list(self.derivative().coeffs)
+        while len(c) > 1 and abs(c[-1]) <= _EPS * max(map(abs, c)):
+            c.pop()
+        return tuple(sorted({float(r.real) for r in np.roots(c[::-1])}))
+
+    def max_abs(self, lo, hi):
+        """max |p| over [lo, hi], from the ends and the critical points inside.
+
+        A critical point's value is raised by a bound on the rounding error
+        of evaluating p, so no evaluation of p near it exceeds the result.
+        """
+        top = max(abs(self(lo)), abs(self(hi)))
+        inner = [abs(self(r)) for r in self.critical if lo < r < hi]
+        if inner:
+            m = max(abs(lo), abs(hi))
+            scale = sum(abs(c) * m ** n for n, c in enumerate(self.coeffs)) / abs(self.div)
+            top = max(top, max(inner) + 4.0 * len(self.coeffs) * _EPS * scale)
+        return float(top)
+
+
+def _entry(x):
+    """A coefficient list becomes a Poly; zero entries become None."""
+    x = x if x is None or callable(x) else Poly(x)
+    return None if isinstance(x, Poly) and x.coeffs == (0.0,) else x
+
+
+class _Assembled:
+    """A ModelSpec callable assembled from entries: shape S in, S + ``shape`` out.
+
+    ``entries`` maps output indexes to entries; absent indexes are zero.
+    """
+
+    def __init__(self, shape, entries):
+        self.shape = shape
+        self.entries = {idx: e for idx, e in entries.items() if e is not None}
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        out = np.zeros(u.shape + self.shape)
+        for idx, entry in self.entries.items():
+            out[(Ellipsis,) + idx] = entry(u)
+        return out
+
+
+def _entry_model(name, d, state_bound, flux, a, sigma=None, b=None, beta=None):
+    """A ModelSpec whose callables are assembled from entries.
+
+    ``flux`` holds one entry per axis; ``a`` and ``b`` map upper-triangle
+    indexes (i, j) to entries, mirrored below the diagonal; ``sigma`` and
+    ``beta`` map (i, k) to entries. An entry is a coefficient list, a Poly
+    or a hand-written vectorized function; absent or all-zero entries are
+    zero. Speed and, unless ``b`` is given, B come from exact
+    differentiation and integration of the polynomial entries. ``sigma``
+    and ``beta`` left as None leave the eigen and quadrature fallbacks.
+    """
+    flux = {(k,): _entry(x) for k, x in enumerate(flux)}
+    a = {ij: _entry(x) for ij, x in a.items()}
+    b = {ij: e.integral() for ij, e in a.items() if e} if b is None else b
+
+    def matrix(entries, symmetric=False):
+        if entries is None:
+            return None
+        out = {ij: _entry(x) for ij, x in entries.items()}
+        if symmetric:
+            out.update({(j, i): e for (i, j), e in out.items()})
+        return _Assembled((d, d), out)
+
+    return ModelSpec(
+        dimension=d, state_bound=state_bound, name=name, flux=_Assembled((d,), flux),
+        speed=_Assembled((d,), {k: _entry(e and e.derivative()) for k, e in flux.items()}),
+        diffusion=matrix(a, True), sqrt_factor=matrix(sigma),
+        b_primitive=matrix(b, True), beta_primitive=matrix(beta))
 
 
 # --- preset gallery ---------------------------------------------------------
 
-def _stack(u, comps):
-    u = np.asarray(u, dtype=float)
-    cols = [np.broadcast_to(np.asarray(c, dtype=float), u.shape) for c in comps]
-    return np.stack(cols, axis=-1)
+_CUBE_THIRD = Poly((0, 0, 0, 1), div=3)  # u*u*u / 3
 
 
-def _matrix(u, entries, d):
-    """Build S+(d,d) from a dict {(i,j): array}; entries are symmetric."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape + (d, d))
-    for (i, j), val in entries.items():
-        arr = np.broadcast_to(np.asarray(val, dtype=float), u.shape)
-        out[..., i, j] = arr
-        if i != j:
-            out[..., j, i] = arr
-    return out
+def _half_u_abs_u(u):
+    return 0.5 * u * np.abs(u)
 
 
-def _cube(u):
-    """u**3 as u*u*u: numpy's power takes a slow path on sign-changing data."""
-    u = np.asarray(u, dtype=float)
-    return u * u * u
+def _porous_beta(u):
+    return np.sqrt(2.0) * (2.0 / 3.0) * np.sign(u) * np.abs(u) ** 1.5
 
 
-def _linear_advection(state_bound=1.0):
-    return ModelSpec(
-        dimension=1,
-        flux=lambda u: _stack(u, [np.asarray(u, dtype=float)]),
-        speed=lambda u: _stack(u, [np.ones_like(np.asarray(u, dtype=float))]),
-        diffusion=lambda u: _matrix(u, {}, 1),
-        sqrt_factor=lambda u: _matrix(u, {}, 1),
-        beta_primitive=lambda u: _matrix(u, {}, 1),
-        b_primitive=lambda u: _matrix(u, {}, 1),
-        state_bound=state_bound,
-        name="linear-advection",
-    )
-
-
-def _burgers(state_bound=1.0):
-    return ModelSpec(
-        dimension=1,
-        flux=lambda u: _stack(u, [0.5 * np.square(np.asarray(u, dtype=float))]),
-        speed=lambda u: _stack(u, [np.asarray(u, dtype=float)]),
-        diffusion=lambda u: _matrix(u, {}, 1),
-        sqrt_factor=lambda u: _matrix(u, {}, 1),
-        beta_primitive=lambda u: _matrix(u, {}, 1),
-        b_primitive=lambda u: _matrix(u, {}, 1),
-        state_bound=state_bound,
-        name="burgers",
-    )
-
-
-def _burgers_degenerate(state_bound=1.0):
-    def beta(u):
-        u = np.asarray(u, dtype=float)
-        return _matrix(u, {(0, 0): 0.5 * u * np.abs(u)}, 1)
-
-    return ModelSpec(
-        dimension=1,
-        flux=lambda u: _stack(u, [0.5 * np.square(np.asarray(u, dtype=float))]),
-        speed=lambda u: _stack(u, [np.asarray(u, dtype=float)]),
-        diffusion=lambda u: _matrix(u, {(0, 0): np.square(np.asarray(u, dtype=float))}, 1),
-        sqrt_factor=lambda u: _matrix(u, {(0, 0): np.abs(np.asarray(u, dtype=float))}, 1),
-        beta_primitive=beta,
-        b_primitive=lambda u: _matrix(u, {(0, 0): _cube(u) / 3.0}, 1),
-        state_bound=state_bound,
-        name="burgers-degenerate",
-    )
-
-
-def _porous_medium(state_bound=1.0, m=2):
-    if m != 2:
-        raise ValueError("only the quadratic porous-medium preset is wired in")
-
-    def beta(u):
-        u = np.asarray(u, dtype=float)
-        val = np.sqrt(2.0) * (2.0 / 3.0) * np.sign(u) * np.abs(u) ** 1.5
-        return _matrix(u, {(0, 0): val}, 1)
-
-    return ModelSpec(
-        dimension=1,
-        flux=lambda u: _stack(u, [np.zeros_like(np.asarray(u, dtype=float))]),
-        speed=lambda u: _stack(u, [np.zeros_like(np.asarray(u, dtype=float))]),
-        diffusion=lambda u: _matrix(u, {(0, 0): 2.0 * np.abs(np.asarray(u, dtype=float))}, 1),
-        sqrt_factor=lambda u: _matrix(
-            u, {(0, 0): np.sqrt(2.0 * np.abs(np.asarray(u, dtype=float)))}, 1),
-        beta_primitive=beta,
-        b_primitive=lambda u: _matrix(
-            u, {(0, 0): np.asarray(u, dtype=float) * np.abs(np.asarray(u, dtype=float))}, 1),
-        state_bound=state_bound,
-        name="porous-medium",
-    )
-
-
-def _anisotropic_2d(state_bound=1.0):
-    def flux(u):
-        u = np.asarray(u, dtype=float)
-        return _stack(u, [0.5 * u ** 2, _cube(u) / 3.0])
-
-    def speed(u):
-        u = np.asarray(u, dtype=float)
-        return _stack(u, [u, u ** 2])
-
-    return ModelSpec(
-        dimension=2,
-        flux=flux,
-        speed=speed,
-        diffusion=lambda u: _matrix(u, {(0, 0): np.square(np.asarray(u, dtype=float))}, 2),
-        sqrt_factor=lambda u: _matrix(u, {(0, 0): np.abs(np.asarray(u, dtype=float))}, 2),
-        beta_primitive=lambda u: _matrix(
-            u, {(0, 0): 0.5 * np.asarray(u, dtype=float) * np.abs(np.asarray(u, dtype=float))}, 2),
-        b_primitive=lambda u: _matrix(u, {(0, 0): _cube(u) / 3.0}, 2),
-        state_bound=state_bound,
-        name="anisotropic-2d",
-    )
-
-
+# name: (dimension, flux, A, sigma, B, beta); porous-medium is the case m = 2.
 _PRESETS = {
-    "linear-advection": _linear_advection,
-    "burgers": _burgers,
-    "burgers-degenerate": _burgers_degenerate,
-    "porous-medium": _porous_medium,
-    "anisotropic-2d": _anisotropic_2d,
+    "linear-advection": (1, [(0, 1)], {}, {}, {}, {}),
+    "burgers": (1, [(0, 0, 0.5)], {}, {}, {}, {}),
+    "burgers-degenerate": (
+        1, [(0, 0, 0.5)], {(0, 0): (0, 0, 1)}, {(0, 0): np.abs},
+        {(0, 0): _CUBE_THIRD}, {(0, 0): _half_u_abs_u}),
+    "porous-medium": (
+        1, [(0,)], {(0, 0): lambda u: 2.0 * np.abs(u)},
+        {(0, 0): lambda u: np.sqrt(2.0 * np.abs(u))},
+        {(0, 0): lambda u: u * np.abs(u)}, {(0, 0): _porous_beta}),
+    "anisotropic-2d": (
+        2, [(0, 0, 0.5), _CUBE_THIRD], {(0, 0): (0, 0, 1)}, {(0, 0): np.abs},
+        {(0, 0): _CUBE_THIRD}, {(0, 0): _half_u_abs_u}),
 }
 
 
@@ -345,11 +331,11 @@ def list_presets():
 def preset(name, state_bound=1.0):
     """Instantiate a gallery model by name."""
     try:
-        factory = _PRESETS[name]
+        d, flux, a, sigma, b, beta = _PRESETS[name]
     except KeyError:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(list_presets())}") from None
-    return factory(state_bound=state_bound)
+    return _entry_model(name, d, state_bound, flux, a, sigma, b, beta)
 
 
 def polynomial_model(name, flux_coeffs, diffusion_coeffs, dimension, state_bound):
@@ -360,72 +346,79 @@ def polynomial_model(name, flux_coeffs, diffusion_coeffs, dimension, state_bound
     coefficient lists. Speed and the B primitive come from exact
     differentiation and integration of the polynomials.
     """
-    poly = np.polynomial.polynomial
     d = int(dimension)
     if len(flux_coeffs) != d:
         raise ValueError(f"need {d} flux component(s), got {len(flux_coeffs)}")
-    fcs = [np.asarray(c, dtype=float) for c in flux_coeffs]
-    acs = {}
-    for (i, j), c in diffusion_coeffs.items():
+    for i, j in diffusion_coeffs:
         if not (0 <= i <= j < d):
             raise ValueError(f"diffusion index ({i},{j}) must be upper-triangle in dimension {d}")
-        acs[(i, j)] = np.asarray(c, dtype=float)
-    dcs = [poly.polyder(c) if len(c) > 1 else np.zeros(1) for c in fcs]
-    bcs = {ij: poly.polyint(c) for ij, c in acs.items()}
-
-    def flux(u):
-        return _stack(u, [poly.polyval(np.asarray(u, dtype=float), c) for c in fcs])
-
-    def speed(u):
-        return _stack(u, [poly.polyval(np.asarray(u, dtype=float), c) for c in dcs])
-
-    def diffusion(u):
-        uu = np.asarray(u, dtype=float)
-        return _matrix(uu, {ij: poly.polyval(uu, c) for ij, c in acs.items()}, d)
-
-    def b_primitive(u):
-        uu = np.asarray(u, dtype=float)
-        return _matrix(uu, {ij: poly.polyval(uu, c) for ij, c in bcs.items()}, d)
-
-    return ModelSpec(
-        dimension=d,
-        flux=flux,
-        speed=speed,
-        diffusion=diffusion,
-        b_primitive=b_primitive,
-        state_bound=float(state_bound),
-        name=name,
-    )
+    return _entry_model(name, d, float(state_bound), flux_coeffs, diffusion_coeffs)
 
 
-# --- fast primitive tables for field-sized evaluation -----------------------
+# --- the per-entry table -----------------------------------------------------
 
-@dataclass
-class PrimitiveTables:
-    """Vectorized B_ij and beta_ik evaluators; ``None`` marks a zero entry."""
+class ModelTable:
+    """A model's entries in the form the solver and validate_model use.
 
-    b: list
-    beta: list
-    flux_is_zero: bool
+    ``flux(values)`` gives one array per axis. ``a``, ``sigma``, ``b`` and
+    ``beta`` are d x d grids of vectorized entries, None where the entry is
+    zero, each built on first use. ``bounds(lo, hi)`` gives max |a_k| per
+    axis and max |A_ij| per entry over [lo, hi].
+    """
 
-    @property
-    def has_diffusion(self):
-        return any(entry is not None for row in self.b for entry in row)
+    def __init__(self, model):
+        self.model = model
+        speed_bound, a_bound = _bounder(model, "speed"), _bounder(model, "diffusion")
+        self.bounds = lambda lo, hi: (speed_bound(lo, hi), a_bound(lo, hi))
+        if isinstance(model.flux, _Assembled):
+            entries = [model.flux.entries.get((k,)) for k in range(model.dimension)]
+            self.flux = lambda v: [np.zeros(v.shape) if e is None else e(v) for e in entries]
+            self.flux_is_zero = not model.flux.entries
+        else:
+            self.flux = lambda v: list(np.moveaxis(_vector(model, "flux", v), -1, 0))
+            self.flux_is_zero = bool(np.abs(_vector(model, "flux", _probe(model))).max() == 0.0)
+
+    a = cached_property(lambda self: _grid(self.model, "diffusion"))
+    sigma = cached_property(lambda self: _grid(self.model, "sqrt_factor"))
+    b = cached_property(lambda self: _grid(self.model, "b_primitive", self.a))
+    beta = cached_property(lambda self: _grid(self.model, "beta_primitive", self.sigma))
 
 
-def _component_fn(primitive, i, j, d):
-    def fn(u):
-        u = np.asarray(u, dtype=float)
-        return _as_matrix(primitive(u), u.shape, d, "primitive")[..., i, j]
-    return fn
+def _probe(model):
+    return np.linspace(-1.05 * model.state_bound, 1.05 * model.state_bound, 257)
+
+
+def _grid(model, name, integrands=None):
+    """d x d entries of a matrix quantity, None where zero.
+
+    An assembled callable gives its own entries. A whole callable is sliced
+    per entry, zero where the entry (for a primitive, its entry of
+    ``integrands``) vanishes on the probe states; a primitive the model
+    lacks becomes a spline of its integrand entry.
+    """
+    fn, d = getattr(model, name), model.dimension
+    if isinstance(fn, _Assembled):
+        return [[fn.entries.get((i, j)) for j in range(d)] for i in range(d)]
+    if integrands is None:
+        vals = _vector(model, name, _probe(model))
+        integrands = [[np.abs(vals[..., i, j]).max() > 0.0 or None for j in range(d)]
+                      for i in range(d)]
+    spline = fn is None and name in _INTEGRAND
+    return [[None if f is None else _spline_primitive(f, 1.05 * model.state_bound) if spline
+             else lambda u, ij=(i, j): _vector(model, name, u)[(Ellipsis,) + ij]
+             for j, f in enumerate(row)] for i, row in enumerate(integrands)]
+
+
+def _integrals(fn, lo, hi, abs_tol=1e-12):
+    """Integrals of a vectorized fn over [lo[k], hi[k]], in one quadrature batch."""
+    return adaptive_quadrature_batch(lambda v, owner: fn(v), lo, hi,
+                                     abs_tol=abs_tol, max_levels=QUAD_LEVELS)[0]
 
 
 def _spline_primitive(integrand_vec, span):
     """Cumulative primitive of a vectorized integrand as a Hermite spline."""
     nodes = np.linspace(-span, span, 1025)
-    segments, _ = adaptive_quadrature_batch(
-        lambda v, owner: integrand_vec(v), nodes[:-1], nodes[1:],
-        abs_tol=1e-13, max_levels=QUAD_LEVELS)
+    segments = _integrals(integrand_vec, nodes[:-1], nodes[1:], abs_tol=1e-13)
     # Accumulate outward from the middle node, where the primitive is 0.
     i0 = nodes.size // 2
     vals = np.empty_like(nodes)
@@ -434,52 +427,47 @@ def _spline_primitive(integrand_vec, span):
     vals[:i0] = -np.cumsum(segments[i0 - 1::-1])[::-1]
     slopes = integrand_vec(nodes)
     spline = CubicHermiteSpline(nodes, vals, slopes)
+    return lambda u: spline(np.asarray(u, dtype=float))
 
-    def fn(u):
-        return spline(np.asarray(u, dtype=float))
-    return fn
+
+def _bounder(model, name):
+    """(lo, hi) -> max |entry| over [lo, hi] for every entry of ``name``.
+
+    Polynomial entries are exact (Poly.max_abs). Hand-written entries and
+    whole callables are sampled at SAMPLED_BOUND_POINTS evenly spaced
+    states; a sampled maximum is not a supremum.
+    """
+    fn = getattr(model, name)
+
+    def sampled(f):
+        return lambda lo, hi: np.abs(f(np.linspace(lo, hi, SAMPLED_BOUND_POINTS))).max(axis=0)
+    if not isinstance(fn, _Assembled):
+        return sampled(lambda u: _vector(model, name, u))
+    parts = [(idx, e.max_abs if isinstance(e, Poly) else sampled(e))
+             for idx, e in fn.entries.items()]
+
+    def bound(lo, hi):
+        out = np.zeros(fn.shape)
+        for idx, top in parts:
+            out[idx] = top(lo, hi)
+        return out
+    return bound
 
 
 @lru_cache(maxsize=64)
-def primitive_tables(model):
-    """Per-model cache of vectorized primitive evaluators.
+def model_table(model):
+    """The ModelTable of a model, built once per model.
 
-    Analytic primitives are used directly when the model carries them;
-    otherwise a dense Hermite spline is fitted to quadrature values once.
-    Entries that are identically zero over the state interval are None so
-    stencil code can skip them.
+    Entries of assembled callables (presets, polynomial_model) are used as
+    they are. A callable supplied whole, by a hand-built ModelSpec or
+    through dataclasses.replace, is sliced per entry and its bounds are
+    sampled. Missing primitives become dense Hermite splines fitted to
+    quadrature values of their integrand entries.
     """
-    d = model.dimension
-    span = 1.05 * model.state_bound
-    probe = np.linspace(-span, span, 257)
-    a_probe = _as_matrix(model.diffusion(probe), probe.shape, d, "diffusion")
-    sig_probe = sqrt_factor_vector(model, probe)
-    f_probe = _as_components(model.flux(probe), probe.shape, d, "flux")
+    return ModelTable(model)
 
-    b_table = [[None] * d for _ in range(d)]
-    beta_table = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if np.abs(a_probe[..., i, j]).max() > 0.0:
-                if model.b_primitive is not None:
-                    b_table[i][j] = _component_fn(model.b_primitive, i, j, d)
-                else:
-                    b_table[i][j] = _spline_primitive(
-                        lambda v, i=i, j=j: _as_matrix(
-                            model.diffusion(v), np.shape(v), d, "diffusion")[..., i, j],
-                        span)
-            if np.abs(sig_probe[..., i, j]).max() > 0.0:
-                if model.beta_primitive is not None:
-                    beta_table[i][j] = _component_fn(model.beta_primitive, i, j, d)
-                else:
-                    beta_table[i][j] = _spline_primitive(
-                        lambda v, i=i, j=j: sqrt_factor_vector(model, v)[..., i, j],
-                        span)
-    return PrimitiveTables(
-        b=b_table,
-        beta=beta_table,
-        flux_is_zero=bool(np.abs(f_probe).max() == 0.0),
-    )
+
+primitive_tables = model_table  # the earlier name, kept for importers
 
 
 # --- validation --------------------------------------------------------------
@@ -539,7 +527,7 @@ def validate_model(model, samples=101, *, tol_psd=TOL_PSD, tol_factor=TOL_FACTOR
     big = model.state_bound
     us = np.linspace(-big, big, int(samples))
 
-    mats = _as_matrix(model.diffusion(us), us.shape, d, "diffusion")
+    mats = _vector(model, "diffusion", us)
     _check(report, "symmetry", np.abs(mats - np.swapaxes(mats, -1, -2)).max(), tol_symmetry)
 
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
@@ -547,36 +535,33 @@ def validate_model(model, samples=101, *, tol_psd=TOL_PSD, tol_factor=TOL_FACTOR
     _check(report, "psd", max(0.0, -float(eigvals.min())), tol_psd)
 
     try:
-        sig = sqrt_factor_vector(model, us)
+        sig = _vector(model, "sqrt_factor", us)
         recon = sig @ np.swapaxes(sig, -1, -2)
         _check(report, "factorization", np.abs(recon - mats).max(), tol_factor)
     except ModelError:
         _check(report, "factorization", float("inf"), tol_factor)
 
     # Primitives in integral form: primitives differenced across sample
-    # gaps must match an independent quadrature of their integrand.
+    # gaps must match an independent quadrature of their integrand. An
+    # analytic primitive is called once on all points; a missing one is
+    # integrated from 0 to every point in one batch per entry.
     pairs = np.linspace(-big, big, 17)
-    worst_beta = 0.0
-    worst_b = 0.0
+    worst = {"beta_primitive": 0.0, "b_primitive": 0.0}
     try:
-        for i in range(d):
-            for j in range(d):
-                vals_beta = [beta_eval(model, u, i, j, abs_tol=1e-12) for u in pairs]
-                vals_b = [bprimitive_eval(model, u, i, j, abs_tol=1e-12) for u in pairs]
-                seg_beta, _ = adaptive_quadrature_batch(
-                    lambda v, owner, i=i, j=j: sqrt_factor_vector(model, v)[..., i, j],
-                    pairs[:-1], pairs[1:], abs_tol=1e-12, max_levels=QUAD_LEVELS)
-                seg_b, _ = adaptive_quadrature_batch(
-                    lambda v, owner, i=i, j=j: _as_matrix(
-                        model.diffusion(v), np.shape(v), d, "diffusion")[..., i, j],
-                    pairs[:-1], pairs[1:], abs_tol=1e-12, max_levels=QUAD_LEVELS)
-                worst_beta = max(worst_beta, float(np.abs(np.diff(vals_beta) - seg_beta).max()))
-                worst_b = max(worst_b, float(np.abs(np.diff(vals_b) - seg_b).max()))
-        _check(report, "primitive_beta", worst_beta, tol_primitive)
-        _check(report, "primitive_b", worst_b, tol_primitive)
+        for name in worst:
+            integrands = _grid(model, _INTEGRAND[name])
+            prims = None if getattr(model, name) is None else _vector(model, name, pairs)
+            for i, j in np.ndindex(d, d):
+                f = integrands[i][j]
+                if prims is None and f is None:
+                    continue
+                vals = _integrals(f, 0.0 * pairs, pairs) if prims is None else prims[:, i, j]
+                seg = 0.0 if f is None else _integrals(f, pairs[:-1], pairs[1:])
+                worst[name] = max(worst[name], float(np.abs(np.diff(vals) - seg).max()))
     except (ModelError, QuadratureError):
-        _check(report, "primitive_beta", float("inf"), tol_primitive)
-        _check(report, "primitive_b", float("inf"), tol_primitive)
+        worst = dict.fromkeys(worst, float("inf"))
+    _check(report, "primitive_beta", worst["beta_primitive"], tol_primitive)
+    _check(report, "primitive_b", worst["b_primitive"], tol_primitive)
 
     # Chain rule spot check with weight psi(u) = exp(-u^2):
     # the derivative of integral sqrt(psi) sigma must equal sqrt(psi) sigma.
@@ -584,15 +569,14 @@ def validate_model(model, samples=101, *, tol_psd=TOL_PSD, tol_factor=TOL_FACTOR
     worst_chain = 0.0
     try:
         h = H_FD_SCALE * np.maximum(1.0, np.abs(spots))
-        rhs = np.exp(-0.5 * spots ** 2)[:, None, None] * sqrt_factor_vector(model, spots)
-        for i in range(d):
-            for k in range(d):
-                seg, _ = adaptive_quadrature_batch(
-                    lambda v, owner, i=i, k=k: np.exp(-0.5 * v ** 2)
-                    * sqrt_factor_vector(model, v)[..., i, k],
-                    spots - h, spots + h, abs_tol=1e-16, max_levels=QUAD_LEVELS)
-                lhs = seg / (2.0 * h)
-                worst_chain = max(worst_chain, float(np.abs(lhs - rhs[:, i, k]).max()))
+        rhs = np.exp(-0.5 * spots ** 2)[:, None, None] * _vector(model, "sqrt_factor", spots)
+        sigma = _grid(model, "sqrt_factor")
+        for i, k in np.ndindex(d, d):
+            f = sigma[i][k]
+            lhs = 0.0 if f is None else _integrals(
+                lambda v, f=f: np.exp(-0.5 * v ** 2) * f(v),
+                spots - h, spots + h, abs_tol=1e-16) / (2.0 * h)
+            worst_chain = max(worst_chain, float(np.abs(lhs - rhs[:, i, k]).max()))
         _check(report, "chain_rule", worst_chain, tol_chain)
     except (ModelError, QuadratureError):
         _check(report, "chain_rule", float("inf"), tol_chain)

@@ -16,7 +16,14 @@ into work arrays allocated once per run. Grid constants are fixed per run,
 and the flux and each nonzero B or beta entry are evaluated once per
 stage. The kernels divide by h and h^2 rather than multiply by
 reciprocals, so they match the whole-array periodic-shift form of each
-stencil bit for bit; the tests keep that form as the reference.
+stencil bit for bit; the tests keep that form as the reference. The
+kernels read single entries from the model's table (model.model_table).
+
+Wave bounds, max |a_k| for the flux and max |A_ij| for the time step, are
+taken over the current field's range [min u, max u], not clipped to
+state_bound. They are exact for polynomial entries (range ends plus the
+critical points inside) and sampled at 129 states for hand-written entries
+and whole callables; a sampled maximum is not a supremum.
 
 Off-diagonal diffusion breaks the monotone structure whenever it is
 nonzero: the 4-corner mixed stencil weights B_01 at two corners with a
@@ -29,13 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Callable, Optional
+from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 
 from . import model as model_mod
-from .model import primitive_tables, speed_vector, _as_components, _as_matrix
+from .model import model_table
 
 __all__ = [
     "ConfigurationError",
@@ -248,14 +255,9 @@ def numerical_flux_llf(model, u_left, u_right, axis, alpha):
     return 0.5 * (f_l + f_r) - 0.5 * alpha * (float(u_right) - float(u_left))
 
 
-def _wave_bounds(model, lo, hi, n=129):
-    """Bounds for |a| per axis and |A| per entry over [lo, hi]."""
-    us = np.linspace(lo, hi, n)
-    a = speed_vector(model, us)
-    alphas = np.abs(a).max(axis=0)
-    mats = _as_matrix(model.diffusion(us), us.shape, model.dimension, "diffusion")
-    lams = np.abs(mats).max(axis=0)
-    return alphas, lams
+def _wave_bounds(model, lo, hi):
+    """Bounds for |a| per axis and |A| per entry over [lo, hi] (see ModelTable)."""
+    return model_table(model).bounds(lo, hi)
 
 
 @lru_cache(maxsize=256)
@@ -294,41 +296,44 @@ def _shifted(x, s, axis, out):
 class _Stencils:
     """The scheme's periodic stencils for one model and grid, on fields of one shape.
 
-    Grid constants, the nonzero primitive entries and the work arrays are
-    set up once; per stage only the flux and primitive values are new
-    arrays. Leading batch axes of
-    ``shape`` (a lockstep pair) pass through. ``tables`` is
-    primitive_tables(model); hyperbolic() alone works without it.
+    Grid constants, the nonzero entries of the model table and the work
+    arrays are set up once; per stage only the flux and primitive values
+    are new arrays. Leading batch axes of ``shape`` (a lockstep pair) pass
+    through. ``table`` defaults to model_table(model).
     """
 
-    def __init__(self, model, grid, shape, tables=None):
+    def __init__(self, model, grid, shape, table=None):
+        self.table = table = model_table(model) if table is None else table
         d = grid.dimension
-        self.model, self.d, self.shape = model, d, tuple(shape)
+        self.d, self.shape = d, tuple(shape)
         self.h = grid.spacings
         self.h2 = tuple(h ** 2 for h in self.h)
         self.two_h = tuple(2.0 * h for h in self.h)
         self.four_hh = 4.0 * self.h[0] * self.h[-1]
         self.cell_volume = grid.cell_volume
         self.work = [np.empty(shape) for _ in range(3)]
-        if tables is None:
-            return
-        self.has_diffusion = tables.has_diffusion
-        self.flux_is_zero = tables.flux_is_zero
-        self.b_entries = {(i, j): tables.b[i][j]
-                          for i, j in [(i, i) for i in range(d)] + [(0, 1)] * (d == 2)
-                          if tables.b[i][j] is not None}
-        self.beta_entries = {(i, k): tables.beta[i][k]
-                             for i in range(d) for k in range(d)
-                             if tables.beta[i][k] is not None}
+        self.flux, self.bounds, self.flux_is_zero = table.flux, table.bounds, table.flux_is_zero
+
+    # The primitive entries are looked up on first use, so the flux stencil
+    # alone needs no B, sigma or beta (nor a PSD diffusion matrix).
+    @cached_property
+    def b_entries(self):
+        b, d = self.table.b, self.d
+        return {(i, j): b[i][j] for i, j in [(i, i) for i in range(d)] + [(0, 1)] * (d == 2)
+                if b[i][j] is not None}
+
+    @cached_property
+    def beta_entries(self):
+        beta, d = self.table.beta, self.d
+        return {(i, k): beta[i][k] for i in range(d) for k in range(d) if beta[i][k] is not None}
 
     def hyperbolic(self, values, alphas, out):
         """Divergence of the LLF flux, summed over axes, into ``out``."""
         d = self.d
-        f = _as_components(self.model.flux(values), values.shape, d, "flux")
+        fluxes = self.flux(values)
         face, diff = self.work[0], self.work[1]
         out.fill(0.0)
-        for k in range(d):
-            fa = f[..., k]
+        for k, fa in enumerate(fluxes):
             # face[i] = 0.5 (f[i] + f[i+1]) - 0.5 alpha (u[i+1] - u[i])
             _periodic(np.add, fa, 0, fa, 1, k - d, face)
             face *= 0.5
@@ -403,7 +408,7 @@ def hyperbolic_div(model, fld, grid):
 def diffusion_div(model, fld, grid):
     """Discrete divergence of A(u) grad u via primitives of A."""
     values = np.asarray(fld.values, dtype=float)
-    stencils = _Stencils(model, grid, values.shape, primitive_tables(model))
+    stencils = _Stencils(model, grid, values.shape)
     return stencils.diffusion(values, np.empty_like(values))
 
 
@@ -450,13 +455,12 @@ def _stepper(stencils, scheme):
     ConfigurationError. ``cut`` says the step is shorter than the CFL step
     (capped, or the ``idle`` step).
     """
-    model = stencils.model
     two_stage = scheme.integrator != "euler"
     tend = np.empty(stencils.shape)
     hyp = np.empty(stencils.shape)
 
     def tendency(v, alphas, skip_flux):
-        if stencils.has_diffusion:
+        if stencils.b_entries:
             stencils.diffusion(v, tend)
         else:
             tend.fill(0.0)
@@ -465,7 +469,7 @@ def _stepper(stencils, scheme):
         return tend
 
     def advance(values, t, cap, idle, dt=None):
-        alphas, lams = _wave_bounds(model, float(values.min()), float(values.max()))
+        alphas, lams = stencils.bounds(float(values.min()), float(values.max()))
         cut = False
         if dt is None:
             cfl_dt = _cfl_dt(alphas, lams, stencils.h, scheme.cfl)
@@ -500,7 +504,7 @@ def _stepper(stencils, scheme):
 def step(state, model, grid, config, *, dt=None):
     """Advance one step; dt defaults to the stable step for this field."""
     values = np.asarray(state.values, dtype=float)
-    advance = _stepper(_Stencils(model, grid, values.shape, primitive_tables(model)), config)
+    advance = _stepper(_Stencils(model, grid, values.shape), config)
     new_values, dt, _ = advance(values, state.time, math.inf, config.output_every, dt)
     return CellField(values=new_values, time=state.time + dt)
 
@@ -568,8 +572,7 @@ def run(model, grid, profile, scheme, hooks=()):
     """
     fld = profile if isinstance(profile, CellField) else init_field(grid, profile)
     values = np.asarray(fld.values, dtype=float).copy()
-    tables = primitive_tables(model)
-    stencils = _Stencils(model, grid, values.shape, tables)
+    stencils = _Stencils(model, grid, values.shape)
     vol = stencils.cell_volume
     ncells = values.size
 
@@ -617,7 +620,7 @@ def run(model, grid, profile, scheme, hooks=()):
                           final=CellField(values=values.copy(), time=t))
 
     t = 0.0
-    has_diff = tables.has_diffusion
+    has_diff = bool(stencils.b_entries)
     n_prev = stencils.dissipation(values) if has_diff else 0.0
     window_diss = 0.0
     energy_cur = float(np.vdot(values, values).real) * vol
@@ -682,7 +685,7 @@ def run_lockstep(model, grid, profile_a, profile_b, scheme):
     fields = [p if isinstance(p, CellField) else init_field(grid, p)
               for p in (profile_a, profile_b)]
     values = np.stack([np.asarray(f.values, dtype=float) for f in fields])
-    advance = _stepper(_Stencils(model, grid, values.shape, primitive_tables(model)), scheme)
+    advance = _stepper(_Stencils(model, grid, values.shape), scheme)
     times = []
     dists = []
     # Without snapshots every stop point is an output row.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from anisolab.cli import cmd_sweep, main, read_trajectory_csv
-from anisolab.config import ConfigError, default_config
+from anisolab.config import ConfigError, default_config, parse_config
 
 RUN_CFG = """\
 [model]
@@ -294,6 +294,25 @@ def test_sweep_rejects_unknown_axis(tmp_path):
         cmd_sweep(default_config("burgers"), tmp_path / "o", axis="dt", values=[1.0])
     assert info.value.errors == [
         "sweep axis must be cells, cfl, amplitude or lambda_floor, got 'dt'"]
+
+
+@pytest.mark.parametrize("axis, values, error", [
+    ("cells", [10.5], "values on the cells axis must be integers of at least 4, got 10.5"),
+    ("cells", [16, 2], "values on the cells axis must be integers of at least 4, got 2.0"),
+    ("cfl", [0.2, -1.0], "values on the cfl axis must be positive, got -1.0"),
+    ("lambda_floor", [0.0], "values on the lambda_floor axis must be positive, got 0.0"),
+])
+def test_sweep_entry_applies_the_config_value_rules(tmp_path, axis, values, error):
+    # The message is the config path's, without its line number.
+    with pytest.raises(ConfigError) as info:
+        cmd_sweep(default_config("burgers"), tmp_path / "o", axis=axis, values=values)
+    assert info.value.errors == [error]
+    assert not (tmp_path / "o").exists()
+    text = "[model]\npreset = burgers\n[sweep]\naxis = {}\nvalues = {}\n".format(
+        axis, ", ".join(map(repr, values)))
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    assert parsed.value.errors == [f"line 5: {error}"]
 
 
 def test_sweep_lambda_floor_axis(tmp_path):

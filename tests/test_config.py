@@ -145,6 +145,23 @@ def test_error_on_non_finite_and_ill_typed_values(text, error):
     assert info.value.errors[0] == error
 
 
+@pytest.mark.parametrize("values, error", [
+    ("-1, nan", "line 5: values must be finite, got -1, nan"),
+    ("0.2, x", "line 5: values: malformed number 'x'"),
+    ("-1, 0.5", "line 5: values on the cfl axis must be positive, got -1.0"),
+])
+def test_rejected_sweep_values_give_exactly_one_error(values, error):
+    with pytest.raises(ConfigError) as info:
+        parse_config(MINIMAL + f"[sweep]\naxis = cfl\nvalues = {values}\n")
+    assert info.value.errors == [error]
+
+
+def test_sweep_axis_without_values_line_is_reported():
+    with pytest.raises(ConfigError) as info:
+        parse_config(MINIMAL + "[sweep]\naxis = cfl\n")
+    assert info.value.errors == ["line 4: sweep axis set but values are empty"]
+
+
 def test_sweep_values_on_amplitude_axis_may_be_any_finite_number():
     cfg = parse_config(MINIMAL + "[sweep]\naxis = amplitude\nvalues = -1, 0, 2.5\n")
     assert cfg.sweep_values == (-1.0, 0.0, 2.5)

@@ -1,18 +1,24 @@
 """Tests for model construction, evaluation, and structural validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from anisolab import model as model_mod
 from anisolab.model import (
     QUAD_LEVELS,
     ModelError,
     ModelSpec,
     NotPSDError,
+    Poly,
     beta_eval,
     bprimitive_eval,
     diffusion_eval,
     flux_eval,
     list_presets,
+    model_table,
     polynomial_model,
     preset,
     primitive_tables,
@@ -22,6 +28,7 @@ from anisolab.model import (
     _spline_primitive,
 )
 from anisolab.quadrature import adaptive_quadrature
+from anisolab.solver import PeriodicGrid, SchemeConfig, run
 
 PRESET_NAMES = [
     "anisotropic-2d",
@@ -224,13 +231,11 @@ def test_model_error_on_wrong_flux_shape():
 
 def test_primitive_tables_mark_zero_entries():
     adv = primitive_tables(preset("linear-advection"))
-    assert not adv.has_diffusion
     assert not adv.flux_is_zero
     assert all(entry is None for row in adv.b for entry in row)
 
     por = primitive_tables(preset("porous-medium"))
     assert por.flux_is_zero
-    assert por.has_diffusion
     assert por.b[0][0] is not None
 
 
@@ -330,3 +335,202 @@ def test_validate_model_flags_negative_diffusion():
     report = validate_model(m)
     assert not report.overall_pass
     assert not report.checks["psd"].passed
+
+
+# --- entries and exact bounds ------------------------------------------------
+
+def _states():
+    u = np.random.default_rng(5).uniform(-1.2, 1.2, 2001)
+    u[:10] = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300, 1.25, -1.25)
+    return u
+
+
+def _sqr(u):
+    return np.square(u)
+
+
+def _cube_third(u):
+    return u * u * u / 3.0
+
+
+def _half_u_abs(u):
+    return 0.5 * u * np.abs(u)
+
+
+# Reference: the preset callables as closed-form numpy expressions, in the
+# operation order the presets have always used: (flux components, speed
+# components, {(i, j): entry} for diffusion, sqrt_factor, b_primitive and
+# beta_primitive).
+EARLIER_PRESETS = {
+    "linear-advection": ([lambda u: u], [np.ones_like], {}, {}, {}, {}),
+    "burgers": ([lambda u: 0.5 * _sqr(u)], [lambda u: u], {}, {}, {}, {}),
+    "burgers-degenerate": ([lambda u: 0.5 * _sqr(u)], [lambda u: u], {(0, 0): _sqr},
+                           {(0, 0): np.abs}, {(0, 0): _cube_third}, {(0, 0): _half_u_abs}),
+    "porous-medium": ([np.zeros_like], [np.zeros_like], {(0, 0): lambda u: 2.0 * np.abs(u)},
+                      {(0, 0): lambda u: np.sqrt(2.0 * np.abs(u))},
+                      {(0, 0): lambda u: u * np.abs(u)},
+                      {(0, 0): lambda u: np.sqrt(2.0) * (2.0 / 3.0) * np.sign(u)
+                       * np.abs(u) ** 1.5}),
+    "anisotropic-2d": ([lambda u: 0.5 * u ** 2, _cube_third], [lambda u: u, lambda u: u ** 2],
+                       {(0, 0): _sqr}, {(0, 0): np.abs}, {(0, 0): _cube_third},
+                       {(0, 0): _half_u_abs}),
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_callables_return_the_earlier_arrays_bit_for_bit(name):
+    m = preset(name)
+    u = _states()
+    flux, speed, *mats = EARLIER_PRESETS[name]
+    for attr, comps in (("flux", flux), ("speed", speed)):
+        want = np.stack([c(u) for c in comps], axis=-1)
+        got = getattr(m, attr)(u)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), attr
+    for attr, entries in zip(("diffusion", "sqrt_factor", "b_primitive", "beta_primitive"), mats):
+        want = np.zeros(u.shape + (m.dimension, m.dimension))
+        for (i, j), fn in entries.items():
+            want[..., i, j] = fn(u)
+        got = getattr(m, attr)(u)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), attr
+    # Scalars keep the (d,) and (d, d) shapes.
+    assert m.flux(0.5).shape == (m.dimension,)
+    assert m.diffusion(0.5).shape == (m.dimension, m.dimension)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_bounds_equal_the_129_point_sample(name):
+    # Every preset extremum of |a| and |A| sits at an end of the range, so
+    # the exact bounds reproduce the sampled ones and keep the step counts.
+    m = preset(name)
+    for lo, hi in ((-0.93, 0.97), (-1.0, 1.0), (0.1, 0.8), (-1.2, -0.3), (-0.4, 1.25)):
+        alphas, lams = model_table(m).bounds(lo, hi)
+        us = np.linspace(lo, hi, 129)
+        assert alphas.tolist() == np.abs(m.speed(us)).max(axis=0).tolist()
+        assert lams.tolist() == np.abs(m.diffusion(us)).max(axis=0).tolist()
+
+
+def _polished_max(fn, xs):
+    """max |fn| over [xs[0], xs[-1]], refined around every local maximum of a sample."""
+    vals = np.abs(fn(xs))
+    padded = np.concatenate(([-1.0], vals, [-1.0]))
+    best = vals.max()
+    for k in np.nonzero((vals >= padded[:-2]) & (vals >= padded[2:]))[0]:
+        near = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)], 10001)
+        best = max(best, np.abs(fn(near)).max())
+    return best
+
+
+_coeff = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _poly_case(draw):
+    flux = draw(st.lists(_coeff, min_size=2, max_size=5))
+    diff = draw(st.lists(_coeff, min_size=1, max_size=4))
+    lo = draw(st.floats(-1.5, 1.4))
+    hi = min(1.5, lo + draw(st.floats(0.05, 2.0)))
+    return flux, diff, lo, hi
+
+
+@example(([0.0, 1.0, 0.0, -1.0], [0.1, 0.0, -0.3], -0.3, 0.9))  # a = 1 - 3u^2
+@example(([0.0, 0.4, -0.6, 0.0, 0.5], [0.2, -1.0, 0.0, 2.0], -1.1, 0.55))
+@settings(max_examples=80, deadline=None)
+@given(_poly_case())
+def test_exact_bounds_of_random_polynomial_models(case):
+    flux, diff, lo, hi = case
+    m = polynomial_model("random", [flux], {(0, 0): diff}, 1, 1.0)
+    alphas, lams = model_table(m).bounds(lo, hi)
+    big = max(abs(lo), abs(hi))
+    dense = np.linspace(lo, hi, 10001)
+    poly = np.polynomial.polynomial
+    for got, fn, coeffs in (
+            (alphas[0], lambda u: m.speed(u)[..., 0], poly.polyder(flux)),
+            (lams[0, 0], lambda u: m.diffusion(u)[..., 0, 0], diff)):
+        assert got >= np.abs(fn(dense)).max()
+        assert got >= np.abs(fn(np.linspace(lo, hi, 129))).max()
+        # A dense grid misses an interior extremum by up to |p''| h^2 / 8
+        # (about 1e-8 here), so the match within 1e-12 is against the
+        # dense maximum refined around its peaks. The rounding allowance of
+        # Poly.max_abs scales with sum |c_n| |u|^n, which bounds the rest.
+        scale = poly.polyval(big, np.abs(coeffs))
+        top = _polished_max(fn, dense)
+        assert got - top <= 1e-12 * max(top, scale)
+
+
+def test_interior_extremum_raises_the_speed_bound_over_the_sample():
+    # a = 1 - 3u^2 on [-0.31, 0.5]: the 129-point grid misses u = 0.
+    m = polynomial_model("interior", [(0.0, 1.0, 0.0, -1.0)], {}, 1, 1.0)
+    sampled = np.abs(m.speed(np.linspace(-0.31, 0.5, 129))).max()
+    alphas, _ = model_table(m).bounds(-0.31, 0.5)
+    assert sampled < 1.0 <= alphas[0] <= 1.0 + 1e-14
+
+
+def test_poly_entry_evaluates_the_same_on_floats_and_arrays():
+    p = Poly((0.25, -1.0, 0.0, 0.5), div=3)
+    us = np.linspace(-1.3, 1.1, 97)
+    assert [float(p(float(u))) for u in us] == p(us).tolist()
+    assert Poly((0.0, 0.0)).coeffs == (0.0,)
+    assert Poly((2.0,)).derivative().coeffs == (0.0,)
+    assert Poly((0, 0, 3), div=3).derivative().coeffs == (0.0, 2.0)
+    assert Poly((1.0, 0.0, -3.0)).critical == (0.0,)
+
+
+def test_replaced_callables_are_used_and_keep_sampled_bounds():
+    # A ModelSpec changed with dataclasses.replace no longer carries the
+    # assembled callables, so its table slices the callables it was given.
+    m = preset("burgers-degenerate")
+    calls = {"flux": 0, "b_primitive": 0}
+
+    def counted(name):
+        def fn(u):
+            calls[name] += 1
+            return getattr(m, name)(u)
+        return fn
+
+    wrapped = replace(m, flux=counted("flux"), b_primitive=counted("b_primitive"),
+                      speed=lambda u: m.speed(u), diffusion=lambda u: m.diffusion(u))
+    grid = PeriodicGrid.make([1.0], [48])
+    scheme = SchemeConfig(t_end=0.02, output_every=0.005)
+    profile = lambda x: 0.2 + 0.7 * np.sin(2 * np.pi * x)  # noqa: E731
+    ref, got = run(m, grid, profile, scheme), run(wrapped, grid, profile, scheme)
+    assert calls["flux"] > 0 and calls["b_primitive"] > 0
+    assert got.stats.steps == ref.stats.steps
+    assert got.final.values.tobytes() == ref.final.values.tobytes()
+    assert model_table(wrapped).bounds(-0.5, 0.9)[0].tolist() == [0.9]
+
+
+def test_validate_model_makes_one_primitive_call_per_quantity(monkeypatch):
+    calls = {"scalar": 0, "batch": 0}
+    batch = model_mod.adaptive_quadrature_batch
+
+    def count_batch(*args, **kwargs):
+        calls["batch"] += 1
+        return batch(*args, **kwargs)
+
+    def no_scalar(*args, **kwargs):
+        calls["scalar"] += 1
+        raise AssertionError("validate_model integrates point by point")
+
+    monkeypatch.setattr(model_mod, "adaptive_quadrature_batch", count_batch)
+    monkeypatch.setattr(model_mod, "adaptive_quadrature", no_scalar)
+    # burgers-degenerate has both primitives; the polynomial model lacks
+    # beta, whose values at the 17 points come from one batch from 0.
+    prims = {"b": 0, "beta": 0}
+    m = preset("burgers-degenerate")
+
+    def counted(name, fn):
+        def wrapped(u):
+            prims[name] += 1
+            return fn(u)
+        return wrapped
+
+    m = replace(m, b_primitive=counted("b", m.b_primitive),
+                beta_primitive=counted("beta", m.beta_primitive))
+    assert validate_model(m).overall_pass
+    assert prims == {"b": 1, "beta": 1}
+    # One batch each for the beta and B gaps and one for the chain rule.
+    assert calls == {"scalar": 0, "batch": 3}
+    calls["batch"] = 0
+    assert validate_model(polynomial_model("p", [(0.0, 0.0, 0.5)], {(0, 0): (0.1, 0.0, 1.0)},
+                                           1, 1.0)).overall_pass
+    assert calls == {"scalar": 0, "batch": 4}

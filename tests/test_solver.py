@@ -276,6 +276,18 @@ def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, ce
         assert diffusion_div(m, fld, g).tobytes() == roll_diffusion(values, g, tables).tobytes()
 
 
+def test_flux_stencil_and_step_size_need_no_psd_diffusion():
+    # Only the diffusion stencil reads sigma and the primitives; a model
+    # whose A is not PSD (validate_model flags it) still has a flux
+    # divergence and a stable step.
+    m = polynomial_model("negative", [(0.0, 0.0, 0.5)], {(0, 0): (-1.0,)}, 1, 1.0)
+    g = PeriodicGrid.make([1.0], [16])
+    fld = init_field(g, sin_profile)
+    want = hyperbolic_div(preset("burgers"), fld, g)
+    assert hyperbolic_div(m, fld, g).tobytes() == want.tobytes()
+    assert stable_dt(m, fld, g) > 0.0
+
+
 # --- stable_dt ---------------------------------------------------------------
 
 def test_stable_dt_advection():

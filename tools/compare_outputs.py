@@ -1,0 +1,257 @@
+"""Compare the outputs of two anisolab source trees, case by case.
+
+    python tools/compare_outputs.py OLD_SRC NEW_SRC [--only SUBSTRING]
+
+Each tree is imported in its own child interpreter (``PYTHONPATH=<tree>``),
+which runs the fixed case list below and pickles one bytes value per case.
+The parent prints every case whose bytes differ, with a short description
+of the difference, and exits 1 if any case differs. The cases are:
+
+- the public callables of every preset and of a few polynomial models on a
+  fixed set of states (``callables/...``);
+- wave bounds and stable steps on fields with and without interior extrema
+  of the speed (``bounds/...``);
+- solver runs: diagnostic rows, run statistics and the final field
+  (``run/...``), plus one lockstep pair;
+- validate_model reports (``validate/...``);
+- the bodies of the CLI ``run`` and ``check-condition`` artifacts, with the
+  ``# generated`` time-stamp line dropped (``cli/...``). check-condition runs
+  under the default plan and under a reduced plan (two lambdas, 64
+  directions in 2-d).
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+POLY_MODELS = {
+    # a = 1 - 3u^2 has an interior extremum at u = 0.
+    "poly-interior": ([(0.0, 1.0, 0.0, -1.0)], {(0, 0): (0.05, 0.0, 0.1)}, 1),
+    "poly-bd": ([(0.0, 0.0, 0.5)], {(0, 0): (0.0, 0.0, 1.0)}, 1),
+    "coupled-cubic": ([(0.0, 0.5, 0.2), (0.0, -0.4, 0.0, 0.3)],
+                      {(0, 0): (0.4, 0.0, 0.3), (0, 1): (0.05, 0.0, 0.02),
+                       (1, 1): (0.3, 0.1)}, 2),
+}
+CALLABLES = ("flux", "speed", "diffusion", "sqrt_factor", "b_primitive", "beta_primitive")
+INLINE_CONFIG = """[model]
+name = inline-interior
+dimension = 1
+f1 = 0, 1, 0, -1
+A11 = 0.05, 0, 0.1
+[grid]
+cells = 96
+[initial]
+profile = multi-sine
+amplitude = 0.9
+[scheme]
+t_end = 0.05
+output_every = 0.01
+"""
+
+
+def _states():
+    import numpy as np
+    u = np.random.default_rng(11).uniform(-1.2, 1.2, 2001)
+    u[:9] = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300, 1.25)
+    return u
+
+
+def _models():
+    from anisolab.model import list_presets, polynomial_model, preset
+    out = {name: preset(name) for name in list_presets()}
+    for name, (flux, diff, d) in POLY_MODELS.items():
+        out[name] = polynomial_model(name, flux, diff, d, 1.0)
+    return out
+
+
+def _run_case(model):
+    import numpy as np
+    from anisolab.solver import PeriodicGrid, SchemeConfig, run
+    if model.dimension == 1:
+        grid = PeriodicGrid.make([1.0], [64])
+        profile = lambda x: 0.3 + 0.6 * np.sin(2 * np.pi * x)  # noqa: E731
+    else:
+        grid = PeriodicGrid.make([1.0, 1.0], [16, 12])
+        profile = lambda x, y: 0.3 + 0.6 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)  # noqa: E731
+    traj = run(model, grid, profile, SchemeConfig(t_end=0.05, output_every=0.01))
+    return pickle.dumps(([repr(vars(r)) for r in traj.rows], repr(vars(traj.stats)),
+                         traj.final.values.tobytes()))
+
+
+def _bounds_case(model):
+    import numpy as np
+    from anisolab.solver import PeriodicGrid, _wave_bounds, stable_dt, CellField
+    out = []
+    for lo, hi in ((-0.3, 0.9), (-1.0, 1.0), (0.2, 0.7), (-1.1, -0.4)):
+        alphas, lams = _wave_bounds(model, lo, hi)
+        cells = [33] * model.dimension
+        values = np.linspace(lo, hi, int(np.prod(cells))).reshape(cells)
+        grid = PeriodicGrid.make([1.0] * model.dimension, cells)
+        dt = stable_dt(model, CellField(values, 0.0), grid, output_every=1.0)
+        out.append((np.asarray(alphas).tolist(), np.asarray(lams).tolist(), repr(dt)))
+    return repr(out).encode()
+
+
+def _artifacts(directory):
+    parts = []
+    for path in sorted(Path(directory).rglob("*")):
+        if path.is_file():
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            body = "".join(l for l in lines if not l.startswith("# generated"))
+            parts.append((str(path.relative_to(directory)), body))
+    return pickle.dumps(parts)
+
+
+def _cli_case(args, config_text=None):
+    from anisolab.cli import main
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(args)
+        if config_text is not None:
+            cfg = Path(tmp) / "case.cfg"
+            cfg.write_text(config_text, encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        out = Path(tmp) / "out"
+        code = main(argv + ["--out", str(out), "--quiet"])
+        return pickle.dumps((code, _artifacts(out)))
+
+
+def _run_config(name, dimension):
+    cells, t_end = ("128", "0.02") if dimension == 1 else ("24, 24", "0.005")
+    return (f"[model]\npreset = {name}\n[grid]\ncells = {cells}\n[initial]\n"
+            f"profile = multi-sine\namplitude = 0.95\n[scheme]\nt_end = {t_end}\n"
+            f"output_every = {float(t_end) / 4!r}\n")
+
+
+def _reduced_plan_config(name, dimension):
+    text = f"[model]\npreset = {name}\n[grid]\ncells = {'64, 64' if dimension == 2 else '256'}\n"
+    text += "[condition]\nlambdas = 0.1, 1e-06\n"
+    return text + ("n_dir = 64\n" if dimension == 2 else "")
+
+
+def cases():
+    """(name, thunk) pairs; each thunk returns bytes."""
+    import numpy as np
+    from anisolab.model import validate_model
+    from anisolab.solver import PeriodicGrid, SchemeConfig, run_lockstep
+    u = _states()
+    for name, model in _models().items():
+        for attr in CALLABLES:
+            fn = getattr(model, attr)
+            yield (f"callables/{name}/{attr}",
+                   lambda fn=fn: b"None" if fn is None else np.asarray(fn(u)).tobytes())
+        yield f"bounds/{name}", lambda m=model: _bounds_case(m)
+        yield f"run/{name}", lambda m=model: _run_case(m)
+        yield f"validate/{name}", lambda m=model: "\n".join(validate_model(m).lines()).encode()
+        if name in POLY_MODELS:
+            continue
+        yield (f"cli/run/{name}",
+               lambda n=name, d=model.dimension: _cli_case(["run"], _run_config(n, d)))
+        yield (f"cli/check-condition/default/{name}",
+               lambda n=name: _cli_case(["check-condition", "--model", n]))
+        yield (f"cli/check-condition/reduced/{name}",
+               lambda n=name, d=model.dimension: _cli_case(
+                   ["check-condition"], _reduced_plan_config(n, d)))
+
+    def lockstep():
+        from anisolab.model import preset
+        grid = PeriodicGrid.make([1.0], [48])
+        times, dists, fa, fb = run_lockstep(
+            preset("burgers-degenerate"), grid, lambda x: np.sin(2 * np.pi * x),
+            lambda x: 0.5 * np.cos(2 * np.pi * x), SchemeConfig(t_end=0.03))
+        return pickle.dumps((times, dists, fa.values.tobytes(), fb.values.tobytes()))
+    yield "run/lockstep/burgers-degenerate", lockstep
+    yield "cli/run/inline-interior", lambda: _cli_case(["run"], INLINE_CONFIG)
+
+
+def child(result_path, only):
+    results = {}
+    for name, thunk in cases():
+        if only and only not in name:
+            continue
+        try:
+            results[name] = thunk()
+        except Exception as exc:  # a raised error is an output like any other
+            results[name] = f"raised {type(exc).__name__}: {exc}".encode()
+    with open(result_path, "wb") as fh:
+        pickle.dump(results, fh)
+
+
+def _first_difference(old, new, path=""):
+    """Where two unpickled values first differ, and the two sides there."""
+    if isinstance(old, (list, tuple)) and isinstance(new, (list, tuple)) and len(old) == len(new):
+        for k, (a, b) in enumerate(zip(old, new)):
+            if a != b:
+                return _first_difference(a, b, f"{path}[{k}]")
+    if isinstance(old, str) and isinstance(new, str):
+        for k, (a, b) in enumerate(zip(old.splitlines(), new.splitlines())):
+            if a != b:
+                return f"{path} line {k + 1}: {a[:100]!r} -> {b[:100]!r}"
+    if isinstance(old, bytes) and isinstance(new, bytes):
+        return f"{path} {_describe(old, new)}"
+    return f"{path}: {str(old)[:100]!r} -> {str(new)[:100]!r}"
+
+
+def _describe(old, new):
+    """A one-line account of how two case values differ."""
+    for loads in (pickle.loads, lambda raw: raw.decode("utf-8")):
+        try:
+            a, b = loads(old), loads(new)
+        except Exception:  # not that encoding; try the next one
+            continue
+        return _first_difference(a, b)
+    if len(old) == len(new) and len(old) % 8 == 0:
+        import numpy as np
+        a, b = np.frombuffer(old, float), np.frombuffer(new, float)
+        bits = int((a.view(np.int64) != b.view(np.int64)).sum())
+        with np.errstate(invalid="ignore"):
+            ulp = np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        return (f"{bits} of {a.size} values differ in their bits, {int((a != b).sum())} in "
+                f"value, at most {np.nan_to_num(ulp).max():.0f} ulp")
+    return f"{len(old)} -> {len(new)} bytes"
+
+
+def main(argv):
+    if argv[:1] == ["--child"]:
+        child(argv[1], argv[2] if len(argv) > 2 else "")
+        return 0
+    only = ""
+    if "--only" in argv:
+        k = argv.index("--only")
+        only = argv[k + 1]
+        argv = argv[:k] + argv[k + 2:]
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        procs = []
+        for k, src in enumerate(argv):
+            path = os.path.join(tmp, f"tree{k}.pkl")
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            procs.append((path, subprocess.Popen(
+                [sys.executable, os.path.abspath(__file__), "--child", path, only], env=env)))
+        for path, proc in procs:
+            if proc.wait() != 0:
+                print(f"child for {path} failed", file=sys.stderr)
+                return 2
+            with open(path, "rb") as fh:
+                results.append(pickle.load(fh))
+    old, new = results
+    differ = 0
+    for name in sorted(set(old) | set(new)):
+        a, b = old.get(name), new.get(name)
+        if a != b:
+            differ += 1
+            what = "missing on one side" if a is None or b is None else _describe(a, b)
+            print(f"DIFF {name}: {what}")
+    print(f"{differ} of {len(set(old) | set(new))} cases differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
