@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -183,19 +182,23 @@ def cmd_run(cfg, out_dir, quiet=False):
     return 0 if report.passed else 2
 
 
-def cmd_check_condition(cfg, out_dir, quiet=False):
-    """Sample the nondegeneracy functional and grade the verdict."""
+def _check_and_write(cfg, out):
+    """Check the condition for one config and write its artifacts; returns the report."""
     model = make_model(cfg)
     # A configured grid supplies the lattice periods, including the 1.0
     # per-axis default applied when only cells are given.
     grid = make_grid(cfg, model.dimension) if cfg.cells is not None else None
-    sampling = make_sampling(cfg, grid=grid)
     report = check_condition(model, delta=cfg.delta, lambdas=list(cfg.lambdas),
-                             sampling=sampling)
-    out = Path(out_dir)
+                             sampling=make_sampling(cfg, grid=grid))
     out.mkdir(parents=True, exist_ok=True)
     write_condition_csv(out / "condition.csv", report, model.dimension)
     _write_text(out / "condition.txt", "\n".join(report.lines()) + "\n")
+    return report
+
+
+def cmd_check_condition(cfg, out_dir, quiet=False):
+    """Sample the nondegeneracy functional and grade the verdict."""
+    report = _check_and_write(cfg, Path(out_dir))
     if not quiet:
         print("\n".join(report.lines()))
     return _EXIT_BY_VERDICT[report.verdict]
@@ -222,18 +225,20 @@ def cmd_validate_model(cfg, out_dir, quiet=False):
     return 0 if report.overall_pass else 2
 
 
-def _worker_count(n_jobs):
+def _check_thread_env():
+    """Reject an ANISO_THREADS that is not a positive integer.
+
+    Sweep rows run serially, so a valid value changes nothing.
+    """
     env = os.environ.get("ANISO_THREADS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"ANISO_THREADS must be an integer, got {env!r}") from None
-        if workers < 1:
-            raise ValueError(f"ANISO_THREADS must be positive, got {workers}")
-    else:
-        workers = min(4, os.cpu_count() or 1)
-    return max(1, min(workers, n_jobs))
+    if env is None:
+        return
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ValueError(f"ANISO_THREADS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"ANISO_THREADS must be positive, got {workers}")
 
 
 def _sweep_run_one(cfg, axis, value, out):
@@ -266,15 +271,7 @@ def _sweep_run_one(cfg, axis, value, out):
 def _sweep_condition_one(cfg, floor, out):
     lams = [l for l in cfg.lambdas if l > floor * (1.0 + 1e-12)] + [float(floor)]
     sub = replace(cfg, lambdas=tuple(lams))
-    tag = f"lambda_floor-{float(floor):g}"
-    model = make_model(sub)
-    grid = make_grid(sub, model.dimension) if sub.cells is not None else None
-    report = check_condition(model, delta=sub.delta, lambdas=list(sub.lambdas),
-                             sampling=make_sampling(sub, grid=grid))
-    sub_dir = out / tag
-    sub_dir.mkdir(parents=True, exist_ok=True)
-    write_condition_csv(sub_dir / "condition.csv", report, model.dimension)
-    _write_text(sub_dir / "condition.txt", "\n".join(report.lines()) + "\n")
+    report = _check_and_write(sub, out / f"lambda_floor-{float(floor):g}")
     return {"value": floor, "omega_final": report.omegas[-1],
             "threshold": report.pass_threshold, "verdict": report.verdict}
 
@@ -282,9 +279,9 @@ def _sweep_condition_one(cfg, floor, out):
 def cmd_sweep(cfg, out_dir, quiet=False, axis=None, values=None):
     """Repeat one experiment along a numeric axis; one CSV row per value.
 
-    Rows keep the order of the requested values whatever the worker
-    scheduling does. Exit 2 flags rows that blew up or failed their audit;
-    condition verdicts are findings, not failures.
+    Rows run one after another in the order of the requested values. Exit
+    2 flags rows that blew up or failed their audit; condition verdicts are
+    findings, not failures.
     """
     axis = axis if axis is not None else cfg.sweep_axis
     values = values if values is not None else cfg.sweep_values
@@ -295,16 +292,14 @@ def cmd_sweep(cfg, out_dir, quiet=False, axis=None, values=None):
     error = sweep_value_error(axis, values) if values else "sweep needs a non-empty value list"
     if error is not None:
         raise ConfigError([error])
+    _check_thread_env()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if axis == "lambda_floor":
-        worker = lambda v: _sweep_condition_one(cfg, float(v), out)
+        rows = [_sweep_condition_one(cfg, float(v), out) for v in values]
     else:
-        worker = lambda v: _sweep_run_one(cfg, axis, v, out)
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(values))) as pool:
-        rows = list(pool.map(worker, values))
+        rows = [_sweep_run_one(cfg, axis, v, out) for v in values]
 
     if axis == "lambda_floor":
         header = "value,omega_final,threshold,verdict"

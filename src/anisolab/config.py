@@ -322,9 +322,11 @@ def _cross_checks(cfg, fail, lines_seen, inline):
         if cfg.dimension not in (None, dim):
             fail(line_of("model", "dimension"),
                  f"dimension is {cfg.dimension} but preset {cfg.preset} has dimension {dim}")
-    if dim is not None and cfg.cells is not None and len(cfg.cells) != dim:
-        fail(line_of("grid", "cells"),
-             f"cells has {len(cfg.cells)} axis value(s) but the model dimension is {dim}")
+    for key in ("cells", "periods"):
+        axes = getattr(cfg, key)
+        if dim is not None and axes is not None and len(axes) != dim:
+            fail(line_of("grid", key),
+                 f"{key} has {len(axes)} axis value(s) but the model dimension is {dim}")
     # A values line that was given but rejected has its own error already.
     if cfg.sweep_axis is not None and line_of("sweep", "values") is None:
         fail(line_of("sweep", "axis"), "sweep axis set but values are empty")

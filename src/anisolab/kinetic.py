@@ -46,6 +46,7 @@ KINETIC_QUAD_TOL = 1e-9
 KINETIC_QUAD_LEVELS = 50
 PASS_FRACTION = 0.05
 TREND_NOISE = 0.10
+R_FACTOR = 2.0
 # States scanned per frequency for resonance breakpoints.
 RESONANCE_SCAN = 257
 # Frequency points per batched worklist. The node arrays of one level grow
@@ -220,16 +221,16 @@ def _round_key(vals):
 class SamplingPlan:
     """How the frequency half-space |tau| + |kappa| >= delta is sampled.
 
-    Shells |tau| + |kappa| = r are walked on a geometric ladder from delta
-    up to r_max. Each shell carries n_dir directions plus resonant rays
-    (tau, kappa) proportional to (-a(xi*).e, e) for sampled states xi* and
-    coordinate vectors e, which hit the advective null set head on. With
-    ``lattice`` set, kappa components snap to multiples of 2 pi / period.
+    Shells |tau| + |kappa| = r are walked on a geometric ladder of ratio
+    R_FACTOR from delta up to r_max. Each shell carries n_dir directions
+    plus resonant rays (tau, kappa) proportional to (-a(xi*).e, e) for
+    sampled states xi* and coordinate vectors e, which hit the advective
+    null set head on. With ``lattice`` set, kappa components snap to
+    multiples of 2 pi / period, one period per axis of the model.
     """
 
     n_dir: Optional[int] = None
     r_max: float = 1e3
-    r_factor: float = 2.0
     n_resonant: int = 33
     lattice: bool = False
     periods: Optional[tuple] = None
@@ -241,7 +242,7 @@ class SamplingPlan:
         r = float(delta)
         while r <= self.r_max * (1 + 1e-12):
             radii.append(r)
-            r *= self.r_factor
+            r *= R_FACTOR
         if radii[-1] < self.r_max:
             radii.append(float(self.r_max))
         return radii
@@ -271,9 +272,12 @@ class SamplingPlan:
 
     def frequency_points(self, model, delta):
         """Deterministic candidate list; first entries win value ties."""
+        d = model.dimension
         if self.lattice and self.periods is None:
             raise ValueError("lattice sampling needs the grid periods")
-        d = model.dimension
+        if self.periods is not None and len(self.periods) != d:
+            raise ValueError(f"periods has {len(self.periods)} axis value(s) "
+                             f"but the model dimension is {d}")
         big = model.state_bound
         radii = self.shell_radii(delta)
         dirs = self._directions(d)

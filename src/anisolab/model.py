@@ -20,8 +20,10 @@ hand-written vectorized function of u, or None when identically zero.
 Presets and ``polynomial_model`` assemble their ``ModelSpec`` callables
 from entries: for an input of shape S, ``flux`` and ``speed`` return shape
 S + (d,), ``diffusion``, ``sqrt_factor`` and the primitives S + (d, d). A
-hand-built ``ModelSpec`` supplies whole callables of those shapes instead,
-which ``model_table`` slices into entries for the solver and validation.
+hand-built ``ModelSpec`` supplies whole callables of those shapes instead.
+Either way the solver, validate_model and the scalar primitive evaluators
+read entries through one path, _entries, which the cached ``model_table``
+holds per model.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .quadrature import QuadratureError, adaptive_quadrature, adaptive_quadrature_batch
+from .quadrature import QuadratureError, adaptive_quadrature_batch
 
 __all__ = [
     "ModelError", "NotPSDError", "ModelSpec", "ModelTable", "ModelValidationReport",
@@ -53,7 +55,8 @@ QUAD_LEVELS = 40
 SAMPLED_BOUND_POINTS = 129
 _EPS = float(np.finfo(float).eps)
 _RANK = dict(flux=1, speed=1, diffusion=2, sqrt_factor=2, b_primitive=2, beta_primitive=2)
-_INTEGRAND = {"b_primitive": "diffusion", "beta_primitive": "sqrt_factor"}
+# The ModelTable attribute that holds each primitive's integrand entries.
+_INTEGRAND = {"b_primitive": "a", "beta_primitive": "sigma"}
 
 
 class ModelError(Exception):
@@ -127,15 +130,14 @@ def _point(model, name, u, index=(), abs_tol=QUAD_TOL):
     """Quantity ``name`` at the scalar u, checked finite (and A symmetric).
 
     With an ``index`` that entry is returned as a float; a primitive the
-    model lacks is then integrated from 0 by adaptive quadrature.
+    model lacks is then integrated from 0 over its integrand entry.
     """
     u, d = float(u), model.dimension
     if not all(0 <= i < d for i in index):
         raise IndexError(f"component {index} out of range for dimension {d}")
     if index and getattr(model, name) is None:
-        return adaptive_quadrature(
-            lambda v: _vector(model, _INTEGRAND[name], v)[(Ellipsis,) + index],
-            0.0, u, abs_tol=abs_tol, max_levels=QUAD_LEVELS)
+        f = getattr(model_table(model), _INTEGRAND[name]).get(index, _zero)
+        return float(_integrals(f, [0.0], [u], abs_tol)[0])
     out = _vector(model, name, u)
     if not np.isfinite(out).all():
         raise ModelError(f"{name}({u!r}) is not finite: {out}")
@@ -238,6 +240,10 @@ class Poly:
             scale = sum(abs(c) * m ** n for n, c in enumerate(self.coeffs)) / abs(self.div)
             top = max(top, max(inner) + 4.0 * len(self.coeffs) * _EPS * scale)
         return float(top)
+
+
+def _zero(u):
+    return np.zeros(np.shape(u))
 
 
 def _entry(x):
@@ -357,56 +363,56 @@ def polynomial_model(name, flux_coeffs, diffusion_coeffs, dimension, state_bound
 
 # --- the per-entry table -----------------------------------------------------
 
+def _entries(model, name, integrands=None):
+    """{index: entry} for quantity ``name``, zero entries absent.
+
+    This is the one place that tells an assembled callable from a whole
+    one. An assembled callable gives its own entries. Any other callable
+    (hand-built, replaced, or the speed and sqrt_factor fallbacks of
+    _vector) is sliced per index, keeping the entries that are nonzero
+    somewhere on 257 states spanning 1.05 state_bound. A missing primitive
+    becomes a Hermite spline of each of its ``integrands`` entries.
+    """
+    fn, span = getattr(model, name), 1.05 * model.state_bound
+    if isinstance(fn, _Assembled):
+        return fn.entries
+    if fn is None and name in _INTEGRAND:
+        return {idx: _spline_primitive(f, span) for idx, f in integrands.items()}
+    probe = _vector(model, name, np.linspace(-span, span, 257))
+    return {idx: lambda u, idx=idx: _vector(model, name, u)[(Ellipsis,) + idx]
+            for idx in np.ndindex(probe.shape[1:]) if np.abs(probe[(Ellipsis,) + idx]).max() > 0.0}
+
+
 class ModelTable:
     """A model's entries in the form the solver and validate_model use.
 
-    ``flux(values)`` gives one array per axis. ``a``, ``sigma``, ``b`` and
-    ``beta`` are d x d grids of vectorized entries, None where the entry is
-    zero, each built on first use. ``bounds(lo, hi)`` gives max |a_k| per
-    axis and max |A_ij| per entry over [lo, hi].
+    ``f``, ``a``, ``sigma``, ``b`` and ``beta`` map indexes to vectorized
+    entries of the flux, A, sigma, B and beta, zero entries absent, each
+    built on first use. ``flux(values)`` gives one array per axis.
+    ``bounds(lo, hi)`` gives max |a_k| per axis and max |A_ij| per entry
+    over [lo, hi].
     """
 
     def __init__(self, model):
         self.model = model
-        speed_bound, a_bound = _bounder(model, "speed"), _bounder(model, "diffusion")
-        self.bounds = lambda lo, hi: (speed_bound(lo, hi), a_bound(lo, hi))
-        if isinstance(model.flux, _Assembled):
-            entries = [model.flux.entries.get((k,)) for k in range(model.dimension)]
-            self.flux = lambda v: [np.zeros(v.shape) if e is None else e(v) for e in entries]
-            self.flux_is_zero = not model.flux.entries
-        else:
-            self.flux = lambda v: list(np.moveaxis(_vector(model, "flux", v), -1, 0))
-            self.flux_is_zero = bool(np.abs(_vector(model, "flux", _probe(model))).max() == 0.0)
 
-    a = cached_property(lambda self: _grid(self.model, "diffusion"))
-    sigma = cached_property(lambda self: _grid(self.model, "sqrt_factor"))
-    b = cached_property(lambda self: _grid(self.model, "b_primitive", self.a))
-    beta = cached_property(lambda self: _grid(self.model, "beta_primitive", self.sigma))
+    f = cached_property(lambda self: _entries(self.model, "flux"))
+    a = cached_property(lambda self: _entries(self.model, "diffusion"))
+    sigma = cached_property(lambda self: _entries(self.model, "sqrt_factor"))
+    b = cached_property(lambda self: _entries(self.model, "b_primitive", self.a))
+    beta = cached_property(lambda self: _entries(self.model, "beta_primitive", self.sigma))
+    flux_is_zero = property(lambda self: not self.f)
 
+    @cached_property
+    def flux(self):
+        entries = [self.f.get((k,), _zero) for k in range(self.model.dimension)]
+        return lambda v: [e(v) for e in entries]
 
-def _probe(model):
-    return np.linspace(-1.05 * model.state_bound, 1.05 * model.state_bound, 257)
-
-
-def _grid(model, name, integrands=None):
-    """d x d entries of a matrix quantity, None where zero.
-
-    An assembled callable gives its own entries. A whole callable is sliced
-    per entry, zero where the entry (for a primitive, its entry of
-    ``integrands``) vanishes on the probe states; a primitive the model
-    lacks becomes a spline of its integrand entry.
-    """
-    fn, d = getattr(model, name), model.dimension
-    if isinstance(fn, _Assembled):
-        return [[fn.entries.get((i, j)) for j in range(d)] for i in range(d)]
-    if integrands is None:
-        vals = _vector(model, name, _probe(model))
-        integrands = [[np.abs(vals[..., i, j]).max() > 0.0 or None for j in range(d)]
-                      for i in range(d)]
-    spline = fn is None and name in _INTEGRAND
-    return [[None if f is None else _spline_primitive(f, 1.05 * model.state_bound) if spline
-             else lambda u, ij=(i, j): _vector(model, name, u)[(Ellipsis,) + ij]
-             for j, f in enumerate(row)] for i, row in enumerate(integrands)]
+    @cached_property
+    def bounds(self):
+        d = self.model.dimension
+        speed, a = _bounder(_entries(self.model, "speed"), (d,)), _bounder(self.a, (d, d))
+        return lambda lo, hi: (speed(lo, hi), a(lo, hi))
 
 
 def _integrals(fn, lo, hi, abs_tol=1e-12):
@@ -430,24 +436,18 @@ def _spline_primitive(integrand_vec, span):
     return lambda u: spline(np.asarray(u, dtype=float))
 
 
-def _bounder(model, name):
-    """(lo, hi) -> max |entry| over [lo, hi] for every entry of ``name``.
+def _bounder(entries, shape):
+    """(lo, hi) -> max |entry| over [lo, hi] per entry, as an array of ``shape``.
 
-    Polynomial entries are exact (Poly.max_abs). Hand-written entries and
-    whole callables are sampled at SAMPLED_BOUND_POINTS evenly spaced
-    states; a sampled maximum is not a supremum.
+    Poly entries are exact (Poly.max_abs); any other entry is sampled at
+    SAMPLED_BOUND_POINTS evenly spaced states, and a sampled maximum is not
+    a supremum.
     """
-    fn = getattr(model, name)
-
-    def sampled(f):
-        return lambda lo, hi: np.abs(f(np.linspace(lo, hi, SAMPLED_BOUND_POINTS))).max(axis=0)
-    if not isinstance(fn, _Assembled):
-        return sampled(lambda u: _vector(model, name, u))
-    parts = [(idx, e.max_abs if isinstance(e, Poly) else sampled(e))
-             for idx, e in fn.entries.items()]
+    parts = [(idx, e.max_abs if isinstance(e, Poly) else lambda lo, hi, e=e: np.abs(
+        e(np.linspace(lo, hi, SAMPLED_BOUND_POINTS))).max()) for idx, e in entries.items()]
 
     def bound(lo, hi):
-        out = np.zeros(fn.shape)
+        out = np.zeros(shape)
         for idx, top in parts:
             out[idx] = top(lo, hi)
         return out
@@ -458,11 +458,11 @@ def _bounder(model, name):
 def model_table(model):
     """The ModelTable of a model, built once per model.
 
-    Entries of assembled callables (presets, polynomial_model) are used as
-    they are. A callable supplied whole, by a hand-built ModelSpec or
-    through dataclasses.replace, is sliced per entry and its bounds are
-    sampled. Missing primitives become dense Hermite splines fitted to
-    quadrature values of their integrand entries.
+    Every entry comes from _entries: assembled callables (presets,
+    polynomial_model) give their own, a callable supplied whole (a
+    hand-built ModelSpec, dataclasses.replace, or a fallback) is sliced per
+    index, and a missing primitive becomes a dense Hermite spline fitted to
+    quadrature values of its integrand entries.
     """
     return ModelTable(model)
 
@@ -511,35 +511,34 @@ def _check(report, name, residual, tolerance):
                                       bool(residual <= tolerance))
 
 
-def validate_model(model, samples=101, *, tol_psd=TOL_PSD, tol_factor=TOL_FACTOR,
-                   tol_symmetry=TOL_SYMMETRY, tol_primitive=TOL_PRIMITIVE,
-                   tol_chain=TOL_CHAIN):
+def validate_model(model, samples=101):
     """Audit the structural contracts of a model over its state interval.
 
     Checks symmetry and positive semidefiniteness of A, the square-root
     factorization, both primitives in integral form, and the chain rule
     d/du of the reweighted primitive of sqrt(psi) sigma against
-    sqrt(psi) sigma for a fixed smooth weight psi. Failures are reported,
-    never raised.
+    sqrt(psi) sigma for a fixed smooth weight psi. The tolerances are the
+    module's TOL_* constants. Failures are reported, never raised.
     """
     report = ModelValidationReport(model_name=model.name, samples=int(samples))
     d = model.dimension
     big = model.state_bound
     us = np.linspace(-big, big, int(samples))
+    table = model_table(model)
 
     mats = _vector(model, "diffusion", us)
-    _check(report, "symmetry", np.abs(mats - np.swapaxes(mats, -1, -2)).max(), tol_symmetry)
+    _check(report, "symmetry", np.abs(mats - np.swapaxes(mats, -1, -2)).max(), TOL_SYMMETRY)
 
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
     eigvals = np.linalg.eigvalsh(sym)
-    _check(report, "psd", max(0.0, -float(eigvals.min())), tol_psd)
+    _check(report, "psd", max(0.0, -float(eigvals.min())), TOL_PSD)
 
     try:
         sig = _vector(model, "sqrt_factor", us)
         recon = sig @ np.swapaxes(sig, -1, -2)
-        _check(report, "factorization", np.abs(recon - mats).max(), tol_factor)
+        _check(report, "factorization", np.abs(recon - mats).max(), TOL_FACTOR)
     except ModelError:
-        _check(report, "factorization", float("inf"), tol_factor)
+        _check(report, "factorization", float("inf"), TOL_FACTOR)
 
     # Primitives in integral form: primitives differenced across sample
     # gaps must match an independent quadrature of their integrand. An
@@ -549,10 +548,10 @@ def validate_model(model, samples=101, *, tol_psd=TOL_PSD, tol_factor=TOL_FACTOR
     worst = {"beta_primitive": 0.0, "b_primitive": 0.0}
     try:
         for name in worst:
-            integrands = _grid(model, _INTEGRAND[name])
+            integrands = getattr(table, _INTEGRAND[name])
             prims = None if getattr(model, name) is None else _vector(model, name, pairs)
             for i, j in np.ndindex(d, d):
-                f = integrands[i][j]
+                f = integrands.get((i, j))
                 if prims is None and f is None:
                     continue
                 vals = _integrals(f, 0.0 * pairs, pairs) if prims is None else prims[:, i, j]
@@ -560,8 +559,8 @@ def validate_model(model, samples=101, *, tol_psd=TOL_PSD, tol_factor=TOL_FACTOR
                 worst[name] = max(worst[name], float(np.abs(np.diff(vals) - seg).max()))
     except (ModelError, QuadratureError):
         worst = dict.fromkeys(worst, float("inf"))
-    _check(report, "primitive_beta", worst["beta_primitive"], tol_primitive)
-    _check(report, "primitive_b", worst["b_primitive"], tol_primitive)
+    _check(report, "primitive_beta", worst["beta_primitive"], TOL_PRIMITIVE)
+    _check(report, "primitive_b", worst["b_primitive"], TOL_PRIMITIVE)
 
     # Chain rule spot check with weight psi(u) = exp(-u^2):
     # the derivative of integral sqrt(psi) sigma must equal sqrt(psi) sigma.
@@ -570,15 +569,14 @@ def validate_model(model, samples=101, *, tol_psd=TOL_PSD, tol_factor=TOL_FACTOR
     try:
         h = H_FD_SCALE * np.maximum(1.0, np.abs(spots))
         rhs = np.exp(-0.5 * spots ** 2)[:, None, None] * _vector(model, "sqrt_factor", spots)
-        sigma = _grid(model, "sqrt_factor")
         for i, k in np.ndindex(d, d):
-            f = sigma[i][k]
+            f = table.sigma.get((i, k))
             lhs = 0.0 if f is None else _integrals(
                 lambda v, f=f: np.exp(-0.5 * v ** 2) * f(v),
                 spots - h, spots + h, abs_tol=1e-16) / (2.0 * h)
             worst_chain = max(worst_chain, float(np.abs(lhs - rhs[:, i, k]).max()))
-        _check(report, "chain_rule", worst_chain, tol_chain)
+        _check(report, "chain_rule", worst_chain, TOL_CHAIN)
     except (ModelError, QuadratureError):
-        _check(report, "chain_rule", float("inf"), tol_chain)
+        _check(report, "chain_rule", float("inf"), TOL_CHAIN)
 
     return report

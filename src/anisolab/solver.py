@@ -318,14 +318,8 @@ class _Stencils:
     # alone needs no B, sigma or beta (nor a PSD diffusion matrix).
     @cached_property
     def b_entries(self):
-        b, d = self.table.b, self.d
-        return {(i, j): b[i][j] for i, j in [(i, i) for i in range(d)] + [(0, 1)] * (d == 2)
-                if b[i][j] is not None}
-
-    @cached_property
-    def beta_entries(self):
-        beta, d = self.table.beta, self.d
-        return {(i, k): beta[i][k] for i in range(d) for k in range(d) if beta[i][k] is not None}
+        """The diagonal and upper off-diagonal B entries the stencil reads."""
+        return {(i, j): e for (i, j), e in self.table.b.items() if i <= j}
 
     def hyperbolic(self, values, alphas, out):
         """Divergence of the LLF flux, summed over axes, into ``out``."""
@@ -381,7 +375,7 @@ class _Stencils:
         by the cell volume.
         """
         d = self.d
-        beta = {ik: fn(values) for ik, fn in self.beta_entries.items()}
+        beta = {ik: fn(values) for ik, fn in self.table.beta.items()}
         acc, grad = self.work[0], self.work[1]
         total = 0.0
         for k in range(d):

@@ -304,6 +304,15 @@ def test_error_on_grid_length_mismatch():
         parse_config(text)
 
 
+def test_error_on_periods_vs_model_dimension():
+    # Lattice sampling snaps one kappa component per period, so a short
+    # periods line would drop wave-vector components.
+    text = "[model]\npreset = anisotropic-2d\n\n[grid]\nperiods = 1.0\n[condition]\nlattice = true\n"
+    with pytest.raises(ConfigError,
+                       match=r"line 5: periods has 1 axis value\(s\) but the model dimension is 2"):
+        parse_config(text)
+
+
 def test_error_on_cells_vs_model_dimension():
     text = "[model]\npreset = anisotropic-2d\n\n[grid]\ncells = 32\n"
     with pytest.raises(ConfigError, match="dimension"):

@@ -213,6 +213,12 @@ def test_lattice_mode_requires_periods():
         plan.frequency_points(preset("burgers"), 1.0)
 
 
+def test_lattice_mode_rejects_periods_of_another_dimension():
+    plan = SamplingPlan(lattice=True, periods=(1.0,))
+    with pytest.raises(ValueError, match="periods has 1 axis value"):
+        plan.frequency_points(preset("anisotropic-2d"), 1.0)
+
+
 def test_omega_delta_advection_witness_is_resonant():
     val, fp = omega_delta(preset("linear-advection"), 1.0, 1e-4, FAST_PLAN)
     assert val >= 2.0 - 1e-6

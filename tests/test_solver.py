@@ -209,11 +209,11 @@ def roll_diffusion(values, grid, tables):
     out = np.zeros_like(values)
     hs = grid.spacings
     for i in range(d):
-        if tables.b[i][i] is not None:
-            bb = tables.b[i][i](values)
+        if tables.b.get((i, i)) is not None:
+            bb = tables.b.get((i, i))(values)
             out += (np.roll(bb, -1, axis=i - d) - 2.0 * bb + np.roll(bb, 1, axis=i - d)) / hs[i] ** 2
-    if d == 2 and tables.b[0][1] is not None:
-        bb = tables.b[0][1](values)
+    if d == 2 and tables.b.get((0, 1)) is not None:
+        bb = tables.b.get((0, 1))(values)
         pp = np.roll(np.roll(bb, -1, axis=-2), -1, axis=-1)
         pm = np.roll(np.roll(bb, -1, axis=-2), 1, axis=-1)
         mp = np.roll(np.roll(bb, 1, axis=-2), -1, axis=-1)
@@ -228,9 +228,9 @@ def roll_dissipation(values, grid, tables):
     for k in range(d):
         acc = None
         for i in range(d):
-            if tables.beta[i][k] is None:
+            if tables.beta.get((i, k)) is None:
                 continue
-            bb = tables.beta[i][k](values)
+            bb = tables.beta.get((i, k))(values)
             grad = (np.roll(bb, -1, axis=i - d) - np.roll(bb, 1, axis=i - d)) / (2.0 * grid.spacings[i])
             acc = grad if acc is None else acc + grad
         if acc is not None:

@@ -9,11 +9,17 @@ of the difference, and exits 1 if any case differs. The cases are:
 
 - the public callables of every preset and of a few polynomial models on a
   fixed set of states (``callables/...``);
+- hand-built copies of the presets and of coupled-cubic that supply their
+  callables whole, once with every callable the model has (``whole/...``)
+  and once with only flux and diffusion (``bare/...``), plus one preset
+  changed with dataclasses.replace (``replaced/...``); they go through the
+  callable, bound, run and validate cases like the models they copy;
 - wave bounds and stable steps on fields with and without interior extrema
   of the speed (``bounds/...``);
 - solver runs: diagnostic rows, run statistics and the final field
   (``run/...``), plus one lockstep pair;
-- validate_model reports (``validate/...``);
+- validate_model reports (``validate/...``), and beta_eval and
+  bprimitive_eval for every index at a few states (``scalar/...``);
 - the bodies of the CLI ``run`` and ``check-condition`` artifacts, with the
   ``# generated`` time-stamp line dropped (``cli/...``). check-condition runs
   under the default plan and under a reduced plan (two lambdas, 64
@@ -61,11 +67,26 @@ def _states():
     return u
 
 
+def _whole(model, attrs):
+    """A hand-built copy of ``model`` that supplies the callables ``attrs`` whole."""
+    from anisolab.model import ModelSpec
+    return ModelSpec(dimension=model.dimension, state_bound=model.state_bound, name=model.name,
+                     **{attr: lambda u, fn=getattr(model, attr): fn(u)
+                        for attr in attrs if getattr(model, attr) is not None})
+
+
 def _models():
+    from dataclasses import replace
     from anisolab.model import list_presets, polynomial_model, preset
     out = {name: preset(name) for name in list_presets()}
     for name, (flux, diff, d) in POLY_MODELS.items():
         out[name] = polynomial_model(name, flux, diff, d, 1.0)
+    for name in list_presets() + ["coupled-cubic"]:
+        out[f"whole/{name}"] = _whole(out[name], CALLABLES)
+        out[f"bare/{name}"] = _whole(out[name], ("flux", "diffusion"))
+    bd = out["burgers-degenerate"]
+    out["replaced/burgers-degenerate"] = replace(bd, flux=lambda u: bd.flux(u),
+                                                 beta_primitive=None)
     return out
 
 
@@ -95,6 +116,13 @@ def _bounds_case(model):
         dt = stable_dt(model, CellField(values, 0.0), grid, output_every=1.0)
         out.append((np.asarray(alphas).tolist(), np.asarray(lams).tolist(), repr(dt)))
     return repr(out).encode()
+
+
+def _scalar_case(model):
+    from anisolab.model import beta_eval, bprimitive_eval
+    d = model.dimension
+    return repr([(beta_eval(model, u, i, j), bprimitive_eval(model, u, i, j))
+                 for u in (-0.6, 0.0, 0.35, 0.9) for i in range(d) for j in range(d)]).encode()
 
 
 def _artifacts(directory):
@@ -147,7 +175,8 @@ def cases():
         yield f"bounds/{name}", lambda m=model: _bounds_case(m)
         yield f"run/{name}", lambda m=model: _run_case(m)
         yield f"validate/{name}", lambda m=model: "\n".join(validate_model(m).lines()).encode()
-        if name in POLY_MODELS:
+        yield f"scalar/{name}", lambda m=model: _scalar_case(m)
+        if name in POLY_MODELS or "/" in name:
             continue
         yield (f"cli/run/{name}",
                lambda n=name, d=model.dimension: _cli_case(["run"], _run_config(n, d)))
