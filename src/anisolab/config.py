@@ -327,6 +327,9 @@ def _cross_checks(cfg, fail, lines_seen, inline):
         if dim is not None and axes is not None and len(axes) != dim:
             fail(line_of("grid", key),
                  f"{key} has {len(axes)} axis value(s) but the model dimension is {dim}")
+    if cfg.delta > cfg.r_max:
+        fail(line_of("condition", "delta") or line_of("condition", "r_max"),
+             f"delta must not exceed r_max ({cfg.r_max!r}), got {cfg.delta!r}")
     # A values line that was given but rejected has its own error already.
     if cfg.sweep_axis is not None and line_of("sweep", "values") is None:
         fail(line_of("sweep", "axis"), "sweep axis set but values are empty")

@@ -65,8 +65,7 @@ def chi(xi, u):
     return 0
 
 
-def entropy_from_kinetic(s_prime, u, state_bound, *, abs_tol=KINETIC_QUAD_TOL,
-                         breakpoints=()):
+def entropy_from_kinetic(s_prime, u, state_bound, *, breakpoints=()):
     """Reconstruct S(u) - S(0) as the state integral of S'(xi) chi(xi; u).
 
     chi restricts the integral over [-state_bound, state_bound] to the
@@ -75,12 +74,11 @@ def entropy_from_kinetic(s_prime, u, state_bound, *, abs_tol=KINETIC_QUAD_TOL,
     del state_bound  # part of the signature contract; chi fixes the support
     return adaptive_quadrature(
         lambda xi: np.asarray(s_prime(xi), dtype=float),
-        0.0, float(u), abs_tol=abs_tol, max_levels=KINETIC_QUAD_LEVELS,
+        0.0, float(u), abs_tol=KINETIC_QUAD_TOL, max_levels=KINETIC_QUAD_LEVELS,
         breakpoints=breakpoints)
 
 
-def entropy_flux_from_kinetic(s_prime, u, model, *, abs_tol=KINETIC_QUAD_TOL,
-                              breakpoints=()):
+def entropy_flux_from_kinetic(s_prime, u, model, *, breakpoints=()):
     """Entropy flux q(u) with components integral of S'(xi) a_c(xi) chi."""
     u = float(u)
     out = np.empty(model.dimension)
@@ -88,7 +86,7 @@ def entropy_flux_from_kinetic(s_prime, u, model, *, abs_tol=KINETIC_QUAD_TOL,
         out[c] = adaptive_quadrature(
             lambda xi, c=c: np.asarray(s_prime(xi), dtype=float)
             * speed_vector(model, xi)[..., c],
-            0.0, u, abs_tol=abs_tol, max_levels=KINETIC_QUAD_LEVELS,
+            0.0, u, abs_tol=KINETIC_QUAD_TOL, max_levels=KINETIC_QUAD_LEVELS,
             breakpoints=breakpoints)
     return out
 
@@ -134,27 +132,41 @@ def symbol_denominator(model, fp, xi, lam):
 
 
 def _resonance_breakpoints(xs, adv, quad):
-    """xi values where the symbol is smallest; seeds for the quadrature."""
-    pts = []
-    sign = np.sign(adv)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for idx in flips:
-        x0, x1 = xs[idx], xs[idx + 1]
-        y0, y1 = adv[idx], adv[idx + 1]
-        pts.append(x0 - y0 * (x1 - x0) / (y1 - y0))
-    den = adv ** 2 + quad ** 2
-    interior = np.nonzero((den[1:-1] <= den[:-2]) & (den[1:-1] <= den[2:]))[0] + 1
-    order = np.argsort(den[interior], kind="stable")
-    pts.extend(xs[interior[order[:16]]])
-    return pts[:24]
+    """Quadrature cut points where the symbol is smallest, one list per frequency.
+
+    ``adv`` and ``quad`` hold the symbol parts of one frequency per row on
+    the scan ``xs``. A row's cuts are the linear roots of its sign flips of
+    ``adv``, in scan order, then its 16 lowest interior minima of
+    adv^2 + quad^2 (ties to the first), at most 24 in all.
+    """
+    rows = np.arange(len(adv))[:, None]
+    pos, neg = adv > 0, adv < 0
+    flip = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
+    n_flip = np.minimum(flip.sum(axis=1, keepdims=True), 24)
+    at = np.argsort(~flip, axis=1, kind="stable")[:, :24]
+    y0, y1 = adv[rows, at], adv[rows, at + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # slots past the flips
+        flips = xs[at] - y0 * (xs[at + 1] - xs[at]) / (y1 - y0)
+    den = adv * adv
+    den += quad * quad
+    mid = den[:, 1:-1]
+    # All but the interior minima become NaN, which sorts last: minima first, lowest first.
+    mid[~((mid <= den[:, :-2]) & (mid <= den[:, 2:]))] = np.nan
+    n_min = np.minimum((~np.isnan(mid)).sum(axis=1, keepdims=True), np.minimum(16, 24 - n_flip))
+    lowest = xs[1 + np.argsort(mid, axis=1, kind="stable")[:, :16]]
+    keep = np.concatenate([np.arange(24) < n_flip, np.arange(16) < n_min], axis=1)
+    flat = np.concatenate([flips, lowest], axis=1)[keep].tolist()
+    ends = np.cumsum(n_flip + n_min).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
-def _omega_blocks(model, points, lambdas, abs_tol):
+def _omega_blocks(model, points, lambdas):
     """omega at every point for each lam, OMEGA_BLOCK points at a time.
 
     Yields (offset of the block in ``points``, lam index, values, error
-    estimates). The resonance breakpoints of a block are found once and
-    reused for every lam; each lam integrates the whole block in one
+    estimates). The symbol of a whole block is scanned on RESONANCE_SCAN
+    states in one array pass, and the resonance cut points found there
+    are reused for every lam; each lam integrates the whole block in one
     worklist, evaluating a(xi) and A(xi) once per node.
     """
     if any(lam <= 0.0 for lam in lambdas):
@@ -167,8 +179,8 @@ def _omega_blocks(model, points, lambdas, abs_tol):
         block = points[start:start + OMEGA_BLOCK]
         taus = np.array([fp.tau for fp in block])
         kappas = np.array([fp.kappa for fp in block], dtype=float)
-        cuts = [_resonance_breakpoints(scan, *_symbol_parts(tau, kappa, scan_a, scan_mats))
-                for tau, kappa in zip(taus, kappas)]
+        cuts = _resonance_breakpoints(
+            scan, *_symbol_parts(taus[:, None], kappas[:, None], scan_a, scan_mats))
         for k, lam in enumerate(lambdas):
 
             def integrand(xi, owner):
@@ -176,12 +188,12 @@ def _omega_blocks(model, points, lambdas, abs_tol):
                 return lam / (lam + adv ** 2 + quad ** 2)
 
             vals, errs = adaptive_quadrature_batch(
-                integrand, np.full(len(block), -big), np.full(len(block), big), abs_tol=abs_tol,
-                max_levels=KINETIC_QUAD_LEVELS, breakpoints=cuts)
+                integrand, np.full(len(block), -big), np.full(len(block), big),
+                abs_tol=KINETIC_QUAD_TOL, max_levels=KINETIC_QUAD_LEVELS, breakpoints=cuts)
             yield start, k, vals, errs
 
 
-def _sup_omega(model, points, lambdas, abs_tol=KINETIC_QUAD_TOL):
+def _sup_omega(model, points, lambdas):
     """Largest omega over ``points`` for each lam, and where it is reached.
 
     Returns (values, witness indices into ``points``, largest quadrature
@@ -190,7 +202,7 @@ def _sup_omega(model, points, lambdas, abs_tol=KINETIC_QUAD_TOL):
     best = [-math.inf] * len(lambdas)
     where = [None] * len(lambdas)
     worst_err = 0.0
-    for start, k, vals, errs in _omega_blocks(model, points, lambdas, abs_tol):
+    for start, k, vals, errs in _omega_blocks(model, points, lambdas):
         top = int(np.argmax(vals))
         if vals[top] > best[k]:
             best[k] = float(vals[top])
@@ -199,9 +211,9 @@ def _sup_omega(model, points, lambdas, abs_tol=KINETIC_QUAD_TOL):
     return best, where, worst_err
 
 
-def omega_at(model, fp, lam, *, abs_tol=KINETIC_QUAD_TOL):
+def omega_at(model, fp, lam):
     """State average of lam over the symbol denominator at one frequency."""
-    values, _, _ = _sup_omega(model, [fp], [lam], abs_tol)
+    values, _, _ = _sup_omega(model, [fp], [lam])
     return values[0]
 
 
@@ -223,10 +235,13 @@ class SamplingPlan:
 
     Shells |tau| + |kappa| = r are walked on a geometric ladder of ratio
     R_FACTOR from delta up to r_max. Each shell carries n_dir directions
-    plus resonant rays (tau, kappa) proportional to (-a(xi*).e, e) for
-    sampled states xi* and coordinate vectors e, which hit the advective
-    null set head on. With ``lattice`` set, kappa components snap to
-    multiples of 2 pi / period, one period per axis of the model.
+    plus resonant rays (tau, kappa) = (-a_c(xi*) s, s e_c) with
+    s = r / (|a_c(xi*)| + 1), for n_resonant states xi* and each axis c,
+    which hit the advective null set head on. With ``lattice`` set, kappa
+    components snap to multiples of 2 pi / period, one period per axis of
+    the model, and a ray's tau follows its snapped kappa. The plan is built
+    as one array of (tau, kappa) rows, shell by shell; rows below delta
+    are dropped and of rows that agree to 12 digits the first is kept.
     """
 
     n_dir: Optional[int] = None
@@ -243,6 +258,8 @@ class SamplingPlan:
         while r <= self.r_max * (1 + 1e-12):
             radii.append(r)
             r *= R_FACTOR
+        if not radii:
+            raise ValueError(f"delta must not exceed r_max, got {delta:g} > {self.r_max:g}")
         if radii[-1] < self.r_max:
             radii.append(float(self.r_max))
         return radii
@@ -264,11 +281,11 @@ class SamplingPlan:
         return vecs / norm[:, None]
 
     def _snap(self, kappa):
-        out = []
-        for c, period in zip(kappa, self.periods):
-            unit = 2.0 * math.pi / period
-            out.append(unit * round(c / unit))
-        return np.asarray(out)
+        """kappa (..., d) on the wave lattice when ``lattice`` is set."""
+        if not self.lattice:
+            return kappa
+        unit = 2.0 * math.pi / np.asarray(self.periods, dtype=float)
+        return unit * np.round(kappa / unit) + 0.0  # + 0.0 turns a rounded -0.0 into 0.0
 
     def frequency_points(self, model, delta):
         """Deterministic candidate list; first entries win value ties."""
@@ -279,42 +296,21 @@ class SamplingPlan:
             raise ValueError(f"periods has {len(self.periods)} axis value(s) "
                              f"but the model dimension is {d}")
         big = model.state_bound
-        radii = self.shell_radii(delta)
-        dirs = self._directions(d)
-        xi_stars = np.linspace(-big, big, self.n_resonant)
-        speeds = speed_vector(model, xi_stars)
-
-        points = []
-        seen = set()
-
-        def push(tau, kappa):
-            kappa = np.asarray(kappa, dtype=float)
-            if self.lattice:
-                kappa = self._snap(kappa)
-            if abs(tau) + np.linalg.norm(kappa) < delta * (1.0 - 1e-12):
-                return
-            key = _round_key((tau, *kappa))
-            if key in seen:
-                return
-            seen.add(key)
-            points.append(FrequencyPoint(tau=float(tau), kappa=tuple(float(c) for c in kappa)))
-
-        for r in radii:
-            for vec in dirs:
-                push(r * vec[0], r * vec[1:])
-            for axis in range(d):
-                for a_val in speeds[:, axis]:
-                    scale = r / (abs(a_val) + 1.0)
-                    kappa = np.zeros(d)
-                    kappa[axis] = scale
-                    if self.lattice:
-                        kappa = self._snap(kappa)
-                        if np.linalg.norm(kappa) == 0.0:
-                            continue
-                        push(-a_val * kappa[axis], kappa)
-                    else:
-                        push(-a_val * scale, kappa)
-        return points
+        radii = np.array(self.shell_radii(delta))[:, None, None]
+        speeds = speed_vector(model, np.linspace(-big, big, self.n_resonant))
+        shells = radii * self._directions(d)
+        shells[..., 1:] = self._snap(shells[..., 1:])
+        # Column c of steps is the kappa_c of the rays along axis c.
+        steps = self._snap(radii / (np.abs(speeds) + 1.0))
+        rays = np.concatenate([(-speeds * steps)[..., None], steps[..., None] * np.eye(d)], axis=3)
+        rows = np.concatenate([shells, rays.swapaxes(1, 2).reshape(len(radii), -1, 1 + d)],
+                              axis=1).reshape(-1, 1 + d)
+        rows = rows[np.abs(rows[:, 0]) + np.linalg.norm(rows[:, 1:], axis=1)
+                    >= delta * (1.0 - 1e-12)].tolist()
+        first = {}
+        for row in rows:
+            first.setdefault(_round_key(row), row)
+        return [FrequencyPoint(tau=row[0], kappa=tuple(row[1:])) for row in first.values()]
 
 
 def _sampled_points(model, delta, sampling):

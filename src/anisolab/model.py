@@ -126,7 +126,7 @@ def speed_vector(model, u):
     return _vector(model, "speed", u)
 
 
-def _point(model, name, u, index=(), abs_tol=QUAD_TOL):
+def _point(model, name, u, index=()):
     """Quantity ``name`` at the scalar u, checked finite (and A symmetric).
 
     With an ``index`` that entry is returned as a float; a primitive the
@@ -137,7 +137,7 @@ def _point(model, name, u, index=(), abs_tol=QUAD_TOL):
         raise IndexError(f"component {index} out of range for dimension {d}")
     if index and getattr(model, name) is None:
         f = getattr(model_table(model), _INTEGRAND[name]).get(index, _zero)
-        return float(_integrals(f, [0.0], [u], abs_tol)[0])
+        return float(_integrals(f, [0.0], [u], QUAD_TOL)[0])
     out = _vector(model, name, u)
     if not np.isfinite(out).all():
         raise ModelError(f"{name}({u!r}) is not finite: {out}")
@@ -167,14 +167,14 @@ def sqrt_factor_eval(model, u):
     return _point(model, "sqrt_factor", u)
 
 
-def beta_eval(model, u, i, k, *, abs_tol=QUAD_TOL):
+def beta_eval(model, u, i, k):
     """beta_ik(u), the primitive of sigma_ik from 0 to u."""
-    return _point(model, "beta_primitive", u, (i, k), abs_tol)
+    return _point(model, "beta_primitive", u, (i, k))
 
 
-def bprimitive_eval(model, u, i, j, *, abs_tol=QUAD_TOL):
+def bprimitive_eval(model, u, i, j):
     """B_ij(u), the primitive of A_ij from 0 to u."""
-    return _point(model, "b_primitive", u, (i, j), abs_tol)
+    return _point(model, "b_primitive", u, (i, j))
 
 
 # --- entries -----------------------------------------------------------------

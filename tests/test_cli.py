@@ -195,6 +195,13 @@ def test_check_condition_lattice_flag(tmp_path):
     assert (out / "condition.csv").exists()
 
 
+def test_check_condition_delta_above_r_max_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path / "c.cfg", "[model]\npreset = burgers\n[condition]\ndelta = 2000\n")
+    code = main(["check-condition", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "line 4: delta must not exceed r_max" in capsys.readouterr().err
+
+
 # --- validate-model ----------------------------------------------------------
 
 def test_validate_model_preset_passes(tmp_path, capsys):

@@ -216,11 +216,10 @@ def _valid_configs(draw):
         cfg.integrator = draw(st.sampled_from(INTEGRATORS))
         cfg.output_every = draw(_optional(_POSITIVE))
         cfg.snapshot_every = draw(_optional(_POSITIVE))
-    cfg.delta = draw(_POSITIVE)
+    cfg.delta, cfg.r_max = sorted((draw(_POSITIVE), draw(_POSITIVE)))  # delta <= r_max
     lambdas = draw(st.lists(_POSITIVE, min_size=1, max_size=6, unique=True))
     cfg.lambdas = tuple(sorted(lambdas, reverse=True))
     cfg.n_dir = draw(_optional(st.integers(4, 512)))
-    cfg.r_max = draw(_POSITIVE)
     cfg.n_resonant = draw(st.integers(2, 200))
     cfg.lattice = draw(st.booleans())
     cfg.directory = draw(_optional(_WORD))
@@ -311,6 +310,16 @@ def test_error_on_periods_vs_model_dimension():
     with pytest.raises(ConfigError,
                        match=r"line 5: periods has 1 axis value\(s\) but the model dimension is 2"):
         parse_config(text)
+
+
+def test_error_on_delta_above_r_max():
+    # The shell ladder runs from delta up to r_max; past it there is no shell.
+    text = "[model]\npreset = burgers\n[condition]\ndelta = 2000\n"
+    with pytest.raises(ConfigError,
+                       match=r"line 4: delta must not exceed r_max \(1000.0\), got 2000.0"):
+        parse_config(text)
+    with pytest.raises(ConfigError, match=r"line 4: delta must not exceed r_max \(0.5\)"):
+        parse_config("[model]\npreset = burgers\n[condition]\nr_max = 0.5\n")
 
 
 def test_error_on_cells_vs_model_dimension():

@@ -178,6 +178,12 @@ def test_shell_radii_ladder():
         plan.shell_radii(0.0)
 
 
+def test_shell_radii_reject_delta_above_r_max():
+    assert SamplingPlan(r_max=1e3).shell_radii(1e3) == [1e3]
+    with pytest.raises(ValueError, match="delta must not exceed r_max"):
+        SamplingPlan(r_max=1e3).shell_radii(2000.0)
+
+
 def test_frequency_points_respect_delta_and_dedupe():
     plan = SamplingPlan(n_dir=16, r_max=8.0, n_resonant=7)
     pts = plan.frequency_points(preset("burgers"), 1.0)
@@ -217,6 +223,121 @@ def test_lattice_mode_rejects_periods_of_another_dimension():
     plan = SamplingPlan(lattice=True, periods=(1.0,))
     with pytest.raises(ValueError, match="periods has 1 axis value"):
         plan.frequency_points(preset("anisotropic-2d"), 1.0)
+
+
+# --- the array plan against the per-candidate reference ---------------------
+
+def _reference_frequency_points(plan, model, delta):
+    """The plan built one candidate at a time, as before it worked on arrays."""
+    def snap(kappa):
+        return np.asarray([2.0 * math.pi / p * round(c / (2.0 * math.pi / p))
+                           for c, p in zip(kappa, plan.periods)])
+
+    d = model.dimension
+    speeds = kinetic.speed_vector(
+        model, np.linspace(-model.state_bound, model.state_bound, plan.n_resonant))
+    points, seen = [], set()
+
+    def push(tau, kappa):
+        kappa = np.asarray(kappa, dtype=float)
+        if plan.lattice:
+            kappa = snap(kappa)
+        if abs(tau) + np.linalg.norm(kappa) < delta * (1.0 - 1e-12):
+            return
+        key = kinetic._round_key((tau, *kappa))
+        if key in seen:
+            return
+        seen.add(key)
+        points.append(FrequencyPoint(tau=float(tau), kappa=tuple(float(c) for c in kappa)))
+
+    for r in plan.shell_radii(delta):
+        for vec in plan._directions(d):
+            push(r * vec[0], r * vec[1:])
+        for axis in range(d):
+            for a_val in speeds[:, axis]:
+                scale = r / (abs(a_val) + 1.0)
+                kappa = np.zeros(d)
+                kappa[axis] = scale
+                if plan.lattice:
+                    kappa = snap(kappa)
+                    if np.linalg.norm(kappa) == 0.0:
+                        continue
+                    push(-a_val * kappa[axis], kappa)
+                else:
+                    push(-a_val * scale, kappa)
+    return points
+
+
+def _reference_breakpoints(xs, adv, quad):
+    """The cut points of one frequency, as found point by point before."""
+    pts = []
+    sign = np.sign(adv)
+    for idx in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        x0, x1 = xs[idx], xs[idx + 1]
+        y0, y1 = adv[idx], adv[idx + 1]
+        pts.append(x0 - y0 * (x1 - x0) / (y1 - y0))
+    den = adv ** 2 + quad ** 2
+    interior = np.nonzero((den[1:-1] <= den[:-2]) & (den[1:-1] <= den[2:]))[0] + 1
+    order = np.argsort(den[interior], kind="stable")
+    pts.extend(xs[interior[order[:16]]])
+    return [float(p) for p in pts[:24]]
+
+
+_coeff = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+_diag = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)
+
+
+@st.composite
+def _models(draw):
+    d = draw(st.sampled_from([1, 2]))
+    flux = [draw(st.lists(_coeff, min_size=1, max_size=4)) for _ in range(d)]
+    diff = {}
+    for i in range(d):
+        if draw(st.booleans()):
+            diff[(i, i)] = draw(_diag)
+    if d == 2 and draw(st.booleans()):
+        diff[(0, 1)] = draw(st.lists(st.floats(-0.1, 0.1), min_size=1, max_size=3))
+    return polynomial_model("random", flux, diff, d, draw(st.floats(0.5, 2.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_models(), lattice=st.booleans(), delta=st.floats(0.3, 1.0),
+       periods=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+       n_dir=st.integers(4, 24), n_resonant=st.integers(2, 9), r_max=st.floats(1.0, 40.0))
+def test_array_plan_and_breakpoints_match_per_point_reference(
+        model, lattice, delta, periods, n_dir, n_resonant, r_max):
+    plan = SamplingPlan(n_dir=n_dir, r_max=r_max, n_resonant=n_resonant, lattice=lattice,
+                        periods=periods[:model.dimension])
+    got = plan.frequency_points(model, delta)
+    assert list(map(repr, got)) == list(map(repr, _reference_frequency_points(plan, model, delta)))
+
+    big = model.state_bound
+    scan = np.linspace(-big, big, kinetic.RESONANCE_SCAN)
+    scan_a = kinetic.speed_vector(model, scan)
+    scan_mats = kinetic._vector(model, "diffusion", scan)
+    taus = np.array([fp.tau for fp in got])
+    kappas = np.array([fp.kappa for fp in got])
+    rows = kinetic._resonance_breakpoints(
+        scan, *kinetic._symbol_parts(taus[:, None], kappas[:, None], scan_a, scan_mats))
+    assert len(rows) == len(got)
+    for row, tau, kappa in zip(rows, taus, kappas):
+        assert row == _reference_breakpoints(
+            scan, *kinetic._symbol_parts(tau, kappa, scan_a, scan_mats))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), levels=st.integers(1, 6))
+def test_block_breakpoints_match_per_point_reference_on_rough_rows(seed, levels):
+    # Few distinct values give many sign flips (past the cap of 24), zeros,
+    # plateaus and tied minima, which smooth symbols rarely do.
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-1.0, 1.0, kinetic.RESONANCE_SCAN)
+    # Rows shifted up by levels or more have no flips, so minima fill them.
+    shift = rng.integers(0, 2 * levels + 1, (6, 1))
+    adv = (rng.integers(-levels, levels + 1, (6, xs.size)) + shift) * 0.5
+    quad = rng.integers(0, levels + 1, (6, xs.size)) * 0.25
+    rows = kinetic._resonance_breakpoints(xs, adv, quad)
+    assert rows == [_reference_breakpoints(xs, a, q) for a, q in zip(adv, quad)]
 
 
 def test_omega_delta_advection_witness_is_resonant():
@@ -302,7 +423,7 @@ def test_batched_omega_matches_omega_at_and_arctan(pairs, lam):
     pts = [FrequencyPoint(tau=tau, kappa=(kap,)) for tau, kap in pairs]
     # Small blocks so one example spans several worklists.
     with mock.patch.object(kinetic, "OMEGA_BLOCK", 4):
-        blocks = list(kinetic._omega_blocks(m, pts, [lam], kinetic.KINETIC_QUAD_TOL))
+        blocks = list(kinetic._omega_blocks(m, pts, [lam]))
     got = np.concatenate([vals for _, _, vals, _ in blocks])
     assert got.shape == (len(pts),)
     for val, fp, (tau, kap) in zip(got, pts, pairs):

@@ -22,8 +22,11 @@ of the difference, and exits 1 if any case differs. The cases are:
   bprimitive_eval for every index at a few states (``scalar/...``);
 - the bodies of the CLI ``run`` and ``check-condition`` artifacts, with the
   ``# generated`` time-stamp line dropped (``cli/...``). check-condition runs
-  under the default plan and under a reduced plan (two lambdas, 64
-  directions in 2-d).
+  under the default plan, under a reduced plan (two lambdas, 64
+  directions in 2-d) and under the lattice plan of a configured grid
+  (unequal periods in 2-d), for every preset and for an inline 2-d model
+  with an off-diagonal diffusion entry (coupled-cubic) on the default and
+  lattice plans.
 """
 
 from __future__ import annotations
@@ -57,6 +60,15 @@ amplitude = 0.9
 [scheme]
 t_end = 0.05
 output_every = 0.01
+"""
+INLINE_2D_MODEL = """[model]
+name = inline-coupled-cubic
+dimension = 2
+f1 = 0, 0.5, 0.2
+f2 = 0, -0.4, 0, 0.3
+A11 = 0.4, 0, 0.3
+A12 = 0.05, 0, 0.02
+A22 = 0.3, 0.1
 """
 
 
@@ -161,6 +173,11 @@ def _reduced_plan_config(name, dimension):
     return text + ("n_dir = 64\n" if dimension == 2 else "")
 
 
+def _lattice_grid(dimension):
+    grid = "cells = 48, 40\nperiods = 1.0, 0.5\n" if dimension == 2 else "cells = 256\n"
+    return f"[grid]\n{grid}[condition]\nlattice = true\n"
+
+
 def cases():
     """(name, thunk) pairs; each thunk returns bytes."""
     import numpy as np
@@ -185,6 +202,9 @@ def cases():
         yield (f"cli/check-condition/reduced/{name}",
                lambda n=name, d=model.dimension: _cli_case(
                    ["check-condition"], _reduced_plan_config(n, d)))
+        yield (f"cli/check-condition/lattice/{name}",
+               lambda n=name, d=model.dimension: _cli_case(
+                   ["check-condition"], f"[model]\npreset = {n}\n" + _lattice_grid(d)))
 
     def lockstep():
         from anisolab.model import preset
@@ -195,6 +215,10 @@ def cases():
         return pickle.dumps((times, dists, fa.values.tobytes(), fb.values.tobytes()))
     yield "run/lockstep/burgers-degenerate", lockstep
     yield "cli/run/inline-interior", lambda: _cli_case(["run"], INLINE_CONFIG)
+    yield ("cli/check-condition/default/inline-coupled-cubic",
+           lambda: _cli_case(["check-condition"], INLINE_2D_MODEL))
+    yield ("cli/check-condition/lattice/inline-coupled-cubic",
+           lambda: _cli_case(["check-condition"], INLINE_2D_MODEL + _lattice_grid(2)))
 
 
 def child(result_path, only):
