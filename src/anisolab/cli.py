@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -225,22 +224,6 @@ def cmd_validate_model(cfg, out_dir, quiet=False):
     return 0 if report.overall_pass else 2
 
 
-def _check_thread_env():
-    """Reject an ANISO_THREADS that is not a positive integer.
-
-    Sweep rows run serially, so a valid value changes nothing.
-    """
-    env = os.environ.get("ANISO_THREADS")
-    if env is None:
-        return
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ValueError(f"ANISO_THREADS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"ANISO_THREADS must be positive, got {workers}")
-
-
 def _sweep_run_one(cfg, axis, value, out):
     sub = replace(cfg)
     if axis == "cells":
@@ -292,7 +275,6 @@ def cmd_sweep(cfg, out_dir, quiet=False, axis=None, values=None):
     error = sweep_value_error(axis, values) if values else "sweep needs a non-empty value list"
     if error is not None:
         raise ConfigError([error])
-    _check_thread_env()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

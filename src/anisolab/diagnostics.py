@@ -12,7 +12,7 @@ survives grid refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -94,8 +94,10 @@ class AuditTolerances:
 class AuditReport:
     """Violation statistics for one trajectory; pass iff all within tolerance.
 
-    The decay fields are informational and never gate `passed`: slow decay
-    is a finding, not a defect of the scheme.
+    One table of gated checks (_gates) drives passed and lines(); as_dict()
+    lists the dataclass fields and passed. The decay fields are
+    informational and never gate `passed`: slow decay is a finding, not a
+    defect of the scheme.
     """
 
     max_principle_violation: float
@@ -115,16 +117,20 @@ class AuditReport:
     tolerances: AuditTolerances
     per_step: bool
 
+    def _gates(self):
+        """The gated checks as (label, value, bound) rows; each holds iff value <= bound."""
+        tol = self.tolerances
+        return [("max principle", self.max_principle_violation, tol.max_principle),
+                ("energy monotonicity", self.energy_monotonicity_violation, tol.energy),
+                ("L1 contraction", self.contraction_violation, tol.contraction),
+                ("mean conservation", self.mean_drift, tol.mean_conservation),
+                ("budget windows", self.budget_violations, 0),
+                ("budget telescoping", self.telescope_gap, self.telescope_tolerance),
+                ("global budget bound", self.global_budget_excess, tol.global_budget)]
+
     @property
     def passed(self):
-        tol = self.tolerances
-        return (self.max_principle_violation <= tol.max_principle
-                and self.energy_monotonicity_violation <= tol.energy
-                and self.contraction_violation <= tol.contraction
-                and self.mean_drift <= tol.mean_conservation
-                and self.budget_violations == 0
-                and self.telescope_gap <= self.telescope_tolerance
-                and self.global_budget_excess <= tol.global_budget)
+        return all(value <= bound for _, value, bound in self._gates())
 
     @property
     def telescope_tolerance(self):
@@ -132,49 +138,17 @@ class AuditReport:
                                                self.global_budget_bound * 2.0)
 
     def as_dict(self):
-        return {
-            "max_principle_violation": self.max_principle_violation,
-            "energy_monotonicity_violation": self.energy_monotonicity_violation,
-            "contraction_violation": self.contraction_violation,
-            "mean_drift": self.mean_drift,
-            "budget_violations": self.budget_violations,
-            "budget_max_excess": self.budget_max_excess,
-            "budget_tolerance": self.budget_tolerance,
-            "telescope_gap": self.telescope_gap,
-            "total_budget": self.total_budget,
-            "global_budget_bound": self.global_budget_bound,
-            "global_budget_excess": self.global_budget_excess,
-            "decay_achieved": self.decay_achieved,
-            "decay_threshold": self.decay_threshold,
-            "decay_time": self.decay_time,
-            "per_step": self.per_step,
-            "passed": self.passed,
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "tolerances"}
+        return {**record, "passed": self.passed}
 
     def lines(self):
-        tol = self.tolerances
         granularity = "per step" if self.per_step else "per output row"
         out = [f"audit ({granularity}):"]
-
-        def entry(label, value, bound, ok):
-            verdict = "ok" if ok else "VIOLATED"
-            out.append(f"  {label:<22} {value:.3e}  (tol {bound:.1e})  {verdict}")
-
-        entry("max principle", self.max_principle_violation, tol.max_principle,
-              self.max_principle_violation <= tol.max_principle)
-        entry("energy monotonicity", self.energy_monotonicity_violation, tol.energy,
-              self.energy_monotonicity_violation <= tol.energy)
-        entry("L1 contraction", self.contraction_violation, tol.contraction,
-              self.contraction_violation <= tol.contraction)
-        entry("mean conservation", self.mean_drift, tol.mean_conservation,
-              self.mean_drift <= tol.mean_conservation)
-        out.append(f"  {'budget windows':<22} {self.budget_violations} violation(s)"
-                   f"  (slack {self.budget_tolerance:.1e})"
-                   f"  {'ok' if self.budget_violations == 0 else 'VIOLATED'}")
-        entry("budget telescoping", self.telescope_gap, self.telescope_tolerance,
-              self.telescope_gap <= self.telescope_tolerance)
-        entry("global budget bound", self.global_budget_excess, tol.global_budget,
-              self.global_budget_excess <= tol.global_budget)
+        for label, value, bound in self._gates():
+            # The budget windows gate a count; their slack is per window.
+            shown = (f"{value} violation(s)  (slack {self.budget_tolerance:.1e})"
+                     if label == "budget windows" else f"{value:.3e}  (tol {bound:.1e})")
+            out.append(f"  {label:<22} {shown}  {'ok' if value <= bound else 'VIOLATED'}")
         if self.decay_achieved:
             out.append(f"  decay to {self.decay_threshold:g} of initial L1: "
                        f"reached at t={self.decay_time:.6g}")
@@ -182,6 +156,11 @@ class AuditReport:
             out.append(f"  decay to {self.decay_threshold:g} of initial L1: not reached")
         out.append(f"  overall: {'PASS' if self.passed else 'FAIL'}")
         return out
+
+
+def _first_crossing(rows, target):
+    """Time of the first row whose l1_to_mean is at or below ``target``, or None."""
+    return next((r.t for r in rows if r.l1_to_mean <= target), None)
 
 
 def _max_positive_jump(series):
@@ -213,11 +192,8 @@ def audit(trajectory, tolerances=None):
         # Per-step rise, plus the rise between rows so that a drift of
         # many sub-tolerance steps still shows.
         contraction = stats.contraction_max_step_jump
-        ladder = stats.contraction_l1
-        if ladder:
-            for k in range(len(ladder[0])):
-                contraction = max(contraction,
-                                  _max_positive_jump([row[k] for row in ladder]))
+        for column in zip(*stats.contraction_l1):
+            contraction = max(contraction, _max_positive_jump(column))
     else:
         m_inf = rows[0].linf
         mp_violation = max(0.0, max(r.linf for r in rows) - rows[0].linf)
@@ -240,13 +216,7 @@ def audit(trajectory, tolerances=None):
     global_bound = 0.5 * measure * m_inf ** 2
     global_excess = max(0.0, total_budget - global_bound)
 
-    initial_l1 = rows[0].l1_to_mean
-    target = tol.decay_threshold * initial_l1
-    decay_time = None
-    for r in rows:
-        if r.l1_to_mean <= target:
-            decay_time = r.t
-            break
+    decay_time = _first_crossing(rows, tol.decay_threshold * rows[0].l1_to_mean)
 
     return AuditReport(
         max_principle_violation=mp_violation,
@@ -310,15 +280,7 @@ def decay_summary(trajectory, thresholds=DECAY_THRESHOLDS):
     if not rows:
         raise ValueError("decay_summary needs at least one diagnostic row")
     initial = rows[0].l1_to_mean
-    times = []
-    for theta in thresholds:
-        target = theta * initial
-        hit = None
-        for r in rows:
-            if r.l1_to_mean <= target:
-                hit = r.t
-                break
-        times.append(hit)
+    times = [_first_crossing(rows, theta * initial) for theta in thresholds]
 
     samples = [(r.t, r.l1_to_mean) for r in rows if r.t > 0 and r.l1_to_mean > 0]
     tail = samples[len(samples) // 2:]

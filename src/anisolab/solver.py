@@ -8,7 +8,10 @@ are available; both are convex combinations of monotone Euler stages under
 the time-step rule, so the discrete maximum principle, L1 contraction and
 entropy decay hold step by step and are tracked while running. One step
 function and one stop-point loop serve step, run and run_lockstep; lockstep
-is a batch of two fields on that shared stepper.
+is a batch of two fields on that shared stepper. The step returns the new
+field with its range [min u, max u], its one min/max pass: the range sets
+the next step's wave bounds, tells whether the field is finite (np.min and
+np.max propagate NaN), and gives run's max-principle statistic and sup norm.
 
 The stencils are periodic slice kernels (_Stencils): a shifted operand is
 read through index slices, split where the index wraps, and results go
@@ -177,9 +180,10 @@ class RunStats:
     ``dt_min`` and ``dt_max`` cover the steps whose length the CFL rule
     set; when no step was (a cadence finer than the CFL step, or a model
     without dynamics) they cover the cut steps instead. ``truncated_steps``
-    counts the steps cut short to land on a stop point. ``contraction_max_step_jump`` is the largest one-step rise of
-    the L1 distance to any of ``contraction_constants``;
-    ``contraction_l1`` holds those distances at each output row.
+    counts the steps cut short to land on a stop point.
+    ``contraction_max_step_jump`` is the largest one-step rise of the L1
+    distance to any of ``contraction_constants``; ``contraction_l1`` holds
+    those distances at each output row.
     """
 
     steps: int = 0
@@ -258,6 +262,11 @@ def numerical_flux_llf(model, u_left, u_right, axis, alpha):
 def _wave_bounds(model, lo, hi):
     """Bounds for |a| per axis and |A| per entry over [lo, hi] (see ModelTable)."""
     return model_table(model).bounds(lo, hi)
+
+
+def _range(values):
+    """(min, max) of a field as floats; NaN if any value is NaN."""
+    return float(values.min()), float(values.max())
 
 
 @lru_cache(maxsize=256)
@@ -394,7 +403,7 @@ class _Stencils:
 def hyperbolic_div(model, fld, grid):
     """Discrete divergence of f(u); alpha from the current field range."""
     values = np.asarray(fld.values, dtype=float)
-    alphas, _ = _wave_bounds(model, float(values.min()), float(values.max()))
+    alphas, _ = _wave_bounds(model, *_range(values))
     stencils = _Stencils(model, grid, values.shape)
     return stencils.hyperbolic(values, alphas, np.empty_like(values))
 
@@ -425,10 +434,10 @@ def stable_dt(model, fld, grid, cfl=0.4, output_every=None):
     """
     if not (cfl > 0 and np.isfinite(cfl)):
         raise ConfigurationError(f"cfl must be positive, got {cfl}")
-    values = np.asarray(fld.values, dtype=float)
-    if not np.isfinite(values).all():
+    lo, hi = _range(np.asarray(fld.values, dtype=float))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigurationError("field contains non-finite values")
-    alphas, lams = _wave_bounds(model, float(values.min()), float(values.max()))
+    alphas, lams = _wave_bounds(model, lo, hi)
     dt = _cfl_dt(alphas, lams, grid.spacings, cfl)
     if math.isinf(dt) and output_every is not None:
         return float(output_every)
@@ -440,11 +449,13 @@ def stable_dt(model, fld, grid, cfl=0.4, output_every=None):
 def _stepper(stencils, scheme):
     """The scheme map, shared by step, run and run_lockstep.
 
-    Returns ``advance(values, t, cap, idle, dt=None) -> (new_values, dt, cut)``
-    for fields of the stencils' shape. ``values`` may carry leading batch
-    axes; the wave bounds, and so dt, come from the range over the whole
-    batch. Without a forced ``dt`` the step is the CFL step capped at
-    ``cap``, replaced by ``idle`` when that is not finite or not positive
+    Returns ``advance(values, rng, t, cap, idle, dt=None) -> (new_values,
+    new_rng, dt, cut)`` for fields of the stencils' shape, where ``rng`` and
+    ``new_rng`` are the (min, max) of ``values`` and ``new_values`` over any
+    leading batch axes too. The wave bounds, and so dt, come from ``rng``;
+    a ``new_rng`` that is not finite (np.min and np.max propagate NaN)
+    raises BlowUpError. Without a forced ``dt`` the step is the CFL step
+    capped at ``cap``, replaced by ``idle`` when that is not finite or not positive
     (a model without dynamics); ``idle=None`` then raises
     ConfigurationError. ``cut`` says the step is shorter than the CFL step
     (capped, or the ``idle`` step).
@@ -462,8 +473,8 @@ def _stepper(stencils, scheme):
             np.subtract(tend, stencils.hyperbolic(v, alphas, hyp), out=tend)
         return tend
 
-    def advance(values, t, cap, idle, dt=None):
-        alphas, lams = stencils.bounds(float(values.min()), float(values.max()))
+    def advance(values, rng, t, cap, idle, dt=None):
+        alphas, lams = stencils.bounds(*rng)
         cut = False
         if dt is None:
             cfl_dt = _cfl_dt(alphas, lams, stencils.h, scheme.cfl)
@@ -486,11 +497,12 @@ def _stepper(stencils, scheme):
                 new_values += values
                 new_values += inc
                 new_values *= 0.5
-        if not np.isfinite(new_values).all():
+        new_rng = lo, hi = _range(new_values)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             finite = new_values[np.isfinite(new_values)]
             peak = float(np.abs(finite).max()) if finite.size else math.inf
             raise BlowUpError(t + dt, peak)
-        return new_values, dt, cut
+        return new_values, new_rng, dt, cut
 
     return advance
 
@@ -499,7 +511,8 @@ def step(state, model, grid, config, *, dt=None):
     """Advance one step; dt defaults to the stable step for this field."""
     values = np.asarray(state.values, dtype=float)
     advance = _stepper(_Stencils(model, grid, values.shape), config)
-    new_values, dt, _ = advance(values, state.time, math.inf, config.output_every, dt)
+    new_values, _, dt, _ = advance(values, _range(values), state.time, math.inf,
+                                   config.output_every, dt)
     return CellField(values=new_values, time=state.time + dt)
 
 
@@ -534,12 +547,13 @@ def _boundaries(t_end, out_every, snap_every):
     return merged
 
 
-def _march(advance, values, scheme):
+def _march(advance, values, rng, scheme):
     """The one stop-point loop: step from t=0 through every stop to t_end.
 
-    Yields ``(t, values, dt, cut, None)`` after each step and
-    ``(t, values, None, None, (is_row, is_snap))`` at each stop point, the
-    first one at t=0. Steps are cut short to land on the stop points.
+    ``rng`` is the (min, max) of ``values``; each step returns its new
+    field's range for the next step. Yields ``(t, values, rng, dt, cut, None)`` after each step and
+    ``(t, values, rng, None, None, (is_row, is_snap))`` at each stop point,
+    the first one at t=0. Steps are cut short to land on the stop points.
     """
     t_end = float(scheme.t_end)
     out_every = scheme.output_every if scheme.output_every is not None else t_end / 50.0
@@ -547,11 +561,11 @@ def _march(advance, values, scheme):
     t = 0.0
     for target, is_row, is_snap in _boundaries(t_end, out_every, scheme.snapshot_every):
         while t < target - eps_end:
-            values, dt, cut = advance(values, t, target - t, target - t)
+            values, rng, dt, cut = advance(values, rng, t, target - t, target - t)
             t = t + dt
-            yield t, values, dt, cut, None
+            yield t, values, rng, dt, cut, None
         t = target
-        yield t, values, None, None, (is_row, is_snap)
+        yield t, values, rng, None, None, (is_row, is_snap)
 
 
 def run(model, grid, profile, scheme, hooks=()):
@@ -569,13 +583,18 @@ def run(model, grid, profile, scheme, hooks=()):
     stencils = _Stencils(model, grid, values.shape)
     vol = stencils.cell_volume
     ncells = values.size
+    has_diff = bool(stencils.b_entries)
 
-    mean0 = float(values.sum()) / ncells
-    u0_min = float(values.min())
-    u0_max = float(values.max())
+    def measure(v):
+        """Mean, L2 energy and dissipation of v; rows and per-step stats share them."""
+        return (float(v.sum()) / ncells, float(np.vdot(v, v).real) * vol,
+                stencils.dissipation(v) if has_diff else 0.0)
+
+    u0_min, u0_max = rng = _range(values)
+    mean_cur, energy_cur, n_prev = measure(values)
     stats = RunStats(
-        initial_min=u0_min, initial_max=u0_max, initial_mean=mean0,
-        contraction_constants=tuple(_contraction_constants(u0_min, u0_max, mean0)),
+        initial_min=u0_min, initial_max=u0_max, initial_mean=mean_cur,
+        contraction_constants=tuple(_contraction_constants(u0_min, u0_max, mean_cur)),
     )
     consts = np.array(stats.contraction_constants).reshape((-1,) + (1,) * values.ndim)
     gaps = np.empty(consts.shape[:1] + values.shape)
@@ -588,18 +607,12 @@ def run(model, grid, profile, scheme, hooks=()):
 
     rows = []
     snaps = []
-    energy_prev_row = None
 
     def make_row(t, window_diss):
-        nonlocal energy_prev_row
-        m = float(values.sum()) / ncells
-        l1 = float(np.abs(values - m).sum()) * vol
-        energy = float(np.vdot(values, values).real) * vol
-        budget = 0.0 if energy_prev_row is None else 0.5 * (energy_prev_row - energy)
-        energy_prev_row = energy
+        budget = 0.5 * (rows[-1].l2_energy - energy_cur) if rows else 0.0
         row = DiagnosticsRow(
-            t=t, mean=m, l1_to_mean=l1, l2_energy=energy,
-            linf=float(np.abs(values).max()),
+            t=t, mean=mean_cur, l1_to_mean=float(np.abs(values - mean_cur).sum()) * vol,
+            l2_energy=energy_cur, linf=max(abs(rng[0]), abs(rng[1])),
             dissipation_resolved=window_diss, dissipation_budget=budget)
         rows.append(row)
         stats.contraction_l1.append(ladder_cur.tolist())
@@ -613,17 +626,13 @@ def run(model, grid, profile, scheme, hooks=()):
                           rows=rows, snapshots=snaps, stats=stats,
                           final=CellField(values=values.copy(), time=t))
 
-    t = 0.0
-    has_diff = bool(stencils.b_entries)
-    n_prev = stencils.dissipation(values) if has_diff else 0.0
     window_diss = 0.0
-    energy_cur = float(np.vdot(values, values).real) * vol
-    mean_cur = mean0
     ladder_cur = ladder_l1(values)
     cut_dt_min, cut_dt_max = math.inf, 0.0
 
     try:
-        for t, new_values, dt, cut, stop in _march(_stepper(stencils, scheme), values, scheme):
+        for t, new_values, rng, dt, cut, stop in _march(
+                _stepper(stencils, scheme), values, rng, scheme):
             if stop is not None:
                 is_row, is_snap = stop
                 if is_row:
@@ -639,28 +648,21 @@ def run(model, grid, profile, scheme, hooks=()):
             else:
                 stats.dt_min = min(stats.dt_min, dt)
                 stats.dt_max = max(stats.dt_max, dt)
-            new_min = float(new_values.min())
-            new_max = float(new_values.max())
             stats.max_principle_violation = max(
-                stats.max_principle_violation, new_max - u0_max, u0_min - new_min)
-            new_energy = float(np.vdot(new_values, new_values).real) * vol
+                stats.max_principle_violation, rng[1] - u0_max, u0_min - rng[0])
+            new_mean, new_energy, n_new = measure(new_values)
             stats.energy_max_step_jump = max(
                 stats.energy_max_step_jump, new_energy - energy_cur)
-            new_mean = float(new_values.sum()) / ncells
             stats.max_step_mean_jump = max(
                 stats.max_step_mean_jump, abs(new_mean - mean_cur))
-            stats.mean_drift = max(stats.mean_drift, abs(new_mean - mean0))
+            stats.mean_drift = max(stats.mean_drift, abs(new_mean - stats.initial_mean))
             new_ladder = ladder_l1(new_values)
             stats.contraction_max_step_jump = max(
                 stats.contraction_max_step_jump, float((new_ladder - ladder_cur).max()))
             if has_diff:
-                n_new = stencils.dissipation(new_values)
                 window_diss += 0.5 * dt * (n_prev + n_new)
-                n_prev = n_new
-            values = new_values
-            energy_cur = new_energy
-            mean_cur = new_mean
-            ladder_cur = new_ladder
+            values, mean_cur, energy_cur, ladder_cur, n_prev = (
+                new_values, new_mean, new_energy, new_ladder, n_new)
     except BlowUpError as exc:
         exc.trajectory = trajectory()
         raise
@@ -683,7 +685,8 @@ def run_lockstep(model, grid, profile_a, profile_b, scheme):
     times = []
     dists = []
     # Without snapshots every stop point is an output row.
-    for t, values, _, _, stop in _march(advance, values, replace(scheme, snapshot_every=None)):
+    for t, values, _, _, _, stop in _march(advance, values, _range(values),
+                                           replace(scheme, snapshot_every=None)):
         if stop is not None:
             times.append(t)
             dists.append(float(np.abs(values[0] - values[1]).sum()) * grid.cell_volume)

@@ -342,21 +342,6 @@ def test_sweep_lambda_floor_axis(tmp_path):
     assert (out / "lambda_floor-0.01" / "condition.csv").exists()
 
 
-def test_sweep_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("ANISO_THREADS", "1")
-    cfg = write(tmp_path / "s.cfg", SWEEP_BASE.format(axis="cells", values="16, 32"))
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 0
-
-
-def test_sweep_invalid_thread_env_is_an_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ANISO_THREADS", "many")
-    cfg = write(tmp_path / "s.cfg", SWEEP_BASE.format(axis="cells", values="16"))
-    code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "ANISO_THREADS" in capsys.readouterr().err
-
-
 # --- config and argument errors ----------------------------------------------
 
 def test_missing_config_and_model_is_an_error(capsys):

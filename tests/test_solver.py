@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anisolab.diagnostics import audit
-from anisolab.model import polynomial_model, preset, primitive_tables
+from anisolab.diagnostics import audit, l1_to_constant, l2_energy, mean
+from anisolab.model import ModelSpec, polynomial_model, preset, primitive_tables
 from anisolab.solver import (
     BlowUpError,
     CellField,
@@ -530,6 +530,45 @@ def test_run_blow_up_carries_partial_trajectory():
     assert partial is not None
     assert partial.rows[0].t == 0.0
     assert len(partial.rows) >= 1
+
+
+@pytest.mark.parametrize("profile", [
+    sin_profile,
+    lambda x: np.zeros_like(x),
+    lambda x: -0.6 - 0.3 * np.sin(2.0 * np.pi * x),
+], ids=["sine", "zero", "negative"])
+def test_rows_equal_the_public_helpers_bit_for_bit(profile):
+    # Rows reuse the step loop's reductions and the stepper's range; each
+    # column must still be what the public helper gives on the same field.
+    g = PeriodicGrid.make([1.0], [48])
+    scheme = SchemeConfig(t_end=0.2, output_every=0.05, snapshot_every=0.05)
+    traj = run(preset("burgers-degenerate"), g, profile, scheme)
+    assert len(traj.rows) == len(traj.snapshots) == 5
+    for row, snap in zip(traj.rows, traj.snapshots):
+        assert row.t == snap.time
+        assert repr(row.mean) == repr(mean(snap, g))
+        assert repr(row.l2_energy) == repr(l2_energy(snap, g))
+        assert repr(row.l1_to_mean) == repr(l1_to_constant(snap, g, row.mean))
+        assert repr(row.linf) == repr(float(np.abs(snap.values).max()))
+
+
+def test_run_blow_up_to_nan_reports_time_and_peak():
+    # The flux is undefined (NaN) beyond |u| = 1.2, so the unstable run
+    # turns cells NaN, not infinite; the range test must still catch it.
+    def flux(u):
+        return np.where(np.abs(u) <= 1.2, 0.5 * u * u, np.nan)[..., None]
+
+    m = ModelSpec(dimension=1, flux=flux, diffusion=lambda u: np.zeros(np.shape(u) + (1, 1)),
+                  state_bound=1.0, name="nan-beyond", speed=lambda u: np.asarray(u)[..., None])
+    g = PeriodicGrid.make([1.0], [32])
+    with pytest.raises(BlowUpError) as info:
+        run(m, g, sin_profile, SchemeConfig(t_end=10.0, cfl=2.0))
+    # Recorded from a whole-field np.isfinite scan of the same run.
+    assert repr(float(info.value.time)) == "2.0"
+    assert repr(info.value.max_abs) == "1.2333037121119146"
+    partial = info.value.trajectory
+    assert partial.stats.steps == 22
+    assert np.isfinite(partial.final.values).all()
 
 
 def test_run_lockstep_distances_non_increasing():

@@ -17,7 +17,14 @@ of the difference, and exits 1 if any case differs. The cases are:
 - wave bounds and stable steps on fields with and without interior extrema
   of the speed (``bounds/...``);
 - solver runs: diagnostic rows, run statistics and the final field
-  (``run/...``), plus one lockstep pair;
+  (``run/...``), plus one lockstep pair; five steps with the stable dt and
+  five with an explicit dt from the run's initial field (``step/...``);
+- runs that blow up, to infinity (burgers) and to NaN (a hand-built flux
+  undefined beyond |u| = 1.2): message, time, peak, partial rows and
+  statistics (``blow-up/...``);
+- the audit and decay reports of a hand-built row-only trajectory with
+  max-principle, energy, contraction, mean, budget-window and telescoping
+  violations and decay not reached (``audit/row-only``);
 - validate_model reports (``validate/...``), and beta_eval and
   bprimitive_eval for every index at a few states (``scalar/...``);
 - the bodies of the CLI ``run`` and ``check-condition`` artifacts, with the
@@ -26,17 +33,23 @@ of the difference, and exits 1 if any case differs. The cases are:
   directions in 2-d) and under the lattice plan of a configured grid
   (unequal periods in 2-d), for every preset and for an inline 2-d model
   with an off-diagonal diffusion entry (coupled-cubic) on the default and
-  lattice plans.
+  lattice plans. ``cli/run/zero/...`` runs every preset from zero
+  amplitude. ``cli/run/off-diagonal-bump`` runs an inline 2-d model with
+  an off-diagonal diffusion entry at 16x12 from a narrow Gaussian bump
+  (patched in for the configured profile, which has no such option); its
+  audit fails per step with VIOLATED lines.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 POLY_MODELS = {
     # a = 1 - 3u^2 has an interior extremum at u = 0.
@@ -70,6 +83,19 @@ A11 = 0.4, 0, 0.3
 A12 = 0.05, 0, 0.02
 A22 = 0.3, 0.1
 """
+OFF_DIAGONAL_CONFIG = """[model]
+name = off-diagonal
+dimension = 2
+f1 = 0, 0.5, 0.2
+f2 = 0, -0.4
+A11 = 0.4, 0, 0.3
+A12 = 0.05, 0, 0.02
+A22 = 0.3, 0.1
+[grid]
+cells = 16, 12
+[scheme]
+t_end = 1.0
+"""
 
 
 def _states():
@@ -102,18 +128,77 @@ def _models():
     return out
 
 
-def _run_case(model):
+def _run_setup(model):
     import numpy as np
-    from anisolab.solver import PeriodicGrid, SchemeConfig, run
+    from anisolab.solver import PeriodicGrid
     if model.dimension == 1:
         grid = PeriodicGrid.make([1.0], [64])
         profile = lambda x: 0.3 + 0.6 * np.sin(2 * np.pi * x)  # noqa: E731
     else:
         grid = PeriodicGrid.make([1.0, 1.0], [16, 12])
         profile = lambda x, y: 0.3 + 0.6 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)  # noqa: E731
+    return grid, profile
+
+
+def _trajectory_record(traj):
+    return ([repr(vars(r)) for r in traj.rows], repr(vars(traj.stats)),
+            traj.final.values.tobytes())
+
+
+def _run_case(model):
+    from anisolab.solver import SchemeConfig, run
+    grid, profile = _run_setup(model)
     traj = run(model, grid, profile, SchemeConfig(t_end=0.05, output_every=0.01))
-    return pickle.dumps(([repr(vars(r)) for r in traj.rows], repr(vars(traj.stats)),
-                         traj.final.values.tobytes()))
+    return pickle.dumps(_trajectory_record(traj))
+
+
+def _step_case(model):
+    from anisolab.solver import SchemeConfig, init_field, step
+    grid, profile = _run_setup(model)
+    state = init_field(grid, profile)
+    out = []
+    for dt in [None] * 5 + [1e-4] * 5:
+        state = step(state, model, grid, SchemeConfig(t_end=1.0), dt=dt)
+        out.append((repr(state.time), state.values.tobytes()))
+    return pickle.dumps(out)
+
+
+def _nan_beyond_model():
+    """Burgers flux that is NaN beyond |u| = 1.2, so an unstable run turns cells NaN."""
+    import numpy as np
+    from anisolab.model import ModelSpec
+    return ModelSpec(
+        dimension=1, state_bound=1.0, name="nan-beyond",
+        flux=lambda u: np.where(np.abs(u) <= 1.2, 0.5 * u * u, np.nan)[..., None],
+        diffusion=lambda u: np.zeros(np.shape(u) + (1, 1)),
+        speed=lambda u: np.asarray(u)[..., None])
+
+
+def _blow_up_case(model):
+    import numpy as np
+    from anisolab.solver import BlowUpError, PeriodicGrid, SchemeConfig, run
+    try:
+        run(model, PeriodicGrid.make([1.0], [32]), lambda x: np.sin(2 * np.pi * x),
+            SchemeConfig(t_end=10.0, cfl=2.0))
+    except BlowUpError as exc:
+        return pickle.dumps((str(exc), repr(exc.time), repr(exc.max_abs),
+                             _trajectory_record(exc.trajectory)))
+    return b"no blow-up"
+
+
+def _row_only_audit_case():
+    from anisolab.diagnostics import audit, decay_summary
+    from anisolab.solver import DiagnosticsRow, PeriodicGrid, SchemeConfig, Trajectory
+    # (t, mean, l1_to_mean, l2_energy, linf, dissipation_resolved, dissipation_budget)
+    rows = [DiagnosticsRow(0.0, 0.1, 0.5, 0.4, 0.9, 0.0, 0.0),
+            DiagnosticsRow(0.5, 0.1, 0.45, 0.3, 0.95, 0.2, 0.05),
+            DiagnosticsRow(1.0, 0.1 + 1e-9, 0.47, 0.32, 0.8, 0.0, -0.01),
+            DiagnosticsRow(1.5, 0.1, 0.3, 0.2, 0.7, 0.07, 0.07)]
+    traj = Trajectory("hand-built", PeriodicGrid.make([1.0], [16]), SchemeConfig(t_end=1.5),
+                      rows=rows, snapshots=[], stats=None)
+    report, summary = audit(traj), decay_summary(traj)
+    return pickle.dumps((report.lines(), json.dumps(report.as_dict()), repr(report.as_dict()),
+                         summary.lines(), json.dumps(summary.as_dicts())))
 
 
 def _bounds_case(model):
@@ -147,6 +232,12 @@ def _artifacts(directory):
     return pickle.dumps(parts)
 
 
+def _bump_initial(cfg, grid):
+    import numpy as np
+    from anisolab.solver import init_field
+    return init_field(grid, lambda x, y: np.exp(-100.0 * ((x - 0.5) ** 2 + (y - 0.5) ** 2)))
+
+
 def _cli_case(args, config_text=None):
     from anisolab.cli import main
     with tempfile.TemporaryDirectory() as tmp:
@@ -160,10 +251,10 @@ def _cli_case(args, config_text=None):
         return pickle.dumps((code, _artifacts(out)))
 
 
-def _run_config(name, dimension):
+def _run_config(name, dimension, amplitude=0.95):
     cells, t_end = ("128", "0.02") if dimension == 1 else ("24, 24", "0.005")
     return (f"[model]\npreset = {name}\n[grid]\ncells = {cells}\n[initial]\n"
-            f"profile = multi-sine\namplitude = 0.95\n[scheme]\nt_end = {t_end}\n"
+            f"profile = multi-sine\namplitude = {amplitude}\n[scheme]\nt_end = {t_end}\n"
             f"output_every = {float(t_end) / 4!r}\n")
 
 
@@ -184,19 +275,23 @@ def cases():
     from anisolab.model import validate_model
     from anisolab.solver import PeriodicGrid, SchemeConfig, run_lockstep
     u = _states()
-    for name, model in _models().items():
+    models = _models()
+    for name, model in models.items():
         for attr in CALLABLES:
             fn = getattr(model, attr)
             yield (f"callables/{name}/{attr}",
                    lambda fn=fn: b"None" if fn is None else np.asarray(fn(u)).tobytes())
         yield f"bounds/{name}", lambda m=model: _bounds_case(m)
         yield f"run/{name}", lambda m=model: _run_case(m)
+        yield f"step/{name}", lambda m=model: _step_case(m)
         yield f"validate/{name}", lambda m=model: "\n".join(validate_model(m).lines()).encode()
         yield f"scalar/{name}", lambda m=model: _scalar_case(m)
         if name in POLY_MODELS or "/" in name:
             continue
         yield (f"cli/run/{name}",
                lambda n=name, d=model.dimension: _cli_case(["run"], _run_config(n, d)))
+        yield (f"cli/run/zero/{name}",
+               lambda n=name, d=model.dimension: _cli_case(["run"], _run_config(n, d, 0.0)))
         yield (f"cli/check-condition/default/{name}",
                lambda n=name: _cli_case(["check-condition", "--model", n]))
         yield (f"cli/check-condition/reduced/{name}",
@@ -215,6 +310,14 @@ def cases():
         return pickle.dumps((times, dists, fa.values.tobytes(), fb.values.tobytes()))
     yield "run/lockstep/burgers-degenerate", lockstep
     yield "cli/run/inline-interior", lambda: _cli_case(["run"], INLINE_CONFIG)
+    yield "blow-up/burgers", lambda: _blow_up_case(models["burgers"])
+    yield "blow-up/nan-beyond", lambda: _blow_up_case(_nan_beyond_model())
+    yield "audit/row-only", _row_only_audit_case
+
+    def off_diagonal_bump():
+        with mock.patch("anisolab.cli.make_initial", _bump_initial):
+            return _cli_case(["run"], OFF_DIAGONAL_CONFIG)
+    yield "cli/run/off-diagonal-bump", off_diagonal_bump
     yield ("cli/check-condition/default/inline-coupled-cubic",
            lambda: _cli_case(["check-condition"], INLINE_2D_MODEL))
     yield ("cli/check-condition/lattice/inline-coupled-cubic",
