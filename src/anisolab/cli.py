@@ -225,6 +225,7 @@ def cmd_validate_model(cfg, out_dir, quiet=False):
 
 
 def _sweep_run_one(cfg, axis, value, out):
+    """One run row of a sweep: its CSV cells and whether it failed."""
     sub = replace(cfg)
     if axis == "cells":
         n = int(value)
@@ -239,24 +240,22 @@ def _sweep_run_one(cfg, axis, value, out):
         tag = f"amplitude-{float(value):g}"
 
     result = _run_and_write(sub, out / tag)
+    val = str(int(value)) if axis == "cells" else _fmt(value)
     if result is None:
-        nan = float("nan")
-        return {"value": value, "status": "blow-up", "l1_initial": nan, "l1_final": nan,
-                "mean_drift": nan, "max_principle_violation": nan, "audit_pass": False}
+        return [val, "blow-up"] + [_fmt(float("nan"))] * 4 + ["false"], True
     traj, report, _ = result
-    return {"value": value, "status": "ok",
-            "l1_initial": traj.rows[0].l1_to_mean, "l1_final": traj.rows[-1].l1_to_mean,
-            "mean_drift": report.mean_drift,
-            "max_principle_violation": report.max_principle_violation,
-            "audit_pass": bool(report.passed)}
+    return [val, "ok", _fmt(traj.rows[0].l1_to_mean), _fmt(traj.rows[-1].l1_to_mean),
+            _fmt(report.mean_drift), _fmt(report.max_principle_violation),
+            "true" if report.passed else "false"], not report.passed
 
 
 def _sweep_condition_one(cfg, floor, out):
+    """One condition row of a sweep: its CSV cells; a verdict is never a failure."""
     lams = [l for l in cfg.lambdas if l > floor * (1.0 + 1e-12)] + [float(floor)]
     sub = replace(cfg, lambdas=tuple(lams))
     report = _check_and_write(sub, out / f"lambda_floor-{float(floor):g}")
-    return {"value": floor, "omega_final": report.omegas[-1],
-            "threshold": report.pass_threshold, "verdict": report.verdict}
+    return [_fmt(floor), _fmt(report.omegas[-1]), _fmt(report.pass_threshold),
+            report.verdict], False
 
 
 def cmd_sweep(cfg, out_dir, quiet=False, axis=None, values=None):
@@ -279,26 +278,14 @@ def cmd_sweep(cfg, out_dir, quiet=False, axis=None, values=None):
     out.mkdir(parents=True, exist_ok=True)
 
     if axis == "lambda_floor":
-        rows = [_sweep_condition_one(cfg, float(v), out) for v in values]
-    else:
-        rows = [_sweep_run_one(cfg, axis, v, out) for v in values]
-
-    if axis == "lambda_floor":
         header = "value,omega_final,threshold,verdict"
-        body = [",".join([_fmt(r["value"]), _fmt(r["omega_final"]),
-                          _fmt(r["threshold"]), r["verdict"]]) for r in rows]
-        failed = False
+        rows = [_sweep_condition_one(cfg, float(v), out) for v in values]
     else:
         header = ("value,status,l1_initial,l1_final,mean_drift,"
                   "max_principle_violation,audit_pass")
-        body = []
-        for r in rows:
-            val = str(int(r["value"])) if axis == "cells" else _fmt(r["value"])
-            body.append(",".join([
-                val, r["status"], _fmt(r["l1_initial"]), _fmt(r["l1_final"]),
-                _fmt(r["mean_drift"]), _fmt(r["max_principle_violation"]),
-                "true" if r["audit_pass"] else "false"]))
-        failed = any(r["status"] != "ok" or not r["audit_pass"] for r in rows)
+        rows = [_sweep_run_one(cfg, axis, v, out) for v in values]
+    body = [",".join(cells) for cells, _ in rows]
+    failed = any(bad for _, bad in rows)
 
     _write_csv(out / "sweep.csv", header, body, comment=f"# axis {axis}")
     if not quiet:

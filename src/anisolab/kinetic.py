@@ -14,7 +14,9 @@ average
 
 must vanish as lam -> 0, uniformly over |tau| + |kappa| >= delta. The
 checker samples frequency shells, reports the largest value found per lam
-(a lower bound for the supremum), and grades the trend.
+(a lower bound for the supremum), and grades the trend. The symbol
+tau + a(xi).kappa, kappa^T A(xi) kappa has one evaluator, _symbol_parts,
+which reads the speed and A entries of the model table as the solver does.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import speed_vector, _vector
+from .model import model_table, speed_vector
 from .quadrature import adaptive_quadrature, adaptive_quadrature_batch
 
 __all__ = [
@@ -107,37 +109,41 @@ class FrequencyPoint:
         return np.asarray(self.kappa, dtype=float)
 
 
-def _symbol_parts(tau, kappa, a, mats):
-    """Advection and diffusion parts of the symbol from sampled a and A.
+def _symbol_parts(model, tau, kappa, xi):
+    """Advection and diffusion parts tau + a(xi).kappa and kappa^T A(xi) kappa.
 
-    tau, kappa and the samples broadcast against each other: one frequency
-    against many states, or one frequency per state.
+    tau, kappa (last axis of length d) and xi broadcast against each other:
+    one frequency against many states, or one frequency per state. The
+    model table's speed entries a_c and A entries A_ij are summed from zero
+    in index order, a term a_c kappa_c or (kappa_i A_ij) kappa_j each: the
+    order in which np.einsum contracts dense a(xi) and A(xi) arrays over a
+    batch of states, so the sums match that form bit for bit.
     """
-    return (tau + np.einsum("...i,...i->...", a, kappa),
-            np.einsum("...i,...ij,...j->...", kappa, mats, kappa))
-
-
-def _denominator_parts(model, tau, kappa, xi):
-    """Advection and diffusion parts of the symbol at a batch of xi."""
-    xi = np.asarray(xi, dtype=float)
-    a = speed_vector(model, xi)
-    mats = _vector(model, "diffusion", xi)
-    return _symbol_parts(tau, kappa, a, mats)
+    table, xi = model_table(model), np.asarray(xi, dtype=float)
+    adv = np.zeros(np.broadcast_shapes(np.shape(tau), kappa.shape[:-1], xi.shape))
+    quad = np.zeros_like(adv)
+    for (c,), a_c in table.speed.items():
+        adv += a_c(xi) * kappa[..., c]
+    for (i, j), a_ij in table.a.items():
+        quad += kappa[..., i] * a_ij(xi) * kappa[..., j]
+    adv += tau
+    return adv, quad
 
 
 def symbol_denominator(model, fp, xi, lam):
     """lam + |tau + a(xi).kappa|^2 + (kappa^T A(xi) kappa)^2 at one xi."""
-    adv, quad = _denominator_parts(model, fp.tau, fp.kappa_array, float(xi))
+    adv, quad = _symbol_parts(model, fp.tau, fp.kappa_array, float(xi))
     return float(lam + adv ** 2 + quad ** 2)
 
 
 def _resonance_breakpoints(xs, adv, quad):
-    """Quadrature cut points where the symbol is smallest, one list per frequency.
+    """Quadrature cut points where the symbol is smallest, one row per frequency.
 
     ``adv`` and ``quad`` hold the symbol parts of one frequency per row on
     the scan ``xs``. A row's cuts are the linear roots of its sign flips of
     ``adv``, in scan order, then its 16 lowest interior minima of
-    adv^2 + quad^2 (ties to the first), at most 24 in all.
+    adv^2 + quad^2 (ties to the first), at most 24 in all. Returns an
+    (n, 40) array whose unused slots are NaN.
     """
     rows = np.arange(len(adv))[:, None]
     pos, neg = adv > 0, adv < 0
@@ -155,9 +161,7 @@ def _resonance_breakpoints(xs, adv, quad):
     n_min = np.minimum((~np.isnan(mid)).sum(axis=1, keepdims=True), np.minimum(16, 24 - n_flip))
     lowest = xs[1 + np.argsort(mid, axis=1, kind="stable")[:, :16]]
     keep = np.concatenate([np.arange(24) < n_flip, np.arange(16) < n_min], axis=1)
-    flat = np.concatenate([flips, lowest], axis=1)[keep].tolist()
-    ends = np.cumsum(n_flip + n_min).tolist()
-    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    return np.where(keep, np.concatenate([flips, lowest], axis=1), np.nan)
 
 
 def _omega_blocks(model, points, lambdas):
@@ -165,26 +169,24 @@ def _omega_blocks(model, points, lambdas):
 
     Yields (offset of the block in ``points``, lam index, values, error
     estimates). The symbol of a whole block is scanned on RESONANCE_SCAN
-    states in one array pass, and the resonance cut points found there
-    are reused for every lam; each lam integrates the whole block in one
-    worklist, evaluating a(xi) and A(xi) once per node.
+    states in one array pass, and the array of resonance cut points found
+    there is reused for every lam; each lam integrates the whole block in
+    one worklist, evaluating each speed and A entry once per node.
     """
     if any(lam <= 0.0 for lam in lambdas):
         raise ValueError(f"lam must be positive, got {min(lambdas)}")
     big = model.state_bound
     scan = np.linspace(-big, big, RESONANCE_SCAN)
-    scan_a = speed_vector(model, scan)
-    scan_mats = _vector(model, "diffusion", scan)
     for start in range(0, len(points), OMEGA_BLOCK):
         block = points[start:start + OMEGA_BLOCK]
         taus = np.array([fp.tau for fp in block])
         kappas = np.array([fp.kappa for fp in block], dtype=float)
         cuts = _resonance_breakpoints(
-            scan, *_symbol_parts(taus[:, None], kappas[:, None], scan_a, scan_mats))
+            scan, *_symbol_parts(model, taus[:, None], kappas[:, None], scan))
         for k, lam in enumerate(lambdas):
 
             def integrand(xi, owner):
-                adv, quad = _denominator_parts(model, taus[owner], kappas[owner], xi)
+                adv, quad = _symbol_parts(model, taus[owner], kappas[owner], xi)
                 return lam / (lam + adv ** 2 + quad ** 2)
 
             vals, errs = adaptive_quadrature_batch(
@@ -344,7 +346,7 @@ def degeneracy_set_measure(model, fp, tol=1e-3, n_samples=20001):
     kappa = kappa / norm
     big = model.state_bound
     xs = np.linspace(-big, big, int(n_samples))
-    adv, quad = _denominator_parts(model, tau, kappa, xs)
+    adv, quad = _symbol_parts(model, tau, kappa, xs)
     frac = float(np.mean((np.abs(adv) <= tol) & (np.abs(quad) <= tol)))
     return frac * 2.0 * big
 

@@ -21,9 +21,9 @@ Presets and ``polynomial_model`` assemble their ``ModelSpec`` callables
 from entries: for an input of shape S, ``flux`` and ``speed`` return shape
 S + (d,), ``diffusion``, ``sqrt_factor`` and the primitives S + (d, d). A
 hand-built ``ModelSpec`` supplies whole callables of those shapes instead.
-Either way the solver, validate_model and the scalar primitive evaluators
-read entries through one path, _entries, which the cached ``model_table``
-holds per model.
+Either way the solver, the condition checker, validate_model and the scalar
+primitive evaluators read entries through one path, _entries, which the
+cached ``model_table`` holds per model.
 """
 
 from __future__ import annotations
@@ -255,12 +255,13 @@ def _entry(x):
 class _Assembled:
     """A ModelSpec callable assembled from entries: shape S in, S + ``shape`` out.
 
-    ``entries`` maps output indexes to entries; absent indexes are zero.
+    ``entries`` maps output indexes to entries, kept in index order; absent
+    indexes are zero.
     """
 
     def __init__(self, shape, entries):
         self.shape = shape
-        self.entries = {idx: e for idx, e in entries.items() if e is not None}
+        self.entries = {idx: e for idx, e in sorted(entries.items()) if e is not None}
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -364,21 +365,26 @@ def polynomial_model(name, flux_coeffs, diffusion_coeffs, dimension, state_bound
 # --- the per-entry table -----------------------------------------------------
 
 def _entries(model, name, integrands=None):
-    """{index: entry} for quantity ``name``, zero entries absent.
+    """{index: entry} for quantity ``name`` in index order, zero entries absent.
 
     This is the one place that tells an assembled callable from a whole
     one. An assembled callable gives its own entries. Any other callable
     (hand-built, replaced, or the speed and sqrt_factor fallbacks of
     _vector) is sliced per index, keeping the entries that are nonzero
-    somewhere on 257 states spanning 1.05 state_bound. A missing primitive
-    becomes a Hermite spline of each of its ``integrands`` entries.
+    somewhere on 257 states spanning 1.05 state_bound; a value there that
+    is not finite raises ModelError. A missing primitive becomes a Hermite
+    spline of each of its ``integrands`` entries.
     """
     fn, span = getattr(model, name), 1.05 * model.state_bound
     if isinstance(fn, _Assembled):
         return fn.entries
     if fn is None and name in _INTEGRAND:
         return {idx: _spline_primitive(f, span) for idx, f in integrands.items()}
-    probe = _vector(model, name, np.linspace(-span, span, 257))
+    states = np.linspace(-span, span, 257)
+    probe = _vector(model, name, states)
+    if not np.isfinite(probe).all():
+        k, *idx = np.argwhere(~np.isfinite(probe))[0].tolist()
+        raise ModelError(f"{name} entry {tuple(idx)} is not finite at u={float(states[k])!r}")
     return {idx: lambda u, idx=idx: _vector(model, name, u)[(Ellipsis,) + idx]
             for idx in np.ndindex(probe.shape[1:]) if np.abs(probe[(Ellipsis,) + idx]).max() > 0.0}
 
@@ -386,10 +392,10 @@ def _entries(model, name, integrands=None):
 class ModelTable:
     """A model's entries in the form the solver and validate_model use.
 
-    ``f``, ``a``, ``sigma``, ``b`` and ``beta`` map indexes to vectorized
-    entries of the flux, A, sigma, B and beta, zero entries absent, each
-    built on first use. ``flux(values)`` gives one array per axis.
-    ``bounds(lo, hi)`` gives max |a_k| per axis and max |A_ij| per entry
+    ``f``, ``speed``, ``a``, ``sigma``, ``b`` and ``beta`` map indexes to
+    vectorized entries of the flux, its speed, A, sigma, B and beta, in
+    index order with zero entries absent, each built on first use.
+    ``flux(values)`` gives one array per axis. ``bounds(lo, hi)`` gives max |a_k| per axis and max |A_ij| per entry
     over [lo, hi].
     """
 
@@ -397,6 +403,7 @@ class ModelTable:
         self.model = model
 
     f = cached_property(lambda self: _entries(self.model, "flux"))
+    speed = cached_property(lambda self: _entries(self.model, "speed"))
     a = cached_property(lambda self: _entries(self.model, "diffusion"))
     sigma = cached_property(lambda self: _entries(self.model, "sqrt_factor"))
     b = cached_property(lambda self: _entries(self.model, "b_primitive", self.a))
@@ -411,7 +418,7 @@ class ModelTable:
     @cached_property
     def bounds(self):
         d = self.model.dimension
-        speed, a = _bounder(_entries(self.model, "speed"), (d,)), _bounder(self.a, (d, d))
+        speed, a = _bounder(self.speed, (d,)), _bounder(self.a, (d, d))
         return lambda lo, hi: (speed(lo, hi), a(lo, hi))
 
 

@@ -3,12 +3,12 @@
 The integrand is evaluated on whole batches of nodes at once, so callables
 passed in must accept a 1-d numpy array and return an array of the same
 shape. Narrow features the initial rule cannot see should be announced via
-``breakpoints``; the worklist then refines around them.
+``breakpoints`` (one row of cut points per integral in the batch form);
+the worklist then starts from intervals split there and refines around
+them.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -110,43 +110,40 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
     ``a`` and ``b`` are equal-length sequences of finite limits.
     ``fn(x, owner)`` evaluates every integrand on a flat batch of nodes;
     ``owner[i]`` is the index k of the integral node ``x[i]`` belongs to.
-    ``breakpoints``, if given, holds one sequence of cut points per
-    integral. Each integral is bisected, settled and tested for convergence
-    on its own, exactly as a lone call would do it, and leaves the worklist
-    once converged. Returns arrays of values and error estimates. Raises
-    QuadratureError for the first integral still short of ``abs_tol`` after
-    ``max_levels`` rounds of bisection.
+    ``breakpoints``, if given, is a 2-d array with one row of cut points
+    per integral; NaN pads a row, and cuts not strictly between an
+    integral's ends are ignored. Each integral is bisected, settled and
+    tested for convergence on its own, exactly as a lone call would do it,
+    and leaves the worklist once converged. Returns arrays of values and
+    error estimates. Raises QuadratureError for the first integral still
+    short of ``abs_tol`` after ``max_levels`` rounds of bisection.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"limits must be equal-length 1-d sequences, got {a.shape} and {b.shape}")
     n = a.size
-    sign, span, lo, hi, owner = [1.0] * n, [0.0] * n, [], [], []
-    for k, (lo_k, hi_k) in enumerate(zip(a.tolist(), b.tolist())):
-        if not (math.isfinite(lo_k) and math.isfinite(hi_k)):
-            raise QuadratureError(
-                f"integration limits must be finite, got [{lo_k!r}, {hi_k!r}]",
-                value=float("nan"), achieved=float("inf"))
-        if hi_k < lo_k:
-            lo_k, hi_k, sign[k] = hi_k, lo_k, -1.0
-        if lo_k == hi_k:
-            continue
-        span[k] = hi_k - lo_k
-        cuts = () if breakpoints is None else breakpoints[k]
-        edges = [lo_k, *sorted({float(p) for p in cuts if lo_k < float(p) < hi_k}), hi_k]
-        lo += edges[:-1]
-        hi += edges[1:]
-        owner += [k] * (len(edges) - 1)
+    bad = ~(np.isfinite(a) & np.isfinite(b))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise QuadratureError(
+            f"integration limits must be finite, got [{float(a[k])!r}, {float(b[k])!r}]",
+            value=float("nan"), achieved=float("inf"))
+    swap = b < a
+    sign, lo, hi = np.where(swap, -1.0, 1.0), np.where(swap, b, a), np.where(swap, a, b)
+    span = hi - lo
+    # Each row [lo, cuts strictly inside, hi] sorted, NaN last; its strictly
+    # increasing neighbour pairs are the integral's first intervals.
+    cuts = np.empty((n, 0)) if breakpoints is None else np.asarray(breakpoints, dtype=float)
+    inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
+    edges = np.sort(np.column_stack([lo, np.where(inside, cuts, np.nan), hi]), axis=1)
+    first = edges[:, 1:] > edges[:, :-1]
+    lo, hi, owner = edges[:, :-1][first], edges[:, 1:][first], np.nonzero(first)[0]
     values, errors, done_val, done_err = np.zeros((4, n))
-    remaining = n - span.count(0.0)
+    running = span > 0.0
+    remaining = np.count_nonzero(running)
     if not remaining:
         return values, errors
-    span = np.array(span)
-    running = span > 0.0
-    lo = np.array(lo)
-    hi = np.array(hi)
-    owner = np.array(owner, dtype=np.intp)
 
     for level in range(max_levels + 1):
         node_owner = owner.repeat(_NODES.size)
@@ -187,7 +184,7 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
             errors[finished] = live_err[finished]
             remaining -= n_finished
             if not remaining:
-                return np.array(sign) * values, errors
+                return sign * values, errors
             running &= ~finished
             split &= running[owner]
         if level == max_levels:

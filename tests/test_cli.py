@@ -9,6 +9,7 @@ import pytest
 
 from anisolab.cli import cmd_sweep, main, read_trajectory_csv
 from anisolab.config import ConfigError, default_config, parse_config
+from anisolab.model import ModelSpec
 
 RUN_CFG = """\
 [model]
@@ -121,6 +122,18 @@ def test_run_blow_up_exits_1_with_partial_trajectory(tmp_path, capsys):
     assert code == 1
     assert "blew up" in capsys.readouterr().err
     assert (out / "trajectory.csv").exists()
+
+
+def test_run_model_not_finite_on_its_probe_exits_1(tmp_path, capsys, monkeypatch):
+    nan_past = ModelSpec(
+        dimension=1, state_bound=2.0, name="nan-past",
+        flux=lambda u: np.where(np.abs(u) <= 1.05, 0.5 * u * u, np.nan)[..., None],
+        diffusion=lambda u: np.zeros(np.shape(u) + (1, 1)))
+    monkeypatch.setattr("anisolab.cli.make_model", lambda cfg: nan_past)
+    code = main(["run", "--config", write(tmp_path / "run.cfg", RUN_CFG),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    assert "flux entry (0,) is not finite at u=-2.1" in capsys.readouterr().err
 
 
 def test_run_unstable_audit_exits_2(tmp_path, capsys):

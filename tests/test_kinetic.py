@@ -22,7 +22,7 @@ from anisolab.kinetic import (
     omega_delta,
     symbol_denominator,
 )
-from anisolab.model import polynomial_model, preset
+from anisolab.model import ModelSpec, _vector, polynomial_model, preset
 
 # Small deterministic plan so condition checks stay fast in unit tests.
 FAST_PLAN = SamplingPlan(n_dir=8, r_max=4.0, n_resonant=5)
@@ -313,16 +313,14 @@ def test_array_plan_and_breakpoints_match_per_point_reference(
 
     big = model.state_bound
     scan = np.linspace(-big, big, kinetic.RESONANCE_SCAN)
-    scan_a = kinetic.speed_vector(model, scan)
-    scan_mats = kinetic._vector(model, "diffusion", scan)
     taus = np.array([fp.tau for fp in got])
     kappas = np.array([fp.kappa for fp in got])
     rows = kinetic._resonance_breakpoints(
-        scan, *kinetic._symbol_parts(taus[:, None], kappas[:, None], scan_a, scan_mats))
+        scan, *kinetic._symbol_parts(model, taus[:, None], kappas[:, None], scan))
     assert len(rows) == len(got)
     for row, tau, kappa in zip(rows, taus, kappas):
-        assert row == _reference_breakpoints(
-            scan, *kinetic._symbol_parts(tau, kappa, scan_a, scan_mats))
+        assert row[~np.isnan(row)].tolist() == _reference_breakpoints(
+            scan, *kinetic._symbol_parts(model, tau, kappa, scan))
 
 
 @settings(max_examples=30, deadline=None)
@@ -337,7 +335,53 @@ def test_block_breakpoints_match_per_point_reference_on_rough_rows(seed, levels)
     adv = (rng.integers(-levels, levels + 1, (6, xs.size)) + shift) * 0.5
     quad = rng.integers(0, levels + 1, (6, xs.size)) * 0.25
     rows = kinetic._resonance_breakpoints(xs, adv, quad)
-    assert rows == [_reference_breakpoints(xs, a, q) for a, q in zip(adv, quad)]
+    assert [row[~np.isnan(row)].tolist() for row in rows] == [
+        _reference_breakpoints(xs, a, q) for a, q in zip(adv, quad)]
+
+
+def _dense_symbol_parts(model, tau, kappa, xi):
+    """The symbol contracted over dense a(xi) and A(xi) arrays, as it was evaluated before."""
+    mats = _vector(model, "diffusion", xi)
+    return (tau + np.einsum("...i,...i->...", kinetic.speed_vector(model, xi), kappa),
+            np.einsum("...i,...ij,...j->...", kappa, mats, kappa))
+
+
+def _whole_copy(model, with_speed):
+    """A hand-built copy that supplies flux, diffusion and maybe speed as whole callables."""
+    return ModelSpec(dimension=model.dimension, state_bound=model.state_bound, name="whole",
+                     flux=lambda u: model.flux(u), diffusion=lambda u: model.diffusion(u),
+                     speed=(lambda u: model.speed(u)) if with_speed else None)
+
+
+@st.composite
+def _coupled_models(draw):
+    """2-d models with every A entry nonzero, where the order of the terms shows in the sum."""
+    diag = st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3)
+    off = st.lists(st.floats(0.001, 0.1) | st.floats(-0.1, -0.001), min_size=1, max_size=3)
+    flux = [draw(st.lists(_coeff, min_size=1, max_size=4)) for _ in range(2)]
+    diff = {(0, 0): draw(diag), (0, 1): draw(off), (1, 1): draw(diag)}
+    return polynomial_model("coupled", flux, diff, 2, draw(st.floats(0.5, 2.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.one_of(_models(), _coupled_models()),
+       whole=st.sampled_from([None, "speed", "bare"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_symbol_parts_equal_the_dense_contraction_bit_for_bit(model, whole, seed):
+    if whole is not None:
+        model = _whole_copy(model, whole == "speed")
+    rng = np.random.default_rng(seed)
+    d, big = model.dimension, model.state_bound
+    scale = 10.0 ** rng.uniform(-1.0, 3.0, (40, 1))
+    taus, kappas = rng.normal(size=40) * scale[:, 0], rng.normal(size=(40, d)) * scale
+    scan = np.linspace(-big, big, kinetic.RESONANCE_SCAN)
+    owner = rng.integers(0, 40, 300)
+    xi = rng.uniform(-big, big, 300)
+    # One frequency per node (the omega integrand), and a block against the scan.
+    for args in ((taus[owner], kappas[owner], xi), (taus[:, None], kappas[:, None], scan)):
+        got = kinetic._symbol_parts(model, *args)
+        want = _dense_symbol_parts(model, *args)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_omega_delta_advection_witness_is_resonant():

@@ -126,19 +126,30 @@ def _by_owner(funcs):
 
 
 def test_batch_owners_match_standalone_calls():
-    # Breakpoints, a reversed interval (b < a) and a zero-width interval.
+    # A reversed interval (b < a), a zero-width interval and NaN-padded cut
+    # rows: cuts outside the ends, at the ends, duplicated, and -0.0 with 0.0.
+    nan = np.nan
     a = [-1.0, 1.0, 1.5, 0.0, 2.0]
     b = [1.0, -1.0, 1.5, 1.0, -0.5]
-    cuts = [(0.3,), (0.0,), (), (), (0.1, 9.0)]
+    cuts = np.array([[0.3, nan, nan, nan],
+                     [-0.0, 0.0, 0.5, 0.5],
+                     [1.5, nan, nan, nan],
+                     [-3.0, 0.0, 1.0, 2.0],
+                     [0.1, 9.0, 0.1, nan]])
     vals, errs = adaptive_quadrature_batch(
         _by_owner(_OWNER_FUNCS), a, b, abs_tol=1e-12, breakpoints=cuts)
     assert vals.shape == errs.shape == (5,)
     for k, f in enumerate(_OWNER_FUNCS):
-        alone = adaptive_quadrature(f, a[k], b[k], abs_tol=1e-12, breakpoints=cuts[k])
+        row = cuts[k][~np.isnan(cuts[k])]
+        alone = adaptive_quadrature(f, a[k], b[k], abs_tol=1e-12, breakpoints=tuple(row))
+        # The GK15 panel's matrix-vector product may round a row by its place
+        # in the batch, so batch and lone call agree to the last bits only.
         assert vals[k] == pytest.approx(alone, abs=1e-15), k
+        # A padded row starts the same worklist as its plain cut list.
+        assert adaptive_quadrature(f, a[k], b[k], abs_tol=1e-12, breakpoints=cuts[k]) == alone
         # Each owner stops refining when it converges, not when all do.
         _, err_alone = adaptive_quadrature_batch(
-            lambda x, owner: f(x), [a[k]], [b[k]], abs_tol=1e-12, breakpoints=[cuts[k]])
+            lambda x, owner: f(x), [a[k]], [b[k]], abs_tol=1e-12, breakpoints=[row])
         assert errs[k] == pytest.approx(err_alone[0], abs=1e-14), k
     assert vals[1] == pytest.approx(-4.0 / 3.0, abs=1e-12)
     assert vals[2] == 0.0 and errs[2] == 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anisolab.diagnostics import audit, l1_to_constant, l2_energy, mean
-from anisolab.model import ModelSpec, polynomial_model, preset, primitive_tables
+from anisolab.model import ModelError, ModelSpec, polynomial_model, preset, primitive_tables
 from anisolab.solver import (
     BlowUpError,
     CellField,
@@ -569,6 +569,17 @@ def test_run_blow_up_to_nan_reports_time_and_peak():
     partial = info.value.trajectory
     assert partial.stats.steps == 22
     assert np.isfinite(partial.final.values).all()
+
+
+def test_run_rejects_a_whole_flux_not_finite_on_its_probe():
+    # NaN beyond |u| = 1.05 lies inside the entries' probe (1.05 state_bound
+    # at state_bound 2): the flux must be rejected, not read as zero there.
+    m = ModelSpec(dimension=1, state_bound=2.0, name="nan-past",
+                  flux=lambda u: np.where(np.abs(u) <= 1.05, 0.5 * u * u, np.nan)[..., None],
+                  diffusion=lambda u: np.zeros(np.shape(u) + (1, 1)),
+                  speed=lambda u: np.asarray(u)[..., None])
+    with pytest.raises(ModelError, match=r"flux entry \(0,\) is not finite at u=-2.1"):
+        run(m, PeriodicGrid.make([1.0], [32]), sin_profile, SchemeConfig(t_end=0.1))
 
 
 def test_run_lockstep_distances_non_increasing():

@@ -27,6 +27,14 @@ of the difference, and exits 1 if any case differs. The cases are:
   violations and decay not reached (``audit/row-only``);
 - validate_model reports (``validate/...``), and beta_eval and
   bprimitive_eval for every index at a few states (``scalar/...``);
+- symbol_denominator at a few states and degeneracy_set_measure at two
+  tolerances, for a few frequencies (``symbol/...``), and check_condition
+  under the reduced plan for the hand-built copies (``check/whole/...``,
+  ``check/bare/...``);
+- one adaptive_quadrature_batch call on NaN-padded cut rows (cuts outside
+  the ends, at the ends, duplicated, -0.0 with 0.0) with reversed and
+  zero-span limits, and one whose limits are all zero-span
+  (``quadrature/batch-cuts``);
 - the bodies of the CLI ``run`` and ``check-condition`` artifacts, with the
   ``# generated`` time-stamp line dropped (``cli/...``). check-condition runs
   under the default plan, under a reduced plan (two lambdas, 64
@@ -37,7 +45,9 @@ of the difference, and exits 1 if any case differs. The cases are:
   amplitude. ``cli/run/off-diagonal-bump`` runs an inline 2-d model with
   an off-diagonal diffusion entry at 16x12 from a narrow Gaussian bump
   (patched in for the configured profile, which has no such option); its
-  audit fails per step with VIOLATED lines.
+  audit fails per step with VIOLATED lines. ``cli/sweep/...`` runs a cfl
+  sweep with a blow-up row and a lambda_floor sweep, keeping the exit
+  code, stderr and stdout (the artifact directory masked).
 """
 
 from __future__ import annotations
@@ -222,6 +232,60 @@ def _scalar_case(model):
                  for u in (-0.6, 0.0, 0.35, 0.9) for i in range(d) for j in range(d)]).encode()
 
 
+def _symbol_case(model):
+    from anisolab.kinetic import FrequencyPoint, degeneracy_set_measure, symbol_denominator
+    out = []
+    for tau, kappa in ((0.0, (1.0, 0.5)), (-1.0, (1.0, -1.0)), (0.3, (-2.5, 4.0)),
+                       (2.0, (0.0, 0.0))):
+        fp = FrequencyPoint(tau, kappa[:model.dimension])
+        out.append([symbol_denominator(model, fp, xi, lam)
+                    for xi in (-0.9, 0.0, 0.37, 1.0) for lam in (1e-6, 0.1)])
+        out.append((degeneracy_set_measure(model, fp),
+                    degeneracy_set_measure(model, fp, tol=0.05, n_samples=2001)))
+    return repr(out).encode()
+
+
+def _check_case(model):
+    from anisolab.kinetic import SamplingPlan, check_condition
+    plan = SamplingPlan(n_dir=64 if model.dimension == 2 else None)
+    report = check_condition(model, lambdas=[0.1, 1e-6], sampling=plan)
+    return pickle.dumps((report.lines(), repr(report.omegas), repr(report.witnesses),
+                         report.points, repr(report.max_error_estimate)))
+
+
+def _batch_cuts_case():
+    import numpy as np
+    from anisolab.quadrature import adaptive_quadrature_batch
+    nan = np.nan
+    kinks = np.array([0.3, 0.0, 1.5, 0.5, 0.1, 0.0, -0.3])
+
+    def fn(x, owner):
+        return np.sqrt(np.abs(x - kinks[owner])) + np.cos(3.0 * owner * x)
+
+    a = [-1.0, 1.0, 1.5, 0.0, 2.0, 0.5, -0.3]
+    b = [1.0, -1.0, 1.5, 1.0, -0.5, -0.25, -0.3]
+    cuts = np.array([[0.3, nan, nan, nan], [-0.0, 0.0, 0.5, 0.5], [1.5, nan, nan, nan],
+                     [-3.0, 0.0, 1.0, 0.5], [0.1, 9.0, 0.1, nan], [0.0, -0.0, nan, -0.25],
+                     [-0.3, nan, nan, nan]])
+    out = [adaptive_quadrature_batch(fn, a, b, abs_tol=1e-11, breakpoints=cuts),
+           adaptive_quadrature_batch(fn, [1.0, -2.0], [1.0, -2.0], breakpoints=cuts[:2])]
+    return pickle.dumps([(v.tobytes(), e.tobytes()) for v, e in out])
+
+
+def _sweep_case(config_text):
+    import contextlib
+    import io
+    from anisolab.cli import main
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "case.cfg"
+        cfg.write_text(config_text, encoding="utf-8")
+        out, stdout, stderr = Path(tmp) / "out", io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        return pickle.dumps((code, stdout.getvalue().replace(str(out), "<out>"),
+                             stderr.getvalue(), _artifacts(out)))
+
+
 def _artifacts(directory):
     parts = []
     for path in sorted(Path(directory).rglob("*")):
@@ -286,6 +350,9 @@ def cases():
         yield f"step/{name}", lambda m=model: _step_case(m)
         yield f"validate/{name}", lambda m=model: "\n".join(validate_model(m).lines()).encode()
         yield f"scalar/{name}", lambda m=model: _scalar_case(m)
+        yield f"symbol/{name}", lambda m=model: _symbol_case(m)
+        if name.startswith(("whole/", "bare/")):
+            yield f"check/{name}", lambda m=model: _check_case(m)
         if name in POLY_MODELS or "/" in name:
             continue
         yield (f"cli/run/{name}",
@@ -322,6 +389,13 @@ def cases():
            lambda: _cli_case(["check-condition"], INLINE_2D_MODEL))
     yield ("cli/check-condition/lattice/inline-coupled-cubic",
            lambda: _cli_case(["check-condition"], INLINE_2D_MODEL + _lattice_grid(2)))
+    yield "quadrature/batch-cuts", _batch_cuts_case
+    yield ("cli/sweep/cfl", lambda: _sweep_case(
+        "[model]\npreset = burgers\n[grid]\ncells = 32\n[scheme]\nt_end = 10.0\n"
+        "[sweep]\naxis = cfl\nvalues = 0.4, 2.0\n"))
+    yield ("cli/sweep/lambda_floor", lambda: _sweep_case(
+        "[model]\npreset = burgers\n[condition]\nn_dir = 8\nr_max = 4.0\n"
+        "[sweep]\naxis = lambda_floor\nvalues = 0.01, 1e-05\n"))
 
 
 def child(result_path, only):
