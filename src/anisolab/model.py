@@ -33,7 +33,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .quadrature import QuadratureError, adaptive_quadrature_batch
 
@@ -430,6 +429,7 @@ def _integrals(fn, lo, hi, abs_tol=1e-12):
 
 def _spline_primitive(integrand_vec, span):
     """Cumulative primitive of a vectorized integrand as a Hermite spline."""
+    from scipy.interpolate import CubicHermiteSpline  # imported here: start-up skips scipy
     nodes = np.linspace(-span, span, 1025)
     segments = _integrals(integrand_vec, nodes[:-1], nodes[1:], abs_tol=1e-13)
     # Accumulate outward from the middle node, where the primitive is 0.

@@ -112,11 +112,13 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
     ``owner[i]`` is the index k of the integral node ``x[i]`` belongs to.
     ``breakpoints``, if given, is a 2-d array with one row of cut points
     per integral; NaN pads a row, and cuts not strictly between an
-    integral's ends are ignored. Each integral is bisected, settled and
-    tested for convergence on its own, exactly as a lone call would do it,
-    and leaves the worklist once converged. Returns arrays of values and
-    error estimates. Raises QuadratureError for the first integral still
-    short of ``abs_tol`` after ``max_levels`` rounds of bisection.
+    integral's ends are ignored. Each integral gets the first worklist and
+    the bisection, settling and convergence tests of a lone call, and leaves
+    the worklist once converged; its bits need not match a lone call, as the
+    BLAS panel sum ``y @ _WK`` rounds a row by its place in the batch.
+    Returns arrays of values and error estimates. Raises QuadratureError for
+    the first integral still short of ``abs_tol`` after ``max_levels``
+    rounds of bisection.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

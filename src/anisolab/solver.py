@@ -422,7 +422,7 @@ def _cfl_dt(alphas, lams, hs, cfl):
     denom += 2.0 * sum(lams[i][j] / (hs[i] * hs[j]) for i in range(d) for j in range(d))
     if denom <= 0.0:
         return math.inf
-    return cfl / denom
+    return float(cfl / denom)
 
 
 def stable_dt(model, fld, grid, cfl=0.4, output_every=None):

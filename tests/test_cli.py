@@ -396,6 +396,56 @@ def test_usage_error_without_subcommand():
     assert "usage:" in proc.stderr
 
 
+INLINE_RUN_CFG = """\
+[model]
+dimension = 1
+f1 = 0.0, 0.0, 0.5
+A11 = 0.0, 0.0, 0.1
+
+[grid]
+cells = 32
+
+[scheme]
+t_end = 0.1
+output_every = 0.05
+"""
+
+# Preset runs and condition checks leave scipy unimported; an inline model's
+# beta entries are spline tables, which import it on their first build.
+STARTUP_SCRIPT = """\
+import sys
+from anisolab.cli import main
+
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+run_cfg, check_cfg, inline_cfg, out = sys.argv[1:]
+assert main(["run", "--config", run_cfg, "--out", out + "/run", "--quiet"]) == 0
+assert main(["check-condition", "--config", check_cfg, "--out", out + "/check", "--quiet"]) == 0
+assert not scipy_modules(), scipy_modules()
+code = main(["run", "--config", inline_cfg, "--out", out + "/inline", "--quiet"])
+assert scipy_modules()
+sys.exit(code)
+"""
+
+
+def test_presets_and_checks_start_without_scipy(tmp_path):
+    run_cfg = write(tmp_path / "run.cfg", "[model]\npreset = burgers-degenerate\n\n"
+                    "[grid]\ncells = 32\n\n[scheme]\nt_end = 0.1\noutput_every = 0.05\n")
+    check_cfg = write(tmp_path / "c.cfg", "[model]\npreset = burgers-degenerate\n"
+                      + FAST_CONDITION)
+    inline_cfg = write(tmp_path / "inline.cfg", INLINE_RUN_CFG)
+    out = tmp_path / "fresh"
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, run_cfg, check_cfg, inline_cfg, str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["run", "--config", inline_cfg, "--out", str(tmp_path / "here"),
+                 "--quiet"]) == 0
+    assert body_without_timestamps(out / "inline" / "trajectory.csv") == \
+        body_without_timestamps(tmp_path / "here" / "trajectory.csv")
+
+
 def test_console_entry_point_runs(tmp_path):
     cfg = write(tmp_path / "v.cfg", "[model]\npreset = burgers\n")
     proc = subprocess.run(

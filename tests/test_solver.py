@@ -367,6 +367,18 @@ def test_step_detects_blow_up():
     assert not np.isfinite(info.value.max_abs) or info.value.max_abs > 1e6
 
 
+def test_step_lengths_are_python_floats():
+    g = PeriodicGrid.make([1.0], [64])
+    m = preset("burgers")
+    state = init_field(g, sin_profile)
+    assert type(stable_dt(m, state, g)) is float
+    assert type(step(state, m, g, SchemeConfig(t_end=1.0)).time) is float
+    assert type(run(m, g, sin_profile, SchemeConfig(t_end=0.05)).stats.dt_min) is float
+    with pytest.raises(BlowUpError) as info:
+        run(m, g, sin_profile, SchemeConfig(t_end=10.0, cfl=2.0))
+    assert type(info.value.time) is float
+
+
 def test_explicit_dt_is_honored():
     g = PeriodicGrid.make([1.0], [64])
     m = preset("linear-advection")
