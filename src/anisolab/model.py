@@ -363,22 +363,27 @@ def polynomial_model(name, flux_coeffs, diffusion_coeffs, dimension, state_bound
 
 # --- the per-entry table -----------------------------------------------------
 
-def _entries(model, name, integrands=None):
+def _entries(model, name, parts=None):
     """{index: entry} for quantity ``name`` in index order, zero entries absent.
 
     This is the one place that tells an assembled callable from a whole
     one. An assembled callable gives its own entries. Any other callable
-    (hand-built, replaced, or the speed and sqrt_factor fallbacks of
-    _vector) is sliced per index, keeping the entries that are nonzero
-    somewhere on 257 states spanning 1.05 state_bound; a value there that
-    is not finite raises ModelError. A missing primitive becomes a Hermite
-    spline of each of its ``integrands`` entries.
+    (hand-built, replaced, or the sqrt_factor fallback of _vector) is
+    sliced per index, keeping the entries that are nonzero somewhere on 257
+    states spanning 1.05 state_bound; a value there that is not finite
+    raises ModelError. A missing speed is the centered difference of each
+    flux entry in ``parts``, as _vector differences the flux, so an entry
+    that rounds to 0 on those states is kept with its flux entry. A missing
+    primitive becomes a Hermite spline of each of its integrand entries in
+    ``parts``.
     """
     fn, span = getattr(model, name), 1.05 * model.state_bound
     if isinstance(fn, _Assembled):
         return fn.entries
+    if fn is None and name == "speed":
+        return {idx: _differenced(f) for idx, f in parts.items()}
     if fn is None and name in _INTEGRAND:
-        return {idx: _spline_primitive(f, span) for idx, f in integrands.items()}
+        return {idx: _spline_primitive(f, span) for idx, f in parts.items()}
     states = np.linspace(-span, span, 257)
     probe = _vector(model, name, states)
     if not np.isfinite(probe).all():
@@ -402,7 +407,7 @@ class ModelTable:
         self.model = model
 
     f = cached_property(lambda self: _entries(self.model, "flux"))
-    speed = cached_property(lambda self: _entries(self.model, "speed"))
+    speed = cached_property(lambda self: _entries(self.model, "speed", self.f))
     a = cached_property(lambda self: _entries(self.model, "diffusion"))
     sigma = cached_property(lambda self: _entries(self.model, "sqrt_factor"))
     b = cached_property(lambda self: _entries(self.model, "b_primitive", self.a))
@@ -425,6 +430,15 @@ def _integrals(fn, lo, hi, abs_tol=1e-12):
     """Integrals of a vectorized fn over [lo[k], hi[k]], in one quadrature batch."""
     return adaptive_quadrature_batch(lambda v, owner: fn(v), lo, hi,
                                      abs_tol=abs_tol, max_levels=QUAD_LEVELS)[0]
+
+
+def _differenced(entry):
+    """Centered differences of one flux entry, as the speed fallback of _vector."""
+    def speed(u):
+        u = np.asarray(u, dtype=float)
+        h = H_FD_SCALE * np.maximum(1.0, np.abs(u))
+        return (entry(u + h) - entry(u - h)) / (2 * h)
+    return speed
 
 
 def _spline_primitive(integrand_vec, span):

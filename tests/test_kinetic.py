@@ -384,6 +384,21 @@ def test_symbol_parts_equal_the_dense_contraction_bit_for_bit(model, whole, seed
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def test_fallback_speed_keeps_an_entry_that_rounds_to_zero_on_the_probe():
+    # f_2(u) = 1 + 2.76e-13 u: its centered difference is 0 at every probe
+    # state but not at this xi, so a probe-sliced speed entry was dropped.
+    coupled = polynomial_model("coupled", [(0.0,), (1.0, 2.759141393075708e-13)],
+                               {(0, 0): (1.0,), (0, 1): (0.0625,), (1, 1): (1.0,)}, 2, 1.0)
+    model = _whole_copy(coupled, with_speed=False)
+    xi = np.array([-0.35389261378836423])
+    tau = np.array([-0.8857122021403384])
+    kappa = np.array([[-3.5726870452226684, 0.9194335861346761]])
+    assert kinetic.speed_vector(model, xi)[0, 1] != 0.0
+    for g, w in zip(kinetic._symbol_parts(model, tau, kappa, xi),
+                    _dense_symbol_parts(model, tau, kappa, xi)):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_omega_delta_advection_witness_is_resonant():
     val, fp = omega_delta(preset("linear-advection"), 1.0, 1e-4, FAST_PLAN)
     assert val >= 2.0 - 1e-6
