@@ -49,13 +49,12 @@ TOL_SYMMETRY = 1e-12
 TOL_PRIMITIVE = 1e-9
 TOL_CHAIN = 1e-10
 H_FD_SCALE = 1e-6
-QUAD_TOL = 1e-10
 QUAD_LEVELS = 40
 SAMPLED_BOUND_POINTS = 129
 _EPS = float(np.finfo(float).eps)
 _RANK = dict(flux=1, speed=1, diffusion=2, sqrt_factor=2, b_primitive=2, beta_primitive=2)
-# The ModelTable attribute that holds each primitive's integrand entries.
-_INTEGRAND = {"b_primitive": "a", "beta_primitive": "sigma"}
+# Missing quantity: (ModelTable attribute of its stand-in, of the stand-in's source).
+_STAND_IN = dict(speed=("speed", "f"), b_primitive=("b", "a"), beta_primitive=("beta", "sigma"))
 
 
 class ModelError(Exception):
@@ -73,8 +72,8 @@ class ModelSpec:
     ``speed``, ``sqrt_factor``, ``beta_primitive`` and ``b_primitive`` are
     optional. Missing ``speed`` falls back to centered differences of the
     flux, missing ``sqrt_factor`` to an eigendecomposition square root, and
-    missing primitives to adaptive quadrature (cached as spline tables for
-    field-sized evaluations). Supplied primitives must vanish at u = 0.
+    missing primitives to Hermite spline tables of their integrands, which
+    every evaluator reads. Supplied primitives must vanish at u = 0.
     """
 
     dimension: int
@@ -99,14 +98,15 @@ class ModelSpec:
 def _vector(model, name, u):
     """Quantity ``name`` on an array u, with its shape S + (d,) or S + (d, d) checked.
 
-    A missing speed falls back to centered differences of the flux, a
-    missing sqrt_factor to the symmetric PSD square root of A.
+    A missing speed or primitive is assembled from the model table's
+    stand-ins (differenced flux entries, spline tables) that the solver
+    steps with; a missing sqrt_factor is the PSD square root of A.
     """
     u = np.asarray(u, dtype=float)
     fn = getattr(model, name)
-    if fn is None and name == "speed":
-        h = H_FD_SCALE * np.maximum(1.0, np.abs(u))
-        return (_vector(model, "flux", u + h) - _vector(model, "flux", u - h)) / (2 * h[..., None])
+    if fn is None and name in _STAND_IN:
+        entries = getattr(model_table(model), _STAND_IN[name][0])
+        return _Assembled((model.dimension,) * _RANK[name], entries)(u)
     if fn is None and name == "sqrt_factor":
         w, v = np.linalg.eigh(_vector(model, "diffusion", u))
         if w.min() < -TOL_PSD:
@@ -128,15 +128,12 @@ def speed_vector(model, u):
 def _point(model, name, u, index=()):
     """Quantity ``name`` at the scalar u, checked finite (and A symmetric).
 
-    With an ``index`` that entry is returned as a float; a primitive the
-    model lacks is then integrated from 0 over its integrand entry.
+    With an ``index`` that entry is returned as a float; a missing
+    primitive is its spline table's value (see _vector).
     """
     u, d = float(u), model.dimension
     if not all(0 <= i < d for i in index):
         raise IndexError(f"component {index} out of range for dimension {d}")
-    if index and getattr(model, name) is None:
-        f = getattr(model_table(model), _INTEGRAND[name]).get(index, _zero)
-        return float(_integrals(f, [0.0], [u], QUAD_TOL)[0])
     out = _vector(model, name, u)
     if not np.isfinite(out).all():
         raise ModelError(f"{name}({u!r}) is not finite: {out}")
@@ -363,7 +360,7 @@ def polynomial_model(name, flux_coeffs, diffusion_coeffs, dimension, state_bound
 
 # --- the per-entry table -----------------------------------------------------
 
-def _entries(model, name, parts=None):
+def _entries(model, name):
     """{index: entry} for quantity ``name`` in index order, zero entries absent.
 
     This is the one place that tells an assembled callable from a whole
@@ -371,19 +368,19 @@ def _entries(model, name, parts=None):
     (hand-built, replaced, or the sqrt_factor fallback of _vector) is
     sliced per index, keeping the entries that are nonzero somewhere on 257
     states spanning 1.05 state_bound; a value there that is not finite
-    raises ModelError. A missing speed is the centered difference of each
-    flux entry in ``parts``, as _vector differences the flux, so an entry
-    that rounds to 0 on those states is kept with its flux entry. A missing
-    primitive becomes a Hermite spline of each of its integrand entries in
-    ``parts``.
+    raises ModelError. These are the only stand-ins for a missing speed or
+    primitive, and _vector assembles them: a missing speed is the centered
+    difference of each flux entry, so an entry that rounds to 0 on those
+    states is kept with its flux entry, and a missing primitive is a Hermite
+    spline table of each of its integrand entries.
     """
     fn, span = getattr(model, name), 1.05 * model.state_bound
     if isinstance(fn, _Assembled):
         return fn.entries
-    if fn is None and name == "speed":
-        return {idx: _differenced(f) for idx, f in parts.items()}
-    if fn is None and name in _INTEGRAND:
-        return {idx: _spline_primitive(f, span) for idx, f in parts.items()}
+    if fn is None and name in _STAND_IN:
+        parts = getattr(model_table(model), _STAND_IN[name][1])
+        return {idx: _differenced(f) if name == "speed" else _spline_primitive(f, span)
+                for idx, f in parts.items()}
     states = np.linspace(-span, span, 257)
     probe = _vector(model, name, states)
     if not np.isfinite(probe).all():
@@ -407,11 +404,11 @@ class ModelTable:
         self.model = model
 
     f = cached_property(lambda self: _entries(self.model, "flux"))
-    speed = cached_property(lambda self: _entries(self.model, "speed", self.f))
+    speed = cached_property(lambda self: _entries(self.model, "speed"))
     a = cached_property(lambda self: _entries(self.model, "diffusion"))
     sigma = cached_property(lambda self: _entries(self.model, "sqrt_factor"))
-    b = cached_property(lambda self: _entries(self.model, "b_primitive", self.a))
-    beta = cached_property(lambda self: _entries(self.model, "beta_primitive", self.sigma))
+    b = cached_property(lambda self: _entries(self.model, "b_primitive"))
+    beta = cached_property(lambda self: _entries(self.model, "beta_primitive"))
     flux_is_zero = property(lambda self: not self.f)
 
     @cached_property
@@ -433,7 +430,7 @@ def _integrals(fn, lo, hi, abs_tol=1e-12):
 
 
 def _differenced(entry):
-    """Centered differences of one flux entry, as the speed fallback of _vector."""
+    """Centered differences of one flux entry: the stand-in for a missing speed entry."""
     def speed(u):
         u = np.asarray(u, dtype=float)
         h = H_FD_SCALE * np.maximum(1.0, np.abs(u))
@@ -483,7 +480,8 @@ def model_table(model):
     polynomial_model) give their own, a callable supplied whole (a
     hand-built ModelSpec, dataclasses.replace, or a fallback) is sliced per
     index, and a missing primitive becomes a dense Hermite spline fitted to
-    quadrature values of its integrand entries.
+    quadrature values of its integrand entries, which the scalar evaluators
+    and validate_model read too.
     """
     return ModelTable(model)
 
@@ -561,23 +559,21 @@ def validate_model(model, samples=101):
     except ModelError:
         _check(report, "factorization", float("inf"), TOL_FACTOR)
 
-    # Primitives in integral form: primitives differenced across sample
-    # gaps must match an independent quadrature of their integrand. An
-    # analytic primitive is called once on all points; a missing one is
-    # integrated from 0 to every point in one batch per entry.
+    # Primitives in integral form: a primitive, supplied or the spline
+    # table that stands in for it, must vanish at 0, and its differences
+    # across sample gaps must match an independent quadrature of its
+    # integrand.
     pairs = np.linspace(-big, big, 17)
     worst = {"beta_primitive": 0.0, "b_primitive": 0.0}
     try:
         for name in worst:
-            integrands = getattr(table, _INTEGRAND[name])
-            prims = None if getattr(model, name) is None else _vector(model, name, pairs)
+            integrands = getattr(table, _STAND_IN[name][1])
+            prims = _vector(model, name, np.append(pairs, 0.0))
             for i, j in np.ndindex(d, d):
                 f = integrands.get((i, j))
-                if prims is None and f is None:
-                    continue
-                vals = _integrals(f, 0.0 * pairs, pairs) if prims is None else prims[:, i, j]
                 seg = 0.0 if f is None else _integrals(f, pairs[:-1], pairs[1:])
-                worst[name] = max(worst[name], float(np.abs(np.diff(vals) - seg).max()))
+                gaps = np.abs(np.diff(prims[:-1, i, j]) - seg)  # np.max keeps a NaN
+                worst[name] = np.max([worst[name], abs(prims[-1, i, j]), gaps.max()])
     except (ModelError, QuadratureError):
         worst = dict.fromkeys(worst, float("inf"))
     _check(report, "primitive_beta", worst["beta_primitive"], TOL_PRIMITIVE)

@@ -307,12 +307,11 @@ class _Stencils:
 
     Grid constants, the nonzero entries of the model table and the work
     arrays are set up once; per stage only the flux and primitive values
-    are new arrays. Leading batch axes of ``shape`` (a lockstep pair) pass
-    through. ``table`` defaults to model_table(model).
+    are new arrays. Leading batch axes of ``shape`` (a lockstep pair) pass through.
     """
 
-    def __init__(self, model, grid, shape, table=None):
-        self.table = table = model_table(model) if table is None else table
+    def __init__(self, model, grid, shape):
+        self.table = table = model_table(model)
         d = grid.dimension
         self.d, self.shape = d, tuple(shape)
         self.h = grid.spacings

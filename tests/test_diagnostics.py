@@ -15,7 +15,7 @@ from anisolab.diagnostics import (
     parabolic_dissipation,
     refinement_study,
 )
-from anisolab.model import polynomial_model, preset
+from anisolab.model import ModelSpec, polynomial_model, preset
 from anisolab.solver import CellField, PeriodicGrid, SchemeConfig, init_field, run
 
 HEAT = polynomial_model("heat", [(0.0,)], {(0, 0): (1.0,)}, 1, 1.0)
@@ -153,6 +153,48 @@ def test_audit_flags_budget_excess():
     report = audit(_row_only_trajectory(rows))
     assert report.budget_violations == 1
     assert report.budget_max_excess == pytest.approx(0.4)
+    assert not report.passed
+
+
+def test_audit_flags_a_nan_budget_window():
+    rows = [
+        DiagnosticsRow(0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0),
+        DiagnosticsRow(0.5, 0.0, 0.45, 0.9, 1.0, float("nan"), 0.05),
+        DiagnosticsRow(1.0, 0.0, 0.4, 0.8, 1.0, 0.04, 0.05),
+    ]
+    report = audit(_row_only_trajectory(rows))
+    assert report.budget_violations == 1
+    assert np.isnan(report.budget_max_excess)
+    assert not report.passed
+    assert "VIOLATED" in next(line for line in report.lines() if "budget windows" in line)
+
+
+def test_audit_fails_a_run_whose_dissipation_is_nan():
+    # burgers-degenerate's callables with a beta primitive that is NaN
+    # beyond |u| = 1.1: data reaching 1.15 gives one NaN dissipation row.
+    bd = preset("burgers-degenerate")
+    m = ModelSpec(
+        dimension=1, state_bound=1.0, name="nan-beta",
+        **{name: lambda u, fn=getattr(bd, name): fn(u)
+           for name in ("flux", "speed", "diffusion", "sqrt_factor", "b_primitive")},
+        beta_primitive=lambda u: np.where(np.abs(u)[..., None, None] <= 1.1,
+                                          bd.beta_primitive(u), np.nan))
+    traj = run(m, PeriodicGrid.make([1.0], [64]), lambda x: 1.15 * sin_profile(x),
+               SchemeConfig(t_end=0.05, output_every=0.01))
+    assert np.isnan(traj.rows[1].dissipation_resolved)
+    report = audit(traj)
+    assert report.budget_violations >= 1
+    assert not report.passed
+    assert "VIOLATED" in next(line for line in report.lines() if "budget windows" in line)
+
+
+def test_audit_global_budget_excess_keeps_a_nan():
+    rows = [
+        DiagnosticsRow(0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0),
+        DiagnosticsRow(1.0, 0.0, 0.4, 0.8, 1.0, 0.05, float("nan")),
+    ]
+    report = audit(_row_only_trajectory(rows))
+    assert np.isnan(report.global_budget_excess)
     assert not report.passed
 
 

@@ -188,6 +188,41 @@ def test_fd_derivative_of_primitives_matches_integrands():
 
 # --- polynomial models -------------------------------------------------------
 
+def _bare(m):
+    """A hand-built copy of ``m`` that supplies only flux and diffusion, whole."""
+    return ModelSpec(dimension=m.dimension, state_bound=m.state_bound, name=m.name + "-bare",
+                     flux=lambda u: m.flux(u), diffusion=lambda u: m.diffusion(u))
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_scalar_primitives_read_the_table_entries_bit_for_bit(bare):
+    # A missing primitive has one stand-in, the table's spline, inside and
+    # beyond the 1.05 state_bound span it is fitted on.
+    m = polynomial_model("coupled", [(0.0, 0.5, 0.2), (0.0, -0.4)],
+                         {(0, 0): (0.4, 0.0, 0.3), (0, 1): (0.05, 0.0, 0.02),
+                          (1, 1): (0.3, 0.1)}, 2, 1.0)
+    m = _bare(m) if bare else m
+    table = model_table(m)
+    us = np.array([-1.3, -1.05, -0.6, 0.0, 0.35, 0.9, 1.2])
+    for attr, scalar in (("beta", beta_eval), ("b", bprimitive_eval)):
+        for i, j in np.ndindex(2, 2):
+            want = getattr(table, attr).get((i, j), np.zeros_like)(us)
+            assert [scalar(m, u, i, j) for u in us] == want.tolist(), (attr, i, j)
+
+
+def test_validate_model_reads_the_spline_table(monkeypatch):
+    m = _bare(preset("burgers-degenerate"))
+    assert validate_model(m).checks["primitive_beta"].passed
+    spline = model_table(m).beta[(0, 0)]
+    monkeypatch.setitem(model_table(m).beta, (0, 0), lambda u: spline(u) + 1e-6)
+    assert not validate_model(m).checks["primitive_beta"].passed
+    assert validate_model(m).checks["primitive_b"].passed
+    # A primitive that is NaN at a sample state fails its check too.
+    nan_beta = replace(preset("burgers-degenerate"), beta_primitive=lambda u: np.where(
+        np.asarray(u)[..., None, None] == 0.5, np.nan, model_mod._half_u_abs_u(u)[..., None, None]))
+    assert not validate_model(nan_beta).checks["primitive_beta"].passed
+
+
 def test_polynomial_model_matches_preset_burgers_degenerate():
     m = polynomial_model(
         "poly-bd",
@@ -533,7 +568,7 @@ def test_validate_model_makes_one_primitive_call_per_quantity(monkeypatch):
 
     monkeypatch.setattr(model_mod, "adaptive_quadrature_batch", count_batch)
     # burgers-degenerate has both primitives; the polynomial model lacks
-    # beta, whose values at the 17 points come from one batch from 0.
+    # beta, whose spline table is built in one batch.
     prims = {"b": 0, "beta": 0}
     m = preset("burgers-degenerate")
 

@@ -263,7 +263,7 @@ def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, ce
     values = np.random.default_rng(7).uniform(-0.9, 0.9, batch + cells)
     tables = primitive_tables(m)
     alphas, _ = _wave_bounds(m, float(values.min()), float(values.max()))
-    stencils = _Stencils(m, g, values.shape, tables)
+    stencils = _Stencils(m, g, values.shape)
     for _ in range(2):  # the second call reuses the work arrays
         hyp = stencils.hyperbolic(values, alphas, np.empty_like(values))
         assert hyp.tobytes() == roll_hyperbolic(values, m, g, alphas).tobytes()

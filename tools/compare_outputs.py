@@ -24,9 +24,12 @@ of the difference, and exits 1 if any case differs. The cases are:
   statistics (``blow-up/...``);
 - the audit and decay reports of a hand-built row-only trajectory with
   max-principle, energy, contraction, mean, budget-window and telescoping
-  violations and decay not reached (``audit/row-only``);
+  violations and decay not reached (``audit/row-only``), and of a run of
+  burgers-degenerate's callables whose beta primitive is NaN beyond
+  |u| = 1.1, from data reaching 1.15 (``audit/nan-dissipation``);
 - validate_model reports (``validate/...``), and beta_eval and
-  bprimitive_eval for every index at a few states (``scalar/...``);
+  bprimitive_eval for every index at a few states, one beyond the 1.05
+  state_bound span of a spline primitive (``scalar/...``);
 - symbol_denominator at a few states and degeneracy_set_measure at two
   tolerances, for a few frequencies (``symbol/...``), and check_condition
   under the reduced plan for the hand-built copies (``check/whole/...``,
@@ -211,6 +214,21 @@ def _row_only_audit_case():
                          summary.lines(), json.dumps(summary.as_dicts())))
 
 
+def _nan_dissipation_audit_case():
+    from dataclasses import replace
+    import numpy as np
+    from anisolab.diagnostics import audit
+    from anisolab.model import preset
+    from anisolab.solver import PeriodicGrid, SchemeConfig, run
+    bd = preset("burgers-degenerate")
+    model = replace(_whole(bd, CALLABLES), beta_primitive=lambda u: np.where(
+        np.abs(u)[..., None, None] <= 1.1, bd.beta_primitive(u), np.nan))
+    traj = run(model, PeriodicGrid.make([1.0], [64]), lambda x: 1.15 * np.sin(2 * np.pi * x),
+               SchemeConfig(t_end=0.05, output_every=0.01))
+    report = audit(traj)
+    return pickle.dumps((_trajectory_record(traj), report.lines(), repr(report.as_dict())))
+
+
 def _bounds_case(model):
     import numpy as np
     from anisolab.solver import PeriodicGrid, _wave_bounds, stable_dt, CellField
@@ -229,7 +247,7 @@ def _scalar_case(model):
     from anisolab.model import beta_eval, bprimitive_eval
     d = model.dimension
     return repr([(beta_eval(model, u, i, j), bprimitive_eval(model, u, i, j))
-                 for u in (-0.6, 0.0, 0.35, 0.9) for i in range(d) for j in range(d)]).encode()
+                 for u in (-0.6, 0.0, 0.35, 0.9, 1.2) for i in range(d) for j in range(d)]).encode()
 
 
 def _symbol_case(model):
@@ -380,6 +398,7 @@ def cases():
     yield "blow-up/burgers", lambda: _blow_up_case(models["burgers"])
     yield "blow-up/nan-beyond", lambda: _blow_up_case(_nan_beyond_model())
     yield "audit/row-only", _row_only_audit_case
+    yield "audit/nan-dissipation", _nan_dissipation_audit_case
 
     def off_diagonal_bump():
         with mock.patch("anisolab.cli.make_initial", _bump_initial):
