@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kinetic import SamplingPlan
+from .kinetic import DEFAULT_LAMBDAS, SamplingPlan
 from .model import list_presets, polynomial_model, preset
 from .solver import INTEGRATORS, PeriodicGrid, SchemeConfig, init_field
 
@@ -42,7 +42,6 @@ __all__ = [
 
 PROFILES = ("sine", "multi-sine", "square-wave", "random")
 SWEEP_AXES = ("cells", "cfl", "amplitude", "lambda_floor")
-DEFAULT_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407

@@ -49,6 +49,7 @@ KINETIC_QUAD_LEVELS = 50
 PASS_FRACTION = 0.05
 TREND_NOISE = 0.10
 R_FACTOR = 2.0
+DEFAULT_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 # States scanned per frequency for resonance breakpoints.
 RESONANCE_SCAN = 257
 # Frequency points per batched worklist. The node arrays of one level grow
@@ -164,23 +165,27 @@ def _resonance_breakpoints(xs, adv, quad):
     return np.where(keep, np.concatenate([flips, lowest], axis=1), np.nan)
 
 
-def _omega_blocks(model, points, lambdas):
-    """omega at every point for each lam, OMEGA_BLOCK points at a time.
+def _omega_table(model, points, lambdas):
+    """omega at every point for every lam, and the largest error estimate.
 
-    Yields (offset of the block in ``points``, lam index, values, error
-    estimates). The symbol of a whole block is scanned on RESONANCE_SCAN
-    states in one array pass, and the array of resonance cut points found
-    there is reused for every lam; each lam integrates the whole block in
-    one worklist, evaluating each speed and A entry once per node.
+    Returns an (len(points), len(lambdas)) array and the largest quadrature
+    error estimate over it. The points become one (n, 1 + d) array of
+    (tau, kappa) rows, taken OMEGA_BLOCK rows at a time: the symbol of a
+    block is scanned on RESONANCE_SCAN states in one array pass, the array
+    of resonance cut points found there serves every lam, and each lam
+    integrates the whole block in one worklist, evaluating each speed and A
+    entry once per node.
     """
     if any(lam <= 0.0 for lam in lambdas):
         raise ValueError(f"lam must be positive, got {min(lambdas)}")
     big = model.state_bound
     scan = np.linspace(-big, big, RESONANCE_SCAN)
-    for start in range(0, len(points), OMEGA_BLOCK):
-        block = points[start:start + OMEGA_BLOCK]
-        taus = np.array([fp.tau for fp in block])
-        kappas = np.array([fp.kappa for fp in block], dtype=float)
+    rows = np.array([(fp.tau, *fp.kappa) for fp in points], dtype=float)
+    values = np.empty((len(rows), len(lambdas)))
+    worst_err = 0.0
+    for start in range(0, len(rows), OMEGA_BLOCK):
+        block = rows[start:start + OMEGA_BLOCK]
+        taus, kappas = block[:, 0], block[:, 1:]
         cuts = _resonance_breakpoints(
             scan, *_symbol_parts(model, taus[:, None], kappas[:, None], scan))
         for k, lam in enumerate(lambdas):
@@ -192,31 +197,14 @@ def _omega_blocks(model, points, lambdas):
             vals, errs = adaptive_quadrature_batch(
                 integrand, np.full(len(block), -big), np.full(len(block), big),
                 abs_tol=KINETIC_QUAD_TOL, max_levels=KINETIC_QUAD_LEVELS, breakpoints=cuts)
-            yield start, k, vals, errs
-
-
-def _sup_omega(model, points, lambdas):
-    """Largest omega over ``points`` for each lam, and where it is reached.
-
-    Returns (values, witness indices into ``points``, largest quadrature
-    error estimate). The first point wins value ties.
-    """
-    best = [-math.inf] * len(lambdas)
-    where = [None] * len(lambdas)
-    worst_err = 0.0
-    for start, k, vals, errs in _omega_blocks(model, points, lambdas):
-        top = int(np.argmax(vals))
-        if vals[top] > best[k]:
-            best[k] = float(vals[top])
-            where[k] = start + top
-        worst_err = max(worst_err, float(errs.max()))
-    return best, where, worst_err
+            values[start:start + len(block), k] = vals
+            worst_err = max(worst_err, float(errs.max()))
+    return values, worst_err
 
 
 def omega_at(model, fp, lam):
     """State average of lam over the symbol denominator at one frequency."""
-    values, _, _ = _sup_omega(model, [fp], [lam])
-    return values[0]
+    return float(_omega_table(model, [fp], [lam])[0][0, 0])
 
 
 def _fibonacci_sphere(n):
@@ -315,13 +303,6 @@ class SamplingPlan:
         return [FrequencyPoint(tau=row[0], kappa=tuple(row[1:])) for row in first.values()]
 
 
-def _sampled_points(model, delta, sampling):
-    points = (sampling or SamplingPlan()).frequency_points(model, delta)
-    if not points:
-        raise ValueError("sampling plan produced no frequency points")
-    return points
-
-
 def omega_delta(model, delta, lam, sampling=None):
     """Largest sampled omega value on |tau| + |kappa| >= delta, and where.
 
@@ -329,9 +310,8 @@ def omega_delta(model, delta, lam, sampling=None):
     for the true supremum; the plan is built to include the resonant rays
     that dominate it.
     """
-    points = _sampled_points(model, delta, sampling)
-    values, where, _ = _sup_omega(model, points, [lam])
-    return values[0], points[where[0]]
+    report = check_condition(model, delta, [lam], sampling)
+    return report.omegas[0], report.witnesses[0]
 
 
 def degeneracy_set_measure(model, fp, tol=1e-3, n_samples=20001):
@@ -393,16 +373,16 @@ def check_condition(model, delta=1.0, lambdas=None, sampling=None):
     The sampled sup must shrink with lambda and end below
     PASS_FRACTION * (state interval length) to pass.
     """
-    if lambdas is None:
-        lambdas = [10.0 ** -k for k in range(1, 7)]
-    lambdas = [float(l) for l in lambdas]
+    lambdas = [float(l) for l in (DEFAULT_LAMBDAS if lambdas is None else lambdas)]
     if not lambdas or any(l <= 0 for l in lambdas):
         raise ValueError("lambda ladder must be positive")
     if any(l2 >= l1 for l1, l2 in zip(lambdas, lambdas[1:])):
         raise ValueError("lambda ladder must be strictly decreasing")
-    points = _sampled_points(model, delta, sampling)
-    omegas, where, max_err = _sup_omega(model, points, lambdas)
-    witnesses = [points[k] for k in where]
+    points = (sampling or SamplingPlan()).frequency_points(model, delta)
+    values, max_err = _omega_table(model, points, lambdas)
+    # argmax takes the first maximum, so the first point wins value ties.
+    omegas = values.max(axis=0).tolist()
+    witnesses = [points[k] for k in np.argmax(values, axis=0)]
 
     threshold = PASS_FRACTION * 2.0 * model.state_bound
     verdict = _verdict(omegas, threshold)

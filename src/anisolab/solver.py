@@ -192,7 +192,6 @@ class RunStats:
     initial_mean: float = 0.0
     max_principle_violation: float = 0.0
     energy_max_step_jump: float = 0.0
-    max_step_mean_jump: float = 0.0
     mean_drift: float = 0.0
     dt_min: float = math.inf
     dt_max: float = 0.0
@@ -652,8 +651,6 @@ def run(model, grid, profile, scheme, hooks=()):
             new_mean, new_energy, n_new = measure(new_values)
             stats.energy_max_step_jump = max(
                 stats.energy_max_step_jump, new_energy - energy_cur)
-            stats.max_step_mean_jump = max(
-                stats.max_step_mean_jump, abs(new_mean - mean_cur))
             stats.mean_drift = max(stats.mean_drift, abs(new_mean - stats.initial_mean))
             new_ladder = ladder_l1(new_values)
             stats.contraction_max_step_jump = max(

@@ -198,6 +198,37 @@ def test_audit_global_budget_excess_keeps_a_nan():
     assert not report.passed
 
 
+def _violated(report):
+    return {line.split("  ")[1].strip() for line in report.lines() if "VIOLATED" in line}
+
+
+def test_row_only_audit_fails_on_a_nan_row():
+    nan = float("nan")
+    rows = [
+        DiagnosticsRow(0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0),
+        DiagnosticsRow(0.5, 0.0, nan, nan, nan, 0.05, 0.05),
+        DiagnosticsRow(1.0, 0.0, 0.4, 0.8, 1.0, 0.05, 0.05),
+    ]
+    report = audit(_row_only_trajectory(rows))
+    assert np.isnan(report.max_principle_violation)
+    assert np.isnan(report.energy_monotonicity_violation)
+    assert np.isnan(report.contraction_violation)
+    assert _violated(report) == {"max principle", "energy monotonicity", "L1 contraction"}
+    assert report.lines()[-1] == "  overall: FAIL"
+
+
+def test_row_only_audit_fails_on_a_nan_mean():
+    rows = [
+        DiagnosticsRow(0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0),
+        DiagnosticsRow(0.5, float("nan"), 0.45, 0.9, 1.0, 0.05, 0.05),
+        DiagnosticsRow(1.0, 0.0, 0.4, 0.8, 1.0, 0.05, 0.05),
+    ]
+    report = audit(_row_only_trajectory(rows))
+    assert np.isnan(report.mean_drift)
+    assert _violated(report) == {"mean conservation"}
+    assert report.lines()[-1] == "  overall: FAIL"
+
+
 def test_audit_row_mode_max_principle():
     rows = [
         DiagnosticsRow(0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0),

@@ -310,6 +310,9 @@ def test_array_plan_and_breakpoints_match_per_point_reference(
                         periods=periods[:model.dimension])
     got = plan.frequency_points(model, delta)
     assert list(map(repr, got)) == list(map(repr, _reference_frequency_points(plan, model, delta)))
+    # Every shell has the pure-time direction and snapping moves only kappa,
+    # so no plan is empty: the first point is (delta, 0, ...).
+    assert got[0] == FrequencyPoint(tau=delta, kappa=(0.0,) * model.dimension)
 
     big = model.state_bound
     scan = np.linspace(-big, big, kinetic.RESONANCE_SCAN)
@@ -482,8 +485,7 @@ def test_batched_omega_matches_omega_at_and_arctan(pairs, lam):
     pts = [FrequencyPoint(tau=tau, kappa=(kap,)) for tau, kap in pairs]
     # Small blocks so one example spans several worklists.
     with mock.patch.object(kinetic, "OMEGA_BLOCK", 4):
-        blocks = list(kinetic._omega_blocks(m, pts, [lam]))
-    got = np.concatenate([vals for _, _, vals, _ in blocks])
+        got = kinetic._omega_table(m, pts, [lam])[0][:, 0]
     assert got.shape == (len(pts),)
     for val, fp, (tau, kap) in zip(got, pts, pairs):
         assert val == pytest.approx(omega_at(m, fp, lam), abs=1e-14)

@@ -31,9 +31,12 @@ of the difference, and exits 1 if any case differs. The cases are:
   bprimitive_eval for every index at a few states, one beyond the 1.05
   state_bound span of a spline primitive (``scalar/...``);
 - symbol_denominator at a few states and degeneracy_set_measure at two
-  tolerances, for a few frequencies (``symbol/...``), and check_condition
-  under the reduced plan for the hand-built copies (``check/whole/...``,
-  ``check/bare/...``);
+  tolerances, for a few frequencies (``symbol/...``); omega_at at four
+  frequencies, one of them resonant, and two lambdas, plus omega_delta
+  under the reduced plan (``omega/...``); and check_condition under the
+  reduced plan, for the hand-built copies as they are (``check/whole/...``,
+  ``check/bare/...``) and for the other models with blocks of 3 points, so
+  that value ties cross block edges (``check/...``);
 - one adaptive_quadrature_batch call on NaN-padded cut rows (cuts outside
   the ends, at the ends, duplicated, -0.0 with 0.0) with reversed and
   zero-span limits, and one whose limits are all zero-span
@@ -263,12 +266,37 @@ def _symbol_case(model):
     return repr(out).encode()
 
 
+def _reduced_plan(model):
+    from anisolab.kinetic import SamplingPlan
+    return SamplingPlan(n_dir=64 if model.dimension == 2 else None)
+
+
+def _omega_case(model):
+    import numpy as np
+    from anisolab.kinetic import FrequencyPoint, omega_at, omega_delta
+    from anisolab.model import speed_vector
+    d = model.dimension
+    kappa = (1.0, -0.5)[:d]
+    # tau + a(xi).kappa vanishes at xi = 0.3 on the last frequency.
+    resonant = -float(np.dot(speed_vector(model, 0.3), kappa))
+    out = [repr(omega_at(model, FrequencyPoint(tau, kap[:d]), lam))
+           for tau, kap in ((0.0, (1.0, 0.5)), (0.3, (-2.5, 4.0)), (2.0, (0.0, 0.0)),
+                            (resonant, kappa))
+           for lam in (0.1, 1e-5)]
+    value, fp = omega_delta(model, 1.0, 1e-4, _reduced_plan(model))
+    return repr((out, value, fp)).encode()
+
+
 def _check_case(model):
-    from anisolab.kinetic import SamplingPlan, check_condition
-    plan = SamplingPlan(n_dir=64 if model.dimension == 2 else None)
-    report = check_condition(model, lambdas=[0.1, 1e-6], sampling=plan)
+    from anisolab.kinetic import check_condition
+    report = check_condition(model, lambdas=[0.1, 1e-6], sampling=_reduced_plan(model))
     return pickle.dumps((report.lines(), repr(report.omegas), repr(report.witnesses),
                          report.points, repr(report.max_error_estimate)))
+
+
+def _blocked_check_case(model):
+    with mock.patch("anisolab.kinetic.OMEGA_BLOCK", 3):
+        return _check_case(model)
 
 
 def _batch_cuts_case():
@@ -369,8 +397,11 @@ def cases():
         yield f"validate/{name}", lambda m=model: "\n".join(validate_model(m).lines()).encode()
         yield f"scalar/{name}", lambda m=model: _scalar_case(m)
         yield f"symbol/{name}", lambda m=model: _symbol_case(m)
+        yield f"omega/{name}", lambda m=model: _omega_case(m)
         if name.startswith(("whole/", "bare/")):
             yield f"check/{name}", lambda m=model: _check_case(m)
+        elif "/" not in name:
+            yield f"check/{name}", lambda m=model: _blocked_check_case(m)
         if name in POLY_MODELS or "/" in name:
             continue
         yield (f"cli/run/{name}",
