@@ -441,13 +441,25 @@ def make_sampling(cfg, grid=None):
 
 
 def lcg_values(seed, count):
-    """The documented 64-bit LCG stream as floats in [0, 1)."""
-    state = int(seed) & _LCG_MASK
-    out = np.empty(int(count))
-    for idx in range(int(count)):
-        state = (state * LCG_MULTIPLIER + LCG_INCREMENT) & _LCG_MASK
-        out[idx] = (state >> 11) / float(1 << 53)
-    return out
+    """The documented 64-bit LCG stream as floats in [0, 1).
+
+    The states s[k+1] = (a s[k] + c) mod 2^64 are filled by jump-ahead
+    doubling: with the first m known, s[j + m] = A_m s[j] + C_m, where
+    A_m = a^m and C_m = c (a^(m-1) + ... + 1), so A_2m = A_m^2 and
+    C_2m = A_m C_m + C_m. uint64 array arithmetic wraps mod 2^64.
+    """
+    count = int(count)
+    states = np.empty(count, dtype=np.uint64)
+    if count:
+        states[0] = ((int(seed) & _LCG_MASK) * LCG_MULTIPLIER + LCG_INCREMENT) & _LCG_MASK
+    mult, inc, m = LCG_MULTIPLIER, LCG_INCREMENT, 1
+    while m < count:
+        k = min(m, count - m)
+        block = np.multiply(states[:k], np.uint64(mult), out=states[m:m + k])
+        block += np.uint64(inc)
+        mult, inc, m = mult * mult & _LCG_MASK, (mult * inc + inc) & _LCG_MASK, 2 * m
+    states >>= 11
+    return states / float(1 << 53)
 
 
 def _axis_factor(profile):

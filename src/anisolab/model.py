@@ -188,16 +188,23 @@ class Poly:
         while len(c) > 1 and c[-1] == 0.0:
             c.pop()
         self.coeffs, self.div = tuple(c), float(div)
+        # Per-call constants: the Horner steps (c_n, whether to multiply by
+        # u after adding it) for n from the second-highest down to 0, and
+        # max_abs's (n, |c_n|) pairs, |div| and rounding factor.
+        self._horner = tuple((c[n], n > 0) for n in range(len(c) - 2, -1, -1))
+        self._abs_terms = tuple((n, abs(x)) for n, x in enumerate(c))
+        self._abs_div = abs(self.div)
+        self._rounding = 4.0 * len(c) * _EPS
 
     def __call__(self, u):
         c = self.coeffs
         if len(c) == 1:
             return np.full(np.shape(u), c[0] / self.div)
         acc = c[-1] * u
-        for n in range(len(c) - 2, -1, -1):
-            if c[n]:
-                acc += c[n]
-            if n:
+        for cn, multiply in self._horner:
+            if cn:
+                acc += cn
+            if multiply:
                 acc *= u
         if self.div != 1.0:
             acc /= self.div
@@ -233,8 +240,8 @@ class Poly:
         inner = [abs(self(r)) for r in self.critical if lo < r < hi]
         if inner:
             m = max(abs(lo), abs(hi))
-            scale = sum(abs(c) * m ** n for n, c in enumerate(self.coeffs)) / abs(self.div)
-            top = max(top, max(inner) + 4.0 * len(self.coeffs) * _EPS * scale)
+            scale = sum(c * m ** n for n, c in self._abs_terms) / self._abs_div
+            top = max(top, max(inner) + self._rounding * scale)
         return float(top)
 
 

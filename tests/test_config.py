@@ -432,12 +432,17 @@ def test_lcg_stream_is_frozen():
 
 
 def test_lcg_matches_direct_recurrence():
-    state = 12345
-    expect = []
-    for _ in range(8):
-        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        expect.append((state >> 11) / float(1 << 53))
-    assert np.array_equal(lcg_values(12345, 8), np.array(expect))
+    # The jump-ahead fill must give the one-state-at-a-time stream exactly,
+    # across the doubling block edges.
+    for seed in (42, 12345, 7, 2**64 - 1, 3, 9):
+        state = seed
+        expect = []
+        for _ in range(16384):
+            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+            expect.append((state >> 11) / float(1 << 53))
+        for count in (0, 1, 5, 8, 333, 1000, 16384):
+            got = lcg_values(seed, count)
+            assert got.tobytes() == np.array(expect[:count]).tobytes(), (seed, count)
 
 
 def test_lcg_range_and_determinism():

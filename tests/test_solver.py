@@ -241,10 +241,29 @@ def roll_dissipation(values, grid, tables):
 COUPLED_2D = polynomial_model(
     "coupled-cubic", [(0.0, 0.5, 0.2), (0.0, -0.4, 0.0, 0.3)],
     {(0, 0): (0.4, 0.0, 0.3), (0, 1): (0.05, 0.0, 0.02), (1, 1): (0.3, 0.1)}, 2, 1.0)
-# Without the analytic B primitive every entry is a spline table.
-STENCIL_MODELS = {"coupled-cubic": COUPLED_2D,
-                  "coupled-spline": replace(COUPLED_2D, b_primitive=None, name="coupled-spline")}
 
+def _whole_burgers_degenerate():
+    """burgers-degenerate as a hand-built ModelSpec: every callable whole, sliced per entry."""
+    bd = preset("burgers-degenerate")
+    return ModelSpec(dimension=1, state_bound=1.0, name="whole-burgers-degenerate",
+                     **{name: lambda u, fn=getattr(bd, name): fn(u) for name in (
+                         "flux", "speed", "diffusion", "sqrt_factor", "b_primitive",
+                         "beta_primitive")})
+
+
+INTERIOR_1D = polynomial_model(
+    "interior", [(0.0, 1.0, 0.0, -1.0)], {(0, 0): (0.05, 0.0, 0.1)}, 1, 1.0)
+# Without the analytic B primitive every entry is a spline table.
+STENCIL_MODELS = {
+    "coupled-cubic": COUPLED_2D,
+    "coupled-spline": replace(COUPLED_2D, b_primitive=None, name="coupled-spline"),
+    "interior-spline": replace(INTERIOR_1D, b_primitive=None, name="interior-spline"),
+    "whole-burgers-degenerate": _whole_burgers_degenerate(),
+}
+
+# In 1-d the kernels read a ghost-cell copy of the field; the rows from
+# burgers-degenerate at 4 cells on cover it where the ghosts are a large
+# share of the field, with spline and whole-callable entries evaluated on it.
 STENCIL_CASES = [
     ("burgers-degenerate", (1.0,), (), (32,)),
     ("porous-medium", (2.5,), (2,), (20,)),
@@ -253,6 +272,12 @@ STENCIL_CASES = [
     ("coupled-cubic", (1.0, 1.0), (), (10, 14)),
     ("coupled-cubic", (1.0, 3.0), (2,), (10, 14)),
     ("coupled-spline", (1.0, 1.0), (2,), (10, 14)),
+    ("burgers-degenerate", (1.0,), (), (4,)),
+    ("burgers-degenerate", (1.0,), (2,), (4,)),
+    ("interior-spline", (1.0,), (), (9,)),
+    ("interior-spline", (2.5,), (2,), (5,)),
+    ("whole-burgers-degenerate", (1.0,), (), (4,)),
+    ("whole-burgers-degenerate", (1.5,), (2,), (11,)),
 ]
 
 
@@ -355,6 +380,11 @@ def test_step_conserves_mean():
         assert abs(state.values.mean() - before) < 1e-13, name
 
 
+# The blow-up tests turn RuntimeWarnings into errors: floating-point
+# warnings are silenced once per step, run or run_lockstep call, and
+# overflow on the way to a blow-up must surface as BlowUpError alone,
+# at the pinned time and peak.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_step_detects_blow_up():
     g = PeriodicGrid.make([1.0], [64])
     m = preset("burgers")
@@ -363,8 +393,8 @@ def test_step_detects_blow_up():
     with pytest.raises(BlowUpError) as info:
         for _ in range(20000):
             state = step(state, m, g, cfg)
-    assert info.value.time > 0.0
-    assert not np.isfinite(info.value.max_abs) or info.value.max_abs > 1e6
+    assert repr(info.value.time) == "0.9777873512810838"
+    assert info.value.max_abs == np.inf
 
 
 def test_step_lengths_are_python_floats():
@@ -531,6 +561,7 @@ def test_run_hooks_see_every_row():
     assert np.array_equal(seen[-1][1], traj.final.values)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_blow_up_carries_partial_trajectory():
     # No output cadence: boundary-capped short steps would lower the
     # effective step ratio and can mask the instability.
@@ -538,6 +569,8 @@ def test_run_blow_up_carries_partial_trajectory():
     with pytest.raises(BlowUpError) as info:
         run(preset("burgers"), g, sin_profile,
             SchemeConfig(t_end=10.0, cfl=2.0))
+    assert repr(info.value.time) == "1.1798067276564785"
+    assert info.value.max_abs == np.inf
     partial = info.value.trajectory
     assert partial is not None
     assert partial.rows[0].t == 0.0
@@ -564,6 +597,7 @@ def test_rows_equal_the_public_helpers_bit_for_bit(profile):
         assert repr(row.linf) == repr(float(np.abs(snap.values).max()))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_blow_up_to_nan_reports_time_and_peak():
     # The flux is undefined (NaN) beyond |u| = 1.2, so the unstable run
     # turns cells NaN, not infinite; the range test must still catch it.
@@ -614,6 +648,7 @@ def test_run_lockstep_distances_non_increasing():
     assert l1_final == pytest.approx(dists[-1], abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_lockstep_blow_up_reports_the_peak_run_reports():
     g = PeriodicGrid.make([1.0], [32])
     m = preset("burgers")
@@ -622,7 +657,8 @@ def test_run_lockstep_blow_up_reports_the_peak_run_reports():
         run(m, g, sin_profile, scheme)
     with pytest.raises(BlowUpError) as pair:
         run_lockstep(m, g, sin_profile, sin_profile, scheme)
-    assert np.isfinite(single.value.max_abs)
+    assert repr(single.value.time) == "2.0417820054225144"
+    assert repr(single.value.max_abs) == "3.0056420635322e+153"
     assert pair.value.time == single.value.time
     assert pair.value.max_abs == single.value.max_abs
 

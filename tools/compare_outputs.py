@@ -19,6 +19,10 @@ of the difference, and exits 1 if any case differs. The cases are:
 - solver runs: diagnostic rows, run statistics and the final field
   (``run/...``), plus one lockstep pair; five steps with the stable dt and
   five with an explicit dt from the run's initial field (``step/...``);
+  the same run, step and lockstep cases on 4 and 5 cells, where the ghost
+  cells of the 1-d stencils are a large share of the field, for
+  burgers-degenerate, porous-medium and bare/burgers-degenerate
+  (``run/cells-4/...``, ``step/cells-5/...``, ``run/lockstep/cells-4/...``);
 - runs that blow up, to infinity (burgers) and to NaN (a hand-built flux
   undefined beyond |u| = 1.2): message, time, peak, partial rows and
   statistics (``blow-up/...``);
@@ -144,11 +148,11 @@ def _models():
     return out
 
 
-def _run_setup(model):
+def _run_setup(model, cells=64):
     import numpy as np
     from anisolab.solver import PeriodicGrid
     if model.dimension == 1:
-        grid = PeriodicGrid.make([1.0], [64])
+        grid = PeriodicGrid.make([1.0], [cells])
         profile = lambda x: 0.3 + 0.6 * np.sin(2 * np.pi * x)  # noqa: E731
     else:
         grid = PeriodicGrid.make([1.0, 1.0], [16, 12])
@@ -161,22 +165,31 @@ def _trajectory_record(traj):
             traj.final.values.tobytes())
 
 
-def _run_case(model):
+def _run_case(model, cells=64):
     from anisolab.solver import SchemeConfig, run
-    grid, profile = _run_setup(model)
+    grid, profile = _run_setup(model, cells)
     traj = run(model, grid, profile, SchemeConfig(t_end=0.05, output_every=0.01))
     return pickle.dumps(_trajectory_record(traj))
 
 
-def _step_case(model):
+def _step_case(model, cells=64):
     from anisolab.solver import SchemeConfig, init_field, step
-    grid, profile = _run_setup(model)
+    grid, profile = _run_setup(model, cells)
     state = init_field(grid, profile)
     out = []
     for dt in [None] * 5 + [1e-4] * 5:
         state = step(state, model, grid, SchemeConfig(t_end=1.0), dt=dt)
         out.append((repr(state.time), state.values.tobytes()))
     return pickle.dumps(out)
+
+
+def _lockstep_case(model, cells):
+    import numpy as np
+    from anisolab.solver import PeriodicGrid, SchemeConfig, run_lockstep
+    times, dists, fa, fb = run_lockstep(
+        model, PeriodicGrid.make([1.0], [cells]), lambda x: np.sin(2 * np.pi * x),
+        lambda x: 0.5 * np.cos(2 * np.pi * x), SchemeConfig(t_end=0.03))
+    return pickle.dumps((times, dists, fa.values.tobytes(), fb.values.tobytes()))
 
 
 def _nan_beyond_model():
@@ -383,7 +396,6 @@ def cases():
     """(name, thunk) pairs; each thunk returns bytes."""
     import numpy as np
     from anisolab.model import validate_model
-    from anisolab.solver import PeriodicGrid, SchemeConfig, run_lockstep
     u = _states()
     models = _models()
     for name, model in models.items():
@@ -417,14 +429,14 @@ def cases():
                lambda n=name, d=model.dimension: _cli_case(
                    ["check-condition"], f"[model]\npreset = {n}\n" + _lattice_grid(d)))
 
-    def lockstep():
-        from anisolab.model import preset
-        grid = PeriodicGrid.make([1.0], [48])
-        times, dists, fa, fb = run_lockstep(
-            preset("burgers-degenerate"), grid, lambda x: np.sin(2 * np.pi * x),
-            lambda x: 0.5 * np.cos(2 * np.pi * x), SchemeConfig(t_end=0.03))
-        return pickle.dumps((times, dists, fa.values.tobytes(), fb.values.tobytes()))
-    yield "run/lockstep/burgers-degenerate", lockstep
+    yield ("run/lockstep/burgers-degenerate",
+           lambda: _lockstep_case(models["burgers-degenerate"], 48))
+    for name in ("burgers-degenerate", "porous-medium", "bare/burgers-degenerate"):
+        for n in (4, 5):
+            model = models[name]
+            yield f"run/cells-{n}/{name}", lambda m=model, n=n: _run_case(m, n)
+            yield f"step/cells-{n}/{name}", lambda m=model, n=n: _step_case(m, n)
+            yield f"run/lockstep/cells-{n}/{name}", lambda m=model, n=n: _lockstep_case(m, n)
     yield "cli/run/inline-interior", lambda: _cli_case(["run"], INLINE_CONFIG)
     yield "blow-up/burgers", lambda: _blow_up_case(models["burgers"])
     yield "blow-up/nan-beyond", lambda: _blow_up_case(_nan_beyond_model())
