@@ -102,8 +102,9 @@ class FrequencyPoint:
     kappa: tuple
 
     def __post_init__(self):
-        if abs(self.tau) + math.hypot(*self.kappa) <= 0.0:
-            raise ValueError("frequency point must have |tau| + |kappa| > 0")
+        if not 0.0 < abs(self.tau) + math.hypot(*self.kappa) < math.inf:  # NaN fails too
+            raise ValueError("frequency point must have finite |tau| + |kappa| > 0, "
+                             f"got tau={self.tau!r}, kappa={self.kappa!r}")
 
     @property
     def kappa_array(self):
@@ -239,6 +240,17 @@ class SamplingPlan:
     n_resonant: int = 33
     lattice: bool = False
     periods: Optional[tuple] = None
+
+    def __post_init__(self):
+        # The rules the config file applies to these keys.
+        if not 0.0 < self.r_max < math.inf:
+            raise ValueError(f"r_max must be positive, got {self.r_max!r}")
+        if self.n_dir is not None and not self.n_dir >= 4:
+            raise ValueError(f"n_dir must be at least 4, got {self.n_dir!r}")
+        if not self.n_resonant >= 2:
+            raise ValueError(f"n_resonant must be at least 2, got {self.n_resonant!r}")
+        if not all(0.0 < p < math.inf for p in self.periods or ()):
+            raise ValueError(f"periods must be positive, got {self.periods!r}")
 
     def shell_radii(self, delta):
         if delta <= 0:

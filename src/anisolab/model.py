@@ -245,10 +245,6 @@ class Poly:
         return float(top)
 
 
-def _zero(u):
-    return np.zeros(np.shape(u))
-
-
 def _entry(x):
     """A coefficient list becomes a Poly; zero entries become None."""
     x = x if x is None or callable(x) else Poly(x)
@@ -283,7 +279,8 @@ def _entry_model(name, d, state_bound, flux, a, sigma=None, b=None, beta=None):
     or a hand-written vectorized function; absent or all-zero entries are
     zero. Speed and, unless ``b`` is given, B come from exact
     differentiation and integration of the polynomial entries. ``sigma``
-    and ``beta`` left as None leave the eigen and quadrature fallbacks.
+    left as None leaves the eigendecomposition square root, and ``beta``
+    left as None a Hermite spline table of the sigma entries.
     """
     flux = {(k,): _entry(x) for k, x in enumerate(flux)}
     a = {ij: _entry(x) for ij, x in a.items()}
@@ -403,8 +400,9 @@ class ModelTable:
     ``f``, ``speed``, ``a``, ``sigma``, ``b`` and ``beta`` map indexes to
     vectorized entries of the flux, its speed, A, sigma, B and beta, in
     index order with zero entries absent, each built on first use.
-    ``flux(values)`` gives one array per axis. ``bounds(lo, hi)`` gives max |a_k| per axis and max |A_ij| per entry
-    over [lo, hi].
+    ``flux(values)`` gives one array per axis. ``bounds(lo, hi)`` gives the
+    wave bounds over [lo, hi] as the stepper reads them: max |a_k| as a list
+    of d floats and max |A_ij| as a d x d nested list of floats.
     """
 
     def __init__(self, model):
@@ -417,17 +415,29 @@ class ModelTable:
     b = cached_property(lambda self: _entries(self.model, "b_primitive"))
     beta = cached_property(lambda self: _entries(self.model, "beta_primitive"))
     flux_is_zero = property(lambda self: not self.f)
+    # One flux entry per axis, zeros where absent, looked up once: flux runs every stage.
+    _axis_f = cached_property(lambda self: [
+        self.f.get((k,)) or np.zeros_like for k in range(self.model.dimension)])
 
-    @cached_property
-    def flux(self):
-        entries = [self.f.get((k,), _zero) for k in range(self.model.dimension)]
-        return lambda v: [e(v) for e in entries]
+    def flux(self, values):
+        return [e(values) for e in self._axis_f]
 
-    @cached_property
-    def bounds(self):
+    def bounds(self, lo, hi):
+        """(alphas, lams) over [lo, hi], 0.0 for an absent entry."""
         d = self.model.dimension
-        speed, a = _bounder(self.speed, (d,)), _bounder(self.a, (d, d))
-        return lambda lo, hi: (speed(lo, hi), a(lo, hi))
+        alphas, lams = [0.0] * d, [[0.0] * d for _ in range(d)]
+        for (k,), e in self.speed.items():
+            alphas[k] = _max_abs(e, lo, hi)
+        for (i, j), e in self.a.items():
+            lams[i][j] = _max_abs(e, lo, hi)
+        return alphas, lams
+
+
+def _max_abs(entry, lo, hi):
+    """max |entry| over [lo, hi] as a float: exact for a Poly, else sampled (not a supremum)."""
+    if isinstance(entry, Poly):
+        return entry.max_abs(lo, hi)
+    return float(np.abs(entry(np.linspace(lo, hi, SAMPLED_BOUND_POINTS))).max())
 
 
 def _integrals(fn, lo, hi, abs_tol=1e-12):
@@ -459,24 +469,6 @@ def _spline_primitive(integrand_vec, span):
     slopes = integrand_vec(nodes)
     spline = CubicHermiteSpline(nodes, vals, slopes)
     return lambda u: spline(np.asarray(u, dtype=float))
-
-
-def _bounder(entries, shape):
-    """(lo, hi) -> max |entry| over [lo, hi] per entry, as an array of ``shape``.
-
-    Poly entries are exact (Poly.max_abs); any other entry is sampled at
-    SAMPLED_BOUND_POINTS evenly spaced states, and a sampled maximum is not
-    a supremum.
-    """
-    parts = [(idx, e.max_abs if isinstance(e, Poly) else lambda lo, hi, e=e: np.abs(
-        e(np.linspace(lo, hi, SAMPLED_BOUND_POINTS))).max()) for idx, e in entries.items()]
-
-    def bound(lo, hi):
-        out = np.zeros(shape)
-        for idx, top in parts:
-            out[idx] = top(lo, hi)
-        return out
-    return bound
 
 
 @lru_cache(maxsize=64)

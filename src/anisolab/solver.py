@@ -30,9 +30,10 @@ reference. The kernels read single entries from the model's table
 
 Wave bounds, max |a_k| for the flux and max |A_ij| for the time step, are
 taken over the current field's range [min u, max u], not clipped to
-state_bound. They are exact for polynomial entries (range ends plus the
-critical points inside) and sampled at 129 states for hand-written entries
-and whole callables; a sampled maximum is not a supremum.
+state_bound. One method, ModelTable.bounds, gives them as the float lists
+the stepper reads. They are exact for polynomial entries (range ends plus
+the critical points inside) and sampled at 129 states for hand-written
+entries and whole callables; a sampled maximum is not a supremum.
 
 Off-diagonal diffusion breaks the monotone structure whenever it is
 nonzero: the 4-corner mixed stencil weights B_01 at two corners with a
@@ -226,8 +227,11 @@ def init_field(grid, profile):
     """Cell averages of a pointwise profile via 3-point Gauss per axis.
 
     ``profile`` takes one coordinate array per axis and must broadcast.
-    An ndarray of per-cell values is accepted as-is.
+    An ndarray of per-cell values, or a CellField's values, is copied once
+    its shape matches the grid and every value is finite.
     """
+    if isinstance(profile, CellField):
+        profile = np.asarray(profile.values, dtype=float)
     if isinstance(profile, np.ndarray):
         values = np.asarray(profile, dtype=float)
         if values.shape != tuple(grid.cells):
@@ -264,11 +268,6 @@ def numerical_flux_llf(model, u_left, u_right, axis, alpha):
     f_l = model_mod.flux_eval(model, u_left)[axis]
     f_r = model_mod.flux_eval(model, u_right)[axis]
     return 0.5 * (f_l + f_r) - 0.5 * alpha * (float(u_right) - float(u_left))
-
-
-def _wave_bounds(model, lo, hi):
-    """Bounds for |a| per axis and |A| per entry over [lo, hi] (see ModelTable)."""
-    return model_table(model).bounds(lo, hi)
 
 
 def _range(values):
@@ -458,8 +457,8 @@ class _Stencils:
 def hyperbolic_div(model, fld, grid):
     """Discrete divergence of f(u); alpha from the current field range."""
     values = np.asarray(fld.values, dtype=float)
-    alphas, _ = _wave_bounds(model, *_range(values))
     stencils = _Stencils(model, grid, values.shape)
+    alphas, _ = stencils.bounds(*_range(values))
     return stencils.hyperbolic(values, alphas, np.empty_like(values))
 
 
@@ -473,7 +472,7 @@ def diffusion_div(model, fld, grid):
 def _cfl_dt(alphas, lams, hs, cfl):
     """cfl / (sum_i alpha_i/h_i + 2 sum_ij lambda_ij/(h_i h_j)); inf without dynamics.
 
-    Both sums run left to right, on floats for the stepper's bound lists.
+    Both sums run left to right, on the float lists of ModelTable.bounds.
     """
     d = len(hs)
     hyp = par = 0.0
@@ -499,7 +498,7 @@ def stable_dt(model, fld, grid, cfl=0.4, output_every=None):
     lo, hi = _range(np.asarray(fld.values, dtype=float))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigurationError("field contains non-finite values")
-    alphas, lams = _wave_bounds(model, lo, hi)
+    alphas, lams = model_table(model).bounds(lo, hi)
     dt = _cfl_dt(alphas, lams, grid.spacings, cfl)
     if math.isinf(dt) and output_every is not None:
         return float(output_every)
@@ -538,7 +537,6 @@ def _stepper(stencils, scheme):
 
     def advance(values, rng, t, cap, idle, dt=None):
         alphas, lams = stencils.bounds(*rng)
-        alphas, lams = alphas.tolist(), lams.tolist()
         cut = False
         if dt is None:
             cfl_dt = _cfl_dt(alphas, lams, stencils.h, scheme.cfl)
@@ -570,8 +568,8 @@ def _stepper(stencils, scheme):
 
 
 def step(state, model, grid, config, *, dt=None):
-    """Advance one step; dt defaults to the stable step for this field."""
-    values = np.asarray(state.values, dtype=float)
+    """Advance one step; dt defaults to the stable step for this field, which init_field checks."""
+    values = init_field(grid, state).values
     advance = _stepper(_Stencils(model, grid, values.shape), config)
     with np.errstate(**_QUIET):
         new_values, _, dt, _ = advance(values, _range(values), state.time, math.inf,
@@ -639,10 +637,9 @@ def run(model, grid, profile, scheme, hooks=()):
     principle violation, largest positive energy jump, mean drift, and the
     largest rise of the L1 distance to a ladder of constants, which the
     contraction audit reads). Blow-up raises BlowUpError with the partial
-    trajectory attached.
+    trajectory attached. ``profile`` is anything init_field takes and checks.
     """
-    fld = profile if isinstance(profile, CellField) else init_field(grid, profile)
-    values = np.asarray(fld.values, dtype=float).copy()
+    values = init_field(grid, profile).values
     stencils = _Stencils(model, grid, values.shape)
     vol = stencils.cell_volume
     ncells = values.size
@@ -740,9 +737,7 @@ def run_lockstep(model, grid, profile_a, profile_b, scheme):
     distance. Returns (times, distances, field_a, field_b) with distances
     sampled at the output cadence; snapshot_every is ignored.
     """
-    fields = [p if isinstance(p, CellField) else init_field(grid, p)
-              for p in (profile_a, profile_b)]
-    values = np.stack([np.asarray(f.values, dtype=float) for f in fields])
+    values = np.stack([init_field(grid, p).values for p in (profile_a, profile_b)])
     advance = _stepper(_Stencils(model, grid, values.shape), scheme)
     times = []
     dists = []

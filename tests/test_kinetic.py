@@ -93,6 +93,13 @@ def test_frequency_point_rejects_origin():
         FrequencyPoint(tau=0.0, kappa=(0.0,))
 
 
+@pytest.mark.parametrize("tau,kappa", [
+    (math.nan, (1.0,)), (math.inf, (0.0,)), (1.0, (-math.inf,)), (0.5, (1.0, math.nan))])
+def test_frequency_point_rejects_non_finite_values(tau, kappa):
+    with pytest.raises(ValueError, match="must have finite"):
+        FrequencyPoint(tau=tau, kappa=kappa)
+
+
 def test_symbol_denominator_burgers_resonance():
     m = preset("burgers")
     fp = FrequencyPoint(tau=-1.0, kappa=(1.0,))
@@ -211,6 +218,26 @@ def test_lattice_mode_snaps_kappa():
     for fp in pts:
         for c in fp.kappa:
             assert abs(c / unit - round(c / unit)) < 1e-9, fp
+
+
+@pytest.mark.parametrize("fields,message", [
+    (dict(r_max=math.inf), "r_max must be positive"),
+    (dict(r_max=math.nan), "r_max must be positive"),
+    (dict(r_max=0.0), "r_max must be positive"),
+    (dict(n_dir=0), "n_dir must be at least 4"),
+    (dict(n_dir=3), "n_dir must be at least 4"),
+    (dict(n_resonant=0), "n_resonant must be at least 2"),
+    (dict(n_resonant=1), "n_resonant must be at least 2"),
+    (dict(lattice=True, periods=(0.0,)), "periods must be positive"),
+    (dict(periods=(1.0, math.inf)), "periods must be positive"),
+    (dict(periods=(-1.0,)), "periods must be positive"),
+])
+def test_sampling_plan_applies_the_config_rules(fields, message):
+    # The rules of the [condition] keys and [grid] periods in a config
+    # file; an infinite r_max would walk the shell ladder without end and
+    # a zero period would leave the lattice plan empty.
+    with pytest.raises(ValueError, match=message):
+        SamplingPlan(**fields)
 
 
 def test_lattice_mode_requires_periods():

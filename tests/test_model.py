@@ -440,8 +440,8 @@ def test_preset_bounds_equal_the_129_point_sample(name):
     for lo, hi in ((-0.93, 0.97), (-1.0, 1.0), (0.1, 0.8), (-1.2, -0.3), (-0.4, 1.25)):
         alphas, lams = model_table(m).bounds(lo, hi)
         us = np.linspace(lo, hi, 129)
-        assert alphas.tolist() == np.abs(m.speed(us)).max(axis=0).tolist()
-        assert lams.tolist() == np.abs(m.diffusion(us)).max(axis=0).tolist()
+        assert alphas == np.abs(m.speed(us)).max(axis=0).tolist()
+        assert lams == np.abs(m.diffusion(us)).max(axis=0).tolist()
 
 
 def _polished_max(fn, xs):
@@ -480,7 +480,7 @@ def test_exact_bounds_of_random_polynomial_models(case):
     poly = np.polynomial.polynomial
     for got, fn, coeffs in (
             (alphas[0], lambda u: m.speed(u)[..., 0], poly.polyder(flux)),
-            (lams[0, 0], lambda u: m.diffusion(u)[..., 0, 0], diff)):
+            (lams[0][0], lambda u: m.diffusion(u)[..., 0, 0], diff)):
         assert got >= np.abs(fn(dense)).max()
         assert got >= np.abs(fn(np.linspace(lo, hi, 129))).max()
         # A dense grid misses an interior extremum by up to |p''| h^2 / 8
@@ -498,6 +498,34 @@ def test_interior_extremum_raises_the_speed_bound_over_the_sample():
     sampled = np.abs(m.speed(np.linspace(-0.31, 0.5, 129))).max()
     alphas, _ = model_table(m).bounds(-0.31, 0.5)
     assert sampled < 1.0 <= alphas[0] <= 1.0 + 1e-14
+
+
+_COUPLED = polynomial_model("coupled", [(0.0, 1.0, 0.25), (0.0, 0.5)],
+                            {(0, 0): (0.3, 0.1), (0, 1): (0.02, 0.01), (1, 1): (0.2, 0.05)}, 2, 1.0)
+_INTERIOR = polynomial_model("interior", [(0.0, 1.0, 0.0, -1.0)], {(0, 0): (0.1, 0.0, -0.3)}, 1, 1.0)
+# name -> (model, whether every bound entry is a Poly and so exact)
+_BOUND_MODELS = {
+    **{name: (preset(name), None) for name in PRESET_NAMES},
+    "interior": (_INTERIOR, True),
+    "coupled": (_COUPLED, True),
+    "bare/coupled": (_bare(_COUPLED), False),
+    "bare/burgers-degenerate": (_bare(preset("burgers-degenerate")), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_MODELS))
+def test_bounds_are_python_float_lists(name):
+    # The stepper reads the bounds as they come: d floats and a d x d
+    # nested list of floats, exact (Poly) or sampled alike.
+    m, exact = _BOUND_MODELS[name]
+    table, d = model_table(m), m.dimension
+    if exact is not None:
+        assert {isinstance(e, Poly) for e in (*table.speed.values(), *table.a.values())} == {exact}
+    for lo, hi in ((-0.31, 0.5), (-1.0, 1.0), (0.2, 0.2), (-1.2, -0.3)):
+        alphas, lams = table.bounds(lo, hi)
+        assert type(alphas) is list and len(alphas) == d
+        assert type(lams) is list and [(type(row), len(row)) for row in lams] == [(list, d)] * d
+        assert all(type(x) is float for x in (*alphas, *(x for row in lams for x in row)))
 
 
 def test_poly_entry_evaluates_the_same_on_floats_and_arrays():
@@ -531,7 +559,7 @@ def test_replaced_callables_are_used_and_keep_sampled_bounds():
     assert calls["flux"] > 0 and calls["b_primitive"] > 0
     assert got.stats.steps == ref.stats.steps
     assert got.final.values.tobytes() == ref.final.values.tobytes()
-    assert model_table(wrapped).bounds(-0.5, 0.9)[0].tolist() == [0.9]
+    assert model_table(wrapped).bounds(-0.5, 0.9)[0] == [0.9]
 
     # Hand-built 2-d twins, every callable supplied whole. Their |a| and |A|
     # extrema sit at the ends of the field's range, where the 129-state

@@ -22,7 +22,7 @@ from anisolab.solver import (
     stable_dt,
     step,
 )
-from anisolab.solver import _Stencils, _wave_bounds
+from anisolab.solver import _Stencils
 
 HEAT = polynomial_model("heat", [(0.0,)], {(0, 0): (1.0,)}, 1, 1.0)
 
@@ -287,7 +287,7 @@ def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, ce
     g = PeriodicGrid.make(list(periods), list(cells))
     values = np.random.default_rng(7).uniform(-0.9, 0.9, batch + cells)
     tables = primitive_tables(m)
-    alphas, _ = _wave_bounds(m, float(values.min()), float(values.max()))
+    alphas, _ = tables.bounds(float(values.min()), float(values.max()))
     stencils = _Stencils(m, g, values.shape)
     for _ in range(2):  # the second call reuses the work arrays
         hyp = stencils.hyperbolic(values, alphas, np.empty_like(values))
@@ -407,6 +407,35 @@ def test_step_lengths_are_python_floats():
     with pytest.raises(BlowUpError) as info:
         run(m, g, sin_profile, SchemeConfig(t_end=10.0, cfl=2.0))
     assert type(info.value.time) is float
+
+
+@pytest.mark.parametrize("entry", ["run", "step", "run_lockstep"])
+def test_cell_fields_are_checked_against_the_grid(entry):
+    m, g = preset("burgers"), PeriodicGrid.make([1.0], [64])
+    scheme = SchemeConfig(t_end=0.1)
+    call = {"run": lambda f: run(m, g, f, scheme),
+            "step": lambda f: step(f, m, g, scheme),
+            "run_lockstep": lambda f: run_lockstep(m, g, sin_profile, f, scheme)}[entry]
+    twice = init_field(PeriodicGrid.make([1.0], [128]), sin_profile)
+    with pytest.raises(ConfigurationError, match="does not match grid"):
+        call(twice)
+    with pytest.raises(ValueError, match="non-finite"):
+        call(CellField(np.full(64, np.nan)))
+    with pytest.raises(ValueError, match="non-finite"):
+        call(CellField(np.where(np.arange(64) == 5, np.inf, 0.1)))
+
+
+def test_checked_cell_fields_run_as_their_arrays():
+    m, g = preset("burgers-degenerate"), PeriodicGrid.make([1.0], [64])
+    values = init_field(g, sin_profile).values
+    scheme = SchemeConfig(t_end=0.05)
+    got, ref = run(m, g, CellField(values, 0.3), scheme), run(m, g, values, scheme)
+    assert got.final.values.tobytes() == ref.final.values.tobytes()
+    out = step(CellField(values, 0.3), m, g, scheme, dt=1e-3)
+    assert out.time == 0.3 + 1e-3
+    # The one-shot operators still take a batch of fields.
+    pair = CellField(np.stack([values, 0.5 * values]))
+    assert hyperbolic_div(m, pair, g).shape == diffusion_div(m, pair, g).shape == (2, 64)
 
 
 def test_explicit_dt_is_honored():

@@ -41,6 +41,11 @@ of the difference, and exits 1 if any case differs. The cases are:
   reduced plan, for the hand-built copies as they are (``check/whole/...``,
   ``check/bare/...``) and for the other models with blocks of 3 points, so
   that value ties cross block edges (``check/...``);
+- inputs the solver and the condition checker must reject: run, step and
+  run_lockstep on a CellField of twice the grid's cells and on an all-NaN
+  one (``inputs/cell-fields``), and a SamplingPlan with an infinite r_max,
+  n_dir 0, n_resonant 1 or a zero lattice period, and a FrequencyPoint
+  with a NaN or infinite tau (``inputs/sampling-plan``);
 - one adaptive_quadrature_batch call on NaN-padded cut rows (cuts outside
   the ends, at the ends, duplicated, -0.0 with 0.0) with reversed and
   zero-span limits, and one whose limits are all zero-span
@@ -247,10 +252,11 @@ def _nan_dissipation_audit_case():
 
 def _bounds_case(model):
     import numpy as np
-    from anisolab.solver import PeriodicGrid, _wave_bounds, stable_dt, CellField
+    from anisolab.model import model_table
+    from anisolab.solver import PeriodicGrid, stable_dt, CellField
     out = []
     for lo, hi in ((-0.3, 0.9), (-1.0, 1.0), (0.2, 0.7), (-1.1, -0.4)):
-        alphas, lams = _wave_bounds(model, lo, hi)
+        alphas, lams = model_table(model).bounds(lo, hi)
         cells = [33] * model.dimension
         values = np.linspace(lo, hi, int(np.prod(cells))).reshape(cells)
         grid = PeriodicGrid.make([1.0] * model.dimension, cells)
@@ -392,6 +398,41 @@ def _lattice_grid(dimension):
     return f"[grid]\n{grid}[condition]\nlattice = true\n"
 
 
+def _outcome(fn):
+    """repr of what fn returns, or the error it raises."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # a raised error is an outcome like any other
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def _cell_field_case():
+    import numpy as np
+    from anisolab.model import preset
+    from anisolab.solver import CellField, PeriodicGrid, SchemeConfig, run, run_lockstep, step
+    m, grid, scheme = preset("burgers"), PeriodicGrid.make([1.0], [64]), SchemeConfig(t_end=0.05)
+    out = []
+    for values in (np.sin(2 * np.pi * (np.arange(128) + 0.5) / 128), np.full(64, np.nan)):
+        fld = CellField(values)
+        out += [_outcome(lambda: run(m, grid, fld, scheme).stats.steps),
+                _outcome(lambda: step(fld, m, grid, scheme).values.shape),
+                _outcome(lambda: run_lockstep(m, grid, fld, fld, scheme)[1][-1])]
+    return repr(out).encode()
+
+
+def _sampling_plan_case():
+    import math
+    from anisolab.kinetic import FrequencyPoint, SamplingPlan
+    from anisolab.model import preset
+    zero_period = dict(lattice=True, periods=(0.0,))
+    out = [_outcome(lambda f=f: SamplingPlan(**f))
+           for f in (dict(r_max=math.inf), dict(n_dir=0), dict(n_resonant=1), zero_period)]
+    out.append(_outcome(lambda: len(
+        SamplingPlan(**zero_period).frequency_points(preset("burgers"), 1.0))))
+    out += [_outcome(lambda t=t: FrequencyPoint(t, (1.0,))) for t in (math.nan, math.inf)]
+    return repr(out).encode()
+
+
 def cases():
     """(name, thunk) pairs; each thunk returns bytes."""
     import numpy as np
@@ -452,6 +493,8 @@ def cases():
     yield ("cli/check-condition/lattice/inline-coupled-cubic",
            lambda: _cli_case(["check-condition"], INLINE_2D_MODEL + _lattice_grid(2)))
     yield "quadrature/batch-cuts", _batch_cuts_case
+    yield "inputs/cell-fields", _cell_field_case
+    yield "inputs/sampling-plan", _sampling_plan_case
     yield ("cli/sweep/cfl", lambda: _sweep_case(
         "[model]\npreset = burgers\n[grid]\ncells = 32\n[scheme]\nt_end = 10.0\n"
         "[sweep]\naxis = cfl\nvalues = 0.4, 2.0\n"))
