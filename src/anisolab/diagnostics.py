@@ -22,6 +22,7 @@ from .solver import (
     DiagnosticsRow,
     Trajectory,
     _Stencils,
+    _grid_values,
     run,
 )
 
@@ -72,7 +73,7 @@ def parabolic_dissipation(model, field, grid):
 
     Nonnegative by construction; zero whenever the diffusion vanishes.
     """
-    values = _values(field)
+    values = _grid_values(field, grid)
     return _Stencils(model, grid, values.shape).dissipation(values)
 
 

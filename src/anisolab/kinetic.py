@@ -16,7 +16,9 @@ must vanish as lam -> 0, uniformly over |tau| + |kappa| >= delta. The
 checker samples frequency shells, reports the largest value found per lam
 (a lower bound for the supremum), and grades the trend. The symbol
 tau + a(xi).kappa, kappa^T A(xi) kappa has one evaluator, _symbol_parts,
-which reads the speed and A entries of the model table as the solver does.
+which reads the speed and A entries of the model table as the solver does;
+the whole lam ladder is integrated in one quadrature worklist, so the
+symbol is evaluated once per node for every lam.
 """
 
 from __future__ import annotations
@@ -82,16 +84,16 @@ def entropy_from_kinetic(s_prime, u, state_bound, *, breakpoints=()):
 
 
 def entropy_flux_from_kinetic(s_prime, u, model, *, breakpoints=()):
-    """Entropy flux q(u) with components integral of S'(xi) a_c(xi) chi."""
-    u = float(u)
-    out = np.empty(model.dimension)
-    for c in range(model.dimension):
-        out[c] = adaptive_quadrature(
-            lambda xi, c=c: np.asarray(s_prime(xi), dtype=float)
-            * speed_vector(model, xi)[..., c],
-            0.0, u, abs_tol=KINETIC_QUAD_TOL, max_levels=KINETIC_QUAD_LEVELS,
-            breakpoints=breakpoints)
-    return out
+    """Entropy flux q(u) with components integral of S'(xi) a_c(xi) chi.
+
+    The d components are one integral with a vector integrand, each on the
+    panel tree its own integral would get.
+    """
+    values, _ = adaptive_quadrature_batch(
+        lambda xi, owner: np.asarray(s_prime(xi), dtype=float) * speed_vector(model, xi).T,
+        [0.0], [float(u)], abs_tol=KINETIC_QUAD_TOL, max_levels=KINETIC_QUAD_LEVELS,
+        breakpoints=[breakpoints])
+    return values[:, 0]
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,8 @@ def _symbol_parts(model, tau, kappa, xi):
     batch of states, so the sums match that form bit for bit.
     """
     table, xi = model_table(model), np.asarray(xi, dtype=float)
-    adv = np.zeros(np.broadcast_shapes(np.shape(tau), kappa.shape[:-1], xi.shape))
-    quad = np.zeros_like(adv)
+    adv = np.zeros(np.broadcast(tau, kappa[..., 0], xi).shape)
+    quad = np.zeros(adv.shape)
     for (c,), a_c in table.speed.items():
         adv += a_c(xi) * kappa[..., c]
     for (i, j), a_ij in table.a.items():
@@ -172,15 +174,19 @@ def _omega_table(model, points, lambdas):
     Returns an (len(points), len(lambdas)) array and the largest quadrature
     error estimate over it. The points become one (n, 1 + d) array of
     (tau, kappa) rows, taken OMEGA_BLOCK rows at a time: the symbol of a
-    block is scanned on RESONANCE_SCAN states in one array pass, the array
-    of resonance cut points found there serves every lam, and each lam
-    integrates the whole block in one worklist, evaluating each speed and A
-    entry once per node.
+    block is scanned on RESONANCE_SCAN states in one array pass, and the
+    array of resonance cut points found there starts one worklist for the
+    whole ladder. Its integrand has one component per lam and evaluates
+    each speed and A entry once per node; each lam is refined on the panel
+    tree a worklist of its own would give it, so a column equals the
+    one-lam table bit for bit.
     """
     if any(lam <= 0.0 for lam in lambdas):
         raise ValueError(f"lam must be positive, got {min(lambdas)}")
     big = model.state_bound
     scan = np.linspace(-big, big, RESONANCE_SCAN)
+    # One component per lam; a single lam is the scalar form.
+    lams = np.array(lambdas, dtype=float)[:, None] if len(lambdas) > 1 else float(lambdas[0])
     rows = np.array([(fp.tau, *fp.kappa) for fp in points], dtype=float)
     values = np.empty((len(rows), len(lambdas)))
     worst_err = 0.0
@@ -189,17 +195,21 @@ def _omega_table(model, points, lambdas):
         taus, kappas = block[:, 0], block[:, 1:]
         cuts = _resonance_breakpoints(
             scan, *_symbol_parts(model, taus[:, None], kappas[:, None], scan))
-        for k, lam in enumerate(lambdas):
 
-            def integrand(xi, owner):
-                adv, quad = _symbol_parts(model, taus[owner], kappas[owner], xi)
-                return lam / (lam + adv ** 2 + quad ** 2)
+        def integrand(xi, owner):
+            adv, quad = _symbol_parts(model, taus[owner], kappas[owner], xi)
+            np.square(adv, out=adv)
+            np.square(quad, out=quad)
+            # One row per lam: lam / ((lam + adv^2) + quad^2).
+            out = lams + adv
+            out += quad
+            return np.divide(lams, out, out=out)
 
-            vals, errs = adaptive_quadrature_batch(
-                integrand, np.full(len(block), -big), np.full(len(block), big),
-                abs_tol=KINETIC_QUAD_TOL, max_levels=KINETIC_QUAD_LEVELS, breakpoints=cuts)
-            values[start:start + len(block), k] = vals
-            worst_err = max(worst_err, float(errs.max()))
+        vals, errs = adaptive_quadrature_batch(
+            integrand, np.full(len(block), -big), np.full(len(block), big),
+            abs_tol=KINETIC_QUAD_TOL, max_levels=KINETIC_QUAD_LEVELS, breakpoints=cuts)
+        values[start:start + len(block)] = vals.reshape(len(lambdas), -1).T
+        worst_err = max(worst_err, float(errs.max()))
     return values, worst_err
 
 

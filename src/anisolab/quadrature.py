@@ -2,10 +2,12 @@
 
 The integrand is evaluated on whole batches of nodes at once, so callables
 passed in must accept a 1-d numpy array and return an array of the same
-shape. Narrow features the initial rule cannot see should be announced via
-``breakpoints`` (one row of cut points per integral in the batch form);
-the worklist then starts from intervals split there and refines around
-them.
+shape, or an (m, nodes) array of m components: a vector integrand, whose
+components share the node evaluations of one worklist while each is
+refined on a panel tree of its own. Narrow features the initial rule cannot
+see should be announced via ``breakpoints`` (one row of cut points per
+integral in the batch form); the worklist then starts from intervals split
+there and refines around them.
 """
 
 from __future__ import annotations
@@ -73,21 +75,36 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 def gauss_kronrod_panel(fn, lo, hi):
     """Evaluate the 15-point rule on a batch of intervals.
 
-    ``lo`` and ``hi`` are equal-length arrays of interval ends. Returns
-    per-interval value and error estimate (Kronrod minus Gauss).
+    ``lo`` and ``hi`` are equal-length arrays of interval ends. ``fn`` maps
+    the flat array of nodes to one value per node, or to an (m, nodes)
+    array of m components. Returns per-interval value and error estimate
+    (Kronrod minus Gauss), of shape (len(lo),) or (m, len(lo)).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    y = np.asarray(fn(nodes.ravel()), dtype=float)
     # Non-finite integrand values propagate into val and are diagnosed by
     # the caller; the inf - inf here is expected, not an anomaly.
     with np.errstate(invalid="ignore", over="ignore"):
-        val = half * (y @ _WK)
-        val_g = half * (y[:, _GAUSS_IDX] @ _WG)
-        return val, np.abs(val - val_g)
+        if y.ndim == 1:
+            return _rule(y.reshape(nodes.shape), half)
+        # One 2-d panel sum per component, the call a lone integrand gets:
+        # numpy may round a stacked matmul's rows otherwise.
+        y = y.reshape(len(y), *nodes.shape)
+        val, err = np.empty((2, len(y), len(half)))
+        for c, y_c in enumerate(y):
+            val[c], err[c] = _rule(y_c, half)
+        return val, err
+
+
+def _rule(y, half):
+    """Value and error estimate from node values y of shape (len(half), 15)."""
+    val = half * (y @ _WK)
+    val_g = half * (y[:, _GAUSS_IDX] @ _WG)
+    return val, np.abs(val - val_g)
 
 
 def adaptive_quadrature(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpoints=()):
@@ -110,15 +127,25 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
     ``a`` and ``b`` are equal-length sequences of finite limits.
     ``fn(x, owner)`` evaluates every integrand on a flat batch of nodes;
     ``owner[i]`` is the index k of the integral node ``x[i]`` belongs to.
-    ``breakpoints``, if given, is a 2-d array with one row of cut points
-    per integral; NaN pads a row, and cuts not strictly between an
-    integral's ends are ignored. Each integral gets the first worklist and
-    the bisection, settling and convergence tests of a lone call, and leaves
-    the worklist once converged; its bits need not match a lone call, as the
-    BLAS panel sum ``y @ _WK`` rounds a row by its place in the batch.
-    Returns arrays of values and error estimates. Raises QuadratureError for
-    the first integral still short of ``abs_tol`` after ``max_levels``
-    rounds of bisection.
+    It returns one value per node, or an (m, nodes) array when each
+    integral has m components. ``breakpoints``, if given, is a 2-d array
+    with one row of cut points per integral; NaN pads a row, and cuts not
+    strictly between an integral's ends are ignored.
+
+    Each component of each integral gets the first worklist and the
+    bisection, settling and convergence tests of a lone call, on a panel
+    tree of its own: a panel stays in the shared worklist while any
+    component still splits it, a component sums only the panels of its own
+    tree, in the order a lone call would, and an integral leaves the
+    worklist once all of its components have converged. A component's bits
+    are those of the same batch with that component alone; an integral's
+    need not match a lone call, as the BLAS panel sum ``y @ _WK`` rounds a
+    row by its place in the batch.
+    Returns arrays of values and error estimates, of shape (n,) or (m, n);
+    to learn m when every integral has zero span, ``fn`` is called once on
+    empty arrays. Raises QuadratureError for the first component and
+    integral still short of ``abs_tol`` after ``max_levels`` rounds of
+    bisection.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -141,17 +168,71 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
     edges = np.sort(np.column_stack([lo, np.where(inside, cuts, np.nan), hi]), axis=1)
     first = edges[:, 1:] > edges[:, :-1]
     lo, hi, owner = edges[:, :-1][first], edges[:, 1:][first], np.nonzero(first)[0]
-    values, errors, done_val, done_err = np.zeros((4, n))
     running = span > 0.0
-    remaining = np.count_nonzero(running)
-    if not remaining:
-        return values, errors
+    # The running components: comps holds their indices and mc their count.
+    # The loop's arrays carry one row per running component, and no
+    # component axis for a single one, as for a scalar integrand. whole[i]
+    # says whether running component i's panel tree is the whole worklist;
+    # where it is not, live[i] says which intervals split last level are in
+    # its tree, the worklist now holding their halves, left halves first.
+    # live is None while every tree is the whole worklist.
+    live = pick = None
 
     for level in range(max_levels + 1):
+        evaluated = []
         node_owner = owner.repeat(_NODES.size)
-        val, err = gauss_kronrod_panel(lambda x: fn(x, node_owner), lo, hi)
+        if level and m > 1:
+            # gauss_kronrod_panel sums the rows of the whole trees; a single
+            # row goes as a scalar integrand's values.
+            rows = comps if live is None else comps[whole]
+            pick = None if rows.size == m else int(rows[0]) if rows.size == 1 else rows
+
+        def evaluate(x):
+            y = np.asarray(fn(x, node_owner), dtype=float)
+            if y.ndim == 1:
+                evaluated.append(y)
+                return y
+            # BLAS sums the panels of a C-ordered component row as it sums a
+            # lone integrand's; other layouts would go to numpy's own loop.
+            evaluated.append(np.ascontiguousarray(y))
+            return evaluated[0] if pick is None else evaluated[0][pick]
+
+        val, err = gauss_kronrod_panel(evaluate, lo, hi)
+        if not level:
+            # The first panels tell the m components apart.
+            shape = val.shape[:-1] + (n,)
+            m = mc = len(val) if val.ndim == 2 else 1
+            values, errors, done_val, done_err = np.zeros((4, m, n))
+            remaining = m * np.count_nonzero(running)
+            if not remaining:
+                return values.reshape(shape), errors.reshape(shape)
+            comps = np.arange(m)
+            if m == 1:
+                done_val, done_err = done_val[0], done_err[0]
+            else:
+                running = np.tile(running, (m, 1))
+                base = n * comps[:, None]
+        if live is None:
+            if val.ndim > running.ndim:  # the one row of a vector integrand
+                val, err = val[0], err[0]
+        else:
+            # BLAS rounds the last len % 4 rows of a panel sum apart from the
+            # rest, so a component whose tree is only part of the worklist
+            # sums its own intervals alone, for the bits of a lone call. The
+            # intervals outside its tree get value and error 0: they settle
+            # and add +0.0, which leaves every sum's bits as they are.
+            whole_val, whole_err = val, err
+            val, err = np.zeros((2, mc, lo.size))
+            val[whole], err[whole] = whole_val, whole_err
+            y = evaluated[0].reshape(m, -1, _NODES.size)
+            half = 0.5 * (hi - lo)
+            with np.errstate(invalid="ignore", over="ignore"):
+                for i in np.flatnonzero(~whole):
+                    tree = np.concatenate([live[i], live[i]])
+                    val[i][tree], err[i][tree] = _rule(
+                        y[comps[i]].compress(tree, axis=0), half.compress(tree))
         if not np.isfinite(val).all():
-            bad = float(lo[~np.isfinite(val)][0])
+            bad = float(lo[np.nonzero(~np.isfinite(val))[-1][0]])
             raise QuadratureError(
                 f"integrand returned non-finite values near x={bad!r}",
                 value=float("nan"), achieved=float("inf"))
@@ -167,35 +248,63 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
             | (width <= own_span * 2.0 ** -50)
         )
         split = ~settled
-        # One bincount per quantity sums each integral's settled terms into
-        # slots [0, n) and its terms left to split into [n, 2n), in
-        # worklist order. Intervals left to split have positive error, so
-        # an integral with nothing left to split has zero open error.
-        slot = owner + n * split
-        val_sums = np.bincount(slot, val, 2 * n)
-        err_sums = np.bincount(slot, err, 2 * n)
-        done_val += val_sums[:n]
-        done_err += err_sums[:n]
-        open_err = err_sums[n:]
+        # One bincount per quantity sums running component i's settled terms
+        # of integral k into slot in + k and its terms left to split into
+        # mc n + in + k, in worklist order. Intervals left to split have
+        # positive error, so an integral with nothing left to split has
+        # zero open error.
+        slot = owner + mc * n * split
+        if mc > 1:
+            slot += base[:mc]
+        slot = slot.ravel()
+        val_sums = np.bincount(slot, val.ravel(), 2 * mc * n).reshape(2, *running.shape)
+        err_sums = np.bincount(slot, err.ravel(), 2 * mc * n).reshape(2, *running.shape)
+        done_val += val_sums[0]
+        done_err += err_sums[0]
+        open_err = err_sums[1]
         live_err = done_err + open_err
         finished = running & ((live_err <= abs_tol) | (open_err == 0.0))
         n_finished = np.count_nonzero(finished)
-        live_val = done_val + val_sums[n:]
+        live_val = done_val + val_sums[1]
         if n_finished:
-            values[finished] = live_val[finished]
-            errors[finished] = live_err[finished]
+            at = np.nonzero(finished)
+            at_values = (comps[at[0]] if mc > 1 else comps[0], at[-1])
+            values[at_values] = live_val[at]
+            errors[at_values] = live_err[at]
             remaining -= n_finished
             if not remaining:
-                return sign * values, errors
+                return (sign * values).reshape(shape), errors.reshape(shape)
             running &= ~finished
-            split &= running[owner]
+            split &= running[:, owner] if mc > 1 else running[owner]
+            if mc > 1:
+                still = running.any(axis=1)
+                if not still.all():
+                    # A component whose integrals have all converged leaves
+                    # the loop's arrays; the integrand's row for it is dropped.
+                    comps = comps[still]
+                    mc = comps.size
+                    if mc == 1:
+                        still = int(np.argmax(still))
+                    running, split = running[still], split[still]
+                    done_val, done_err = done_val[still], done_err[still]
+                    live_val, live_err = live_val[still], live_err[still]
         if level == max_levels:
-            k = np.flatnonzero(running)[0]
+            at = tuple(np.argwhere(running)[0])
+            c = int(comps[at[0]]) if mc > 1 else int(comps[0])
+            where = f" (component {c}, integral {at[-1]})" if len(shape) > 1 else ""
             raise QuadratureError(
-                f"quadrature did not converge: achieved {live_err[k]:.3e} "
-                f"> tolerance {abs_tol:.3e} after {max_levels} levels",
-                value=float(sign[k] * live_val[k]), achieved=float(live_err[k]))
-        lo, hi, owner = lo[split], hi[split], owner[split]
+                f"quadrature did not converge: achieved {live_err[at]:.3e} "
+                f"> tolerance {abs_tol:.3e} after {max_levels} levels{where}",
+                value=float(sign[at[-1]] * live_val[at]), achieved=float(live_err[at]))
+        if mc == 1:
+            keep, live = split, None
+        else:
+            keep = np.logical_or.reduce(split)
+            live = split.compress(keep, axis=1)
+            whole = live.all(axis=1)
+            if whole.all():
+                live = None
+        lo, hi, owner = lo[keep], hi[keep], owner[keep]
         mid = 0.5 * (lo + hi)
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])

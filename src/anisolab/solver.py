@@ -454,9 +454,21 @@ class _Stencils:
         return total * self.cell_volume
 
 
+def _grid_values(fld, grid):
+    """A field's values as floats, checked against the grid.
+
+    ``fld`` is a CellField or an array; leading axes beyond the grid's are
+    a batch of fields, so only the trailing axes must match ``grid.cells``.
+    """
+    values = np.asarray(fld.values if isinstance(fld, CellField) else fld, dtype=float)
+    if values.ndim < grid.dimension or values.shape[-grid.dimension:] != tuple(grid.cells):
+        raise ConfigurationError(f"field shape {values.shape} does not match grid {grid.cells}")
+    return values
+
+
 def hyperbolic_div(model, fld, grid):
     """Discrete divergence of f(u); alpha from the current field range."""
-    values = np.asarray(fld.values, dtype=float)
+    values = _grid_values(fld, grid)
     stencils = _Stencils(model, grid, values.shape)
     alphas, _ = stencils.bounds(*_range(values))
     return stencils.hyperbolic(values, alphas, np.empty_like(values))
@@ -464,7 +476,7 @@ def hyperbolic_div(model, fld, grid):
 
 def diffusion_div(model, fld, grid):
     """Discrete divergence of A(u) grad u via primitives of A."""
-    values = np.asarray(fld.values, dtype=float)
+    values = _grid_values(fld, grid)
     stencils = _Stencils(model, grid, values.shape)
     return stencils.diffusion(values, np.empty_like(values))
 
@@ -491,13 +503,14 @@ def stable_dt(model, fld, grid, cfl=0.4, output_every=None):
 
     When the model has no dynamics at all (both stability sums vanish)
     the step is capped at the output cadence if one is given, otherwise
-    inf is returned and run() applies its own cadence.
+    inf is returned and run() applies its own cadence. A field that is not
+    finite raises ValueError, as in run() and step().
     """
     if not (cfl > 0 and np.isfinite(cfl)):
         raise ConfigurationError(f"cfl must be positive, got {cfl}")
-    lo, hi = _range(np.asarray(fld.values, dtype=float))
+    lo, hi = _range(_grid_values(fld, grid))
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigurationError("field contains non-finite values")
+        raise ValueError("field contains non-finite values")
     alphas, lams = model_table(model).bounds(lo, hi)
     dt = _cfl_dt(alphas, lams, grid.spacings, cfl)
     if math.isinf(dt) and output_every is not None:

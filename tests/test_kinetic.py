@@ -519,6 +519,38 @@ def test_batched_omega_matches_omega_at_and_arctan(pairs, lam):
         assert val == pytest.approx(_burgers_omega_exact(tau, kap, lam, 1.0), abs=1e-8)
 
 
+_PRESETS = ("burgers", "linear-advection", "burgers-degenerate", "porous-medium",
+            "anisotropic-2d")
+
+
+@st.composite
+def _ladder_cases(draw):
+    model = draw(st.one_of(st.sampled_from(_PRESETS).map(preset), _models()))
+    d = model.dimension
+    rows = draw(st.lists(st.tuples(st.floats(-4.0, 4.0), *[st.floats(-4.0, 4.0)] * d),
+                         min_size=1, max_size=9))
+    points = [FrequencyPoint(tau=row[0], kappa=row[1:]) for row in rows
+              if abs(row[0]) + math.hypot(*row[1:]) > 0.0]
+    ladder = sorted(draw(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=6, unique=True)),
+                    reverse=True)
+    return model, points, ladder
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_ladder_cases())
+def test_omega_table_columns_equal_one_lambda_tables(case):
+    # One worklist serves the whole ladder, each lam on its own panel tree:
+    # every column is the one-lam table bit for bit, its error estimate too.
+    model, points, ladder = case
+    with mock.patch.object(kinetic, "OMEGA_BLOCK", 4):
+        table, worst = kinetic._omega_table(model, points, ladder)
+        alone = [kinetic._omega_table(model, points, [lam]) for lam in ladder]
+    assert table.shape == (len(points), len(ladder))
+    for k, (column, _) in enumerate(alone):
+        assert table[:, k].tobytes() == column[:, 0].tobytes(), ladder[k]
+    assert worst == max(err for _, err in alone)
+
+
 @pytest.mark.parametrize("name", ["burgers", "linear-advection", "anisotropic-2d"])
 def test_omega_delta_matches_one_lambda_check(name):
     m = preset(name)

@@ -183,3 +183,82 @@ def test_non_finite_limits_raise(a, b):
         adaptive_quadrature(np.exp, a, b)
     with pytest.raises(QuadratureError, match="limits must be finite"):
         adaptive_quadrature_batch(lambda x, owner: np.exp(x), [0.0, a], [1.0, b])
+
+
+# --- vector integrands: m components, each on its own panel tree --------------
+
+# Two components whose trees differ: a smooth one and a narrow peak at 0.
+_COMPONENTS = (np.cos, lambda x: 1.0 / (1e-4 + x * x))
+
+
+def _stacked(funcs):
+    return lambda x, owner: np.stack([f(x) for f in funcs])
+
+
+def test_vector_components_match_their_scalar_calls():
+    nan = np.nan
+    a = [-1.0, 1.0, 1.5, 0.0, 2.0]
+    b = [1.0, -1.0, 1.5, 1.0, -0.5]
+    cuts = np.array([[0.3, nan, nan, nan],
+                     [-0.0, 0.0, 0.5, 0.5],
+                     [1.5, nan, nan, nan],
+                     [-3.0, 0.0, 1.0, 2.0],
+                     [0.1, 9.0, 0.1, nan]])
+    vals, errs = adaptive_quadrature_batch(
+        _stacked(_COMPONENTS), a, b, abs_tol=1e-12, breakpoints=cuts)
+    assert vals.shape == errs.shape == (2, 5)
+    for c, f in enumerate(_COMPONENTS):
+        # Bit for bit the batch of this component alone.
+        alone_vals, alone_errs = adaptive_quadrature_batch(
+            lambda x, owner: f(x), a, b, abs_tol=1e-12, breakpoints=cuts)
+        assert vals[c].tobytes() == alone_vals.tobytes(), c
+        assert errs[c].tobytes() == alone_errs.tobytes(), c
+        for k in range(5):
+            row = cuts[k][~np.isnan(cuts[k])]
+            lone = adaptive_quadrature(f, a[k], b[k], abs_tol=1e-12, breakpoints=tuple(row))
+            assert vals[c, k] == pytest.approx(lone, abs=1e-15), (c, k)
+    assert vals[:, 2].tolist() == [0.0, 0.0] and errs[:, 2].tolist() == [0.0, 0.0]
+    assert vals[0, 1] == pytest.approx(-2.0 * np.sin(1.0), abs=1e-12)
+    assert vals[1, 0] == pytest.approx(200.0 * np.arctan(100.0), abs=1e-10)
+
+
+def test_vector_zero_span_limits_keep_the_component_axis():
+    vals, errs = adaptive_quadrature_batch(_stacked(_COMPONENTS), [1.0, -2.0], [1.0, -2.0])
+    assert vals.shape == errs.shape == (2, 2)
+    assert not vals.any() and not errs.any()
+
+
+def test_one_component_behaves_as_the_scalar_form():
+    a, b = [-1.0, 0.0, 3.0], [1.0, 2.0, 1.0]
+    scalar = adaptive_quadrature_batch(
+        lambda x, owner: np.sqrt(np.abs(x - 0.25 * owner)), a, b, abs_tol=1e-11)
+    vector = adaptive_quadrature_batch(
+        lambda x, owner: np.sqrt(np.abs(x - 0.25 * owner))[None], a, b, abs_tol=1e-11)
+    for got, want in zip(vector, scalar):
+        assert got.shape == (1, 3)
+        assert got[0].tobytes() == want.tobytes()
+
+
+def test_vector_nonconvergence_names_component_and_integral():
+    def fn(x, owner):
+        return np.stack([np.cos(x), np.where(owner == 1, 1.0 / x, np.exp(x))])
+
+    with pytest.raises(QuadratureError, match=r"component 1, integral 1\)") as info:
+        adaptive_quadrature_batch(fn, [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(QuadratureError) as alone:
+        adaptive_quadrature(lambda x: 1.0 / x, 0.0, 1.0)
+    assert info.value.achieved > 1e-10
+    assert info.value.achieved == pytest.approx(alone.value.achieved, rel=1e-12)
+    assert info.value.value == pytest.approx(alone.value.value, rel=1e-12)
+    assert str(alone.value) in str(info.value)
+
+
+def test_vector_non_finite_integrand_names_its_x():
+    def fn(x, owner):
+        return np.stack([np.cos(x), np.where(x > 2.5, np.inf, 1.0)])
+
+    with pytest.raises(QuadratureError, match="non-finite") as info:
+        adaptive_quadrature_batch(fn, [0.0, 2.0], [1.0, 3.0])
+    x = float(re.search(r"near x=([-+0-9.e]+)", str(info.value)).group(1))
+    assert 2.0 <= x <= 3.0
+    assert info.value.achieved == float("inf")

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anisolab.diagnostics import audit, l1_to_constant, l2_energy, mean
+from anisolab.diagnostics import audit, l1_to_constant, l2_energy, mean, parabolic_dissipation
 from anisolab.model import ModelError, ModelSpec, polynomial_model, preset, primitive_tables
 from anisolab.solver import (
     BlowUpError,
@@ -341,8 +341,30 @@ def test_stable_dt_zero_dynamics():
 def test_stable_dt_rejects_bad_input():
     g = PeriodicGrid.make([1.0], [16])
     bad = CellField(np.full(16, np.nan), 0.0)
-    with pytest.raises(ConfigurationError):
+    # A non-finite field is a ValueError here as in run() and step().
+    with pytest.raises(ValueError):
         stable_dt(preset("burgers"), bad, g)
+
+
+@pytest.mark.parametrize("shape", [(128,), (2, 128), (64, 32), (4,)])
+def test_one_shot_operators_reject_a_field_of_another_grid(shape):
+    m, g = preset("porous-medium"), PeriodicGrid.make([1.0], [64])
+    fld = CellField(np.linspace(-0.5, 0.5, int(np.prod(shape))).reshape(shape), 0.0)
+    for op in (hyperbolic_div, diffusion_div, stable_dt, parabolic_dissipation):
+        with pytest.raises(ConfigurationError, match="does not match grid"):
+            op(m, fld, g)
+
+
+def test_one_shot_operators_take_batched_fields():
+    m, g = preset("porous-medium"), PeriodicGrid.make([1.0], [64])
+    one = np.sin(2.0 * np.pi * (np.arange(64) + 0.5) / 64)
+    batch = CellField(np.stack([one, 0.5 * one]), 0.0)
+    for op in (hyperbolic_div, diffusion_div):
+        got = op(m, batch, g)
+        assert got.shape == (2, 64)
+        assert np.array_equal(got[0], op(m, CellField(one, 0.0), g))
+    assert stable_dt(m, batch, g) == stable_dt(m, CellField(one, 0.0), g)
+    assert parabolic_dissipation(m, batch, g) > parabolic_dissipation(m, one, g)
 
 
 # --- stepping ----------------------------------------------------------------

@@ -49,7 +49,12 @@ of the difference, and exits 1 if any case differs. The cases are:
 - one adaptive_quadrature_batch call on NaN-padded cut rows (cuts outside
   the ends, at the ends, duplicated, -0.0 with 0.0) with reversed and
   zero-span limits, and one whose limits are all zero-span
-  (``quadrature/batch-cuts``);
+  (``quadrature/batch-cuts``); the same two calls with a two-component
+  integrand whose second component is a narrow peak, so the components
+  refine different panels (``quadrature/vector``);
+- entropy_from_kinetic and entropy_flux_from_kinetic for a quadratic and a
+  Kruzhkov entropy at a few states, zero among them, for a 1-d preset and
+  two 2-d models (``entropy/...``);
 - the bodies of the CLI ``run`` and ``check-condition`` artifacts, with the
   ``# generated`` time-stamp line dropped (``cli/...``). check-condition runs
   under the default plan, under a reduced plan (two lambdas, 64
@@ -318,7 +323,8 @@ def _blocked_check_case(model):
         return _check_case(model)
 
 
-def _batch_cuts_case():
+def _batch_cuts_case(components=1):
+    """The batch-cuts calls; with two components the second is a narrow peak."""
     import numpy as np
     from anisolab.quadrature import adaptive_quadrature_batch
     nan = np.nan
@@ -327,14 +333,33 @@ def _batch_cuts_case():
     def fn(x, owner):
         return np.sqrt(np.abs(x - kinks[owner])) + np.cos(3.0 * owner * x)
 
+    def peak(x, owner):
+        return np.exp(-x * x) / (0.01 + (x - kinks[owner]) ** 2)
+
+    def both(x, owner):
+        return np.stack([fn(x, owner), peak(x, owner)])
+
+    integrand = fn if components == 1 else both
     a = [-1.0, 1.0, 1.5, 0.0, 2.0, 0.5, -0.3]
     b = [1.0, -1.0, 1.5, 1.0, -0.5, -0.25, -0.3]
     cuts = np.array([[0.3, nan, nan, nan], [-0.0, 0.0, 0.5, 0.5], [1.5, nan, nan, nan],
                      [-3.0, 0.0, 1.0, 0.5], [0.1, 9.0, 0.1, nan], [0.0, -0.0, nan, -0.25],
                      [-0.3, nan, nan, nan]])
-    out = [adaptive_quadrature_batch(fn, a, b, abs_tol=1e-11, breakpoints=cuts),
-           adaptive_quadrature_batch(fn, [1.0, -2.0], [1.0, -2.0], breakpoints=cuts[:2])]
-    return pickle.dumps([(v.tobytes(), e.tobytes()) for v, e in out])
+    out = [adaptive_quadrature_batch(integrand, a, b, abs_tol=1e-11, breakpoints=cuts),
+           adaptive_quadrature_batch(integrand, [1.0, -2.0], [1.0, -2.0], breakpoints=cuts[:2])]
+    return pickle.dumps([(v.tobytes(), e.tobytes(), v.shape) for v, e in out])
+
+
+def _entropy_case(model):
+    import numpy as np
+    from anisolab.kinetic import entropy_flux_from_kinetic, entropy_from_kinetic
+    kink = 0.3
+    out = []
+    for s_prime, cuts in ((lambda xi: 2.0 * xi, ()), (lambda xi: np.sign(xi - kink), (kink,))):
+        for u in (-0.8, 0.0, 0.45, 0.9):
+            out.append((entropy_from_kinetic(s_prime, u, model.state_bound, breakpoints=cuts),
+                        entropy_flux_from_kinetic(s_prime, u, model, breakpoints=cuts).tolist()))
+    return repr(out).encode()
 
 
 def _sweep_case(config_text):
@@ -493,6 +518,9 @@ def cases():
     yield ("cli/check-condition/lattice/inline-coupled-cubic",
            lambda: _cli_case(["check-condition"], INLINE_2D_MODEL + _lattice_grid(2)))
     yield "quadrature/batch-cuts", _batch_cuts_case
+    yield "quadrature/vector", lambda: _batch_cuts_case(components=2)
+    for name in ("burgers", "anisotropic-2d", "coupled-cubic"):
+        yield f"entropy/{name}", lambda m=models[name]: _entropy_case(m)
     yield "inputs/cell-fields", _cell_field_case
     yield "inputs/sampling-plan", _sampling_plan_case
     yield ("cli/sweep/cfl", lambda: _sweep_case(
