@@ -185,8 +185,7 @@ def _omega_table(model, points, lambdas):
         raise ValueError(f"lam must be positive, got {min(lambdas)}")
     big = model.state_bound
     scan = np.linspace(-big, big, RESONANCE_SCAN)
-    # One component per lam; a single lam is the scalar form.
-    lams = np.array(lambdas, dtype=float)[:, None] if len(lambdas) > 1 else float(lambdas[0])
+    lams = np.array(lambdas, dtype=float)[:, None]  # one component per lam
     rows = np.array([(fp.tau, *fp.kappa) for fp in points], dtype=float)
     values = np.empty((len(rows), len(lambdas)))
     worst_err = 0.0
@@ -208,7 +207,7 @@ def _omega_table(model, points, lambdas):
         vals, errs = adaptive_quadrature_batch(
             integrand, np.full(len(block), -big), np.full(len(block), big),
             abs_tol=KINETIC_QUAD_TOL, max_levels=KINETIC_QUAD_LEVELS, breakpoints=cuts)
-        values[start:start + len(block)] = vals.reshape(len(lambdas), -1).T
+        values[start:start + len(block)] = vals.T
         worst_err = max(worst_err, float(errs.max()))
     return values, worst_err
 

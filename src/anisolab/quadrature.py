@@ -75,36 +75,41 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 def gauss_kronrod_panel(fn, lo, hi):
     """Evaluate the 15-point rule on a batch of intervals.
 
-    ``lo`` and ``hi`` are equal-length arrays of interval ends. ``fn`` maps
-    the flat array of nodes to one value per node, or to an (m, nodes)
+    ``lo`` and ``hi`` are equal-length 1-d arrays of interval ends. ``fn``
+    maps the flat array of nodes to one value per node, or to an (m, nodes)
     array of m components. Returns per-interval value and error estimate
     (Kronrod minus Gauss), of shape (len(lo),) or (m, len(lo)).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError(f"lo and hi must be equal-length 1-d arrays, got {lo.shape}, {hi.shape}")
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _NODES[None, :]
     y = np.asarray(fn(nodes.ravel()), dtype=float)
+    # A 1-d return is one component's row, a view in the layout fn gave it.
+    rows = y.reshape(len(y) if y.ndim > 1 else 1, *nodes.shape)
+    val, err = np.empty((2, len(rows), len(half)))
     # Non-finite integrand values propagate into val and are diagnosed by
     # the caller; the inf - inf here is expected, not an anomaly.
     with np.errstate(invalid="ignore", over="ignore"):
-        if y.ndim == 1:
-            return _rule(y.reshape(nodes.shape), half)
-        # One 2-d panel sum per component, the call a lone integrand gets:
-        # numpy may round a stacked matmul's rows otherwise.
-        y = y.reshape(len(y), *nodes.shape)
-        val, err = np.empty((2, len(y), len(half)))
-        for c, y_c in enumerate(y):
-            val[c], err[c] = _rule(y_c, half)
-        return val, err
+        # One 2-d panel sum per row, the call a lone integrand gets: numpy
+        # may round a stacked matmul's rows otherwise.
+        for c in range(len(rows)):
+            _rule(rows[c], half, val[c], err[c])
+    shape = y.shape[:-1] + half.shape
+    return val.reshape(shape), err.reshape(shape)
 
 
-def _rule(y, half):
-    """Value and error estimate from node values y of shape (len(half), 15)."""
-    val = half * (y @ _WK)
-    val_g = half * (y[:, _GAUSS_IDX] @ _WG)
-    return val, np.abs(val - val_g)
+def _rule(y, half, val, err):
+    """Value and error estimate of node values y, shape (len(half), 15), written to val, err."""
+    np.matmul(y, _WK, val)
+    np.multiply(val, half, val)
+    np.matmul(y[:, _GAUSS_IDX], _WG, err)
+    np.multiply(err, half, err)
+    np.subtract(val, err, err)
+    return val, np.absolute(err, err)
 
 
 def adaptive_quadrature(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpoints=()):
@@ -130,7 +135,8 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
     It returns one value per node, or an (m, nodes) array when each
     integral has m components. ``breakpoints``, if given, is a 2-d array
     with one row of cut points per integral; NaN pads a row, and cuts not
-    strictly between an integral's ends are ignored.
+    strictly between an integral's ends are ignored. ``max_levels`` must
+    not be negative.
 
     Each component of each integral gets the first worklist and the
     bisection, settling and convergence tests of a lone call, on a panel
@@ -152,6 +158,12 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"limits must be equal-length 1-d sequences, got {a.shape} and {b.shape}")
     n = a.size
+    cuts = np.empty((n, 0)) if breakpoints is None else np.asarray(breakpoints, dtype=float)
+    if cuts.ndim != 2 or len(cuts) != n:
+        raise ValueError(f"breakpoints must be a 2-d array of one row per integral ({n}), "
+                         f"got shape {cuts.shape}")
+    if max_levels < 0:
+        raise ValueError(f"max_levels must not be negative, got {max_levels!r}")
     bad = ~(np.isfinite(a) & np.isfinite(b))
     if bad.any():
         k = int(np.argmax(bad))
@@ -163,59 +175,46 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
     span = hi - lo
     # Each row [lo, cuts strictly inside, hi] sorted, NaN last; its strictly
     # increasing neighbour pairs are the integral's first intervals.
-    cuts = np.empty((n, 0)) if breakpoints is None else np.asarray(breakpoints, dtype=float)
     inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
     edges = np.sort(np.column_stack([lo, np.where(inside, cuts, np.nan), hi]), axis=1)
     first = edges[:, 1:] > edges[:, :-1]
     lo, hi, owner = edges[:, :-1][first], edges[:, 1:][first], np.nonzero(first)[0]
-    running = span > 0.0
-    # The running components: comps holds their indices and mc their count.
-    # The loop's arrays carry one row per running component, and no
-    # component axis for a single one, as for a scalar integrand. whole[i]
-    # says whether running component i's panel tree is the whole worklist;
-    # where it is not, live[i] says which intervals split last level are in
-    # its tree, the worklist now holding their halves, left halves first.
-    # live is None while every tree is the whole worklist.
-    live = pick = None
+    # The loop's arrays carry one row per running component, a 1-d
+    # integrand's values being the one row of one component; comps holds
+    # the running components' indices and mc their count. whole[i] says
+    # whether running component i's panel tree is the whole worklist; where
+    # it is not, live[i] says which intervals split last level are in its
+    # tree, the worklist now holding their halves, left halves first. live
+    # is None while every tree is the whole worklist. rows picks the
+    # integrand rows of the whole trees, which gauss_kronrod_panel sums.
+    live, rows = None, slice(None)
 
     for level in range(max_levels + 1):
         evaluated = []
         node_owner = owner.repeat(_NODES.size)
-        if level and m > 1:
-            # gauss_kronrod_panel sums the rows of the whole trees; a single
-            # row goes as a scalar integrand's values.
-            rows = comps if live is None else comps[whole]
-            pick = None if rows.size == m else int(rows[0]) if rows.size == 1 else rows
 
         def evaluate(x):
             y = np.asarray(fn(x, node_owner), dtype=float)
-            if y.ndim == 1:
-                evaluated.append(y)
-                return y
-            # BLAS sums the panels of a C-ordered component row as it sums a
-            # lone integrand's; other layouts would go to numpy's own loop.
-            evaluated.append(np.ascontiguousarray(y))
-            return evaluated[0] if pick is None else evaluated[0][pick]
+            # numpy sums a contiguous row's panels with BLAS and a strided
+            # one's in its own loop. A 1-d return keeps its own layout, as a
+            # view; an (m, nodes) return is made C-contiguous, so each row
+            # is summed alike however it is picked.
+            evaluated[:] = y.shape, np.ascontiguousarray(y) if y.ndim > 1 else y[None]
+            return evaluated[1][rows]
 
         val, err = gauss_kronrod_panel(evaluate, lo, hi)
         if not level:
             # The first panels tell the m components apart.
-            shape = val.shape[:-1] + (n,)
-            m = mc = len(val) if val.ndim == 2 else 1
+            shape = evaluated[0][:-1] + (n,)
+            m = mc = len(evaluated[1])
             values, errors, done_val, done_err = np.zeros((4, m, n))
-            remaining = m * np.count_nonzero(running)
+            running = np.tile(span > 0.0, (m, 1))
+            remaining = np.count_nonzero(running)
             if not remaining:
                 return values.reshape(shape), errors.reshape(shape)
             comps = np.arange(m)
-            if m == 1:
-                done_val, done_err = done_val[0], done_err[0]
-            else:
-                running = np.tile(running, (m, 1))
-                base = n * comps[:, None]
-        if live is None:
-            if val.ndim > running.ndim:  # the one row of a vector integrand
-                val, err = val[0], err[0]
-        else:
+            base = n * comps[:, None]
+        if live is not None:
             # BLAS rounds the last len % 4 rows of a panel sum apart from the
             # rest, so a component whose tree is only part of the worklist
             # sums its own intervals alone, for the bits of a lone call. The
@@ -224,15 +223,16 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
             whole_val, whole_err = val, err
             val, err = np.zeros((2, mc, lo.size))
             val[whole], err[whole] = whole_val, whole_err
-            y = evaluated[0].reshape(m, -1, _NODES.size)
+            y = evaluated[1].reshape(m, -1, _NODES.size)
             half = 0.5 * (hi - lo)
             with np.errstate(invalid="ignore", over="ignore"):
                 for i in np.flatnonzero(~whole):
                     tree = np.concatenate([live[i], live[i]])
                     val[i][tree], err[i][tree] = _rule(
-                        y[comps[i]].compress(tree, axis=0), half.compress(tree))
+                        y[comps[i]].compress(tree, axis=0), half.compress(tree),
+                        *np.empty((2, np.count_nonzero(tree))))
         if not np.isfinite(val).all():
-            bad = float(lo[np.nonzero(~np.isfinite(val))[-1][0]])
+            bad = float(lo[np.nonzero(~np.isfinite(val))[1][0]])
             raise QuadratureError(
                 f"integrand returned non-finite values near x={bad!r}",
                 value=float("nan"), achieved=float("inf"))
@@ -253,12 +253,9 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
         # mc n + in + k, in worklist order. Intervals left to split have
         # positive error, so an integral with nothing left to split has
         # zero open error.
-        slot = owner + mc * n * split
-        if mc > 1:
-            slot += base[:mc]
-        slot = slot.ravel()
-        val_sums = np.bincount(slot, val.ravel(), 2 * mc * n).reshape(2, *running.shape)
-        err_sums = np.bincount(slot, err.ravel(), 2 * mc * n).reshape(2, *running.shape)
+        slot = (owner + base[:mc] + mc * n * split).ravel()
+        val_sums = np.bincount(slot, val.ravel(), 2 * mc * n).reshape(2, mc, n)
+        err_sums = np.bincount(slot, err.ravel(), 2 * mc * n).reshape(2, mc, n)
         done_val += val_sums[0]
         done_err += err_sums[0]
         open_err = err_sums[1]
@@ -268,45 +265,43 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
         live_val = done_val + val_sums[1]
         if n_finished:
             at = np.nonzero(finished)
-            at_values = (comps[at[0]] if mc > 1 else comps[0], at[-1])
+            at_values = comps[at[0]], at[1]
             values[at_values] = live_val[at]
             errors[at_values] = live_err[at]
             remaining -= n_finished
             if not remaining:
                 return (sign * values).reshape(shape), errors.reshape(shape)
             running &= ~finished
-            split &= running[:, owner] if mc > 1 else running[owner]
-            if mc > 1:
-                still = running.any(axis=1)
-                if not still.all():
-                    # A component whose integrals have all converged leaves
-                    # the loop's arrays; the integrand's row for it is dropped.
-                    comps = comps[still]
-                    mc = comps.size
-                    if mc == 1:
-                        still = int(np.argmax(still))
-                    running, split = running[still], split[still]
-                    done_val, done_err = done_val[still], done_err[still]
-                    live_val, live_err = live_val[still], live_err[still]
+            split &= running.take(owner, axis=1)
+            still = np.logical_or.reduce(running, axis=1)
+            if np.count_nonzero(still) < mc:
+                # A component whose integrals have all converged leaves the
+                # loop's arrays; the integrand's row for it is dropped.
+                comps = comps[still]
+                mc = comps.size
+                running, split = running[still], split[still]
+                done_val, done_err = done_val[still], done_err[still]
+                live_val, live_err = live_val[still], live_err[still]
         if level == max_levels:
-            at = tuple(np.argwhere(running)[0])
-            c = int(comps[at[0]]) if mc > 1 else int(comps[0])
-            where = f" (component {c}, integral {at[-1]})" if len(shape) > 1 else ""
+            i, k = np.argwhere(running)[0]
+            where = f" (component {comps[i]}, integral {k})" if len(shape) > 1 else ""
             raise QuadratureError(
-                f"quadrature did not converge: achieved {live_err[at]:.3e} "
+                f"quadrature did not converge: achieved {live_err[i, k]:.3e} "
                 f"> tolerance {abs_tol:.3e} after {max_levels} levels{where}",
-                value=float(sign[at[-1]] * live_val[at]), achieved=float(live_err[at]))
-        if mc == 1:
-            keep, live = split, None
-        else:
-            keep = np.logical_or.reduce(split)
+                value=float(sign[k] * live_val[i, k]), achieved=float(live_err[i, k]))
+        keep = np.logical_or.reduce(split)
+        live = None
+        # Each row of split lies within keep, so every tree is the whole
+        # worklist exactly when the rows hold mc times keep's count.
+        if np.count_nonzero(split) != mc * np.count_nonzero(keep):
             live = split.compress(keep, axis=1)
             whole = live.all(axis=1)
-            if whole.all():
-                live = None
+        picked = comps if live is None else comps[whole]
+        # Neighbouring rows go to the panel as a view, others as a copy.
+        neighbours = picked.size and picked[-1] - picked[0] < picked.size
+        rows = slice(picked[0], picked[-1] + 1) if neighbours else picked
         lo, hi, owner = lo[keep], hi[keep], owner[keep]
         mid = 0.5 * (lo + hi)
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
         owner = np.concatenate([owner, owner])
-    raise AssertionError("unreachable")

@@ -104,6 +104,21 @@ def test_panel_requires_batch_callable():
         adaptive_quadrature(scalar_only, 0.0, 1.0)
 
 
+
+@pytest.mark.parametrize("lo, hi", [([0.0, 0.5], [1.0]), ([[0.0, 0.5]], [[1.0, 1.5]]), (0.0, 1.0)])
+def test_panel_ends_must_be_equal_length_1d(lo, hi):
+    with pytest.raises(ValueError, match="equal-length 1-d"):
+        gauss_kronrod_panel(np.cos, lo, hi)
+
+
+def test_negative_max_levels_is_rejected():
+    with pytest.raises(ValueError, match="max_levels"):
+        adaptive_quadrature(np.cos, 0.0, 1.0, max_levels=-1)
+    with pytest.raises(ValueError, match="max_levels"):
+        adaptive_quadrature_batch(lambda x, owner: np.cos(x), [0.0], [1.0], max_levels=-1)
+    # Level 0 is the first panels alone: a cubic converges there.
+    assert adaptive_quadrature(lambda x: x**3, 0.0, 1.0, max_levels=0) == pytest.approx(0.25)
+
 # --- many integrals in one worklist -------------------------------------------
 
 _OWNER_FUNCS = (
@@ -177,6 +192,19 @@ def test_batch_non_finite_integrand_names_its_x():
     assert info.value.achieved == float("inf")
 
 
+
+@pytest.mark.parametrize("n, cuts", [
+    (3, [[0.5]]),                        # one row for three integrals
+    (2, [0.3, 0.5]),                     # a flat row for two integrals
+    (2, [[0.3], [0.5], [0.7]]),          # a row too many
+    (1, [[[0.5]]]),                      # a 3-d array
+    (1, 0.5),
+])
+def test_breakpoints_need_one_row_per_integral(n, cuts):
+    with pytest.raises(ValueError, match="one row per integral"):
+        adaptive_quadrature_batch(
+            lambda x, owner: np.cos(x), [0.0] * n, [1.0] * n, breakpoints=cuts)
+
 @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)])
 def test_non_finite_limits_raise(a, b):
     with pytest.raises(QuadratureError, match="limits must be finite"):
@@ -222,6 +250,18 @@ def test_vector_components_match_their_scalar_calls():
     assert vals[1, 0] == pytest.approx(200.0 * np.arctan(100.0), abs=1e-10)
 
 
+def test_vector_components_with_no_whole_tree_match_their_scalar_calls():
+    # Peaks on either side of the cut: from level 3 on neither component's
+    # tree is the whole worklist, so the panel sums no row at all.
+    funcs = (lambda x: 1.0 / (1e-4 + (x + 0.5) ** 2), lambda x: 1.0 / (1e-4 + (x - 0.5) ** 2))
+    a, b, cuts = [-1.0, -1.0], [1.0, 0.9], [[0.0], [0.0]]
+    vals, errs = adaptive_quadrature_batch(_stacked(funcs), a, b, abs_tol=1e-12, breakpoints=cuts)
+    for c, f in enumerate(funcs):
+        alone_vals, alone_errs = adaptive_quadrature_batch(
+            lambda x, owner: f(x), a, b, abs_tol=1e-12, breakpoints=cuts)
+        assert vals[c].tobytes() == alone_vals.tobytes(), c
+        assert errs[c].tobytes() == alone_errs.tobytes(), c
+
 def test_vector_zero_span_limits_keep_the_component_axis():
     vals, errs = adaptive_quadrature_batch(_stacked(_COMPONENTS), [1.0, -2.0], [1.0, -2.0])
     assert vals.shape == errs.shape == (2, 2)
@@ -262,3 +302,16 @@ def test_vector_non_finite_integrand_names_its_x():
     x = float(re.search(r"near x=([-+0-9.e]+)", str(info.value)).group(1))
     assert 2.0 <= x <= 3.0
     assert info.value.achieved == float("inf")
+
+
+def test_one_component_nonconvergence_names_component_zero():
+    # A 1-d integrand and its one-row vector form take the same path; only
+    # the vector form's message names the component.
+    with pytest.raises(QuadratureError, match="did not converge") as scalar:
+        adaptive_quadrature_batch(lambda x, owner: 1.0 / x, [1.0, 0.0], [2.0, 1.0])
+    with pytest.raises(QuadratureError, match=r" \(component 0, integral 1\)$") as vector:
+        adaptive_quadrature_batch(lambda x, owner: (1.0 / x)[None], [1.0, 0.0], [2.0, 1.0])
+    assert "component" not in str(scalar.value)
+    assert str(vector.value).startswith(str(scalar.value))
+    assert vector.value.achieved == scalar.value.achieved > 1e-10
+    assert vector.value.value == scalar.value.value

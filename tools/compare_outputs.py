@@ -51,7 +51,10 @@ of the difference, and exits 1 if any case differs. The cases are:
   zero-span limits, and one whose limits are all zero-span
   (``quadrature/batch-cuts``); the same two calls with a two-component
   integrand whose second component is a narrow peak, so the components
-  refine different panels (``quadrature/vector``);
+  refine different panels (``quadrature/vector``), and with the first
+  integrand returned as a column view of an (nodes, 2) array, a strided 1-d
+  return whose panel sums numpy takes in its own loop, not BLAS
+  (``quadrature/strided``);
 - entropy_from_kinetic and entropy_flux_from_kinetic for a quadratic and a
   Kruzhkov entropy at a few states, zero among them, for a 1-d preset and
   two 2-d models (``entropy/...``);
@@ -323,8 +326,8 @@ def _blocked_check_case(model):
         return _check_case(model)
 
 
-def _batch_cuts_case(components=1):
-    """The batch-cuts calls; with two components the second is a narrow peak."""
+def _batch_cuts_case(form="scalar"):
+    """The batch-cuts calls; a "vector" form's second component is a narrow peak."""
     import numpy as np
     from anisolab.quadrature import adaptive_quadrature_batch
     nan = np.nan
@@ -339,7 +342,10 @@ def _batch_cuts_case(components=1):
     def both(x, owner):
         return np.stack([fn(x, owner), peak(x, owner)])
 
-    integrand = fn if components == 1 else both
+    def strided(x, owner):
+        return np.column_stack([fn(x, owner), peak(x, owner)])[:, 0]
+
+    integrand = {"scalar": fn, "vector": both, "strided": strided}[form]
     a = [-1.0, 1.0, 1.5, 0.0, 2.0, 0.5, -0.3]
     b = [1.0, -1.0, 1.5, 1.0, -0.5, -0.25, -0.3]
     cuts = np.array([[0.3, nan, nan, nan], [-0.0, 0.0, 0.5, 0.5], [1.5, nan, nan, nan],
@@ -518,7 +524,8 @@ def cases():
     yield ("cli/check-condition/lattice/inline-coupled-cubic",
            lambda: _cli_case(["check-condition"], INLINE_2D_MODEL + _lattice_grid(2)))
     yield "quadrature/batch-cuts", _batch_cuts_case
-    yield "quadrature/vector", lambda: _batch_cuts_case(components=2)
+    yield "quadrature/vector", lambda: _batch_cuts_case("vector")
+    yield "quadrature/strided", lambda: _batch_cuts_case("strided")
     for name in ("burgers", "anisotropic-2d", "coupled-cubic"):
         yield f"entropy/{name}", lambda m=models[name]: _entropy_case(m)
     yield "inputs/cell-fields", _cell_field_case
