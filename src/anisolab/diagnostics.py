@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .solver import (
-    CellField,
     DiagnosticsRow,
     Trajectory,
     _Stencils,
@@ -45,26 +44,21 @@ __all__ = [
 DECAY_THRESHOLDS = (0.5, 0.1, 0.05, 0.01)
 
 
-def _values(field) -> np.ndarray:
-    arr = field.values if isinstance(field, CellField) else field
-    return np.asarray(arr, dtype=float)
-
-
 def mean(field, grid):
     """Cell-average mean, equal to the integral divided by the measure."""
-    v = _values(field)
+    v = _grid_values(field, grid)
     return float(v.sum()) / v.size
 
 
 def l1_to_constant(field, grid, c):
     """Integral of |u - c| over the box (cell quadrature)."""
-    v = _values(field)
+    v = _grid_values(field, grid)
     return float(np.abs(v - float(c)).sum()) * grid.cell_volume
 
 
 def l2_energy(field, grid):
     """Integral of u^2 over the box."""
-    v = _values(field)
+    v = _grid_values(field, grid)
     return float(np.vdot(v, v).real) * grid.cell_volume
 
 

@@ -13,12 +13,13 @@ field with its range [min u, max u], its one min/max pass: the range sets
 the next step's wave bounds, tells whether the field is finite (np.min and
 np.max propagate NaN), and gives run's max-principle statistic and sup norm.
 
-The stencils are periodic slice kernels (_Stencils): each stencil term is
-one loop of a ufunc over index triples (out, x, y), built once per axis
-for the layout the field's dimension picks. In 1-d a stage copies the
-field once into a buffer with a ghost cell at each end and evaluates the
-flux, B and beta on it, so a term is one ufunc call on plain slices. In
-2-d a shifted operand is read in place, split where its index wraps: a
+The stencils are periodic slice kernels (_Stencils): every stencil term,
+the mixed one included, is a row of index plans over the trailing axes,
+one loop of a ufunc over index triples (out, x, y), built once for the
+layout the field's dimension picks. In 1-d a stage copies the field once
+into a buffer with a ghost cell at each end and evaluates the flux, B and
+beta on it, so a term is one ufunc call on plain slices. In 2-d a shifted
+operand is read in place, split into blocks where its indexes wrap: a
 padded 2-d layout gave the same bits but a run-2d-aniso round went from
 0.45 s to 0.54 s, the 128^2 copy into the pad and the strided interior
 views costing more than the calls they save. Work arrays and grid
@@ -47,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import pairwise, product
 from typing import Optional
 
 import numpy as np
@@ -276,22 +278,19 @@ def _range(values):
 
 
 @lru_cache(maxsize=256)
-def _segments(n, axis, sx, sy):
+def _segments(ns, sx, sy):
     """(out, x, y) index triples that cover out[i] = op(x[i + sx], y[i + sy]).
 
-    Indexes run mod n along the trailing axis ``axis`` (negative), so any
-    leading batch axes pass straight through. There is one triple per
-    stretch of i on which neither shifted index wraps.
+    ``ns``, ``sx`` and ``sy`` hold one size and two shifts per trailing axis,
+    and i runs over those axes with each index taken mod its size, so any
+    leading batch axes pass straight through. On each axis a stretch is a
+    run of i on which neither shifted index wraps; there is one triple per
+    block of the product of the axes' stretches.
     """
-    cuts = sorted({0, n, -sx % n, -sy % n})
-    tail = (slice(None),) * (-axis - 1)
-
-    def at(lo, hi):
-        return (Ellipsis, slice(lo, hi)) + tail
-
-    return tuple((at(lo, hi), at((lo + sx) % n, (lo + sx) % n + hi - lo),
-                  at((lo + sy) % n, (lo + sy) % n + hi - lo))
-                 for lo, hi in zip(cuts, cuts[1:]))
+    stretches = [[tuple(slice((lo + s) % n, (lo + s) % n + hi - lo) for s in (0, s_x, s_y))
+                  for lo, hi in pairwise(sorted({0, n, -s_x % n, -s_y % n}))]
+                 for n, s_x, s_y in zip(ns, sx, sy)]
+    return tuple(tuple((Ellipsis,) + idx for idx in zip(*block)) for block in product(*stretches))
 
 
 def _apply(ufunc, x, y, out, plan):
@@ -301,8 +300,9 @@ def _apply(ufunc, x, y, out, plan):
     return out
 
 
-# Stencil terms, out[i] = op(x[i + sx], y[i + sy]): name -> (sx, sy, gx, gy,
-# lo). Wrapped, every array holds the n cells, or the faces i + 1/2 from
+# Axis-aligned stencil terms along axis k, out[i] = op(x[i + sx], y[i + sy]):
+# name -> (sx, sy, gx, gy, lo). Wrapped, the shifts sit on axis k (0 on the
+# other axes), and every array holds the cells, or the faces i + 1/2 from
 # i = 0. Padded, the output runs from i = lo (-1 for faces), and gx and gy
 # are the operands' ghost offsets: the stage field, its flux, B and beta and
 # the face arrays carry one entry before cell 0, the cell work arrays none.
@@ -314,14 +314,19 @@ _TERMS = {
     "b_down": (0, -1, 0, 1, 0),  # (B(i+1) - 2 B(i)) + B(i-1)
     "beta": (1, -1, 1, 1, 0),  # beta(i+1) - beta(i-1)
 }
+# The mixed term's rows, (sx, sy) with a shift per trailing axis (2-d,
+# wrapped), in the order ((B[i+1,j+1] - B[i+1,j-1]) - B[i-1,j+1]) + B[i-1,j-1].
+_MIXED = (((1, 1), (1, -1)), ((0, 0), (-1, 1)), ((0, 0), (-1, -1)))
 
 
-def _term_plans(n, axis, padded):
-    """{term: index triples} along ``axis`` for one layout (padded: 1-d only)."""
+def _term_plans(ns, k, padded):
+    """{term: index triples} along axis k of the trailing sizes ``ns`` (padded: 1-d only)."""
     if not padded:
-        return {name: _segments(n, axis, sx, sy) for name, (sx, sy, *_) in _TERMS.items()}
-    return {name: (((Ellipsis,), (Ellipsis, slice(gx + sx + lo, gx + sx + n)),
-                    (Ellipsis, slice(gy + sy + lo, gy + sy + n))),)
+        def on_k(s):
+            return tuple(s if a == k else 0 for a in range(len(ns)))
+        return {name: _segments(ns, on_k(sx), on_k(sy)) for name, (sx, sy, *_) in _TERMS.items()}
+    return {name: (((Ellipsis,), (Ellipsis, slice(gx + sx + lo, gx + sx + ns[k])),
+                    (Ellipsis, slice(gy + sy + lo, gy + sy + ns[k]))),)
             for name, (sx, sy, gx, gy, lo) in _TERMS.items()}
 
 
@@ -344,11 +349,13 @@ class _Stencils:
         self.two_h = tuple(2.0 * h for h in self.h)
         self.four_hh = 4.0 * self.h[0] * self.h[-1]
         self.cell_volume = grid.cell_volume
-        self.work = [np.empty(shape) for _ in range(3)]
+        self.work = [np.empty(shape) for _ in range(2)]
         self.flux, self.bounds, self.flux_is_zero = table.flux, table.bounds, table.flux_is_zero
         # The one layout decision; the module docstring says why 2-d stays wrapped.
         self.padded = padded = d == 1
-        self.plans = [_term_plans(self.shape[k - d], k - d, padded) for k in range(d)]
+        ns = self.shape[-d:]
+        self.plans = [_term_plans(ns, k, padded) for k in range(d)]
+        self.mixed = () if padded else tuple(_segments(ns, sx, sy) for sx, sy in _MIXED)
         if padded:
             n = self.shape[-1]
             self.ghost = np.empty(self.shape[:-1] + (n + 2,))
@@ -400,13 +407,16 @@ class _Stencils:
         return out
 
     def diffusion(self, values, out):
-        """Second differences of B(u), with the mixed stencil in 2-d, into ``out``."""
-        d = self.d
+        """Second differences of B(u) into ``out``, each term by its rows of index plans.
+
+        B_ii is two rows along axis i; B_01 (2-d) is the three rows of
+        ``_MIXED``, scaled by 2 / (4 h_0 h_1).
+        """
         u = self.pad(values)
         b = {ij: fn(u) for ij, fn in self.b_entries.items()}
-        w0, w1, w2 = self.work
+        w0, w1 = self.work
         out.fill(0.0)
-        for i in range(d):
+        for i in range(self.d):
             if (i, i) not in b:
                 continue
             bb, plan = b[i, i], self.plans[i]
@@ -416,18 +426,14 @@ class _Stencils:
             _apply(np.add, w1, bb, w1, plan["b_down"])
             w1 /= self.h2[i]
             out += w1
-        if d == 2 and (0, 1) in b:
-            # ((B[i+1,j+1] - B[i+1,j-1]) - B[i-1,j+1]) + B[i-1,j-1], 2-d only (wrapped)
-            bb, n0, n1 = b[0, 1], *self.shape[-2:]
-            for s, w in ((1, w0), (-1, w1)):
-                for o, ix, _ in _segments(n0, -2, s, 0):
-                    w[o] = bb[ix]
-            _apply(np.subtract, w0, w0, w2, _segments(n1, -1, 1, -1))
-            _apply(np.subtract, w2, w1, w2, _segments(n1, -1, 0, 1))
-            _apply(np.add, w2, w1, w2, _segments(n1, -1, 0, -1))
-            w2 *= 2.0
-            w2 /= self.four_hh
-            out += w2
+        if (0, 1) in b:
+            bb, (first, second, third) = b[0, 1], self.mixed
+            _apply(np.subtract, bb, bb, w0, first)
+            _apply(np.subtract, w0, bb, w0, second)
+            _apply(np.add, w0, bb, w0, third)
+            w0 *= 2.0
+            w0 /= self.four_hh
+            out += w0
         return out
 
     def dissipation(self, values):

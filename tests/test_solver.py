@@ -278,6 +278,9 @@ STENCIL_CASES = [
     ("interior-spline", (2.5,), (2,), (5,)),
     ("whole-burgers-degenerate", (1.0,), (), (4,)),
     ("whole-burgers-degenerate", (1.5,), (2,), (11,)),
+    # On 4 and 5 cells the wrapping blocks are most of each two-axis plan.
+    ("coupled-cubic", (1.0, 3.0), (2,), (4, 5)),
+    ("coupled-cubic", (2.0, 0.5), (2,), (5, 4)),
 ]
 
 
@@ -350,7 +353,9 @@ def test_stable_dt_rejects_bad_input():
 def test_one_shot_operators_reject_a_field_of_another_grid(shape):
     m, g = preset("porous-medium"), PeriodicGrid.make([1.0], [64])
     fld = CellField(np.linspace(-0.5, 0.5, int(np.prod(shape))).reshape(shape), 0.0)
-    for op in (hyperbolic_div, diffusion_div, stable_dt, parabolic_dissipation):
+    norms = (lambda m, f, g: mean(f, g), lambda m, f, g: l2_energy(f, g),
+             lambda m, f, g: l1_to_constant(f, g, 0.0))
+    for op in (hyperbolic_div, diffusion_div, stable_dt, parabolic_dissipation, *norms):
         with pytest.raises(ConfigurationError, match="does not match grid"):
             op(m, fld, g)
 

@@ -23,6 +23,10 @@ of the difference, and exits 1 if any case differs. The cases are:
   cells of the 1-d stencils are a large share of the field, for
   burgers-degenerate, porous-medium and bare/burgers-degenerate
   (``run/cells-4/...``, ``step/cells-5/...``, ``run/lockstep/cells-4/...``);
+  and the same three on 4x5 and 5x4 cells for coupled-cubic, whose
+  off-diagonal entry runs the mixed stencil where most blocks of its
+  two-axis index plans wrap (``run/cells-4x5/coupled-cubic``,
+  ``step/cells-5x4/coupled-cubic``, ``run/lockstep/cells-4x5/coupled-cubic``);
 - runs that blow up, to infinity (burgers) and to NaN (a hand-built flux
   undefined beyond |u| = 1.2): message, time, peak, partial rows and
   statistics (``blow-up/...``);
@@ -161,14 +165,14 @@ def _models():
     return out
 
 
-def _run_setup(model, cells=64):
+def _run_setup(model, cells=None):
     import numpy as np
     from anisolab.solver import PeriodicGrid
     if model.dimension == 1:
-        grid = PeriodicGrid.make([1.0], [cells])
+        grid = PeriodicGrid.make([1.0], [cells or 64])
         profile = lambda x: 0.3 + 0.6 * np.sin(2 * np.pi * x)  # noqa: E731
     else:
-        grid = PeriodicGrid.make([1.0, 1.0], [16, 12])
+        grid = PeriodicGrid.make([1.0, 1.0], list(cells or (16, 12)))
         profile = lambda x, y: 0.3 + 0.6 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)  # noqa: E731
     return grid, profile
 
@@ -178,14 +182,14 @@ def _trajectory_record(traj):
             traj.final.values.tobytes())
 
 
-def _run_case(model, cells=64):
+def _run_case(model, cells=None):
     from anisolab.solver import SchemeConfig, run
     grid, profile = _run_setup(model, cells)
     traj = run(model, grid, profile, SchemeConfig(t_end=0.05, output_every=0.01))
     return pickle.dumps(_trajectory_record(traj))
 
 
-def _step_case(model, cells=64):
+def _step_case(model, cells=None):
     from anisolab.solver import SchemeConfig, init_field, step
     grid, profile = _run_setup(model, cells)
     state = init_field(grid, profile)
@@ -197,11 +201,17 @@ def _step_case(model, cells=64):
 
 
 def _lockstep_case(model, cells):
+    """A lockstep pair on ``cells``, an int in 1-d or a pair of ints in 2-d."""
     import numpy as np
     from anisolab.solver import PeriodicGrid, SchemeConfig, run_lockstep
-    times, dists, fa, fb = run_lockstep(
-        model, PeriodicGrid.make([1.0], [cells]), lambda x: np.sin(2 * np.pi * x),
-        lambda x: 0.5 * np.cos(2 * np.pi * x), SchemeConfig(t_end=0.03))
+    if isinstance(cells, int):
+        grid = PeriodicGrid.make([1.0], [cells])
+        a, b = lambda x: np.sin(2 * np.pi * x), lambda x: 0.5 * np.cos(2 * np.pi * x)
+    else:
+        grid = PeriodicGrid.make([1.0, 1.0], list(cells))
+        a = lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)  # noqa: E731
+        b = lambda x, y: 0.5 * np.cos(2 * np.pi * (x + y))  # noqa: E731
+    times, dists, fa, fb = run_lockstep(model, grid, a, b, SchemeConfig(t_end=0.03))
     return pickle.dumps((times, dists, fa.values.tobytes(), fb.values.tobytes()))
 
 
@@ -509,6 +519,12 @@ def cases():
             yield f"run/cells-{n}/{name}", lambda m=model, n=n: _run_case(m, n)
             yield f"step/cells-{n}/{name}", lambda m=model, n=n: _step_case(m, n)
             yield f"run/lockstep/cells-{n}/{name}", lambda m=model, n=n: _lockstep_case(m, n)
+    for cells in ((4, 5), (5, 4)):
+        tag, model = "x".join(map(str, cells)), models["coupled-cubic"]
+        yield f"run/cells-{tag}/coupled-cubic", lambda m=model, c=cells: _run_case(m, c)
+        yield f"step/cells-{tag}/coupled-cubic", lambda m=model, c=cells: _step_case(m, c)
+        yield (f"run/lockstep/cells-{tag}/coupled-cubic",
+               lambda m=model, c=cells: _lockstep_case(m, c))
     yield "cli/run/inline-interior", lambda: _cli_case(["run"], INLINE_CONFIG)
     yield "blow-up/burgers", lambda: _blow_up_case(models["burgers"])
     yield "blow-up/nan-beyond", lambda: _blow_up_case(_nan_beyond_model())
