@@ -53,15 +53,10 @@ from .model import (
     ModelSpec,
     ModelValidationReport,
     NotPSDError,
-    beta_eval,
-    bprimitive_eval,
-    diffusion_eval,
-    flux_eval,
+    evaluate,
     list_presets,
     polynomial_model,
     preset,
-    speed_eval,
-    sqrt_factor_eval,
     validate_model,
 )
 from .quadrature import QuadratureError, adaptive_quadrature
@@ -77,7 +72,6 @@ from .solver import (
     diffusion_div,
     hyperbolic_div,
     init_field,
-    numerical_flux_llf,
     run,
     run_lockstep,
     stable_dt,
@@ -90,9 +84,8 @@ __all__ = [
     "__version__",
     # model
     "ModelError", "NotPSDError", "ModelSpec", "ModelValidationReport",
-    "flux_eval", "speed_eval", "diffusion_eval", "sqrt_factor_eval",
-    "beta_eval", "bprimitive_eval", "validate_model", "preset",
-    "list_presets", "polynomial_model",
+    "evaluate", "validate_model", "preset", "list_presets",
+    "polynomial_model",
     # kinetic
     "chi", "entropy_from_kinetic", "entropy_flux_from_kinetic",
     "FrequencyPoint", "SamplingPlan", "symbol_denominator", "omega_at",
@@ -101,8 +94,8 @@ __all__ = [
     # solver
     "PeriodicGrid", "CellField", "SchemeConfig", "DiagnosticsRow",
     "Trajectory", "RunStats", "BlowUpError", "ConfigurationError",
-    "init_field", "numerical_flux_llf", "hyperbolic_div", "diffusion_div",
-    "stable_dt", "step", "run", "run_lockstep",
+    "init_field", "hyperbolic_div", "diffusion_div", "stable_dt", "step",
+    "run", "run_lockstep",
     # diagnostics
     "mean", "l1_to_constant", "l2_energy", "parabolic_dissipation",
     "audit", "decay_summary", "refinement_study", "AuditTolerances",

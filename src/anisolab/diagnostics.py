@@ -17,13 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .solver import (
-    DiagnosticsRow,
-    Trajectory,
-    _Stencils,
-    _grid_values,
-    run,
-)
+from .solver import ConfigurationError, DiagnosticsRow, Trajectory, _Stencils, _grid_values, run
 
 __all__ = [
     "DiagnosticsRow",
@@ -44,28 +38,37 @@ __all__ = [
 DECAY_THRESHOLDS = (0.5, 0.1, 0.05, 0.01)
 
 
+def _one_field(field, grid):
+    """One field's values, checked against the grid; a batch of fields is rejected."""
+    v = _grid_values(field, grid)
+    if v.ndim > grid.dimension:
+        raise ConfigurationError(f"expected one field, got a batch of shape {v.shape}")
+    return v
+
+
 def mean(field, grid):
     """Cell-average mean, equal to the integral divided by the measure."""
-    v = _grid_values(field, grid)
+    v = _one_field(field, grid)
     return float(v.sum()) / v.size
 
 
 def l1_to_constant(field, grid, c):
     """Integral of |u - c| over the box (cell quadrature)."""
-    v = _grid_values(field, grid)
+    v = _one_field(field, grid)
     return float(np.abs(v - float(c)).sum()) * grid.cell_volume
 
 
 def l2_energy(field, grid):
     """Integral of u^2 over the box."""
-    v = _grid_values(field, grid)
+    v = _one_field(field, grid)
     return float(np.vdot(v, v).real) * grid.cell_volume
 
 
 def parabolic_dissipation(model, field, grid):
     """Discrete dissipation sum_k (sum_i D_i beta_ik(u))^2 integrated in x.
 
-    Nonnegative by construction; zero whenever the diffusion vanishes.
+    Nonnegative by construction; zero whenever the diffusion vanishes. A
+    batch of fields (leading axes) gives the sum over the batch.
     """
     values = _grid_values(field, grid)
     return _Stencils(model, grid, values.shape).dissipation(values)

@@ -22,7 +22,7 @@ from entries: for an input of shape S, ``flux`` and ``speed`` return shape
 S + (d,), ``diffusion``, ``sqrt_factor`` and the primitives S + (d, d). A
 hand-built ``ModelSpec`` supplies whole callables of those shapes instead.
 Either way the solver, the condition checker, validate_model and the scalar
-primitive evaluators read entries through one path, _entries, which the
+evaluator ``evaluate`` read entries through one path, _entries, which the
 cached ``model_table`` holds per model.
 """
 
@@ -38,8 +38,7 @@ from .quadrature import QuadratureError, adaptive_quadrature_batch
 
 __all__ = [
     "ModelError", "NotPSDError", "ModelSpec", "ModelTable", "ModelValidationReport",
-    "CheckResult", "Poly", "flux_eval", "speed_eval", "diffusion_eval", "sqrt_factor_eval",
-    "beta_eval", "bprimitive_eval", "validate_model", "preset", "list_presets",
+    "CheckResult", "Poly", "evaluate", "validate_model", "preset", "list_presets",
     "polynomial_model", "model_table", "primitive_tables", "speed_vector",
 ]
 
@@ -125,15 +124,22 @@ def speed_vector(model, u):
     return _vector(model, "speed", u)
 
 
-def _point(model, name, u, index=()):
-    """Quantity ``name`` at the scalar u, checked finite (and A symmetric).
+def evaluate(model, name, u, index=()):
+    """Quantity ``name`` of ``model`` at the scalar u, checked finite.
 
-    With an ``index`` that entry is returned as a float; a missing
-    primitive is its spline table's value (see _vector).
+    ``name`` is a ModelSpec quantity (flux, speed, diffusion, sqrt_factor,
+    b_primitive or beta_primitive); a missing one is its stand-in (see
+    _vector). Returns the (d,) or (d, d) array, or with an ``index`` of one
+    component per axis that entry as a float. Raises ValueError for an
+    unknown name, IndexError for a bad index, ModelError for a non-finite
+    value or a non-symmetric A, and NotPSDError for a non-PSD A under the
+    sqrt_factor fallback.
     """
-    u, d = float(u), model.dimension
-    if not all(0 <= i < d for i in index):
-        raise IndexError(f"component {index} out of range for dimension {d}")
+    if name not in _RANK:
+        raise ValueError(f"unknown model quantity {name!r}; expected one of {sorted(_RANK)}")
+    u, d, index = float(u), model.dimension, tuple(index)
+    if index and (len(index) != _RANK[name] or not all(0 <= i < d for i in index)):
+        raise IndexError(f"component {index} out of range for {name} in dimension {d}")
     out = _vector(model, name, u)
     if not np.isfinite(out).all():
         raise ModelError(f"{name}({u!r}) is not finite: {out}")
@@ -141,36 +147,6 @@ def _point(model, name, u, index=()):
     if skew > TOL_SYMMETRY * (1.0 + np.abs(out).max()):
         raise ModelError(f"diffusion({u!r}) is not symmetric (skew {skew:.3e})")
     return float(out[index]) if index else out
-
-
-def flux_eval(model, u):
-    """Flux vector f(u) as a (d,) array; rejects non-finite output."""
-    return _point(model, "flux", u)
-
-
-def speed_eval(model, u):
-    """Speed a(u) = f'(u); centered-difference fallback when not supplied."""
-    return _point(model, "speed", u)
-
-
-def diffusion_eval(model, u):
-    """Diffusion matrix A(u) as a (d, d) array; must be symmetric."""
-    return _point(model, "diffusion", u)
-
-
-def sqrt_factor_eval(model, u):
-    """sigma(u) as a (d, d) array. Raises NotPSDError when A(u) is not PSD."""
-    return _point(model, "sqrt_factor", u)
-
-
-def beta_eval(model, u, i, k):
-    """beta_ik(u), the primitive of sigma_ik from 0 to u."""
-    return _point(model, "beta_primitive", u, (i, k))
-
-
-def bprimitive_eval(model, u, i, j):
-    """B_ij(u), the primitive of A_ij from 0 to u."""
-    return _point(model, "b_primitive", u, (i, j))
 
 
 # --- entries -----------------------------------------------------------------
@@ -479,8 +455,8 @@ def model_table(model):
     polynomial_model) give their own, a callable supplied whole (a
     hand-built ModelSpec, dataclasses.replace, or a fallback) is sliced per
     index, and a missing primitive becomes a dense Hermite spline fitted to
-    quadrature values of its integrand entries, which the scalar evaluators
-    and validate_model read too.
+    quadrature values of its integrand entries, which ``evaluate`` and
+    validate_model read too.
     """
     return ModelTable(model)
 

@@ -53,7 +53,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import model as model_mod
 from .model import model_table
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "RunStats",
     "Trajectory",
     "init_field",
-    "numerical_flux_llf",
     "hyperbolic_div",
     "diffusion_div",
     "stable_dt",
@@ -259,17 +257,6 @@ def init_field(grid, profile):
         bad = np.argwhere(~np.isfinite(values))[0]
         raise ValueError(f"initial profile is non-finite near cell index {tuple(bad)}")
     return CellField(values=values, time=0.0)
-
-
-def numerical_flux_llf(model, u_left, u_right, axis, alpha):
-    """Local Lax-Friedrichs interface flux for one axis.
-
-    ``alpha`` must dominate |a_axis| over the range spanned by the two
-    states for the flux to be monotone.
-    """
-    f_l = model_mod.flux_eval(model, u_left)[axis]
-    f_r = model_mod.flux_eval(model, u_right)[axis]
-    return 0.5 * (f_l + f_r) - 0.5 * alpha * (float(u_right) - float(u_left))
 
 
 def _range(values):

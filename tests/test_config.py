@@ -22,7 +22,7 @@ from anisolab.config import (
     parse_config,
     serialize_config,
 )
-from anisolab.model import diffusion_eval, flux_eval, list_presets, preset
+from anisolab.model import evaluate, list_presets, preset
 from anisolab.solver import INTEGRATORS
 
 MINIMAL = "[model]\npreset = burgers\n"
@@ -369,13 +369,13 @@ def test_serialize_canonical_shape():
 def test_make_model_from_preset_and_inline():
     m = make_model(parse_config(MINIMAL))
     assert m.name == "burgers"
-    assert flux_eval(m, 2.0) == pytest.approx([2.0])
+    assert evaluate(m, "flux", 2.0) == pytest.approx([2.0])
 
     inline = make_model(parse_config(INLINE))
     assert inline.name == "my-degenerate"
     assert inline.state_bound == 1.5
-    assert flux_eval(inline, 2.0) == pytest.approx([2.0])
-    assert np.allclose(diffusion_eval(inline, 0.5), [[0.25]])
+    assert evaluate(inline, "flux", 2.0) == pytest.approx([2.0])
+    assert np.allclose(evaluate(inline, "diffusion", 0.5), [[0.25]])
 
 
 def test_make_model_requires_some_model():

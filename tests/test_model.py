@@ -13,17 +13,11 @@ from anisolab.model import (
     ModelSpec,
     NotPSDError,
     Poly,
-    beta_eval,
-    bprimitive_eval,
-    diffusion_eval,
-    flux_eval,
+    evaluate,
     list_presets,
     model_table,
     polynomial_model,
     preset,
-    primitive_tables,
-    speed_eval,
-    sqrt_factor_eval,
     validate_model,
     _spline_primitive,
 )
@@ -57,18 +51,19 @@ def test_state_bound_must_be_positive():
 
 def test_flux_burgers():
     m = preset("burgers")
-    assert flux_eval(m, 2.0) == pytest.approx([2.0], abs=1e-15)
-    assert flux_eval(m, 0.0) == pytest.approx([0.0], abs=0)
+    assert evaluate(m, "flux", 2.0) == pytest.approx([2.0], abs=1e-15)
+    assert evaluate(m, "flux", 0.0) == pytest.approx([0.0], abs=0)
 
 
 def test_flux_anisotropic_2d():
     m = preset("anisotropic-2d")
-    assert flux_eval(m, 1.0) == pytest.approx([0.5, 1.0 / 3.0], abs=1e-15)
+    assert evaluate(m, "flux", 1.0) == pytest.approx([0.5, 1.0 / 3.0], abs=1e-15)
+    assert evaluate(m, "flux", 1.0, (1,)) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_speed_burgers_and_advection():
-    assert speed_eval(preset("burgers"), 3.0) == pytest.approx([3.0], abs=1e-15)
-    assert speed_eval(preset("linear-advection"), -0.7) == pytest.approx([1.0], abs=0)
+    assert evaluate(preset("burgers"), "speed", 3.0) == pytest.approx([3.0], abs=1e-15)
+    assert evaluate(preset("linear-advection"), "speed", -0.7) == pytest.approx([1.0], abs=0)
 
 
 def test_speed_fd_fallback_matches_derivative():
@@ -79,8 +74,8 @@ def test_speed_fd_fallback_matches_derivative():
         state_bound=2.0,
         name="fd-fallback",
     )
-    assert speed_eval(m, 1.0) == pytest.approx([1.0], abs=1e-9)
-    assert speed_eval(m, -1.3) == pytest.approx([-1.3], abs=1e-8)
+    assert evaluate(m, "speed", 1.0) == pytest.approx([1.0], abs=1e-9)
+    assert evaluate(m, "speed", -1.3) == pytest.approx([-1.3], abs=1e-8)
 
 
 def test_speed_fallback_agrees_with_analytic_on_presets():
@@ -94,27 +89,27 @@ def test_speed_fallback_agrees_with_analytic_on_presets():
             name=m.name + "-fd",
         )
         for u in (-0.9, -0.4, 0.3, 0.8):
-            assert speed_eval(stripped, u) == pytest.approx(
-                speed_eval(m, u), abs=1e-8
+            assert evaluate(stripped, "speed", u) == pytest.approx(
+                evaluate(m, "speed", u), abs=1e-8
             ), f"{name} at u={u}"
 
 
 def test_diffusion_porous_and_advection():
     assert np.allclose(
-        diffusion_eval(preset("porous-medium"), -0.5), [[1.0]], atol=1e-15
+        evaluate(preset("porous-medium"), "diffusion", -0.5), [[1.0]], atol=1e-15
     )
     assert np.array_equal(
-        diffusion_eval(preset("linear-advection"), 0.6), [[0.0]]
+        evaluate(preset("linear-advection"), "diffusion", 0.6), [[0.0]]
     )
 
 
 def test_diffusion_anisotropic_2d():
-    got = diffusion_eval(preset("anisotropic-2d"), 2.0)
+    got = evaluate(preset("anisotropic-2d"), "diffusion", 2.0)
     assert np.allclose(got, [[4.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
 def test_sqrt_factor_diagonal_case():
-    got = sqrt_factor_eval(preset("anisotropic-2d"), 2.0)
+    got = evaluate(preset("anisotropic-2d"), "sqrt_factor", 2.0)
     assert np.allclose(got, [[2.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
 
@@ -127,7 +122,7 @@ def test_sqrt_factor_reconstructs_full_matrix():
         dimension=2,
         state_bound=1.0,
     )
-    sig = sqrt_factor_eval(m, 0.5)
+    sig = evaluate(m, "sqrt_factor", 0.5)
     recon = sig @ sig.T
     assert np.abs(recon - np.array([[2.0, 1.0], [1.0, 2.0]])).max() < 1e-12
 
@@ -137,36 +132,32 @@ def test_sqrt_factor_rejects_negative_diffusion():
         "negative", [(0.0,)], {(0, 0): (-1.0,)}, dimension=1, state_bound=1.0
     )
     with pytest.raises(NotPSDError):
-        sqrt_factor_eval(m, 0.3)
+        evaluate(m, "sqrt_factor", 0.3)
 
 
 def test_beta_examples():
-    assert beta_eval(preset("burgers-degenerate"), 1.0, 0, 0) == pytest.approx(
-        0.5, abs=1e-12
-    )
-    assert beta_eval(preset("linear-advection"), 0.8, 0, 0) == 0.0
+    def beta(name, u):
+        return evaluate(preset(name), "beta_primitive", u, (0, 0))
+    assert beta("burgers-degenerate", 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert beta("linear-advection", 0.8) == 0.0
     # A = 2|u| gives sigma = sqrt(2|u|) and primitive (2 sqrt 2 / 3) |u|^1.5 sign(u).
-    assert beta_eval(preset("porous-medium"), 1.0, 0, 0) == pytest.approx(
-        2.0 * np.sqrt(2.0) / 3.0, abs=1e-12
-    )
+    assert beta("porous-medium", 1.0) == pytest.approx(2.0 * np.sqrt(2.0) / 3.0, abs=1e-12)
 
 
 def test_bprimitive_examples():
-    assert bprimitive_eval(preset("burgers-degenerate"), 1.0, 0, 0) == pytest.approx(
-        1.0 / 3.0, abs=1e-12
-    )
-    assert bprimitive_eval(preset("linear-advection"), -0.4, 0, 0) == 0.0
+    def b(name, u):
+        return evaluate(preset(name), "b_primitive", u, (0, 0))
+    assert b("burgers-degenerate", 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert b("linear-advection", -0.4) == 0.0
     # A = 2|u| integrates to u|u|; at u = -1 that is -1.
-    assert bprimitive_eval(preset("porous-medium"), -1.0, 0, 0) == pytest.approx(
-        -1.0, abs=1e-12
-    )
+    assert b("porous-medium", -1.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_primitive_component_out_of_range():
     with pytest.raises(IndexError):
-        beta_eval(preset("burgers"), 0.5, 0, 1)
+        evaluate(preset("burgers"), "beta_primitive", 0.5, (0, 1))
     with pytest.raises(IndexError):
-        bprimitive_eval(preset("burgers"), 0.5, 1, 0)
+        evaluate(preset("burgers"), "b_primitive", 0.5, (1, 0))
 
 
 def test_fd_derivative_of_primitives_matches_integrands():
@@ -178,12 +169,11 @@ def test_fd_derivative_of_primitives_matches_integrands():
         for u in np.linspace(-0.87, 0.91, 13):
             if abs(u) < 0.05:
                 continue
-            d_beta = (beta_eval(m, u + h, 0, 0) - beta_eval(m, u - h, 0, 0)) / (2 * h)
-            d_b = (
-                bprimitive_eval(m, u + h, 0, 0) - bprimitive_eval(m, u - h, 0, 0)
-            ) / (2 * h)
-            assert abs(d_beta - sqrt_factor_eval(m, u)[0, 0]) < 10 * h, (name, u)
-            assert abs(d_b - diffusion_eval(m, u)[0, 0]) < 10 * h, (name, u)
+            d_beta, d_b = (
+                (evaluate(m, q, u + h, (0, 0)) - evaluate(m, q, u - h, (0, 0))) / (2 * h)
+                for q in ("beta_primitive", "b_primitive"))
+            assert abs(d_beta - evaluate(m, "sqrt_factor", u)[0, 0]) < 10 * h, (name, u)
+            assert abs(d_b - evaluate(m, "diffusion", u)[0, 0]) < 10 * h, (name, u)
 
 
 # --- polynomial models -------------------------------------------------------
@@ -204,10 +194,10 @@ def test_scalar_primitives_read_the_table_entries_bit_for_bit(bare):
     m = _bare(m) if bare else m
     table = model_table(m)
     us = np.array([-1.3, -1.05, -0.6, 0.0, 0.35, 0.9, 1.2])
-    for attr, scalar in (("beta", beta_eval), ("b", bprimitive_eval)):
+    for attr, name in (("beta", "beta_primitive"), ("b", "b_primitive")):
         for i, j in np.ndindex(2, 2):
             want = getattr(table, attr).get((i, j), np.zeros_like)(us)
-            assert [scalar(m, u, i, j) for u in us] == want.tolist(), (attr, i, j)
+            assert [evaluate(m, name, u, (i, j)) for u in us] == want.tolist(), (attr, i, j)
 
 
 def test_validate_model_reads_the_spline_table(monkeypatch):
@@ -233,12 +223,13 @@ def test_polynomial_model_matches_preset_burgers_degenerate():
     )
     ref = preset("burgers-degenerate")
     for u in (-0.8, -0.2, 0.4, 1.0):
-        assert flux_eval(m, u) == pytest.approx(flux_eval(ref, u), abs=1e-14)
-        assert diffusion_eval(m, u) == pytest.approx(diffusion_eval(ref, u), abs=1e-14)
-        assert bprimitive_eval(m, u, 0, 0) == pytest.approx(
-            bprimitive_eval(ref, u, 0, 0), abs=1e-12
+        assert evaluate(m, "flux", u) == pytest.approx(evaluate(ref, "flux", u), abs=1e-14)
+        assert evaluate(m, "diffusion", u) == pytest.approx(
+            evaluate(ref, "diffusion", u), abs=1e-14)
+        assert evaluate(m, "b_primitive", u, (0, 0)) == pytest.approx(
+            evaluate(ref, "b_primitive", u, (0, 0)), abs=1e-12
         )
-    assert speed_eval(m, 0.7) == pytest.approx([0.7], abs=1e-14)
+    assert evaluate(m, "speed", 0.7) == pytest.approx([0.7], abs=1e-14)
 
 
 def test_polynomial_model_rejects_bad_shapes():
@@ -259,17 +250,40 @@ def test_model_error_on_wrong_flux_shape():
         name="short-flux",
     )
     with pytest.raises(ModelError, match="shape"):
-        flux_eval(m, 0.5)
+        evaluate(m, "flux", 0.5)
+
+
+SKEWED = ModelSpec(dimension=2, flux=lambda u: np.zeros(np.shape(u) + (2,)),
+                   diffusion=lambda u: np.broadcast_to([[1.0, 0.5], [0.0, 1.0]], np.shape(u) + (2, 2)),
+                   state_bound=1.0, name="skewed")
+NAN_FLUX = ModelSpec(dimension=1, flux=lambda u: np.full(np.shape(u) + (1,), np.nan),
+                     diffusion=lambda u: np.zeros(np.shape(u) + (1, 1)), state_bound=1.0,
+                     name="nan-flux")
+
+
+@pytest.mark.parametrize("calls,error,match", [
+    ([(SKEWED, "diffusion", ())], ModelError, "not symmetric"),
+    ([(NAN_FLUX, "flux", ())], ModelError, "not finite"),
+    # A ModelSpec field that is not a quantity is not called.
+    ([(preset("burgers"), "name", ())], ValueError, "unknown model quantity"),
+    # Out of range, and one component too few or too many for the quantity.
+    ([(preset("anisotropic-2d"), "flux", (2,)), (preset("anisotropic-2d"), "diffusion", (0,)),
+      (preset("anisotropic-2d"), "speed", (0, 0))], IndexError, "component"),
+], ids=["skewed-diffusion", "nan-flux", "unknown-name", "bad-index"])
+def test_evaluate_rejects_bad_values_and_inputs(calls, error, match):
+    for model, name, index in calls:
+        with pytest.raises(error, match=match):
+            evaluate(model, name, 0.3, index)
 
 
 # --- primitive tables --------------------------------------------------------
 
 def test_primitive_tables_mark_zero_entries():
-    adv = primitive_tables(preset("linear-advection"))
+    adv = model_table(preset("linear-advection"))
     assert not adv.flux_is_zero
     assert adv.b.get((0, 0)) is None
 
-    por = primitive_tables(preset("porous-medium"))
+    por = model_table(preset("porous-medium"))
     assert por.flux_is_zero
     assert por.b.get((0, 0)) is not None
 
@@ -284,7 +298,7 @@ def test_primitive_tables_spline_fallback_accuracy():
         state_bound=1.0,
         name="spline-check",
     )
-    tables = primitive_tables(m)
+    tables = model_table(m)
     us = np.linspace(-1.0, 1.0, 401)
     got = tables.b.get((0, 0))(us)
     assert np.abs(got - us**3 / 3.0).max() < 1e-8

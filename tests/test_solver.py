@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anisolab.diagnostics import audit, l1_to_constant, l2_energy, mean, parabolic_dissipation
-from anisolab.model import ModelError, ModelSpec, polynomial_model, preset, primitive_tables
+from anisolab.model import ModelError, ModelSpec, model_table, polynomial_model, preset
 from anisolab.solver import (
     BlowUpError,
     CellField,
@@ -16,7 +16,6 @@ from anisolab.solver import (
     diffusion_div,
     hyperbolic_div,
     init_field,
-    numerical_flux_llf,
     run,
     run_lockstep,
     stable_dt,
@@ -99,10 +98,13 @@ def test_init_field_2d_separable_product():
 # --- spatial operators -------------------------------------------------------
 
 def test_llf_flux_values():
-    m = preset("burgers")
-    assert numerical_flux_llf(m, 1.0, 1.0, 0, 1.0) == pytest.approx(0.5, abs=1e-15)
-    assert numerical_flux_llf(m, 1.0, 0.0, 0, 1.0) == pytest.approx(0.75, abs=1e-15)
-    assert numerical_flux_llf(m, 0.0, 0.0, 0, 1.0) == 0.0
+    # Burgers on (1, 1, 0, 0), so alpha = 1: the faces
+    # 0.5 (f(u_i) + f(u_i+1)) - 0.5 alpha (u_i+1 - u_i) are 0.5, 0.75, 0.0
+    # and, across the wrap, -0.25.
+    g = PeriodicGrid.make([1.0], [4])
+    got = hyperbolic_div(preset("burgers"), CellField(np.array([1.0, 1.0, 0.0, 0.0]), 0.0), g)
+    face = np.array([0.5, 0.75, 0.0, -0.25])
+    assert got == pytest.approx((face - np.roll(face, 1)) / 0.25, abs=1e-15)
 
 
 def test_hyperbolic_div_constant_is_zero():
@@ -289,7 +291,7 @@ def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, ce
     m = STENCIL_MODELS[name] if name in STENCIL_MODELS else preset(name)
     g = PeriodicGrid.make(list(periods), list(cells))
     values = np.random.default_rng(7).uniform(-0.9, 0.9, batch + cells)
-    tables = primitive_tables(m)
+    tables = model_table(m)
     alphas, _ = tables.bounds(float(values.min()), float(values.max()))
     stencils = _Stencils(m, g, values.shape)
     for _ in range(2):  # the second call reuses the work arrays
@@ -370,6 +372,12 @@ def test_one_shot_operators_take_batched_fields():
         assert np.array_equal(got[0], op(m, CellField(one, 0.0), g))
     assert stable_dt(m, batch, g) == stable_dt(m, CellField(one, 0.0), g)
     assert parabolic_dissipation(m, batch, g) > parabolic_dissipation(m, one, g)
+    # The norms take one field; a stack of ones and zeros is not folded into
+    # one mean of 0.5.
+    stack = np.stack([np.ones(64), np.zeros(64)])
+    for norm in (mean, l2_energy, lambda f, g: l1_to_constant(f, g, 0.0)):
+        with pytest.raises(ConfigurationError, match="batch"):
+            norm(stack, g)
 
 
 # --- stepping ----------------------------------------------------------------

@@ -35,9 +35,11 @@ of the difference, and exits 1 if any case differs. The cases are:
   violations and decay not reached (``audit/row-only``), and of a run of
   burgers-degenerate's callables whose beta primitive is NaN beyond
   |u| = 1.1, from data reaching 1.15 (``audit/nan-dissipation``);
-- validate_model reports (``validate/...``), and beta_eval and
-  bprimitive_eval for every index at a few states, one beyond the 1.05
-  state_bound span of a spline primitive (``scalar/...``);
+- validate_model reports (``validate/...``), and the scalar evaluator at a
+  few states, one beyond the 1.05 state_bound span of a spline primitive:
+  flux, speed, diffusion and sqrt_factor whole, and the beta and B
+  primitives at every index (``scalar/...``); on a tree without
+  ``model.evaluate`` the same calls go through the wrappers it replaced;
 - symbol_denominator at a few states and degeneracy_set_measure at two
   tolerances, for a few frequencies (``symbol/...``); omega_at at four
   frequencies, one of them resonant, and two lambdas, plus omega_delta
@@ -283,11 +285,30 @@ def _bounds_case(model):
     return repr(out).encode()
 
 
+def _scalar_evaluator():
+    """model.evaluate, or on a tree that predates it the same calls through
+    the per-quantity wrappers it replaced, so both trees give the same bytes."""
+    from anisolab import model as model_mod
+    if hasattr(model_mod, "evaluate"):
+        return model_mod.evaluate
+    wrappers = {name: getattr(model_mod, attr) for name, attr in (
+        ("flux", "flux_eval"), ("speed", "speed_eval"), ("diffusion", "diffusion_eval"),
+        ("sqrt_factor", "sqrt_factor_eval"), ("beta_primitive", "beta_eval"),
+        ("b_primitive", "bprimitive_eval"))}
+    return lambda model, name, u, index=(): wrappers[name](model, u, *index)
+
+
 def _scalar_case(model):
-    from anisolab.model import beta_eval, bprimitive_eval
+    evaluate = _scalar_evaluator()
     d = model.dimension
-    return repr([(beta_eval(model, u, i, j), bprimitive_eval(model, u, i, j))
-                 for u in (-0.6, 0.0, 0.35, 0.9, 1.2) for i in range(d) for j in range(d)]).encode()
+    out = []
+    for u in (-0.6, 0.0, 0.35, 0.9, 1.2):
+        out.append([_outcome(lambda q=q: evaluate(model, q, u).tolist())
+                    for q in ("flux", "speed", "diffusion", "sqrt_factor")])
+        out.append([(evaluate(model, "beta_primitive", u, (i, j)),
+                     evaluate(model, "b_primitive", u, (i, j)))
+                    for i in range(d) for j in range(d)])
+    return repr(out).encode()
 
 
 def _symbol_case(model):
