@@ -156,7 +156,10 @@ class Poly:
 
     It is evaluated by Horner's rule, skipping zero coefficients, on an
     array or a float alike; ``div`` keeps an exact divisor such as the 3 of
-    u^3/3 out of the coefficients.
+    u^3/3 out of the coefficients. ``p(u, out=buf)`` runs the same steps
+    (``steps``, which the solver binds once per run) in place in ``buf`` and
+    returns it, with the bits of ``p(u)`` as c u and u c round alike; an
+    ``out`` that shares memory with u raises ValueError.
     """
 
     def __init__(self, coeffs, div=1.0):
@@ -172,7 +175,13 @@ class Poly:
         self._abs_div = abs(self.div)
         self._rounding = 4.0 * len(c) * _EPS
 
-    def __call__(self, u):
+    def __call__(self, u, out=None):
+        if out is not None:
+            if np.may_share_memory(u, out):
+                raise ValueError("out must not share memory with u")
+            for fn, args in self.steps(u, out):
+                fn(*args)
+            return out
         c = self.coeffs
         if len(c) == 1:
             return np.full(np.shape(u), c[0] / self.div)
@@ -185,6 +194,21 @@ class Poly:
         if self.div != 1.0:
             acc /= self.div
         return acc
+
+    def steps(self, u, out):
+        """The Horner steps of p(u) in place in ``out``, as (ufunc, (x, y, out)) pairs."""
+        c = self.coeffs
+        if len(c) == 1:
+            return ((out.fill, (c[0] / self.div,)),)
+        steps = [(np.multiply, (c[-1], u, out))]
+        for cn, multiply in self._horner:
+            if cn:
+                steps.append((np.add, (out, cn, out)))
+            if multiply:
+                steps.append((np.multiply, (out, u, out)))
+        if self.div != 1.0:
+            steps.append((np.divide, (out, self.div, out)))
+        return tuple(steps)
 
     def derivative(self):
         """The derivative as a Poly."""
@@ -376,9 +400,9 @@ class ModelTable:
     ``f``, ``speed``, ``a``, ``sigma``, ``b`` and ``beta`` map indexes to
     vectorized entries of the flux, its speed, A, sigma, B and beta, in
     index order with zero entries absent, each built on first use.
-    ``flux(values)`` gives one array per axis. ``bounds(lo, hi)`` gives the
-    wave bounds over [lo, hi] as the stepper reads them: max |a_k| as a list
-    of d floats and max |A_ij| as a d x d nested list of floats.
+    ``bounds(lo, hi)`` gives the wave bounds over [lo, hi] as the stepper
+    reads them: max |a_k| as a list of d floats and max |A_ij| as a d x d
+    nested list of floats.
     """
 
     def __init__(self, model):
@@ -391,12 +415,6 @@ class ModelTable:
     b = cached_property(lambda self: _entries(self.model, "b_primitive"))
     beta = cached_property(lambda self: _entries(self.model, "beta_primitive"))
     flux_is_zero = property(lambda self: not self.f)
-    # One flux entry per axis, zeros where absent, looked up once: flux runs every stage.
-    _axis_f = cached_property(lambda self: [
-        self.f.get((k,)) or np.zeros_like for k in range(self.model.dimension)])
-
-    def flux(self, values):
-        return [e(values) for e in self._axis_f]
 
     def bounds(self, lo, hi):
         """(alphas, lams) over [lo, hi], 0.0 for an absent entry."""

@@ -15,19 +15,20 @@ np.max propagate NaN), and gives run's max-principle statistic and sup norm.
 
 The stencils are periodic slice kernels (_Stencils): every stencil term,
 the mixed one included, is a row of index plans over the trailing axes,
-one loop of a ufunc over index triples (out, x, y), built once for the
-layout the field's dimension picks. In 1-d a stage copies the field once
-into a buffer with a ghost cell at each end and evaluates the flux, B and
-beta on it, so a term is one ufunc call on plain slices. In 2-d a shifted
-operand is read in place, split into blocks where its indexes wrap: a
-padded 2-d layout gave the same bits but a run-2d-aniso round went from
-0.45 s to 0.54 s, the 128^2 copy into the pad and the strided interior
-views costing more than the calls they save. Work arrays and grid
-constants are set up once per run. The kernels divide by h and h^2 rather
-than multiply by reciprocals, so they match the whole-array periodic-shift
-form of each stencil bit for bit; the tests keep that form as the
-reference. The kernels read single entries from the model's table
-(model.model_table). The per-step scalars are Python floats.
+one ufunc call per index triple (out, x, y). The stencils own every array
+they read (the stage field, one buffer per flux, B and beta entry, the
+work arrays) and bind their views into them once per run, as programs of
+(fn, args) steps. A stage copies the field into the stage field, writes
+the entries (a Poly in place, any other entry copied in) and runs the
+programs; 0.5 alpha_k and dt are explicit calls on Python floats. No
+array handed back is a stencil buffer or a view of one. In 1-d the stage
+field has a ghost cell at each end, so a term is one ufunc call on plain
+slices. In 2-d it is a plain copy, and a shifted operand is split into
+blocks where its indexes wrap: a padded 2-d layout gave the same bits but
+a run-2d-aniso round went from 0.45 s to 0.54 s. The kernels divide by h
+and h^2 rather than multiply by reciprocals, so they match the whole-array
+periodic-shift form of each stencil bit for bit; the tests keep that form
+as the reference. The entries come from the table model.model_table.
 
 Wave bounds, max |a_k| for the flux and max |A_ij| for the time step, are
 taken over the current field's range [min u, max u], not clipped to
@@ -53,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import model_table
+from .model import Poly, model_table
 
 __all__ = [
     "ConfigurationError",
@@ -280,11 +281,19 @@ def _segments(ns, sx, sy):
     return tuple(tuple((Ellipsis,) + idx for idx in zip(*block)) for block in product(*stretches))
 
 
-def _apply(ufunc, x, y, out, plan):
-    """out[i] = ufunc(x[i + sx], y[i + sy]) by one term's index triples."""
-    for o, ix, iy in plan:
-        ufunc(x[ix], y[iy], out=out[o])
-    return out
+def _term(ufunc, plan, x, y, out):
+    """Steps of out[i] = ufunc(x[i + sx], y[i + sy]): one per index triple, views sliced once."""
+    return [(ufunc, (x[ix], y[iy], out[o])) for o, ix, iy in plan]
+
+
+def _run(program):
+    """Run a program: each step is (fn, args), a ufunc step's args ending with its out."""
+    for fn, args in program:
+        fn(*args)
+
+
+def _copy_into(buf, entry, u):
+    buf[...] = entry(u)
 
 
 # Axis-aligned stencil terms along axis k, out[i] = op(x[i + sx], y[i + sy]):
@@ -306,6 +315,7 @@ _TERMS = {
 _MIXED = (((1, 1), (1, -1)), ((0, 0), (-1, 1)), ((0, 0), (-1, -1)))
 
 
+@lru_cache(maxsize=64)
 def _term_plans(ns, k, padded):
     """{term: index triples} along axis k of the trailing sizes ``ns`` (padded: 1-d only)."""
     if not padded:
@@ -320,108 +330,140 @@ def _term_plans(ns, k, padded):
 class _Stencils:
     """The scheme's periodic stencils for one model and grid, on fields of one shape.
 
-    Grid constants, the nonzero entries of the model table, the index
-    plans and the work arrays are set up once; per stage only the flux and
-    primitive values are new arrays. Leading batch axes of ``shape`` (a
-    lockstep pair) pass through. The layout (module docstring) follows the
-    dimension: padded in 1-d, wrapped in 2-d.
+    Each stencil binds its programs on its first call, so the flux stencil
+    alone needs no B, sigma or beta (nor a PSD diffusion matrix); a call
+    loads the field, runs the entry program and each term's program, and
+    adds the term into ``out``. Leading batch axes of ``shape`` (a lockstep
+    pair) pass through.
     """
 
     def __init__(self, model, grid, shape):
         self.table = table = model_table(model)
         d = grid.dimension
-        self.d, self.shape = d, tuple(shape)
-        self.h = grid.spacings
-        self.h2 = tuple(h ** 2 for h in self.h)
-        self.two_h = tuple(2.0 * h for h in self.h)
-        self.four_hh = 4.0 * self.h[0] * self.h[-1]
+        self.d, self.shape, self.h = d, tuple(shape), grid.spacings
         self.cell_volume = grid.cell_volume
+        self.bounds, self.flux_is_zero = table.bounds, table.flux_is_zero
         self.work = [np.empty(shape) for _ in range(2)]
-        self.flux, self.bounds, self.flux_is_zero = table.flux, table.bounds, table.flux_is_zero
         # The one layout decision; the module docstring says why 2-d stays wrapped.
-        self.padded = padded = d == 1
-        ns = self.shape[-d:]
+        padded = d == 1
+        ns, lead, n = self.shape[-d:], self.shape[:-1], self.shape[-1]
         self.plans = [_term_plans(ns, k, padded) for k in range(d)]
         self.mixed = () if padded else tuple(_segments(ns, sx, sy) for sx, sy in _MIXED)
-        if padded:
-            n = self.shape[-1]
-            self.ghost = np.empty(self.shape[:-1] + (n + 2,))
-            self.faces = [np.empty(self.shape[:-1] + (n + 1,)) for _ in range(2)]
-            self.inner = (Ellipsis, slice(1, n + 1))
-        else:
-            self.faces = self.work[:2]
-            self.inner = (Ellipsis,)
+        self.u = u = np.empty(lead + (n + 2 * padded,))
+        self.faces = [np.empty(lead + (n + 1,)) for _ in range(2)] if padded else self.work
+        self.inner = (Ellipsis, slice(1, n + 1)) if padded else (Ellipsis,)
+        self.cells = u[self.inner]
+        # The 1-d ghost cells: u[0] = u[n] and u[n + 1] = u[1].
+        self.ghosts = (((u[..., :1], u[..., n:n + 1]), (u[..., n + 1:], u[..., 1:2]))
+                       if padded else ())
 
-    def pad(self, values):
-        """The field the stencils read: in 2-d ``values`` itself.
+    def load(self, values, program=()):
+        """The stage field holding ``values`` (taken as it is if it is the stage
+        field, so one copy serves a stage), after running ``program`` on it."""
+        if values is not self.u:
+            self.cells[...] = values
+            for ghost, cell in self.ghosts:
+                ghost[...] = cell
+        _run(program)
+        return self.u
 
-        In 1-d it is ``values`` copied into the ghost-cell buffer; the
-        buffer is passed back as it is, so one pad serves a whole stage.
-        """
-        if not self.padded or values is self.ghost:
-            return values
-        ghost = self.ghost
-        ghost[self.inner] = values
-        ghost[..., 0] = values[..., -1]
-        ghost[..., -1] = values[..., 0]
-        return ghost
+    def _entries(self, entries, axes=()):
+        """{index: buffer} for ``entries`` and ``axes`` (zero without an entry), and the
+        program filling them: a Poly by its Horner steps, any other entry copied in."""
+        u = self.u
+        bufs = {idx: np.zeros(u.shape) for idx in axes if idx not in entries}
+        bufs.update((idx, np.empty(u.shape)) for idx in entries)
+        program = tuple(step for idx, e in entries.items() for step in (
+            e.steps(u, bufs[idx]) if isinstance(e, Poly) else ((_copy_into, (bufs[idx], e, u)),)))
+        return bufs, program
 
-    # The primitive entries are looked up on first use, so the flux stencil
-    # alone needs no B, sigma or beta (nor a PSD diffusion matrix).
     @cached_property
     def b_entries(self):
         """The diagonal and upper off-diagonal B entries the stencil reads."""
         return {(i, j): e for (i, j), e in self.table.b.items() if i <= j}
 
+    @cached_property
+    def _hyperbolic(self):
+        """The flux program and per axis k the programs before and after the 0.5 alpha_k scaling."""
+        f, program = self._entries(self.table.f, [(k,) for k in range(self.d)])
+        u, (face, rise), div = self.u, self.faces, self.work[1]
+        axes = []
+        for k, plan in enumerate(self.plans):
+            # face = 0.5 (f[i] + f[i+1]) - 0.5 alpha (u[i+1] - u[i])
+            fa = f[(k,)]
+            before = [*_term(np.add, plan["face"], fa, fa, face), (np.multiply, (face, 0.5, face)),
+                      *_term(np.subtract, plan["rise"], u, u, rise)]
+            after = [(np.subtract, (face, rise, face)),
+                     *_term(np.subtract, plan["div"], face, face, div),
+                     (np.divide, (div, self.h[k], div))]
+            axes.append((before, after))
+        return program, axes
+
     def hyperbolic(self, values, alphas, out):
         """Divergence of the LLF flux, summed over axes, into ``out``."""
-        u = self.pad(values)
-        fluxes = self.flux(u)
-        face, rise = self.faces
-        div = self.work[1]
+        program, axes = self._hyperbolic
+        self.load(values, program)
+        rise, div = self.faces[1], self.work[1]
         out.fill(0.0)
-        for k, fa in enumerate(fluxes):
-            plan = self.plans[k]
-            # face = 0.5 (f[i] + f[i+1]) - 0.5 alpha (u[i+1] - u[i])
-            _apply(np.add, fa, fa, face, plan["face"])
-            face *= 0.5
-            _apply(np.subtract, u, u, rise, plan["rise"])
-            rise *= 0.5 * alphas[k]
-            face -= rise
-            _apply(np.subtract, face, face, div, plan["div"])
-            div /= self.h[k]
+        for k, (before, after) in enumerate(axes):
+            _run(before)
+            np.multiply(rise, 0.5 * alphas[k], rise)
+            _run(after)
             out += div
         return out
 
+    @cached_property
+    def _diffusion(self):
+        """The B program and one (program, result) per term: B_ii along axis i, then B_01."""
+        b, program = self._entries(self.b_entries)
+        w0, w1 = self.work
+        # (B[i+1] - 2 B[i]) + B[i-1]
+        terms = [(((np.multiply, (b[i, i][self.inner], 2.0, w0)),
+                   *_term(np.subtract, plan["b_up"], b[i, i], w0, w1),
+                   *_term(np.add, plan["b_down"], w1, b[i, i], w1),
+                   (np.divide, (w1, self.h[i] ** 2, w1))), w1)
+                 for i, plan in enumerate(self.plans) if (i, i) in b]
+        if (0, 1) in b:
+            # ((B[i+1,j+1] - B[i+1,j-1]) - B[i-1,j+1]) + B[i-1,j-1], times 2 / (4 h_0 h_1)
+            bb, (first, second, third) = b[0, 1], self.mixed
+            terms.append(((
+                *_term(np.subtract, first, bb, bb, w0), *_term(np.subtract, second, w0, bb, w0),
+                *_term(np.add, third, w0, bb, w0), (np.multiply, (w0, 2.0, w0)),
+                (np.divide, (w0, 4.0 * self.h[0] * self.h[-1], w0))), w0))
+        return program, terms
+
     def diffusion(self, values, out):
-        """Second differences of B(u) into ``out``, each term by its rows of index plans.
+        """Second differences of B(u) into ``out``, term by term.
 
         B_ii is two rows along axis i; B_01 (2-d) is the three rows of
         ``_MIXED``, scaled by 2 / (4 h_0 h_1).
         """
-        u = self.pad(values)
-        b = {ij: fn(u) for ij, fn in self.b_entries.items()}
-        w0, w1 = self.work
+        program, terms = self._diffusion
+        self.load(values, program)
         out.fill(0.0)
-        for i in range(self.d):
-            if (i, i) not in b:
-                continue
-            bb, plan = b[i, i], self.plans[i]
-            # (B[i+1] - 2 B[i]) + B[i-1]
-            np.multiply(bb[self.inner], 2.0, out=w0)
-            _apply(np.subtract, bb, w0, w1, plan["b_up"])
-            _apply(np.add, w1, bb, w1, plan["b_down"])
-            w1 /= self.h2[i]
-            out += w1
-        if (0, 1) in b:
-            bb, (first, second, third) = b[0, 1], self.mixed
-            _apply(np.subtract, bb, bb, w0, first)
-            _apply(np.subtract, w0, bb, w0, second)
-            _apply(np.add, w0, bb, w0, third)
-            w0 *= 2.0
-            w0 /= self.four_hh
-            out += w0
+        for steps, result in terms:
+            _run(steps)
+            out += result
         return out
+
+    @cached_property
+    def _dissipation(self):
+        """The beta program and per axis k the program of sum_i D_i beta_ik into work[0]."""
+        beta, program = self._entries(self.table.beta)
+        acc, grad = self.work
+        sums = []
+        for k in range(self.d):
+            steps = []
+            for i, plan in enumerate(self.plans):
+                if (i, k) in beta:
+                    g = grad if steps else acc
+                    steps += _term(np.subtract, plan["beta"], beta[i, k], beta[i, k], g)
+                    steps.append((np.divide, (g, 2.0 * self.h[i], g)))
+                    if g is grad:
+                        steps.append((np.add, (acc, grad, acc)))
+            if steps:
+                sums.append(steps)
+        return program, sums
 
     def dissipation(self, values):
         """Discrete parabolic dissipation: sum over k of (sum_i D_i beta_ik)^2.
@@ -429,21 +471,12 @@ class _Stencils:
         D_i is the centered difference along axis i; the total is scaled
         by the cell volume.
         """
-        d = self.d
-        u = self.pad(values)
-        beta = {ik: fn(u) for ik, fn in self.table.beta.items()}
-        acc, grad = self.work[0], self.work[1]
-        total = 0.0
-        for k in range(d):
-            terms = [(i, beta[i, k]) for i in range(d) if (i, k) in beta]
-            for n, (i, bb) in enumerate(terms):
-                g = grad if n else acc
-                _apply(np.subtract, bb, bb, g, self.plans[i]["beta"])
-                g /= self.two_h[i]
-                if n:
-                    acc += grad
-            if terms:
-                total += float(np.vdot(acc, acc).real)
+        program, sums = self._dissipation
+        self.load(values, program)
+        acc, total = self.work[0], 0.0
+        for steps in sums:
+            _run(steps)
+            total += float(np.vdot(acc, acc).real)
         return total * self.cell_volume
 
 
@@ -532,13 +565,9 @@ def _stepper(stencils, scheme):
     hyp = np.empty(stencils.shape)
 
     def tendency(v, alphas, skip_flux):
-        v = stencils.pad(v)  # one pad per stage, shared by both stencils
-        if stencils.b_entries:
-            stencils.diffusion(v, tend)
-        else:
-            tend.fill(0.0)
+        stencils.diffusion(v, tend)  # zero without B entries; loads v for both stencils
         if not skip_flux:
-            np.subtract(tend, stencils.hyperbolic(v, alphas, hyp), out=tend)
+            np.subtract(tend, stencils.hyperbolic(stencils.u, alphas, hyp), out=tend)
         return tend
 
     def advance(values, rng, t, cap, idle, dt=None):

@@ -552,6 +552,39 @@ def test_poly_entry_evaluates_the_same_on_floats_and_arrays():
     assert Poly((1.0, 0.0, -3.0)).critical == (0.0,)
 
 
+@st.composite
+def _poly_out_case(draw):
+    """A Poly with interior and trailing zeros (or a constant), and an input u of one kind."""
+    coeffs = draw(st.lists(st.one_of(st.just(0.0), _coeff), min_size=1, max_size=5))
+    coeffs += [0.0] * draw(st.integers(0, 2))
+    p = Poly(coeffs, div=draw(st.sampled_from([1.0, 3.0, -0.7])))
+    kind = draw(st.sampled_from(["float", "vector", "batch", "column"]))
+    n = draw(st.integers(1, 9))
+    values = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n, max_size=2 * n)))
+    u = {"float": float(values[0]), "vector": values[:n], "batch": values.reshape(2, n),
+         "column": values.reshape(n, 2)[:, 1]}[kind]
+    return p, u
+
+
+@example((Poly((0.0, 1.5, 0.0, 0.0, -0.5, 0.0)), np.linspace(-1.0, 1.0, 5)))
+@example((Poly((2.0,), div=3.0), np.linspace(-1.0, 1.0, 12).reshape(4, 3)[:, 2]))
+@settings(max_examples=80, deadline=None)
+@given(_poly_out_case())
+def test_poly_out_gives_the_bits_of_the_allocating_call(case):
+    p, u = case
+    want = np.asarray(p(u))
+    buf = np.full(want.shape, np.nan)
+    assert p(u, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    strided = np.full(want.shape + (2,), np.nan)[..., 0]  # an out that is a strided view
+    assert p(u, out=strided).tobytes() == want.tobytes()
+    if isinstance(u, np.ndarray):
+        with pytest.raises(ValueError):
+            p(u, out=u)
+        with pytest.raises(ValueError):
+            p(u, out=u.base if u.base is not None else u[..., :1])
+
+
 def test_replaced_callables_are_used_and_keep_sampled_bounds():
     # A ModelSpec changed with dataclasses.replace no longer carries the
     # assembled callables, so its table slices the callables it was given.

@@ -1,11 +1,13 @@
 """Tests for the finite-volume scheme and time integration."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from anisolab.diagnostics import audit, l1_to_constant, l2_energy, mean, parabolic_dissipation
+from anisolab import solver as solver_mod
 from anisolab.model import ModelError, ModelSpec, model_table, polynomial_model, preset
 from anisolab.solver import (
     BlowUpError,
@@ -290,20 +292,74 @@ STENCIL_CASES = [
 def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, cells):
     m = STENCIL_MODELS[name] if name in STENCIL_MODELS else preset(name)
     g = PeriodicGrid.make(list(periods), list(cells))
-    values = np.random.default_rng(7).uniform(-0.9, 0.9, batch + cells)
+    rng = np.random.default_rng(7)
+    values = rng.uniform(-0.9, 0.9, batch + cells)
     tables = model_table(m)
-    alphas, _ = tables.bounds(float(values.min()), float(values.max()))
     stencils = _Stencils(m, g, values.shape)
-    for _ in range(2):  # the second call reuses the work arrays
-        hyp = stencils.hyperbolic(values, alphas, np.empty_like(values))
-        assert hyp.tobytes() == roll_hyperbolic(values, m, g, alphas).tobytes()
-        diff = stencils.diffusion(values, np.empty_like(values))
-        assert diff.tobytes() == roll_diffusion(values, g, tables).tobytes()
-        assert stencils.dissipation(values) == roll_dissipation(values, g, tables)
+
+    def check(v):
+        alphas, _ = tables.bounds(float(v.min()), float(v.max()))
+        hyp = stencils.hyperbolic(v, alphas, np.empty_like(v))
+        assert hyp.tobytes() == roll_hyperbolic(v, m, g, alphas).tobytes()
+        diff = stencils.diffusion(v, np.empty_like(v))
+        assert diff.tobytes() == roll_diffusion(v, g, tables).tobytes()
+        assert stencils.dissipation(v) == roll_dissipation(v, g, tables)
+        return alphas
+
+    # The second call reuses the work arrays and buffers; a second field,
+    # then the first one changed in place (twice, the second time straight
+    # after a call on it), must not read stale entries.
+    check(values)
+    check(values)
+    check(rng.uniform(-0.9, 0.9, values.shape))
+    for lo in (-0.6, -0.8):
+        values[...] = rng.uniform(lo, 0.8, values.shape)
+        alphas = check(values)
     if not batch:
         fld = CellField(values, 0.0)
         assert hyperbolic_div(m, fld, g).tobytes() == roll_hyperbolic(values, m, g, alphas).tobytes()
         assert diffusion_div(m, fld, g).tobytes() == roll_diffusion(values, g, tables).tobytes()
+
+
+def _arrays(obj):
+    """Every ndarray held by obj, through lists, tuples, dicts and partials."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _arrays(x)
+    elif isinstance(obj, dict):
+        yield from _arrays(list(obj.values()))
+    elif isinstance(obj, partial):
+        yield from _arrays([*obj.args, *obj.keywords.values()])
+
+
+@pytest.mark.parametrize("name,cells", [("burgers-degenerate", (16,)), ("porous-medium", (9,)),
+                                        ("anisotropic-2d", (6, 5)), ("coupled-cubic", (5, 4))])
+def test_returned_arrays_share_no_memory_with_stencil_buffers(name, cells, monkeypatch):
+    # The stencils own the stage field, the entry buffers and the work
+    # arrays; nothing step, run, run_lockstep or a one-shot operator
+    # returns may alias them.
+    made = []
+
+    class Recording(_Stencils):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(solver_mod, "_Stencils", Recording)
+    m = STENCIL_MODELS.get(name) or preset(name)
+    g = PeriodicGrid.make([1.0] * len(cells), list(cells))
+    fld = CellField(np.random.default_rng(3).uniform(-0.9, 0.9, cells), 0.0)
+    scheme = SchemeConfig(t_end=0.01, output_every=0.005)
+    returned = [step(fld, m, g, scheme).values, run(m, g, fld, scheme).final.values,
+                *(f.values for f in run_lockstep(m, g, fld, fld, scheme)[2:]),
+                hyperbolic_div(m, fld, g), diffusion_div(m, fld, g)]
+    assert len(made) == 5
+    buffers = [a for s in made for a in _arrays(vars(s))]
+    assert len(buffers) > 5 * len(made)
+    for out in returned:
+        assert not any(np.shares_memory(out, b) for b in buffers)
 
 
 def test_flux_stencil_and_step_size_need_no_psd_diffusion():

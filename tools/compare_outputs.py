@@ -23,10 +23,13 @@ of the difference, and exits 1 if any case differs. The cases are:
   cells of the 1-d stencils are a large share of the field, for
   burgers-degenerate, porous-medium and bare/burgers-degenerate
   (``run/cells-4/...``, ``step/cells-5/...``, ``run/lockstep/cells-4/...``);
-  and the same three on 4x5 and 5x4 cells for coupled-cubic, whose
+  the same three on 4x5 and 5x4 cells for coupled-cubic, whose
   off-diagonal entry runs the mixed stencil where most blocks of its
   two-axis index plans wrap (``run/cells-4x5/coupled-cubic``,
   ``step/cells-5x4/coupled-cubic``, ``run/lockstep/cells-4x5/coupled-cubic``);
+  and the run and step cases under the one-stage Euler integrator for
+  burgers-degenerate and porous-medium (64 cells) and anisotropic-2d
+  (16x12) (``run/euler/...``, ``step/euler/...``);
 - runs that blow up, to infinity (burgers) and to NaN (a hand-built flux
   undefined beyond |u| = 1.2): message, time, peak, partial rows and
   statistics (``blow-up/...``);
@@ -184,20 +187,21 @@ def _trajectory_record(traj):
             traj.final.values.tobytes())
 
 
-def _run_case(model, cells=None):
+def _run_case(model, cells=None, integrator="ssp-rk2"):
     from anisolab.solver import SchemeConfig, run
     grid, profile = _run_setup(model, cells)
-    traj = run(model, grid, profile, SchemeConfig(t_end=0.05, output_every=0.01))
+    traj = run(model, grid, profile,
+               SchemeConfig(t_end=0.05, output_every=0.01, integrator=integrator))
     return pickle.dumps(_trajectory_record(traj))
 
 
-def _step_case(model, cells=None):
+def _step_case(model, cells=None, integrator="ssp-rk2"):
     from anisolab.solver import SchemeConfig, init_field, step
     grid, profile = _run_setup(model, cells)
     state = init_field(grid, profile)
     out = []
     for dt in [None] * 5 + [1e-4] * 5:
-        state = step(state, model, grid, SchemeConfig(t_end=1.0), dt=dt)
+        state = step(state, model, grid, SchemeConfig(t_end=1.0, integrator=integrator), dt=dt)
         out.append((repr(state.time), state.values.tobytes()))
     return pickle.dumps(out)
 
@@ -546,6 +550,10 @@ def cases():
         yield f"step/cells-{tag}/coupled-cubic", lambda m=model, c=cells: _step_case(m, c)
         yield (f"run/lockstep/cells-{tag}/coupled-cubic",
                lambda m=model, c=cells: _lockstep_case(m, c))
+    for name in ("burgers-degenerate", "porous-medium", "anisotropic-2d"):
+        model = models[name]
+        yield f"run/euler/{name}", lambda m=model: _run_case(m, integrator="euler")
+        yield f"step/euler/{name}", lambda m=model: _step_case(m, integrator="euler")
     yield "cli/run/inline-interior", lambda: _cli_case(["run"], INLINE_CONFIG)
     yield "blow-up/burgers", lambda: _blow_up_case(models["burgers"])
     yield "blow-up/nan-beyond", lambda: _blow_up_case(_nan_beyond_model())
