@@ -12,9 +12,14 @@ average
     omega(tau, kappa; lam) = integral over |xi| <= M of
         lam / (lam + |tau + a(xi).kappa|^2 + (kappa^T A(xi) kappa)^2)
 
-must vanish as lam -> 0, uniformly over |tau| + |kappa| >= delta. The
-checker samples frequency shells, reports the largest value found per lam
-(a lower bound for the supremum), and grades the trend. The symbol
+must vanish as lam -> 0, uniformly over |tau| + |kappa| >= delta. Scaling
+p = (tau, kappa) by s >= 1 multiplies X = |tau + a(xi).kappa|^2 by s^2 and
+Y = (kappa^T A(xi) kappa)^2 by s^4, and the integrand grows with lam, so
+omega(s p; lam) <= omega(p; lam / s^2) <= omega(p; lam): the supremum lives
+on the shell |tau| + |kappa| = delta, which free sampling takes alone
+(lattice points are closed only under integer scaling, so lattice sampling
+walks a ladder of shells). The checker reports the largest value found per
+lam (a lower bound for the supremum) and grades the trend. The symbol
 tau + a(xi).kappa, kappa^T A(xi) kappa has one evaluator, _symbol_parts,
 which reads the speed and A entries of the model table as the solver does;
 the whole lam ladder is integrated in one quadrature worklist, so the
@@ -70,13 +75,12 @@ def chi(xi, u):
     return 0
 
 
-def entropy_from_kinetic(s_prime, u, state_bound, *, breakpoints=()):
+def entropy_from_kinetic(s_prime, u, *, breakpoints=()):
     """Reconstruct S(u) - S(0) as the state integral of S'(xi) chi(xi; u).
 
-    chi restricts the integral over [-state_bound, state_bound] to the
-    signed interval between 0 and u, which is what is integrated here.
+    chi restricts the state integral to the signed interval between 0 and
+    u, which is what is integrated here.
     """
-    del state_bound  # part of the signature contract; chi fixes the support
     return adaptive_quadrature(
         lambda xi: np.asarray(s_prime(xi), dtype=float),
         0.0, float(u), abs_tol=KINETIC_QUAD_TOL, max_levels=KINETIC_QUAD_LEVELS,
@@ -233,15 +237,14 @@ def _round_key(vals):
 class SamplingPlan:
     """How the frequency half-space |tau| + |kappa| >= delta is sampled.
 
-    Shells |tau| + |kappa| = r are walked on a geometric ladder of ratio
-    R_FACTOR from delta up to r_max. Each shell carries n_dir directions
-    plus resonant rays (tau, kappa) = (-a_c(xi*) s, s e_c) with
-    s = r / (|a_c(xi*)| + 1), for n_resonant states xi* and each axis c,
-    which hit the advective null set head on. With ``lattice`` set, kappa
-    components snap to multiples of 2 pi / period, one period per axis of
-    the model, and a ray's tau follows its snapped kappa. The plan is built
-    as one array of (tau, kappa) rows, shell by shell; rows below delta
-    are dropped and of rows that agree to 12 digits the first is kept.
+    Free sampling takes the shell |tau| + |kappa| = delta alone; lattice
+    sampling walks shells of ratio R_FACTOR from delta up to r_max, which
+    bounds lattice sampling only. Each shell has n_dir directions and the
+    resonant rays (tau, kappa) = (-a_c(xi*) s, s e_c), s = r / (|a_c(xi*)|
+    + 1), for n_resonant states xi* and each axis c, which hit the advective
+    null set head on. Lattice kappa components snap to multiples of 2 pi /
+    period, one per axis, and a ray's tau follows its snapped kappa. Rows
+    below delta are dropped; of rows agreeing to 12 digits the first stays.
     """
 
     n_dir: Optional[int] = None
@@ -307,7 +310,7 @@ class SamplingPlan:
             raise ValueError(f"periods has {len(self.periods)} axis value(s) "
                              f"but the model dimension is {d}")
         big = model.state_bound
-        radii = np.array(self.shell_radii(delta))[:, None, None]
+        radii = np.array(self.shell_radii(delta)[:None if self.lattice else 1])[:, None, None]
         speeds = speed_vector(model, np.linspace(-big, big, self.n_resonant))
         shells = radii * self._directions(d)
         shells[..., 1:] = self._snap(shells[..., 1:])

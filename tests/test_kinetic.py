@@ -46,16 +46,16 @@ def test_chi_odd_symmetry():
 
 def test_chi_integrates_to_state():
     for u in (-1.5, -0.2, 0.0, 0.9, 2.0):
-        got = entropy_from_kinetic(lambda xi: np.ones_like(xi), u, 3.0)
+        got = entropy_from_kinetic(lambda xi: np.ones_like(xi), u)
         assert got == pytest.approx(u, abs=1e-10)
 
 
 # --- entropies ---------------------------------------------------------------
 
 def test_entropy_square():
-    got = entropy_from_kinetic(lambda xi: 2.0 * xi, 2.0, 3.0)
+    got = entropy_from_kinetic(lambda xi: 2.0 * xi, 2.0)
     assert got == pytest.approx(4.0, abs=1e-10)
-    assert entropy_from_kinetic(lambda xi: 2.0 * xi, 0.0, 3.0) == 0.0
+    assert entropy_from_kinetic(lambda xi: 2.0 * xi, 0.0) == 0.0
 
 
 def test_entropy_kruzhkov():
@@ -63,12 +63,12 @@ def test_entropy_kruzhkov():
     # two halves cancel exactly.
     v = 0.5
     got = entropy_from_kinetic(
-        lambda xi: np.sign(xi - v), 1.0, 1.0, breakpoints=(v,)
+        lambda xi: np.sign(xi - v), 1.0, breakpoints=(v,)
     )
     assert got == pytest.approx(0.0, abs=1e-10)
     for u in (-0.8, 0.2, 0.9):
         got = entropy_from_kinetic(
-            lambda xi: np.sign(xi - v), u, 1.0, breakpoints=(v,)
+            lambda xi: np.sign(xi - v), u, breakpoints=(v,)
         )
         assert got == pytest.approx(abs(u - v) - abs(v), abs=1e-9), u
 
@@ -192,15 +192,27 @@ def test_shell_radii_reject_delta_above_r_max():
 
 
 def test_frequency_points_respect_delta_and_dedupe():
-    plan = SamplingPlan(n_dir=16, r_max=8.0, n_resonant=7)
-    pts = plan.frequency_points(preset("burgers"), 1.0)
-    assert len(pts) > 0
-    keys = set()
-    for fp in pts:
-        assert abs(fp.tau) + math.hypot(*fp.kappa) >= 1.0 - 1e-9
-        key = tuple(float(f"{v:.12g}") for v in (fp.tau, *fp.kappa))
-        assert key not in keys
-        keys.add(key)
+    # Free points lie on the delta-shell itself; lattice points walk the
+    # shells out to r_max and only stay at or above delta.
+    delta = 1.5
+    for model in (preset("burgers"), preset("anisotropic-2d")):
+        for lattice in (False, True):
+            plan = SamplingPlan(n_dir=16, r_max=8.0, n_resonant=7, lattice=lattice,
+                                periods=(1.0,) * model.dimension)
+            pts = plan.frequency_points(model, delta)
+            assert len(pts) > 0
+            keys = set()
+            for fp in pts:
+                radius = abs(fp.tau) + math.hypot(*fp.kappa)
+                if lattice:
+                    assert radius >= delta - 1e-9
+                else:
+                    assert radius == pytest.approx(delta, rel=1e-12, abs=0.0), fp
+                key = tuple(float(f"{v:.12g}") for v in (fp.tau, *fp.kappa))
+                assert key not in keys
+                keys.add(key)
+            if lattice:
+                assert max(abs(fp.tau) + math.hypot(*fp.kappa) for fp in pts) > 2.0 * delta
 
 
 def test_frequency_points_include_resonant_ray():
@@ -277,7 +289,7 @@ def _reference_frequency_points(plan, model, delta):
         seen.add(key)
         points.append(FrequencyPoint(tau=float(tau), kappa=tuple(float(c) for c in kappa)))
 
-    for r in plan.shell_radii(delta):
+    for r in plan.shell_radii(delta) if plan.lattice else [delta]:
         for vec in plan._directions(d):
             push(r * vec[0], r * vec[1:])
         for axis in range(d):
@@ -351,6 +363,23 @@ def test_array_plan_and_breakpoints_match_per_point_reference(
     for row, tau, kappa in zip(rows, taus, kappas):
         assert row[~np.isnan(row)].tolist() == _reference_breakpoints(
             scan, *kinetic._symbol_parts(model, tau, kappa, scan))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_models(), delta=st.floats(0.3, 1.0), n_dir=st.integers(4, 16),
+       n_resonant=st.integers(2, 6), r_max=st.floats(1.0, 40.0))
+def test_delta_shell_sup_bounds_the_shell_ladder(model, delta, n_dir, n_resonant, r_max):
+    # omega(s p; lam) <= omega(p; lam) for s >= 1, so the free plan's one
+    # shell reaches the sup of every shell of the ladder out to r_max, up to
+    # quadrature error: a point's last bit moves with the other rows of its
+    # OMEGA_BLOCK, so the bound is the quadrature tolerance, not equality.
+    plan = SamplingPlan(n_dir=n_dir, r_max=r_max, n_resonant=n_resonant)
+    lambdas = [1e-1, 1e-3, 1e-6]
+    ladder = [fp for r in plan.shell_radii(delta) for fp in plan.frequency_points(model, r)]
+    table, _ = kinetic._omega_table(model, ladder, lambdas)
+    report = check_condition(model, delta, lambdas, plan)
+    for got, best in zip(report.omegas, table.max(axis=0)):
+        assert got >= best - kinetic.KINETIC_QUAD_TOL
 
 
 @settings(max_examples=30, deadline=None)

@@ -392,13 +392,17 @@ def _batch_cuts_case(form="scalar"):
 
 
 def _entropy_case(model):
+    import inspect
     import numpy as np
     from anisolab.kinetic import entropy_flux_from_kinetic, entropy_from_kinetic
     kink = 0.3
+    # A tree that predates the dropped state_bound argument still takes it.
+    takes_bound = "state_bound" in inspect.signature(entropy_from_kinetic).parameters
+    bound = (model.state_bound,) if takes_bound else ()
     out = []
     for s_prime, cuts in ((lambda xi: 2.0 * xi, ()), (lambda xi: np.sign(xi - kink), (kink,))):
         for u in (-0.8, 0.0, 0.45, 0.9):
-            out.append((entropy_from_kinetic(s_prime, u, model.state_bound, breakpoints=cuts),
+            out.append((entropy_from_kinetic(s_prime, u, *bound, breakpoints=cuts),
                         entropy_flux_from_kinetic(s_prime, u, model, breakpoints=cuts).tolist()))
     return repr(out).encode()
 
