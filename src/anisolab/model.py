@@ -156,10 +156,9 @@ class Poly:
 
     It is evaluated by Horner's rule, skipping zero coefficients, on an
     array or a float alike; ``div`` keeps an exact divisor such as the 3 of
-    u^3/3 out of the coefficients. ``p(u, out=buf)`` runs the same steps
-    (``steps``, which the solver binds once per run) in place in ``buf`` and
-    returns it, with the bits of ``p(u)`` as c u and u c round alike; an
-    ``out`` that shares memory with u raises ValueError.
+    u^3/3 out of the coefficients. ``steps`` gives the same Horner steps in
+    place in a buffer, for the solver to bind once per run; they give the
+    bits of ``p(u)``, as c u and u c round alike.
     """
 
     def __init__(self, coeffs, div=1.0):
@@ -175,13 +174,7 @@ class Poly:
         self._abs_div = abs(self.div)
         self._rounding = 4.0 * len(c) * _EPS
 
-    def __call__(self, u, out=None):
-        if out is not None:
-            if np.may_share_memory(u, out):
-                raise ValueError("out must not share memory with u")
-            for fn, args in self.steps(u, out):
-                fn(*args)
-            return out
+    def __call__(self, u):
         c = self.coeffs
         if len(c) == 1:
             return np.full(np.shape(u), c[0] / self.div)

@@ -13,22 +13,22 @@ field with its range [min u, max u], its one min/max pass: the range sets
 the next step's wave bounds, tells whether the field is finite (np.min and
 np.max propagate NaN), and gives run's max-principle statistic and sup norm.
 
-The stencils are periodic slice kernels (_Stencils): every stencil term,
-the mixed one included, is a row of index plans over the trailing axes,
-one ufunc call per index triple (out, x, y). The stencils own every array
-they read (the stage field, one buffer per flux, B and beta entry, the
-work arrays) and bind their views into them once per run, as programs of
-(fn, args) steps. A stage copies the field into the stage field, writes
-the entries (a Poly in place, any other entry copied in) and runs the
-programs; 0.5 alpha_k and dt are explicit calls on Python floats. No
-array handed back is a stencil buffer or a view of one. In 1-d the stage
-field has a ghost cell at each end, so a term is one ufunc call on plain
-slices. In 2-d it is a plain copy, and a shifted operand is split into
-blocks where its indexes wrap: a padded 2-d layout gave the same bits but
-a run-2d-aniso round went from 0.45 s to 0.54 s. The kernels divide by h
-and h^2 rather than multiply by reciprocals, so they match the whole-array
-periodic-shift form of each stencil bit for bit; the tests keep that form
-as the reference. The entries come from the table model.model_table.
+The stencils are periodic slice kernels (_Stencils) on one layout in 1-d
+and 2-d. Every array they own (the stage field, one buffer per flux, B and
+beta entry, two work arrays) is a frame: the field padded by a ghost cell at
+each end of every axis, flattened over the axes. A shift by s along axis k
+is a flat offset of s times the axis's stride, so each stencil term, each
+row of the mixed one included, is one ufunc call (x, y, out) on contiguous
+flat ranges; in 2-d a range crosses the ghost cells between rows, computed
+and never read. The views are bound once per run, as programs of (fn, args)
+steps. A stage copies the field into the frame, fills the ghosts axis by
+axis (the corners too), writes the entries (a Poly in place, any other entry
+copied in) and runs the programs; 0.5 alpha_k and dt are explicit calls on
+Python floats. No array handed back is a stencil buffer or a view of one.
+The kernels divide by h and h^2 rather than multiply by reciprocals, so they
+match the whole-array periodic-shift form of each stencil bit for bit; the
+tests keep that form as the reference. The entries come from the table
+model.model_table.
 
 Wave bounds, max |a_k| for the flux and max |A_ij| for the time step, are
 taken over the current field's range [min u, max u], not clipped to
@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
-from itertools import pairwise, product
+from functools import cached_property
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -83,6 +83,12 @@ _QUIET = dict(over="ignore", invalid="ignore")
 
 class ConfigurationError(Exception):
     """Grid or scheme parameters that cannot produce a run."""
+
+
+def _check_positive(name, val):
+    """Raise ConfigurationError unless ``val`` is finite and positive."""
+    if not (val > 0 and np.isfinite(val)):
+        raise ConfigurationError(f"{name} must be positive, got {val}")
 
 
 class BlowUpError(Exception):
@@ -159,17 +165,14 @@ class SchemeConfig:
     snapshot_every: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.t_end > 0 and np.isfinite(self.t_end)):
-            raise ConfigurationError(f"t_end must be positive, got {self.t_end}")
-        if not (self.cfl > 0 and np.isfinite(self.cfl)):
-            raise ConfigurationError(f"cfl must be positive, got {self.cfl}")
+        _check_positive("t_end", self.t_end)
+        _check_positive("cfl", self.cfl)
         if self.integrator not in INTEGRATORS:
             raise ConfigurationError(
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         for name in ("output_every", "snapshot_every"):
-            val = getattr(self, name)
-            if val is not None and not (val > 0 and np.isfinite(val)):
-                raise ConfigurationError(f"{name} must be positive, got {val}")
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
 
 
 @dataclass
@@ -265,25 +268,10 @@ def _range(values):
     return float(values.min()), float(values.max())
 
 
-@lru_cache(maxsize=256)
-def _segments(ns, sx, sy):
-    """(out, x, y) index triples that cover out[i] = op(x[i + sx], y[i + sy]).
-
-    ``ns``, ``sx`` and ``sy`` hold one size and two shifts per trailing axis,
-    and i runs over those axes with each index taken mod its size, so any
-    leading batch axes pass straight through. On each axis a stretch is a
-    run of i on which neither shifted index wraps; there is one triple per
-    block of the product of the axes' stretches.
-    """
-    stretches = [[tuple(slice((lo + s) % n, (lo + s) % n + hi - lo) for s in (0, s_x, s_y))
-                  for lo, hi in pairwise(sorted({0, n, -s_x % n, -s_y % n}))]
-                 for n, s_x, s_y in zip(ns, sx, sy)]
-    return tuple(tuple((Ellipsis,) + idx for idx in zip(*block)) for block in product(*stretches))
-
-
 def _term(ufunc, plan, x, y, out):
-    """Steps of out[i] = ufunc(x[i + sx], y[i + sy]): one per index triple, views sliced once."""
-    return [(ufunc, (x[ix], y[iy], out[o])) for o, ix, iy in plan]
+    """The step out[i] = ufunc(x[i + sx], y[i + sy]); ``plan`` holds its flat ranges (out, x, y)."""
+    o, ix, iy = plan
+    return ufunc, (x[..., ix], y[..., iy], out[..., o])
 
 
 def _run(program):
@@ -297,44 +285,30 @@ def _copy_into(buf, entry, u):
 
 
 # Axis-aligned stencil terms along axis k, out[i] = op(x[i + sx], y[i + sy]):
-# name -> (sx, sy, gx, gy, lo). Wrapped, the shifts sit on axis k (0 on the
-# other axes), and every array holds the cells, or the faces i + 1/2 from
-# i = 0. Padded, the output runs from i = lo (-1 for faces), and gx and gy
-# are the operands' ghost offsets: the stage field, its flux, B and beta and
-# the face arrays carry one entry before cell 0, the cell work arrays none.
+# name -> (sx, sy, lo), shifts in cells along k. The output runs over the
+# cells, for faces from one cell earlier along k (lo = -1): face i + 1/2
+# sits at cell i.
 _TERMS = {
-    "face": (0, 1, 1, 1, -1),  # f(i) + f(i+1)
-    "rise": (1, 0, 1, 1, -1),  # u(i+1) - u(i)
-    "div": (0, -1, 1, 1, 0),  # face(i + 1/2) - face(i - 1/2)
-    "b_up": (1, 0, 1, 0, 0),  # B(i+1) - 2 B(i)
-    "b_down": (0, -1, 0, 1, 0),  # (B(i+1) - 2 B(i)) + B(i-1)
-    "beta": (1, -1, 1, 1, 0),  # beta(i+1) - beta(i-1)
+    "face": (0, 1, -1),  # f(i) + f(i+1)
+    "rise": (1, 0, -1),  # u(i+1) - u(i)
+    "div": (0, -1, 0),  # face(i + 1/2) - face(i - 1/2)
+    "b_up": (1, 0, 0),  # B(i+1) - 2 B(i)
+    "b_down": (0, -1, 0),  # (B(i+1) - 2 B(i)) + B(i-1)
+    "beta": (1, -1, 0),  # beta(i+1) - beta(i-1)
 }
-# The mixed term's rows, (sx, sy) with a shift per trailing axis (2-d,
-# wrapped), in the order ((B[i+1,j+1] - B[i+1,j-1]) - B[i-1,j+1]) + B[i-1,j-1].
+# The mixed term's rows, (sx, sy) with a shift per axis (2-d), in the order
+# ((B[i+1,j+1] - B[i+1,j-1]) - B[i-1,j+1]) + B[i-1,j-1].
 _MIXED = (((1, 1), (1, -1)), ((0, 0), (-1, 1)), ((0, 0), (-1, -1)))
-
-
-@lru_cache(maxsize=64)
-def _term_plans(ns, k, padded):
-    """{term: index triples} along axis k of the trailing sizes ``ns`` (padded: 1-d only)."""
-    if not padded:
-        def on_k(s):
-            return tuple(s if a == k else 0 for a in range(len(ns)))
-        return {name: _segments(ns, on_k(sx), on_k(sy)) for name, (sx, sy, *_) in _TERMS.items()}
-    return {name: (((Ellipsis,), (Ellipsis, slice(gx + sx + lo, gx + sx + ns[k])),
-                    (Ellipsis, slice(gy + sy + lo, gy + sy + ns[k]))),)
-            for name, (sx, sy, gx, gy, lo) in _TERMS.items()}
 
 
 class _Stencils:
     """The scheme's periodic stencils for one model and grid, on fields of one shape.
 
-    Each stencil binds its programs on its first call, so the flux stencil
-    alone needs no B, sigma or beta (nor a PSD diffusion matrix); a call
-    loads the field, runs the entry program and each term's program, and
-    adds the term into ``out``. Leading batch axes of ``shape`` (a lockstep
-    pair) pass through.
+    Every array they own is a frame (module docstring). Each stencil binds its
+    programs on its first call, so the flux stencil alone needs no B, sigma or
+    beta (nor a PSD diffusion matrix); a call loads the field, runs the entry
+    program and each term's program, and adds the cells of each result into
+    ``out``. Leading batch axes of ``shape`` (a lockstep pair) pass through.
     """
 
     def __init__(self, model, grid, shape):
@@ -343,19 +317,29 @@ class _Stencils:
         self.d, self.shape, self.h = d, tuple(shape), grid.spacings
         self.cell_volume = grid.cell_volume
         self.bounds, self.flux_is_zero = table.bounds, table.flux_is_zero
-        self.work = [np.empty(shape) for _ in range(2)]
-        # The one layout decision; the module docstring says why 2-d stays wrapped.
-        padded = d == 1
-        ns, lead, n = self.shape[-d:], self.shape[:-1], self.shape[-1]
-        self.plans = [_term_plans(ns, k, padded) for k in range(d)]
-        self.mixed = () if padded else tuple(_segments(ns, sx, sy) for sx, sy in _MIXED)
-        self.u = u = np.empty(lead + (n + 2 * padded,))
-        self.faces = [np.empty(lead + (n + 1,)) for _ in range(2)] if padded else self.work
-        self.inner = (Ellipsis, slice(1, n + 1)) if padded else (Ellipsis,)
-        self.cells = u[self.inner]
-        # The 1-d ghost cells: u[0] = u[n] and u[n + 1] = u[1].
-        self.ghosts = (((u[..., :1], u[..., n:n + 1]), (u[..., n + 1:], u[..., 1:2]))
-                       if padded else ())
+        lead, ns = self.shape[:-d], self.shape[-d:]
+        padded = tuple(n + 2 for n in ns)
+        strides = [math.prod(padded[k + 1:]) for k in range(d)]
+        self.work = [np.zeros(lead + (math.prod(padded),)) for _ in range(2)]
+        self.u = u = np.empty_like(self.work[0])
+        # Cell (1, ..., 1) to (n_0, ..., n_last); a plan is a term's (out, x, y) ranges.
+        self.span = span = slice(sum(strides), sum(map(mul, ns, strides)) + 1)
+
+        def plan(sx, sy, lo=0):
+            return tuple(slice(span.start + lo + s, span.stop + s) for s in (0, sx, sy))
+
+        self.plans = [{name: plan(sx * s, sy * s, lo * s) for name, (sx, sy, lo) in _TERMS.items()}
+                      for s in strides]
+        self.mixed = tuple(plan(*(sum(map(mul, s, strides)) for s in row))
+                           for row in _MIXED) if d == 2 else ()
+        # The work arrays' cell ranges; the cells of the field and work arrays as fields.
+        self.work_span = [w[..., self.span] for w in self.work]
+        grid_u, *grid_work = (a.reshape(lead + padded) for a in (u, *self.work))
+        inside = (Ellipsis,) + tuple(slice(1, n + 1) for n in ns)
+        self.cells, *self.work_cells = (a[inside] for a in (grid_u, *grid_work))
+        # u[0] = u[n], u[n + 1] = u[1] axis by axis over the padded extent (corners too).
+        self.ghosts = [pair for k, n in enumerate(ns) for g in [np.moveaxis(grid_u, k - d, -1)]
+                       for pair in ((g[..., :1], g[..., n:n + 1]), (g[..., n + 1:], g[..., 1:2]))]
 
     def load(self, values, program=()):
         """The stage field holding ``values`` (taken as it is if it is the stage
@@ -384,28 +368,27 @@ class _Stencils:
 
     @cached_property
     def _hyperbolic(self):
-        """The flux program and per axis k the programs before and after the 0.5 alpha_k scaling."""
+        """The flux program, per axis k (before, rise to scale by 0.5 alpha_k, after), div cells."""
         f, program = self._entries(self.table.f, [(k,) for k in range(self.d)])
-        u, (face, rise), div = self.u, self.faces, self.work[1]
+        u, (face, rise) = self.u, self.work
         axes = []
         for k, plan in enumerate(self.plans):
-            # face = 0.5 (f[i] + f[i+1]) - 0.5 alpha (u[i+1] - u[i])
-            fa = f[(k,)]
-            before = [*_term(np.add, plan["face"], fa, fa, face), (np.multiply, (face, 0.5, face)),
-                      *_term(np.subtract, plan["rise"], u, u, rise)]
-            after = [(np.subtract, (face, rise, face)),
-                     *_term(np.subtract, plan["div"], face, face, div),
-                     (np.divide, (div, self.h[k], div))]
-            axes.append((before, after))
-        return program, axes
+            # face = 0.5 (f[i] + f[i+1]) - 0.5 alpha (u[i+1] - u[i]); div overwrites rise
+            fa, faces = f[(k,)], plan["face"][0]
+            fc, rc, dc = face[..., faces], rise[..., faces], self.work_span[1]
+            before = [_term(np.add, plan["face"], fa, fa, face), (np.multiply, (fc, 0.5, fc)),
+                      _term(np.subtract, plan["rise"], u, u, rise)]
+            after = [(np.subtract, (fc, rc, fc)), _term(np.subtract, plan["div"], face, face, rise),
+                     (np.divide, (dc, self.h[k], dc))]
+            axes.append((before, rc, after))
+        return program, axes, self.work_cells[1]
 
     def hyperbolic(self, values, alphas, out):
         """Divergence of the LLF flux, summed over axes, into ``out``."""
-        program, axes = self._hyperbolic
+        program, axes, div = self._hyperbolic
         self.load(values, program)
-        rise, div = self.faces[1], self.work[1]
         out.fill(0.0)
-        for k, (before, after) in enumerate(axes):
+        for k, (before, rise, after) in enumerate(axes):
             _run(before)
             np.multiply(rise, 0.5 * alphas[k], rise)
             _run(after)
@@ -414,22 +397,22 @@ class _Stencils:
 
     @cached_property
     def _diffusion(self):
-        """The B program and one (program, result) per term: B_ii along axis i, then B_01."""
+        """The B program and one (program, result cells) per term: B_ii along axis i, then B_01."""
         b, program = self._entries(self.b_entries)
-        w0, w1 = self.work
+        (w0, w1), (c0, c1) = self.work, self.work_span
         # (B[i+1] - 2 B[i]) + B[i-1]
-        terms = [(((np.multiply, (b[i, i][self.inner], 2.0, w0)),
-                   *_term(np.subtract, plan["b_up"], b[i, i], w0, w1),
-                   *_term(np.add, plan["b_down"], w1, b[i, i], w1),
-                   (np.divide, (w1, self.h[i] ** 2, w1))), w1)
+        terms = [(((np.multiply, (b[i, i][..., self.span], 2.0, c0)),
+                   _term(np.subtract, plan["b_up"], b[i, i], w0, w1),
+                   _term(np.add, plan["b_down"], w1, b[i, i], w1),
+                   (np.divide, (c1, self.h[i] ** 2, c1))), self.work_cells[1])
                  for i, plan in enumerate(self.plans) if (i, i) in b]
         if (0, 1) in b:
             # ((B[i+1,j+1] - B[i+1,j-1]) - B[i-1,j+1]) + B[i-1,j-1], times 2 / (4 h_0 h_1)
             bb, (first, second, third) = b[0, 1], self.mixed
             terms.append(((
-                *_term(np.subtract, first, bb, bb, w0), *_term(np.subtract, second, w0, bb, w0),
-                *_term(np.add, third, w0, bb, w0), (np.multiply, (w0, 2.0, w0)),
-                (np.divide, (w0, 4.0 * self.h[0] * self.h[-1], w0))), w0))
+                _term(np.subtract, first, bb, bb, w0), _term(np.subtract, second, w0, bb, w0),
+                _term(np.add, third, w0, bb, w0), (np.multiply, (c0, 2.0, c0)),
+                (np.divide, (c0, 4.0 * self.h[0] * self.h[-1], c0))), self.work_cells[0]))
         return program, terms
 
     def diffusion(self, values, out):
@@ -448,22 +431,22 @@ class _Stencils:
 
     @cached_property
     def _dissipation(self):
-        """The beta program and per axis k the program of sum_i D_i beta_ik into work[0]."""
+        """The beta program, per axis k the program of sum_i D_i beta_ik into work[0], its cells."""
         beta, program = self._entries(self.table.beta)
-        acc, grad = self.work
+        (acc, grad), (ca, cg) = self.work, self.work_span
         sums = []
         for k in range(self.d):
             steps = []
             for i, plan in enumerate(self.plans):
                 if (i, k) in beta:
-                    g = grad if steps else acc
-                    steps += _term(np.subtract, plan["beta"], beta[i, k], beta[i, k], g)
-                    steps.append((np.divide, (g, 2.0 * self.h[i], g)))
+                    g, c = (grad, cg) if steps else (acc, ca)
+                    steps.append(_term(np.subtract, plan["beta"], beta[i, k], beta[i, k], g))
+                    steps.append((np.divide, (c, 2.0 * self.h[i], c)))
                     if g is grad:
-                        steps.append((np.add, (acc, grad, acc)))
+                        steps.append((np.add, (ca, cg, ca)))
             if steps:
                 sums.append(steps)
-        return program, sums
+        return program, sums, self.work_cells[0]
 
     def dissipation(self, values):
         """Discrete parabolic dissipation: sum over k of (sum_i D_i beta_ik)^2.
@@ -471,9 +454,9 @@ class _Stencils:
         D_i is the centered difference along axis i; the total is scaled
         by the cell volume.
         """
-        program, sums = self._dissipation
+        program, sums, acc = self._dissipation
         self.load(values, program)
-        acc, total = self.work[0], 0.0
+        total = 0.0
         for steps in sums:
             _run(steps)
             total += float(np.vdot(acc, acc).real)
@@ -530,10 +513,12 @@ def stable_dt(model, fld, grid, cfl=0.4, output_every=None):
     When the model has no dynamics at all (both stability sums vanish)
     the step is capped at the output cadence if one is given, otherwise
     inf is returned and run() applies its own cadence. A field that is not
-    finite raises ValueError, as in run() and step().
+    finite raises ValueError, as in run() and step(); a cfl or cadence that
+    is not finite and positive raises ConfigurationError.
     """
-    if not (cfl > 0 and np.isfinite(cfl)):
-        raise ConfigurationError(f"cfl must be positive, got {cfl}")
+    _check_positive("cfl", cfl)
+    if output_every is not None:
+        _check_positive("output_every", output_every)
     lo, hi = _range(_grid_values(fld, grid))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("field contains non-finite values")
@@ -603,7 +588,10 @@ def _stepper(stencils, scheme):
 
 
 def step(state, model, grid, config, *, dt=None):
-    """Advance one step; dt defaults to the stable step for this field, which init_field checks."""
+    """Advance one step by dt, finite and positive, or by default by the stable
+    step for this field, which init_field checks."""
+    if dt is not None:
+        _check_positive("dt", dt)
     values = init_field(grid, state).values
     advance = _stepper(_Stencils(model, grid, values.shape), config)
     with np.errstate(**_QUIET):

@@ -265,9 +265,10 @@ STENCIL_MODELS = {
     "whole-burgers-degenerate": _whole_burgers_degenerate(),
 }
 
-# In 1-d the kernels read a ghost-cell copy of the field; the rows from
-# burgers-degenerate at 4 cells on cover it where the ghosts are a large
-# share of the field, with spline and whole-callable entries evaluated on it.
+# The kernels read frames, the field padded by a ghost cell at each end of
+# every axis; the rows from burgers-degenerate at 4 cells on cover them where
+# the ghosts are a large share of the frame, with spline and whole-callable
+# entries evaluated on it.
 STENCIL_CASES = [
     ("burgers-degenerate", (1.0,), (), (32,)),
     ("porous-medium", (2.5,), (2,), (20,)),
@@ -282,7 +283,7 @@ STENCIL_CASES = [
     ("interior-spline", (2.5,), (2,), (5,)),
     ("whole-burgers-degenerate", (1.0,), (), (4,)),
     ("whole-burgers-degenerate", (1.5,), (2,), (11,)),
-    # On 4 and 5 cells the wrapping blocks are most of each two-axis plan.
+    # On 4 and 5 cells the ghosts, corners included, are most of the 2-d frame.
     ("coupled-cubic", (1.0, 3.0), (2,), (4, 5)),
     ("coupled-cubic", (2.0, 0.5), (2,), (5, 4)),
 ]
@@ -319,6 +320,46 @@ def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, ce
         fld = CellField(values, 0.0)
         assert hyperbolic_div(m, fld, g).tobytes() == roll_hyperbolic(values, m, g, alphas).tobytes()
         assert diffusion_div(m, fld, g).tobytes() == roll_diffusion(values, g, tables).tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("name,cells", [("burgers-degenerate", (16,)), ("anisotropic-2d", (6, 5)),
+                                        ("coupled-cubic", (5, 4))])
+def test_every_term_is_one_step_on_flat_ranges(name, cells, batch, monkeypatch):
+    # One layout in 1-d and 2-d: every term of _TERMS and row of _MIXED binds
+    # one ufunc step, and each of its operands is a contiguous range of the
+    # flat last axis of a stencil-owned array (batch axes passing through).
+    bound = []
+
+    def recording(ufunc, plan, x, y, out):
+        bound.append((plan, real(ufunc, plan, x, y, out)))
+        return bound[-1][1]
+
+    real = solver_mod._term
+    monkeypatch.setattr(solver_mod, "_term", recording)
+    m = STENCIL_MODELS.get(name) or preset(name)
+    g = PeriodicGrid.make([1.0] * len(cells), list(cells))
+    values = np.random.default_rng(5).uniform(-0.9, 0.9, batch + cells)
+    stencils = _Stencils(m, g, values.shape)
+    alphas, _ = stencils.bounds(float(values.min()), float(values.max()))
+    stencils.hyperbolic(values, alphas, np.empty_like(values))
+    stencils.diffusion(values, np.empty_like(values))
+    stencils.dissipation(values)
+
+    d, b = len(cells), stencils.b_entries
+    mixed = (0, 1) in b
+    assert len(bound) == (3 * d + 2 * sum((i, i) in b for i in range(d)) + 3 * mixed
+                          + len(model_table(m).beta))
+    used = {term for plans in stencils.plans for term, plan in plans.items()
+            if any(plan is p for p, _ in bound)}
+    assert used == set(solver_mod._TERMS)
+    assert sum(any(row is p for p, _ in bound) for row in stencils.mixed) == 3 * mixed
+    for _, (fn, args) in bound:
+        assert fn in (np.add, np.subtract) and len(args) == 3
+        for arr in args:
+            root = arr if arr.base is None else arr.base
+            assert root.base is None and root.ndim == len(batch) + 1
+            assert arr.shape == batch + args[2].shape[-1:] and arr.strides == root.strides
 
 
 def _arrays(obj):
@@ -407,6 +448,15 @@ def test_stable_dt_rejects_bad_input():
         stable_dt(preset("burgers"), bad, g)
 
 
+@pytest.mark.parametrize("cadence", [-1.0, 0.0, np.nan, np.inf])
+def test_stable_dt_rejects_a_cadence_that_is_not_positive(cadence):
+    # Without dynamics the cadence would be the step itself.
+    still = polynomial_model("still", [(0.0,)], {}, 1, 1.0)
+    g = PeriodicGrid.make([1.0], [16])
+    with pytest.raises(ConfigurationError, match=f"output_every must be positive, got {cadence}"):
+        stable_dt(still, init_field(g, sin_profile), g, output_every=cadence)
+
+
 @pytest.mark.parametrize("shape", [(128,), (2, 128), (64, 32), (4,)])
 def test_one_shot_operators_reject_a_field_of_another_grid(shape):
     m, g = preset("porous-medium"), PeriodicGrid.make([1.0], [64])
@@ -486,6 +536,15 @@ def test_step_detects_blow_up():
             state = step(state, m, g, cfg)
     assert repr(info.value.time) == "0.9777873512810838"
     assert info.value.max_abs == np.inf
+
+
+@pytest.mark.parametrize("dt", [-0.001, 0.0, np.nan, np.inf])
+def test_step_rejects_a_dt_that_is_not_positive(dt):
+    # A negative step ran backwards in time and broke the maximum principle.
+    g = PeriodicGrid.make([1.0], [64])
+    state = init_field(g, sin_profile)
+    with pytest.raises(ConfigurationError, match=f"dt must be positive, got {dt}"):
+        step(state, preset("burgers-degenerate"), g, SchemeConfig(t_end=1.0), dt=dt)
 
 
 def test_step_lengths_are_python_floats():

@@ -20,13 +20,15 @@ of the difference, and exits 1 if any case differs. The cases are:
   (``run/...``), plus one lockstep pair; five steps with the stable dt and
   five with an explicit dt from the run's initial field (``step/...``);
   the same run, step and lockstep cases on 4 and 5 cells, where the ghost
-  cells of the 1-d stencils are a large share of the field, for
+  cells of the stencils' padded frame are a large share of it, for
   burgers-degenerate, porous-medium and bare/burgers-degenerate
   (``run/cells-4/...``, ``step/cells-5/...``, ``run/lockstep/cells-4/...``);
   the same three on 4x5 and 5x4 cells for coupled-cubic, whose
-  off-diagonal entry runs the mixed stencil where most blocks of its
-  two-axis index plans wrap (``run/cells-4x5/coupled-cubic``,
-  ``step/cells-5x4/coupled-cubic``, ``run/lockstep/cells-4x5/coupled-cubic``);
+  off-diagonal entry runs the mixed stencil, which reads the frame's corner
+  ghosts (``run/cells-4x5/coupled-cubic``, ``step/cells-5x4/coupled-cubic``,
+  ``run/lockstep/cells-4x5/coupled-cubic``), and on 4x4 cells, the smallest
+  2-d frame, for anisotropic-2d, whose hand-written beta entry is evaluated
+  on it (``run/cells-4x4/anisotropic-2d``, ...);
   and the run and step cases under the one-stage Euler integrator for
   burgers-degenerate and porous-medium (64 cells) and anisotropic-2d
   (16x12) (``run/euler/...``, ``step/euler/...``);
@@ -548,12 +550,12 @@ def cases():
             yield f"run/cells-{n}/{name}", lambda m=model, n=n: _run_case(m, n)
             yield f"step/cells-{n}/{name}", lambda m=model, n=n: _step_case(m, n)
             yield f"run/lockstep/cells-{n}/{name}", lambda m=model, n=n: _lockstep_case(m, n)
-    for cells in ((4, 5), (5, 4)):
-        tag, model = "x".join(map(str, cells)), models["coupled-cubic"]
-        yield f"run/cells-{tag}/coupled-cubic", lambda m=model, c=cells: _run_case(m, c)
-        yield f"step/cells-{tag}/coupled-cubic", lambda m=model, c=cells: _step_case(m, c)
-        yield (f"run/lockstep/cells-{tag}/coupled-cubic",
-               lambda m=model, c=cells: _lockstep_case(m, c))
+    for name, cells in (("coupled-cubic", (4, 5)), ("coupled-cubic", (5, 4)),
+                        ("anisotropic-2d", (4, 4))):
+        tag, model = "x".join(map(str, cells)), models[name]
+        yield f"run/cells-{tag}/{name}", lambda m=model, c=cells: _run_case(m, c)
+        yield f"step/cells-{tag}/{name}", lambda m=model, c=cells: _step_case(m, c)
+        yield f"run/lockstep/cells-{tag}/{name}", lambda m=model, c=cells: _lockstep_case(m, c)
     for name in ("burgers-degenerate", "porous-medium", "anisotropic-2d"):
         model = models[name]
         yield f"run/euler/{name}", lambda m=model: _run_case(m, integrator="euler")
