@@ -125,8 +125,12 @@ def _symbol_parts(model, tau, kappa, xi):
     model table's speed entries a_c and A entries A_ij are summed from zero
     in index order, a term a_c kappa_c or (kappa_i A_ij) kappa_j each: the
     order in which np.einsum contracts dense a(xi) and A(xi) arrays over a
-    batch of states, so the sums match that form bit for bit.
+    batch of states, so the sums match that form bit for bit. Raises
+    ValueError unless kappa's last axis has the model's d components.
     """
+    if kappa.shape[-1:] != (model.dimension,):
+        raise ValueError(f"kappa must have {model.dimension} component(s), one per axis, "
+                         f"got {kappa.shape[-1]}")
     table, xi = model_table(model), np.asarray(xi, dtype=float)
     adv = np.zeros(np.broadcast(tau, kappa[..., 0], xi).shape)
     quad = np.zeros(adv.shape)
@@ -183,7 +187,9 @@ def _omega_table(model, points, lambdas):
     whole ladder. Its integrand has one component per lam and evaluates
     each speed and A entry once per node; each lam is refined on the panel
     tree a worklist of its own would give it, so a column equals the
-    one-lam table bit for bit.
+    one-lam table bit for bit. As each integral equals its lone call bit
+    for bit, a point's omega does not depend on its block: neither on
+    OMEGA_BLOCK nor on the other points.
     """
     if any(lam <= 0.0 for lam in lambdas):
         raise ValueError(f"lam must be positive, got {min(lambdas)}")

@@ -7,7 +7,8 @@ components share the node evaluations of one worklist while each is
 refined on a panel tree of its own. Narrow features the initial rule cannot
 see should be announced via ``breakpoints`` (one row of cut points per
 integral in the batch form); the worklist then starts from intervals split
-there and refines around them.
+there and refines around them. A panel's sums depend on its 15 values
+alone, so an integral's bits do not depend on what shares its worklist.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ _WG_HALF = np.array([
 
 _NODES = np.concatenate([-_XGK_HALF[:7], _XGK_HALF[::-1]])
 _WK = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
-_GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
@@ -78,7 +78,9 @@ def gauss_kronrod_panel(fn, lo, hi):
     ``lo`` and ``hi`` are equal-length 1-d arrays of interval ends. ``fn``
     maps the flat array of nodes to one value per node, or to an (m, nodes)
     array of m components. Returns per-interval value and error estimate
-    (Kronrod minus Gauss), of shape (len(lo),) or (m, len(lo)).
+    (Kronrod minus Gauss), of shape (len(lo),) or (m, len(lo)). A row's
+    sums depend on its 15 values alone, not on the other rows or
+    components of the batch nor on the layout ``fn`` returned.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -87,29 +89,16 @@ def gauss_kronrod_panel(fn, lo, hi):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(fn(nodes.ravel()), dtype=float)
-    # A 1-d return is one component's row, a view in the layout fn gave it.
-    rows = y.reshape(len(y) if y.ndim > 1 else 1, *nodes.shape)
-    val, err = np.empty((2, len(rows), len(half)))
+    y = np.ascontiguousarray(fn(nodes.ravel()), dtype=float)
+    y = y.reshape(y.shape[:-1] + nodes.shape)
     # Non-finite integrand values propagate into val and are diagnosed by
-    # the caller; the inf - inf here is expected, not an anomaly.
+    # the caller; the inf - inf here is expected, not an anomaly. einsum
+    # without ``optimize`` sums each row in its own loop, where a BLAS
+    # matrix-vector product rounds a row by its place in the batch.
     with np.errstate(invalid="ignore", over="ignore"):
-        # One 2-d panel sum per row, the call a lone integrand gets: numpy
-        # may round a stacked matmul's rows otherwise.
-        for c in range(len(rows)):
-            _rule(rows[c], half, val[c], err[c])
-    shape = y.shape[:-1] + half.shape
-    return val.reshape(shape), err.reshape(shape)
-
-
-def _rule(y, half, val, err):
-    """Value and error estimate of node values y, shape (len(half), 15), written to val, err."""
-    np.matmul(y, _WK, val)
-    np.multiply(val, half, val)
-    np.matmul(y[:, _GAUSS_IDX], _WG, err)
-    np.multiply(err, half, err)
-    np.subtract(val, err, err)
-    return val, np.absolute(err, err)
+        val = np.einsum("...j,j->...", y, _WK) * half
+        err = np.abs(val - np.einsum("...j,j->...", y[..., 1::2], _WG) * half)
+    return val, err
 
 
 def adaptive_quadrature(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpoints=()):
@@ -143,10 +132,9 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
     tree of its own: a panel stays in the shared worklist while any
     component still splits it, a component sums only the panels of its own
     tree, in the order a lone call would, and an integral leaves the
-    worklist once all of its components have converged. A component's bits
-    are those of the same batch with that component alone; an integral's
-    need not match a lone call, as the BLAS panel sum ``y @ _WK`` rounds a
-    row by its place in the batch.
+    worklist once all of its components have converged. As the panel sum
+    of a row depends on that row alone, each integral, and each component
+    of it, equals its lone call bit for bit.
     Returns arrays of values and error estimates, of shape (n,) or (m, n);
     to learn m when every integral has zero span, ``fn`` is called once on
     empty arrays. Raises QuadratureError for the first component and
@@ -181,32 +169,22 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
     lo, hi, owner = edges[:, :-1][first], edges[:, 1:][first], np.nonzero(first)[0]
     # The loop's arrays carry one row per running component, a 1-d
     # integrand's values being the one row of one component; comps holds
-    # the running components' indices and mc their count. whole[i] says
-    # whether running component i's panel tree is the whole worklist; where
-    # it is not, live[i] says which intervals split last level are in its
-    # tree, the worklist now holding their halves, left halves first. live
-    # is None while every tree is the whole worklist. rows picks the
-    # integrand rows of the whole trees, which gauss_kronrod_panel sums.
-    live, rows = None, slice(None)
+    # the running components' indices, mc their count and rows the
+    # integrand rows picked for them. tree[i] marks the intervals of
+    # running component i's panel tree: the halves of those it split last
+    # level, left halves first. The intervals outside it get value and
+    # error 0: they settle and add +0.0, which leaves every sum's bits as
+    # they are.
+    tree, rows = True, slice(None)
 
     for level in range(max_levels + 1):
-        evaluated = []
         node_owner = owner.repeat(_NODES.size)
-
-        def evaluate(x):
-            y = np.asarray(fn(x, node_owner), dtype=float)
-            # numpy sums a contiguous row's panels with BLAS and a strided
-            # one's in its own loop. A 1-d return keeps its own layout, as a
-            # view; an (m, nodes) return is made C-contiguous, so each row
-            # is summed alike however it is picked.
-            evaluated[:] = y.shape, np.ascontiguousarray(y) if y.ndim > 1 else y[None]
-            return evaluated[1][rows]
-
-        val, err = gauss_kronrod_panel(evaluate, lo, hi)
+        val, err = gauss_kronrod_panel(
+            lambda x: np.asarray(fn(x, node_owner))[rows], lo, hi)
         if not level:
             # The first panels tell the m components apart.
-            shape = evaluated[0][:-1] + (n,)
-            m = mc = len(evaluated[1])
+            shape = val.shape[:-1] + (n,)
+            m = mc = len(val) if val.ndim > 1 else 1
             values, errors, done_val, done_err = np.zeros((4, m, n))
             running = np.tile(span > 0.0, (m, 1))
             remaining = np.count_nonzero(running)
@@ -214,23 +192,8 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
                 return values.reshape(shape), errors.reshape(shape)
             comps = np.arange(m)
             base = n * comps[:, None]
-        if live is not None:
-            # BLAS rounds the last len % 4 rows of a panel sum apart from the
-            # rest, so a component whose tree is only part of the worklist
-            # sums its own intervals alone, for the bits of a lone call. The
-            # intervals outside its tree get value and error 0: they settle
-            # and add +0.0, which leaves every sum's bits as they are.
-            whole_val, whole_err = val, err
-            val, err = np.zeros((2, mc, lo.size))
-            val[whole], err[whole] = whole_val, whole_err
-            y = evaluated[1].reshape(m, -1, _NODES.size)
-            half = 0.5 * (hi - lo)
-            with np.errstate(invalid="ignore", over="ignore"):
-                for i in np.flatnonzero(~whole):
-                    tree = np.concatenate([live[i], live[i]])
-                    val[i][tree], err[i][tree] = _rule(
-                        y[comps[i]].compress(tree, axis=0), half.compress(tree),
-                        *np.empty((2, np.count_nonzero(tree))))
+        val = np.where(tree, val.reshape(mc, lo.size), 0.0)
+        err = np.where(tree, err.reshape(mc, lo.size), 0.0)
         if not np.isfinite(val).all():
             bad = float(lo[np.nonzero(~np.isfinite(val))[1][0]])
             raise QuadratureError(
@@ -277,7 +240,7 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
             if np.count_nonzero(still) < mc:
                 # A component whose integrals have all converged leaves the
                 # loop's arrays; the integrand's row for it is dropped.
-                comps = comps[still]
+                comps = rows = comps[still]
                 mc = comps.size
                 running, split = running[still], split[still]
                 done_val, done_err = done_val[still], done_err[still]
@@ -290,18 +253,9 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
                 f"> tolerance {abs_tol:.3e} after {max_levels} levels{where}",
                 value=float(sign[k] * live_val[i, k]), achieved=float(live_err[i, k]))
         keep = np.logical_or.reduce(split)
-        live = None
-        # Each row of split lies within keep, so every tree is the whole
-        # worklist exactly when the rows hold mc times keep's count.
-        if np.count_nonzero(split) != mc * np.count_nonzero(keep):
-            live = split.compress(keep, axis=1)
-            whole = live.all(axis=1)
-        picked = comps if live is None else comps[whole]
-        # Neighbouring rows go to the panel as a view, others as a copy.
-        neighbours = picked.size and picked[-1] - picked[0] < picked.size
-        rows = slice(picked[0], picked[-1] + 1) if neighbours else picked
-        lo, hi, owner = lo[keep], hi[keep], owner[keep]
+        tree, lo, hi, owner = split.compress(keep, axis=1), lo[keep], hi[keep], owner[keep]
         mid = 0.5 * (lo + hi)
+        tree = np.concatenate([tree, tree], axis=1)
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
         owner = np.concatenate([owner, owner])

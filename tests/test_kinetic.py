@@ -371,8 +371,9 @@ def test_array_plan_and_breakpoints_match_per_point_reference(
 def test_delta_shell_sup_bounds_the_shell_ladder(model, delta, n_dir, n_resonant, r_max):
     # omega(s p; lam) <= omega(p; lam) for s >= 1, so the free plan's one
     # shell reaches the sup of every shell of the ladder out to r_max, up to
-    # quadrature error: a point's last bit moves with the other rows of its
-    # OMEGA_BLOCK, so the bound is the quadrature tolerance, not equality.
+    # quadrature error: the inequality holds for the exact integrals, and
+    # the outer shells' points are other integrals than the inner shell's,
+    # each within the quadrature tolerance of its own exact value.
     plan = SamplingPlan(n_dir=n_dir, r_max=r_max, n_resonant=n_resonant)
     lambdas = [1e-1, 1e-3, 1e-6]
     ladder = [fp for r in plan.shell_radii(delta) for fp in plan.frequency_points(model, r)]
@@ -544,7 +545,7 @@ def test_batched_omega_matches_omega_at_and_arctan(pairs, lam):
         got = kinetic._omega_table(m, pts, [lam])[0][:, 0]
     assert got.shape == (len(pts),)
     for val, fp, (tau, kap) in zip(got, pts, pairs):
-        assert val == pytest.approx(omega_at(m, fp, lam), abs=1e-14)
+        assert val == omega_at(m, fp, lam)
         assert val == pytest.approx(_burgers_omega_exact(tau, kap, lam, 1.0), abs=1e-8)
 
 
@@ -602,6 +603,47 @@ def test_check_condition_blocks_keep_first_witness():
         for lam, om, fp in zip(whole.lambdas, whole.omegas, whole.witnesses):
             first = next(p for p in points if omega_at(m, p, lam) == om)
             assert fp == first
+
+
+_COUPLED_CUBIC = polynomial_model(
+    "coupled-cubic", [(0.0, 0.5, 0.2), (0.0, -0.4, 0.0, 0.3)],
+    {(0, 0): (0.4, 0.0, 0.3), (0, 1): (0.05, 0.0, 0.02), (1, 1): (0.3, 0.1)}, 2, 1.0)
+
+
+@pytest.mark.parametrize("model", [
+    preset("burgers"), preset("burgers-degenerate"), preset("porous-medium"),
+    preset("anisotropic-2d"), _COUPLED_CUBIC], ids=lambda m: m.name)
+def test_omega_does_not_depend_on_its_block_or_neighbours(model):
+    points = SamplingPlan(n_dir=64).frequency_points(model, 1.0)
+    lambdas = [1e-1, 1e-3, 1e-6]
+    table, worst = kinetic._omega_table(model, points, lambdas)
+    with mock.patch.object(kinetic, "OMEGA_BLOCK", 3):
+        small, small_worst = kinetic._omega_table(model, points, lambdas)
+    reversed_table, reversed_worst = kinetic._omega_table(model, points[::-1], lambdas)
+    assert small.tobytes() == table.tobytes()
+    assert reversed_table[::-1].tobytes() == table.tobytes()
+    assert small_worst == reversed_worst == worst
+
+
+@pytest.mark.parametrize("name, kappa", [("burgers", (1.0, 5.0)), ("burgers", ()),
+                                         ("anisotropic-2d", (1.0,))])
+def test_omega_at_rejects_kappa_of_another_dimension(name, kappa):
+    with pytest.raises(ValueError, match="kappa must have"):
+        omega_at(preset(name), FrequencyPoint(tau=1.0, kappa=kappa), 0.1)
+
+
+@pytest.mark.parametrize("name, kappa", [("burgers", (1.0, 5.0)), ("anisotropic-2d", (1.0,))])
+def test_symbol_denominator_rejects_kappa_of_another_dimension(name, kappa):
+    with pytest.raises(ValueError, match="kappa must have"):
+        symbol_denominator(preset(name), FrequencyPoint(tau=1.0, kappa=kappa), 0.3, 0.1)
+
+
+@pytest.mark.parametrize("name, kappa", [("burgers", (0.0, 1.0)), ("anisotropic-2d", (1.0,))])
+def test_degeneracy_set_measure_rejects_kappa_of_another_dimension(name, kappa):
+    # At tau = 0 a burgers symbol that dropped kappa_1 would vanish at every
+    # state and flag the whole interval.
+    with pytest.raises(ValueError, match="kappa must have"):
+        degeneracy_set_measure(preset(name), FrequencyPoint(tau=0.0, kappa=kappa))
 
 
 def test_check_condition_reports_points_and_error_estimate():

@@ -64,8 +64,8 @@ of the difference, and exits 1 if any case differs. The cases are:
   integrand whose second component is a narrow peak, so the components
   refine different panels (``quadrature/vector``), and with the first
   integrand returned as a column view of an (nodes, 2) array, a strided 1-d
-  return whose panel sums numpy takes in its own loop, not BLAS
-  (``quadrature/strided``);
+  return: a layout guard, as the panel sums must not depend on the layout
+  the integrand returns (``quadrature/strided``);
 - entropy_from_kinetic and entropy_flux_from_kinetic for a quadratic and a
   Kruzhkov entropy at a few states, zero among them, for a 1-d preset and
   two 2-d models (``entropy/...``);
