@@ -167,33 +167,28 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
     edges = np.sort(np.column_stack([lo, np.where(inside, cuts, np.nan), hi]), axis=1)
     first = edges[:, 1:] > edges[:, :-1]
     lo, hi, owner = edges[:, :-1][first], edges[:, 1:][first], np.nonzero(first)[0]
-    # The loop's arrays carry one row per running component, a 1-d
-    # integrand's values being the one row of one component; comps holds
-    # the running components' indices, mc their count and rows the
-    # integrand rows picked for them. tree[i] marks the intervals of
-    # running component i's panel tree: the halves of those it split last
-    # level, left halves first. The intervals outside it get value and
-    # error 0: they settle and add +0.0, which leaves every sum's bits as
-    # they are.
-    tree, rows = True, slice(None)
+    # The loop's arrays carry one row per component until the call returns,
+    # a 1-d integrand's values being the one row of one component. tree[i]
+    # marks the intervals of component i's panel tree: the halves of those
+    # it split last level, left halves first; its tree over an integral it
+    # has finished is empty. The intervals outside it get value and error
+    # 0: they settle and add +0.0, which leaves every sum's bits as they are.
+    tree = True
 
     for level in range(max_levels + 1):
         node_owner = owner.repeat(_NODES.size)
-        val, err = gauss_kronrod_panel(
-            lambda x: np.asarray(fn(x, node_owner))[rows], lo, hi)
+        val, err = gauss_kronrod_panel(lambda x: fn(x, node_owner), lo, hi)
         if not level:
             # The first panels tell the m components apart.
             shape = val.shape[:-1] + (n,)
-            m = mc = len(val) if val.ndim > 1 else 1
+            m = len(val) if val.ndim > 1 else 1
             values, errors, done_val, done_err = np.zeros((4, m, n))
             running = np.tile(span > 0.0, (m, 1))
-            remaining = np.count_nonzero(running)
-            if not remaining:
+            if not running.any():
                 return values.reshape(shape), errors.reshape(shape)
-            comps = np.arange(m)
-            base = n * comps[:, None]
-        val = np.where(tree, val.reshape(mc, lo.size), 0.0)
-        err = np.where(tree, err.reshape(mc, lo.size), 0.0)
+            base = n * np.arange(m)[:, None]
+        val = np.where(tree, val.reshape(m, lo.size), 0.0)
+        err = np.where(tree, err.reshape(m, lo.size), 0.0)
         if not np.isfinite(val).all():
             bad = float(lo[np.nonzero(~np.isfinite(val))[1][0]])
             raise QuadratureError(
@@ -211,43 +206,29 @@ def adaptive_quadrature_batch(fn, a, b, *, abs_tol=1e-10, max_levels=40, breakpo
             | (width <= own_span * 2.0 ** -50)
         )
         split = ~settled
-        # One bincount per quantity sums running component i's settled terms
-        # of integral k into slot in + k and its terms left to split into
-        # mc n + in + k, in worklist order. Intervals left to split have
+        # One bincount per quantity sums component i's settled terms of
+        # integral k into slot in + k and its terms left to split into
+        # mn + in + k, in worklist order. Intervals left to split have
         # positive error, so an integral with nothing left to split has
         # zero open error.
-        slot = (owner + base[:mc] + mc * n * split).ravel()
-        val_sums = np.bincount(slot, val.ravel(), 2 * mc * n).reshape(2, mc, n)
-        err_sums = np.bincount(slot, err.ravel(), 2 * mc * n).reshape(2, mc, n)
+        slot = (owner + base + m * n * split).ravel()
+        val_sums = np.bincount(slot, val.ravel(), 2 * m * n).reshape(2, m, n)
+        err_sums = np.bincount(slot, err.ravel(), 2 * m * n).reshape(2, m, n)
         done_val += val_sums[0]
         done_err += err_sums[0]
         open_err = err_sums[1]
         live_err = done_err + open_err
         finished = running & ((live_err <= abs_tol) | (open_err == 0.0))
-        n_finished = np.count_nonzero(finished)
         live_val = done_val + val_sums[1]
-        if n_finished:
-            at = np.nonzero(finished)
-            at_values = comps[at[0]], at[1]
-            values[at_values] = live_val[at]
-            errors[at_values] = live_err[at]
-            remaining -= n_finished
-            if not remaining:
-                return (sign * values).reshape(shape), errors.reshape(shape)
-            running &= ~finished
-            split &= running.take(owner, axis=1)
-            still = np.logical_or.reduce(running, axis=1)
-            if np.count_nonzero(still) < mc:
-                # A component whose integrals have all converged leaves the
-                # loop's arrays; the integrand's row for it is dropped.
-                comps = rows = comps[still]
-                mc = comps.size
-                running, split = running[still], split[still]
-                done_val, done_err = done_val[still], done_err[still]
-                live_val, live_err = live_val[still], live_err[still]
+        values[finished] = live_val[finished]
+        errors[finished] = live_err[finished]
+        running &= ~finished
+        if not running.any():
+            return (sign * values).reshape(shape), errors.reshape(shape)
+        split &= running.take(owner, axis=1)
         if level == max_levels:
             i, k = np.argwhere(running)[0]
-            where = f" (component {comps[i]}, integral {k})" if len(shape) > 1 else ""
+            where = f" (component {i}, integral {k})" if len(shape) > 1 else ""
             raise QuadratureError(
                 f"quadrature did not converge: achieved {live_err[i, k]:.3e} "
                 f"> tolerance {abs_tol:.3e} after {max_levels} levels{where}",

@@ -116,13 +116,16 @@ class PeriodicGrid:
             raise ConfigurationError("periods and cells must match the dimension")
         if any(not (p > 0 and np.isfinite(p)) for p in self.periods):
             raise ConfigurationError(f"periods must be positive, got {self.periods}")
-        if any(int(n) < 4 for n in self.cells):
+        if not all(float(n).is_integer() for n in self.cells):
+            raise ConfigurationError(f"cells must be integers, got {self.cells}")
+        if any(n < 4 for n in self.cells):
             raise ConfigurationError(f"need at least 4 cells per axis, got {self.cells}")
+        object.__setattr__(self, "cells", tuple(int(n) for n in self.cells))
 
     @staticmethod
     def make(periods, cells):
         periods = tuple(float(p) for p in np.atleast_1d(periods))
-        cells = tuple(int(n) for n in np.atleast_1d(cells))
+        cells = tuple(np.atleast_1d(cells).tolist())
         return PeriodicGrid(dimension=len(periods), periods=periods, cells=cells)
 
     @property

@@ -166,6 +166,13 @@ def test_omega_at_rejects_nonpositive_lambda():
         omega_at(preset("burgers"), FrequencyPoint(1.0, (1.0,)), 0.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_omega_at_rejects_non_finite_lambda(lam):
+    # Not a quadrature failure on a NaN integrand: the ladder is refused.
+    with pytest.raises(ValueError, match=f"lam must be positive, got {lam}"):
+        omega_at(preset("burgers"), FrequencyPoint(1.0, (1.0,)), lam)
+
+
 def test_omega_at_anisotropic_2d_decays():
     m = preset("anisotropic-2d")
     fp = FrequencyPoint(tau=0.0, kappa=(1.0, 0.0))
@@ -505,6 +512,25 @@ def test_check_condition_validates_ladder():
         check_condition(m, lambdas=[1e-2, 1e-1], sampling=FAST_PLAN)
     with pytest.raises(ValueError, match="positive"):
         check_condition(m, lambdas=[], sampling=FAST_PLAN)
+
+
+@pytest.mark.parametrize("lambdas", [(0.1, math.nan), (math.inf, 0.1)])
+def test_check_condition_rejects_non_finite_lambda(lambdas):
+    with pytest.raises(ValueError, match="lambda ladder must be positive"):
+        check_condition(preset("burgers"), lambdas=lambdas, sampling=FAST_PLAN)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_omega_delta_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda ladder must be positive"):
+        omega_delta(preset("burgers"), 1.0, lam, FAST_PLAN)
+
+
+def test_nan_delta_is_not_positive():
+    with pytest.raises(ValueError, match="delta must be positive, got nan"):
+        SamplingPlan().shell_radii(math.nan)
+    with pytest.raises(ValueError, match="delta must be positive, got nan"):
+        check_condition(preset("burgers"), delta=math.nan, sampling=FAST_PLAN)
 
 
 def test_check_condition_burgers_passes():

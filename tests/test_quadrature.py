@@ -266,7 +266,12 @@ def test_vector_components_with_no_whole_tree_match_their_scalar_calls():
 
 @st.composite
 def _peak_batches(draw):
-    """Widths, centres, NaN-padded cut rows or None, and 1 or 2 components."""
+    """Widths, centres, NaN-padded cut rows or None, and 1 to 6 width scales.
+
+    Component i of integral k is the peak of width widths[k] * scales[i], so
+    the components' trees differ and finish at different levels, as the
+    rows of a lam ladder do.
+    """
     n = draw(st.integers(2, 40))
     widths = draw(st.lists(st.floats(1e-5, 1.0), min_size=n, max_size=n))
     centres = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
@@ -274,32 +279,37 @@ def _peak_batches(draw):
     if draw(st.booleans()):
         cut = st.one_of(st.just(np.nan), st.floats(-1.2, 1.2))
         cuts = draw(st.lists(st.lists(cut, min_size=2, max_size=2), min_size=n, max_size=n))
-    return np.array(widths), np.array(centres), cuts, draw(st.sampled_from([1, 2]))
+    scales = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6))
+    return np.array(widths), np.array(centres), cuts, np.array(scales)
 
 
 @settings(max_examples=30, deadline=None)
 @given(batch=_peak_batches())
 def test_batched_peaks_equal_their_lone_calls_bit_for_bit(batch):
-    # Peaks 1/(w + (x - c)^2), and in 2-component form the mirrored peak
-    # too, so the components' trees differ and each integral's tree differs
-    # from its neighbours' in the worklist.
-    widths, centres, cuts, m = batch
+    # Peaks 1/(w s + (x - c)^2), one component per scale s, alternately
+    # mirrored, so each integral's tree differs from its neighbours' in the
+    # worklist and each component's from the others'.
+    widths, centres, cuts, scales = batch
 
-    def peaks(w, c):
+    def peaks(w, c, s):
         def fn(x, owner):
-            y = [1.0 / (w[owner] + (x - s * c[owner]) ** 2) for s in (1.0, -1.0)[:m]]
-            return np.stack(y) if m == 2 else y[0]
+            y = [1.0 / (w[owner] * si + (x - (-1.0) ** i * c[owner]) ** 2)
+                 for i, si in enumerate(s)]
+            return np.stack(y) if len(s) > 1 else y[0]
         return fn
 
     n = len(widths)
     vals, errs = adaptive_quadrature_batch(
-        peaks(widths, centres), [-1.0] * n, [1.0] * n, breakpoints=cuts)
+        peaks(widths, centres, scales), [-1.0] * n, [1.0] * n, breakpoints=cuts)
+    vals, errs = vals.reshape(-1, n), errs.reshape(-1, n)
     for k in range(n):
-        alone = adaptive_quadrature_batch(
-            peaks(widths[k:k + 1], centres[k:k + 1]), [-1.0], [1.0],
-            breakpoints=None if cuts is None else cuts[k:k + 1])
-        assert vals[..., k:k + 1].tobytes() == alone[0].tobytes(), k
-        assert errs[..., k:k + 1].tobytes() == alone[1].tobytes(), k
+        for i in range(len(scales)):
+            # Bit for bit the one-component call on this integral alone.
+            alone = adaptive_quadrature_batch(
+                peaks(widths[k:k + 1], (-1.0) ** i * centres[k:k + 1], scales[i:i + 1]),
+                [-1.0], [1.0], breakpoints=None if cuts is None else cuts[k:k + 1])
+            assert vals[i, k:k + 1].tobytes() == alone[0].tobytes(), (i, k)
+            assert errs[i, k:k + 1].tobytes() == alone[1].tobytes(), (i, k)
 
 
 def test_vector_zero_span_limits_keep_the_component_axis():
@@ -331,6 +341,16 @@ def test_vector_nonconvergence_names_component_and_integral():
     assert info.value.achieved == pytest.approx(alone.value.achieved, rel=1e-12)
     assert info.value.value == pytest.approx(alone.value.value, rel=1e-12)
     assert str(alone.value) in str(info.value)
+
+    # Three components where only the middle one fails: the message gives
+    # its row, not its place among the components still running.
+    def three(x, owner):
+        return np.stack([np.cos(x), np.where(owner == 1, 1.0 / x, np.exp(x)), np.sin(x)])
+
+    with pytest.raises(QuadratureError, match=r"component 1, integral 1\)$") as info:
+        adaptive_quadrature_batch(three, [0.0, 0.0], [1.0, 1.0])
+    assert info.value.achieved == alone.value.achieved
+    assert info.value.value == alone.value.value
 
 
 def test_vector_non_finite_integrand_names_its_x():

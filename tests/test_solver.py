@@ -61,6 +61,21 @@ def test_grid_validation():
         PeriodicGrid.make([1.0, 1.0, 1.0], [8, 8, 8])  # dimension > 2
 
 
+def test_grid_rejects_fractional_cell_counts():
+    # 10.5 cells would make h = 1/10.5 and a box longer than its period;
+    # make used to truncate 10.7 to 10.
+    for build in (lambda: PeriodicGrid(1, (1.0,), (10.5,)),
+                  lambda: PeriodicGrid.make([1.0], [10.7]),
+                  lambda: PeriodicGrid.make([1.0, 1.0], [8, np.inf])):
+        with pytest.raises(ConfigurationError, match="cells must be integers"):
+            build()
+    for cells in ((10,), (np.int64(10),), (10.0,)):
+        for grid in (PeriodicGrid(1, (1.0,), cells), PeriodicGrid.make([1.0], list(cells))):
+            assert grid.cells == (10,) and type(grid.cells[0]) is int
+            assert grid.spacings == (0.1,)
+    assert PeriodicGrid.make([1.0, 2.0], np.array([8, 16])).cells == (8, 16)
+
+
 def test_init_field_constant_and_mean():
     g = PeriodicGrid.make([1.0], [128])
     const = init_field(g, lambda x: np.full_like(x, 0.7))

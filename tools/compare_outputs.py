@@ -43,8 +43,7 @@ of the difference, and exits 1 if any case differs. The cases are:
 - validate_model reports (``validate/...``), and the scalar evaluator at a
   few states, one beyond the 1.05 state_bound span of a spline primitive:
   flux, speed, diffusion and sqrt_factor whole, and the beta and B
-  primitives at every index (``scalar/...``); on a tree without
-  ``model.evaluate`` the same calls go through the wrappers it replaced;
+  primitives at every index (``scalar/...``);
 - symbol_denominator at a few states and degeneracy_set_measure at two
   tolerances, for a few frequencies (``symbol/...``); omega_at at four
   frequencies, one of them resonant, and two lambdas, plus omega_delta
@@ -56,7 +55,11 @@ of the difference, and exits 1 if any case differs. The cases are:
   run_lockstep on a CellField of twice the grid's cells and on an all-NaN
   one (``inputs/cell-fields``), and a SamplingPlan with an infinite r_max,
   n_dir 0, n_resonant 1 or a zero lattice period, and a FrequencyPoint
-  with a NaN or infinite tau (``inputs/sampling-plan``);
+  with a NaN or infinite tau (``inputs/sampling-plan``); check_condition,
+  omega_at and omega_delta with a NaN or infinite lambda
+  (``inputs/lambdas``); shell_radii with a NaN, zero or too large delta and
+  check_condition with a NaN delta (``inputs/delta``); and PeriodicGrid with
+  fractional, float and numpy integer cell counts (``inputs/grid-cells``);
 - one adaptive_quadrature_batch call on NaN-padded cut rows (cuts outside
   the ends, at the ends, duplicated, -0.0 with 0.0) with reversed and
   zero-span limits, and one whose limits are all zero-span
@@ -86,9 +89,11 @@ of the difference, and exits 1 if any case differs. The cases are:
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -291,21 +296,8 @@ def _bounds_case(model):
     return repr(out).encode()
 
 
-def _scalar_evaluator():
-    """model.evaluate, or on a tree that predates it the same calls through
-    the per-quantity wrappers it replaced, so both trees give the same bytes."""
-    from anisolab import model as model_mod
-    if hasattr(model_mod, "evaluate"):
-        return model_mod.evaluate
-    wrappers = {name: getattr(model_mod, attr) for name, attr in (
-        ("flux", "flux_eval"), ("speed", "speed_eval"), ("diffusion", "diffusion_eval"),
-        ("sqrt_factor", "sqrt_factor_eval"), ("beta_primitive", "beta_eval"),
-        ("b_primitive", "bprimitive_eval"))}
-    return lambda model, name, u, index=(): wrappers[name](model, u, *index)
-
-
 def _scalar_case(model):
-    evaluate = _scalar_evaluator()
+    from anisolab.model import evaluate
     d = model.dimension
     out = []
     for u in (-0.6, 0.0, 0.35, 0.9, 1.2):
@@ -394,17 +386,13 @@ def _batch_cuts_case(form="scalar"):
 
 
 def _entropy_case(model):
-    import inspect
     import numpy as np
     from anisolab.kinetic import entropy_flux_from_kinetic, entropy_from_kinetic
     kink = 0.3
-    # A tree that predates the dropped state_bound argument still takes it.
-    takes_bound = "state_bound" in inspect.signature(entropy_from_kinetic).parameters
-    bound = (model.state_bound,) if takes_bound else ()
     out = []
     for s_prime, cuts in ((lambda xi: 2.0 * xi, ()), (lambda xi: np.sign(xi - kink), (kink,))):
         for u in (-0.8, 0.0, 0.45, 0.9):
-            out.append((entropy_from_kinetic(s_prime, u, *bound, breakpoints=cuts),
+            out.append((entropy_from_kinetic(s_prime, u, breakpoints=cuts),
                         entropy_flux_from_kinetic(s_prime, u, model, breakpoints=cuts).tolist()))
     return repr(out).encode()
 
@@ -505,6 +493,38 @@ def _sampling_plan_case():
     return repr(out).encode()
 
 
+def _lambdas_case():
+    import math
+    from anisolab.kinetic import FrequencyPoint, check_condition, omega_at, omega_delta
+    from anisolab.model import preset
+    m = preset("burgers")
+    plan = _reduced_plan(m)
+    out = [_outcome(lambda l=l: check_condition(m, lambdas=l, sampling=plan).omegas)
+           for l in ((0.1, math.nan), (math.inf, 0.1))]
+    for lam in (math.nan, math.inf):
+        out += [_outcome(lambda: omega_at(m, FrequencyPoint(1.0, (1.0,)), lam)),
+                _outcome(lambda: omega_delta(m, 1.0, lam, plan)[0])]
+    return repr(out).encode()
+
+
+def _delta_case():
+    import math
+    from anisolab.kinetic import SamplingPlan, check_condition
+    from anisolab.model import preset
+    out = [_outcome(lambda d=d: SamplingPlan().shell_radii(d)) for d in (math.nan, 0.0, 2e3)]
+    out.append(_outcome(lambda: check_condition(preset("burgers"), delta=math.nan).omegas))
+    return repr(out).encode()
+
+
+def _grid_cells_case():
+    import numpy as np
+    from anisolab.solver import PeriodicGrid
+    builds = (lambda: PeriodicGrid(1, (1.0,), (10.5,)), lambda: PeriodicGrid.make([1.0], [10.7]),
+              lambda: PeriodicGrid(1, (1.0,), (10.0,)), lambda: PeriodicGrid.make([1.0], [10]),
+              lambda: PeriodicGrid.make([1.0, 2.0], np.array([8, 16], dtype=np.int64)))
+    return repr([_outcome(b) for b in builds]).encode()
+
+
 def cases():
     """(name, thunk) pairs; each thunk returns bytes."""
     import numpy as np
@@ -581,6 +601,9 @@ def cases():
         yield f"entropy/{name}", lambda m=models[name]: _entropy_case(m)
     yield "inputs/cell-fields", _cell_field_case
     yield "inputs/sampling-plan", _sampling_plan_case
+    yield "inputs/lambdas", _lambdas_case
+    yield "inputs/delta", _delta_case
+    yield "inputs/grid-cells", _grid_cells_case
     yield ("cli/sweep/cfl", lambda: _sweep_case(
         "[model]\npreset = burgers\n[grid]\ncells = 32\n[scheme]\nt_end = 10.0\n"
         "[sweep]\naxis = cfl\nvalues = 0.4, 2.0\n"))
@@ -602,38 +625,87 @@ def child(result_path, only):
         pickle.dump(results, fh)
 
 
-def _first_difference(old, new, path=""):
-    """Where two unpickled values first differ, and the two sides there."""
+# A number in a text: the texts of two cases whose other characters agree
+# differ only in these, which are then compared as numbers.
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b)")
+
+
+def _differing_leaves(old, new, path=""):
+    """(path, old, new) for every leaf at which two case values differ.
+
+    Lists and tuples of one length are walked; bytes are unpickled, read as
+    a Python literal (a repr'd list), decoded as text or read as a float
+    array (each element a leaf); texts whose non-numeric parts agree are
+    compared number by number, other texts line by line. Anything else is
+    one leaf, compared by its repr.
+    """
     if isinstance(old, (list, tuple)) and isinstance(new, (list, tuple)) and len(old) == len(new):
         for k, (a, b) in enumerate(zip(old, new)):
-            if a != b:
-                return _first_difference(a, b, f"{path}[{k}]")
-    if isinstance(old, str) and isinstance(new, str):
-        for k, (a, b) in enumerate(zip(old.splitlines(), new.splitlines())):
-            if a != b:
-                return f"{path} line {k + 1}: {a[:100]!r} -> {b[:100]!r}"
-    if isinstance(old, bytes) and isinstance(new, bytes):
-        return f"{path} {_describe(old, new)}"
-    return f"{path}: {str(old)[:100]!r} -> {str(new)[:100]!r}"
+            yield from _differing_leaves(a, b, f"{path}[{k}]")
+    elif isinstance(old, bytes) and isinstance(new, bytes):
+        if old != new:
+            yield from _bytes_leaves(old, new, path)
+    elif isinstance(old, str) and isinstance(new, str):
+        if old != new:
+            yield from _text_leaves(old, new, path)
+    elif repr(old) != repr(new):
+        yield path, old, new
 
 
-def _describe(old, new):
-    """A one-line account of how two case values differ."""
-    for loads in (pickle.loads, lambda raw: raw.decode("utf-8")):
+def _bytes_leaves(old, new, path):
+    for loads in (pickle.loads, lambda raw: ast.literal_eval(raw.decode("utf-8")),
+                  lambda raw: raw.decode("utf-8")):
         try:
             a, b = loads(old), loads(new)
         except Exception:  # not that encoding; try the next one
             continue
-        return _first_difference(a, b)
+        yield from _differing_leaves(a, b, path)
+        return
     if len(old) == len(new) and len(old) % 8 == 0:
         import numpy as np
         a, b = np.frombuffer(old, float), np.frombuffer(new, float)
-        bits = int((a.view(np.int64) != b.view(np.int64)).sum())
-        with np.errstate(invalid="ignore"):
-            ulp = np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
-        return (f"{bits} of {a.size} values differ in their bits, {int((a != b).sum())} in "
-                f"value, at most {np.nan_to_num(ulp).max():.0f} ulp")
-    return f"{len(old)} -> {len(new)} bytes"
+        for k in np.flatnonzero(a.view(np.int64) != b.view(np.int64)):
+            yield f"{path}[{k}]", float(a[k]), float(b[k])
+    else:
+        yield path, f"{len(old)} bytes", f"{len(new)} bytes"
+
+
+def _text_leaves(old, new, path):
+    a, b = _NUMBER.split(old), _NUMBER.split(new)
+    if len(a) == len(b) and a[::2] == b[::2]:
+        for k in range(1, len(a), 2):
+            if a[k] != b[k]:
+                yield f"{path} number {k // 2 + 1}", float(a[k]), float(b[k])
+        return
+    a, b = old.splitlines(), new.splitlines()
+    for k in range(max(len(a), len(b))):
+        x, y = (a[k] if k < len(a) else None), (b[k] if k < len(b) else None)
+        if x != y:
+            yield f"{path} line {k + 1}", x, y
+
+
+def _describe(old, new):
+    """A one-line account of how two case values differ: how many leaves,
+    the largest absolute and relative change among the numeric ones, and
+    the first leaf."""
+    leaves = list(_differing_leaves(old, new))
+    if not leaves:
+        return "the same values in other bytes"
+    changes = []
+    for path, a, b in leaves:
+        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+            change = abs(a - b)
+            scale = max(abs(a), abs(b))
+            changes.append((change, change / scale if scale else change, path))
+    path, a, b = leaves[0]
+    text = f"{len(leaves)} differing leaves, {len(changes)} numeric"
+    if changes:
+        # NaN changes rank lowest.
+        big = max(changes, key=lambda c: (c[0] == c[0], c[0]))
+        rel = max(changes, key=lambda c: (c[1] == c[1], c[1]))
+        text += (f"; largest change {big[0]:.3g} absolute at {big[2].strip()}, "
+                 f"{rel[1]:.3g} relative at {rel[2].strip()}")
+    return f"{text}; first at {path.strip()}: {str(a)[:100]!r} -> {str(b)[:100]!r}"
 
 
 def main(argv):
