@@ -18,12 +18,16 @@ Y = (kappa^T A(xi) kappa)^2 by s^4, and the integrand grows with lam, so
 omega(s p; lam) <= omega(p; lam / s^2) <= omega(p; lam): the supremum lives
 on the shell |tau| + |kappa| = delta, which free sampling takes alone
 (lattice points are closed only under integer scaling, so lattice sampling
-walks a ladder of shells). The checker reports the largest value found per
-lam (a lower bound for the supremum) and grades the trend. The symbol
-tau + a(xi).kappa, kappa^T A(xi) kappa has one evaluator, _symbol_parts,
-which reads the speed and A entries of the model table as the solver does;
-the whole lam ladder is integrated in one quadrature worklist, so the
-symbol is evaluated once per node for every lam.
+walks a ladder of shells). Negating p negates tau + a(xi).kappa and keeps
+kappa^T A(xi) kappa, so omega is even: omega(-p) = omega(p) bit for bit,
+and a plan keeps one point of each pair p, -p and their rounding twins.
+Per lam the witness is the first point within 4 eps (relative) of the
+largest omega found; its omega (a lower bound for the supremum) is
+reported, and the trend graded. The symbol tau + a(xi).kappa,
+kappa^T A(xi) kappa has one evaluator, _symbol_parts, which reads the
+speed and A entries of the model table as the solver does; the whole lam
+ladder is integrated in one quadrature worklist, so the symbol is
+evaluated once per node for every lam.
 """
 
 from __future__ import annotations
@@ -239,10 +243,6 @@ def _fibonacci_sphere(n):
     return np.column_stack([z, r * np.cos(phi), r * np.sin(phi)])
 
 
-def _round_key(vals):
-    return tuple(float(f"{v:.12g}") for v in vals)
-
-
 @dataclass(frozen=True)
 class SamplingPlan:
     """How the frequency half-space |tau| + |kappa| >= delta is sampled.
@@ -254,7 +254,8 @@ class SamplingPlan:
     + 1), for n_resonant states xi* and each axis c, which hit the advective
     null set head on. Lattice kappa components snap to multiples of 2 pi /
     period, one per axis, and a ray's tau follows its snapped kappa. Rows
-    below delta are dropped; of rows agreeing to 12 digits the first stays.
+    below delta are dropped. omega is even, so p and -p are one point: of
+    rows equal to 12 decimals of delta up to sign, the first stays.
     """
 
     n_dir: Optional[int] = None
@@ -271,6 +272,12 @@ class SamplingPlan:
             raise ValueError(f"n_dir must be at least 4, got {self.n_dir!r}")
         if not self.n_resonant >= 2:
             raise ValueError(f"n_resonant must be at least 2, got {self.n_resonant!r}")
+        for key in ("n_dir", "n_resonant"):
+            n = getattr(self, key)
+            if n is not None:
+                if not float(n).is_integer():  # inf fails too
+                    raise ValueError(f"{key} must be a whole number, got {n!r}")
+                object.__setattr__(self, key, int(n))
         if not all(0.0 < p < math.inf for p in self.periods or ()):
             raise ValueError(f"periods must be positive, got {self.periods!r}")
 
@@ -294,13 +301,7 @@ class SamplingPlan:
             theta = 2.0 * math.pi * np.arange(n) / n
             vecs = np.column_stack([np.cos(theta), np.sin(theta)])
         else:
-            vecs = _fibonacci_sphere(n)
-            axes = np.array([
-                [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
-                [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
-            ])
-            vecs = np.vstack([axes, vecs])
+            vecs = np.vstack([np.eye(3), _fibonacci_sphere(n)])
         norm = np.abs(vecs[:, 0]) + np.linalg.norm(vecs[:, 1:], axis=1)
         return vecs / norm[:, None]
 
@@ -330,15 +331,17 @@ class SamplingPlan:
         rows = np.concatenate([shells, rays.swapaxes(1, 2).reshape(len(radii), -1, 1 + d)],
                               axis=1).reshape(-1, 1 + d)
         rows = rows[np.abs(rows[:, 0]) + np.linalg.norm(rows[:, 1:], axis=1)
-                    >= delta * (1.0 - 1e-12)].tolist()
-        first = {}
-        for row in rows:
-            first.setdefault(_round_key(row), row)
-        return [FrequencyPoint(tau=row[0], kappa=tuple(row[1:])) for row in first.values()]
+                    >= delta * (1.0 - 1e-12)]
+        # One key per p, -p and their twins: to 12 decimals of delta, signed.
+        key = np.round(rows / delta, 12)
+        key *= np.sign(key[np.arange(len(key)), np.argmax(key != 0.0, axis=1)])[:, None]
+        key += 0.0  # + 0.0 turns -0.0 into 0.0
+        first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+        return [FrequencyPoint(tau=row[0], kappa=tuple(row[1:])) for row in rows[first].tolist()]
 
 
 def omega_delta(model, delta, lam, sampling=None):
-    """Largest sampled omega value on |tau| + |kappa| >= delta, and where.
+    """Sampled omega sup on |tau| + |kappa| >= delta (to 4 eps), and where.
 
     Returns (value, witness FrequencyPoint). The value is a lower bound
     for the true supremum; the plan is built to include the resonant rays
@@ -414,9 +417,11 @@ def check_condition(model, delta=1.0, lambdas=None, sampling=None):
         raise ValueError("lambda ladder must be strictly decreasing")
     points = (sampling or SamplingPlan()).frequency_points(model, delta)
     values, max_err = _omega_table(model, points, lambdas)
-    # argmax takes the first maximum, so the first point wins value ties.
-    omegas = values.max(axis=0).tolist()
-    witnesses = [points[k] for k in np.argmax(values, axis=0)]
+    # Mirror points may differ in the last bits: the witness is the first
+    # point within 4 eps (relative) of the column max, with its own omega.
+    first = np.argmax(values >= values.max(axis=0) * (1.0 - 4.0 * np.finfo(float).eps), axis=0)
+    omegas = values[first, np.arange(len(lambdas))].tolist()
+    witnesses = [points[k] for k in first]
 
     threshold = PASS_FRACTION * 2.0 * model.state_bound
     verdict = _verdict(omegas, threshold)

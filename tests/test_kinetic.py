@@ -215,9 +215,12 @@ def test_frequency_points_respect_delta_and_dedupe():
                     assert radius >= delta - 1e-9
                 else:
                     assert radius == pytest.approx(delta, rel=1e-12, abs=0.0), fp
-                key = tuple(float(f"{v:.12g}") for v in (fp.tau, *fp.kappa))
-                assert key not in keys
-                keys.add(key)
+                # omega(-p) = omega(p), so no point is a twin or an antipode
+                # of an earlier one at 12 decimals of delta.
+                row = np.array([fp.tau, *fp.kappa]) / delta
+                twins = {tuple(np.round(s * row, 12) + 0.0) for s in (1.0, -1.0)}
+                assert not twins & keys, fp
+                keys |= twins
             if lattice:
                 assert max(abs(fp.tau) + math.hypot(*fp.kappa) for fp in pts) > 2.0 * delta
 
@@ -250,13 +253,27 @@ def test_lattice_mode_snaps_kappa():
     (dict(lattice=True, periods=(0.0,)), "periods must be positive"),
     (dict(periods=(1.0, math.inf)), "periods must be positive"),
     (dict(periods=(-1.0,)), "periods must be positive"),
+    (dict(n_dir=4.5), "n_dir must be a whole number, got 4.5"),
+    (dict(n_dir=math.inf), "n_dir must be a whole number"),
+    (dict(n_resonant=2.5), "n_resonant must be a whole number, got 2.5"),
 ])
 def test_sampling_plan_applies_the_config_rules(fields, message):
     # The rules of the [condition] keys and [grid] periods in a config
     # file; an infinite r_max would walk the shell ladder without end and
-    # a zero period would leave the lattice plan empty.
+    # a zero period would leave the lattice plan empty; n_dir 4.5 built a
+    # plan on a 5-point sphere.
     with pytest.raises(ValueError, match=message):
         SamplingPlan(**fields)
+
+
+def test_sampling_plan_stores_whole_counts_as_int():
+    # As PeriodicGrid stores cell counts: 3.0 would reach np.linspace as a
+    # float, which raises TypeError.
+    plan = SamplingPlan(n_dir=np.int64(8), n_resonant=3.0)
+    assert (plan.n_dir, plan.n_resonant) == (8, 3)
+    assert type(plan.n_dir) is int and type(plan.n_resonant) is int
+    assert plan.frequency_points(preset("burgers"), 1.0) == SamplingPlan(
+        n_dir=8, n_resonant=3).frequency_points(preset("burgers"), 1.0)
 
 
 def test_lattice_mode_requires_periods():
@@ -290,7 +307,10 @@ def _reference_frequency_points(plan, model, delta):
             kappa = snap(kappa)
         if abs(tau) + np.linalg.norm(kappa) < delta * (1.0 - 1e-12):
             return
-        key = kinetic._round_key((tau, *kappa))
+        # omega(-p) = omega(p): p and -p are one point, keyed at 12
+        # decimals of delta with the first nonzero entry made positive.
+        row = np.round(np.array([tau, *kappa]) / delta, 12)
+        key = tuple(row * np.sign(row[np.nonzero(row)[0][0]]) + 0.0)
         if key in seen:
             return
         seen.add(key)
@@ -629,6 +649,62 @@ def test_check_condition_blocks_keep_first_witness():
         for lam, om, fp in zip(whole.lambdas, whole.omegas, whole.witnesses):
             first = next(p for p in points if omega_at(m, p, lam) == om)
             assert fp == first
+
+
+def _negated(points):
+    return [FrequencyPoint(tau=-fp.tau, kappa=tuple(-c for c in fp.kappa)) for fp in points]
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=_models(), lattice=st.booleans(), whole=st.sampled_from([None, "speed", "bare"]),
+       periods=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)))
+def test_omega_is_even_bit_for_bit(model, lattice, whole, periods):
+    # Negating (tau, kappa) negates tau + a.kappa exactly and leaves
+    # kappa^T A kappa as it is, so the scan, the cut points and every
+    # integral are the same: the plan keeps one point of each pair p, -p.
+    plan = SamplingPlan(n_dir=12, r_max=4.0, n_resonant=5, lattice=lattice,
+                        periods=periods[:model.dimension])
+    points = plan.frequency_points(model, 1.0)
+    if whole is not None:
+        model = _whole_copy(model, whole == "speed")
+    lambdas = [1e-1, 1e-3, 1e-6]
+    table, worst = kinetic._omega_table(model, points, lambdas)
+    mirrored, mirrored_worst = kinetic._omega_table(model, _negated(points), lambdas)
+    assert mirrored.tobytes() == table.tobytes()
+    assert mirrored_worst == worst
+
+
+@pytest.mark.parametrize("name", _PRESETS)
+def test_reported_omega_is_the_max_over_the_plan_and_its_antipodes(name):
+    # The plan drops -p, so the reported omega must still be the column max
+    # over both, and omega_at at the witness must give its bits back.
+    m = preset(name)
+    lambdas = [1e-1, 1e-3, 1e-6]
+    for plan in (SamplingPlan(n_dir=64), SamplingPlan(
+            lattice=True, r_max=16.0, periods=(1.0, 0.5)[:m.dimension])):
+        points = plan.frequency_points(m, 1.0)
+        both, _ = kinetic._omega_table(m, points + _negated(points), lambdas)
+        report = check_condition(m, lambdas=lambdas, sampling=plan)
+        assert np.array(report.omegas).tobytes() == both.max(axis=0).tobytes()
+        for lam, om, fp in zip(lambdas, report.omegas, report.witnesses):
+            assert omega_at(m, fp, lam) == om
+
+
+@pytest.mark.parametrize("model, lam, tau, kappa", [
+    # a is odd, so omega is even in tau; the mirror points differ by 0.84 eps.
+    (preset("burgers"), 1e-5, 15.0 / 31.0, 16.0 / 31.0),
+    # The mirror of the old witness (0.232744, -0.767256) comes first.
+    (_whole_copy(preset("porous-medium"), True), 0.1, 0.23274443202460413, 0.7672555679753958),
+], ids=["burgers", "whole/porous-medium"])
+def test_witness_is_the_first_point_within_rounding_of_the_max(model, lam, tau, kappa):
+    report = check_condition(model, lambdas=[lam])
+    fp, om = report.witnesses[0], report.omegas[0]
+    assert (fp.tau, fp.kappa[0]) == pytest.approx((tau, kappa), rel=1e-12)
+    assert omega_at(model, fp, lam) == om
+    points = SamplingPlan().frequency_points(model, 1.0)
+    column = kinetic._omega_table(model, points, [lam])[0][:, 0]
+    within = column >= column.max() * (1.0 - 4.0 * np.finfo(float).eps)
+    assert points.index(fp) == np.argmax(within)
 
 
 _COUPLED_CUBIC = polynomial_model(

@@ -47,15 +47,20 @@ of the difference, and exits 1 if any case differs. The cases are:
 - symbol_denominator at a few states and degeneracy_set_measure at two
   tolerances, for a few frequencies (``symbol/...``); omega_at at four
   frequencies, one of them resonant, and two lambdas, plus omega_delta
-  under the reduced plan (``omega/...``); and check_condition under the
+  under the reduced plan (``omega/...``); the (tau, kappa) rows of the
+  default plan, the reduced plan and the lattice plan of the configured
+  grid's periods at delta 1, so that a plan edit shows as its points and
+  not only as a point count (``plan/...``); and check_condition under the
   reduced plan, for the hand-built copies as they are (``check/whole/...``,
   ``check/bare/...``) and for the other models with blocks of 3 points, so
   that value ties cross block edges (``check/...``);
 - inputs the solver and the condition checker must reject: run, step and
   run_lockstep on a CellField of twice the grid's cells and on an all-NaN
-  one (``inputs/cell-fields``), and a SamplingPlan with an infinite r_max,
-  n_dir 0, n_resonant 1 or a zero lattice period, and a FrequencyPoint
-  with a NaN or infinite tau (``inputs/sampling-plan``); check_condition,
+  one (``inputs/cell-fields``), a SamplingPlan with an infinite r_max,
+  n_dir 0 or 4.5, n_resonant 1 or 2.5 or a zero lattice period (and its
+  whole float counts n_dir 16.0 and n_resonant 3.0, which it keeps as
+  int), and a FrequencyPoint with a NaN or infinite tau
+  (``inputs/sampling-plan``); check_condition,
   omega_at and omega_delta with a NaN or infinite lambda
   (``inputs/lambdas``); shell_radii with a NaN, zero or too large delta and
   check_condition with a NaN delta (``inputs/delta``); and PeriodicGrid with
@@ -350,6 +355,15 @@ def _check_case(model):
                          report.points, repr(report.max_error_estimate)))
 
 
+def _plan_case(model):
+    """The (tau, kappa) rows of the default, reduced and lattice plans at delta 1."""
+    from anisolab.kinetic import SamplingPlan
+    periods = (1.0, 0.5) if model.dimension == 2 else (1.0,)
+    plans = (SamplingPlan(), _reduced_plan(model), SamplingPlan(lattice=True, periods=periods))
+    return repr([[(fp.tau, fp.kappa) for fp in plan.frequency_points(model, 1.0)]
+                 for plan in plans]).encode()
+
+
 def _blocked_check_case(model):
     with mock.patch("anisolab.kinetic.OMEGA_BLOCK", 3):
         return _check_case(model)
@@ -486,7 +500,9 @@ def _sampling_plan_case():
     from anisolab.model import preset
     zero_period = dict(lattice=True, periods=(0.0,))
     out = [_outcome(lambda f=f: SamplingPlan(**f))
-           for f in (dict(r_max=math.inf), dict(n_dir=0), dict(n_resonant=1), zero_period)]
+           for f in (dict(r_max=math.inf), dict(n_dir=0), dict(n_resonant=1), zero_period,
+                     dict(n_dir=4.5), dict(n_dir=16.0), dict(n_resonant=2.5),
+                     dict(n_resonant=3.0))]
     out.append(_outcome(lambda: len(
         SamplingPlan(**zero_period).frequency_points(preset("burgers"), 1.0))))
     out += [_outcome(lambda t=t: FrequencyPoint(t, (1.0,))) for t in (math.nan, math.inf)]
@@ -543,6 +559,7 @@ def cases():
         yield f"scalar/{name}", lambda m=model: _scalar_case(m)
         yield f"symbol/{name}", lambda m=model: _symbol_case(m)
         yield f"omega/{name}", lambda m=model: _omega_case(m)
+        yield f"plan/{name}", lambda m=model: _plan_case(m)
         if name.startswith(("whole/", "bare/")):
             yield f"check/{name}", lambda m=model: _check_case(m)
         elif "/" not in name:
