@@ -300,6 +300,8 @@ class SamplingPlan:
         if dimension == 1:
             theta = 2.0 * math.pi * np.arange(n) / n
             vecs = np.column_stack([np.cos(theta), np.sin(theta)])
+            # Quarter turns are exact: cos(pi/2) is 6.1e-17 and sin(pi) 1.2e-16 in floats.
+            vecs[np.abs(vecs) < 1e-15] = 0.0
         else:
             vecs = np.vstack([np.eye(3), _fibonacci_sphere(n)])
         norm = np.abs(vecs[:, 0]) + np.linalg.norm(vecs[:, 1:], axis=1)

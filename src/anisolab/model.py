@@ -16,7 +16,9 @@ dissipation estimate.
 
 Entries: a model is one entry per component (f_k, a_k, A_ij, sigma_ik,
 B_ij, beta_ik): a ``Poly`` (a polynomial that keeps its coefficients), a
-hand-written vectorized function of u, or None when identically zero.
+hand-written vectorized function of u, or None when identically zero. An
+entry with a ``steps(u, out, scratch)`` method, as a Poly and the presets'
+beta = u|u|/2 have, gives the solver its own bits in place in ``out``.
 Presets and ``polynomial_model`` assemble their ``ModelSpec`` callables
 from entries: for an input of shape S, ``flux`` and ``speed`` return shape
 S + (d,), ``diffusion``, ``sqrt_factor`` and the primitives S + (d, d). A
@@ -188,8 +190,11 @@ class Poly:
             acc /= self.div
         return acc
 
-    def steps(self, u, out):
-        """The Horner steps of p(u) in place in ``out``, as (ufunc, (x, y, out)) pairs."""
+    def steps(self, u, out, scratch=None):
+        """The Horner steps of p(u) in place in ``out``, as (ufunc, (x, y, out)) pairs.
+
+        ``scratch``, a free array that in-place entry steps may overwrite, is unused.
+        """
         c = self.coeffs
         if len(c) == 1:
             return ((out.fill, (c[0] / self.div,)),)
@@ -301,6 +306,11 @@ _CUBE_THIRD = Poly((0, 0, 0, 1), div=3)  # u*u*u / 3
 
 def _half_u_abs_u(u):
     return 0.5 * u * np.abs(u)
+
+
+# The same bits in place, (0.5 u) |u| with |u| in the scratch array.
+_half_u_abs_u.steps = lambda u, out, scratch: (
+    (np.multiply, (0.5, u, out)), (np.abs, (u, scratch)), (np.multiply, (out, scratch, out)))
 
 
 def _porous_beta(u):

@@ -14,20 +14,28 @@ the next step's wave bounds, tells whether the field is finite (np.min and
 np.max propagate NaN), and gives run's max-principle statistic and sup norm.
 
 The stencils are periodic slice kernels (_Stencils) on one layout in 1-d
-and 2-d. Every array they own (the stage field, one buffer per flux, B and
-beta entry, two work arrays) is a frame: the field padded by a ghost cell at
-each end of every axis, flattened over the axes. A shift by s along axis k
-is a flat offset of s times the axis's stride, so each stencil term, each
-row of the mixed one included, is one ufunc call (x, y, out) on contiguous
-flat ranges; in 2-d a range crosses the ghost cells between rows, computed
-and never read. The views are bound once per run, as programs of (fn, args)
-steps. A stage copies the field into the frame, fills the ghosts axis by
-axis (the corners too), writes the entries (a Poly in place, any other entry
-copied in) and runs the programs; 0.5 alpha_k and dt are explicit calls on
-Python floats. No array handed back is a stencil buffer or a view of one.
-The kernels divide by h and h^2 rather than multiply by reciprocals, so they
-match the whole-array periodic-shift form of each stencil bit for bit; the
-tests keep that form as the reference. The entries come from the table
+and 2-d. Every array they own (the stage field, one buffer per distinct
+flux, B and beta entry, two work arrays) is a frame: the field padded by a
+ghost cell at each end of every axis, flattened over the axes, and preceded
+by the few unused values that put its first cell on a 64-byte line. Each
+frame is a slice of a slightly larger array, so its start, where an entry
+program starts, is on a line too, and so is every batch row's. A shift by s
+along axis k is a flat offset of s times the axis's stride, so each stencil
+term, each row of the mixed one included, is one ufunc call (x, y, out) on
+contiguous flat ranges, and every output range starts at the first cell:
+face i - 1/2 is stored at cell i. In 2-d a range crosses the ghost cells
+between rows, computed and never read. The views are bound once per run, as
+programs of (fn, args) steps. A stage copies the field into the frame, fills
+the ghosts axis by axis (the corners too), writes the entries (one buffer
+and one evaluation per distinct entry object of B and f; an entry with
+in-place steps runs them, any other is copied in) and runs the diffusion,
+then the flux programs; 0.5 alpha_k and dt are explicit calls on Python
+floats. The second stage's field is written straight into the frame. No
+array handed back is a stencil buffer or a view of one. The kernels divide
+by h, h^2, 2h and 4 h_0 h_1, or multiply by the reciprocal when the divisor
+is a power of two (then both round the same real number), so they match the
+whole-array periodic-shift form of each stencil bit for bit; the tests keep
+that form as the reference. The entries come from the table
 model.model_table.
 
 Wave bounds, max |a_k| for the flux and max |A_ij| for the time step, are
@@ -54,7 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Poly, model_table
+from .model import model_table
 
 __all__ = [
     "ConfigurationError",
@@ -277,24 +285,45 @@ def _term(ufunc, plan, x, y, out):
     return ufunc, (x[..., ix], y[..., iy], out[..., o])
 
 
+def _scale(x, c):
+    """The step x /= c, bound as x *= 1/c when c is a power of two whose reciprocal is
+    finite: then 1/c is exact and both round the same real number, so the bits agree."""
+    if math.frexp(c)[0] == 0.5 and math.isfinite(1.0 / c):
+        return np.multiply, (x, 1.0 / c, x)
+    return np.divide, (x, c, x)
+
+
 def _run(program):
     """Run a program: each step is (fn, args), a ufunc step's args ending with its out."""
     for fn, args in program:
         fn(*args)
 
 
-def _copy_into(buf, entry, u):
-    buf[...] = entry(u)
+def _copy_into(entry, u, out):
+    out[...] = entry(u)
+
+
+_LINE = 8  # float64 values per 64-byte cache line
+
+
+def _on_lines(shape, lead=0):
+    """A zeroed float array of ``shape`` that starts on a 64-byte line, as does each of
+    its rows along the first ``lead`` axes: a view of a larger array whose rows are
+    padded to whole lines, plus one. Without ``lead`` it is contiguous."""
+    row = math.prod(shape[lead:])
+    raw = np.zeros(shape[:lead] + (row - row % -_LINE + _LINE,))
+    skip = -raw.ctypes.data // raw.itemsize % _LINE
+    return raw[..., skip:skip + row].reshape(shape)  # splits the last axis: a view
 
 
 # Axis-aligned stencil terms along axis k, out[i] = op(x[i + sx], y[i + sy]):
-# name -> (sx, sy, lo), shifts in cells along k. The output runs over the
-# cells, for faces from one cell earlier along k (lo = -1): face i + 1/2
-# sits at cell i.
+# name -> (sx, sy, hi), shifts in cells along k. Every output range starts at
+# the first cell, so on a line; faces run hi = 1 cell past the last along k:
+# face i - 1/2 sits at cell i.
 _TERMS = {
-    "face": (0, 1, -1),  # f(i) + f(i+1)
-    "rise": (1, 0, -1),  # u(i+1) - u(i)
-    "div": (0, -1, 0),  # face(i + 1/2) - face(i - 1/2)
+    "face": (-1, 0, 1),  # f(i-1) + f(i)
+    "rise": (0, -1, 1),  # u(i) - u(i-1)
+    "div": (1, 0, 0),  # face(i + 1/2) - face(i - 1/2)
     "b_up": (1, 0, 0),  # B(i+1) - 2 B(i)
     "b_down": (0, -1, 0),  # (B(i+1) - 2 B(i)) + B(i-1)
     "beta": (1, -1, 0),  # beta(i+1) - beta(i-1)
@@ -311,7 +340,8 @@ class _Stencils:
     programs on its first call, so the flux stencil alone needs no B, sigma or
     beta (nor a PSD diffusion matrix); a call loads the field, runs the entry
     program and each term's program, and adds the cells of each result into
-    ``out``. Leading batch axes of ``shape`` (a lockstep pair) pass through.
+    ``out``. ``tendency``, a stage, runs one entry program for B and f. Leading
+    batch axes of ``shape`` (a lockstep pair) pass through.
     """
 
     def __init__(self, model, grid, shape):
@@ -323,46 +353,66 @@ class _Stencils:
         lead, ns = self.shape[:-d], self.shape[-d:]
         padded = tuple(n + 2 for n in ns)
         strides = [math.prod(padded[k + 1:]) for k in range(d)]
-        self.work = [np.zeros(lead + (math.prod(padded),)) for _ in range(2)]
-        self.u = u = np.empty_like(self.work[0])
-        # Cell (1, ..., 1) to (n_0, ..., n_last); a plan is a term's (out, x, y) ranges.
-        self.span = span = slice(sum(strides), sum(map(mul, ns, strides)) + 1)
+        # The padded field starts `pad` values into each frame row, so that cell
+        # (1, ..., 1) falls on a line; a plan is a term's (out, x, y) ranges.
+        pad = -sum(strides) % _LINE
+        self.frame_shape = lead + (pad + math.prod(padded),)
+        self.work = [self._frame() for _ in range(2)]
+        self.u = u = self._frame()
+        # Cell (1, ..., 1) to (n_0, ..., n_last).
+        self.span = span = slice(pad + sum(strides), pad + sum(map(mul, ns, strides)) + 1)
 
-        def plan(sx, sy, lo=0):
-            return tuple(slice(span.start + lo + s, span.stop + s) for s in (0, sx, sy))
+        def plan(sx, sy, hi=0):
+            return tuple(slice(span.start + s, span.stop + hi + s) for s in (0, sx, sy))
 
-        self.plans = [{name: plan(sx * s, sy * s, lo * s) for name, (sx, sy, lo) in _TERMS.items()}
+        self.plans = [{name: plan(sx * s, sy * s, hi * s) for name, (sx, sy, hi) in _TERMS.items()}
                       for s in strides]
         self.mixed = tuple(plan(*(sum(map(mul, s, strides)) for s in row))
                            for row in _MIXED) if d == 2 else ()
         # The work arrays' cell ranges; the cells of the field and work arrays as fields.
         self.work_span = [w[..., self.span] for w in self.work]
-        grid_u, *grid_work = (a.reshape(lead + padded) for a in (u, *self.work))
+        grid_u, *grid_work = (a[..., pad:].reshape(lead + padded) for a in (u, *self.work))
         inside = (Ellipsis,) + tuple(slice(1, n + 1) for n in ns)
         self.cells, *self.work_cells = (a[inside] for a in (grid_u, *grid_work))
-        # u[0] = u[n], u[n + 1] = u[1] axis by axis over the padded extent (corners too).
         self.ghosts = [pair for k, n in enumerate(ns) for g in [np.moveaxis(grid_u, k - d, -1)]
                        for pair in ((g[..., :1], g[..., n:n + 1]), (g[..., n + 1:], g[..., 1:2]))]
+        # One (buffer, fill steps) per distinct entry (_entries).
+        self.fills = {}
+
+    def _frame(self):
+        """A zeroed frame, each batch row on a line (module docstring)."""
+        return _on_lines(self.frame_shape, len(self.shape) - self.d)
 
     def load(self, values, program=()):
         """The stage field holding ``values`` (taken as it is if it is the stage
         field, so one copy serves a stage), after running ``program`` on it."""
         if values is not self.u:
             self.cells[...] = values
-            for ghost, cell in self.ghosts:
-                ghost[...] = cell
+            self.fill_ghosts()
         _run(program)
         return self.u
 
+    def fill_ghosts(self):
+        """u[0] = u[n], u[n + 1] = u[1] axis by axis over the padded extent (corners too)."""
+        for ghost, cell in self.ghosts:
+            ghost[...] = cell
+
     def _entries(self, entries, axes=()):
         """{index: buffer} for ``entries`` and ``axes`` (zero without an entry), and the
-        program filling them: a Poly by its Horner steps, any other entry copied in."""
-        u = self.u
-        bufs = {idx: np.zeros(u.shape) for idx in axes if idx not in entries}
-        bufs.update((idx, np.empty(u.shape)) for idx in entries)
-        program = tuple(step for idx, e in entries.items() for step in (
-            e.steps(u, bufs[idx]) if isinstance(e, Poly) else ((_copy_into, (bufs[idx], e, u)),)))
-        return bufs, program
+        program filling them. Entries that are one object share one buffer and one
+        evaluation; an entry with in-place steps runs them (work[1] is their scratch),
+        any other is copied in."""
+        u, scratch = self.u, self.work[1]
+        bufs = {idx: self._frame() for idx in axes if idx not in entries}
+        fills = {}
+        for idx, e in entries.items():
+            key = id(e)
+            if key not in self.fills:
+                buf = self._frame()
+                self.fills[key] = buf, (e.steps(u, buf, scratch) if hasattr(e, "steps")
+                                        else ((_copy_into, (e, u, buf)),))
+            bufs[idx], fills[key] = self.fills[key]
+        return bufs, tuple(step for steps in fills.values() for step in steps)
 
     @cached_property
     def b_entries(self):
@@ -376,20 +426,19 @@ class _Stencils:
         u, (face, rise) = self.u, self.work
         axes = []
         for k, plan in enumerate(self.plans):
-            # face = 0.5 (f[i] + f[i+1]) - 0.5 alpha (u[i+1] - u[i]); div overwrites rise
+            # face = 0.5 (f[i-1] + f[i]) - 0.5 alpha (u[i] - u[i-1]); div overwrites rise
             fa, faces = f[(k,)], plan["face"][0]
             fc, rc, dc = face[..., faces], rise[..., faces], self.work_span[1]
             before = [_term(np.add, plan["face"], fa, fa, face), (np.multiply, (fc, 0.5, fc)),
                       _term(np.subtract, plan["rise"], u, u, rise)]
             after = [(np.subtract, (fc, rc, fc)), _term(np.subtract, plan["div"], face, face, rise),
-                     (np.divide, (dc, self.h[k], dc))]
+                     _scale(dc, self.h[k])]
             axes.append((before, rc, after))
         return program, axes, self.work_cells[1]
 
-    def hyperbolic(self, values, alphas, out):
-        """Divergence of the LLF flux, summed over axes, into ``out``."""
-        program, axes, div = self._hyperbolic
-        self.load(values, program)
+    def _flux(self, alphas, out):
+        """The flux terms on the loaded entries, summed over axes into ``out``."""
+        _, axes, div = self._hyperbolic
         out.fill(0.0)
         for k, (before, rise, after) in enumerate(axes):
             _run(before)
@@ -397,6 +446,11 @@ class _Stencils:
             _run(after)
             out += div
         return out
+
+    def hyperbolic(self, values, alphas, out):
+        """Divergence of the LLF flux, summed over axes, into ``out``."""
+        self.load(values, self._hyperbolic[0])
+        return self._flux(alphas, out)
 
     @cached_property
     def _diffusion(self):
@@ -407,7 +461,7 @@ class _Stencils:
         terms = [(((np.multiply, (b[i, i][..., self.span], 2.0, c0)),
                    _term(np.subtract, plan["b_up"], b[i, i], w0, w1),
                    _term(np.add, plan["b_down"], w1, b[i, i], w1),
-                   (np.divide, (c1, self.h[i] ** 2, c1))), self.work_cells[1])
+                   _scale(c1, self.h[i] ** 2)), self.work_cells[1])
                  for i, plan in enumerate(self.plans) if (i, i) in b]
         if (0, 1) in b:
             # ((B[i+1,j+1] - B[i+1,j-1]) - B[i-1,j+1]) + B[i-1,j-1], times 2 / (4 h_0 h_1)
@@ -415,8 +469,16 @@ class _Stencils:
             terms.append(((
                 _term(np.subtract, first, bb, bb, w0), _term(np.subtract, second, w0, bb, w0),
                 _term(np.add, third, w0, bb, w0), (np.multiply, (c0, 2.0, c0)),
-                (np.divide, (c0, 4.0 * self.h[0] * self.h[-1], c0))), self.work_cells[0]))
+                _scale(c0, 4.0 * self.h[0] * self.h[-1])), self.work_cells[0]))
         return program, terms
+
+    def _diffuse(self, out):
+        """The diffusion terms on the loaded entries, summed into ``out``."""
+        out.fill(0.0)
+        for steps, result in self._diffusion[1]:
+            _run(steps)
+            out += result
+        return out
 
     def diffusion(self, values, out):
         """Second differences of B(u) into ``out``, term by term.
@@ -424,12 +486,21 @@ class _Stencils:
         B_ii is two rows along axis i; B_01 (2-d) is the three rows of
         ``_MIXED``, scaled by 2 / (4 h_0 h_1).
         """
-        program, terms = self._diffusion
-        self.load(values, program)
-        out.fill(0.0)
-        for steps, result in terms:
-            _run(steps)
-            out += result
+        self.load(values, self._diffusion[0])
+        return self._diffuse(out)
+
+    @cached_property
+    def _stage(self):
+        """One program filling every distinct B and f entry once."""
+        return self._entries({**self.b_entries, **self.table.f})[1]
+
+    def tendency(self, values, alphas, out, hyp):
+        """diffusion - hyperbolic into ``out`` (``hyp`` holds the flux part), from one
+        load and one evaluation per distinct entry; without flux or alphas, diffusion."""
+        self.load(values, self._stage)
+        self._diffuse(out)  # zero without B entries
+        if not (self.flux_is_zero and not any(alphas)):
+            np.subtract(out, self._flux(alphas, hyp), out=out)
         return out
 
     @cached_property
@@ -444,7 +515,7 @@ class _Stencils:
                 if (i, k) in beta:
                     g, c = (grad, cg) if steps else (acc, ca)
                     steps.append(_term(np.subtract, plan["beta"], beta[i, k], beta[i, k], g))
-                    steps.append((np.divide, (c, 2.0 * self.h[i], c)))
+                    steps.append(_scale(c, 2.0 * self.h[i]))
                     if g is grad:
                         steps.append((np.add, (ca, cg, ca)))
             if steps:
@@ -549,14 +620,7 @@ def _stepper(stencils, scheme):
     (capped, or the ``idle`` step).
     """
     two_stage = scheme.integrator != "euler"
-    tend = np.empty(stencils.shape)
-    hyp = np.empty(stencils.shape)
-
-    def tendency(v, alphas, skip_flux):
-        stencils.diffusion(v, tend)  # zero without B entries; loads v for both stencils
-        if not skip_flux:
-            np.subtract(tend, stencils.hyperbolic(stencils.u, alphas, hyp), out=tend)
-        return tend
+    tend, hyp = (_on_lines(stencils.shape) for _ in range(2))
 
     def advance(values, rng, t, cap, idle, dt=None):
         alphas, lams = stencils.bounds(*rng)
@@ -569,17 +633,19 @@ def _stepper(stencils, scheme):
                     raise ConfigurationError(
                         "model has no dynamics; set output_every or pass dt explicitly")
                 dt, cut = idle, True
-        skip_flux = stencils.flux_is_zero and not any(alphas)
-        inc = tendency(values, alphas, skip_flux)
+        inc = stencils.tendency(values, alphas, tend, hyp)
         inc *= dt
-        new_values = values + inc
         if two_stage:
-            # 0.5 * ((u + u1) + dt * L(u1))
-            inc = tendency(new_values, alphas, skip_flux)
+            # 0.5 * ((u + u1) + dt * L(u1)), u1 = u + dt L(u) written as the stage field
+            np.add(values, inc, out=stencils.cells)
+            stencils.fill_ghosts()
+            inc = stencils.tendency(stencils.u, alphas, tend, hyp)
             inc *= dt
-            new_values += values
+            new_values = np.add(stencils.cells, values)
             new_values += inc
             new_values *= 0.5
+        else:
+            new_values = values + inc
         new_rng = lo, hi = _range(new_values)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             finite = new_values[np.isfinite(new_values)]
@@ -683,7 +749,7 @@ def run(model, grid, profile, scheme, hooks=()):
         contraction_constants=tuple(_contraction_constants(u0_min, u0_max, mean_cur)),
     )
     consts = np.array(stats.contraction_constants).reshape((-1,) + (1,) * values.ndim)
-    gaps = np.empty(consts.shape[:1] + values.shape)
+    gaps = _on_lines(consts.shape[:1] + values.shape)
 
     def ladder_l1(v):
         """L1 distance of v to every contraction constant, in one pass."""

@@ -232,6 +232,19 @@ def test_frequency_points_include_resonant_ray():
     assert hits, "no resonant ray sampled"
 
 
+def test_the_1d_direction_circle_has_exact_quarter_turns():
+    # In floats cos(pi/2) is 6.1e-17 and sin(pi) 1.2e-16; the circle's axis
+    # points are exact, so a witness on an axis reads tau = 0, free and on
+    # the lattice (where 2 pi times 3.9e-17 read 2.4e-16).
+    vecs = SamplingPlan()._directions(1)
+    assert {(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)} <= set(map(tuple, vecs.tolist()))
+    assert not ((np.abs(vecs) > 0.0) & (np.abs(vecs) < 1e-15)).any()
+    model = preset("burgers-degenerate")
+    for plan in (SamplingPlan(), SamplingPlan(lattice=True, periods=(1.0,))):
+        witness = check_condition(model, lambdas=[0.1, 1e-6], sampling=plan).witnesses[-1]
+        assert witness.tau == 0.0 and witness.kappa[0] > 0.0, witness
+
+
 def test_lattice_mode_snaps_kappa():
     plan = SamplingPlan(n_dir=16, r_max=32.0, n_resonant=5, lattice=True, periods=(1.0,))
     pts = plan.frequency_points(preset("burgers"), 1.0)

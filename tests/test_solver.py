@@ -1,10 +1,15 @@
 """Tests for the finite-volume scheme and time integration."""
 
+import gc
+import math
+import weakref
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisolab.diagnostics import audit, l1_to_constant, l2_energy, mean, parabolic_dissipation
 from anisolab import solver as solver_mod
@@ -301,6 +306,8 @@ STENCIL_CASES = [
     # On 4 and 5 cells the ghosts, corners included, are most of the 2-d frame.
     ("coupled-cubic", (1.0, 3.0), (2,), (4, 5)),
     ("coupled-cubic", (2.0, 0.5), (2,), (5, 4)),
+    # h, h^2, 2h and 4 h_0 h_1 are powers of two: every scaling is a multiply.
+    ("coupled-cubic", (1.0, 2.0), (), (8, 16)),
 ]
 
 
@@ -320,6 +327,9 @@ def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, ce
         diff = stencils.diffusion(v, np.empty_like(v))
         assert diff.tobytes() == roll_diffusion(v, g, tables).tobytes()
         assert stencils.dissipation(v) == roll_dissipation(v, g, tables)
+        # A stage (one load, one entry program for B and f) is diffusion - hyperbolic.
+        tend = stencils.tendency(v, alphas, np.empty_like(v), np.empty_like(v))
+        assert tend.tobytes() == (diff - hyp).tobytes()
         return alphas
 
     # The second call reuses the work arrays and buffers; a second field,
@@ -344,14 +354,19 @@ def test_every_term_is_one_step_on_flat_ranges(name, cells, batch, monkeypatch):
     # One layout in 1-d and 2-d: every term of _TERMS and row of _MIXED binds
     # one ufunc step, and each of its operands is a contiguous range of the
     # flat last axis of a stencil-owned array (batch axes passing through).
-    bound = []
+    bound, ran = [], []
 
     def recording(ufunc, plan, x, y, out):
         bound.append((plan, real(ufunc, plan, x, y, out)))
         return bound[-1][1]
 
-    real = solver_mod._term
+    def recording_run(program):
+        ran.extend(program)
+        real_run(program)
+
+    real, real_run = solver_mod._term, solver_mod._run
     monkeypatch.setattr(solver_mod, "_term", recording)
+    monkeypatch.setattr(solver_mod, "_run", recording_run)
     m = STENCIL_MODELS.get(name) or preset(name)
     g = PeriodicGrid.make([1.0] * len(cells), list(cells))
     values = np.random.default_rng(5).uniform(-0.9, 0.9, batch + cells)
@@ -360,6 +375,7 @@ def test_every_term_is_one_step_on_flat_ranges(name, cells, batch, monkeypatch):
     stencils.hyperbolic(values, alphas, np.empty_like(values))
     stencils.diffusion(values, np.empty_like(values))
     stencils.dissipation(values)
+    stencils.tendency(values, alphas, np.empty_like(values), np.empty_like(values))
 
     d, b = len(cells), stencils.b_entries
     mixed = (0, 1) in b
@@ -375,6 +391,73 @@ def test_every_term_is_one_step_on_flat_ranges(name, cells, batch, monkeypatch):
             root = arr if arr.base is None else arr.base
             assert root.base is None and root.ndim == len(batch) + 1
             assert arr.shape == batch + args[2].shape[-1:] and arr.strides == root.strides
+    # Every bound step's output (terms, entry steps, scalings) starts on a
+    # 64-byte line, in every batch row.
+    assert len(ran) > len(bound)
+    for fn, args in ran:
+        out = fn.__self__ if isinstance(getattr(fn, "__self__", None), np.ndarray) else args[-1]
+        assert all(out[row].ctypes.data % 64 == 0 for row in np.ndindex(batch)), (fn, args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_subnormal=True), min_size=1, max_size=8),
+       st.integers(-1074, 1022), st.sampled_from([1.0, 1.5, 1.1]))
+def test_power_of_two_scaling_multiplies_with_the_bits_of_the_division(xs, k, m):
+    # x / 2^k and x * 2^-k round the same real number, subnormal and huge x
+    # included; any other divisor, or one whose reciprocal overflows, divides.
+    c, xs = m * 2.0 ** k, xs + [5e-324, -2.2e-308, 1.7e308, -math.inf]
+    x = np.array(xs)
+    fn, args = solver_mod._scale(x, c)
+    assert (fn is np.multiply) == (m == 1.0 and k > -1024)
+    with np.errstate(over="ignore", under="ignore"):
+        fn(*args)
+        assert x.tobytes() == np.divide(xs, c).tobytes()
+
+
+def test_a_stage_evaluates_each_distinct_entry_once(monkeypatch):
+    # anisotropic-2d's f_1 and B_00 are one object, u^3/3: one Euler step
+    # (one stage) divides by its 3 once.
+    ran = []
+
+    def recording_run(program):
+        ran.extend(program)
+        real_run(program)
+
+    real_run = solver_mod._run
+    monkeypatch.setattr(solver_mod, "_run", recording_run)
+    m = preset("anisotropic-2d")
+    assert model_table(m).f[(1,)] is model_table(m).b[(0, 0)]
+    g = PeriodicGrid.make([1.0, 1.0], [8, 8])
+    fld = CellField(np.random.default_rng(2).uniform(-0.9, 0.9, (8, 8)))
+    step(fld, m, g, SchemeConfig(t_end=1.0, integrator="euler"))
+    assert sum(fn is np.divide and args[1] == 3.0 for fn, args in ran
+               if isinstance(args[1], float)) == 1
+
+
+def test_a_runs_stencils_are_freed_by_reference_counting(monkeypatch):
+    # Nothing the stencils hold refers back to them, so run, run_lockstep
+    # and step free them with their last reference, with gc disabled.
+    made = []
+
+    class Recording(_Stencils):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(solver_mod, "_Stencils", Recording)
+    m, g = preset("anisotropic-2d"), PeriodicGrid.make([1.0, 1.0], [8, 8])
+    fld = CellField(np.random.default_rng(4).uniform(-0.9, 0.9, (8, 8)))
+    scheme = SchemeConfig(t_end=0.01, output_every=0.005)
+    gc.collect()
+    gc.disable()
+    try:
+        run(m, g, fld, scheme)
+        run_lockstep(m, g, fld, fld, scheme)
+        step(fld, m, g, scheme)
+        alive = [ref() is not None for ref in made]
+    finally:
+        gc.enable()
+    assert alive == [False] * 3
 
 
 def _arrays(obj):

@@ -28,7 +28,12 @@ of the difference, and exits 1 if any case differs. The cases are:
   ghosts (``run/cells-4x5/coupled-cubic``, ``step/cells-5x4/coupled-cubic``,
   ``run/lockstep/cells-4x5/coupled-cubic``), and on 4x4 cells, the smallest
   2-d frame, for anisotropic-2d, whose hand-written beta entry is evaluated
-  on it (``run/cells-4x4/anisotropic-2d``, ...);
+  on it (``run/cells-4x4/anisotropic-2d``, ...); the same three on 8x16
+  cells for coupled-cubic, where h, h^2, 2h and 4 h_0 h_1 are powers of two,
+  so the stencils scale by multiplying (``run/cells-8x16/coupled-cubic``,
+  ...), and a run of anisotropic-2d on 16x16 cells, whose every scaling is a
+  multiply and whose flux and B share the entry u^3/3
+  (``run/cells-16x16/anisotropic-2d``);
   and the run and step cases under the one-stage Euler integrator for
   burgers-degenerate and porous-medium (64 cells) and anisotropic-2d
   (16x12) (``run/euler/...``, ``step/euler/...``);
@@ -588,11 +593,13 @@ def cases():
             yield f"step/cells-{n}/{name}", lambda m=model, n=n: _step_case(m, n)
             yield f"run/lockstep/cells-{n}/{name}", lambda m=model, n=n: _lockstep_case(m, n)
     for name, cells in (("coupled-cubic", (4, 5)), ("coupled-cubic", (5, 4)),
-                        ("anisotropic-2d", (4, 4))):
+                        ("anisotropic-2d", (4, 4)), ("coupled-cubic", (8, 16))):
         tag, model = "x".join(map(str, cells)), models[name]
         yield f"run/cells-{tag}/{name}", lambda m=model, c=cells: _run_case(m, c)
         yield f"step/cells-{tag}/{name}", lambda m=model, c=cells: _step_case(m, c)
         yield f"run/lockstep/cells-{tag}/{name}", lambda m=model, c=cells: _lockstep_case(m, c)
+    yield ("run/cells-16x16/anisotropic-2d",
+           lambda: _run_case(models["anisotropic-2d"], (16, 16)))
     for name in ("burgers-degenerate", "porous-medium", "anisotropic-2d"):
         model = models[name]
         yield f"run/euler/{name}", lambda m=model: _run_case(m, integrator="euler")
