@@ -52,6 +52,7 @@ TOL_CHAIN = 1e-10
 H_FD_SCALE = 1e-6
 QUAD_LEVELS = 40
 SAMPLED_BOUND_POINTS = 129
+VALIDATION_SAMPLES = 101
 _EPS = float(np.finfo(float).eps)
 _RANK = dict(flux=1, speed=1, diffusion=2, sqrt_factor=2, b_primitive=2, beta_primitive=2)
 # Missing quantity: (ModelTable attribute of its stand-in, of the stand-in's source).
@@ -232,13 +233,17 @@ class Poly:
         """max |p| over [lo, hi], from the ends and the critical points inside.
 
         A critical point's value is raised by a bound on the rounding error
-        of evaluating p, so no evaluation of p near it exceeds the result.
+        of evaluating p, so no evaluation of p near it exceeds the result;
+        a bound that overflows makes the result inf.
         """
         top = max(abs(self(lo)), abs(self(hi)))
         inner = [abs(self(r)) for r in self.critical if lo < r < hi]
         if inner:
             m = max(abs(lo), abs(hi))
-            scale = sum(c * m ** n for n, c in self._abs_terms) / self._abs_div
+            try:
+                scale = sum(c * m ** n for n, c in self._abs_terms) / self._abs_div
+            except OverflowError:
+                return float("inf")
             top = max(top, max(inner) + self._rounding * scale)
         return float(top)
 
@@ -526,8 +531,8 @@ def _check(report, name, residual, tolerance):
                                       bool(residual <= tolerance))
 
 
-def validate_model(model, samples=101):
-    """Audit the structural contracts of a model over its state interval.
+def validate_model(model):
+    """Audit the structural contracts of a model on VALIDATION_SAMPLES states of its interval.
 
     Checks symmetry and positive semidefiniteness of A, the square-root
     factorization, both primitives in integral form, and the chain rule
@@ -535,10 +540,10 @@ def validate_model(model, samples=101):
     sqrt(psi) sigma for a fixed smooth weight psi. The tolerances are the
     module's TOL_* constants. Failures are reported, never raised.
     """
-    report = ModelValidationReport(model_name=model.name, samples=int(samples))
+    report = ModelValidationReport(model_name=model.name, samples=VALIDATION_SAMPLES)
     d = model.dimension
     big = model.state_bound
-    us = np.linspace(-big, big, int(samples))
+    us = np.linspace(-big, big, VALIDATION_SAMPLES)
     table = model_table(model)
 
     mats = _vector(model, "diffusion", us)

@@ -12,6 +12,9 @@ is a batch of two fields on that shared stepper. The step returns the new
 field with its range [min u, max u], its one min/max pass: the range sets
 the next step's wave bounds, tells whether the field is finite (np.min and
 np.max propagate NaN), and gives run's max-principle statistic and sup norm.
+A wave bound that overflows (a CFL step of 0 or NaN) is a blow-up too.
+init_field broadcasts a profile's values to its quadrature nodes, so a
+profile of one coordinate, or a constant, fills every cell.
 
 The stencils are periodic slice kernels (_Stencils) on one layout in 1-d
 and 2-d. Every array they own (the stage field, one buffer per distinct
@@ -25,13 +28,15 @@ term, each row of the mixed one included, is one ufunc call (x, y, out) on
 contiguous flat ranges, and every output range starts at the first cell:
 face i - 1/2 is stored at cell i. In 2-d a range crosses the ghost cells
 between rows, computed and never read. The views are bound once per run, as
-programs of (fn, args) steps. A stage copies the field into the frame, fills
-the ghosts axis by axis (the corners too), writes the entries (one buffer
-and one evaluation per distinct entry object of B and f; an entry with
-in-place steps runs them, any other is copied in) and runs the diffusion,
-then the flux programs; 0.5 alpha_k and dt are explicit calls on Python
-floats. The second stage's field is written straight into the frame. No
-array handed back is a stencil buffer or a view of one. The kernels divide
+programs of (fn, args) steps. One entry program for B and f serves every
+stencil call except the dissipation, which has its own for beta: a call
+copies the field into the frame, fills the ghosts axis by axis (the corners
+too), writes the entries (one buffer and one evaluation per distinct entry
+object; an entry with in-place steps runs them, any other is copied in) and
+runs its term programs; a stage runs the diffusion, then the flux programs.
+0.5 alpha_k and dt are explicit calls on Python floats. The second stage's
+field is written straight into the frame. No array handed back is a stencil
+buffer or a view of one. The kernels divide
 by h, h^2, 2h and 4 h_0 h_1, or multiply by the reciprocal when the divisor
 is a power of two (then both round the same real number), so they match the
 whole-array periodic-shift form of each stencil bit for bit; the tests keep
@@ -241,9 +246,13 @@ class Trajectory:
 def init_field(grid, profile):
     """Cell averages of a pointwise profile via 3-point Gauss per axis.
 
-    ``profile`` takes one coordinate array per axis and must broadcast.
-    An ndarray of per-cell values, or a CellField's values, is copied once
-    its shape matches the grid and every value is finite.
+    ``profile`` takes one coordinate array per axis, shaped to broadcast
+    against each other, and its values are broadcast to the quadrature shape,
+    (n, 3) in 1-d and (n_0, n_1, 3, 3) in 2-d: a profile of one coordinate,
+    or a scalar constant, fills every cell. Values that do not broadcast raise
+    ConfigurationError. An ndarray of per-cell values, or a CellField's
+    values, is copied once its shape matches the grid and every value is
+    finite.
     """
     if isinstance(profile, CellField):
         profile = np.asarray(profile.values, dtype=float)
@@ -259,19 +268,28 @@ def init_field(grid, profile):
     if grid.dimension == 1:
         h = grid.spacings[0]
         pts = grid.centers(0)[:, None] + 0.5 * h * _GAUSS3_NODES[None, :]
-        vals = np.asarray(profile(pts), dtype=float)
-        values = vals @ _GAUSS3_WEIGHTS
+        values = _on_nodes(profile(pts), pts.shape) @ _GAUSS3_WEIGHTS
     else:
         h1, h2 = grid.spacings
         x = grid.centers(0)[:, None] + 0.5 * h1 * _GAUSS3_NODES[None, :]
         y = grid.centers(1)[:, None] + 0.5 * h2 * _GAUSS3_NODES[None, :]
-        vals = np.asarray(
-            profile(x[:, None, :, None], y[None, :, None, :]), dtype=float)
+        vals = _on_nodes(profile(x[:, None, :, None], y[None, :, None, :]),
+                         (len(x), len(y), 3, 3))
         values = np.einsum("ijxy,x,y->ij", vals, _GAUSS3_WEIGHTS, _GAUSS3_WEIGHTS)
     if not np.isfinite(values).all():
         bad = np.argwhere(~np.isfinite(values))[0]
         raise ValueError(f"initial profile is non-finite near cell index {tuple(bad)}")
     return CellField(values=values, time=0.0)
+
+
+def _on_nodes(vals, shape):
+    """A profile's values as floats broadcast to the quadrature ``shape``."""
+    vals = np.asarray(vals, dtype=float)
+    try:
+        return np.broadcast_to(vals, shape)
+    except ValueError:
+        raise ConfigurationError(f"profile values of shape {vals.shape} do not broadcast "
+                                 f"to the quadrature shape {shape}") from None
 
 
 def _range(values):
@@ -336,12 +354,14 @@ _MIXED = (((1, 1), (1, -1)), ((0, 0), (-1, 1)), ((0, 0), (-1, -1)))
 class _Stencils:
     """The scheme's periodic stencils for one model and grid, on fields of one shape.
 
-    Every array they own is a frame (module docstring). Each stencil binds its
-    programs on its first call, so the flux stencil alone needs no B, sigma or
-    beta (nor a PSD diffusion matrix); a call loads the field, runs the entry
-    program and each term's program, and adds the cells of each result into
-    ``out``. ``tendency``, a stage, runs one entry program for B and f. Leading
-    batch axes of ``shape`` (a lockstep pair) pass through.
+    Every array they own is a frame (module docstring). The programs are bound
+    on first use: one entry program for B and f with the flux and diffusion
+    terms on its buffers, which ``hyperbolic``, ``diffusion`` and ``tendency``
+    (a stage) all load, and the beta program of ``dissipation``. So no stencil
+    except the dissipation needs sigma, beta or a PSD diffusion matrix. A call
+    loads the field, runs the entry program and each term's program, and adds
+    the cells of each result into ``out``. Leading batch axes of ``shape`` (a
+    lockstep pair) pass through.
     """
 
     def __init__(self, model, grid, shape):
@@ -376,8 +396,6 @@ class _Stencils:
         self.cells, *self.work_cells = (a[inside] for a in (grid_u, *grid_work))
         self.ghosts = [pair for k, n in enumerate(ns) for g in [np.moveaxis(grid_u, k - d, -1)]
                        for pair in ((g[..., :1], g[..., n:n + 1]), (g[..., n + 1:], g[..., 1:2]))]
-        # One (buffer, fill steps) per distinct entry (_entries).
-        self.fills = {}
 
     def _frame(self):
         """A zeroed frame, each batch row on a line (module docstring)."""
@@ -406,13 +424,12 @@ class _Stencils:
         bufs = {idx: self._frame() for idx in axes if idx not in entries}
         fills = {}
         for idx, e in entries.items():
-            key = id(e)
-            if key not in self.fills:
+            if id(e) not in fills:
                 buf = self._frame()
-                self.fills[key] = buf, (e.steps(u, buf, scratch) if hasattr(e, "steps")
-                                        else ((_copy_into, (e, u, buf)),))
-            bufs[idx], fills[key] = self.fills[key]
-        return bufs, tuple(step for steps in fills.values() for step in steps)
+                fills[id(e)] = buf, (e.steps(u, buf, scratch) if hasattr(e, "steps")
+                                     else ((_copy_into, (e, u, buf)),))
+            bufs[idx] = fills[id(e)][0]
+        return bufs, tuple(step for _, steps in fills.values() for step in steps)
 
     @cached_property
     def b_entries(self):
@@ -420,62 +437,58 @@ class _Stencils:
         return {(i, j): e for (i, j), e in self.table.b.items() if i <= j}
 
     @cached_property
-    def _hyperbolic(self):
-        """The flux program, per axis k (before, rise to scale by 0.5 alpha_k, after), div cells."""
-        f, program = self._entries(self.table.f, [(k,) for k in range(self.d)])
-        u, (face, rise) = self.u, self.work
-        axes = []
+    def _programs(self):
+        """The one entry program for B and f; per axis k the flux program (before, rise
+        to scale by 0.5 alpha_k, after), whose result is work[1]'s cells; and one
+        (program, result cells) per diffusion term: B_ii along axis i, then B_01."""
+        b = self.b_entries
+        bufs, program = self._entries({**b, **self.table.f}, [(k,) for k in range(self.d)])
+        u, (w0, w1), (c0, c1) = self.u, self.work, self.work_span
+        flux = []
         for k, plan in enumerate(self.plans):
-            # face = 0.5 (f[i-1] + f[i]) - 0.5 alpha (u[i] - u[i-1]); div overwrites rise
-            fa, faces = f[(k,)], plan["face"][0]
-            fc, rc, dc = face[..., faces], rise[..., faces], self.work_span[1]
-            before = [_term(np.add, plan["face"], fa, fa, face), (np.multiply, (fc, 0.5, fc)),
-                      _term(np.subtract, plan["rise"], u, u, rise)]
-            after = [(np.subtract, (fc, rc, fc)), _term(np.subtract, plan["div"], face, face, rise),
-                     _scale(dc, self.h[k])]
-            axes.append((before, rc, after))
-        return program, axes, self.work_cells[1]
+            # face (w0) = 0.5 (f[i-1] + f[i]) - 0.5 alpha (u[i] - u[i-1]), the rise in w1;
+            # div overwrites the rise
+            fa, faces = bufs[k,], plan["face"][0]
+            fc, rc = w0[..., faces], w1[..., faces]
+            before = [_term(np.add, plan["face"], fa, fa, w0), (np.multiply, (fc, 0.5, fc)),
+                      _term(np.subtract, plan["rise"], u, u, w1)]
+            after = [(np.subtract, (fc, rc, fc)), _term(np.subtract, plan["div"], w0, w0, w1),
+                     _scale(c1, self.h[k])]
+            flux.append((before, rc, after))
+        # (B[i+1] - 2 B[i]) + B[i-1]
+        diffusion = [(((np.multiply, (bufs[i, i][..., self.span], 2.0, c0)),
+                       _term(np.subtract, plan["b_up"], bufs[i, i], w0, w1),
+                       _term(np.add, plan["b_down"], w1, bufs[i, i], w1),
+                       _scale(c1, self.h[i] ** 2)), self.work_cells[1])
+                     for i, plan in enumerate(self.plans) if (i, i) in b]
+        if (0, 1) in b:
+            # ((B[i+1,j+1] - B[i+1,j-1]) - B[i-1,j+1]) + B[i-1,j-1], times 2 / (4 h_0 h_1)
+            bb, (first, second, third) = bufs[0, 1], self.mixed
+            diffusion.append(((
+                _term(np.subtract, first, bb, bb, w0), _term(np.subtract, second, w0, bb, w0),
+                _term(np.add, third, w0, bb, w0), (np.multiply, (c0, 2.0, c0)),
+                _scale(c0, 4.0 * self.h[0] * self.h[-1])), self.work_cells[0]))
+        return program, flux, diffusion
 
     def _flux(self, alphas, out):
         """The flux terms on the loaded entries, summed over axes into ``out``."""
-        _, axes, div = self._hyperbolic
         out.fill(0.0)
-        for k, (before, rise, after) in enumerate(axes):
+        for k, (before, rise, after) in enumerate(self._programs[1]):
             _run(before)
             np.multiply(rise, 0.5 * alphas[k], rise)
             _run(after)
-            out += div
+            out += self.work_cells[1]
         return out
 
     def hyperbolic(self, values, alphas, out):
         """Divergence of the LLF flux, summed over axes, into ``out``."""
-        self.load(values, self._hyperbolic[0])
+        self.load(values, self._programs[0])
         return self._flux(alphas, out)
-
-    @cached_property
-    def _diffusion(self):
-        """The B program and one (program, result cells) per term: B_ii along axis i, then B_01."""
-        b, program = self._entries(self.b_entries)
-        (w0, w1), (c0, c1) = self.work, self.work_span
-        # (B[i+1] - 2 B[i]) + B[i-1]
-        terms = [(((np.multiply, (b[i, i][..., self.span], 2.0, c0)),
-                   _term(np.subtract, plan["b_up"], b[i, i], w0, w1),
-                   _term(np.add, plan["b_down"], w1, b[i, i], w1),
-                   _scale(c1, self.h[i] ** 2)), self.work_cells[1])
-                 for i, plan in enumerate(self.plans) if (i, i) in b]
-        if (0, 1) in b:
-            # ((B[i+1,j+1] - B[i+1,j-1]) - B[i-1,j+1]) + B[i-1,j-1], times 2 / (4 h_0 h_1)
-            bb, (first, second, third) = b[0, 1], self.mixed
-            terms.append(((
-                _term(np.subtract, first, bb, bb, w0), _term(np.subtract, second, w0, bb, w0),
-                _term(np.add, third, w0, bb, w0), (np.multiply, (c0, 2.0, c0)),
-                _scale(c0, 4.0 * self.h[0] * self.h[-1])), self.work_cells[0]))
-        return program, terms
 
     def _diffuse(self, out):
         """The diffusion terms on the loaded entries, summed into ``out``."""
         out.fill(0.0)
-        for steps, result in self._diffusion[1]:
+        for steps, result in self._programs[2]:
             _run(steps)
             out += result
         return out
@@ -486,18 +499,13 @@ class _Stencils:
         B_ii is two rows along axis i; B_01 (2-d) is the three rows of
         ``_MIXED``, scaled by 2 / (4 h_0 h_1).
         """
-        self.load(values, self._diffusion[0])
+        self.load(values, self._programs[0])
         return self._diffuse(out)
-
-    @cached_property
-    def _stage(self):
-        """One program filling every distinct B and f entry once."""
-        return self._entries({**self.b_entries, **self.table.f})[1]
 
     def tendency(self, values, alphas, out, hyp):
         """diffusion - hyperbolic into ``out`` (``hyp`` holds the flux part), from one
-        load and one evaluation per distinct entry; without flux or alphas, diffusion."""
-        self.load(values, self._stage)
+        load; without flux or alphas, diffusion."""
+        self.load(values, self._programs[0])
         self._diffuse(out)  # zero without B entries
         if not (self.flux_is_zero and not any(alphas)):
             np.subtract(out, self._flux(alphas, hyp), out=out)
@@ -526,9 +534,12 @@ class _Stencils:
         """Discrete parabolic dissipation: sum over k of (sum_i D_i beta_ik)^2.
 
         D_i is the centered difference along axis i; the total is scaled
-        by the cell volume.
+        by the cell volume. Without beta entries it is 0.0, and the field is
+        not loaded.
         """
         program, sums, acc = self._dissipation
+        if not sums:
+            return 0.0
         self.load(values, program)
         total = 0.0
         for steps in sums:
@@ -614,10 +625,11 @@ def _stepper(stencils, scheme):
     leading batch axes too. The wave bounds, and so dt, come from ``rng``;
     a ``new_rng`` that is not finite (np.min and np.max propagate NaN)
     raises BlowUpError. Without a forced ``dt`` the step is the CFL step
-    capped at ``cap``, replaced by ``idle`` when that is not finite or not positive
-    (a model without dynamics); ``idle=None`` then raises
-    ConfigurationError. ``cut`` says the step is shorter than the CFL step
-    (capped, or the ``idle`` step).
+    capped at ``cap``, replaced by ``idle`` when that is infinite (a model
+    without dynamics); ``idle=None`` then raises ConfigurationError. A CFL
+    step of 0 or NaN (an infinite or NaN wave bound) raises BlowUpError at
+    ``t`` with the max |u| of ``values``. ``cut`` says the step is shorter
+    than the CFL step (capped, or the ``idle`` step).
     """
     two_stage = scheme.integrator != "euler"
     tend, hyp = (_on_lines(stencils.shape) for _ in range(2))
@@ -627,8 +639,10 @@ def _stepper(stencils, scheme):
         cut = False
         if dt is None:
             cfl_dt = _cfl_dt(alphas, lams, stencils.h, scheme.cfl)
+            if not cfl_dt > 0.0:
+                raise BlowUpError(t, max(abs(rng[0]), abs(rng[1])))
             dt, cut = min(cfl_dt, cap), cap < cfl_dt
-            if not (math.isfinite(dt) and dt > 0.0):
+            if math.isinf(dt):
                 if idle is None:
                     raise ConfigurationError(
                         "model has no dynamics; set output_every or pass dt explicitly")
@@ -735,12 +749,11 @@ def run(model, grid, profile, scheme, hooks=()):
     stencils = _Stencils(model, grid, values.shape)
     vol = stencils.cell_volume
     ncells = values.size
-    has_diff = bool(stencils.b_entries)
 
     def measure(v):
         """Mean, L2 energy and dissipation of v; rows and per-step stats share them."""
         return (float(v.sum()) / ncells, float(np.vdot(v, v).real) * vol,
-                stencils.dissipation(v) if has_diff else 0.0)
+                stencils.dissipation(v))
 
     u0_min, u0_max = rng = _range(values)
     mean_cur, energy_cur, n_prev = measure(values)
@@ -810,8 +823,7 @@ def run(model, grid, profile, scheme, hooks=()):
                 new_ladder = ladder_l1(new_values)
                 stats.contraction_max_step_jump = max(
                     stats.contraction_max_step_jump, float((new_ladder - ladder_cur).max()))
-                if has_diff:
-                    window_diss += 0.5 * dt * (n_prev + n_new)
+                window_diss += 0.5 * dt * (n_prev + n_new)
                 values, mean_cur, energy_cur, ladder_cur, n_prev = (
                     new_values, new_mean, new_energy, new_ladder, n_new)
     except BlowUpError as exc:

@@ -124,6 +124,19 @@ def test_run_blow_up_exits_1_with_partial_trajectory(tmp_path, capsys):
     assert (out / "trajectory.csv").exists()
 
 
+def test_run_with_an_overflowing_wave_bound_exits_1_with_partial_trajectory(tmp_path, capsys):
+    # At amplitude 1e160 the bound on burgers-degenerate's A = u^2 overflows:
+    # a blow-up at t = 0, not a traceback.
+    cfg = write(tmp_path / "run.cfg", RUN_CFG.replace("burgers", "burgers-degenerate")
+                + "\n[initial]\namplitude = 1e160\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == 1
+    assert "error: solution blew up at t=0 " in capsys.readouterr().err
+    assert read_trajectory_csv(out / "trajectory.csv")["t"].tolist() == [0.0]
+
+
 def test_run_model_not_finite_on_its_probe_exits_1(tmp_path, capsys, monkeypatch):
     nan_past = ModelSpec(
         dimension=1, state_bound=2.0, name="nan-past",

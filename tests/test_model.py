@@ -359,6 +359,15 @@ def test_validate_model_passes_on_degenerate_preset():
     assert any("pass" in line for line in report.lines())
 
 
+def test_validate_model_samples_a_fixed_number_of_states():
+    # The sample count is the module constant VALIDATION_SAMPLES, not a knob.
+    report = validate_model(preset("burgers"))
+    assert report.samples == model_mod.VALIDATION_SAMPLES == 101
+    assert report.lines()[-1] == "pass  overall (101 samples)"
+    with pytest.raises(TypeError):
+        validate_model(preset("burgers"), samples=1)
+
+
 def test_validate_model_flags_asymmetric_diffusion():
     def asym(u):
         out = np.zeros(np.shape(u) + (2, 2))
@@ -512,6 +521,14 @@ def test_interior_extremum_raises_the_speed_bound_over_the_sample():
     sampled = np.abs(m.speed(np.linspace(-0.31, 0.5, 129))).max()
     alphas, _ = model_table(m).bounds(-0.31, 0.5)
     assert sampled < 1.0 <= alphas[0] <= 1.0 + 1e-14
+
+
+@pytest.mark.parametrize("lo,hi", [(-1e160, 1e160), (-1e300, 2.0), (-1.0, 1e200)])
+def test_max_abs_is_inf_once_its_rounding_bound_overflows(lo, hi):
+    # u^2 has its critical point 0 inside; |u|^2 past 1e308 is inf, not an
+    # OverflowError.
+    assert Poly((0.0, 0.0, 1.0)).max_abs(lo, hi) == float("inf")
+    assert model_table(preset("burgers-degenerate")).bounds(lo, hi)[1] == [[float("inf")]]
 
 
 _COUPLED = polynomial_model("coupled", [(0.0, 1.0, 0.25), (0.0, 0.5)],

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import weakref
 from dataclasses import replace
 from functools import partial
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from anisolab.diagnostics import audit, l1_to_constant, l2_energy, mean, parabolic_dissipation
 from anisolab import solver as solver_mod
-from anisolab.model import ModelError, ModelSpec, model_table, polynomial_model, preset
+from anisolab.model import (
+    ModelError, ModelSpec, model_table, polynomial_model, preset, validate_model)
 from anisolab.solver import (
     BlowUpError,
     CellField,
@@ -115,6 +117,48 @@ def test_init_field_2d_separable_product():
     assert fld.values.shape == (32, 32)
     assert abs(fld.values.mean()) < 1e-14
     assert fld.values.max() == pytest.approx(0.987, abs=5e-3)
+
+
+@pytest.mark.parametrize("one,full", [
+    (lambda x, y: np.sin(2 * np.pi * x), lambda x, y: np.sin(2 * np.pi * x) + 0 * y),
+    (lambda x, y: np.cos(2 * np.pi * y), lambda x, y: np.cos(2 * np.pi * y) + 0 * x),
+], ids=["x-only", "y-only"])
+def test_init_field_broadcasts_a_profile_of_one_coordinate(one, full):
+    # The values are broadcast to the (n_0, n_1, 3, 3) quadrature shape, so a
+    # profile of one coordinate fills the grid with the bits of the full one.
+    g = PeriodicGrid.make([1.0, 1.0], [4, 6])
+    fld = init_field(g, one)
+    assert fld.values.shape == (4, 6)
+    assert fld.values.tobytes() == init_field(g, full).values.tobytes()
+
+
+@pytest.mark.parametrize("cells", [(8,), (4, 6)])
+def test_init_field_broadcasts_a_scalar_constant(cells):
+    g = PeriodicGrid.make([1.0] * len(cells), list(cells))
+    const = init_field(g, lambda *xs: 0.5)
+    full = init_field(g, lambda *xs: 0.5 + sum(0 * x for x in xs))
+    assert const.values.shape == cells
+    assert const.values.tobytes() == full.values.tobytes()
+
+
+def test_run_of_a_one_coordinate_profile_keeps_the_grid_shape():
+    g = PeriodicGrid.make([1.0, 1.0], [4, 6])
+    scheme = SchemeConfig(t_end=0.01)
+    traj = run(preset("anisotropic-2d"), g, lambda x, y: np.sin(2 * np.pi * x), scheme)
+    want = run(preset("anisotropic-2d"), g, lambda x, y: np.sin(2 * np.pi * x) + 0 * y, scheme)
+    assert traj.final.values.shape == (4, 6)
+    assert traj.final.values.tobytes() == want.final.values.tobytes()
+
+
+@pytest.mark.parametrize("cells,profile,got,shape", [
+    ((8,), lambda x: x[:, :2], "(8, 2)", "(8, 3)"),
+    ((4, 6), lambda x, y: (x + y)[..., :2], "(4, 6, 3, 2)", "(4, 6, 3, 3)"),
+])
+def test_init_field_rejects_values_that_do_not_broadcast(cells, profile, got, shape):
+    g = PeriodicGrid.make([1.0] * len(cells), list(cells))
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"profile values of shape {got} do not broadcast to the quadrature shape {shape}")):
+        init_field(g, profile)
 
 
 # --- spatial operators -------------------------------------------------------
@@ -502,15 +546,83 @@ def test_returned_arrays_share_no_memory_with_stencil_buffers(name, cells, monke
 
 
 def test_flux_stencil_and_step_size_need_no_psd_diffusion():
-    # Only the diffusion stencil reads sigma and the primitives; a model
-    # whose A is not PSD (validate_model flags it) still has a flux
-    # divergence and a stable step.
+    # No stencil except the dissipation reads sigma or beta, and B needs no
+    # PSD A; a model whose A is not PSD (validate_model flags it) still has a
+    # flux divergence and a stable step.
     m = polynomial_model("negative", [(0.0, 0.0, 0.5)], {(0, 0): (-1.0,)}, 1, 1.0)
     g = PeriodicGrid.make([1.0], [16])
     fld = init_field(g, sin_profile)
     want = hyperbolic_div(preset("burgers"), fld, g)
     assert hyperbolic_div(m, fld, g).tobytes() == want.tobytes()
     assert stable_dt(m, fld, g) > 0.0
+
+    def unread(u):
+        raise AssertionError("sigma or beta was read")
+
+    bd = preset("burgers-degenerate")
+    m = replace(bd, sqrt_factor=unread, beta_primitive=unread)
+    for op in (hyperbolic_div, diffusion_div):
+        assert op(m, fld, g).tobytes() == op(bd, fld, g).tobytes()
+    cfg = SchemeConfig(t_end=1.0)
+    assert step(fld, m, g, cfg).values.tobytes() == step(fld, bd, g, cfg).values.tobytes()
+
+
+def test_one_entry_program_serves_every_stencil_but_the_dissipation(monkeypatch):
+    # One _entries call over B and f gives the program that hyperbolic,
+    # diffusion and tendency load; the dissipation makes the other call.
+    calls, loaded = [], []
+    real_entries, real_load = _Stencils._entries, _Stencils.load
+
+    def entries(self, table, axes=()):
+        calls.append((list(table), list(axes)))
+        return real_entries(self, table, axes)
+
+    def load(self, values, program=()):
+        loaded.append(program)
+        return real_load(self, values, program)
+
+    monkeypatch.setattr(_Stencils, "_entries", entries)
+    monkeypatch.setattr(_Stencils, "load", load)
+    m, g = preset("anisotropic-2d"), PeriodicGrid.make([1.0, 1.0], [6, 5])
+    values = np.random.default_rng(8).uniform(-0.9, 0.9, (6, 5))
+    stencils = _Stencils(m, g, values.shape)
+    alphas, _ = stencils.bounds(float(values.min()), float(values.max()))
+    for _ in range(2):
+        stencils.hyperbolic(values, alphas, np.empty_like(values))
+        stencils.diffusion(values, np.empty_like(values))
+        stencils.tendency(values, alphas, np.empty_like(values), np.empty_like(values))
+        stencils.dissipation(values)
+    assert calls == [([(0, 0), (0,), (1,)], [(0,), (1,)]), ([(0, 0)], [])]
+    stage = loaded[0]
+    assert [p is stage for p in loaded] == [True, True, True, False] * 2
+    # f_1 and B_00 are one object, u^3/3: one buffer and one evaluation.
+    assert sum(fn is np.divide for fn, _ in stage) == 1
+
+
+@pytest.mark.parametrize("name", ["burgers", "linear-advection"])
+def test_dissipation_without_beta_is_zero_and_loads_nothing(name, monkeypatch):
+    loaded = []
+    monkeypatch.setattr(_Stencils, "load", lambda self, *args: loaded.append(args))
+    g = PeriodicGrid.make([1.0], [16])
+    stencils = _Stencils(preset(name), g, (16,))
+    assert stencils.dissipation(init_field(g, sin_profile).values) == 0.0
+    assert loaded == []
+
+
+def test_rows_report_dissipation_wherever_beta_entries_exist():
+    # A hand-built model with a beta primitive but no diffusion is
+    # inconsistent (validate_model flags it); its rows still report the
+    # dissipation of that beta, as every model with beta entries does.
+    bd = preset("burgers-degenerate")
+    m = ModelSpec(dimension=1, state_bound=1.0, name="beta-only", flux=bd.flux,
+                  diffusion=lambda u: np.zeros(np.shape(u) + (1, 1)),
+                  beta_primitive=bd.beta_primitive)
+    assert not validate_model(m).overall_pass
+    g = PeriodicGrid.make([1.0], [32])
+    traj = run(m, g, sin_profile, SchemeConfig(t_end=0.02, output_every=0.01))
+    assert traj.rows[0].dissipation_resolved == 0.0
+    assert all(row.dissipation_resolved > 0.0 for row in traj.rows[1:])
+    assert model_table(m).b == {}
 
 
 # --- stable_dt ---------------------------------------------------------------
@@ -938,6 +1050,32 @@ def test_run_lockstep_blow_up_reports_the_peak_run_reports():
     assert repr(single.value.max_abs) == "3.0056420635322e+153"
     assert pair.value.time == single.value.time
     assert pair.value.max_abs == single.value.max_abs
+
+
+# Data so large that a wave bound overflows: max |A| of burgers-degenerate
+# (A = u^2, whose critical point 0 is inside the range) passes 1e308 at
+# 1e160, and porous-medium's sampled max |A| = 2|u| at 1e308 is inf. The
+# CFL step is then 0, a blow-up at the current time, never "no dynamics".
+OVERFLOWING = [("burgers-degenerate", 1e160), ("porous-medium", 1e308)]
+
+
+@pytest.mark.parametrize("name,amplitude", OVERFLOWING)
+def test_an_overflowed_wave_bound_is_a_blow_up_at_the_current_time(name, amplitude):
+    m, g = preset(name), PeriodicGrid.make([1.0], [32])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fld = init_field(g, lambda x: amplitude * np.sin(2 * np.pi * x))
+        peak = float(np.abs(fld.values).max())
+        with pytest.raises(ConfigurationError, match="stable step is not positive"):
+            stable_dt(m, fld, g)
+        with pytest.raises(BlowUpError) as stepped:
+            step(fld, m, g, SchemeConfig(t_end=1.0))
+        with pytest.raises(BlowUpError) as ran:
+            run(m, g, fld, SchemeConfig(t_end=1.0, output_every=0.5))
+    for info in (stepped, ran):
+        assert info.value.time == 0.0 and info.value.max_abs == peak
+    partial = ran.value.trajectory
+    assert [row.t for row in partial.rows] == [0.0] and partial.stats.steps == 0
+    assert partial.final.values.tobytes() == fld.values.tobytes()
 
 
 @pytest.mark.parametrize("name,cells,profile", [

@@ -37,6 +37,11 @@ of the difference, and exits 1 if any case differs. The cases are:
   and the run and step cases under the one-stage Euler integrator for
   burgers-degenerate and porous-medium (64 cells) and anisotropic-2d
   (16x12) (``run/euler/...``, ``step/euler/...``);
+- the one-shot operators hyperbolic_div, diffusion_div and
+  parabolic_dissipation on the run cases' initial field, for every preset,
+  coupled-cubic, a copy of coupled-cubic whose primitives are spline tables
+  (``oneshot/spline/coupled-cubic``) and whole/burgers-degenerate, plus one
+  batched pair of coupled-cubic fields (``oneshot/batch/coupled-cubic``);
 - runs that blow up, to infinity (burgers) and to NaN (a hand-built flux
   undefined beyond |u| = 1.2): message, time, peak, partial rows and
   statistics (``blow-up/...``);
@@ -68,8 +73,14 @@ of the difference, and exits 1 if any case differs. The cases are:
   (``inputs/sampling-plan``); check_condition,
   omega_at and omega_delta with a NaN or infinite lambda
   (``inputs/lambdas``); shell_radii with a NaN, zero or too large delta and
-  check_condition with a NaN delta (``inputs/delta``); and PeriodicGrid with
+  check_condition with a NaN delta (``inputs/delta``); PeriodicGrid with
   fractional, float and numpy integer cell counts (``inputs/grid-cells``);
+  init_field of profiles of one coordinate on 4x6 cells, of a scalar
+  constant in 1-d and 2-d and of an (n, 2) return, and the final shape of a
+  run from the x-only profile (``inputs/profiles``); and data so large that
+  a wave bound overflows: Poly.max_abs past 1e154, stable_dt, step and run
+  of burgers-degenerate at 1e160 and of porous-medium at 1e308, and the
+  CLI ``run`` at amplitude 1e160 (``inputs/overflow``);
 - one adaptive_quadrature_batch call on NaN-padded cut rows (cuts outside
   the ends, at the ends, duplicated, -0.0 with 0.0) with reversed and
   zero-span limits, and one whose limits are all zero-span
@@ -202,6 +213,20 @@ def _run_setup(model, cells=None):
 def _trajectory_record(traj):
     return ([repr(vars(r)) for r in traj.rows], repr(vars(traj.stats)),
             traj.final.values.tobytes())
+
+
+def _oneshot_case(model, batch=False):
+    """hyperbolic_div, diffusion_div and parabolic_dissipation on the run cases' field;
+    ``batch`` stacks it with its negative."""
+    import numpy as np
+    from anisolab.diagnostics import parabolic_dissipation
+    from anisolab.solver import diffusion_div, hyperbolic_div, init_field
+    grid, profile = _run_setup(model)
+    values = init_field(grid, profile).values
+    values = np.stack([values, -values]) if batch else values
+    return pickle.dumps([_outcome(lambda op=op: op(model, values, grid).tobytes())
+                         for op in (hyperbolic_div, diffusion_div)]
+                        + [_outcome(lambda: parabolic_dissipation(model, values, grid))])
 
 
 def _run_case(model, cells=None, integrator="ssp-rk2"):
@@ -546,10 +571,47 @@ def _grid_cells_case():
     return repr([_outcome(b) for b in builds]).encode()
 
 
+def _profiles_case():
+    import numpy as np
+    from anisolab.model import preset
+    from anisolab.solver import PeriodicGrid, SchemeConfig, init_field, run
+    line, box = PeriodicGrid.make([1.0], [8]), PeriodicGrid.make([1.0, 1.0], [4, 6])
+    out = [_outcome(lambda g=g, p=p: init_field(g, p).values.tobytes()) for g, p in (
+        (box, lambda x, y: np.sin(2 * np.pi * x)), (box, lambda x, y: np.cos(2 * np.pi * y)),
+        (line, lambda x: 0.5), (box, lambda x, y: 0.5), (line, lambda x: x[:, :2]))]
+    out.append(_outcome(lambda: run(preset("anisotropic-2d"), box, lambda x, y: np.sin(
+        2 * np.pi * x), SchemeConfig(t_end=0.01)).final.values.shape))
+    return repr(out).encode()
+
+
+def _overflow_case():
+    import contextlib
+    import io
+    import numpy as np
+    from anisolab.model import Poly, preset
+    from anisolab.solver import PeriodicGrid, SchemeConfig, init_field, run, stable_dt, step
+    grid = PeriodicGrid.make([1.0], [32])
+    out = [_outcome(lambda: Poly((0.0, 0.0, 1.0)).max_abs(-1e160, 1e160))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, amplitude in (("burgers-degenerate", 1e160), ("porous-medium", 1e308)):
+            m = preset(name)
+            fld = init_field(grid, lambda x, a=amplitude: a * np.sin(2 * np.pi * x))
+            out += [_outcome(lambda: stable_dt(m, fld, grid)),
+                    _outcome(lambda: step(fld, m, grid, SchemeConfig(t_end=1.0)).time),
+                    _outcome(lambda: run(m, grid, fld, SchemeConfig(
+                        t_end=1.0, output_every=0.5)).stats.steps)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            out.append(_outcome(lambda: _cli_case(
+                ["run"], _run_config("burgers-degenerate", 1, 1e160))))
+    return repr(out + [stderr.getvalue()]).encode()
+
+
 def cases():
     """(name, thunk) pairs; each thunk returns bytes."""
+    from dataclasses import replace
     import numpy as np
-    from anisolab.model import validate_model
+    from anisolab.model import list_presets, validate_model
     u = _states()
     models = _models()
     for name, model in models.items():
@@ -604,6 +666,13 @@ def cases():
         model = models[name]
         yield f"run/euler/{name}", lambda m=model: _run_case(m, integrator="euler")
         yield f"step/euler/{name}", lambda m=model: _step_case(m, integrator="euler")
+    coupled = models["coupled-cubic"]
+    oneshot = {name: models[name] for name in (*list_presets(), "coupled-cubic",
+                                               "whole/burgers-degenerate")}
+    oneshot["spline/coupled-cubic"] = replace(coupled, b_primitive=None, beta_primitive=None)
+    for name, model in oneshot.items():
+        yield f"oneshot/{name}", lambda m=model: _oneshot_case(m)
+    yield "oneshot/batch/coupled-cubic", lambda: _oneshot_case(coupled, batch=True)
     yield "cli/run/inline-interior", lambda: _cli_case(["run"], INLINE_CONFIG)
     yield "blow-up/burgers", lambda: _blow_up_case(models["burgers"])
     yield "blow-up/nan-beyond", lambda: _blow_up_case(_nan_beyond_model())
@@ -628,6 +697,8 @@ def cases():
     yield "inputs/lambdas", _lambdas_case
     yield "inputs/delta", _delta_case
     yield "inputs/grid-cells", _grid_cells_case
+    yield "inputs/profiles", _profiles_case
+    yield "inputs/overflow", _overflow_case
     yield ("cli/sweep/cfl", lambda: _sweep_case(
         "[model]\npreset = burgers\n[grid]\ncells = 32\n[scheme]\nt_end = 10.0\n"
         "[sweep]\naxis = cfl\nvalues = 0.4, 2.0\n"))
