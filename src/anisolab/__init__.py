@@ -45,7 +45,6 @@ from .kinetic import (
     entropy_flux_from_kinetic,
     entropy_from_kinetic,
     omega_at,
-    omega_delta,
     symbol_denominator,
 )
 from .model import (
@@ -89,8 +88,7 @@ __all__ = [
     # kinetic
     "chi", "entropy_from_kinetic", "entropy_flux_from_kinetic",
     "FrequencyPoint", "SamplingPlan", "symbol_denominator", "omega_at",
-    "omega_delta", "degeneracy_set_measure", "ConditionReport",
-    "check_condition",
+    "degeneracy_set_measure", "ConditionReport", "check_condition",
     # solver
     "PeriodicGrid", "CellField", "SchemeConfig", "DiagnosticsRow",
     "Trajectory", "RunStats", "BlowUpError", "ConfigurationError",

@@ -49,7 +49,6 @@ __all__ = [
     "SamplingPlan",
     "symbol_denominator",
     "omega_at",
-    "omega_delta",
     "degeneracy_set_measure",
     "ConditionReport",
     "check_condition",
@@ -340,17 +339,6 @@ class SamplingPlan:
         key += 0.0  # + 0.0 turns -0.0 into 0.0
         first = np.sort(np.unique(key, axis=0, return_index=True)[1])
         return [FrequencyPoint(tau=row[0], kappa=tuple(row[1:])) for row in rows[first].tolist()]
-
-
-def omega_delta(model, delta, lam, sampling=None):
-    """Sampled omega sup on |tau| + |kappa| >= delta (to 4 eps), and where.
-
-    Returns (value, witness FrequencyPoint). The value is a lower bound
-    for the true supremum; the plan is built to include the resonant rays
-    that dominate it.
-    """
-    report = check_condition(model, delta, [lam], sampling)
-    return report.omegas[0], report.witnesses[0]
 
 
 def degeneracy_set_measure(model, fp, tol=1e-3, n_samples=20001):

@@ -28,15 +28,16 @@ term, each row of the mixed one included, is one ufunc call (x, y, out) on
 contiguous flat ranges, and every output range starts at the first cell:
 face i - 1/2 is stored at cell i. In 2-d a range crosses the ghost cells
 between rows, computed and never read. The views are bound once per run, as
-programs of (fn, args) steps. One entry program for B and f serves every
-stencil call except the dissipation, which has its own for beta: a call
-copies the field into the frame, fills the ghosts axis by axis (the corners
-too), writes the entries (one buffer and one evaluation per distinct entry
-object; an entry with in-place steps runs them, any other is copied in) and
-runs its term programs; a stage runs the diffusion, then the flux programs.
-0.5 alpha_k and dt are explicit calls on Python floats. The second stage's
-field is written straight into the frame. No array handed back is a stencil
-buffer or a view of one. The kernels divide
+programs of (fn, args) steps. One stage call, _Stencils.tendency, serves the
+stepper and the one-shot operators, which return its diffusion or its flux
+part; the dissipation keeps its own program for beta. A call copies the field
+into the frame, fills the ghosts axis by axis (the corners too), writes the
+entries (one buffer and one evaluation per distinct entry object; an entry
+with in-place steps runs them, any other is copied in) and runs its term
+programs, the diffusion terms, then the flux terms. 0.5 alpha_k and dt are
+explicit calls on Python floats. The second stage's field is written
+straight into the frame. No array handed back is a stencil buffer or a view
+of one. The kernels divide
 by h, h^2, 2h and 4 h_0 h_1, or multiply by the reciprocal when the divisor
 is a power of two (then both round the same real number), so they match the
 whole-array periodic-shift form of each stencil bit for bit; the tests keep
@@ -356,12 +357,12 @@ class _Stencils:
 
     Every array they own is a frame (module docstring). The programs are bound
     on first use: one entry program for B and f with the flux and diffusion
-    terms on its buffers, which ``hyperbolic``, ``diffusion`` and ``tendency``
-    (a stage) all load, and the beta program of ``dissipation``. So no stencil
-    except the dissipation needs sigma, beta or a PSD diffusion matrix. A call
-    loads the field, runs the entry program and each term's program, and adds
-    the cells of each result into ``out``. Leading batch axes of ``shape`` (a
-    lockstep pair) pass through.
+    terms on its buffers, which ``tendency`` (a stage) loads, and the beta
+    program of ``dissipation``. So no stencil except the dissipation needs
+    sigma, beta or a PSD diffusion matrix. A call loads the field, runs the
+    entry program and each term's program, and adds the cells of each result
+    into its output. Leading batch axes of ``shape`` (a lockstep pair) pass
+    through.
     """
 
     def __init__(self, model, grid, shape):
@@ -470,46 +471,29 @@ class _Stencils:
                 _scale(c0, 4.0 * self.h[0] * self.h[-1])), self.work_cells[0]))
         return program, flux, diffusion
 
-    def _flux(self, alphas, out):
-        """The flux terms on the loaded entries, summed over axes into ``out``."""
-        out.fill(0.0)
-        for k, (before, rise, after) in enumerate(self._programs[1]):
-            _run(before)
-            np.multiply(rise, 0.5 * alphas[k], rise)
-            _run(after)
-            out += self.work_cells[1]
-        return out
-
-    def hyperbolic(self, values, alphas, out):
-        """Divergence of the LLF flux, summed over axes, into ``out``."""
-        self.load(values, self._programs[0])
-        return self._flux(alphas, out)
-
-    def _diffuse(self, out):
-        """The diffusion terms on the loaded entries, summed into ``out``."""
-        out.fill(0.0)
-        for steps, result in self._programs[2]:
-            _run(steps)
-            out += result
-        return out
-
-    def diffusion(self, values, out):
-        """Second differences of B(u) into ``out``, term by term.
+    def tendency(self, values, alphas, diff, hyp):
+        """One stage from one load: the second differences of B(u) summed into ``diff``,
+        then the divergence of the LLF flux summed over axes into ``hyp``, which is
+        returned; None, with ``hyp`` untouched, without flux entries and alphas.
 
         B_ii is two rows along axis i; B_01 (2-d) is the three rows of
         ``_MIXED``, scaled by 2 / (4 h_0 h_1).
         """
-        self.load(values, self._programs[0])
-        return self._diffuse(out)
-
-    def tendency(self, values, alphas, out, hyp):
-        """diffusion - hyperbolic into ``out`` (``hyp`` holds the flux part), from one
-        load; without flux or alphas, diffusion."""
-        self.load(values, self._programs[0])
-        self._diffuse(out)  # zero without B entries
-        if not (self.flux_is_zero and not any(alphas)):
-            np.subtract(out, self._flux(alphas, hyp), out=out)
-        return out
+        program, flux, diffusion = self._programs
+        self.load(values, program)
+        diff.fill(0.0)
+        for steps, result in diffusion:
+            _run(steps)
+            diff += result
+        if self.flux_is_zero and not any(alphas):
+            return None
+        hyp.fill(0.0)
+        for k, (before, rise, after) in enumerate(flux):
+            _run(before)
+            np.multiply(rise, 0.5 * alphas[k], rise)
+            _run(after)
+            hyp += self.work_cells[1]
+        return hyp
 
     @cached_property
     def _dissipation(self):
@@ -565,14 +549,18 @@ def hyperbolic_div(model, fld, grid):
     values = _grid_values(fld, grid)
     stencils = _Stencils(model, grid, values.shape)
     alphas, _ = stencils.bounds(*_range(values))
-    return stencils.hyperbolic(values, alphas, np.empty_like(values))
+    hyp = np.zeros_like(values)
+    stencils.tendency(values, alphas, np.empty_like(values), hyp)
+    return hyp
 
 
 def diffusion_div(model, fld, grid):
     """Discrete divergence of A(u) grad u via primitives of A."""
     values = _grid_values(fld, grid)
-    stencils = _Stencils(model, grid, values.shape)
-    return stencils.diffusion(values, np.empty_like(values))
+    diff = np.empty_like(values)
+    _Stencils(model, grid, values.shape).tendency(values, [0.0] * grid.dimension, diff,
+                                                  np.empty_like(values))
+    return diff
 
 
 def _cfl_dt(alphas, lams, hs, cfl):
@@ -647,13 +635,15 @@ def _stepper(stencils, scheme):
                     raise ConfigurationError(
                         "model has no dynamics; set output_every or pass dt explicitly")
                 dt, cut = idle, True
-        inc = stencils.tendency(values, alphas, tend, hyp)
+        flux = stencils.tendency(values, alphas, tend, hyp)
+        inc = tend if flux is None else np.subtract(tend, flux, out=tend)
         inc *= dt
         if two_stage:
             # 0.5 * ((u + u1) + dt * L(u1)), u1 = u + dt L(u) written as the stage field
             np.add(values, inc, out=stencils.cells)
             stencils.fill_ghosts()
-            inc = stencils.tendency(stencils.u, alphas, tend, hyp)
+            flux = stencils.tendency(stencils.u, alphas, tend, hyp)
+            inc = tend if flux is None else np.subtract(tend, flux, out=tend)
             inc *= dt
             new_values = np.add(stencils.cells, values)
             new_values += inc
@@ -755,15 +745,6 @@ def run(model, grid, profile, scheme, hooks=()):
         return (float(v.sum()) / ncells, float(np.vdot(v, v).real) * vol,
                 stencils.dissipation(v))
 
-    u0_min, u0_max = rng = _range(values)
-    mean_cur, energy_cur, n_prev = measure(values)
-    stats = RunStats(
-        initial_min=u0_min, initial_max=u0_max, initial_mean=mean_cur,
-        contraction_constants=tuple(_contraction_constants(u0_min, u0_max, mean_cur)),
-    )
-    consts = np.array(stats.contraction_constants).reshape((-1,) + (1,) * values.ndim)
-    gaps = _on_lines(consts.shape[:1] + values.shape)
-
     def ladder_l1(v):
         """L1 distance of v to every contraction constant, in one pass."""
         np.subtract(v, consts, out=gaps)
@@ -792,11 +773,20 @@ def run(model, grid, profile, scheme, hooks=()):
                           final=CellField(values=values.copy(), time=t))
 
     window_diss = 0.0
-    ladder_cur = ladder_l1(values)
     cut_dt_min, cut_dt_max = math.inf, 0.0
 
-    try:
-        with np.errstate(**_QUIET):
+    # Quiet from the first measure on: data that overflows it is a blow-up to report.
+    with np.errstate(**_QUIET):
+        u0_min, u0_max = rng = _range(values)
+        mean_cur, energy_cur, n_prev = measure(values)
+        stats = RunStats(
+            initial_min=u0_min, initial_max=u0_max, initial_mean=mean_cur,
+            contraction_constants=tuple(_contraction_constants(u0_min, u0_max, mean_cur)),
+        )
+        consts = np.array(stats.contraction_constants).reshape((-1,) + (1,) * values.ndim)
+        gaps = _on_lines(consts.shape[:1] + values.shape)
+        ladder_cur = ladder_l1(values)
+        try:
             for t, new_values, rng, dt, cut, stop in _march(
                     _stepper(stencils, scheme), values, rng, scheme):
                 if stop is not None:
@@ -826,9 +816,9 @@ def run(model, grid, profile, scheme, hooks=()):
                 window_diss += 0.5 * dt * (n_prev + n_new)
                 values, mean_cur, energy_cur, ladder_cur, n_prev = (
                     new_values, new_mean, new_energy, new_ladder, n_new)
-    except BlowUpError as exc:
-        exc.trajectory = trajectory()
-        raise
+        except BlowUpError as exc:
+            exc.trajectory = trajectory()
+            raise
     return trajectory()
 
 

@@ -137,6 +137,17 @@ def test_run_with_an_overflowing_wave_bound_exits_1_with_partial_trajectory(tmp_
     assert read_trajectory_csv(out / "trajectory.csv")["t"].tolist() == [0.0]
 
 
+def test_run_with_an_overflowing_wave_bound_prints_only_the_error_line(tmp_path):
+    cfg = write(tmp_path / "run.cfg", RUN_CFG.replace("burgers", "burgers-degenerate")
+                + "\n[initial]\namplitude = 1e160\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "anisolab.cli", "run", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: solution blew up at t=0 (max |u| reached 9.984e+159)\n"
+
+
 def test_run_model_not_finite_on_its_probe_exits_1(tmp_path, capsys, monkeypatch):
     nan_past = ModelSpec(
         dimension=1, state_bound=2.0, name="nan-past",

@@ -19,7 +19,6 @@ from anisolab.kinetic import (
     entropy_flux_from_kinetic,
     entropy_from_kinetic,
     omega_at,
-    omega_delta,
     symbol_denominator,
 )
 from anisolab.model import ModelSpec, _vector, polynomial_model, preset
@@ -500,8 +499,10 @@ def test_fallback_speed_keeps_an_entry_that_rounds_to_zero_on_the_probe():
 
 
 def test_omega_delta_advection_witness_is_resonant():
-    val, fp = omega_delta(preset("linear-advection"), 1.0, 1e-4, FAST_PLAN)
-    assert val >= 2.0 - 1e-6
+    # The sampled sup of omega over |tau| + |kappa| >= delta is the one-lambda report.
+    report = check_condition(preset("linear-advection"), 1.0, [1e-4], FAST_PLAN)
+    fp = report.witnesses[0]
+    assert report.omegas[0] >= 2.0 - 1e-6
     assert abs(fp.tau + fp.kappa[0]) < 1e-9
 
 
@@ -510,7 +511,7 @@ def test_omega_delta_dominates_kappa_zero_slice():
     # is the constant lam / (lam + delta^2).
     m = preset("burgers")
     for lam in (1e-1, 1e-2):
-        val, _ = omega_delta(m, 1.0, lam, FAST_PLAN)
+        val = check_condition(m, 1.0, [lam], FAST_PLAN).omegas[0]
         assert val >= 2.0 * lam / (lam + 1.0) - 1e-9
 
 
@@ -551,12 +552,6 @@ def test_check_condition_validates_ladder():
 def test_check_condition_rejects_non_finite_lambda(lambdas):
     with pytest.raises(ValueError, match="lambda ladder must be positive"):
         check_condition(preset("burgers"), lambdas=lambdas, sampling=FAST_PLAN)
-
-
-@pytest.mark.parametrize("lam", [math.nan, math.inf])
-def test_omega_delta_rejects_non_finite_lambda(lam):
-    with pytest.raises(ValueError, match="lambda ladder must be positive"):
-        omega_delta(preset("burgers"), 1.0, lam, FAST_PLAN)
 
 
 def test_nan_delta_is_not_positive():
@@ -638,15 +633,6 @@ def test_omega_table_columns_equal_one_lambda_tables(case):
     for k, (column, _) in enumerate(alone):
         assert table[:, k].tobytes() == column[:, 0].tobytes(), ladder[k]
     assert worst == max(err for _, err in alone)
-
-
-@pytest.mark.parametrize("name", ["burgers", "linear-advection", "anisotropic-2d"])
-def test_omega_delta_matches_one_lambda_check(name):
-    m = preset(name)
-    for lam in (1e-1, 1e-4):
-        val, fp = omega_delta(m, 1.0, lam, FAST_PLAN)
-        report = check_condition(m, lambdas=[lam], sampling=FAST_PLAN)
-        assert (val, fp) == (report.omegas[0], report.witnesses[0])
 
 
 def test_check_condition_blocks_keep_first_witness():

@@ -468,12 +468,16 @@ def test_preset_bounds_equal_the_129_point_sample(name):
 
 
 def _polished_max(fn, xs):
-    """max |fn| over [xs[0], xs[-1]], refined around every local maximum of a sample."""
+    """max |fn| over [xs[0], xs[-1]], refined once around each run of consecutive
+    local maxima of a sample (a constant's samples are one run, refined once)."""
     vals = np.abs(fn(xs))
     padded = np.concatenate(([-1.0], vals, [-1.0]))
+    peak = np.concatenate(([False], (vals >= padded[:-2]) & (vals >= padded[2:]), [False]))
+    first = np.nonzero(peak[1:] & ~peak[:-1])[0]
+    last = np.nonzero(peak[:-1] & ~peak[1:])[0] - 1
     best = vals.max()
-    for k in np.nonzero((vals >= padded[:-2]) & (vals >= padded[2:]))[0]:
-        near = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)], 10001)
+    for a, b in zip(first, last):
+        near = np.linspace(xs[max(a - 1, 0)], xs[min(b + 1, xs.size - 1)], 10001)
         best = max(best, np.abs(fn(near)).max())
     return best
 

@@ -327,6 +327,11 @@ STENCIL_MODELS = {
     "coupled-spline": replace(COUPLED_2D, b_primitive=None, name="coupled-spline"),
     "interior-spline": replace(INTERIOR_1D, b_primitive=None, name="interior-spline"),
     "whole-burgers-degenerate": _whole_burgers_degenerate(),
+    # No flux entry but a speed: the stage's flux part is not skipped.
+    "viscous-only": ModelSpec(dimension=1, state_bound=1.0, name="viscous-only",
+                              flux=lambda u: np.zeros(np.shape(u) + (1,)),
+                              speed=lambda u: np.asarray(u, dtype=float)[..., None],
+                              diffusion=lambda u: np.full(np.shape(u) + (1, 1), 0.1)),
 }
 
 # The kernels read frames, the field padded by a ghost cell at each end of
@@ -352,6 +357,7 @@ STENCIL_CASES = [
     ("coupled-cubic", (2.0, 0.5), (2,), (5, 4)),
     # h, h^2, 2h and 4 h_0 h_1 are powers of two: every scaling is a multiply.
     ("coupled-cubic", (1.0, 2.0), (), (8, 16)),
+    ("viscous-only", (1.0,), (), (16,)),
 ]
 
 
@@ -366,14 +372,14 @@ def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, ce
 
     def check(v):
         alphas, _ = tables.bounds(float(v.min()), float(v.max()))
-        hyp = stencils.hyperbolic(v, alphas, np.empty_like(v))
+        # A stage (one load, one entry program for B and f) fills both parts;
+        # without flux entries and alphas it skips the flux part, zero here.
+        diff, hyp = np.empty_like(v), np.zeros_like(v)
+        assert stencils.tendency(v, alphas, diff, hyp) is (hyp if tables.f or any(alphas)
+                                                          else None)
         assert hyp.tobytes() == roll_hyperbolic(v, m, g, alphas).tobytes()
-        diff = stencils.diffusion(v, np.empty_like(v))
         assert diff.tobytes() == roll_diffusion(v, g, tables).tobytes()
         assert stencils.dissipation(v) == roll_dissipation(v, g, tables)
-        # A stage (one load, one entry program for B and f) is diffusion - hyperbolic.
-        tend = stencils.tendency(v, alphas, np.empty_like(v), np.empty_like(v))
-        assert tend.tobytes() == (diff - hyp).tobytes()
         return alphas
 
     # The second call reuses the work arrays and buffers; a second field,
@@ -416,10 +422,8 @@ def test_every_term_is_one_step_on_flat_ranges(name, cells, batch, monkeypatch):
     values = np.random.default_rng(5).uniform(-0.9, 0.9, batch + cells)
     stencils = _Stencils(m, g, values.shape)
     alphas, _ = stencils.bounds(float(values.min()), float(values.max()))
-    stencils.hyperbolic(values, alphas, np.empty_like(values))
-    stencils.diffusion(values, np.empty_like(values))
-    stencils.dissipation(values)
     stencils.tendency(values, alphas, np.empty_like(values), np.empty_like(values))
+    stencils.dissipation(values)
 
     d, b = len(cells), stencils.b_entries
     mixed = (0, 1) in b
@@ -545,6 +549,16 @@ def test_returned_arrays_share_no_memory_with_stencil_buffers(name, cells, monke
         assert not any(np.shares_memory(out, b) for b in buffers)
 
 
+def test_flux_free_hyperbolic_div_is_zero_on_a_non_finite_field():
+    # Without flux entries and alphas the stage skips the flux part, so inf
+    # and NaN cells give zeros, not NaN from inf * 0.
+    g = PeriodicGrid.make([1.0], [8])
+    values = np.array([np.inf, -np.inf, np.nan, 0.5, 0.0, 0.0, 0.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        got = hyperbolic_div(preset("porous-medium"), CellField(values, 0.0), g)
+    assert got.tobytes() == np.zeros(8).tobytes()
+
+
 def test_flux_stencil_and_step_size_need_no_psd_diffusion():
     # No stencil except the dissipation reads sigma or beta, and B needs no
     # PSD A; a model whose A is not PSD (validate_model flags it) still has a
@@ -568,8 +582,8 @@ def test_flux_stencil_and_step_size_need_no_psd_diffusion():
 
 
 def test_one_entry_program_serves_every_stencil_but_the_dissipation(monkeypatch):
-    # One _entries call over B and f gives the program that hyperbolic,
-    # diffusion and tendency load; the dissipation makes the other call.
+    # One _entries call over B and f gives the program that tendency loads,
+    # for a stage and for each one-shot; the dissipation makes the other call.
     calls, loaded = [], []
     real_entries, real_load = _Stencils._entries, _Stencils.load
 
@@ -588,13 +602,11 @@ def test_one_entry_program_serves_every_stencil_but_the_dissipation(monkeypatch)
     stencils = _Stencils(m, g, values.shape)
     alphas, _ = stencils.bounds(float(values.min()), float(values.max()))
     for _ in range(2):
-        stencils.hyperbolic(values, alphas, np.empty_like(values))
-        stencils.diffusion(values, np.empty_like(values))
         stencils.tendency(values, alphas, np.empty_like(values), np.empty_like(values))
         stencils.dissipation(values)
     assert calls == [([(0, 0), (0,), (1,)], [(0,), (1,)]), ([(0, 0)], [])]
     stage = loaded[0]
-    assert [p is stage for p in loaded] == [True, True, True, False] * 2
+    assert [p is stage for p in loaded] == [True, False] * 2
     # f_1 and B_00 are one object, u^3/3: one buffer and one evaluation.
     assert sum(fn is np.divide for fn, _ in stage) == 1
 
@@ -1076,6 +1088,18 @@ def test_an_overflowed_wave_bound_is_a_blow_up_at_the_current_time(name, amplitu
     partial = ran.value.trajectory
     assert [row.t for row in partial.rows] == [0.0] and partial.stats.steps == 0
     assert partial.final.values.tobytes() == fld.values.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_of_overflowing_data_warns_nothing_before_its_blow_up():
+    # run's first measure, the initial energy and dissipation, overflows too;
+    # it runs as quietly as the steps, so the blow-up is the only outcome.
+    m, g = preset("burgers-degenerate"), PeriodicGrid.make([1.0], [64])
+    fld = init_field(g, lambda x: 1e160 * np.sin(2 * np.pi * x))
+    with pytest.raises(BlowUpError) as info:
+        run(m, g, fld, SchemeConfig(t_end=1.0))
+    assert info.value.time == 0.0
+    assert [row.l2_energy for row in info.value.trajectory.rows] == [math.inf]
 
 
 @pytest.mark.parametrize("name,cells,profile", [

@@ -42,6 +42,9 @@ of the difference, and exits 1 if any case differs. The cases are:
   coupled-cubic, a copy of coupled-cubic whose primitives are spline tables
   (``oneshot/spline/coupled-cubic``) and whole/burgers-degenerate, plus one
   batched pair of coupled-cubic fields (``oneshot/batch/coupled-cubic``);
+  the one-shot and step cases of a hand-built 1-d model with a zero flux and
+  a nonzero speed, the edge of the stage's rule for skipping the flux part
+  (``oneshot/viscous-only``, ``step/viscous-only``);
 - runs that blow up, to infinity (burgers) and to NaN (a hand-built flux
   undefined beyond |u| = 1.2): message, time, peak, partial rows and
   statistics (``blow-up/...``);
@@ -56,8 +59,9 @@ of the difference, and exits 1 if any case differs. The cases are:
   primitives at every index (``scalar/...``);
 - symbol_denominator at a few states and degeneracy_set_measure at two
   tolerances, for a few frequencies (``symbol/...``); omega_at at four
-  frequencies, one of them resonant, and two lambdas, plus omega_delta
-  under the reduced plan (``omega/...``); the (tau, kappa) rows of the
+  frequencies, one of them resonant, and two lambdas, plus the value and
+  witness of the one-lambda check_condition under the reduced plan
+  (``omega/...``); the (tau, kappa) rows of the
   default plan, the reduced plan and the lattice plan of the configured
   grid's periods at delta 1, so that a plan edit shows as its points and
   not only as a point count (``plan/...``); and check_condition under the
@@ -71,7 +75,7 @@ of the difference, and exits 1 if any case differs. The cases are:
   whole float counts n_dir 16.0 and n_resonant 3.0, which it keeps as
   int), and a FrequencyPoint with a NaN or infinite tau
   (``inputs/sampling-plan``); check_condition,
-  omega_at and omega_delta with a NaN or infinite lambda
+  omega_at and the one-lambda check_condition with a NaN or infinite lambda
   (``inputs/lambdas``); shell_radii with a NaN, zero or too large delta and
   check_condition with a NaN delta (``inputs/delta``); PeriodicGrid with
   fractional, float and numpy integer cell counts (``inputs/grid-cells``);
@@ -274,6 +278,18 @@ def _nan_beyond_model():
         speed=lambda u: np.asarray(u)[..., None])
 
 
+def _viscous_only_model():
+    """Zero flux with a nonzero speed and constant diffusion: no flux entry but alphas
+    that are not zero, the edge of the stage's rule for skipping the flux part."""
+    import numpy as np
+    from anisolab.model import ModelSpec
+    return ModelSpec(
+        dimension=1, state_bound=1.0, name="viscous-only",
+        flux=lambda u: np.zeros(np.shape(u) + (1,)),
+        diffusion=lambda u: np.full(np.shape(u) + (1, 1), 0.05),
+        speed=lambda u: np.asarray(u, dtype=float)[..., None])
+
+
 def _blow_up_case(model):
     import numpy as np
     from anisolab.solver import BlowUpError, PeriodicGrid, SchemeConfig, run
@@ -364,7 +380,7 @@ def _reduced_plan(model):
 
 def _omega_case(model):
     import numpy as np
-    from anisolab.kinetic import FrequencyPoint, omega_at, omega_delta
+    from anisolab.kinetic import FrequencyPoint, check_condition, omega_at
     from anisolab.model import speed_vector
     d = model.dimension
     kappa = (1.0, -0.5)[:d]
@@ -374,8 +390,8 @@ def _omega_case(model):
            for tau, kap in ((0.0, (1.0, 0.5)), (0.3, (-2.5, 4.0)), (2.0, (0.0, 0.0)),
                             (resonant, kappa))
            for lam in (0.1, 1e-5)]
-    value, fp = omega_delta(model, 1.0, 1e-4, _reduced_plan(model))
-    return repr((out, value, fp)).encode()
+    report = check_condition(model, 1.0, [1e-4], _reduced_plan(model))
+    return repr((out, report.omegas[0], report.witnesses[0])).encode()
 
 
 def _check_case(model):
@@ -541,7 +557,7 @@ def _sampling_plan_case():
 
 def _lambdas_case():
     import math
-    from anisolab.kinetic import FrequencyPoint, check_condition, omega_at, omega_delta
+    from anisolab.kinetic import FrequencyPoint, check_condition, omega_at
     from anisolab.model import preset
     m = preset("burgers")
     plan = _reduced_plan(m)
@@ -549,7 +565,7 @@ def _lambdas_case():
            for l in ((0.1, math.nan), (math.inf, 0.1))]
     for lam in (math.nan, math.inf):
         out += [_outcome(lambda: omega_at(m, FrequencyPoint(1.0, (1.0,)), lam)),
-                _outcome(lambda: omega_delta(m, 1.0, lam, plan)[0])]
+                _outcome(lambda: check_condition(m, 1.0, [lam], plan).omegas[0])]
     return repr(out).encode()
 
 
@@ -673,6 +689,9 @@ def cases():
     for name, model in oneshot.items():
         yield f"oneshot/{name}", lambda m=model: _oneshot_case(m)
     yield "oneshot/batch/coupled-cubic", lambda: _oneshot_case(coupled, batch=True)
+    viscous = _viscous_only_model()
+    yield "oneshot/viscous-only", lambda: _oneshot_case(viscous)
+    yield "step/viscous-only", lambda: _step_case(viscous)
     yield "cli/run/inline-interior", lambda: _cli_case(["run"], INLINE_CONFIG)
     yield "blow-up/burgers", lambda: _blow_up_case(models["burgers"])
     yield "blow-up/nan-beyond", lambda: _blow_up_case(_nan_beyond_model())
