@@ -201,7 +201,7 @@ def audit(trajectory, tolerances=None):
         contraction = _max_positive_jump(l1)
 
     # A NaN window counts as a violation and reaches the excesses.
-    budget_tol = tol.budget_scale * measure * m_inf ** 2
+    budget_tol = tol.budget_scale * measure * (m_inf * m_inf)
     excess = [r.dissipation_resolved - r.dissipation_budget for r in rows[1:]]
     violations = sum(not e <= budget_tol for e in excess)
     max_excess = float(np.maximum(0.0, np.max(excess)))
@@ -210,7 +210,7 @@ def audit(trajectory, tolerances=None):
         total_budget += r.dissipation_budget
 
     telescope_gap = abs(total_budget - 0.5 * (rows[0].l2_energy - rows[-1].l2_energy))
-    global_bound = 0.5 * measure * m_inf ** 2
+    global_bound = 0.5 * measure * (m_inf * m_inf)
     global_excess = float(np.maximum(0.0, total_budget - global_bound))
 
     decay_time = _first_crossing(rows, tol.decay_threshold * rows[0].l1_to_mean)

@@ -171,9 +171,9 @@ class Poly:
         self.coeffs, self.div = tuple(c), float(div)
         # Per-call constants: the Horner steps (c_n, whether to multiply by
         # u after adding it) for n from the second-highest down to 0, and
-        # max_abs's (n, |c_n|) pairs, |div| and rounding factor.
+        # max_abs's (n, |c_n|) pairs of nonzero c_n, |div| and rounding factor.
         self._horner = tuple((c[n], n > 0) for n in range(len(c) - 2, -1, -1))
-        self._abs_terms = tuple((n, abs(x)) for n, x in enumerate(c))
+        self._abs_terms = tuple((n, abs(x)) for n, x in enumerate(c) if x)
         self._abs_div = abs(self.div)
         self._rounding = 4.0 * len(c) * _EPS
 
@@ -199,15 +199,18 @@ class Poly:
         c = self.coeffs
         if len(c) == 1:
             return ((out.fill, (c[0] / self.div,)),)
-        steps = [(np.multiply, (c[-1], u, out))]
+        # A leading 1 skips its multiply: the first step reads u itself, as 1.0 u is u.
+        acc, steps = (u, []) if c[-1] == 1.0 else (out, [(np.multiply, (c[-1], u, out))])
         for cn, multiply in self._horner:
             if cn:
-                steps.append((np.add, (out, cn, out)))
+                steps.append((np.add, (acc, cn, out)))
+                acc = out
             if multiply:
-                steps.append((np.multiply, (out, u, out)))
+                steps.append((np.multiply, (acc, u, out)))
+                acc = out
         if self.div != 1.0:
-            steps.append((np.divide, (out, self.div, out)))
-        return tuple(steps)
+            steps.append((np.divide, (acc, self.div, out)))
+        return tuple(steps) or ((np.multiply, (1.0, u, out)),)
 
     def derivative(self):
         """The derivative as a Poly."""
@@ -229,6 +232,11 @@ class Poly:
             c.pop()
         return tuple(sorted({float(r.real) for r in np.roots(c[::-1])}))
 
+    @cached_property
+    def _critical_abs(self):
+        """(r, |p(r)|) for each critical point r."""
+        return tuple((r, abs(self(r))) for r in self.critical)
+
     def max_abs(self, lo, hi):
         """max |p| over [lo, hi], from the ends and the critical points inside.
 
@@ -237,7 +245,7 @@ class Poly:
         a bound that overflows makes the result inf.
         """
         top = max(abs(self(lo)), abs(self(hi)))
-        inner = [abs(self(r)) for r in self.critical if lo < r < hi]
+        inner = [v for r, v in self._critical_abs if lo < r < hi]
         if inner:
             m = max(abs(lo), abs(hi))
             try:

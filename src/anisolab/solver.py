@@ -16,6 +16,17 @@ A wave bound that overflows (a CFL step of 0 or NaN) is a blow-up too.
 init_field broadcasts a profile's values to its quadrature nodes, so a
 profile of one coordinate, or a constant, fills every cell.
 
+run measures the fields its steps make per window. A window ends at the
+next stop point, or once it holds max(1, _WINDOW_BYTES // field bytes)
+fields (32 at N = 256, one at 128 x 128); it is measured before a stop
+writes its row or snapshot and before a blow-up takes its partial
+trajectory. The means are one row sum over the window's stacked fields, and
+the L1 distances to the contraction constants one subtract, abs and row sum
+in a (cap, constants, *shape) block; the energy (np.vdot) and the
+dissipation stay per field. The per-step statistics then follow in step
+order, a NaN jump making its statistic NaN for good. Every row, statistic
+and snapshot has the bits of a measure after each step.
+
 The stencils are periodic slice kernels (_Stencils) on one layout in 1-d
 and 2-d. Every array they own (the stage field, one buffer per distinct
 flux, B and beta entry, two work arrays) is a frame: the field padded by a
@@ -93,6 +104,8 @@ _GAUSS3_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 # Overflow while stepping is a diagnosed outcome (BlowUpError), not a warning.
 _QUIET = dict(over="ignore", invalid="ignore")
+# The bytes of fields in one of run's measurement windows (module docstring).
+_WINDOW_BYTES = 2 ** 16
 
 
 class ConfigurationError(Exception):
@@ -295,7 +308,7 @@ def _on_nodes(vals, shape):
 
 def _range(values):
     """(min, max) of a field as floats; NaN if any value is NaN."""
-    return float(values.min()), float(values.max())
+    return float(np.minimum.reduce(values, None)), float(np.maximum.reduce(values, None))
 
 
 def _term(ufunc, plan, x, y, out):
@@ -481,23 +494,26 @@ class _Stencils:
         """
         program, flux, diffusion = self._programs
         self.load(values, program)
-        diff.fill(0.0)
-        for steps, result in diffusion:
+        if not diffusion:
+            diff.fill(0.0)
+        # The first term writes 0.0 + its result, the bits of a zero fill and an add.
+        for i, (steps, result) in enumerate(diffusion):
             _run(steps)
-            diff += result
+            np.add(diff if i else 0.0, result, out=diff)
         if self.flux_is_zero and not any(alphas):
             return None
-        hyp.fill(0.0)
         for k, (before, rise, after) in enumerate(flux):
             _run(before)
             np.multiply(rise, 0.5 * alphas[k], rise)
             _run(after)
-            hyp += self.work_cells[1]
+            np.add(hyp if k else 0.0, self.work_cells[1], out=hyp)
         return hyp
 
     @cached_property
     def _dissipation(self):
-        """The beta program, per axis k the program of sum_i D_i beta_ik into work[0], its cells."""
+        """The beta program, per axis k the program of sum_i D_i beta_ik into work[0], its
+        cells, and the contiguous array np.vdot reads them from: the cells themselves in
+        1-d, a copy in 2-d, where np.vdot would copy the strided view once per operand."""
         beta, program = self._entries(self.table.beta)
         (acc, grad), (ca, cg) = self.work, self.work_span
         sums = []
@@ -512,7 +528,8 @@ class _Stencils:
                         steps.append((np.add, (ca, cg, ca)))
             if steps:
                 sums.append(steps)
-        return program, sums, self.work_cells[0]
+        cells = self.work_cells[0]
+        return program, sums, cells, cells if cells.flags.c_contiguous else np.empty(cells.shape)
 
     def dissipation(self, values):
         """Discrete parabolic dissipation: sum over k of (sum_i D_i beta_ik)^2.
@@ -521,14 +538,16 @@ class _Stencils:
         by the cell volume. Without beta entries it is 0.0, and the field is
         not loaded.
         """
-        program, sums, acc = self._dissipation
+        program, sums, acc, flat = self._dissipation
         if not sums:
             return 0.0
         self.load(values, program)
         total = 0.0
         for steps in sums:
             _run(steps)
-            total += float(np.vdot(acc, acc).real)
+            if flat is not acc:
+                np.copyto(flat, acc)
+            total += float(np.vdot(flat, flat).real)
         return total * self.cell_volume
 
 
@@ -725,6 +744,11 @@ def _march(advance, values, rng, scheme):
         yield t, values, rng, None, None, (is_row, is_snap)
 
 
+def _worse(stat, x):
+    """max(stat, x), except that a NaN x or stat gives NaN: a NaN jump stays in the stats."""
+    return x if x > stat or x != x else stat
+
+
 def run(model, grid, profile, scheme, hooks=()):
     """Integrate to t_end, tracking invariants every step.
 
@@ -734,22 +758,58 @@ def run(model, grid, profile, scheme, hooks=()):
     largest rise of the L1 distance to a ladder of constants, which the
     contraction audit reads). Blow-up raises BlowUpError with the partial
     trajectory attached. ``profile`` is anything init_field takes and checks.
+
+    The fields are measured per window, which ends at the next stop point or
+    at max(1, _WINDOW_BYTES // field bytes) fields: the means and the L1
+    distances to the constants in one reduction each, the energy and the
+    dissipation per field, all with the bits of a measure per step.
     """
     values = init_field(grid, profile).values
     stencils = _Stencils(model, grid, values.shape)
     vol = stencils.cell_volume
     ncells = values.size
+    cap = max(1, _WINDOW_BYTES // values.nbytes)
+    window = []  # (field, range, dt, cut) of each step not yet measured
 
-    def measure(v):
-        """Mean, L2 energy and dissipation of v; rows and per-step stats share them."""
-        return (float(v.sum()) / ncells, float(np.vdot(v, v).real) * vol,
-                stencils.dissipation(v))
+    def energy(v):
+        return float(np.vdot(v, v).real) * vol
 
-    def ladder_l1(v):
-        """L1 distance of v to every contraction constant, in one pass."""
-        np.subtract(v, consts, out=gaps)
+    def ladders(fields):
+        """L1 distance of each of the stacked ``fields`` to every contraction constant."""
+        k = len(fields)
+        gaps = np.subtract(fields[:, None], consts, out=block[:k])
         np.abs(gaps, out=gaps)
-        return gaps.reshape(len(consts), -1).sum(axis=1) * vol
+        return (gaps.reshape(k, len(consts), -1).sum(axis=2) * vol).tolist()
+
+    def measure():
+        """Fold the window's steps into the stats, in step order, and empty it."""
+        nonlocal mean_cur, energy_cur, ladder_cur, n_prev, window_diss, cut_dt_min, cut_dt_max
+        k = len(window)
+        if not k:
+            return
+        fields = window[0][0][None] if k == 1 else np.stack([w[0] for w in window])
+        means = [s / ncells for s in fields.reshape(k, -1).sum(axis=1).tolist()]
+        for (v, (lo, hi), dt, cut), mean, ladder in zip(window, means, ladders(fields)):
+            stats.steps += 1
+            if cut:
+                stats.truncated_steps += 1
+                cut_dt_min, cut_dt_max = min(cut_dt_min, dt), max(cut_dt_max, dt)
+            else:
+                stats.dt_min = min(stats.dt_min, dt)
+                stats.dt_max = max(stats.dt_max, dt)
+            stats.max_principle_violation = max(
+                stats.max_principle_violation, hi - u0_max, u0_min - lo)
+            new_energy, n_new = energy(v), stencils.dissipation(v)
+            stats.energy_max_step_jump = _worse(
+                stats.energy_max_step_jump, new_energy - energy_cur)
+            stats.mean_drift = _worse(stats.mean_drift, abs(mean - stats.initial_mean))
+            for new, cur in zip(ladder, ladder_cur):
+                stats.contraction_max_step_jump = _worse(
+                    stats.contraction_max_step_jump, new - cur)
+            window_diss += 0.5 * dt * (n_prev + n_new)
+            energy_cur, ladder_cur, n_prev = new_energy, ladder, n_new
+        mean_cur = means[-1]
+        window.clear()
 
     rows = []
     snaps = []
@@ -761,7 +821,7 @@ def run(model, grid, profile, scheme, hooks=()):
             l2_energy=energy_cur, linf=max(abs(rng[0]), abs(rng[1])),
             dissipation_resolved=window_diss, dissipation_budget=budget)
         rows.append(row)
-        stats.contraction_l1.append(ladder_cur.tolist())
+        stats.contraction_l1.append(ladder_cur)
         for hook in hooks:
             hook(CellField(values=values.copy(), time=t), row)
 
@@ -778,45 +838,32 @@ def run(model, grid, profile, scheme, hooks=()):
     # Quiet from the first measure on: data that overflows it is a blow-up to report.
     with np.errstate(**_QUIET):
         u0_min, u0_max = rng = _range(values)
-        mean_cur, energy_cur, n_prev = measure(values)
+        mean_cur = float(values.sum()) / ncells
+        energy_cur, n_prev = energy(values), stencils.dissipation(values)
         stats = RunStats(
             initial_min=u0_min, initial_max=u0_max, initial_mean=mean_cur,
             contraction_constants=tuple(_contraction_constants(u0_min, u0_max, mean_cur)),
         )
         consts = np.array(stats.contraction_constants).reshape((-1,) + (1,) * values.ndim)
-        gaps = _on_lines(consts.shape[:1] + values.shape)
-        ladder_cur = ladder_l1(values)
+        block = np.empty((cap,) + consts.shape[:1] + values.shape)
+        ladder_cur = ladders(values[None])[0]
         try:
-            for t, new_values, rng, dt, cut, stop in _march(
+            for t, values, rng, dt, cut, stop in _march(
                     _stepper(stencils, scheme), values, rng, scheme):
-                if stop is not None:
-                    is_row, is_snap = stop
-                    if is_row:
-                        make_row(t, window_diss)
-                        window_diss = 0.0
-                    if is_snap:
-                        snaps.append(CellField(values=values.copy(), time=t))
+                if stop is None:
+                    window.append((values, rng, dt, cut))
+                    if len(window) == cap:
+                        measure()
                     continue
-                stats.steps += 1
-                if cut:
-                    stats.truncated_steps += 1
-                    cut_dt_min, cut_dt_max = min(cut_dt_min, dt), max(cut_dt_max, dt)
-                else:
-                    stats.dt_min = min(stats.dt_min, dt)
-                    stats.dt_max = max(stats.dt_max, dt)
-                stats.max_principle_violation = max(
-                    stats.max_principle_violation, rng[1] - u0_max, u0_min - rng[0])
-                new_mean, new_energy, n_new = measure(new_values)
-                stats.energy_max_step_jump = max(
-                    stats.energy_max_step_jump, new_energy - energy_cur)
-                stats.mean_drift = max(stats.mean_drift, abs(new_mean - stats.initial_mean))
-                new_ladder = ladder_l1(new_values)
-                stats.contraction_max_step_jump = max(
-                    stats.contraction_max_step_jump, float((new_ladder - ladder_cur).max()))
-                window_diss += 0.5 * dt * (n_prev + n_new)
-                values, mean_cur, energy_cur, ladder_cur, n_prev = (
-                    new_values, new_mean, new_energy, new_ladder, n_new)
+                measure()
+                is_row, is_snap = stop
+                if is_row:
+                    make_row(t, window_diss)
+                    window_diss = 0.0
+                if is_snap:
+                    snaps.append(CellField(values=values.copy(), time=t))
         except BlowUpError as exc:
+            measure()
             exc.trajectory = trajectory()
             raise
     return trajectory()

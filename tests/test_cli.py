@@ -148,6 +148,23 @@ def test_run_with_an_overflowing_wave_bound_prints_only_the_error_line(tmp_path)
     assert proc.stderr == "error: solution blew up at t=0 (max |u| reached 9.984e+159)\n"
 
 
+def test_run_of_data_past_1e154_exits_2_with_a_violated_energy_line(tmp_path):
+    # The run steps on with l2_energy inf; its audit fails the energy line (each
+    # jump is NaN) instead of overflowing while it squares max |u0|.
+    cfg = write(tmp_path / "run.cfg", "[model]\npreset = linear-advection\n[grid]\ncells = 64\n"
+                "[initial]\nprofile = sine\namplitude = 1e160\n[scheme]\nt_end = 0.05\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "anisolab.cli", "run", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    report = json.loads((out / "audit.jsonl").read_text(encoding="utf-8"))
+    assert np.isnan(report["energy_monotonicity_violation"]) and report["passed"] is False
+    energy_line = [l for l in proc.stdout.splitlines() if "energy monotonicity" in l]
+    assert energy_line and energy_line[0].split()[2:] == ["nan", "(tol", "1.0e-12)", "VIOLATED"]
+
+
 def test_run_model_not_finite_on_its_probe_exits_1(tmp_path, capsys, monkeypatch):
     nan_past = ModelSpec(
         dimension=1, state_bound=2.0, name="nan-past",

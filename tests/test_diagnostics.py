@@ -324,3 +324,17 @@ def test_refinement_study_missing_row_raises():
                          [PeriodicGrid.make([1.0], [32]),
                           PeriodicGrid.make([1.0], [64])],
                          checkpoints=(0.037,))
+
+
+def test_audit_of_data_past_1e154_fails_its_energy_line():
+    # Every energy is inf, so each per-step jump inf - inf is NaN: the
+    # statistic must keep the NaN and fail, and squaring m_inf must not raise.
+    g = PeriodicGrid.make([1.0], [64])
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run(preset("linear-advection"), g, lambda x: 1e160 * sin_profile(x),
+                   SchemeConfig(t_end=0.05))
+        report = audit(traj)
+    assert [r.l2_energy for r in traj.rows] == [np.inf] * len(traj.rows)
+    assert np.isnan(report.energy_monotonicity_violation)
+    assert report.budget_tolerance == np.inf
+    assert not report.passed

@@ -576,7 +576,7 @@ def test_poly_entry_evaluates_the_same_on_floats_and_arrays():
 @st.composite
 def _poly_out_case(draw):
     """A Poly with interior and trailing zeros (or a constant), and an input u of one kind."""
-    coeffs = draw(st.lists(st.one_of(st.just(0.0), _coeff), min_size=1, max_size=5))
+    coeffs = draw(st.lists(st.one_of(st.just(0.0), st.just(1.0), _coeff), min_size=1, max_size=5))
     coeffs += [0.0] * draw(st.integers(0, 2))
     p = Poly(coeffs, div=draw(st.sampled_from([1.0, 3.0, -0.7])))
     kind = draw(st.sampled_from(["float", "vector", "batch", "column"]))
@@ -587,6 +587,9 @@ def _poly_out_case(draw):
     return p, u
 
 
+@example((Poly((0.0, 1.0)), np.linspace(-1.0, 1.0, 5)))
+@example((Poly((0.0, 1.0), div=3.0), np.linspace(-1.0, 1.0, 5)))
+@example((Poly((0.5, 0.0, 1.0)), np.linspace(-1.0, 1.0, 12).reshape(4, 3)[:, 2]))
 @example((Poly((0.0, 1.5, 0.0, 0.0, -0.5, 0.0)), np.linspace(-1.0, 1.0, 5)))
 @example((Poly((2.0,), div=3.0), np.linspace(-1.0, 1.0, 12).reshape(4, 3)[:, 2]))
 @settings(max_examples=80, deadline=None)
@@ -600,6 +603,23 @@ def test_poly_out_gives_the_bits_of_the_allocating_call(case):
         for fn, args in p.steps(u, buf):
             fn(*args)
         assert buf.tobytes() == want.tobytes()
+
+
+def test_a_leading_one_skips_its_multiply():
+    # u^3/3 binds u u, then u and /3: its first step reads u itself. A lone u
+    # keeps its one step.
+    u, out = np.linspace(-1.0, 1.0, 7), np.empty(7)
+    steps = Poly((0, 0, 0, 1), div=3).steps(u, out)
+    assert [(fn, args[0] is u, args[-1] is out) for fn, args in steps] == [
+        (np.multiply, True, True), (np.multiply, False, True), (np.divide, False, True)]
+    (fn, args), = Poly((0.0, 1.0)).steps(u, out)
+    assert fn is np.multiply and args[1:] == (u, out) and args[0] == 1.0
+
+
+def test_max_abs_keeps_its_overflow_path_with_cached_critical_values():
+    p = Poly((0.0, -1.0, 0.0, 1.0))
+    assert p.max_abs(-1.0, 1.0) == p.max_abs(-1.0, 1.0) > abs(p(1.0 / np.sqrt(3.0)))
+    assert Poly((0.0, 0.0, 1.0)).max_abs(-1e160, 1e160) == np.inf
 
 
 def test_replaced_callables_are_used_and_keep_sampled_bounds():

@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anisolab.diagnostics import audit, l1_to_constant, l2_energy, mean, parabolic_dissipation
@@ -1121,3 +1121,107 @@ def test_run_lockstep_of_equal_data_is_run(name, cells, profile):
     assert fa.values.tobytes() == single.final.values.tobytes()
     assert fb.values.tobytes() == single.final.values.tobytes()
     assert fa.time == single.final.time
+
+
+# --- measurement windows -----------------------------------------------------
+
+def _run_outcome(model, grid, profile, scheme):
+    """Rows, stats, snapshots and final field of a run, with its error if it blew up."""
+    try:
+        traj, error = run(model, grid, profile, scheme), None
+    except BlowUpError as exc:
+        traj, error = exc.trajectory, (str(exc), repr(exc.time), repr(exc.max_abs))
+    return (error, [repr(vars(r)) for r in traj.rows], repr(vars(traj.stats)),
+            [(repr(s.time), s.values.tobytes()) for s in traj.snapshots],
+            repr(traj.final.time), traj.final.values.tobytes())
+
+
+# (preset, cells): default windows of 32, 16, 32 and 8 fields.
+WINDOW_GRIDS = [("burgers-degenerate", (256,)), ("porous-medium", (512,)),
+                ("anisotropic-2d", (16, 16)), ("anisotropic-2d", (32, 32))]
+
+
+@st.composite
+def _window_case(draw):
+    """A run whose stops fall before, at and past the default window's cap, or a blow-up."""
+    integrator = draw(st.sampled_from(["euler", "ssp-rk2"]))
+    if draw(st.booleans()):
+        # cfl 2 blows burgers up near t = 0.19 after about 240 steps, several windows
+        # of 32 fields after its last stop.
+        m, g = preset("burgers"), PeriodicGrid.make([1.0], [256])
+        return m, g, sin_profile, SchemeConfig(
+            t_end=10.0, cfl=2.0, integrator=integrator,
+            output_every=draw(st.sampled_from([10.0, 0.1, 0.05, 0.013])),
+            snapshot_every=draw(st.sampled_from([None, 0.07, 0.03])))
+    name, cells = draw(st.sampled_from(WINDOW_GRIDS))
+    m, g = preset(name), PeriodicGrid.make([1.0] * len(cells), list(cells))
+    profile = (sin_profile if len(cells) == 1 else
+               lambda x, y: 0.9 * np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y))
+    cap = solver_mod._WINDOW_BYTES // (8 * math.prod(cells))
+    t_end = draw(st.integers(cap // 2, 3 * cap)) * stable_dt(m, init_field(g, profile), g)
+    return m, g, profile, SchemeConfig(
+        t_end=t_end, integrator=integrator, output_every=t_end / draw(st.integers(1, 6)),
+        snapshot_every=draw(st.sampled_from([None, t_end / 3, t_end / 7])))
+
+
+# linear-advection steps by a constant 1/640 on 256 cells: every window holds
+# exactly the cap of 32 fields, so the cap's flush and the stop's coincide.
+@example((preset("linear-advection"), PeriodicGrid.make([1.0], [256]), sin_profile,
+          SchemeConfig(t_end=0.1, output_every=0.05, snapshot_every=0.05)))
+@settings(max_examples=40, deadline=None)
+@given(_window_case())
+def test_measuring_per_window_leaves_no_trace_in_the_outputs(case):
+    # Windows of one field measure each step as it comes; the default windows,
+    # cut by the stops and by their cap, must give the same bits everywhere.
+    model, grid, profile, scheme = case
+    default = _run_outcome(model, grid, profile, scheme)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod, "_WINDOW_BYTES", 1)
+        single = _run_outcome(model, grid, profile, scheme)
+    assert default == single
+
+
+def test_a_step_runs_30_bound_steps_in_1d_and_42_in_2d(monkeypatch):
+    # u^3/3's first Horner step reads u (B, and f_1 in 2-d), once per stage.
+    counted = []
+    real_run = solver_mod._run
+
+    def counting(program):
+        program = tuple(program)
+        counted.append(len(program))
+        real_run(program)
+
+    monkeypatch.setattr(solver_mod, "_run", counting)
+    for name, cells, want in (("burgers-degenerate", [16], 30), ("anisotropic-2d", [6, 5], 42)):
+        g = PeriodicGrid.make([1.0] * len(cells), cells)
+        fld = init_field(g, np.random.default_rng(3).uniform(-0.9, 0.9, cells))
+        counted.clear()
+        step(fld, preset(name), g, SchemeConfig(t_end=1.0))
+        assert sum(counted) == want
+
+
+@pytest.mark.parametrize("name,cells", [("burgers-degenerate", [64]), ("anisotropic-2d", [8, 8])])
+def test_run_measures_each_window_with_one_ladder_reduction(name, cells, monkeypatch):
+    # Both grids make windows of 128 fields: in 1-d the cap cuts some, in 2-d only
+    # the stops do. The ladder subtract runs once per window, plus the initial one.
+    subtracts = []
+    real_subtract = solver_mod.np.subtract
+
+    class CountingNumpy:
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+        @staticmethod
+        def subtract(x, y, *args, **kwargs):
+            if kwargs.get("out") is not None and kwargs["out"].ndim == len(cells) + 2:
+                subtracts.append(len(kwargs["out"]))
+            return real_subtract(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "np", CountingNumpy())
+    g = PeriodicGrid.make([1.0] * len(cells), cells)
+    profile = sin_profile if len(cells) == 1 else lambda x, y: np.sin(2.0 * np.pi * (x + y))
+    traj = run(preset(name), g, profile, SchemeConfig(t_end=0.02, output_every=0.01))
+    cap, steps = solver_mod._WINDOW_BYTES // (8 * math.prod(cells)), traj.stats.steps
+    first, *windows = subtracts
+    assert first == 1 and sum(windows) == steps and max(windows) <= cap
+    assert len(windows) <= steps // cap + len(traj.rows) - 1

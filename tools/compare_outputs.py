@@ -48,11 +48,20 @@ of the difference, and exits 1 if any case differs. The cases are:
 - runs that blow up, to infinity (burgers) and to NaN (a hand-built flux
   undefined beyond |u| = 1.2): message, time, peak, partial rows and
   statistics (``blow-up/...``);
+- runs whose fields ``run`` measures in windows of many fields, each with a
+  single output window: burgers-degenerate on 64 cells (windows of 128
+  fields), where the cap cuts several windows (``run/window/burgers-degenerate``),
+  and anisotropic-2d on 8x8 cells (``run/window/cells-8x8/anisotropic-2d``);
+  and a burgers blow-up on 256 cells (windows of 32 fields) that lands some
+  240 steps after its last stop, at t = 0 (``blow-up/window/burgers``);
 - the audit and decay reports of a hand-built row-only trajectory with
   max-principle, energy, contraction, mean, budget-window and telescoping
   violations and decay not reached (``audit/row-only``), and of a run of
   burgers-degenerate's callables whose beta primitive is NaN beyond
-  |u| = 1.1, from data reaching 1.15 (``audit/nan-dissipation``);
+  |u| = 1.1, from data reaching 1.15 (``audit/nan-dissipation``); and the
+  CLI ``run`` of linear-advection from a sine of amplitude 1e160, whose
+  every energy is inf, so its audit's energy line reads NaN
+  (``audit/overflow/linear-advection``);
 - validate_model reports (``validate/...``), and the scalar evaluator at a
   few states, one beyond the 1.05 state_bound span of a spline primitive:
   flux, speed, diffusion and sqrt_factor whole, and the beta and B
@@ -290,12 +299,20 @@ def _viscous_only_model():
         speed=lambda u: np.asarray(u, dtype=float)[..., None])
 
 
-def _blow_up_case(model):
+def _window_run_case(model, cells, t_end):
+    """A run with one output window, from t = 0 to t_end."""
+    from anisolab.solver import SchemeConfig, run
+    grid, profile = _run_setup(model, cells)
+    traj = run(model, grid, profile, SchemeConfig(t_end=t_end, output_every=t_end))
+    return pickle.dumps(_trajectory_record(traj))
+
+
+def _blow_up_case(model, cells=32, output_every=None):
     import numpy as np
     from anisolab.solver import BlowUpError, PeriodicGrid, SchemeConfig, run
     try:
-        run(model, PeriodicGrid.make([1.0], [32]), lambda x: np.sin(2 * np.pi * x),
-            SchemeConfig(t_end=10.0, cfl=2.0))
+        run(model, PeriodicGrid.make([1.0], [cells]), lambda x: np.sin(2 * np.pi * x),
+            SchemeConfig(t_end=10.0, cfl=2.0, output_every=output_every))
     except BlowUpError as exc:
         return pickle.dumps((str(exc), repr(exc.time), repr(exc.max_abs),
                              _trajectory_record(exc.trajectory)))
@@ -695,6 +712,14 @@ def cases():
     yield "cli/run/inline-interior", lambda: _cli_case(["run"], INLINE_CONFIG)
     yield "blow-up/burgers", lambda: _blow_up_case(models["burgers"])
     yield "blow-up/nan-beyond", lambda: _blow_up_case(_nan_beyond_model())
+    yield ("run/window/burgers-degenerate",
+           lambda: _window_run_case(models["burgers-degenerate"], 64, 0.05))
+    yield ("run/window/cells-8x8/anisotropic-2d",
+           lambda: _window_run_case(models["anisotropic-2d"], (8, 8), 0.2))
+    yield "blow-up/window/burgers", lambda: _blow_up_case(models["burgers"], 256, 10.0)
+    yield "audit/overflow/linear-advection", lambda: _outcome(lambda: _cli_case(
+        ["run"], "[model]\npreset = linear-advection\n[grid]\ncells = 64\n[initial]\n"
+        "profile = sine\namplitude = 1e160\n[scheme]\nt_end = 0.05\n")).encode()
     yield "audit/row-only", _row_only_audit_case
     yield "audit/nan-dissipation", _nan_dissipation_audit_case
 
