@@ -559,7 +559,8 @@ def validate_model(model):
 
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
     eigvals = np.linalg.eigvalsh(sym)
-    _check(report, "psd", max(0.0, -float(eigvals.min())), TOL_PSD)
+    lowest = float(eigvals.min())
+    _check(report, "psd", 0.0 if lowest >= 0.0 else -lowest, TOL_PSD)  # NaN stays, and fails
 
     try:
         sig = _vector(model, "sqrt_factor", us)

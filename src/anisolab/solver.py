@@ -28,32 +28,32 @@ order, a NaN jump making its statistic NaN for good. Every row, statistic
 and snapshot has the bits of a measure after each step.
 
 The stencils are periodic slice kernels (_Stencils) on one layout in 1-d
-and 2-d. Every array they own (the stage field, one buffer per distinct
-flux, B and beta entry, two work arrays) is a frame: the field padded by a
-ghost cell at each end of every axis, flattened over the axes, and preceded
-by the few unused values that put its first cell on a 64-byte line. Each
-frame is a slice of a slightly larger array, so its start, where an entry
-program starts, is on a line too, and so is every batch row's. A shift by s
-along axis k is a flat offset of s times the axis's stride, so each stencil
-term, each row of the mixed one included, is one ufunc call (x, y, out) on
-contiguous flat ranges, and every output range starts at the first cell:
-face i - 1/2 is stored at cell i. In 2-d a range crosses the ghost cells
-between rows, computed and never read. The views are bound once per run, as
-programs of (fn, args) steps. One stage call, _Stencils.tendency, serves the
-stepper and the one-shot operators, which return its diffusion or its flux
-part; the dissipation keeps its own program for beta. A call copies the field
-into the frame, fills the ghosts axis by axis (the corners too), writes the
-entries (one buffer and one evaluation per distinct entry object; an entry
-with in-place steps runs them, any other is copied in) and runs its term
-programs, the diffusion terms, then the flux terms. 0.5 alpha_k and dt are
-explicit calls on Python floats. The second stage's field is written
+and 2-d, lone or batched. Every array they own (the stage field, one buffer
+per distinct flux, B and beta entry, two work arrays, the stage's diffusion
+and flux parts) is a frame: one flat array on a 64-byte line, one row per
+field. A row is the field padded by a ghost cell at each end of every axis
+and flattened, after the few values that put its first cell on a line and
+before the few that round it up to whole lines. A shift by s along axis k is
+a flat offset of s times the axis's stride, so each stencil term, each row
+of the mixed one included, is one ufunc call (x, y, out) on contiguous flat
+ranges from the first row's first cell to the last row's last cell: face
+i - 1/2 is stored at cell i. A range crosses the ghosts between grid lines
+and the values between rows, computed and never read, as each row carries
+its own ghosts. The views are bound once per run, as programs of (fn, args)
+steps. One stage call, _Stencils.tendency, sums each term into its part's
+range; the stepper subtracts and scales the parts over it, and the one-shot
+operators copy a part's cells. The dissipation keeps its own beta program.
+A call copies the field into the frame, fills the ghosts axis by axis (the
+corners too), writes the entries (one buffer and one evaluation per distinct
+entry object; an entry with in-place steps runs them, any other is copied
+in) and runs the diffusion terms, then the flux terms. 0.5 alpha_k and dt
+are explicit calls on Python floats. The second stage's field is written
 straight into the frame. No array handed back is a stencil buffer or a view
-of one. The kernels divide
-by h, h^2, 2h and 4 h_0 h_1, or multiply by the reciprocal when the divisor
-is a power of two (then both round the same real number), so they match the
-whole-array periodic-shift form of each stencil bit for bit; the tests keep
-that form as the reference. The entries come from the table
-model.model_table.
+of one. The kernels divide by h, h^2, 2h and 4 h_0 h_1, or multiply by the
+reciprocal when the divisor is a power of two (then both round the same
+real number), so they match the whole-array periodic-shift form of each
+stencil bit for bit; the tests keep that form as the reference. The entries
+come from the table model.model_table.
 
 Wave bounds, max |a_k| for the flux and max |A_ij| for the time step, are
 taken over the current field's range [min u, max u], not clipped to
@@ -314,7 +314,7 @@ def _range(values):
 def _term(ufunc, plan, x, y, out):
     """The step out[i] = ufunc(x[i + sx], y[i + sy]); ``plan`` holds its flat ranges (out, x, y)."""
     o, ix, iy = plan
-    return ufunc, (x[..., ix], y[..., iy], out[..., o])
+    return ufunc, (x[ix], y[iy], out[o])
 
 
 def _scale(x, c):
@@ -338,16 +338,6 @@ def _copy_into(entry, u, out):
 _LINE = 8  # float64 values per 64-byte cache line
 
 
-def _on_lines(shape, lead=0):
-    """A zeroed float array of ``shape`` that starts on a 64-byte line, as does each of
-    its rows along the first ``lead`` axes: a view of a larger array whose rows are
-    padded to whole lines, plus one. Without ``lead`` it is contiguous."""
-    row = math.prod(shape[lead:])
-    raw = np.zeros(shape[:lead] + (row - row % -_LINE + _LINE,))
-    skip = -raw.ctypes.data // raw.itemsize % _LINE
-    return raw[..., skip:skip + row].reshape(shape)  # splits the last axis: a view
-
-
 # Axis-aligned stencil terms along axis k, out[i] = op(x[i + sx], y[i + sy]):
 # name -> (sx, sy, hi), shifts in cells along k. Every output range starts at
 # the first cell, so on a line; faces run hi = 1 cell past the last along k:
@@ -368,52 +358,57 @@ _MIXED = (((1, 1), (1, -1)), ((0, 0), (-1, 1)), ((0, 0), (-1, -1)))
 class _Stencils:
     """The scheme's periodic stencils for one model and grid, on fields of one shape.
 
-    Every array they own is a frame (module docstring). The programs are bound
-    on first use: one entry program for B and f with the flux and diffusion
-    terms on its buffers, which ``tendency`` (a stage) loads, and the beta
-    program of ``dissipation``. So no stencil except the dissipation needs
-    sigma, beta or a PSD diffusion matrix. A call loads the field, runs the
-    entry program and each term's program, and adds the cells of each result
-    into its output. Leading batch axes of ``shape`` (a lockstep pair) pass
-    through.
+    Every array they own is a frame (module docstring), the stage's diffusion
+    and flux parts included. The programs are bound on first use: one entry
+    program for B and f with the flux and diffusion terms on its buffers, which
+    ``tendency`` (a stage) loads, and the beta program of ``dissipation``. So
+    no stencil except the dissipation needs sigma, beta or a PSD diffusion
+    matrix. A call loads the field, runs the entry program and each term's
+    program, and adds each result's range into its part's. Leading batch axes
+    of ``shape`` are the frames' rows; ``cells``, ``work_cells`` (work[0]) and
+    ``part_cells`` view the cells of frames in ``shape``.
     """
 
     def __init__(self, model, grid, shape):
         self.table = table = model_table(model)
         d = grid.dimension
-        self.d, self.shape, self.h = d, tuple(shape), grid.spacings
+        self.d, self.h = d, grid.spacings
         self.cell_volume = grid.cell_volume
         self.bounds, self.flux_is_zero = table.bounds, table.flux_is_zero
-        lead, ns = self.shape[:-d], self.shape[-d:]
+        lead, ns = tuple(shape[:-d]), tuple(shape[-d:])
         padded = tuple(n + 2 for n in ns)
-        strides = [math.prod(padded[k + 1:]) for k in range(d)]
-        # The padded field starts `pad` values into each frame row, so that cell
-        # (1, ..., 1) falls on a line; a plan is a term's (out, x, y) ranges.
-        pad = -sum(strides) % _LINE
-        self.frame_shape = lead + (pad + math.prod(padded),)
-        self.work = [self._frame() for _ in range(2)]
-        self.u = u = self._frame()
-        # Cell (1, ..., 1) to (n_0, ..., n_last).
-        self.span = span = slice(pad + sum(strides), pad + sum(map(mul, ns, strides)) + 1)
+        size, strides = math.prod(padded), [math.prod(padded[k + 1:]) for k in range(d)]
+        # The padded field starts `pad` values into each row, so that cell (1, ..., 1)
+        # falls on a line, and a row runs on to a whole number of lines.
+        pad, rows = -sum(strides) % _LINE, math.prod(lead)
+        row = pad + size - (pad + size) % -_LINE
+        self.size, last = rows * row, pad + sum(map(mul, ns, strides))
+        self.u, *self.work, diff, hyp = (self._frame() for _ in range(5))
+        # Cell (1, ..., 1) of the first row to (n_0, ..., n_last) of the last; a plan
+        # is a term's (out, x, y) ranges.
+        self.span = span = slice(pad + sum(strides), self.size - row + last + 1)
 
         def plan(sx, sy, hi=0):
             return tuple(slice(span.start + s, span.stop + hi + s) for s in (0, sx, sy))
 
         self.plans = [{name: plan(sx * s, sy * s, hi * s) for name, (sx, sy, hi) in _TERMS.items()}
                       for s in strides]
-        self.mixed = tuple(plan(*(sum(map(mul, s, strides)) for s in row))
-                           for row in _MIXED) if d == 2 else ()
-        # The work arrays' cell ranges; the cells of the field and work arrays as fields.
-        self.work_span = [w[..., self.span] for w in self.work]
-        grid_u, *grid_work = (a[..., pad:].reshape(lead + padded) for a in (u, *self.work))
+        self.mixed = tuple(plan(*(sum(map(mul, s, strides)) for s in shifts))
+                           for shifts in _MIXED) if d == 2 else ()
+        # The spans; padded fields and cells in ``shape`` (views: each reshape splits an axis).
+        self.work_span, self.parts = [w[span] for w in self.work], (diff[span], hyp[span])
+        grids = [a.reshape(rows, row)[:, pad:pad + size].reshape(lead + padded)
+                 for a in (self.u, self.work[0], diff, hyp)]
         inside = (Ellipsis,) + tuple(slice(1, n + 1) for n in ns)
-        self.cells, *self.work_cells = (a[inside] for a in (grid_u, *grid_work))
-        self.ghosts = [pair for k, n in enumerate(ns) for g in [np.moveaxis(grid_u, k - d, -1)]
+        self.cells, self.work_cells, *self.part_cells = (g[inside] for g in grids)
+        self.ghosts = [pair for k, n in enumerate(ns) for g in [np.moveaxis(grids[0], k - d, -1)]
                        for pair in ((g[..., :1], g[..., n:n + 1]), (g[..., n + 1:], g[..., 1:2]))]
 
     def _frame(self):
-        """A zeroed frame, each batch row on a line (module docstring)."""
-        return _on_lines(self.frame_shape, len(self.shape) - self.d)
+        """A zeroed frame (module docstring): a view, on a line, of an array a line longer."""
+        raw = np.zeros(self.size + _LINE)
+        skip = -raw.ctypes.data // raw.itemsize % _LINE
+        return raw[skip:skip + self.size]
 
     def load(self, values, program=()):
         """The stage field holding ``values`` (taken as it is if it is the stage
@@ -453,8 +448,8 @@ class _Stencils:
     @cached_property
     def _programs(self):
         """The one entry program for B and f; per axis k the flux program (before, rise
-        to scale by 0.5 alpha_k, after), whose result is work[1]'s cells; and one
-        (program, result cells) per diffusion term: B_ii along axis i, then B_01."""
+        to scale by 0.5 alpha_k, after); and one program per diffusion term, B_ii along
+        axis i, then B_01. Every term's result is work[1]'s span."""
         b = self.b_entries
         bufs, program = self._entries({**b, **self.table.f}, [(k,) for k in range(self.d)])
         u, (w0, w1), (c0, c1) = self.u, self.work, self.work_span
@@ -463,57 +458,59 @@ class _Stencils:
             # face (w0) = 0.5 (f[i-1] + f[i]) - 0.5 alpha (u[i] - u[i-1]), the rise in w1;
             # div overwrites the rise
             fa, faces = bufs[k,], plan["face"][0]
-            fc, rc = w0[..., faces], w1[..., faces]
+            fc, rc = w0[faces], w1[faces]
             before = [_term(np.add, plan["face"], fa, fa, w0), (np.multiply, (fc, 0.5, fc)),
                       _term(np.subtract, plan["rise"], u, u, w1)]
             after = [(np.subtract, (fc, rc, fc)), _term(np.subtract, plan["div"], w0, w0, w1),
                      _scale(c1, self.h[k])]
             flux.append((before, rc, after))
         # (B[i+1] - 2 B[i]) + B[i-1]
-        diffusion = [(((np.multiply, (bufs[i, i][..., self.span], 2.0, c0)),
-                       _term(np.subtract, plan["b_up"], bufs[i, i], w0, w1),
-                       _term(np.add, plan["b_down"], w1, bufs[i, i], w1),
-                       _scale(c1, self.h[i] ** 2)), self.work_cells[1])
+        diffusion = [((np.multiply, (bufs[i, i][self.span], 2.0, c0)),
+                      _term(np.subtract, plan["b_up"], bufs[i, i], w0, w1),
+                      _term(np.add, plan["b_down"], w1, bufs[i, i], w1),
+                      _scale(c1, self.h[i] ** 2))
                      for i, plan in enumerate(self.plans) if (i, i) in b]
         if (0, 1) in b:
             # ((B[i+1,j+1] - B[i+1,j-1]) - B[i-1,j+1]) + B[i-1,j-1], times 2 / (4 h_0 h_1)
             bb, (first, second, third) = bufs[0, 1], self.mixed
-            diffusion.append(((
-                _term(np.subtract, first, bb, bb, w0), _term(np.subtract, second, w0, bb, w0),
-                _term(np.add, third, w0, bb, w0), (np.multiply, (c0, 2.0, c0)),
-                _scale(c0, 4.0 * self.h[0] * self.h[-1])), self.work_cells[0]))
+            diffusion.append((
+                _term(np.subtract, first, bb, bb, w1), _term(np.subtract, second, w1, bb, w1),
+                _term(np.add, third, w1, bb, w1), (np.multiply, (c1, 2.0, c1)),
+                _scale(c1, 4.0 * self.h[0] * self.h[-1])))
         return program, flux, diffusion
 
-    def tendency(self, values, alphas, diff, hyp):
-        """One stage from one load: the second differences of B(u) summed into ``diff``,
-        then the divergence of the LLF flux summed over axes into ``hyp``, which is
-        returned; None, with ``hyp`` untouched, without flux entries and alphas.
+    def tendency(self, values, alphas):
+        """One stage from one load: the second differences of B(u) summed into the
+        diffusion part's span, then the divergence of the LLF flux summed over axes into
+        the flux part's. Returns whether the flux part ran: without flux entries and
+        alphas it is skipped, and its part left as it was.
 
         B_ii is two rows along axis i; B_01 (2-d) is the three rows of
         ``_MIXED``, scaled by 2 / (4 h_0 h_1).
         """
         program, flux, diffusion = self._programs
+        (diff, hyp), result = self.parts, self.work_span[1]
         self.load(values, program)
         if not diffusion:
             diff.fill(0.0)
         # The first term writes 0.0 + its result, the bits of a zero fill and an add.
-        for i, (steps, result) in enumerate(diffusion):
+        for i, steps in enumerate(diffusion):
             _run(steps)
             np.add(diff if i else 0.0, result, out=diff)
         if self.flux_is_zero and not any(alphas):
-            return None
+            return False
         for k, (before, rise, after) in enumerate(flux):
             _run(before)
             np.multiply(rise, 0.5 * alphas[k], rise)
             _run(after)
-            np.add(hyp if k else 0.0, self.work_cells[1], out=hyp)
-        return hyp
+            np.add(hyp if k else 0.0, result, out=hyp)
+        return True
 
     @cached_property
     def _dissipation(self):
         """The beta program, per axis k the program of sum_i D_i beta_ik into work[0], its
-        cells, and the contiguous array np.vdot reads them from: the cells themselves in
-        1-d, a copy in 2-d, where np.vdot would copy the strided view once per operand."""
+        cells, and the contiguous array np.vdot reads them from: the cells themselves for a
+        lone 1-d field, else a copy, as np.vdot would copy the strided view once per operand."""
         beta, program = self._entries(self.table.beta)
         (acc, grad), (ca, cg) = self.work, self.work_span
         sums = []
@@ -528,7 +525,7 @@ class _Stencils:
                         steps.append((np.add, (ca, cg, ca)))
             if steps:
                 sums.append(steps)
-        cells = self.work_cells[0]
+        cells = self.work_cells
         return program, sums, cells, cells if cells.flags.c_contiguous else np.empty(cells.shape)
 
     def dissipation(self, values):
@@ -568,18 +565,16 @@ def hyperbolic_div(model, fld, grid):
     values = _grid_values(fld, grid)
     stencils = _Stencils(model, grid, values.shape)
     alphas, _ = stencils.bounds(*_range(values))
-    hyp = np.zeros_like(values)
-    stencils.tendency(values, alphas, np.empty_like(values), hyp)
-    return hyp
+    ran = stencils.tendency(values, alphas)
+    return stencils.part_cells[1].copy() if ran else np.zeros_like(values)
 
 
 def diffusion_div(model, fld, grid):
     """Discrete divergence of A(u) grad u via primitives of A."""
     values = _grid_values(fld, grid)
-    diff = np.empty_like(values)
-    _Stencils(model, grid, values.shape).tendency(values, [0.0] * grid.dimension, diff,
-                                                  np.empty_like(values))
-    return diff
+    stencils = _Stencils(model, grid, values.shape)
+    stencils.tendency(values, [0.0] * grid.dimension)
+    return stencils.part_cells[0].copy()
 
 
 def _cfl_dt(alphas, lams, hs, cfl):
@@ -626,6 +621,8 @@ def stable_dt(model, fld, grid, cfl=0.4, output_every=None):
 def _stepper(stencils, scheme):
     """The scheme map, shared by step, run and run_lockstep.
 
+    A stage's increment, dt (diffusion - flux), is made in the stencils'
+    diffusion part over its one range and read through its cells (``inc``).
     Returns ``advance(values, rng, t, cap, idle, dt=None) -> (new_values,
     new_rng, dt, cut)`` for fields of the stencils' shape, where ``rng`` and
     ``new_rng`` are the (min, max) of ``values`` and ``new_values`` over any
@@ -639,7 +636,13 @@ def _stepper(stencils, scheme):
     than the CFL step (capped, or the ``idle`` step).
     """
     two_stage = scheme.integrator != "euler"
-    tend, hyp = (_on_lines(stencils.shape) for _ in range(2))
+    (diff, hyp), inc = stencils.parts, stencils.part_cells[0]
+
+    def increment(values, alphas, dt):
+        """dt (diffusion - flux) of one stage; the flux part only if the stage ran it."""
+        if stencils.tendency(values, alphas):
+            np.subtract(diff, hyp, out=diff)
+        np.multiply(diff, dt, out=diff)
 
     def advance(values, rng, t, cap, idle, dt=None):
         alphas, lams = stencils.bounds(*rng)
@@ -654,16 +657,12 @@ def _stepper(stencils, scheme):
                     raise ConfigurationError(
                         "model has no dynamics; set output_every or pass dt explicitly")
                 dt, cut = idle, True
-        flux = stencils.tendency(values, alphas, tend, hyp)
-        inc = tend if flux is None else np.subtract(tend, flux, out=tend)
-        inc *= dt
+        increment(values, alphas, dt)
         if two_stage:
             # 0.5 * ((u + u1) + dt * L(u1)), u1 = u + dt L(u) written as the stage field
             np.add(values, inc, out=stencils.cells)
             stencils.fill_ghosts()
-            flux = stencils.tendency(stencils.u, alphas, tend, hyp)
-            inc = tend if flux is None else np.subtract(tend, flux, out=tend)
-            inc *= dt
+            increment(stencils.u, alphas, dt)
             new_values = np.add(stencils.cells, values)
             new_values += inc
             new_values *= 0.5

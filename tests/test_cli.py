@@ -284,6 +284,21 @@ def test_validate_model_negative_diffusion_fails(tmp_path):
     assert by_name["psd"]["passed"] is False
 
 
+def test_validate_model_fails_psd_where_the_diffusion_overflows(tmp_path):
+    # A11 = 1e300 u^2 overflows on |u| <= 1e10, so eigvalsh gives NaN
+    # eigenvalues: the psd line keeps the NaN and fails.
+    cfg = write(tmp_path / "v.cfg", "[model]\nname = overflow\ndimension = 2\n"
+                "f1 = 0, 0, 0.5\nf2 = 0, 1\nA11 = 0, 0, 1e300\nA22 = 1\nstate_bound = 1e10\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["validate-model", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == 2
+    records = [json.loads(l) for l in
+               (out / "validation.jsonl").read_text(encoding="utf-8").splitlines()]
+    psd = {r["check"]: r for r in records if "check" in r}["psd"]
+    assert psd["passed"] is False and np.isnan(psd["residual"])
+
+
 # --- sweep -------------------------------------------------------------------
 
 SWEEP_BASE = """\

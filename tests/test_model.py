@@ -395,6 +395,19 @@ def test_validate_model_flags_negative_diffusion():
     assert not report.checks["psd"].passed
 
 
+def test_validate_model_fails_psd_on_a_nan_diffusion_matrix():
+    # Python's max drops a NaN; the psd line must keep it and fail.
+    m = ModelSpec(
+        dimension=1,
+        flux=lambda u: np.zeros(np.shape(u) + (1,)),
+        diffusion=lambda u: np.where(np.asarray(u) > 0.5, np.nan, 1.0)[..., None, None],
+        state_bound=1.0,
+        name="nan-above-half",
+    )
+    psd = validate_model(m).checks["psd"]
+    assert np.isnan(psd.residual) and not psd.passed
+
+
 # --- entries and exact bounds ------------------------------------------------
 
 def _states():

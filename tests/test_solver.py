@@ -358,6 +358,13 @@ STENCIL_CASES = [
     # h, h^2, 2h and 4 h_0 h_1 are powers of two: every scaling is a multiply.
     ("coupled-cubic", (1.0, 2.0), (), (8, 16)),
     ("viscous-only", (1.0,), (), (16,)),
+    # Batches of 3 and 5 rows; on 7 cells a 1-d row is exactly two lines (a pad of
+    # 7 and 9 padded cells), so no tail separates one row from the next.
+    ("porous-medium", (1.5,), (3,), (13,)),
+    ("coupled-cubic", (1.0, 2.0), (3,), (5, 6)),
+    ("anisotropic-2d", (2.0, 1.0), (5,), (6, 4)),
+    ("burgers-degenerate", (1.0,), (3,), (7,)),
+    ("whole-burgers-degenerate", (1.0,), (5,), (7,)),
 ]
 
 
@@ -374,9 +381,9 @@ def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, ce
         alphas, _ = tables.bounds(float(v.min()), float(v.max()))
         # A stage (one load, one entry program for B and f) fills both parts;
         # without flux entries and alphas it skips the flux part, zero here.
-        diff, hyp = np.empty_like(v), np.zeros_like(v)
-        assert stencils.tendency(v, alphas, diff, hyp) is (hyp if tables.f or any(alphas)
-                                                          else None)
+        ran = stencils.tendency(v, alphas)
+        assert ran is bool(tables.f or any(alphas))
+        diff, hyp = stencils.part_cells if ran else (stencils.part_cells[0], np.zeros_like(v))
         assert hyp.tobytes() == roll_hyperbolic(v, m, g, alphas).tobytes()
         assert diff.tobytes() == roll_diffusion(v, g, tables).tobytes()
         assert stencils.dissipation(v) == roll_dissipation(v, g, tables)
@@ -397,14 +404,69 @@ def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, ce
         assert diffusion_div(m, fld, g).tobytes() == roll_diffusion(values, g, tables).tobytes()
 
 
-@pytest.mark.parametrize("batch", [(), (2,)])
+def _recording_frames(monkeypatch):
+    """The list of every frame the stencils make from here on."""
+    frames, real_frame = [], _Stencils._frame
+
+    def frame(self):
+        frames.append(real_frame(self))
+        return frames[-1]
+
+    monkeypatch.setattr(_Stencils, "_frame", frame)
+    return frames
+
+
+def _nan_between_rows(frames, shape, d):
+    """NaN in every frame value outside the rows' padded fields of ``shape``: each
+    row's pad before its padded field and its tail up to a whole line."""
+    padded = [n + 2 for n in shape[-d:]]
+    pad = -sum(math.prod(padded[k + 1:]) for k in range(d)) % 8
+    for frame in frames:
+        rows = frame.reshape(math.prod(shape[:-d]), -1)
+        rows[:, :pad] = np.nan
+        rows[:, pad + math.prod(padded):] = np.nan
+
+
+@pytest.mark.parametrize("name,periods,batch,cells", [c for c in STENCIL_CASES if c[2]])
+def test_values_between_batch_rows_are_never_read(name, periods, batch, cells, monkeypatch):
+    # Each row carries its own ghosts, so a cell reads only its own row's padded
+    # field; with every value between the rows NaN, a stage's parts, the
+    # dissipation and a lockstep step keep their bits.
+    frames = _recording_frames(monkeypatch)
+    m = STENCIL_MODELS[name] if name in STENCIL_MODELS else preset(name)
+    g = PeriodicGrid.make(list(periods), list(cells))
+    values = np.random.default_rng(11).uniform(-0.9, 0.9, batch + cells)
+    tables = model_table(m)
+    stencils = _Stencils(m, g, values.shape)
+    rng = float(values.min()), float(values.max())
+    alphas, _ = tables.bounds(*rng)
+    # Bind every program, so that every frame exists, then fill before each call.
+    stencils.tendency(values, alphas)
+    stencils.dissipation(values)
+    _nan_between_rows(frames, values.shape, g.dimension)
+    ran = stencils.tendency(values, alphas)
+    diff, hyp = stencils.part_cells if ran else (stencils.part_cells[0], np.zeros_like(values))
+    assert hyp.tobytes() == roll_hyperbolic(values, m, g, alphas).tobytes()
+    assert diff.tobytes() == roll_diffusion(values, g, tables).tobytes()
+    _nan_between_rows(frames, values.shape, g.dimension)
+    assert stencils.dissipation(values) == roll_dissipation(values, g, tables)
+    _nan_between_rows(frames, values.shape, g.dimension)
+    scheme, dt = SchemeConfig(t_end=1.0), 0.5 * stable_dt(m, values, g)
+    together, _, _, _ = solver_mod._stepper(stencils, scheme)(values, rng, 0.0, math.inf, None, dt)
+    for member, got in zip(values.reshape((-1,) + cells), together.reshape((-1,) + cells)):
+        lone = solver_mod._stepper(_Stencils(m, g, cells), scheme)
+        assert got.tobytes() == lone(member, rng, 0.0, math.inf, None, dt)[0].tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (2,), (3,)])
 @pytest.mark.parametrize("name,cells", [("burgers-degenerate", (16,)), ("anisotropic-2d", (6, 5)),
                                         ("coupled-cubic", (5, 4))])
 def test_every_term_is_one_step_on_flat_ranges(name, cells, batch, monkeypatch):
-    # One layout in 1-d and 2-d: every term of _TERMS and row of _MIXED binds
-    # one ufunc step, and each of its operands is a contiguous range of the
-    # flat last axis of a stencil-owned array (batch axes passing through).
+    # One layout in 1-d and 2-d, lone or batched: every term of _TERMS and row
+    # of _MIXED binds one ufunc step, and each of its operands is one contiguous
+    # range of a flat stencil-owned frame, across the batch's rows.
     bound, ran = [], []
+    frames = _recording_frames(monkeypatch)
 
     def recording(ufunc, plan, x, y, out):
         bound.append((plan, real(ufunc, plan, x, y, out)))
@@ -422,7 +484,7 @@ def test_every_term_is_one_step_on_flat_ranges(name, cells, batch, monkeypatch):
     values = np.random.default_rng(5).uniform(-0.9, 0.9, batch + cells)
     stencils = _Stencils(m, g, values.shape)
     alphas, _ = stencils.bounds(float(values.min()), float(values.max()))
-    stencils.tendency(values, alphas, np.empty_like(values), np.empty_like(values))
+    stencils.tendency(values, alphas)
     stencils.dissipation(values)
 
     d, b = len(cells), stencils.b_entries
@@ -437,14 +499,23 @@ def test_every_term_is_one_step_on_flat_ranges(name, cells, batch, monkeypatch):
         assert fn in (np.add, np.subtract) and len(args) == 3
         for arr in args:
             root = arr if arr.base is None else arr.base
-            assert root.base is None and root.ndim == len(batch) + 1
-            assert arr.shape == batch + args[2].shape[-1:] and arr.strides == root.strides
+            assert root.base is None and root.ndim == 1
+            assert arr.shape == args[2].shape and arr.strides == root.strides
     # Every bound step's output (terms, entry steps, scalings) starts on a
-    # 64-byte line, in every batch row.
+    # 64-byte line.
     assert len(ran) > len(bound)
     for fn, args in ran:
         out = fn.__self__ if isinstance(getattr(fn, "__self__", None), np.ndarray) else args[-1]
-        assert all(out[row].ctypes.data % 64 == 0 for row in np.ndindex(batch)), (fn, args)
+        assert out.ndim == 1 and out.ctypes.data % 64 == 0, (fn, args)
+    # Every frame starts on a line and holds its rows in whole lines, and every
+    # row's first cell is on a line.
+    rows = math.prod(batch)
+    assert len(frames) > 5
+    assert all(f.ndim == 1 and f.ctypes.data % 64 == 0 and f.size % (8 * rows) == 0
+               for f in frames)
+    for cells in (stencils.cells, stencils.work_cells, *stencils.part_cells):
+        assert cells.shape == values.shape
+        assert all(cells[row].ctypes.data % 64 == 0 for row in np.ndindex(batch))
 
 
 @settings(max_examples=300, deadline=None)
@@ -602,7 +673,7 @@ def test_one_entry_program_serves_every_stencil_but_the_dissipation(monkeypatch)
     stencils = _Stencils(m, g, values.shape)
     alphas, _ = stencils.bounds(float(values.min()), float(values.max()))
     for _ in range(2):
-        stencils.tendency(values, alphas, np.empty_like(values), np.empty_like(values))
+        stencils.tendency(values, alphas)
         stencils.dissipation(values)
     assert calls == [([(0, 0), (0,), (1,)], [(0,), (1,)]), ([(0, 0)], [])]
     stage = loaded[0]
@@ -698,6 +769,14 @@ def test_one_shot_operators_take_batched_fields():
         got = op(m, batch, g)
         assert got.shape == (2, 64)
         assert np.array_equal(got[0], op(m, CellField(one, 0.0), g))
+    # A batch of 3 rows of one range, so of one alpha: each row is its lone
+    # field's result, bit for bit.
+    members = (one, -one, np.roll(one, 7))
+    for model in (m, preset("burgers-degenerate")):
+        for op in (hyperbolic_div, diffusion_div):
+            got = op(model, np.stack(members), g)
+            assert got.shape == (3, 64)
+            assert [row.tobytes() for row in got] == [op(model, v, g).tobytes() for v in members]
     assert stable_dt(m, batch, g) == stable_dt(m, CellField(one, 0.0), g)
     assert parabolic_dissipation(m, batch, g) > parabolic_dissipation(m, one, g)
     # The norms take one field; a stack of ones and zeros is not folded into

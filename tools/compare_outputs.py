@@ -33,7 +33,9 @@ of the difference, and exits 1 if any case differs. The cases are:
   so the stencils scale by multiplying (``run/cells-8x16/coupled-cubic``,
   ...), and a run of anisotropic-2d on 16x16 cells, whose every scaling is a
   multiply and whose flux and B share the entry u^3/3
-  (``run/cells-16x16/anisotropic-2d``);
+  (``run/cells-16x16/anisotropic-2d``); a lockstep pair on 7 cells, where each
+  batch row of the frame is exactly two 64-byte lines with no tail between the
+  rows (``run/lockstep/cells-7/burgers-degenerate``);
   and the run and step cases under the one-stage Euler integrator for
   burgers-degenerate and porous-medium (64 cells) and anisotropic-2d
   (16x12) (``run/euler/...``, ``step/euler/...``);
@@ -41,7 +43,10 @@ of the difference, and exits 1 if any case differs. The cases are:
   parabolic_dissipation on the run cases' initial field, for every preset,
   coupled-cubic, a copy of coupled-cubic whose primitives are spline tables
   (``oneshot/spline/coupled-cubic``) and whole/burgers-degenerate, plus one
-  batched pair of coupled-cubic fields (``oneshot/batch/coupled-cubic``);
+  batched pair of coupled-cubic fields (``oneshot/batch/coupled-cubic``) and
+  batches of three fields (the field, its negative and its half) on 5 cells
+  and on 4x6 cells (``oneshot/batch-3/burgers-degenerate``,
+  ``oneshot/batch-3/cells-4x6/anisotropic-2d``);
   the one-shot and step cases of a hand-built 1-d model with a zero flux and
   a nonzero speed, the edge of the stage's rule for skipping the flux part
   (``oneshot/viscous-only``, ``step/viscous-only``);
@@ -228,15 +233,15 @@ def _trajectory_record(traj):
             traj.final.values.tobytes())
 
 
-def _oneshot_case(model, batch=False):
+def _oneshot_case(model, batch=1, cells=None):
     """hyperbolic_div, diffusion_div and parabolic_dissipation on the run cases' field;
-    ``batch`` stacks it with its negative."""
+    a ``batch`` of 2 stacks it with its negative, one of 3 with its half too."""
     import numpy as np
     from anisolab.diagnostics import parabolic_dissipation
     from anisolab.solver import diffusion_div, hyperbolic_div, init_field
-    grid, profile = _run_setup(model)
+    grid, profile = _run_setup(model, cells)
     values = init_field(grid, profile).values
-    values = np.stack([values, -values]) if batch else values
+    values = np.stack([values, -values, 0.5 * values][:batch]) if batch > 1 else values
     return pickle.dumps([_outcome(lambda op=op: op(model, values, grid).tobytes())
                          for op in (hyperbolic_div, diffusion_div)]
                         + [_outcome(lambda: parabolic_dissipation(model, values, grid))])
@@ -681,6 +686,8 @@ def cases():
 
     yield ("run/lockstep/burgers-degenerate",
            lambda: _lockstep_case(models["burgers-degenerate"], 48))
+    yield ("run/lockstep/cells-7/burgers-degenerate",
+           lambda: _lockstep_case(models["burgers-degenerate"], 7))
     for name in ("burgers-degenerate", "porous-medium", "bare/burgers-degenerate"):
         for n in (4, 5):
             model = models[name]
@@ -705,7 +712,11 @@ def cases():
     oneshot["spline/coupled-cubic"] = replace(coupled, b_primitive=None, beta_primitive=None)
     for name, model in oneshot.items():
         yield f"oneshot/{name}", lambda m=model: _oneshot_case(m)
-    yield "oneshot/batch/coupled-cubic", lambda: _oneshot_case(coupled, batch=True)
+    yield "oneshot/batch/coupled-cubic", lambda: _oneshot_case(coupled, batch=2)
+    yield ("oneshot/batch-3/burgers-degenerate",
+           lambda: _oneshot_case(models["burgers-degenerate"], batch=3, cells=5))
+    yield ("oneshot/batch-3/cells-4x6/anisotropic-2d",
+           lambda: _oneshot_case(models["anisotropic-2d"], batch=3, cells=(4, 6)))
     viscous = _viscous_only_model()
     yield "oneshot/viscous-only", lambda: _oneshot_case(viscous)
     yield "step/viscous-only", lambda: _step_case(viscous)
