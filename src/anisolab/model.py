@@ -31,7 +31,7 @@ cached ``model_table`` holds per model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -242,17 +242,35 @@ class Poly:
 
         A critical point's value is raised by a bound on the rounding error
         of evaluating p, so no evaluation of p near it exceeds the result;
-        a bound that overflows makes the result inf.
+        a bound that overflows makes the result inf. Both ends take the float
+        operations of ``p(lo)`` and ``p(hi)`` in one pass over the Horner steps.
         """
-        top = max(abs(self(lo)), abs(self(hi)))
-        inner = [v for r, v in self._critical_abs if lo < r < hi]
-        if inner:
+        c, div = self.coeffs, self.div
+        if len(c) == 1:
+            a = b = c[0] / div
+        else:
+            a, b = c[-1] * lo, c[-1] * hi
+            for cn, multiply in self._horner:
+                if cn:
+                    a += cn
+                    b += cn
+                if multiply:
+                    a *= lo
+                    b *= hi
+            if div != 1.0:
+                a, b = a / div, b / div
+        top = max(abs(a), abs(b))
+        inner = None
+        for r, v in self._critical_abs:
+            if lo < r < hi:
+                inner = v if inner is None else max(inner, v)
+        if inner is not None:
             m = max(abs(lo), abs(hi))
             try:
                 scale = sum(c * m ** n for n, c in self._abs_terms) / self._abs_div
             except OverflowError:
                 return float("inf")
-            top = max(top, max(inner) + self._rounding * scale)
+            top = max(top, inner + self._rounding * scale)
         return float(top)
 
 
@@ -418,7 +436,9 @@ class ModelTable:
     index order with zero entries absent, each built on first use.
     ``bounds(lo, hi)`` gives the wave bounds over [lo, hi] as the stepper
     reads them: max |a_k| as a list of d floats and max |A_ij| as a d x d
-    nested list of floats.
+    nested list of floats, each from its entry's bound: ``Poly.max_abs``,
+    exact, or SAMPLED_BOUND_POINTS samples of any other entry (not a
+    supremum).
     """
 
     def __init__(self, model):
@@ -432,21 +452,27 @@ class ModelTable:
     beta = cached_property(lambda self: _entries(self.model, "beta_primitive"))
     flux_is_zero = property(lambda self: not self.f)
 
+    @cached_property
+    def _bound_slots(self):
+        """(row, index, bound) for each speed entry, then each A entry: row 0 is alphas
+        and row 1 + i is lams[i]; a Poly's bound is its max_abs, any other entry's sampled."""
+        slots = [(0, k, e) for (k,), e in self.speed.items()]
+        slots += [(1 + i, j, e) for (i, j), e in self.a.items()]
+        return tuple((r, k, e.max_abs if isinstance(e, Poly) else partial(_max_abs, e))
+                     for r, k, e in slots)
+
     def bounds(self, lo, hi):
         """(alphas, lams) over [lo, hi], 0.0 for an absent entry."""
         d = self.model.dimension
         alphas, lams = [0.0] * d, [[0.0] * d for _ in range(d)]
-        for (k,), e in self.speed.items():
-            alphas[k] = _max_abs(e, lo, hi)
-        for (i, j), e in self.a.items():
-            lams[i][j] = _max_abs(e, lo, hi)
+        rows = [alphas, *lams]
+        for r, k, bound in self._bound_slots:
+            rows[r][k] = bound(lo, hi)
         return alphas, lams
 
 
 def _max_abs(entry, lo, hi):
-    """max |entry| over [lo, hi] as a float: exact for a Poly, else sampled (not a supremum)."""
-    if isinstance(entry, Poly):
-        return entry.max_abs(lo, hi)
+    """max |entry| over [lo, hi] as a float, sampled: not a supremum."""
     return float(np.abs(entry(np.linspace(lo, hi, SAMPLED_BOUND_POINTS))).max())
 
 

@@ -22,10 +22,16 @@ fields (32 at N = 256, one at 128 x 128); it is measured before a stop
 writes its row or snapshot and before a blow-up takes its partial
 trajectory. The means are one row sum over the window's stacked fields, and
 the L1 distances to the contraction constants one subtract, abs and row sum
-in a (cap, constants, *shape) block; the energy (np.vdot) and the
-dissipation stay per field. The per-step statistics then follow in step
-order, a NaN jump making its statistic NaN for good. Every row, statistic
-and snapshot has the bits of a measure after each step.
+in a (cap, constants, *shape) block; the energy is one np.vdot per field.
+The dissipation is one pass of the meter, a second stencil set whose batch
+holds cap fields: its beta and difference programs run over every row, the
+window's fields loaded into the first, and one np.vdot per row sums each as
+the stage stencils sum a lone field. At cap = 1 there is no meter, whose
+frames would only add to the stage's cache footprint: the stage stencils
+measure each field. The per-step statistics then follow in step order in
+local floats, written to RunStats once per window, a NaN jump making its
+statistic NaN for good. Every row, statistic and snapshot has the bits of a
+measure after each step.
 
 The stencils are periodic slice kernels (_Stencils) on one layout in 1-d
 and 2-d, lone or batched. Every array they own (the stage field, one buffer
@@ -42,7 +48,7 @@ and the values between rows, computed and never read, as each row carries
 its own ghosts. The views are bound once per run, as programs of (fn, args)
 steps. One stage call, _Stencils.tendency, sums each term into its part's
 range; the stepper subtracts and scales the parts over it, and the one-shot
-operators copy a part's cells. The dissipation keeps its own beta program.
+operators copy a part's cells. The dissipation has its own beta program.
 A call copies the field into the frame, fills the ghosts axis by axis (the
 corners too), writes the entries (one buffer and one evaluation per distinct
 entry object; an entry with in-place steps runs them, any other is copied
@@ -361,12 +367,12 @@ class _Stencils:
     Every array they own is a frame (module docstring), the stage's diffusion
     and flux parts included. The programs are bound on first use: one entry
     program for B and f with the flux and diffusion terms on its buffers, which
-    ``tendency`` (a stage) loads, and the beta program of ``dissipation``. So
-    no stencil except the dissipation needs sigma, beta or a PSD diffusion
-    matrix. A call loads the field, runs the entry program and each term's
-    program, and adds each result's range into its part's. Leading batch axes
-    of ``shape`` are the frames' rows; ``cells``, ``work_cells`` (work[0]) and
-    ``part_cells`` view the cells of frames in ``shape``.
+    ``tendency`` (a stage) loads, and the beta program of ``dissipation`` and
+    ``dissipations``. So no stencil except the dissipation needs sigma, beta or
+    a PSD diffusion matrix. A call loads the field, runs the entry program and
+    each term's program, and adds each result's range into its part's. Leading
+    batch axes of ``shape`` are the frames' rows; ``cells``, ``work_cells``
+    (work[0]) and ``part_cells`` view the cells of frames in ``shape``.
     """
 
     def __init__(self, model, grid, shape):
@@ -509,8 +515,9 @@ class _Stencils:
     @cached_property
     def _dissipation(self):
         """The beta program, per axis k the program of sum_i D_i beta_ik into work[0], its
-        cells, and the contiguous array np.vdot reads them from: the cells themselves for a
-        lone 1-d field, else a copy, as np.vdot would copy the strided view once per operand."""
+        cells, and the array np.vdot reads them from: in 1-d the cells themselves, as each
+        row's cells are contiguous, else a contiguous copy, as np.vdot would copy the
+        strided view once per operand."""
         beta, program = self._entries(self.table.beta)
         (acc, grad), (ca, cg) = self.work, self.work_span
         sums = []
@@ -526,7 +533,7 @@ class _Stencils:
             if steps:
                 sums.append(steps)
         cells = self.work_cells
-        return program, sums, cells, cells if cells.flags.c_contiguous else np.empty(cells.shape)
+        return program, sums, cells, cells if self.d == 1 else np.empty(cells.shape)
 
     def dissipation(self, values):
         """Discrete parabolic dissipation: sum over k of (sum_i D_i beta_ik)^2.
@@ -547,16 +554,40 @@ class _Stencils:
             total += float(np.vdot(flat, flat).real)
         return total * self.cell_volume
 
+    def dissipations(self, fields):
+        """The dissipation of each of k stacked ``fields``, loaded into the first k rows
+        of a batch: one beta program and one difference program per axis over every row
+        (the rows past k computed and never read), then one np.vdot per row, so that each
+        value has the bits of ``dissipation`` on its field alone."""
+        program, sums, acc, flat = self._dissipation
+        k = len(fields)
+        if not sums:
+            return [0.0] * k
+        self.cells[:k] = fields
+        self.fill_ghosts()
+        _run(program)
+        totals = [0.0] * k
+        for steps in sums:
+            _run(steps)
+            if flat is not acc:
+                np.copyto(flat[:k], acc[:k])
+            for r, row in enumerate(flat[:k]):
+                totals[r] += float(np.vdot(row, row).real)
+        return [total * self.cell_volume for total in totals]
+
 
 def _grid_values(fld, grid):
     """A field's values as floats, checked against the grid.
 
     ``fld`` is a CellField or an array; leading axes beyond the grid's are
-    a batch of fields, so only the trailing axes must match ``grid.cells``.
+    a batch of fields, so only the trailing axes must match ``grid.cells``,
+    and none of them may be empty.
     """
     values = np.asarray(fld.values if isinstance(fld, CellField) else fld, dtype=float)
     if values.ndim < grid.dimension or values.shape[-grid.dimension:] != tuple(grid.cells):
         raise ConfigurationError(f"field shape {values.shape} does not match grid {grid.cells}")
+    if not values.size:
+        raise ConfigurationError(f"field shape {values.shape} holds a batch of no fields")
     return values
 
 
@@ -759,19 +790,26 @@ def run(model, grid, profile, scheme, hooks=()):
     trajectory attached. ``profile`` is anything init_field takes and checks.
 
     The fields are measured per window, which ends at the next stop point or
-    at max(1, _WINDOW_BYTES // field bytes) fields: the means and the L1
-    distances to the constants in one reduction each, the energy and the
-    dissipation per field, all with the bits of a measure per step.
+    at cap = max(1, _WINDOW_BYTES // field bytes) fields: the means, the L1
+    distances to the constants and (by a meter of cap rows, if cap > 1) the
+    dissipation in one pass each, the energy per field, all with the bits of
+    a measure per step.
     """
     values = init_field(grid, profile).values
     stencils = _Stencils(model, grid, values.shape)
     vol = stencils.cell_volume
     ncells = values.size
     cap = max(1, _WINDOW_BYTES // values.nbytes)
+    # A meter of one row would only add its frames to the stage's cache footprint.
+    meter = _Stencils(model, grid, (cap,) + values.shape) if cap > 1 else None
     window = []  # (field, range, dt, cut) of each step not yet measured
 
     def energy(v):
         return float(np.vdot(v, v).real) * vol
+
+    def dissipations(fields):
+        """The dissipation of each of the stacked ``fields``."""
+        return meter.dissipations(fields) if meter else [stencils.dissipation(fields[0])]
 
     def ladders(fields):
         """L1 distance of each of the stacked ``fields`` to every contraction constant."""
@@ -788,25 +826,29 @@ def run(model, grid, profile, scheme, hooks=()):
             return
         fields = window[0][0][None] if k == 1 else np.stack([w[0] for w in window])
         means = [s / ncells for s in fields.reshape(k, -1).sum(axis=1).tolist()]
-        for (v, (lo, hi), dt, cut), mean, ladder in zip(window, means, ladders(fields)):
-            stats.steps += 1
+        dt_min, dt_max, cuts = stats.dt_min, stats.dt_max, 0
+        violation, energy_jump = stats.max_principle_violation, stats.energy_max_step_jump
+        drift, ladder_jump = stats.mean_drift, stats.contraction_max_step_jump
+        for (v, (lo, hi), dt, cut), mean, ladder, n_new in zip(
+                window, means, ladders(fields), dissipations(fields)):
             if cut:
-                stats.truncated_steps += 1
+                cuts += 1
                 cut_dt_min, cut_dt_max = min(cut_dt_min, dt), max(cut_dt_max, dt)
             else:
-                stats.dt_min = min(stats.dt_min, dt)
-                stats.dt_max = max(stats.dt_max, dt)
-            stats.max_principle_violation = max(
-                stats.max_principle_violation, hi - u0_max, u0_min - lo)
-            new_energy, n_new = energy(v), stencils.dissipation(v)
-            stats.energy_max_step_jump = _worse(
-                stats.energy_max_step_jump, new_energy - energy_cur)
-            stats.mean_drift = _worse(stats.mean_drift, abs(mean - stats.initial_mean))
+                dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+            violation = max(violation, hi - u0_max, u0_min - lo)
+            new_energy = energy(v)
+            energy_jump = _worse(energy_jump, new_energy - energy_cur)
+            drift = _worse(drift, abs(mean - u0_mean))
             for new, cur in zip(ladder, ladder_cur):
-                stats.contraction_max_step_jump = _worse(
-                    stats.contraction_max_step_jump, new - cur)
+                ladder_jump = _worse(ladder_jump, new - cur)
             window_diss += 0.5 * dt * (n_prev + n_new)
             energy_cur, ladder_cur, n_prev = new_energy, ladder, n_new
+        stats.steps += k
+        stats.truncated_steps += cuts
+        stats.dt_min, stats.dt_max = dt_min, dt_max
+        stats.max_principle_violation, stats.energy_max_step_jump = violation, energy_jump
+        stats.mean_drift, stats.contraction_max_step_jump = drift, ladder_jump
         mean_cur = means[-1]
         window.clear()
 
@@ -837,10 +879,10 @@ def run(model, grid, profile, scheme, hooks=()):
     # Quiet from the first measure on: data that overflows it is a blow-up to report.
     with np.errstate(**_QUIET):
         u0_min, u0_max = rng = _range(values)
-        mean_cur = float(values.sum()) / ncells
-        energy_cur, n_prev = energy(values), stencils.dissipation(values)
+        u0_mean = mean_cur = float(values.sum()) / ncells
+        energy_cur, (n_prev,) = energy(values), dissipations(values[None])
         stats = RunStats(
-            initial_min=u0_min, initial_max=u0_max, initial_mean=mean_cur,
+            initial_min=u0_min, initial_max=u0_max, initial_mean=u0_mean,
             contraction_constants=tuple(_contraction_constants(u0_min, u0_max, mean_cur)),
         )
         consts = np.array(stats.contraction_constants).reshape((-1,) + (1,) * values.ndim)

@@ -576,6 +576,96 @@ def test_bounds_are_python_float_lists(name):
         assert all(type(x) is float for x in (*alphas, *(x for row in lams for x in row)))
 
 
+# The wave bounds as first written, through p(lo), p(hi) and per-entry calls:
+# Poly.max_abs and ModelTable.bounds must keep their bits.
+
+def _reference_max_abs(p, lo, hi):
+    top = max(abs(p(lo)), abs(p(hi)))
+    inner = [v for r, v in p._critical_abs if lo < r < hi]
+    if inner:
+        m = max(abs(lo), abs(hi))
+        try:
+            scale = sum(c * m ** n for n, c in p._abs_terms) / p._abs_div
+        except OverflowError:
+            return float("inf")
+        top = max(top, max(inner) + p._rounding * scale)
+    return float(top)
+
+
+def _reference_bounds(table, lo, hi):
+    def bound(e):
+        if isinstance(e, Poly):
+            return _reference_max_abs(e, lo, hi)
+        return float(np.abs(e(np.linspace(lo, hi, model_mod.SAMPLED_BOUND_POINTS))).max())
+
+    d = table.model.dimension
+    alphas, lams = [0.0] * d, [[0.0] * d for _ in range(d)]
+    for (k,), e in table.speed.items():
+        alphas[k] = bound(e)
+    for (i, j), e in table.a.items():
+        lams[i][j] = bound(e)
+    return alphas, lams
+
+
+def _bits(xs):
+    """float.hex of every float in a float or nested list: equal hexes, equal bits."""
+    return [_bits(x) for x in xs] if isinstance(xs, list) else xs.hex()
+
+
+_HUGE = st.floats(1e199, 1e201)
+
+
+@st.composite
+def _bound_range(draw, critical=()):
+    """[lo, hi]: one point, a range around a critical point or missing them, or ends
+    near +-1e200, where the rounding scale overflows."""
+    kind = draw(st.sampled_from(["point", "around", "random", "huge"]))
+    if kind == "point":
+        lo = hi = draw(st.floats(-2.0, 2.0))
+    elif kind == "around" and critical:
+        r = draw(st.sampled_from(critical))
+        lo, hi = r - draw(st.floats(0.0, 1.0)), r + draw(st.floats(0.0, 1.0))
+    elif kind == "huge":
+        lo = draw(st.one_of(st.floats(-2.0, 2.0), _HUGE.map(lambda x: -x)))
+        hi = draw(st.one_of(st.floats(-2.0, 2.0), _HUGE))
+    else:
+        lo, hi = sorted(draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)))
+    return lo, hi
+
+
+@st.composite
+def _bound_poly_case(draw):
+    """A Poly of degree 0 to 5, with zero coefficients and maybe a leading 1, and a range."""
+    coeffs = draw(st.lists(st.one_of(st.just(0.0), _coeff), min_size=1, max_size=6))
+    if len(coeffs) > 1 and draw(st.booleans()):
+        coeffs[-1] = 1.0
+    p = Poly(coeffs, div=draw(st.sampled_from([1.0, 3.0, 7.0])))
+    return p, draw(_bound_range(p.critical))
+
+
+@example((Poly((2.5,), div=7.0), (-1.0, 1.0)))
+@example((Poly((0.0, -1.0, 0.0, 1.0)), (-0.7, -0.7)))
+@example((Poly((0.0, -1.0, 0.0, 1.0)), (-1.0, 1.0)))
+@example((Poly((0.0, 0.0, 1.0), div=3.0), (-1e200, 1e200)))
+@example((Poly((0.5, 0.0, 0.0, 0.0, 0.0, 1.0)), (-1e200, 3.0)))
+@settings(max_examples=200, deadline=None)
+@given(_bound_poly_case())
+def test_max_abs_keeps_the_bits_of_the_reference(case):
+    p, (lo, hi) = case
+    assert _bits(p.max_abs(lo, hi)) == _bits(_reference_max_abs(p, lo, hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_BOUND_MODELS)), _bound_range())
+def test_bounds_keep_the_bits_of_the_reference(name, bounds_range):
+    # Every preset, polynomial models, and whole callables whose entries are
+    # sliced and sampled (bare/...), as are porous-medium's hand-written A.
+    table = model_table(_BOUND_MODELS[name][0])
+    lo, hi = bounds_range
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(list(table.bounds(lo, hi))) == _bits(list(_reference_bounds(table, lo, hi)))
+
+
 def test_poly_entry_evaluates_the_same_on_floats_and_arrays():
     p = Poly((0.25, -1.0, 0.0, 0.5), div=3)
     us = np.linspace(-1.3, 1.1, 97)

@@ -555,7 +555,8 @@ def test_a_stage_evaluates_each_distinct_entry_once(monkeypatch):
 
 def test_a_runs_stencils_are_freed_by_reference_counting(monkeypatch):
     # Nothing the stencils hold refers back to them, so run, run_lockstep
-    # and step free them with their last reference, with gc disabled.
+    # and step free them with their last reference, with gc disabled. On 8x8
+    # cells run's windows hold 128 fields, so run builds the meter too.
     made = []
 
     class Recording(_Stencils):
@@ -576,7 +577,7 @@ def test_a_runs_stencils_are_freed_by_reference_counting(monkeypatch):
         alive = [ref() is not None for ref in made]
     finally:
         gc.enable()
-    assert alive == [False] * 3
+    assert alive == [False] * 4
 
 
 def _arrays(obj):
@@ -597,7 +598,8 @@ def _arrays(obj):
 def test_returned_arrays_share_no_memory_with_stencil_buffers(name, cells, monkeypatch):
     # The stencils own the stage field, the entry buffers and the work
     # arrays; nothing step, run, run_lockstep or a one-shot operator
-    # returns may alias them.
+    # returns may alias them. On these grids run's windows hold more than
+    # one field, so run builds the meter too, whose buffers are checked.
     made = []
 
     class Recording(_Stencils):
@@ -613,7 +615,7 @@ def test_returned_arrays_share_no_memory_with_stencil_buffers(name, cells, monke
     returned = [step(fld, m, g, scheme).values, run(m, g, fld, scheme).final.values,
                 *(f.values for f in run_lockstep(m, g, fld, fld, scheme)[2:]),
                 hyperbolic_div(m, fld, g), diffusion_div(m, fld, g)]
-    assert len(made) == 5
+    assert len(made) == 6
     buffers = [a for s in made for a in _arrays(vars(s))]
     assert len(buffers) > 5 * len(made)
     for out in returned:
@@ -759,6 +761,15 @@ def test_one_shot_operators_reject_a_field_of_another_grid(shape):
     for op in (hyperbolic_div, diffusion_div, stable_dt, parabolic_dissipation, *norms):
         with pytest.raises(ConfigurationError, match="does not match grid"):
             op(m, fld, g)
+
+
+@pytest.mark.parametrize("shape", [(0, 16), (3, 0, 16)])
+def test_one_shot_operators_reject_an_empty_batch(shape):
+    # A batch of no fields has no range, so no wave bound or stable step.
+    m, g = preset("burgers-degenerate"), PeriodicGrid.make([1.0], [16])
+    for op in (hyperbolic_div, diffusion_div, stable_dt, parabolic_dissipation):
+        with pytest.raises(ConfigurationError, match=re.escape(f"field shape {shape}")):
+            op(m, np.zeros(shape), g)
 
 
 def test_one_shot_operators_take_batched_fields():
@@ -1304,3 +1315,96 @@ def test_run_measures_each_window_with_one_ladder_reduction(name, cells, monkeyp
     first, *windows = subtracts
     assert first == 1 and sum(windows) == steps and max(windows) <= cap
     assert len(windows) <= steps // cap + len(traj.rows) - 1
+
+
+# (model, cells) of the window pass: 32, 128, 256 and 273 fields in the meter.
+METER_CASES = {
+    "burgers-degenerate": (preset("burgers-degenerate"), (256,)),  # beta with in-place steps
+    "porous-medium": (preset("porous-medium"), (64,)),  # a hand-written beta, copied in
+    "whole-burgers-degenerate": (STENCIL_MODELS["whole-burgers-degenerate"], (32,)),
+    "coupled-cubic": (COUPLED_2D, (6, 5)),  # four spline beta entries, two sums of two
+}
+
+
+@st.composite
+def _meter_case(draw):
+    """A model, a window of k = 1 ... cap fields, and what the meter's other rows hold."""
+    name = draw(st.sampled_from(sorted(METER_CASES)))
+    cells = METER_CASES[name][1]
+    cap = solver_mod._WINDOW_BYTES // (8 * math.prod(cells))
+    k = draw(st.one_of(st.just(1), st.just(cap), st.integers(1, cap)))
+    return name, cap, k, draw(st.sampled_from([np.nan, np.inf, -np.inf, "stale"])), draw(
+        st.integers(0, 2 ** 16))
+
+
+@example(("burgers-degenerate", 32, 32, np.nan, 0))
+@example(("coupled-cubic", 273, 1, np.inf, 1))
+@settings(max_examples=40, deadline=None)
+@given(_meter_case())
+def test_a_windows_dissipation_pass_equals_its_lone_calls_bit_for_bit(case):
+    # The meter loads k fields into its first k rows and runs its programs over
+    # every row: rows past k, whatever they hold, must leave no trace.
+    name, cap, k, junk, seed = case
+    m, cells = METER_CASES[name]
+    g = PeriodicGrid.make([1.0] * len(cells), list(cells))
+    rng = np.random.default_rng(seed)
+    fields = rng.uniform(-0.95, 0.95, (k,) + cells)
+    meter = _Stencils(m, g, (cap,) + cells)
+    with np.errstate(**solver_mod._QUIET):
+        if junk == "stale":
+            meter.dissipations(rng.uniform(-0.95, 0.95, (cap,) + cells))
+        else:
+            for frame in (meter.u, *meter.work):
+                frame.fill(junk)
+        got = meter.dissipations(fields)
+    lone = _Stencils(m, g, cells)
+    want = [lone.dissipation(f) for f in fields]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert all(x > 0.0 for x in got)
+
+
+@pytest.mark.parametrize("name,cells", [("burgers-degenerate", [64]), ("anisotropic-2d", [8, 8])])
+def test_run_measures_each_window_with_one_meter_pass(name, cells, monkeypatch):
+    # With windows of more than one field, the meter runs its beta program
+    # once for the initial field and once per window; the stage stencils make
+    # no dissipation call. The windows are re-derived from the stop-point
+    # loop: each ends at a stop or once it holds the cap.
+    made, ran, lone, stepped = [], [], [], []
+
+    class Recording(_Stencils):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def dissipation(self, values):
+            lone.append(values)
+            return super().dissipation(values)
+
+    real_run, real_march = solver_mod._run, solver_mod._march
+
+    def recording_run(program):
+        ran.append(program)
+        real_run(program)
+
+    def recording_march(*args):
+        for item in real_march(*args):
+            stepped.append(item[-1] is None)
+            yield item
+
+    monkeypatch.setattr(solver_mod, "_Stencils", Recording)
+    monkeypatch.setattr(solver_mod, "_run", recording_run)
+    monkeypatch.setattr(solver_mod, "_march", recording_march)
+    g = PeriodicGrid.make([1.0] * len(cells), cells)
+    profile = sin_profile if len(cells) == 1 else lambda x, y: np.sin(2.0 * np.pi * (x + y))
+    traj = run(preset(name), g, profile, SchemeConfig(t_end=0.02, output_every=0.01))
+    cap = solver_mod._WINDOW_BYTES // (8 * math.prod(cells))
+    windows = held = 0
+    for is_step in stepped:
+        held += is_step
+        if held and (held == cap or not is_step):
+            windows, held = windows + 1, 0
+    stage, meter = made
+    assert meter.cells.shape == (cap, *cells) and lone == []
+    beta = meter._dissipation[0]
+    assert sum(program is beta for program in ran) == windows + 1
+    assert windows >= len(traj.rows) - 1 and sum(stepped) == traj.stats.steps

@@ -57,6 +57,12 @@ of the difference, and exits 1 if any case differs. The cases are:
   single output window: burgers-degenerate on 64 cells (windows of 128
   fields), where the cap cuts several windows (``run/window/burgers-degenerate``),
   and anisotropic-2d on 8x8 cells (``run/window/cells-8x8/anisotropic-2d``);
+  the same single-window run for porous-medium on 64 cells, flux-free and with
+  a hand-written beta that is copied in (``run/window/porous-medium``), and for
+  whole/burgers-degenerate, whose entries are sliced and whose bounds are
+  sampled (``run/window/whole/burgers-degenerate``); burgers-degenerate on 256
+  cells with a row every four or so steps, so that most windows hold a few of
+  the meter's 32 rows (``run/window/short/burgers-degenerate``);
   and a burgers blow-up on 256 cells (windows of 32 fields) that lands some
   240 steps after its last stop, at t = 0 (``blow-up/window/burgers``);
 - the audit and decay reports of a hand-built row-only trajectory with
@@ -304,11 +310,11 @@ def _viscous_only_model():
         speed=lambda u: np.asarray(u, dtype=float)[..., None])
 
 
-def _window_run_case(model, cells, t_end):
-    """A run with one output window, from t = 0 to t_end."""
+def _window_run_case(model, cells, t_end, output_every=None):
+    """A run from t = 0 to t_end with rows every ``output_every``, by default one window."""
     from anisolab.solver import SchemeConfig, run
     grid, profile = _run_setup(model, cells)
-    traj = run(model, grid, profile, SchemeConfig(t_end=t_end, output_every=t_end))
+    traj = run(model, grid, profile, SchemeConfig(t_end=t_end, output_every=output_every or t_end))
     return pickle.dumps(_trajectory_record(traj))
 
 
@@ -727,6 +733,12 @@ def cases():
            lambda: _window_run_case(models["burgers-degenerate"], 64, 0.05))
     yield ("run/window/cells-8x8/anisotropic-2d",
            lambda: _window_run_case(models["anisotropic-2d"], (8, 8), 0.2))
+    yield ("run/window/porous-medium",
+           lambda: _window_run_case(models["porous-medium"], 64, 0.01))
+    yield ("run/window/whole/burgers-degenerate",
+           lambda: _window_run_case(models["whole/burgers-degenerate"], 64, 0.05))
+    yield ("run/window/short/burgers-degenerate",
+           lambda: _window_run_case(models["burgers-degenerate"], 256, 6e-4, 1.5e-5))
     yield "blow-up/window/burgers", lambda: _blow_up_case(models["burgers"], 256, 10.0)
     yield "audit/overflow/linear-advection", lambda: _outcome(lambda: _cli_case(
         ["run"], "[model]\npreset = linear-advection\n[grid]\ncells = 64\n[initial]\n"
