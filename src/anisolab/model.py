@@ -181,7 +181,11 @@ class Poly:
         c = self.coeffs
         if len(c) == 1:
             return np.full(np.shape(u), c[0] / self.div)
-        acc = c[-1] * u
+        return self._horner_at(u)
+
+    def _horner_at(self, u):
+        """p(u) of degree 1 or more by Horner's rule, on an array or a float alike."""
+        acc = self.coeffs[-1] * u
         for cn, multiply in self._horner:
             if cn:
                 acc += cn
@@ -242,24 +246,12 @@ class Poly:
 
         A critical point's value is raised by a bound on the rounding error
         of evaluating p, so no evaluation of p near it exceeds the result;
-        a bound that overflows makes the result inf. Both ends take the float
-        operations of ``p(lo)`` and ``p(hi)`` in one pass over the Horner steps.
+        a bound that overflows makes the result inf.
         """
-        c, div = self.coeffs, self.div
-        if len(c) == 1:
-            a = b = c[0] / div
+        if len(self.coeffs) == 1:
+            top = abs(self.coeffs[0] / self.div)
         else:
-            a, b = c[-1] * lo, c[-1] * hi
-            for cn, multiply in self._horner:
-                if cn:
-                    a += cn
-                    b += cn
-                if multiply:
-                    a *= lo
-                    b *= hi
-            if div != 1.0:
-                a, b = a / div, b / div
-        top = max(abs(a), abs(b))
+            top = max(abs(self._horner_at(lo)), abs(self._horner_at(hi)))
         inner = None
         for r, v in self._critical_abs:
             if lo < r < hi:
@@ -436,9 +428,8 @@ class ModelTable:
     index order with zero entries absent, each built on first use.
     ``bounds(lo, hi)`` gives the wave bounds over [lo, hi] as the stepper
     reads them: max |a_k| as a list of d floats and max |A_ij| as a d x d
-    nested list of floats, each from its entry's bound: ``Poly.max_abs``,
-    exact, or SAMPLED_BOUND_POINTS samples of any other entry (not a
-    supremum).
+    nested list of floats: exact for a Poly (``Poly.max_abs``), else sampled
+    (not a supremum).
     """
 
     def __init__(self, model):

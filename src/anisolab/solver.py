@@ -23,13 +23,10 @@ writes its row or snapshot and before a blow-up takes its partial
 trajectory. The means are one row sum over the window's stacked fields, and
 the L1 distances to the contraction constants one subtract, abs and row sum
 in a (cap, constants, *shape) block; the energy is one np.vdot per field.
-The dissipation is one pass of the meter, a second stencil set whose batch
-holds cap fields: its beta and difference programs run over every row, the
-window's fields loaded into the first, and one np.vdot per row sums each as
-the stage stencils sum a lone field. At cap = 1 there is no meter, whose
-frames would only add to the stage's cache footprint: the stage stencils
-measure each field. The per-step statistics then follow in step order in
-local floats, written to RunStats once per window, a NaN jump making its
+The dissipation is one pass of the meter, a stencil set of cap rows, over
+the window's first k rows alone (its programs bound once per k), then one
+np.vdot per row; at cap = 1 the stage stencils measure each field. The
+per-step statistics then follow in step order, a NaN jump making its
 statistic NaN for good. Every row, statistic and snapshot has the bits of a
 measure after each step.
 
@@ -367,10 +364,11 @@ class _Stencils:
     Every array they own is a frame (module docstring), the stage's diffusion
     and flux parts included. The programs are bound on first use: one entry
     program for B and f with the flux and diffusion terms on its buffers, which
-    ``tendency`` (a stage) loads, and the beta program of ``dissipation`` and
-    ``dissipations``. So no stencil except the dissipation needs sigma, beta or
-    a PSD diffusion matrix. A call loads the field, runs the entry program and
-    each term's program, and adds each result's range into its part's. Leading
+    ``tendency`` (a stage) loads, and the beta and difference programs of
+    ``dissipation``, bound again over the first k rows for ``dissipations`` of
+    k fields. So no stencil except the dissipation needs sigma, beta or a PSD
+    diffusion matrix. A call loads the field, runs the entry program and each
+    term's program, and adds each result's range into its part's. Leading
     batch axes of ``shape`` are the frames' rows; ``cells``, ``work_cells``
     (work[0]) and ``part_cells`` view the cells of frames in ``shape``.
     """
@@ -389,7 +387,8 @@ class _Stencils:
         pad, rows = -sum(strides) % _LINE, math.prod(lead)
         row = pad + size - (pad + size) % -_LINE
         self.size, last = rows * row, pad + sum(map(mul, ns, strides))
-        self.u, *self.work, diff, hyp = (self._frame() for _ in range(5))
+        self.rows, self.row, self._bound = rows, row, {}
+        self.u, *self.work = (self._frame() for _ in range(3))
         # Cell (1, ..., 1) of the first row to (n_0, ..., n_last) of the last; a plan
         # is a term's (out, x, y) ranges.
         self.span = span = slice(pad + sum(strides), self.size - row + last + 1)
@@ -401,13 +400,13 @@ class _Stencils:
                       for s in strides]
         self.mixed = tuple(plan(*(sum(map(mul, s, strides)) for s in shifts))
                            for shifts in _MIXED) if d == 2 else ()
-        # The spans; padded fields and cells in ``shape`` (views: each reshape splits an axis).
-        self.work_span, self.parts = [w[span] for w in self.work], (diff[span], hyp[span])
-        grids = [a.reshape(rows, row)[:, pad:pad + size].reshape(lead + padded)
-                 for a in (self.u, self.work[0], diff, hyp)]
-        inside = (Ellipsis,) + tuple(slice(1, n + 1) for n in ns)
-        self.cells, self.work_cells, *self.part_cells = (g[inside] for g in grids)
-        self.ghosts = [pair for k, n in enumerate(ns) for g in [np.moveaxis(grids[0], k - d, -1)]
+        self.work_span = [w[span] for w in self.work]
+        # A frame's padded fields and cells in ``shape`` (views: each reshape splits an axis).
+        self._grid = lambda a: a.reshape(rows, row)[:, pad:pad + size].reshape(lead + padded)
+        self._inside = inside = (Ellipsis,) + tuple(slice(1, n + 1) for n in ns)
+        self.cells, self.work_cells = (self._grid(a)[inside] for a in (self.u, self.work[0]))
+        grid = self._grid(self.u)
+        self.ghosts = [pair for k, n in enumerate(ns) for g in [np.moveaxis(grid, k - d, -1)]
                        for pair in ((g[..., :1], g[..., n:n + 1]), (g[..., n + 1:], g[..., 1:2]))]
 
     def _frame(self):
@@ -416,35 +415,46 @@ class _Stencils:
         skip = -raw.ctypes.data // raw.itemsize % _LINE
         return raw[skip:skip + self.size]
 
-    def load(self, values, program=()):
+    # The stage's diffusion and flux parts, made on first use (the dissipation reads none).
+    _parts = cached_property(lambda self: (self._frame(), self._frame()))
+    parts = cached_property(lambda self: tuple(p[self.span] for p in self._parts))
+    part_cells = cached_property(lambda self: tuple(self._grid(p)[self._inside]
+                                                    for p in self._parts))
+
+    def load(self, values, program=(), head=None):
         """The stage field holding ``values`` (taken as it is if it is the stage
-        field, so one copy serves a stage), after running ``program`` on it."""
+        field, so one copy serves a stage), after running ``program`` on it.
+        ``head``, the (cells, ghosts) of the first k rows, loads k fields there."""
         if values is not self.u:
-            self.cells[...] = values
-            self.fill_ghosts()
+            cells, ghosts = head or (self.cells, self.ghosts)
+            cells[...] = values
+            self.fill_ghosts(ghosts)
         _run(program)
         return self.u
 
-    def fill_ghosts(self):
-        """u[0] = u[n], u[n + 1] = u[1] axis by axis over the padded extent (corners too)."""
-        for ghost, cell in self.ghosts:
+    def fill_ghosts(self, ghosts=None):
+        """u[0] = u[n], u[n + 1] = u[1] axis by axis (corners too), in ``ghosts`` or every row."""
+        for ghost, cell in ghosts or self.ghosts:
             ghost[...] = cell
 
     def _entries(self, entries, axes=()):
-        """{index: buffer} for ``entries`` and ``axes`` (zero without an entry), and the
-        program filling them. Entries that are one object share one buffer and one
-        evaluation; an entry with in-place steps runs them (work[1] is their scratch),
-        any other is copied in."""
-        u, scratch = self.u, self.work[1]
+        """{index: buffer} for ``entries`` and ``axes`` (zero without an entry), and
+        (entry, buffer) for each distinct entry object, whose indexes share the buffer."""
         bufs = {idx: self._frame() for idx in axes if idx not in entries}
-        fills = {}
+        owned = {}
         for idx, e in entries.items():
-            if id(e) not in fills:
-                buf = self._frame()
-                fills[id(e)] = buf, (e.steps(u, buf, scratch) if hasattr(e, "steps")
-                                     else ((_copy_into, (e, u, buf)),))
-            bufs[idx] = fills[id(e)][0]
-        return bufs, tuple(step for _, steps in fills.values() for step in steps)
+            if id(e) not in owned:
+                owned[id(e)] = e, self._frame()
+            bufs[idx] = owned[id(e)][1]
+        return bufs, tuple(owned.values())
+
+    def _fills(self, owned, end=None):
+        """The program of ``owned``'s entries over the frames' first ``end`` values (all by
+        default): in-place steps (work[1] is their scratch) or a copy."""
+        u, scratch = self.u[:end], self.work[1][:end]
+        return tuple(step for e, buf in owned
+                     for step in (e.steps(u, buf[:end], scratch) if hasattr(e, "steps")
+                                  else ((_copy_into, (e, u, buf[:end])),)))
 
     @cached_property
     def b_entries(self):
@@ -457,7 +467,7 @@ class _Stencils:
         to scale by 0.5 alpha_k, after); and one program per diffusion term, B_ii along
         axis i, then B_01. Every term's result is work[1]'s span."""
         b = self.b_entries
-        bufs, program = self._entries({**b, **self.table.f}, [(k,) for k in range(self.d)])
+        bufs, owned = self._entries({**b, **self.table.f}, [(k,) for k in range(self.d)])
         u, (w0, w1), (c0, c1) = self.u, self.work, self.work_span
         flux = []
         for k, plan in enumerate(self.plans):
@@ -483,7 +493,7 @@ class _Stencils:
                 _term(np.subtract, first, bb, bb, w1), _term(np.subtract, second, w1, bb, w1),
                 _term(np.add, third, w1, bb, w1), (np.multiply, (c1, 2.0, c1)),
                 _scale(c1, 4.0 * self.h[0] * self.h[-1])))
-        return program, flux, diffusion
+        return self._fills(owned), flux, diffusion
 
     def tendency(self, values, alphas):
         """One stage from one load: the second differences of B(u) summed into the
@@ -512,28 +522,40 @@ class _Stencils:
             np.add(hyp if k else 0.0, result, out=hyp)
         return True
 
-    @cached_property
-    def _dissipation(self):
-        """The beta program, per axis k the program of sum_i D_i beta_ik into work[0], its
-        cells, and the array np.vdot reads them from: in 1-d the cells themselves, as each
-        row's cells are contiguous, else a contiguous copy, as np.vdot would copy the
-        strided view once per operand."""
-        beta, program = self._entries(self.table.beta)
-        (acc, grad), (ca, cg) = self.work, self.work_span
+    _beta = cached_property(lambda self: self._entries(self.table.beta))
+    # np.vdot copies a strided operand, once per operand: strided cells are copied here once.
+    _spare = cached_property(lambda self: np.empty(self.work_cells.shape))
+
+    def _dissipation(self, rows):
+        """Over the first ``rows`` rows, bound on first use per count: the beta program,
+        per axis k the program of sum_i D_i beta_ik into work[0], work[0]'s cells, and
+        the (cells, ghosts) that ``load`` fills (None for every row)."""
+        if rows in self._bound:
+            return self._bound[rows]
+        beta, owned = self._beta
+        # The plans and spans of the first rows end `drop` values before the frames'.
+        drop = (self.rows - rows) * self.row
+        (acc, grad), (ca, cg) = self.work, (w[:w.size - drop] for w in self.work_span)
         sums = []
         for k in range(self.d):
             steps = []
-            for i, plan in enumerate(self.plans):
+            for i, plans in enumerate(self.plans):
                 if (i, k) in beta:
                     g, c = (grad, cg) if steps else (acc, ca)
-                    steps.append(_term(np.subtract, plan["beta"], beta[i, k], beta[i, k], g))
+                    plan = tuple(slice(r.start, r.stop - drop) for r in plans["beta"])
+                    steps.append(_term(np.subtract, plan if drop else plans["beta"],
+                                       beta[i, k], beta[i, k], g))
                     steps.append(_scale(c, 2.0 * self.h[i]))
                     if g is grad:
                         steps.append((np.add, (ca, cg, ca)))
             if steps:
                 sums.append(steps)
-        cells = self.work_cells
-        return program, sums, cells, cells if self.d == 1 else np.empty(cells.shape)
+        cells, head = self.work_cells, None
+        if drop:
+            cells, head = cells[:rows], (self.cells[:rows], [(g[:rows], c[:rows])
+                                                             for g, c in self.ghosts])
+        self._bound[rows] = bound = self._fills(owned, self.size - drop), sums, cells, head
+        return bound
 
     def dissipation(self, values):
         """Discrete parabolic dissipation: sum over k of (sum_i D_i beta_ik)^2.
@@ -542,36 +564,35 @@ class _Stencils:
         by the cell volume. Without beta entries it is 0.0, and the field is
         not loaded.
         """
-        program, sums, acc, flat = self._dissipation
+        program, sums, cells, _ = self._dissipation(self.rows)
         if not sums:
             return 0.0
         self.load(values, program)
+        flat = cells if cells.flags.c_contiguous else self._spare
         total = 0.0
         for steps in sums:
             _run(steps)
-            if flat is not acc:
-                np.copyto(flat, acc)
+            if flat is not cells:
+                np.copyto(flat, cells)
             total += float(np.vdot(flat, flat).real)
         return total * self.cell_volume
 
     def dissipations(self, fields):
-        """The dissipation of each of k stacked ``fields``, loaded into the first k rows
-        of a batch: one beta program and one difference program per axis over every row
-        (the rows past k computed and never read), then one np.vdot per row, so that each
-        value has the bits of ``dissipation`` on its field alone."""
-        program, sums, acc, flat = self._dissipation
+        """The dissipation of each of k stacked ``fields`` in the first k rows of a batch,
+        with the bits of ``dissipation`` on that field alone: one np.vdot per row."""
         k = len(fields)
+        program, sums, cells, head = self._dissipation(k)
         if not sums:
             return [0.0] * k
-        self.cells[:k] = fields
-        self.fill_ghosts()
-        _run(program)
+        self.load(fields, program, head)
+        # A row's cells are contiguous in 1-d alone.
+        flat = cells if self.d == 1 else self._spare[:k]
         totals = [0.0] * k
         for steps in sums:
             _run(steps)
-            if flat is not acc:
-                np.copyto(flat[:k], acc[:k])
-            for r, row in enumerate(flat[:k]):
+            if flat is not cells:
+                np.copyto(flat, cells)
+            for r, row in enumerate(flat):
                 totals[r] += float(np.vdot(row, row).real)
         return [total * self.cell_volume for total in totals]
 
@@ -579,9 +600,8 @@ class _Stencils:
 def _grid_values(fld, grid):
     """A field's values as floats, checked against the grid.
 
-    ``fld`` is a CellField or an array; leading axes beyond the grid's are
-    a batch of fields, so only the trailing axes must match ``grid.cells``,
-    and none of them may be empty.
+    ``fld`` is a CellField or an array; leading axes beyond the grid's are a
+    nonempty batch of fields, so only the trailing axes must match ``grid.cells``.
     """
     values = np.asarray(fld.values if isinstance(fld, CellField) else fld, dtype=float)
     if values.ndim < grid.dimension or values.shape[-grid.dimension:] != tuple(grid.cells):
@@ -791,9 +811,9 @@ def run(model, grid, profile, scheme, hooks=()):
 
     The fields are measured per window, which ends at the next stop point or
     at cap = max(1, _WINDOW_BYTES // field bytes) fields: the means, the L1
-    distances to the constants and (by a meter of cap rows, if cap > 1) the
-    dissipation in one pass each, the energy per field, all with the bits of
-    a measure per step.
+    distances to the constants and (by a meter of cap rows, if cap > 1, over
+    the window's rows alone) the dissipation in one pass each, the energy per
+    field, all with the bits of a measure per step.
     """
     values = init_field(grid, profile).values
     stencils = _Stencils(model, grid, values.shape)
@@ -808,7 +828,6 @@ def run(model, grid, profile, scheme, hooks=()):
         return float(np.vdot(v, v).real) * vol
 
     def dissipations(fields):
-        """The dissipation of each of the stacked ``fields``."""
         return meter.dissipations(fields) if meter else [stencils.dissipation(fields[0])]
 
     def ladders(fields):
@@ -826,29 +845,26 @@ def run(model, grid, profile, scheme, hooks=()):
             return
         fields = window[0][0][None] if k == 1 else np.stack([w[0] for w in window])
         means = [s / ncells for s in fields.reshape(k, -1).sum(axis=1).tolist()]
-        dt_min, dt_max, cuts = stats.dt_min, stats.dt_max, 0
-        violation, energy_jump = stats.max_principle_violation, stats.energy_max_step_jump
-        drift, ladder_jump = stats.mean_drift, stats.contraction_max_step_jump
         for (v, (lo, hi), dt, cut), mean, ladder, n_new in zip(
                 window, means, ladders(fields), dissipations(fields)):
+            stats.steps += 1
             if cut:
-                cuts += 1
+                stats.truncated_steps += 1
                 cut_dt_min, cut_dt_max = min(cut_dt_min, dt), max(cut_dt_max, dt)
             else:
-                dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-            violation = max(violation, hi - u0_max, u0_min - lo)
+                stats.dt_min = min(stats.dt_min, dt)
+                stats.dt_max = max(stats.dt_max, dt)
+            stats.max_principle_violation = max(
+                stats.max_principle_violation, hi - u0_max, u0_min - lo)
             new_energy = energy(v)
-            energy_jump = _worse(energy_jump, new_energy - energy_cur)
-            drift = _worse(drift, abs(mean - u0_mean))
+            stats.energy_max_step_jump = _worse(
+                stats.energy_max_step_jump, new_energy - energy_cur)
+            stats.mean_drift = _worse(stats.mean_drift, abs(mean - stats.initial_mean))
             for new, cur in zip(ladder, ladder_cur):
-                ladder_jump = _worse(ladder_jump, new - cur)
+                stats.contraction_max_step_jump = _worse(
+                    stats.contraction_max_step_jump, new - cur)
             window_diss += 0.5 * dt * (n_prev + n_new)
             energy_cur, ladder_cur, n_prev = new_energy, ladder, n_new
-        stats.steps += k
-        stats.truncated_steps += cuts
-        stats.dt_min, stats.dt_max = dt_min, dt_max
-        stats.max_principle_violation, stats.energy_max_step_jump = violation, energy_jump
-        stats.mean_drift, stats.contraction_max_step_jump = drift, ladder_jump
         mean_cur = means[-1]
         window.clear()
 
@@ -879,10 +895,10 @@ def run(model, grid, profile, scheme, hooks=()):
     # Quiet from the first measure on: data that overflows it is a blow-up to report.
     with np.errstate(**_QUIET):
         u0_min, u0_max = rng = _range(values)
-        u0_mean = mean_cur = float(values.sum()) / ncells
+        mean_cur = float(values.sum()) / ncells
         energy_cur, (n_prev,) = energy(values), dissipations(values[None])
         stats = RunStats(
-            initial_min=u0_min, initial_max=u0_max, initial_mean=u0_mean,
+            initial_min=u0_min, initial_max=u0_max, initial_mean=mean_cur,
             contraction_constants=tuple(_contraction_constants(u0_min, u0_max, mean_cur)),
         )
         consts = np.array(stats.contraction_constants).reshape((-1,) + (1,) * values.ndim)

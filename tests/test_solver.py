@@ -1363,12 +1363,35 @@ def test_a_windows_dissipation_pass_equals_its_lone_calls_bit_for_bit(case):
     assert all(x > 0.0 for x in got)
 
 
+@pytest.mark.parametrize("name", sorted(METER_CASES))
+def test_a_windows_pass_writes_no_row_past_the_window(name, monkeypatch):
+    # A window of k fields costs k rows: the load, the ghost fill, the beta
+    # program and the difference programs write nothing past row k of any
+    # frame, and the meter makes no diffusion or flux part.
+    frames = _recording_frames(monkeypatch)
+    m, cells = METER_CASES[name]
+    g = PeriodicGrid.make([1.0] * len(cells), list(cells))
+    cap = solver_mod._WINDOW_BYTES // (8 * math.prod(cells))
+    meter = _Stencils(m, g, (cap,) + cells)
+    fields = np.random.default_rng(9).uniform(-0.95, 0.95, (cap,) + cells)
+    meter.dissipations(fields[:1])
+    assert len(frames) == 3 + len({id(e) for e in model_table(m).beta.values()})
+    for k in (1, 3, cap - 1):
+        for frame in frames:
+            frame.fill(np.nan)
+        got = meter.dissipations(fields[:k])
+        assert not any(math.isnan(x) for x in got)
+        assert all(np.isnan(frame[k * meter.row:]).all() for frame in frames)
+    assert "_parts" not in vars(meter)
+
+
 @pytest.mark.parametrize("name,cells", [("burgers-degenerate", [64]), ("anisotropic-2d", [8, 8])])
 def test_run_measures_each_window_with_one_meter_pass(name, cells, monkeypatch):
-    # With windows of more than one field, the meter runs its beta program
-    # once for the initial field and once per window; the stage stencils make
-    # no dissipation call. The windows are re-derived from the stop-point
-    # loop: each ends at a stop or once it holds the cap.
+    # With windows of more than one field, the meter runs a beta program once
+    # for the initial field and once per window, the one bound over as many
+    # rows as the window holds; the stage stencils make no dissipation call.
+    # The windows are re-derived from the stop-point loop: each ends at a stop
+    # or once it holds the cap.
     made, ran, lone, stepped = [], [], [], []
 
     class Recording(_Stencils):
@@ -1398,13 +1421,15 @@ def test_run_measures_each_window_with_one_meter_pass(name, cells, monkeypatch):
     profile = sin_profile if len(cells) == 1 else lambda x, y: np.sin(2.0 * np.pi * (x + y))
     traj = run(preset(name), g, profile, SchemeConfig(t_end=0.02, output_every=0.01))
     cap = solver_mod._WINDOW_BYTES // (8 * math.prod(cells))
-    windows = held = 0
+    sizes, held = [], 0
     for is_step in stepped:
         held += is_step
         if held and (held == cap or not is_step):
-            windows, held = windows + 1, 0
+            sizes, held = sizes + [held], 0
     stage, meter = made
     assert meter.cells.shape == (cap, *cells) and lone == []
-    beta = meter._dissipation[0]
-    assert sum(program is beta for program in ran) == windows + 1
-    assert windows >= len(traj.rows) - 1 and sum(stepped) == traj.stats.steps
+    betas = {rows: bound[0] for rows, bound in meter._bound.items()}
+    assert sorted(betas) == sorted({1, *sizes})
+    assert [rows for program in ran for rows, beta in betas.items() if program is beta] == [
+        1, *sizes]
+    assert len(sizes) >= len(traj.rows) - 1 and sum(sizes) == traj.stats.steps
