@@ -62,9 +62,8 @@ def _fmt(x):
 
 
 def _write_text(path, text):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    """Write ``text`` to ``path``, whose directory the command has made."""
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _write_csv(path, header, rows, comment=None):
@@ -154,6 +153,8 @@ def _run_and_write(cfg, out):
         return None
 
     write_trajectory_csv(out / "trajectory.csv", traj)
+    if traj.snapshots:
+        (out / "snapshots").mkdir(exist_ok=True)
     for k, snap in enumerate(traj.snapshots):
         write_snapshot_csv(out / "snapshots" / f"snap-{k:04d}.csv", snap, grid)
 
@@ -320,26 +321,29 @@ def _load_config(args):
     return cfg
 
 
+_COMMANDS = {
+    "run": "integrate one configuration and audit the trajectory",
+    "check-condition": "sample the nondegeneracy functional",
+    "validate-model": "check the structural model contracts",
+    "sweep": "repeat an experiment along one parameter axis",
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="anisolab",
         description="Simulation laboratory for degenerate convection-diffusion "
-                    "on periodic boxes.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-            ("run", "integrate one configuration and audit the trajectory"),
-            ("check-condition", "sample the nondegeneracy functional"),
-            ("validate-model", "check the structural model contracts"),
-            ("sweep", "repeat an experiment along one parameter axis")):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", metavar="PATH", help="experiment config file")
-        cmd.add_argument("--model", metavar="PRESET",
-                         help="preset name; with --config it overrides [model]")
-        cmd.add_argument("--out", metavar="DIR", help="artifact directory")
-        cmd.add_argument("--lattice", action="store_true",
-                         help="snap condition sampling to the grid wave lattice")
-        cmd.add_argument("--quiet", action="store_true",
-                         help="suppress stdout reports")
+                    "on periodic boxes.",
+        epilog="commands:\n" + "".join(f"  {name:<17}{text}\n" for name, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=tuple(_COMMANDS), help="what to do (below)")
+    parser.add_argument("--config", metavar="PATH", help="experiment config file")
+    parser.add_argument("--model", metavar="PRESET",
+                        help="preset name; with --config it overrides [model]")
+    parser.add_argument("--out", metavar="DIR", help="artifact directory")
+    parser.add_argument("--lattice", action="store_true",
+                        help="snap condition sampling to the grid wave lattice")
+    parser.add_argument("--quiet", action="store_true", help="suppress stdout reports")
     args = parser.parse_args(argv)
 
     try:

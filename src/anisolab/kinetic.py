@@ -123,6 +123,11 @@ class FrequencyPoint:
         return np.asarray(self.kappa, dtype=float)
 
 
+def _points(rows):
+    """FrequencyPoints of (tau, kappa) rows; tolist makes their values builtin floats."""
+    return [FrequencyPoint(tau=row[0], kappa=tuple(row[1:])) for row in rows.tolist()]
+
+
 def _symbol_parts(model, tau, kappa, xi):
     """Advection and diffusion parts tau + a(xi).kappa and kappa^T A(xi) kappa.
 
@@ -182,18 +187,17 @@ def _resonance_breakpoints(xs, adv, quad):
     return np.where(keep, np.concatenate([flips, lowest], axis=1), np.nan)
 
 
-def _omega_table(model, points, lambdas):
-    """omega at every point for every lam, and the largest error estimate.
+def _omega_table(model, rows, lambdas):
+    """omega at every (tau, kappa) row for every lam, and the largest error estimate.
 
-    Returns an (len(points), len(lambdas)) array and the largest quadrature
-    error estimate over it. The points become one (n, 1 + d) array of
-    (tau, kappa) rows, taken OMEGA_BLOCK rows at a time: the symbol of a
-    block is scanned on RESONANCE_SCAN states in one array pass, and the
-    array of resonance cut points found there starts one worklist for the
-    whole ladder. Its integrand has one component per lam and evaluates
-    each speed and A entry once per node; each lam is refined on the panel
-    tree a worklist of its own would give it, so a column equals the
-    one-lam table bit for bit. As each integral equals its lone call bit
+    Returns an (len(rows), len(lambdas)) array and the largest quadrature
+    error estimate over it. The (n, 1 + d) rows are taken OMEGA_BLOCK at a
+    time: the symbol of a block is scanned on RESONANCE_SCAN states in one
+    array pass, and the array of resonance cut points found there starts one
+    worklist for the whole ladder. Its integrand has one component per lam
+    and evaluates each speed and A entry once per node; each lam is refined
+    on the panel tree a worklist of its own would give it, so a column
+    equals the one-lam table bit for bit. As each integral equals its lone call bit
     for bit, a point's omega does not depend on its block: neither on
     OMEGA_BLOCK nor on the other points.
     """
@@ -203,7 +207,6 @@ def _omega_table(model, points, lambdas):
     big = model.state_bound
     scan = np.linspace(-big, big, RESONANCE_SCAN)
     lams = np.array(lambdas, dtype=float)[:, None]  # one component per lam
-    rows = np.array([(fp.tau, *fp.kappa) for fp in points], dtype=float)
     values = np.empty((len(rows), len(lambdas)))
     worst_err = 0.0
     for start in range(0, len(rows), OMEGA_BLOCK):
@@ -231,7 +234,7 @@ def _omega_table(model, points, lambdas):
 
 def omega_at(model, fp, lam):
     """State average of lam over the symbol denominator at one frequency."""
-    return float(_omega_table(model, [fp], [lam])[0][0, 0])
+    return float(_omega_table(model, np.array([(fp.tau, *fp.kappa)]), [lam])[0][0, 0])
 
 
 def _fibonacci_sphere(n):
@@ -315,6 +318,10 @@ class SamplingPlan:
 
     def frequency_points(self, model, delta):
         """Deterministic candidate list; first entries win value ties."""
+        return _points(self._rows(model, delta))
+
+    def _rows(self, model, delta):
+        """The plan as one (n, 1 + d) array of (tau, kappa) rows, in frequency_points' order."""
         d = model.dimension
         if self.lattice and self.periods is None:
             raise ValueError("lattice sampling needs the grid periods")
@@ -337,8 +344,7 @@ class SamplingPlan:
         key = np.round(rows / delta, 12)
         key *= np.sign(key[np.arange(len(key)), np.argmax(key != 0.0, axis=1)])[:, None]
         key += 0.0  # + 0.0 turns -0.0 into 0.0
-        first = np.sort(np.unique(key, axis=0, return_index=True)[1])
-        return [FrequencyPoint(tau=row[0], kappa=tuple(row[1:])) for row in rows[first].tolist()]
+        return rows[np.sort(np.unique(key, axis=0, return_index=True)[1])]
 
 
 def degeneracy_set_measure(model, fp, tol=1e-3, n_samples=20001):
@@ -405,13 +411,13 @@ def check_condition(model, delta=1.0, lambdas=None, sampling=None):
         raise ValueError("lambda ladder must be positive")
     if any(l2 >= l1 for l1, l2 in zip(lambdas, lambdas[1:])):
         raise ValueError("lambda ladder must be strictly decreasing")
-    points = (sampling or SamplingPlan()).frequency_points(model, delta)
-    values, max_err = _omega_table(model, points, lambdas)
+    rows = (sampling or SamplingPlan())._rows(model, delta)
+    values, max_err = _omega_table(model, rows, lambdas)
     # Mirror points may differ in the last bits: the witness is the first
     # point within 4 eps (relative) of the column max, with its own omega.
     first = np.argmax(values >= values.max(axis=0) * (1.0 - 4.0 * np.finfo(float).eps), axis=0)
     omegas = values[first, np.arange(len(lambdas))].tolist()
-    witnesses = [points[k] for k in first]
+    witnesses = _points(rows[first])
 
     threshold = PASS_FRACTION * 2.0 * model.state_bound
     verdict = _verdict(omegas, threshold)
@@ -426,6 +432,6 @@ def check_condition(model, delta=1.0, lambdas=None, sampling=None):
         pass_threshold=threshold,
         verdict=verdict,
         trend_ratio=trend_ratio,
-        points=len(points),
+        points=len(rows),
         max_error_estimate=max_err,
     )

@@ -22,12 +22,12 @@ fields (32 at N = 256, one at 128 x 128); it is measured before a stop
 writes its row or snapshot and before a blow-up takes its partial
 trajectory. The means are one row sum over the window's stacked fields, and
 the L1 distances to the contraction constants one subtract, abs and row sum
-in a (cap, constants, *shape) block; the energy is one np.vdot per field.
-The dissipation is one pass of the meter, a stencil set of cap rows, over
-the window's first k rows alone (its programs bound once per k), then one
-np.vdot per row; at cap = 1 the stage stencils measure each field. The
-per-step statistics then follow in step order, a NaN jump making its
-statistic NaN for good. Every row, statistic and snapshot has the bits of a
+in a (cap, constants, *shape) block; the energies are one batched dot
+(_squares). The dissipation is one pass of the meter, a stencil set of cap
+rows, over the window's first k rows alone (its programs bound once per k),
+then one batched dot per axis; at cap = 1 the stage stencils measure each
+field. The per-step statistics then follow in step order, a NaN jump making
+its statistic NaN for good. Every row, statistic and snapshot has the bits of a
 measure after each step.
 
 The stencils are periodic slice kernels (_Stencils) on one layout in 1-d
@@ -43,9 +43,10 @@ ranges from the first row's first cell to the last row's last cell: face
 i - 1/2 is stored at cell i. A range crosses the ghosts between grid lines
 and the values between rows, computed and never read, as each row carries
 its own ghosts. The views are bound once per run, as programs of (fn, args)
-steps. One stage call, _Stencils.tendency, sums each term into its part's
-range; the stepper subtracts and scales the parts over it, and the one-shot
-operators copy a part's cells. The dissipation has its own beta program.
+steps, a float operand of a ufunc step as a 0-d array (_bind). One stage
+call, _Stencils.tendency, sums each term into its part's range; the stepper
+subtracts and scales the parts over it, and the one-shot operators copy a
+part's cells. The dissipation has its own beta program.
 A call copies the field into the frame, fills the ghosts axis by axis (the
 corners too), writes the entries (one buffer and one evaluation per distinct
 entry object; an entry with in-place steps runs them, any other is copied
@@ -109,6 +110,8 @@ _GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 _QUIET = dict(over="ignore", invalid="ignore")
 # The bytes of fields in one of run's measurement windows (module docstring).
 _WINDOW_BYTES = 2 ** 16
+# The second stage's factor, bound as _bind binds a program's floats.
+_HALF = np.array(0.5)
 
 
 class ConfigurationError(Exception):
@@ -328,6 +331,19 @@ def _scale(x, c):
     return np.divide, (x, c, x)
 
 
+def _bind(program):
+    """``program`` with each float operand of a ufunc step as a 0-d float64 array: the
+    same bits, without the ufunc converting the float on every call."""
+    return tuple((fn, tuple(np.array(a) if isinstance(a, float) else a for a in args))
+                 if isinstance(fn, np.ufunc) else (fn, args) for fn, args in program)
+
+
+def _squares(rows):
+    """The dot of each row of a 2-d array with itself, as floats: one np.matmul of
+    (1, n) by (n, 1) pairs, each the dot np.vdot computes, so the bits are np.vdot's."""
+    return np.matmul(rows[:, None, :], rows[:, :, None]).ravel().tolist()
+
+
 def _run(program):
     """Run a program: each step is (fn, args), a ufunc step's args ending with its out."""
     for fn, args in program:
@@ -452,7 +468,7 @@ class _Stencils:
         """The program of ``owned``'s entries over the frames' first ``end`` values (all by
         default): in-place steps (work[1] is their scratch) or a copy."""
         u, scratch = self.u[:end], self.work[1][:end]
-        return tuple(step for e, buf in owned
+        return _bind(step for e, buf in owned
                      for step in (e.steps(u, buf[:end], scratch) if hasattr(e, "steps")
                                   else ((_copy_into, (e, u, buf[:end])),)))
 
@@ -479,7 +495,7 @@ class _Stencils:
                       _term(np.subtract, plan["rise"], u, u, w1)]
             after = [(np.subtract, (fc, rc, fc)), _term(np.subtract, plan["div"], w0, w0, w1),
                      _scale(c1, self.h[k])]
-            flux.append((before, rc, after))
+            flux.append((_bind(before), rc, _bind(after)))
         # (B[i+1] - 2 B[i]) + B[i-1]
         diffusion = [((np.multiply, (bufs[i, i][self.span], 2.0, c0)),
                       _term(np.subtract, plan["b_up"], bufs[i, i], w0, w1),
@@ -493,7 +509,7 @@ class _Stencils:
                 _term(np.subtract, first, bb, bb, w1), _term(np.subtract, second, w1, bb, w1),
                 _term(np.add, third, w1, bb, w1), (np.multiply, (c1, 2.0, c1)),
                 _scale(c1, 4.0 * self.h[0] * self.h[-1])))
-        return self._fills(owned), flux, diffusion
+        return self._fills(owned), flux, [_bind(steps) for steps in diffusion]
 
     def tendency(self, values, alphas):
         """One stage from one load: the second differences of B(u) summed into the
@@ -549,7 +565,7 @@ class _Stencils:
                     if g is grad:
                         steps.append((np.add, (ca, cg, ca)))
             if steps:
-                sums.append(steps)
+                sums.append(_bind(steps))
         cells, head = self.work_cells, None
         if drop:
             cells, head = cells[:rows], (self.cells[:rows], [(g[:rows], c[:rows])
@@ -579,7 +595,7 @@ class _Stencils:
 
     def dissipations(self, fields):
         """The dissipation of each of k stacked ``fields`` in the first k rows of a batch,
-        with the bits of ``dissipation`` on that field alone: one np.vdot per row."""
+        with the bits of ``dissipation`` on that field alone: one _squares per axis."""
         k = len(fields)
         program, sums, cells, head = self._dissipation(k)
         if not sums:
@@ -592,8 +608,7 @@ class _Stencils:
             _run(steps)
             if flat is not cells:
                 np.copyto(flat, cells)
-            for r, row in enumerate(flat):
-                totals[r] += float(np.vdot(row, row).real)
+            totals = [t + s for t, s in zip(totals, _squares(flat.reshape(k, -1)))]
         return [total * self.cell_volume for total in totals]
 
 
@@ -716,7 +731,7 @@ def _stepper(stencils, scheme):
             increment(stencils.u, alphas, dt)
             new_values = np.add(stencils.cells, values)
             new_values += inc
-            new_values *= 0.5
+            new_values *= _HALF
         else:
             new_values = values + inc
         new_rng = lo, hi = _range(new_values)
@@ -810,10 +825,10 @@ def run(model, grid, profile, scheme, hooks=()):
     trajectory attached. ``profile`` is anything init_field takes and checks.
 
     The fields are measured per window, which ends at the next stop point or
-    at cap = max(1, _WINDOW_BYTES // field bytes) fields: the means, the L1
-    distances to the constants and (by a meter of cap rows, if cap > 1, over
-    the window's rows alone) the dissipation in one pass each, the energy per
-    field, all with the bits of a measure per step.
+    at cap = max(1, _WINDOW_BYTES // field bytes) fields: the means, the
+    energies, the L1 distances to the constants and (by a meter of cap rows,
+    if cap > 1, over the window's rows alone) the dissipation in one pass
+    each, all with the bits of a measure per step.
     """
     values = init_field(grid, profile).values
     stencils = _Stencils(model, grid, values.shape)
@@ -824,8 +839,8 @@ def run(model, grid, profile, scheme, hooks=()):
     meter = _Stencils(model, grid, (cap,) + values.shape) if cap > 1 else None
     window = []  # (field, range, dt, cut) of each step not yet measured
 
-    def energy(v):
-        return float(np.vdot(v, v).real) * vol
+    def energies(fields):
+        return [e * vol for e in _squares(fields.reshape(len(fields), -1))]
 
     def dissipations(fields):
         return meter.dissipations(fields) if meter else [stencils.dissipation(fields[0])]
@@ -845,8 +860,8 @@ def run(model, grid, profile, scheme, hooks=()):
             return
         fields = window[0][0][None] if k == 1 else np.stack([w[0] for w in window])
         means = [s / ncells for s in fields.reshape(k, -1).sum(axis=1).tolist()]
-        for (v, (lo, hi), dt, cut), mean, ladder, n_new in zip(
-                window, means, ladders(fields), dissipations(fields)):
+        for (_, (lo, hi), dt, cut), mean, new_energy, ladder, n_new in zip(
+                window, means, energies(fields), ladders(fields), dissipations(fields)):
             stats.steps += 1
             if cut:
                 stats.truncated_steps += 1
@@ -856,7 +871,6 @@ def run(model, grid, profile, scheme, hooks=()):
                 stats.dt_max = max(stats.dt_max, dt)
             stats.max_principle_violation = max(
                 stats.max_principle_violation, hi - u0_max, u0_min - lo)
-            new_energy = energy(v)
             stats.energy_max_step_jump = _worse(
                 stats.energy_max_step_jump, new_energy - energy_cur)
             stats.mean_drift = _worse(stats.mean_drift, abs(mean - stats.initial_mean))
@@ -896,7 +910,7 @@ def run(model, grid, profile, scheme, hooks=()):
     with np.errstate(**_QUIET):
         u0_min, u0_max = rng = _range(values)
         mean_cur = float(values.sum()) / ncells
-        energy_cur, (n_prev,) = energy(values), dissipations(values[None])
+        (energy_cur,), (n_prev,) = energies(values[None]), dissipations(values[None])
         stats = RunStats(
             initial_min=u0_min, initial_max=u0_max, initial_mean=mean_cur,
             contraction_constants=tuple(_contraction_constants(u0_min, u0_max, mean_cur)),

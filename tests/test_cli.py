@@ -509,3 +509,47 @@ def test_console_entry_point_runs(tmp_path):
          "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+# --- the parser --------------------------------------------------------------
+
+COMMANDS = ("run", "check-condition", "validate-model", "sweep")
+
+
+def test_help_lists_each_command_with_its_description(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-h"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for name, text in (
+            ("run", "integrate one configuration and audit the trajectory"),
+            ("check-condition", "sample the nondegeneracy functional"),
+            ("validate-model", "check the structural model contracts"),
+            ("sweep", "repeat an experiment along one parameter axis")):
+        assert any(line.split() == [name, *text.split()] for line in out.splitlines()), name
+
+
+def test_unknown_command_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--model", "burgers"])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, code", zip(COMMANDS, (1, 0, 0, 1)))
+def test_every_command_accepts_all_five_options(tmp_path, capsys, command, code):
+    # run and sweep stop at their missing config sections, after parsing.
+    cfg = write(tmp_path / "c.cfg", "[model]\npreset = burgers\n\n[grid]\ncells = 32\n"
+                + FAST_CONDITION)
+    assert main([command, "--config", cfg, "--model", "burgers", "--out", str(tmp_path / "o"),
+                 "--lattice", "--quiet"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" not in captured.err
+
+
+def test_options_may_come_before_the_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--quiet", "check-condition", "--model", "burgers"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "anisolab-out" / "condition.csv").exists()

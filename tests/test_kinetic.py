@@ -27,6 +27,11 @@ from anisolab.model import ModelSpec, _vector, polynomial_model, preset
 FAST_PLAN = SamplingPlan(n_dir=8, r_max=4.0, n_resonant=5)
 
 
+def _rows(points):
+    """The (n, 1 + d) array of (tau, kappa) rows that _omega_table takes."""
+    return np.array([(fp.tau, *fp.kappa) for fp in points], dtype=float)
+
+
 # --- kinetic indicator -------------------------------------------------------
 
 def test_chi_examples():
@@ -416,7 +421,7 @@ def test_delta_shell_sup_bounds_the_shell_ladder(model, delta, n_dir, n_resonant
     plan = SamplingPlan(n_dir=n_dir, r_max=r_max, n_resonant=n_resonant)
     lambdas = [1e-1, 1e-3, 1e-6]
     ladder = [fp for r in plan.shell_radii(delta) for fp in plan.frequency_points(model, r)]
-    table, _ = kinetic._omega_table(model, ladder, lambdas)
+    table, _ = kinetic._omega_table(model, _rows(ladder), lambdas)
     report = check_condition(model, delta, lambdas, plan)
     for got, best in zip(report.omegas, table.max(axis=0)):
         assert got >= best - kinetic.KINETIC_QUAD_TOL
@@ -596,7 +601,7 @@ def test_batched_omega_matches_omega_at_and_arctan(pairs, lam):
     pts = [FrequencyPoint(tau=tau, kappa=(kap,)) for tau, kap in pairs]
     # Small blocks so one example spans several worklists.
     with mock.patch.object(kinetic, "OMEGA_BLOCK", 4):
-        got = kinetic._omega_table(m, pts, [lam])[0][:, 0]
+        got = kinetic._omega_table(m, _rows(pts), [lam])[0][:, 0]
     assert got.shape == (len(pts),)
     for val, fp, (tau, kap) in zip(got, pts, pairs):
         assert val == omega_at(m, fp, lam)
@@ -627,8 +632,8 @@ def test_omega_table_columns_equal_one_lambda_tables(case):
     # every column is the one-lam table bit for bit, its error estimate too.
     model, points, ladder = case
     with mock.patch.object(kinetic, "OMEGA_BLOCK", 4):
-        table, worst = kinetic._omega_table(model, points, ladder)
-        alone = [kinetic._omega_table(model, points, [lam]) for lam in ladder]
+        table, worst = kinetic._omega_table(model, _rows(points), ladder)
+        alone = [kinetic._omega_table(model, _rows(points), [lam]) for lam in ladder]
     assert table.shape == (len(points), len(ladder))
     for k, (column, _) in enumerate(alone):
         assert table[:, k].tobytes() == column[:, 0].tobytes(), ladder[k]
@@ -667,8 +672,8 @@ def test_omega_is_even_bit_for_bit(model, lattice, whole, periods):
     if whole is not None:
         model = _whole_copy(model, whole == "speed")
     lambdas = [1e-1, 1e-3, 1e-6]
-    table, worst = kinetic._omega_table(model, points, lambdas)
-    mirrored, mirrored_worst = kinetic._omega_table(model, _negated(points), lambdas)
+    table, worst = kinetic._omega_table(model, _rows(points), lambdas)
+    mirrored, mirrored_worst = kinetic._omega_table(model, _rows(_negated(points)), lambdas)
     assert mirrored.tobytes() == table.tobytes()
     assert mirrored_worst == worst
 
@@ -682,7 +687,7 @@ def test_reported_omega_is_the_max_over_the_plan_and_its_antipodes(name):
     for plan in (SamplingPlan(n_dir=64), SamplingPlan(
             lattice=True, r_max=16.0, periods=(1.0, 0.5)[:m.dimension])):
         points = plan.frequency_points(m, 1.0)
-        both, _ = kinetic._omega_table(m, points + _negated(points), lambdas)
+        both, _ = kinetic._omega_table(m, _rows(points + _negated(points)), lambdas)
         report = check_condition(m, lambdas=lambdas, sampling=plan)
         assert np.array(report.omegas).tobytes() == both.max(axis=0).tobytes()
         for lam, om, fp in zip(lambdas, report.omegas, report.witnesses):
@@ -701,7 +706,7 @@ def test_witness_is_the_first_point_within_rounding_of_the_max(model, lam, tau, 
     assert (fp.tau, fp.kappa[0]) == pytest.approx((tau, kappa), rel=1e-12)
     assert omega_at(model, fp, lam) == om
     points = SamplingPlan().frequency_points(model, 1.0)
-    column = kinetic._omega_table(model, points, [lam])[0][:, 0]
+    column = kinetic._omega_table(model, _rows(points), [lam])[0][:, 0]
     within = column >= column.max() * (1.0 - 4.0 * np.finfo(float).eps)
     assert points.index(fp) == np.argmax(within)
 
@@ -717,10 +722,10 @@ _COUPLED_CUBIC = polynomial_model(
 def test_omega_does_not_depend_on_its_block_or_neighbours(model):
     points = SamplingPlan(n_dir=64).frequency_points(model, 1.0)
     lambdas = [1e-1, 1e-3, 1e-6]
-    table, worst = kinetic._omega_table(model, points, lambdas)
+    table, worst = kinetic._omega_table(model, _rows(points), lambdas)
     with mock.patch.object(kinetic, "OMEGA_BLOCK", 3):
-        small, small_worst = kinetic._omega_table(model, points, lambdas)
-    reversed_table, reversed_worst = kinetic._omega_table(model, points[::-1], lambdas)
+        small, small_worst = kinetic._omega_table(model, _rows(points), lambdas)
+    reversed_table, reversed_worst = kinetic._omega_table(model, _rows(points[::-1]), lambdas)
     assert small.tobytes() == table.tobytes()
     assert reversed_table[::-1].tobytes() == table.tobytes()
     assert small_worst == reversed_worst == worst
@@ -752,3 +757,42 @@ def test_check_condition_reports_points_and_error_estimate():
     report = check_condition(m, sampling=FAST_PLAN)
     assert report.points == len(FAST_PLAN.frequency_points(m, 1.0))
     assert 0.0 < report.max_error_estimate <= kinetic.KINETIC_QUAD_TOL
+
+
+# --- the plan as rows ----------------------------------------------------------
+
+def _plans(model):
+    """The default, reduced and lattice plans, as the compare tool takes them."""
+    periods = (1.0, 0.5)[:model.dimension]
+    return (SamplingPlan(), SamplingPlan(n_dir=64 if model.dimension == 2 else None),
+            SamplingPlan(lattice=True, periods=periods))
+
+
+@pytest.mark.parametrize("model", [preset(name) for name in _PRESETS] + [_COUPLED_CUBIC],
+                         ids=lambda m: m.name)
+def test_frequency_points_are_the_rows_check_condition_integrates(model, monkeypatch):
+    # One plan: the public list is a view of the rows the check integrates,
+    # one for one and in order. The integrals are stubbed out.
+    integrated = []
+
+    def table(model, rows, lambdas):
+        integrated.append(rows)
+        return np.zeros((len(rows), len(lambdas))), 0.0
+
+    monkeypatch.setattr(kinetic, "_omega_table", table)
+    for plan in _plans(model):
+        report = check_condition(model, lambdas=[0.1], sampling=plan)
+        points = plan.frequency_points(model, 1.0)
+        assert [[fp.tau, *fp.kappa] for fp in points] == integrated.pop().tolist()
+        assert report.points == len(points)
+
+
+@pytest.mark.parametrize("model", [preset(name) for name in _PRESETS] + [_COUPLED_CUBIC],
+                         ids=lambda m: m.name)
+def test_witnesses_and_points_hold_builtin_floats(model):
+    # Array scalars would print as np.float64(...) in a witness's repr.
+    report = check_condition(model, lambdas=[0.1, 1e-3], sampling=FAST_PLAN)
+    for fp in report.witnesses + FAST_PLAN.frequency_points(model, 1.0):
+        assert type(fp.tau) is float
+        assert type(fp.kappa) is tuple
+        assert all(type(c) is float for c in fp.kappa)

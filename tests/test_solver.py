@@ -549,8 +549,9 @@ def test_a_stage_evaluates_each_distinct_entry_once(monkeypatch):
     g = PeriodicGrid.make([1.0, 1.0], [8, 8])
     fld = CellField(np.random.default_rng(2).uniform(-0.9, 0.9, (8, 8)))
     step(fld, m, g, SchemeConfig(t_end=1.0, integrator="euler"))
-    assert sum(fn is np.divide and args[1] == 3.0 for fn, args in ran
-               if isinstance(args[1], float)) == 1
+    # The divisor is bound as a 0-d array; its value is read.
+    assert sum(args[1] == 3.0 for fn, args in ran
+               if fn is np.divide and np.ndim(args[1]) == 0) == 1
 
 
 def test_a_runs_stencils_are_freed_by_reference_counting(monkeypatch):
@@ -1433,3 +1434,47 @@ def test_run_measures_each_window_with_one_meter_pass(name, cells, monkeypatch):
     assert [rows for program in ran for rows, beta in betas.items() if program is beta] == [
         1, *sizes]
     assert len(sizes) >= len(traj.rows) - 1 and sum(sizes) == traj.stats.steps
+
+
+# --- bound constants and the batched dot -------------------------------------
+
+@pytest.mark.parametrize("name,cells", [("burgers-degenerate", (16,)), ("porous-medium", (9,)),
+                                        ("anisotropic-2d", (6, 5)), ("coupled-cubic", (5, 4))])
+def test_no_bound_ufunc_step_has_a_float_operand(name, cells, monkeypatch):
+    # _bind turns each float operand into a 0-d array once, when a program is
+    # bound: the stage programs, the meter's per-k programs (run's windows
+    # hold many fields on these grids) and the lone dissipation.
+    ran = []
+
+    def recording_run(program):
+        ran.extend(program)
+        real_run(program)
+
+    real_run = solver_mod._run
+    monkeypatch.setattr(solver_mod, "_run", recording_run)
+    m = STENCIL_MODELS.get(name) or preset(name)
+    g = PeriodicGrid.make([1.0] * len(cells), list(cells))
+    values = np.random.default_rng(5).uniform(-0.9, 0.9, cells)
+    run(m, g, CellField(values), SchemeConfig(t_end=0.01, output_every=0.005))
+    _Stencils(m, g, values.shape).dissipation(values)
+    operands = [a for fn, args in ran if isinstance(fn, np.ufunc) for a in args]
+    assert not [a for a in operands if isinstance(a, float)]
+    assert any(isinstance(a, np.ndarray) and a.ndim == 0 for a in operands)
+
+
+@pytest.mark.parametrize("k", [1, 32])
+@pytest.mark.parametrize("n", [1, 5, 256, 4096, 16384])
+def test_batched_squares_are_vdot_bit_for_bit(n, k):
+    # 16384 is a 128 x 128 field flattened. Row 1 overflows to inf, row 2
+    # underflows, row 3 holds a NaN and row 4 is -0.0.
+    rng = np.random.default_rng(n)
+    wide = rng.standard_normal((32, n + 3))
+    wide[1] *= 1e150
+    wide[2] *= 1e-150
+    wide[3, 3 + n // 2] = np.nan
+    wide[4] = -0.0
+    for rows in (wide[:, 3:], np.ascontiguousarray(wide[:, 3:])):  # strided rows, then packed
+        for start in range(0, 32, k):
+            batch = rows[start:start + k]
+            want = [float(np.vdot(row, row).real) for row in batch]
+            assert np.array(solver_mod._squares(batch)).tobytes() == np.array(want).tobytes()
