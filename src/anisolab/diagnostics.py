@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .solver import ConfigurationError, DiagnosticsRow, Trajectory, _Stencils, _grid_values, run
+from .solver import (ConfigurationError, DiagnosticsRow, Trajectory, _grid_values, _squares,
+                     _Stencils, run)
 
 __all__ = [
     "DiagnosticsRow",
@@ -59,9 +60,9 @@ def l1_to_constant(field, grid, c):
 
 
 def l2_energy(field, grid):
-    """Integral of u^2 over the box."""
+    """Integral of u^2 over the box: the dot np.vdot computes, as one _squares row."""
     v = _one_field(field, grid)
-    return float(np.vdot(v, v).real) * grid.cell_volume
+    return _squares(v.reshape(1, -1))[0] * grid.cell_volume
 
 
 def parabolic_dissipation(model, field, grid):
@@ -70,8 +71,8 @@ def parabolic_dissipation(model, field, grid):
     Nonnegative by construction; zero whenever the diffusion vanishes. A
     batch of fields (leading axes) gives the sum over the batch.
     """
-    values = _grid_values(field, grid)
-    return _Stencils(model, grid, values.shape).dissipation(values)
+    values = _grid_values(field, grid).reshape((-1,) + grid.cells)
+    return _Stencils(model, grid, values.shape).dissipations(values, groups=1)[0]
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,11 @@ writes its row or snapshot and before a blow-up takes its partial
 trajectory. The means are one row sum over the window's stacked fields, and
 the L1 distances to the contraction constants one subtract, abs and row sum
 in a (cap, constants, *shape) block; the energies are one batched dot
-(_squares). The dissipation is one pass of the meter, a stencil set of cap
-rows, over the window's first k rows alone (its programs bound once per k),
-then one batched dot per axis; at cap = 1 the stage stencils measure each
-field. The per-step statistics then follow in step order, a NaN jump making
-its statistic NaN for good. Every row, statistic and snapshot has the bits of a
+(_squares). The dissipation is one pass of the meter over the window's first
+k rows alone (its programs bound once per k), then one batched dot per axis.
+The meter is a stencil set of cap rows, or at cap = 1 the stage stencils. The
+per-step statistics then follow in step order, a NaN jump making its
+statistic NaN for good. Every row, statistic and snapshot has the bits of a
 measure after each step.
 
 The stencils are periodic slice kernels (_Stencils) on one layout in 1-d
@@ -46,7 +46,10 @@ its own ghosts. The views are bound once per run, as programs of (fn, args)
 steps, a float operand of a ufunc step as a 0-d array (_bind). One stage
 call, _Stencils.tendency, sums each term into its part's range; the stepper
 subtracts and scales the parts over it, and the one-shot operators copy a
-part's cells. The dissipation has its own beta program.
+part's cells. The dissipation has its own beta program, bound per row count,
+and one method, _Stencils.dissipations: it serves run's windows, the lone
+field and parabolic_dissipation, whose batch total is one dot per axis over
+all of the batch's cells. Every energy and dissipation reduces by _squares.
 A call copies the field into the frame, fills the ghosts axis by axis (the
 corners too), writes the entries (one buffer and one evaluation per distinct
 entry object; an entry with in-place steps runs them, any other is copied
@@ -190,8 +193,13 @@ class CellField:
 class SchemeConfig:
     """Time integration parameters.
 
-    ``cfl`` values above 1 defeat the monotonicity guarantee and exist for
-    deliberate instability experiments; the stable range is (0, 0.5].
+    The stable range of ``cfl`` is (0, 1] for a diagonal A: in an Euler stage
+    the coefficient of u_i is 1 - dt (sum_k alpha_k / h_k + 2 sum_k
+    Lambda_kk / h_k^2), and _cfl_dt's denominator bounds that sum, so the
+    coefficient is at least 1 - cfl >= 0 and the stage is monotone. Values
+    above 1 defeat the monotonicity guarantee and exist for deliberate
+    instability experiments. An off-diagonal A has no guarantee at any cfl
+    (module docstring).
     """
 
     t_end: float
@@ -381,8 +389,8 @@ class _Stencils:
     and flux parts included. The programs are bound on first use: one entry
     program for B and f with the flux and diffusion terms on its buffers, which
     ``tendency`` (a stage) loads, and the beta and difference programs of
-    ``dissipation``, bound again over the first k rows for ``dissipations`` of
-    k fields. So no stencil except the dissipation needs sigma, beta or a PSD
+    ``dissipations``, bound over the first k rows for k fields, one set per k.
+    So no stencil except the dissipation needs sigma, beta or a PSD
     diffusion matrix. A call loads the field, runs the entry program and each
     term's program, and adds each result's range into its part's. Leading
     batch axes of ``shape`` are the frames' rows; ``cells``, ``work_cells``
@@ -539,13 +547,14 @@ class _Stencils:
         return True
 
     _beta = cached_property(lambda self: self._entries(self.table.beta))
-    # np.vdot copies a strided operand, once per operand: strided cells are copied here once.
-    _spare = cached_property(lambda self: np.empty(self.work_cells.shape))
+    # A 2-d row's cells are strided: they are copied here, one row per field, for _squares.
+    _spare = cached_property(lambda self: np.empty((self.rows,) + self.cells.shape[-self.d:]))
 
     def _dissipation(self, rows):
         """Over the first ``rows`` rows, bound on first use per count: the beta program,
-        per axis k the program of sum_i D_i beta_ik into work[0], work[0]'s cells, and
-        the (cells, ghosts) that ``load`` fills (None for every row)."""
+        per axis k the program of sum_i D_i beta_ik into work[0], work[0]'s cells and the
+        rows _squares reads (the same views in 1-d, _spare in 2-d), and the (cells, ghosts)
+        that ``load`` fills (None for every row)."""
         if rows in self._bound:
             return self._bound[rows]
         beta, owned = self._beta
@@ -566,49 +575,34 @@ class _Stencils:
                         steps.append((np.add, (ca, cg, ca)))
             if steps:
                 sums.append(_bind(steps))
-        cells, head = self.work_cells, None
-        if drop:
-            cells, head = cells[:rows], (self.cells[:rows], [(g[:rows], c[:rows])
-                                                             for g, c in self.ghosts])
-        self._bound[rows] = bound = self._fills(owned, self.size - drop), sums, cells, head
+        cells = self.work_cells.reshape((self.rows,) + self.cells.shape[-self.d:])[:rows]
+        flat = cells if self.d == 1 else self._spare[:rows]
+        head = (self.cells[:rows], [(g[:rows], c[:rows]) for g, c in self.ghosts]) if drop else None
+        self._bound[rows] = bound = self._fills(owned, self.size - drop), sums, cells, flat, head
         return bound
 
-    def dissipation(self, values):
-        """Discrete parabolic dissipation: sum over k of (sum_i D_i beta_ik)^2.
+    def dissipations(self, fields, groups=None):
+        """Discrete parabolic dissipation, sum over k of (sum_i D_i beta_ik)^2 scaled by
+        the cell volume, of the stacked ``fields`` loaded into the first rows. ``groups``
+        equal runs of fields (one per field by default; 1 for a batch's total) give one
+        value each.
 
-        D_i is the centered difference along axis i; the total is scaled
-        by the cell volume. Without beta entries it is 0.0, and the field is
-        not loaded.
+        D_i is the centered difference along axis i. Each axis adds one _squares row per
+        group, a dot over all of its cells. Without beta entries every value is 0.0, and
+        the fields are not loaded.
         """
-        program, sums, cells, _ = self._dissipation(self.rows)
+        groups = groups or len(fields)
+        program, sums, cells, flat, head = self._dissipation(len(fields))
         if not sums:
-            return 0.0
-        self.load(values, program)
-        flat = cells if cells.flags.c_contiguous else self._spare
-        total = 0.0
-        for steps in sums:
-            _run(steps)
-            if flat is not cells:
-                np.copyto(flat, cells)
-            total += float(np.vdot(flat, flat).real)
-        return total * self.cell_volume
-
-    def dissipations(self, fields):
-        """The dissipation of each of k stacked ``fields`` in the first k rows of a batch,
-        with the bits of ``dissipation`` on that field alone: one _squares per axis."""
-        k = len(fields)
-        program, sums, cells, head = self._dissipation(k)
-        if not sums:
-            return [0.0] * k
+            return [0.0] * groups
         self.load(fields, program, head)
-        # A row's cells are contiguous in 1-d alone.
-        flat = cells if self.d == 1 else self._spare[:k]
-        totals = [0.0] * k
+        totals = [0.0] * groups
         for steps in sums:
             _run(steps)
             if flat is not cells:
                 np.copyto(flat, cells)
-            totals = [t + s for t, s in zip(totals, _squares(flat.reshape(k, -1)))]
+            # A 1-d group of more than one row is copied into one by the reshape.
+            totals = [t + s for t, s in zip(totals, _squares(flat.reshape(groups, -1)))]
         return [total * self.cell_volume for total in totals]
 
 
@@ -826,24 +820,22 @@ def run(model, grid, profile, scheme, hooks=()):
 
     The fields are measured per window, which ends at the next stop point or
     at cap = max(1, _WINDOW_BYTES // field bytes) fields: the means, the
-    energies, the L1 distances to the constants and (by a meter of cap rows,
-    if cap > 1, over the window's rows alone) the dissipation in one pass
-    each, all with the bits of a measure per step.
+    energies, the L1 distances to the constants and (by a meter of cap rows
+    over the window's rows alone, at cap 1 the stage stencils) the dissipation
+    in one pass each, all with the bits of a measure per step.
     """
     values = init_field(grid, profile).values
     stencils = _Stencils(model, grid, values.shape)
     vol = stencils.cell_volume
     ncells = values.size
     cap = max(1, _WINDOW_BYTES // values.nbytes)
-    # A meter of one row would only add its frames to the stage's cache footprint.
-    meter = _Stencils(model, grid, (cap,) + values.shape) if cap > 1 else None
+    # At cap 1 the stage stencils measure: a meter of one row would only add its frames
+    # to the stage's cache footprint.
+    meter = _Stencils(model, grid, (cap,) + values.shape) if cap > 1 else stencils
     window = []  # (field, range, dt, cut) of each step not yet measured
 
     def energies(fields):
         return [e * vol for e in _squares(fields.reshape(len(fields), -1))]
-
-    def dissipations(fields):
-        return meter.dissipations(fields) if meter else [stencils.dissipation(fields[0])]
 
     def ladders(fields):
         """L1 distance of each of the stacked ``fields`` to every contraction constant."""
@@ -861,7 +853,7 @@ def run(model, grid, profile, scheme, hooks=()):
         fields = window[0][0][None] if k == 1 else np.stack([w[0] for w in window])
         means = [s / ncells for s in fields.reshape(k, -1).sum(axis=1).tolist()]
         for (_, (lo, hi), dt, cut), mean, new_energy, ladder, n_new in zip(
-                window, means, energies(fields), ladders(fields), dissipations(fields)):
+                window, means, energies(fields), ladders(fields), meter.dissipations(fields)):
             stats.steps += 1
             if cut:
                 stats.truncated_steps += 1
@@ -910,7 +902,7 @@ def run(model, grid, profile, scheme, hooks=()):
     with np.errstate(**_QUIET):
         u0_min, u0_max = rng = _range(values)
         mean_cur = float(values.sum()) / ncells
-        (energy_cur,), (n_prev,) = energies(values[None]), dissipations(values[None])
+        (energy_cur,), (n_prev,) = energies(values[None]), meter.dissipations(values[None])
         stats = RunStats(
             initial_min=u0_min, initial_max=u0_max, initial_mean=mean_cur,
             contraction_constants=tuple(_contraction_constants(u0_min, u0_max, mean_cur)),

@@ -386,7 +386,8 @@ def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, ce
         diff, hyp = stencils.part_cells if ran else (stencils.part_cells[0], np.zeros_like(v))
         assert hyp.tobytes() == roll_hyperbolic(v, m, g, alphas).tobytes()
         assert diff.tobytes() == roll_diffusion(v, g, tables).tobytes()
-        assert stencils.dissipation(v) == roll_dissipation(v, g, tables)
+        assert stencils.dissipations(v.reshape((-1,) + cells), 1) == [
+            roll_dissipation(v, g, tables)]
         return alphas
 
     # The second call reuses the work arrays and buffers; a second field,
@@ -442,14 +443,14 @@ def test_values_between_batch_rows_are_never_read(name, periods, batch, cells, m
     alphas, _ = tables.bounds(*rng)
     # Bind every program, so that every frame exists, then fill before each call.
     stencils.tendency(values, alphas)
-    stencils.dissipation(values)
+    stencils.dissipations(values, 1)
     _nan_between_rows(frames, values.shape, g.dimension)
     ran = stencils.tendency(values, alphas)
     diff, hyp = stencils.part_cells if ran else (stencils.part_cells[0], np.zeros_like(values))
     assert hyp.tobytes() == roll_hyperbolic(values, m, g, alphas).tobytes()
     assert diff.tobytes() == roll_diffusion(values, g, tables).tobytes()
     _nan_between_rows(frames, values.shape, g.dimension)
-    assert stencils.dissipation(values) == roll_dissipation(values, g, tables)
+    assert stencils.dissipations(values, 1) == [roll_dissipation(values, g, tables)]
     _nan_between_rows(frames, values.shape, g.dimension)
     scheme, dt = SchemeConfig(t_end=1.0), 0.5 * stable_dt(m, values, g)
     together, _, _, _ = solver_mod._stepper(stencils, scheme)(values, rng, 0.0, math.inf, None, dt)
@@ -485,7 +486,7 @@ def test_every_term_is_one_step_on_flat_ranges(name, cells, batch, monkeypatch):
     stencils = _Stencils(m, g, values.shape)
     alphas, _ = stencils.bounds(float(values.min()), float(values.max()))
     stencils.tendency(values, alphas)
-    stencils.dissipation(values)
+    stencils.dissipations(values.reshape((-1,) + cells))
 
     d, b = len(cells), stencils.b_entries
     mixed = (0, 1) in b
@@ -665,9 +666,9 @@ def test_one_entry_program_serves_every_stencil_but_the_dissipation(monkeypatch)
         calls.append((list(table), list(axes)))
         return real_entries(self, table, axes)
 
-    def load(self, values, program=()):
+    def load(self, values, program=(), head=None):
         loaded.append(program)
-        return real_load(self, values, program)
+        return real_load(self, values, program, head)
 
     monkeypatch.setattr(_Stencils, "_entries", entries)
     monkeypatch.setattr(_Stencils, "load", load)
@@ -677,7 +678,7 @@ def test_one_entry_program_serves_every_stencil_but_the_dissipation(monkeypatch)
     alphas, _ = stencils.bounds(float(values.min()), float(values.max()))
     for _ in range(2):
         stencils.tendency(values, alphas)
-        stencils.dissipation(values)
+        stencils.dissipations(values[None])
     assert calls == [([(0, 0), (0,), (1,)], [(0,), (1,)]), ([(0, 0)], [])]
     stage = loaded[0]
     assert [p is stage for p in loaded] == [True, False] * 2
@@ -691,7 +692,7 @@ def test_dissipation_without_beta_is_zero_and_loads_nothing(name, monkeypatch):
     monkeypatch.setattr(_Stencils, "load", lambda self, *args: loaded.append(args))
     g = PeriodicGrid.make([1.0], [16])
     stencils = _Stencils(preset(name), g, (16,))
-    assert stencils.dissipation(init_field(g, sin_profile).values) == 0.0
+    assert stencils.dissipations(init_field(g, sin_profile).values[None]) == [0.0]
     assert loaded == []
 
 
@@ -929,6 +930,35 @@ def test_run_row_and_snapshot_cadence():
     assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-9)
     snap_times = [s.time for s in traj.snapshots]
     assert snap_times == pytest.approx([0.0, 0.5, 1.0], abs=1e-9)
+
+
+# (cells, t_end) per preset: runs short enough for the suite that still move the data.
+CFL_EDGE_RUNS = {"burgers-degenerate": ([128], 0.05), "porous-medium": ([64], 0.05),
+                 "burgers": ([128], 0.5), "linear-advection": ([64], 0.5),
+                 "anisotropic-2d": ([32, 32], 0.02)}
+
+
+def _cfl_edge_audit(name, cfl, integrator):
+    cells, t_end = CFL_EDGE_RUNS[name]
+    g = PeriodicGrid.make([1.0] * len(cells), cells)
+    profile = sin_profile if len(cells) == 1 else (
+        lambda x, y: np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y))
+    return audit(run(preset(name), g, profile,
+                     SchemeConfig(t_end=t_end, cfl=cfl, integrator=integrator)))
+
+
+@pytest.mark.parametrize("integrator", solver_mod.INTEGRATORS)
+@pytest.mark.parametrize("name", sorted(CFL_EDGE_RUNS))
+def test_every_preset_passes_its_audit_at_cfl_one(name, integrator):
+    # The presets' A is diagonal, so at cfl <= 1 every Euler stage is monotone
+    # (SchemeConfig): the top of the stable range keeps every audit.
+    assert _cfl_edge_audit(name, 1.0, integrator).passed
+
+
+def test_past_cfl_one_an_euler_step_breaks_the_maximum_principle():
+    # The bound is where the guarantee ends: burgers under Euler at cfl 1.1
+    # already overshoots its initial range.
+    assert _cfl_edge_audit("burgers", 1.1, "euler").max_principle_violation > 1e-5
 
 
 def test_run_is_deterministic():
@@ -1358,8 +1388,7 @@ def test_a_windows_dissipation_pass_equals_its_lone_calls_bit_for_bit(case):
             for frame in (meter.u, *meter.work):
                 frame.fill(junk)
         got = meter.dissipations(fields)
-    lone = _Stencils(m, g, cells)
-    want = [lone.dissipation(f) for f in fields]
+    want = [parabolic_dissipation(m, f, g) for f in fields]
     assert [x.hex() for x in got] == [x.hex() for x in want]
     assert all(x > 0.0 for x in got)
 
@@ -1390,19 +1419,15 @@ def test_a_windows_pass_writes_no_row_past_the_window(name, monkeypatch):
 def test_run_measures_each_window_with_one_meter_pass(name, cells, monkeypatch):
     # With windows of more than one field, the meter runs a beta program once
     # for the initial field and once per window, the one bound over as many
-    # rows as the window holds; the stage stencils make no dissipation call.
+    # rows as the window holds; the stage stencils bind no dissipation program.
     # The windows are re-derived from the stop-point loop: each ends at a stop
     # or once it holds the cap.
-    made, ran, lone, stepped = [], [], [], []
+    made, ran, stepped = [], [], []
 
     class Recording(_Stencils):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
-
-        def dissipation(self, values):
-            lone.append(values)
-            return super().dissipation(values)
 
     real_run, real_march = solver_mod._run, solver_mod._march
 
@@ -1428,12 +1453,40 @@ def test_run_measures_each_window_with_one_meter_pass(name, cells, monkeypatch):
         if held and (held == cap or not is_step):
             sizes, held = sizes + [held], 0
     stage, meter = made
-    assert meter.cells.shape == (cap, *cells) and lone == []
+    assert meter.cells.shape == (cap, *cells) and stage._bound == {}
     betas = {rows: bound[0] for rows, bound in meter._bound.items()}
     assert sorted(betas) == sorted({1, *sizes})
     assert [rows for program in ran for rows, beta in betas.items() if program is beta] == [
         1, *sizes]
     assert len(sizes) >= len(traj.rows) - 1 and sum(sizes) == traj.stats.steps
+
+
+@pytest.mark.parametrize("name,cells,t_end", [("burgers-degenerate", [8192], 1e-8),
+                                               ("anisotropic-2d", [128, 128], 4e-5)])
+def test_a_one_field_window_is_measured_by_the_stage_stencils(name, cells, t_end,
+                                                              monkeypatch):
+    # Where a window holds one field (cap 1), run builds no meter: every field it
+    # measures, the initial one included, goes one at a time through the stage
+    # stencils' dissipations, on the programs bound for one row.
+    made, measured = [], []
+
+    class Recording(_Stencils):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def dissipations(self, fields, groups=None):
+            measured.append((self, len(fields)))
+            return super().dissipations(fields, groups)
+
+    monkeypatch.setattr(solver_mod, "_Stencils", Recording)
+    g = PeriodicGrid.make([1.0] * len(cells), cells)
+    profile = sin_profile if len(cells) == 1 else lambda x, y: np.sin(2.0 * np.pi * (x + y))
+    traj = run(preset(name), g, profile, SchemeConfig(t_end=t_end, output_every=t_end / 2))
+    assert solver_mod._WINDOW_BYTES // (8 * math.prod(cells)) <= 1
+    (stage,) = made
+    assert stage.rows == 1 and list(stage._bound) == [1]
+    assert traj.stats.steps > 2 and measured == [(stage, 1)] * (1 + traj.stats.steps)
 
 
 # --- bound constants and the batched dot -------------------------------------
@@ -1456,17 +1509,19 @@ def test_no_bound_ufunc_step_has_a_float_operand(name, cells, monkeypatch):
     g = PeriodicGrid.make([1.0] * len(cells), list(cells))
     values = np.random.default_rng(5).uniform(-0.9, 0.9, cells)
     run(m, g, CellField(values), SchemeConfig(t_end=0.01, output_every=0.005))
-    _Stencils(m, g, values.shape).dissipation(values)
+    _Stencils(m, g, values.shape).dissipations(values[None])
     operands = [a for fn, args in ran if isinstance(fn, np.ufunc) for a in args]
     assert not [a for a in operands if isinstance(a, float)]
     assert any(isinstance(a, np.ndarray) and a.ndim == 0 for a in operands)
 
 
 @pytest.mark.parametrize("k", [1, 32])
-@pytest.mark.parametrize("n", [1, 5, 256, 4096, 16384])
+@pytest.mark.parametrize("n", [1, 5, 256, 4096, 16384, 65536, 262144])
 def test_batched_squares_are_vdot_bit_for_bit(n, k):
-    # 16384 is a 128 x 128 field flattened. Row 1 overflows to inf, row 2
-    # underflows, row 3 holds a NaN and row 4 is -0.0.
+    # 16384, 65536 and 262144 are 128 x 128, 256 x 256 and 512 x 512 fields
+    # flattened: l2_energy and a lone 2-d dissipation reduce through _squares at
+    # any size. Row 1 overflows to inf, row 2 underflows, row 3 holds a NaN and
+    # row 4 is -0.0.
     rng = np.random.default_rng(n)
     wide = rng.standard_normal((32, n + 3))
     wide[1] *= 1e150

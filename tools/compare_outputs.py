@@ -46,7 +46,10 @@ of the difference, and exits 1 if any case differs. The cases are:
   batched pair of coupled-cubic fields (``oneshot/batch/coupled-cubic``) and
   batches of three fields (the field, its negative and its half) on 5 cells
   and on 4x6 cells (``oneshot/batch-3/burgers-degenerate``,
-  ``oneshot/batch-3/cells-4x6/anisotropic-2d``);
+  ``oneshot/batch-3/cells-4x6/anisotropic-2d``), and a batch of two random
+  fields on 256 cells (``oneshot/batch-2/cells-256/burgers-degenerate``),
+  whose dissipation, one dot per axis over the whole batch, differs in its
+  last bits from a sum of the two fields' dissipations;
   the one-shot and step cases of a hand-built 1-d model with a zero flux and
   a nonzero speed, the edge of the stage's rule for skipping the flux part
   (``oneshot/viscous-only``, ``step/viscous-only``);
@@ -239,15 +242,19 @@ def _trajectory_record(traj):
             traj.final.values.tobytes())
 
 
-def _oneshot_case(model, batch=1, cells=None):
+def _oneshot_case(model, batch=1, cells=None, seed=None):
     """hyperbolic_div, diffusion_div and parabolic_dissipation on the run cases' field;
-    a ``batch`` of 2 stacks it with its negative, one of 3 with its half too."""
+    a ``batch`` of 2 stacks it with its negative, one of 3 with its half too. With a
+    ``seed``, the batch is uniform on [-0.9, 0.9] from default_rng(seed) instead."""
     import numpy as np
     from anisolab.diagnostics import parabolic_dissipation
     from anisolab.solver import diffusion_div, hyperbolic_div, init_field
     grid, profile = _run_setup(model, cells)
-    values = init_field(grid, profile).values
-    values = np.stack([values, -values, 0.5 * values][:batch]) if batch > 1 else values
+    if seed is not None:
+        values = np.random.default_rng(seed).uniform(-0.9, 0.9, (batch,) + grid.cells)
+    else:
+        values = init_field(grid, profile).values
+        values = np.stack([values, -values, 0.5 * values][:batch]) if batch > 1 else values
     return pickle.dumps([_outcome(lambda op=op: op(model, values, grid).tobytes())
                          for op in (hyperbolic_div, diffusion_div)]
                         + [_outcome(lambda: parabolic_dissipation(model, values, grid))])
@@ -723,6 +730,8 @@ def cases():
            lambda: _oneshot_case(models["burgers-degenerate"], batch=3, cells=5))
     yield ("oneshot/batch-3/cells-4x6/anisotropic-2d",
            lambda: _oneshot_case(models["anisotropic-2d"], batch=3, cells=(4, 6)))
+    yield ("oneshot/batch-2/cells-256/burgers-degenerate",
+           lambda: _oneshot_case(models["burgers-degenerate"], batch=2, cells=256, seed=0))
     viscous = _viscous_only_model()
     yield "oneshot/viscous-only", lambda: _oneshot_case(viscous)
     yield "step/viscous-only", lambda: _step_case(viscous)
