@@ -441,7 +441,6 @@ class ModelTable:
     sigma = cached_property(lambda self: _entries(self.model, "sqrt_factor"))
     b = cached_property(lambda self: _entries(self.model, "b_primitive"))
     beta = cached_property(lambda self: _entries(self.model, "beta_primitive"))
-    flux_is_zero = property(lambda self: not self.f)
 
     @cached_property
     def _bound_slots(self):

@@ -16,19 +16,19 @@ A wave bound that overflows (a CFL step of 0 or NaN) is a blow-up too.
 init_field broadcasts a profile's values to its quadrature nodes, so a
 profile of one coordinate, or a constant, fills every cell.
 
-run measures the fields its steps make per window. A window ends at the
-next stop point, or once it holds max(1, _WINDOW_BYTES // field bytes)
-fields (32 at N = 256, one at 128 x 128); it is measured before a stop
-writes its row or snapshot and before a blow-up takes its partial
-trajectory. The means are one row sum over the window's stacked fields, and
+run measures the fields its steps make per window. A window ends once it
+holds cap = max(1, _WINDOW_BYTES // field bytes) fields (32 at N = 256, one
+at 128 x 128), at the run's end and at a blow-up, which takes the partial
+trajectory after it. A row's stop queues its field and range, and the row is
+written as soon as the steps before it are folded; a snapshot is copied at
+its stop. The means are one row sum over the window's stacked fields, and
 the L1 distances to the contraction constants one subtract, abs and row sum
 in a (cap, constants, *shape) block; the energies are one batched dot
-(_squares). The dissipation is one pass of the meter over the window's first
-k rows alone (its programs bound once per k), then one batched dot per axis.
-The meter is a stencil set of cap rows, or at cap = 1 the stage stencils. The
-per-step statistics then follow in step order, a NaN jump making its
-statistic NaN for good. Every row, statistic and snapshot has the bits of a
-measure after each step.
+(_squares). The dissipation is one pass of the meter over all of its rows,
+then one batched dot per axis over the window's. The meter is a stencil set
+of cap rows, or at cap = 1 the stage stencils. The per-step statistics then
+follow in step order, a NaN jump making its statistic NaN for good. Every
+row, statistic and snapshot has the bits of a measure after each step.
 
 The stencils are periodic slice kernels (_Stencils) on one layout in 1-d
 and 2-d, lone or batched. Every array they own (the stage field, one buffer
@@ -45,22 +45,22 @@ and the values between rows, computed and never read, as each row carries
 its own ghosts. The views are bound once per run, as programs of (fn, args)
 steps, a float operand of a ufunc step as a 0-d array (_bind). One stage
 call, _Stencils.tendency, sums each term into its part's range; the stepper
-subtracts and scales the parts over it, and the one-shot operators copy a
-part's cells. The dissipation has its own beta program, bound per row count,
-and one method, _Stencils.dissipations: it serves run's windows, the lone
-field and parabolic_dissipation, whose batch total is one dot per axis over
-all of the batch's cells. Every energy and dissipation reduces by _squares.
-A call copies the field into the frame, fills the ghosts axis by axis (the
-corners too), writes the entries (one buffer and one evaluation per distinct
-entry object; an entry with in-place steps runs them, any other is copied
-in) and runs the diffusion terms, then the flux terms. 0.5 alpha_k and dt
-are explicit calls on Python floats. The second stage's field is written
-straight into the frame. No array handed back is a stencil buffer or a view
-of one. The kernels divide by h, h^2, 2h and 4 h_0 h_1, or multiply by the
-reciprocal when the divisor is a power of two (then both round the same
-real number), so they match the whole-array periodic-shift form of each
-stencil bit for bit; the tests keep that form as the reference. The entries
-come from the table model.model_table.
+writes dt (diffusion - flux) into a work array, and the one-shot operators
+copy a part's cells. The dissipation has its own beta program and one
+method, _Stencils.dissipations: it serves run's windows, the lone field and
+parabolic_dissipation, whose batch total is one dot per axis over all of the
+batch's cells. Every energy and dissipation reduces by _squares. A call
+copies the field into the frame, fills the ghosts axis by axis (the corners
+too), writes the entries (one buffer and one evaluation per distinct entry
+object; an entry with in-place steps runs them, any other is copied in) and
+runs the diffusion terms, then the flux terms, bound for a model with flux
+or speed entries. 0.5 alpha_k and dt are explicit calls on Python floats.
+The second stage's field is written straight into the frame. No array
+handed back is a stencil buffer or a view of one. The kernels divide by h,
+h^2, 2h and 4 h_0 h_1, or multiply by the reciprocal when the divisor is a
+power of two (then both round the same real number), so they match the
+whole-array periodic-shift form of each stencil bit for bit; the tests keep
+that form as the reference. The entries come from model.model_table.
 
 Wave bounds, max |a_k| for the flux and max |A_ij| for the time step, are
 taken over the current field's range [min u, max u], not clipped to
@@ -386,11 +386,11 @@ class _Stencils:
     """The scheme's periodic stencils for one model and grid, on fields of one shape.
 
     Every array they own is a frame (module docstring), the stage's diffusion
-    and flux parts included. The programs are bound on first use: one entry
-    program for B and f with the flux and diffusion terms on its buffers, which
-    ``tendency`` (a stage) loads, and the beta and difference programs of
-    ``dissipations``, bound over the first k rows for k fields, one set per k.
-    So no stencil except the dissipation needs sigma, beta or a PSD
+    and flux parts included. Each program is bound once, on first use, over
+    every row: one entry program for B and f with the flux and diffusion terms
+    on its buffers, which ``tendency`` (a stage) loads, and the beta and
+    difference programs of ``dissipations``, which reads the first k rows of k
+    fields. So no stencil except the dissipation needs sigma, beta or a PSD
     diffusion matrix. A call loads the field, runs the entry program and each
     term's program, and adds each result's range into its part's. Leading
     batch axes of ``shape`` are the frames' rows; ``cells``, ``work_cells``
@@ -402,7 +402,7 @@ class _Stencils:
         d = grid.dimension
         self.d, self.h = d, grid.spacings
         self.cell_volume = grid.cell_volume
-        self.bounds, self.flux_is_zero = table.bounds, table.flux_is_zero
+        self.bounds = table.bounds
         lead, ns = tuple(shape[:-d]), tuple(shape[-d:])
         padded = tuple(n + 2 for n in ns)
         size, strides = math.prod(padded), [math.prod(padded[k + 1:]) for k in range(d)]
@@ -411,7 +411,7 @@ class _Stencils:
         pad, rows = -sum(strides) % _LINE, math.prod(lead)
         row = pad + size - (pad + size) % -_LINE
         self.size, last = rows * row, pad + sum(map(mul, ns, strides))
-        self.rows, self.row, self._bound = rows, row, {}
+        self.rows = rows
         self.u, *self.work = (self._frame() for _ in range(3))
         # Cell (1, ..., 1) of the first row to (n_0, ..., n_last) of the last; a plan
         # is a term's (out, x, y) ranges.
@@ -429,6 +429,8 @@ class _Stencils:
         self._grid = lambda a: a.reshape(rows, row)[:, pad:pad + size].reshape(lead + padded)
         self._inside = inside = (Ellipsis,) + tuple(slice(1, n + 1) for n in ns)
         self.cells, self.work_cells = (self._grid(a)[inside] for a in (self.u, self.work[0]))
+        # A leading axis of stacked fields, of length 1 for a lone field.
+        self.stack = self.cells.reshape((lead or (1,)) + ns)
         grid = self._grid(self.u)
         self.ghosts = [pair for k, n in enumerate(ns) for g in [np.moveaxis(grid, k - d, -1)]
                        for pair in ((g[..., :1], g[..., n:n + 1]), (g[..., n + 1:], g[..., 1:2]))]
@@ -445,20 +447,19 @@ class _Stencils:
     part_cells = cached_property(lambda self: tuple(self._grid(p)[self._inside]
                                                     for p in self._parts))
 
-    def load(self, values, program=(), head=None):
+    def load(self, values, program=()):
         """The stage field holding ``values`` (taken as it is if it is the stage
-        field, so one copy serves a stage), after running ``program`` on it.
-        ``head``, the (cells, ghosts) of the first k rows, loads k fields there."""
+        field, so one copy serves a stage), after running ``program`` on it. A
+        stack of k fields fills the first k rows; the others keep what they held."""
         if values is not self.u:
-            cells, ghosts = head or (self.cells, self.ghosts)
-            cells[...] = values
-            self.fill_ghosts(ghosts)
+            self.stack[:len(values)] = values
+            self.fill_ghosts()
         _run(program)
         return self.u
 
-    def fill_ghosts(self, ghosts=None):
-        """u[0] = u[n], u[n + 1] = u[1] axis by axis (corners too), in ``ghosts`` or every row."""
-        for ghost, cell in ghosts or self.ghosts:
+    def fill_ghosts(self):
+        """u[0] = u[n], u[n + 1] = u[1] axis by axis (corners too), in every row."""
+        for ghost, cell in self.ghosts:
             ghost[...] = cell
 
     def _entries(self, entries, axes=()):
@@ -472,13 +473,12 @@ class _Stencils:
             bufs[idx] = owned[id(e)][1]
         return bufs, tuple(owned.values())
 
-    def _fills(self, owned, end=None):
-        """The program of ``owned``'s entries over the frames' first ``end`` values (all by
-        default): in-place steps (work[1] is their scratch) or a copy."""
-        u, scratch = self.u[:end], self.work[1][:end]
+    def _fills(self, owned):
+        """The program of ``owned``'s entries over the whole frames: in-place steps
+        (work[1] is their scratch) or a copy."""
         return _bind(step for e, buf in owned
-                     for step in (e.steps(u, buf[:end], scratch) if hasattr(e, "steps")
-                                  else ((_copy_into, (e, u, buf[:end])),)))
+                     for step in (e.steps(self.u, buf, self.work[1]) if hasattr(e, "steps")
+                                  else ((_copy_into, (e, self.u, buf)),)))
 
     @cached_property
     def b_entries(self):
@@ -488,13 +488,15 @@ class _Stencils:
     @cached_property
     def _programs(self):
         """The one entry program for B and f; per axis k the flux program (before, rise
-        to scale by 0.5 alpha_k, after); and one program per diffusion term, B_ii along
-        axis i, then B_01. Every term's result is work[1]'s span."""
-        b = self.b_entries
-        bufs, owned = self._entries({**b, **self.table.f}, [(k,) for k in range(self.d)])
+        to scale by 0.5 alpha_k, after), bound only for a model with flux or speed
+        entries; and one program per diffusion term, B_ii along axis i, then B_01.
+        Every term's result is work[1]'s span."""
+        b, table = self.b_entries, self.table
+        axes = range(self.d) if table.f or table.speed else ()
+        bufs, owned = self._entries({**b, **table.f}, [(k,) for k in axes])
         u, (w0, w1), (c0, c1) = self.u, self.work, self.work_span
         flux = []
-        for k, plan in enumerate(self.plans):
+        for k, plan in zip(axes, self.plans):
             # face (w0) = 0.5 (f[i-1] + f[i]) - 0.5 alpha (u[i] - u[i-1]), the rise in w1;
             # div overwrites the rise
             fa, faces = bufs[k,], plan["face"][0]
@@ -522,8 +524,8 @@ class _Stencils:
     def tendency(self, values, alphas):
         """One stage from one load: the second differences of B(u) summed into the
         diffusion part's span, then the divergence of the LLF flux summed over axes into
-        the flux part's. Returns whether the flux part ran: without flux entries and
-        alphas it is skipped, and its part left as it was.
+        the flux part's. Only a part's own terms write it: without any (no B entries; no
+        flux and speed entries) it keeps the zeros of its frame.
 
         B_ii is two rows along axis i; B_01 (2-d) is the three rows of
         ``_MIXED``, scaled by 2 / (4 h_0 h_1).
@@ -531,55 +533,41 @@ class _Stencils:
         program, flux, diffusion = self._programs
         (diff, hyp), result = self.parts, self.work_span[1]
         self.load(values, program)
-        if not diffusion:
-            diff.fill(0.0)
         # The first term writes 0.0 + its result, the bits of a zero fill and an add.
         for i, steps in enumerate(diffusion):
             _run(steps)
             np.add(diff if i else 0.0, result, out=diff)
-        if self.flux_is_zero and not any(alphas):
-            return False
         for k, (before, rise, after) in enumerate(flux):
             _run(before)
             np.multiply(rise, 0.5 * alphas[k], rise)
             _run(after)
             np.add(hyp if k else 0.0, result, out=hyp)
-        return True
 
     _beta = cached_property(lambda self: self._entries(self.table.beta))
     # A 2-d row's cells are strided: they are copied here, one row per field, for _squares.
     _spare = cached_property(lambda self: np.empty((self.rows,) + self.cells.shape[-self.d:]))
 
-    def _dissipation(self, rows):
-        """Over the first ``rows`` rows, bound on first use per count: the beta program,
-        per axis k the program of sum_i D_i beta_ik into work[0], work[0]'s cells and the
-        rows _squares reads (the same views in 1-d, _spare in 2-d), and the (cells, ghosts)
-        that ``load`` fills (None for every row)."""
-        if rows in self._bound:
-            return self._bound[rows]
+    @cached_property
+    def _dissipation(self):
+        """Over every row: the beta program, per axis k the program of sum_i D_i beta_ik
+        into work[0], and work[0]'s cells with the rows _squares reads (the same views in
+        1-d, _spare in 2-d), one row per field."""
         beta, owned = self._beta
-        # The plans and spans of the first rows end `drop` values before the frames'.
-        drop = (self.rows - rows) * self.row
-        (acc, grad), (ca, cg) = self.work, (w[:w.size - drop] for w in self.work_span)
+        (acc, grad), (ca, cg) = self.work, self.work_span
         sums = []
         for k in range(self.d):
             steps = []
             for i, plans in enumerate(self.plans):
                 if (i, k) in beta:
                     g, c = (grad, cg) if steps else (acc, ca)
-                    plan = tuple(slice(r.start, r.stop - drop) for r in plans["beta"])
-                    steps.append(_term(np.subtract, plan if drop else plans["beta"],
-                                       beta[i, k], beta[i, k], g))
+                    steps.append(_term(np.subtract, plans["beta"], beta[i, k], beta[i, k], g))
                     steps.append(_scale(c, 2.0 * self.h[i]))
                     if g is grad:
                         steps.append((np.add, (ca, cg, ca)))
             if steps:
                 sums.append(_bind(steps))
-        cells = self.work_cells.reshape((self.rows,) + self.cells.shape[-self.d:])[:rows]
-        flat = cells if self.d == 1 else self._spare[:rows]
-        head = (self.cells[:rows], [(g[:rows], c[:rows]) for g, c in self.ghosts]) if drop else None
-        self._bound[rows] = bound = self._fills(owned, self.size - drop), sums, cells, flat, head
-        return bound
+        cells = self.work_cells.reshape((self.rows,) + self.cells.shape[-self.d:])
+        return self._fills(owned), sums, cells, cells if self.d == 1 else self._spare
 
     def dissipations(self, fields, groups=None):
         """Discrete parabolic dissipation, sum over k of (sum_i D_i beta_ik)^2 scaled by
@@ -587,22 +575,24 @@ class _Stencils:
         equal runs of fields (one per field by default; 1 for a batch's total) give one
         value each.
 
-        D_i is the centered difference along axis i. Each axis adds one _squares row per
-        group, a dot over all of its cells. Without beta entries every value is 0.0, and
-        the fields are not loaded.
+        D_i is the centered difference along axis i. The programs run over every row
+        and only the fields' rows are read (each row carries its own ghosts). Each axis
+        adds one _squares row per group, a dot over all of its cells. Without beta
+        entries every value is 0.0, and the fields are not loaded.
         """
-        groups = groups or len(fields)
-        program, sums, cells, flat, head = self._dissipation(len(fields))
+        k = len(fields)
+        groups = groups or k
+        program, sums, cells, flat = self._dissipation
         if not sums:
             return [0.0] * groups
-        self.load(fields, program, head)
+        self.load(fields, program)
         totals = [0.0] * groups
         for steps in sums:
             _run(steps)
             if flat is not cells:
-                np.copyto(flat, cells)
+                np.copyto(flat[:k], cells[:k])
             # A 1-d group of more than one row is copied into one by the reshape.
-            totals = [t + s for t, s in zip(totals, _squares(flat.reshape(groups, -1)))]
+            totals = [t + s for t, s in zip(totals, _squares(flat[:k].reshape(groups, -1)))]
         return [total * self.cell_volume for total in totals]
 
 
@@ -625,8 +615,8 @@ def hyperbolic_div(model, fld, grid):
     values = _grid_values(fld, grid)
     stencils = _Stencils(model, grid, values.shape)
     alphas, _ = stencils.bounds(*_range(values))
-    ran = stencils.tendency(values, alphas)
-    return stencils.part_cells[1].copy() if ran else np.zeros_like(values)
+    stencils.tendency(values, alphas)
+    return stencils.part_cells[1].copy()
 
 
 def diffusion_div(model, fld, grid):
@@ -682,7 +672,8 @@ def _stepper(stencils, scheme):
     """The scheme map, shared by step, run and run_lockstep.
 
     A stage's increment, dt (diffusion - flux), is made in the stencils'
-    diffusion part over its one range and read through its cells (``inc``).
+    work[0] over its one range and read through its cells (``inc``), so each
+    part is written only by its own terms.
     Returns ``advance(values, rng, t, cap, idle, dt=None) -> (new_values,
     new_rng, dt, cut)`` for fields of the stencils' shape, where ``rng`` and
     ``new_rng`` are the (min, max) of ``values`` and ``new_values`` over any
@@ -696,13 +687,13 @@ def _stepper(stencils, scheme):
     than the CFL step (capped, or the ``idle`` step).
     """
     two_stage = scheme.integrator != "euler"
-    (diff, hyp), inc = stencils.parts, stencils.part_cells[0]
+    (diff, hyp), out, inc = stencils.parts, stencils.work_span[0], stencils.work_cells
 
     def increment(values, alphas, dt):
-        """dt (diffusion - flux) of one stage; the flux part only if the stage ran it."""
-        if stencils.tendency(values, alphas):
-            np.subtract(diff, hyp, out=diff)
-        np.multiply(diff, dt, out=diff)
+        """dt (diffusion - flux) of one stage."""
+        stencils.tendency(values, alphas)
+        np.subtract(diff, hyp, out=out)
+        np.multiply(out, dt, out=out)
 
     def advance(values, rng, t, cap, idle, dt=None):
         alphas, lams = stencils.bounds(*rng)
@@ -818,11 +809,13 @@ def run(model, grid, profile, scheme, hooks=()):
     contraction audit reads). Blow-up raises BlowUpError with the partial
     trajectory attached. ``profile`` is anything init_field takes and checks.
 
-    The fields are measured per window, which ends at the next stop point or
-    at cap = max(1, _WINDOW_BYTES // field bytes) fields: the means, the
-    energies, the L1 distances to the constants and (by a meter of cap rows
-    over the window's rows alone, at cap 1 the stage stencils) the dissipation
-    in one pass each, all with the bits of a measure per step.
+    The fields are measured per window, which ends once it holds cap =
+    max(1, _WINDOW_BYTES // field bytes) fields, at the run's end and at a
+    blow-up: the means, the energies, the L1 distances to the constants and
+    (by a meter of cap rows, at cap 1 the stage stencils) the dissipation in
+    one pass each, all with the bits of a measure per step. A row is written,
+    and its hooks run, once the steps before its stop are folded: at most
+    cap steps after the stop, with the (field, row) pairs of a measure per step.
     """
     values = init_field(grid, profile).values
     stencils = _Stencils(model, grid, values.shape)
@@ -833,6 +826,7 @@ def run(model, grid, profile, scheme, hooks=()):
     # to the stage's cache footprint.
     meter = _Stencils(model, grid, (cap,) + values.shape) if cap > 1 else stencils
     window = []  # (field, range, dt, cut) of each step not yet measured
+    queued = []  # (steps before it in the window, t, field, range) of each row not yet written
 
     def energies(fields):
         return [e * vol for e in _squares(fields.reshape(len(fields), -1))]
@@ -845,48 +839,55 @@ def run(model, grid, profile, scheme, hooks=()):
         return (gaps.reshape(k, len(consts), -1).sum(axis=2) * vol).tolist()
 
     def measure():
-        """Fold the window's steps into the stats, in step order, and empty it."""
+        """Fold the window's steps into the stats, in step order, writing each queued
+        row once the steps before it are folded, and empty the window."""
         nonlocal mean_cur, energy_cur, ladder_cur, n_prev, window_diss, cut_dt_min, cut_dt_max
         k = len(window)
-        if not k:
-            return
-        fields = window[0][0][None] if k == 1 else np.stack([w[0] for w in window])
-        means = [s / ncells for s in fields.reshape(k, -1).sum(axis=1).tolist()]
-        for (_, (lo, hi), dt, cut), mean, new_energy, ladder, n_new in zip(
-                window, means, energies(fields), ladders(fields), meter.dissipations(fields)):
-            stats.steps += 1
-            if cut:
-                stats.truncated_steps += 1
-                cut_dt_min, cut_dt_max = min(cut_dt_min, dt), max(cut_dt_max, dt)
-            else:
-                stats.dt_min = min(stats.dt_min, dt)
-                stats.dt_max = max(stats.dt_max, dt)
-            stats.max_principle_violation = max(
-                stats.max_principle_violation, hi - u0_max, u0_min - lo)
-            stats.energy_max_step_jump = _worse(
-                stats.energy_max_step_jump, new_energy - energy_cur)
-            stats.mean_drift = _worse(stats.mean_drift, abs(mean - stats.initial_mean))
-            for new, cur in zip(ladder, ladder_cur):
-                stats.contraction_max_step_jump = _worse(
-                    stats.contraction_max_step_jump, new - cur)
-            window_diss += 0.5 * dt * (n_prev + n_new)
-            energy_cur, ladder_cur, n_prev = new_energy, ladder, n_new
-        mean_cur = means[-1]
-        window.clear()
+        if k:
+            fields = window[0][0][None] if k == 1 else np.stack([w[0] for w in window])
+            means = [s / ncells for s in fields.reshape(k, -1).sum(axis=1).tolist()]
+            for j, ((_, (lo, hi), dt, cut), mean, new_energy, ladder, n_new) in enumerate(zip(
+                    window, means, energies(fields), ladders(fields), meter.dissipations(fields))):
+                make_rows(j)
+                stats.steps += 1
+                if cut:
+                    stats.truncated_steps += 1
+                    cut_dt_min, cut_dt_max = min(cut_dt_min, dt), max(cut_dt_max, dt)
+                else:
+                    stats.dt_min = min(stats.dt_min, dt)
+                    stats.dt_max = max(stats.dt_max, dt)
+                stats.max_principle_violation = max(
+                    stats.max_principle_violation, hi - u0_max, u0_min - lo)
+                stats.energy_max_step_jump = _worse(
+                    stats.energy_max_step_jump, new_energy - energy_cur)
+                stats.mean_drift = _worse(stats.mean_drift, abs(mean - stats.initial_mean))
+                for new, cur in zip(ladder, ladder_cur):
+                    stats.contraction_max_step_jump = _worse(
+                        stats.contraction_max_step_jump, new - cur)
+                window_diss += 0.5 * dt * (n_prev + n_new)
+                energy_cur, ladder_cur, n_prev, mean_cur = new_energy, ladder, n_new, mean
+            window.clear()
+        make_rows(k)
 
     rows = []
     snaps = []
 
-    def make_row(t, window_diss):
-        budget = 0.5 * (rows[-1].l2_energy - energy_cur) if rows else 0.0
-        row = DiagnosticsRow(
-            t=t, mean=mean_cur, l1_to_mean=float(np.abs(values - mean_cur).sum()) * vol,
-            l2_energy=energy_cur, linf=max(abs(rng[0]), abs(rng[1])),
-            dissipation_resolved=window_diss, dissipation_budget=budget)
-        rows.append(row)
-        stats.contraction_l1.append(ladder_cur)
-        for hook in hooks:
-            hook(CellField(values=values.copy(), time=t), row)
+    def make_rows(folded):
+        """Write each queued row whose stop came after ``folded`` of the window's steps from
+        the folded state and its queued field and range, and reset the dissipation sum."""
+        nonlocal window_diss
+        while queued and queued[0][0] == folded:
+            _, t, fld, rng = queued.pop(0)
+            budget = 0.5 * (rows[-1].l2_energy - energy_cur) if rows else 0.0
+            row = DiagnosticsRow(
+                t=t, mean=mean_cur, l1_to_mean=float(np.abs(fld - mean_cur).sum()) * vol,
+                l2_energy=energy_cur, linf=max(abs(rng[0]), abs(rng[1])),
+                dissipation_resolved=window_diss, dissipation_budget=budget)
+            window_diss = 0.0
+            rows.append(row)
+            stats.contraction_l1.append(ladder_cur)
+            for hook in hooks:
+                hook(CellField(values=fld.copy(), time=t), row)
 
     def trajectory():
         if stats.steps and stats.truncated_steps == stats.steps:
@@ -918,13 +919,12 @@ def run(model, grid, profile, scheme, hooks=()):
                     if len(window) == cap:
                         measure()
                     continue
-                measure()
                 is_row, is_snap = stop
                 if is_row:
-                    make_row(t, window_diss)
-                    window_diss = 0.0
+                    queued.append((len(window), t, values, rng))
                 if is_snap:
                     snaps.append(CellField(values=values.copy(), time=t))
+            measure()
         except BlowUpError as exc:
             measure()
             exc.trajectory = trajectory()

@@ -280,11 +280,11 @@ def test_evaluate_rejects_bad_values_and_inputs(calls, error, match):
 
 def test_primitive_tables_mark_zero_entries():
     adv = model_table(preset("linear-advection"))
-    assert not adv.flux_is_zero
+    assert adv.f
     assert adv.b.get((0, 0)) is None
 
     por = model_table(preset("porous-medium"))
-    assert por.flux_is_zero
+    assert not por.f
     assert por.b.get((0, 0)) is not None
 
 

@@ -5,7 +5,7 @@ import math
 import re
 import weakref
 from dataclasses import replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -327,7 +327,7 @@ STENCIL_MODELS = {
     "coupled-spline": replace(COUPLED_2D, b_primitive=None, name="coupled-spline"),
     "interior-spline": replace(INTERIOR_1D, b_primitive=None, name="interior-spline"),
     "whole-burgers-degenerate": _whole_burgers_degenerate(),
-    # No flux entry but a speed: the stage's flux part is not skipped.
+    # No flux entry but a speed: the stage binds its flux terms.
     "viscous-only": ModelSpec(dimension=1, state_bound=1.0, name="viscous-only",
                               flux=lambda u: np.zeros(np.shape(u) + (1,)),
                               speed=lambda u: np.asarray(u, dtype=float)[..., None],
@@ -379,11 +379,10 @@ def test_slice_kernels_equal_roll_reference_bit_for_bit(name, periods, batch, ce
 
     def check(v):
         alphas, _ = tables.bounds(float(v.min()), float(v.max()))
-        # A stage (one load, one entry program for B and f) fills both parts;
-        # without flux entries and alphas it skips the flux part, zero here.
-        ran = stencils.tendency(v, alphas)
-        assert ran is bool(tables.f or any(alphas))
-        diff, hyp = stencils.part_cells if ran else (stencils.part_cells[0], np.zeros_like(v))
+        # A stage (one load, one entry program for B and f) fills both parts; a part
+        # without terms keeps its zeros, which the reference gives too.
+        assert stencils.tendency(v, alphas) is None
+        diff, hyp = stencils.part_cells
         assert hyp.tobytes() == roll_hyperbolic(v, m, g, alphas).tobytes()
         assert diff.tobytes() == roll_diffusion(v, g, tables).tobytes()
         assert stencils.dissipations(v.reshape((-1,) + cells), 1) == [
@@ -445,8 +444,8 @@ def test_values_between_batch_rows_are_never_read(name, periods, batch, cells, m
     stencils.tendency(values, alphas)
     stencils.dissipations(values, 1)
     _nan_between_rows(frames, values.shape, g.dimension)
-    ran = stencils.tendency(values, alphas)
-    diff, hyp = stencils.part_cells if ran else (stencils.part_cells[0], np.zeros_like(values))
+    stencils.tendency(values, alphas)
+    diff, hyp = stencils.part_cells
     assert hyp.tobytes() == roll_hyperbolic(values, m, g, alphas).tobytes()
     assert diff.tobytes() == roll_diffusion(values, g, tables).tobytes()
     _nan_between_rows(frames, values.shape, g.dimension)
@@ -625,7 +624,7 @@ def test_returned_arrays_share_no_memory_with_stencil_buffers(name, cells, monke
 
 
 def test_flux_free_hyperbolic_div_is_zero_on_a_non_finite_field():
-    # Without flux entries and alphas the stage skips the flux part, so inf
+    # Without flux and speed entries the stage binds no flux terms, so inf
     # and NaN cells give zeros, not NaN from inf * 0.
     g = PeriodicGrid.make([1.0], [8])
     values = np.array([np.inf, -np.inf, np.nan, 0.5, 0.0, 0.0, 0.0, 0.0])
@@ -666,9 +665,9 @@ def test_one_entry_program_serves_every_stencil_but_the_dissipation(monkeypatch)
         calls.append((list(table), list(axes)))
         return real_entries(self, table, axes)
 
-    def load(self, values, program=(), head=None):
+    def load(self, values, program=()):
         loaded.append(program)
-        return real_load(self, values, program, head)
+        return real_load(self, values, program)
 
     monkeypatch.setattr(_Stencils, "_entries", entries)
     monkeypatch.setattr(_Stencils, "load", load)
@@ -1247,14 +1246,20 @@ def test_run_lockstep_of_equal_data_is_run(name, cells, profile):
 # --- measurement windows -----------------------------------------------------
 
 def _run_outcome(model, grid, profile, scheme):
-    """Rows, stats, snapshots and final field of a run, with its error if it blew up."""
+    """Rows, stats, snapshots, final field and every hook call's (t, field, row) of a
+    run, with its error if it blew up."""
+    calls = []
+
+    def hook(fld, row):
+        calls.append((repr(fld.time), fld.values.tobytes(), repr(vars(row))))
+
     try:
-        traj, error = run(model, grid, profile, scheme), None
+        traj, error = run(model, grid, profile, scheme, hooks=(hook,)), None
     except BlowUpError as exc:
         traj, error = exc.trajectory, (str(exc), repr(exc.time), repr(exc.max_abs))
     return (error, [repr(vars(r)) for r in traj.rows], repr(vars(traj.stats)),
             [(repr(s.time), s.values.tobytes()) for s in traj.snapshots],
-            repr(traj.final.time), traj.final.values.tobytes())
+            repr(traj.final.time), traj.final.values.tobytes(), calls)
 
 
 # (preset, cells): default windows of 32, 16, 32 and 8 fields.
@@ -1289,11 +1294,15 @@ def _window_case(draw):
 # exactly the cap of 32 fields, so the cap's flush and the stop's coincide.
 @example((preset("linear-advection"), PeriodicGrid.make([1.0], [256]), sin_profile,
           SchemeConfig(t_end=0.1, output_every=0.05, snapshot_every=0.05)))
+# A row every four steps: several rows queue in each window of 32 fields.
+@example((preset("burgers-degenerate"), PeriodicGrid.make([1.0], [256]), sin_profile,
+          SchemeConfig(t_end=6e-4, output_every=1e-5, snapshot_every=1e-4)))
 @settings(max_examples=40, deadline=None)
 @given(_window_case())
 def test_measuring_per_window_leaves_no_trace_in_the_outputs(case):
     # Windows of one field measure each step as it comes; the default windows,
-    # cut by the stops and by their cap, must give the same bits everywhere.
+    # cut by their cap alone, must give the same bits everywhere, and the rows
+    # they queue must reach the hooks as the rows of windows of one field do.
     model, grid, profile, scheme = case
     default = _run_outcome(model, grid, profile, scheme)
     with pytest.MonkeyPatch.context() as patch:
@@ -1324,7 +1333,7 @@ def test_a_step_runs_30_bound_steps_in_1d_and_42_in_2d(monkeypatch):
 @pytest.mark.parametrize("name,cells", [("burgers-degenerate", [64]), ("anisotropic-2d", [8, 8])])
 def test_run_measures_each_window_with_one_ladder_reduction(name, cells, monkeypatch):
     # Both grids make windows of 128 fields: in 1-d the cap cuts some, in 2-d only
-    # the stops do. The ladder subtract runs once per window, plus the initial one.
+    # the run's end does. The ladder subtract runs once per window, plus the initial one.
     subtracts = []
     real_subtract = solver_mod.np.subtract
 
@@ -1393,82 +1402,13 @@ def test_a_windows_dissipation_pass_equals_its_lone_calls_bit_for_bit(case):
     assert all(x > 0.0 for x in got)
 
 
-@pytest.mark.parametrize("name", sorted(METER_CASES))
-def test_a_windows_pass_writes_no_row_past_the_window(name, monkeypatch):
-    # A window of k fields costs k rows: the load, the ghost fill, the beta
-    # program and the difference programs write nothing past row k of any
-    # frame, and the meter makes no diffusion or flux part.
-    frames = _recording_frames(monkeypatch)
-    m, cells = METER_CASES[name]
-    g = PeriodicGrid.make([1.0] * len(cells), list(cells))
-    cap = solver_mod._WINDOW_BYTES // (8 * math.prod(cells))
-    meter = _Stencils(m, g, (cap,) + cells)
-    fields = np.random.default_rng(9).uniform(-0.95, 0.95, (cap,) + cells)
-    meter.dissipations(fields[:1])
-    assert len(frames) == 3 + len({id(e) for e in model_table(m).beta.values()})
-    for k in (1, 3, cap - 1):
-        for frame in frames:
-            frame.fill(np.nan)
-        got = meter.dissipations(fields[:k])
-        assert not any(math.isnan(x) for x in got)
-        assert all(np.isnan(frame[k * meter.row:]).all() for frame in frames)
-    assert "_parts" not in vars(meter)
-
-
 @pytest.mark.parametrize("name,cells", [("burgers-degenerate", [64]), ("anisotropic-2d", [8, 8])])
 def test_run_measures_each_window_with_one_meter_pass(name, cells, monkeypatch):
-    # With windows of more than one field, the meter runs a beta program once
-    # for the initial field and once per window, the one bound over as many
-    # rows as the window holds; the stage stencils bind no dissipation program.
-    # The windows are re-derived from the stop-point loop: each ends at a stop
-    # or once it holds the cap.
-    made, ran, stepped = [], [], []
-
-    class Recording(_Stencils):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    real_run, real_march = solver_mod._run, solver_mod._march
-
-    def recording_run(program):
-        ran.append(program)
-        real_run(program)
-
-    def recording_march(*args):
-        for item in real_march(*args):
-            stepped.append(item[-1] is None)
-            yield item
-
-    monkeypatch.setattr(solver_mod, "_Stencils", Recording)
-    monkeypatch.setattr(solver_mod, "_run", recording_run)
-    monkeypatch.setattr(solver_mod, "_march", recording_march)
-    g = PeriodicGrid.make([1.0] * len(cells), cells)
-    profile = sin_profile if len(cells) == 1 else lambda x, y: np.sin(2.0 * np.pi * (x + y))
-    traj = run(preset(name), g, profile, SchemeConfig(t_end=0.02, output_every=0.01))
-    cap = solver_mod._WINDOW_BYTES // (8 * math.prod(cells))
-    sizes, held = [], 0
-    for is_step in stepped:
-        held += is_step
-        if held and (held == cap or not is_step):
-            sizes, held = sizes + [held], 0
-    stage, meter = made
-    assert meter.cells.shape == (cap, *cells) and stage._bound == {}
-    betas = {rows: bound[0] for rows, bound in meter._bound.items()}
-    assert sorted(betas) == sorted({1, *sizes})
-    assert [rows for program in ran for rows, beta in betas.items() if program is beta] == [
-        1, *sizes]
-    assert len(sizes) >= len(traj.rows) - 1 and sum(sizes) == traj.stats.steps
-
-
-@pytest.mark.parametrize("name,cells,t_end", [("burgers-degenerate", [8192], 1e-8),
-                                               ("anisotropic-2d", [128, 128], 4e-5)])
-def test_a_one_field_window_is_measured_by_the_stage_stencils(name, cells, t_end,
-                                                              monkeypatch):
-    # Where a window holds one field (cap 1), run builds no meter: every field it
-    # measures, the initial one included, goes one at a time through the stage
-    # stencils' dissipations, on the programs bound for one row.
-    made, measured = [], []
+    # With windows of more than one field, every window but a run's last holds the
+    # cap, whatever the stops. The meter's one beta program, bound over all of its
+    # rows, runs once for the initial field and once per window; the stage stencils
+    # bind no dissipation program, and the meter makes no diffusion or flux part.
+    made, measured, ran = [], [], []
 
     class Recording(_Stencils):
         def __init__(self, *args):
@@ -1479,13 +1419,58 @@ def test_a_one_field_window_is_measured_by_the_stage_stencils(name, cells, t_end
             measured.append((self, len(fields)))
             return super().dissipations(fields, groups)
 
+    real_run = solver_mod._run
+
+    def recording_run(program):
+        ran.append(program)
+        real_run(program)
+
+    monkeypatch.setattr(solver_mod, "_Stencils", Recording)
+    monkeypatch.setattr(solver_mod, "_run", recording_run)
+    g = PeriodicGrid.make([1.0] * len(cells), cells)
+    profile = sin_profile if len(cells) == 1 else lambda x, y: np.sin(2.0 * np.pi * (x + y))
+    traj = run(preset(name), g, profile, SchemeConfig(t_end=0.02, output_every=0.01))
+    cap, steps = solver_mod._WINDOW_BYTES // (8 * math.prod(cells)), traj.stats.steps
+    stage, meter = made
+    assert meter.cells.shape == (cap, *cells) and "_dissipation" not in vars(stage)
+    assert "_parts" not in vars(meter) and "_programs" not in vars(meter)
+    sizes = [cap] * (steps // cap) + [steps % cap] * (steps % cap > 0)
+    assert measured == [(meter, k) for k in [1, *sizes]]
+    beta = meter._dissipation[0]
+    assert sum(program is beta for program in ran) == len(measured)
+    assert len(traj.rows) == 3
+
+
+@pytest.mark.parametrize("name,cells,t_end", [("burgers-degenerate", [8192], 1e-8),
+                                               ("anisotropic-2d", [128, 128], 4e-5)])
+def test_a_one_field_window_is_measured_by_the_stage_stencils(name, cells, t_end,
+                                                              monkeypatch):
+    # Where a window holds one field (cap 1), run builds no meter: every field it
+    # measures, the initial one included, goes one at a time through the stage
+    # stencils' dissipations, on programs bound once.
+    made, measured, bound = [], [], []
+
+    class Recording(_Stencils):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def dissipations(self, fields, groups=None):
+            measured.append((self, len(fields)))
+            return super().dissipations(fields, groups)
+
+        @cached_property
+        def _dissipation(self):
+            bound.append(self)
+            return _Stencils._dissipation.func(self)
+
     monkeypatch.setattr(solver_mod, "_Stencils", Recording)
     g = PeriodicGrid.make([1.0] * len(cells), cells)
     profile = sin_profile if len(cells) == 1 else lambda x, y: np.sin(2.0 * np.pi * (x + y))
     traj = run(preset(name), g, profile, SchemeConfig(t_end=t_end, output_every=t_end / 2))
     assert solver_mod._WINDOW_BYTES // (8 * math.prod(cells)) <= 1
     (stage,) = made
-    assert stage.rows == 1 and list(stage._bound) == [1]
+    assert stage.rows == 1 and bound == [stage]
     assert traj.stats.steps > 2 and measured == [(stage, 1)] * (1 + traj.stats.steps)
 
 
@@ -1495,8 +1480,8 @@ def test_a_one_field_window_is_measured_by_the_stage_stencils(name, cells, t_end
                                         ("anisotropic-2d", (6, 5)), ("coupled-cubic", (5, 4))])
 def test_no_bound_ufunc_step_has_a_float_operand(name, cells, monkeypatch):
     # _bind turns each float operand into a 0-d array once, when a program is
-    # bound: the stage programs, the meter's per-k programs (run's windows
-    # hold many fields on these grids) and the lone dissipation.
+    # bound: the stage programs, the meter's programs (run's windows hold
+    # many fields on these grids) and the lone dissipation.
     ran = []
 
     def recording_run(program):

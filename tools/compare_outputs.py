@@ -51,12 +51,13 @@ of the difference, and exits 1 if any case differs. The cases are:
   whose dissipation, one dot per axis over the whole batch, differs in its
   last bits from a sum of the two fields' dissipations;
   the one-shot and step cases of a hand-built 1-d model with a zero flux and
-  a nonzero speed, the edge of the stage's rule for skipping the flux part
+  a nonzero speed, whose zero flux still binds the stage's flux terms
   (``oneshot/viscous-only``, ``step/viscous-only``);
 - runs that blow up, to infinity (burgers) and to NaN (a hand-built flux
   undefined beyond |u| = 1.2): message, time, peak, partial rows and
   statistics (``blow-up/...``);
-- runs whose fields ``run`` measures in windows of many fields, each with a
+- runs whose fields ``run`` measures in windows, with their snapshots and
+  what every hook call receives; first in windows of many fields, each with a
   single output window: burgers-degenerate on 64 cells (windows of 128
   fields), where the cap cuts several windows (``run/window/burgers-degenerate``),
   and anisotropic-2d on 8x8 cells (``run/window/cells-8x8/anisotropic-2d``);
@@ -64,8 +65,14 @@ of the difference, and exits 1 if any case differs. The cases are:
   a hand-written beta that is copied in (``run/window/porous-medium``), and for
   whole/burgers-degenerate, whose entries are sliced and whose bounds are
   sampled (``run/window/whole/burgers-degenerate``); burgers-degenerate on 256
-  cells with a row every four or so steps, so that most windows hold a few of
-  the meter's 32 rows (``run/window/short/burgers-degenerate``);
+  cells with a row every four or so steps, so that several rows queue in each
+  of the meter's windows of 32 fields (``run/window/short/burgers-degenerate``);
+  anisotropic-2d on 72x72 cells and burgers-degenerate on 4,100 cells, whose
+  windows hold one field (cap 1), so the stage stencils measure them: some 35
+  steps each, with a row every five or so steps falling between step times
+  and snapshots at t = 0 and mid-run
+  (``run/window/cap-1/cells-72x72/anisotropic-2d``,
+  ``run/window/cap-1/cells-4100/burgers-degenerate``);
   and a burgers blow-up on 256 cells (windows of 32 fields) that lands some
   240 steps after its last stop, at t = 0 (``blow-up/window/burgers``);
 - the audit and decay reports of a hand-built row-only trajectory with
@@ -306,8 +313,8 @@ def _nan_beyond_model():
 
 
 def _viscous_only_model():
-    """Zero flux with a nonzero speed and constant diffusion: no flux entry but alphas
-    that are not zero, the edge of the stage's rule for skipping the flux part."""
+    """Zero flux with a nonzero speed and constant diffusion: no flux entry but speed
+    entries, so the stage binds its flux terms and their alphas are not zero."""
     import numpy as np
     from anisolab.model import ModelSpec
     return ModelSpec(
@@ -317,12 +324,18 @@ def _viscous_only_model():
         speed=lambda u: np.asarray(u, dtype=float)[..., None])
 
 
-def _window_run_case(model, cells, t_end, output_every=None):
-    """A run from t = 0 to t_end with rows every ``output_every``, by default one window."""
+def _window_run_case(model, cells, t_end, output_every=None, snapshot_every=None):
+    """A run from t = 0 to t_end with rows every ``output_every``, by default one window:
+    its record, its snapshots and the (t, field, row) of every hook call."""
     from anisolab.solver import SchemeConfig, run
     grid, profile = _run_setup(model, cells)
-    traj = run(model, grid, profile, SchemeConfig(t_end=t_end, output_every=output_every or t_end))
-    return pickle.dumps(_trajectory_record(traj))
+    calls = []
+    traj = run(model, grid, profile, SchemeConfig(
+        t_end=t_end, output_every=output_every or t_end, snapshot_every=snapshot_every),
+        hooks=[lambda fld, row: calls.append((repr(fld.time), fld.values.tobytes(),
+                                              repr(vars(row))))])
+    snaps = [(repr(s.time), s.values.tobytes()) for s in traj.snapshots]
+    return pickle.dumps((_trajectory_record(traj), snaps, calls))
 
 
 def _blow_up_case(model, cells=32, output_every=None):
@@ -748,6 +761,10 @@ def cases():
            lambda: _window_run_case(models["whole/burgers-degenerate"], 64, 0.05))
     yield ("run/window/short/burgers-degenerate",
            lambda: _window_run_case(models["burgers-degenerate"], 256, 6e-4, 1.5e-5))
+    yield ("run/window/cap-1/cells-72x72/anisotropic-2d", lambda: _window_run_case(
+        models["anisotropic-2d"], (72, 72), 0.0014, 0.0002, 0.00071))
+    yield ("run/window/cap-1/cells-4100/burgers-degenerate", lambda: _window_run_case(
+        models["burgers-degenerate"], 4100, 4.4e-7, 6.3e-8, 2.2e-7))
     yield "blow-up/window/burgers", lambda: _blow_up_case(models["burgers"], 256, 10.0)
     yield "audit/overflow/linear-advection", lambda: _outcome(lambda: _cli_case(
         ["run"], "[model]\npreset = linear-advection\n[grid]\ncells = 64\n[initial]\n"
