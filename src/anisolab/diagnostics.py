@@ -21,8 +21,6 @@ from .solver import (ConfigurationError, DiagnosticsRow, Trajectory, _grid_value
                      _Stencils, run)
 
 __all__ = [
-    "DiagnosticsRow",
-    "Trajectory",
     "AuditTolerances",
     "AuditReport",
     "DecaySummary",

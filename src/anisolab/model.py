@@ -41,7 +41,7 @@ from .quadrature import QuadratureError, adaptive_quadrature_batch
 __all__ = [
     "ModelError", "NotPSDError", "ModelSpec", "ModelTable", "ModelValidationReport",
     "CheckResult", "Poly", "evaluate", "validate_model", "preset", "list_presets",
-    "polynomial_model", "model_table", "primitive_tables", "speed_vector",
+    "polynomial_model", "model_table", "speed_vector",
 ]
 
 TOL_PSD = 1e-12

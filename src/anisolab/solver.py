@@ -814,8 +814,9 @@ def run(model, grid, profile, scheme, hooks=()):
     blow-up: the means, the energies, the L1 distances to the constants and
     (by a meter of cap rows, at cap 1 the stage stencils) the dissipation in
     one pass each, all with the bits of a measure per step. A row is written,
-    and its hooks run, once the steps before its stop are folded: at most
-    cap steps after the stop, with the (field, row) pairs of a measure per step.
+    and its hooks run, once the steps before its stop are folded: at its stop
+    when they are (always at cap 1), else at most cap steps after it, with the
+    (field, row) pairs of a measure per step.
     """
     values = init_field(grid, profile).values
     stencils = _Stencils(model, grid, values.shape)
@@ -916,14 +917,14 @@ def run(model, grid, profile, scheme, hooks=()):
                     _stepper(stencils, scheme), values, rng, scheme):
                 if stop is None:
                     window.append((values, rng, dt, cut))
-                    if len(window) == cap:
-                        measure()
-                    continue
-                is_row, is_snap = stop
-                if is_row:
-                    queued.append((len(window), t, values, rng))
-                if is_snap:
-                    snaps.append(CellField(values=values.copy(), time=t))
+                else:
+                    is_row, is_snap = stop
+                    if is_row:
+                        queued.append((len(window), t, values, rng))
+                    if is_snap:
+                        snaps.append(CellField(values=values.copy(), time=t))
+                if len(window) == cap or stop and not window:
+                    measure()
             measure()
         except BlowUpError as exc:
             measure()

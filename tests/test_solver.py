@@ -1082,6 +1082,36 @@ def test_run_hooks_see_every_row():
     assert np.array_equal(seen[-1][1], traj.final.values)
 
 
+@pytest.mark.parametrize("name,cells", [("burgers-degenerate", [32]), ("anisotropic-2d", [16, 16])])
+def test_at_cap_1_each_row_reaches_its_hooks_before_the_next_step(name, cells, monkeypatch):
+    # A window of one field is measured as soon as its step is taken, so at a stop
+    # every step before it is folded: the row is written and its hooks run there,
+    # before the next step's advance, and its field is not kept beside the next.
+    events = []
+    real_stepper = solver_mod._stepper
+
+    def logging_stepper(stencils, scheme):
+        advance = real_stepper(stencils, scheme)
+
+        def logged(values, rng, t, *args):
+            events.append(("advance", t))
+            return advance(values, rng, t, *args)
+
+        return logged
+
+    monkeypatch.setattr(solver_mod, "_WINDOW_BYTES", 1)
+    monkeypatch.setattr(solver_mod, "_stepper", logging_stepper)
+    g = PeriodicGrid.make([1.0] * len(cells), cells)
+    profile = sin_profile if len(cells) == 1 else lambda x, y: np.sin(2.0 * np.pi * (x + y))
+    traj = run(preset(name), g, profile, SchemeConfig(t_end=0.004, output_every=0.001),
+               hooks=(lambda fld, row: events.append(("hook", row.t)),))
+    hooks = [i for i, (kind, _) in enumerate(events) if kind == "hook"]
+    assert [events[i][1] for i in hooks] == [row.t for row in traj.rows]
+    assert len(hooks) == 5 and traj.stats.steps > len(hooks)
+    for i in hooks:
+        assert all(t < events[i][1] for kind, t in events[:i] if kind == "advance")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_blow_up_carries_partial_trajectory():
     # No output cadence: boundary-capped short steps would lower the
