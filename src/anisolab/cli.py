@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -92,19 +93,11 @@ def write_trajectory_csv(path, traj):
 
 
 def write_snapshot_csv(path, snap, grid):
-    lines = [f"# t={_fmt(snap.time)}"]
-    if grid.dimension == 1:
-        lines.append("x,u")
-        xs = grid.centers(0)
-        for j in range(grid.cells[0]):
-            lines.append(f"{_fmt(xs[j])},{_fmt(snap.values[j])}")
-    else:
-        lines.append("x,y,u")
-        xs = grid.centers(0)
-        ys = grid.centers(1)
-        for i in range(grid.cells[0]):
-            for j in range(grid.cells[1]):
-                lines.append(f"{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(snap.values[i, j])}")
+    """One row per cell, row-major: its center's coordinates, then its value."""
+    centers = [[_fmt(c) for c in grid.centers(k)] for k in range(grid.dimension)]
+    lines = [f"# t={_fmt(snap.time)}", ",".join((*"xy"[:grid.dimension], "u"))]
+    lines.extend(",".join((*xs, _fmt(u)))
+                 for xs, u in zip(product(*centers), snap.values.ravel().tolist()))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -226,22 +219,12 @@ def cmd_validate_model(cfg, out_dir, quiet=False):
 
 
 def _sweep_run_one(cfg, axis, value, out):
-    """One run row of a sweep: its CSV cells and whether it failed."""
-    sub = replace(cfg)
-    if axis == "cells":
-        n = int(value)
-        dim = make_model(cfg).dimension
-        sub.cells = (n,) * dim
-        tag = f"cells-{n}"
-    elif axis == "cfl":
-        sub.cfl = float(value)
-        tag = f"cfl-{float(value):g}"
-    else:
-        sub.amplitude = float(value)
-        tag = f"amplitude-{float(value):g}"
-
-    result = _run_and_write(sub, out / tag)
-    val = str(int(value)) if axis == "cells" else _fmt(value)
+    """One run row of a sweep: its CSV cells and whether it failed. The axis names the
+    config field it sets; a cells value is a whole count repeated per axis."""
+    value = int(value) if axis == "cells" else float(value)
+    setting = (value,) * make_model(cfg).dimension if axis == "cells" else value
+    result = _run_and_write(replace(cfg, **{axis: setting}), out / f"{axis}-{value:g}")
+    val = repr(value)
     if result is None:
         return [val, "blow-up"] + [_fmt(float("nan"))] * 4 + ["false"], True
     traj, report, _ = result
@@ -297,18 +280,22 @@ def cmd_sweep(cfg, out_dir, quiet=False, axis=None, values=None):
     return 2 if failed else 0
 
 
+# Each command's required config sections and help; main runs its cmd_ function
+# (the name with - read as _).
+_COMMANDS = {
+    "run": (("model", "grid", "scheme"), "integrate one configuration and audit the trajectory"),
+    "check-condition": (("model",), "sample the nondegeneracy functional"),
+    "validate-model": (("model",), "check the structural model contracts"),
+    "sweep": (("model", "sweep"), "repeat an experiment along one parameter axis"),
+}
+
+
 def _load_config(args):
-    command = args.command
     if args.config is None and args.model is None:
         raise ConfigError(["need --config FILE or --model PRESET"])
     if args.config is not None:
-        required = ("model",)
-        if command == "run":
-            required = ("model", "grid", "scheme")
-        elif command == "sweep":
-            required = ("model", "sweep")
         cfg = parse_config(Path(args.config).read_text(encoding="utf-8"),
-                           required_sections=required)
+                           required_sections=_COMMANDS[args.command][0])
         if args.model is not None:
             cfg.preset = args.model
             cfg.dimension = None
@@ -321,20 +308,13 @@ def _load_config(args):
     return cfg
 
 
-_COMMANDS = {
-    "run": "integrate one configuration and audit the trajectory",
-    "check-condition": "sample the nondegeneracy functional",
-    "validate-model": "check the structural model contracts",
-    "sweep": "repeat an experiment along one parameter axis",
-}
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="anisolab",
         description="Simulation laboratory for degenerate convection-diffusion "
                     "on periodic boxes.",
-        epilog="commands:\n" + "".join(f"  {name:<17}{text}\n" for name, text in _COMMANDS.items()),
+        epilog="commands:\n" + "".join(f"  {name:<17}{text}\n"
+                                      for name, (_, text) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=tuple(_COMMANDS), help="what to do (below)")
     parser.add_argument("--config", metavar="PATH", help="experiment config file")
@@ -349,13 +329,9 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         out_dir = args.out or cfg.directory or "anisolab-out"
-        if args.command == "run":
-            return cmd_run(cfg, out_dir, quiet=args.quiet)
-        if args.command == "check-condition":
-            return cmd_check_condition(cfg, out_dir, quiet=args.quiet)
-        if args.command == "validate-model":
-            return cmd_validate_model(cfg, out_dir, quiet=args.quiet)
-        return cmd_sweep(cfg, out_dir, quiet=args.quiet)
+        # Looked up at call time, so a patched module attribute (a tracer's) is the one called.
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(cfg, out_dir, quiet=args.quiet)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Optional
 
 import numpy as np
 
-from .kinetic import DEFAULT_LAMBDAS, SamplingPlan
+from .kinetic import DEFAULT_DELTA, DEFAULT_LAMBDAS, SamplingPlan
 from .model import list_presets, polynomial_model, preset
 from .solver import INTEGRATORS, PeriodicGrid, SchemeConfig, init_field
 
@@ -40,7 +42,15 @@ __all__ = [
     "lcg_values",
 ]
 
-PROFILES = ("sine", "multi-sine", "square-wave", "random")
+# Each profile's factor per axis, of a coordinate and the axis's period; random has none.
+_PROFILE_FACTORS = {
+    "sine": lambda s, period: np.sin(2.0 * np.pi * s / period),
+    "multi-sine": lambda s, period: (np.sin(2.0 * np.pi * s / period)
+                                     + 0.3 * np.sin(4.0 * np.pi * s / period + 0.7)),
+    "square-wave": lambda s, period: np.sign(np.sin(2.0 * np.pi * s / period)),
+    "random": None,
+}
+PROFILES = tuple(_PROFILE_FACTORS)
 SWEEP_AXES = ("cells", "cfl", "amplitude", "lambda_floor")
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -79,16 +89,16 @@ class ExperimentConfig:
     seed: int = 0
     # [scheme]
     t_end: Optional[float] = None
-    cfl: float = 0.4
-    integrator: str = "ssp-rk2"
+    cfl: float = SchemeConfig.cfl
+    integrator: str = SchemeConfig.integrator
     output_every: Optional[float] = None
     snapshot_every: Optional[float] = None
     # [condition]
-    delta: float = 1.0
+    delta: float = DEFAULT_DELTA
     lambdas: tuple = DEFAULT_LAMBDAS
     n_dir: Optional[int] = None
-    r_max: float = 1e3
-    n_resonant: int = 33
+    r_max: float = SamplingPlan.r_max
+    n_resonant: int = SamplingPlan.n_resonant
     lattice: bool = False
     # [output]
     directory: Optional[str] = None
@@ -462,31 +472,18 @@ def lcg_values(seed, count):
     return states / float(1 << 53)
 
 
-def _axis_factor(profile):
-    if profile == "sine":
-        return lambda s, period: np.sin(2.0 * np.pi * s / period)
-    if profile == "multi-sine":
-        return lambda s, period: (np.sin(2.0 * np.pi * s / period)
-                                  + 0.3 * np.sin(4.0 * np.pi * s / period + 0.7))
-    if profile == "square-wave":
-        return lambda s, period: np.sign(np.sin(2.0 * np.pi * s / period))
-    raise ConfigError([f"unknown profile {profile!r}"])
-
-
 def make_initial(cfg, grid):
-    """Cell field for the configured profile on the given grid."""
-    if cfg.profile == "random":
+    """Cell field for the configured profile on the given grid: the amplitude times
+    the profile's factor on each axis, or the seeded LCG draws for random."""
+    if cfg.profile not in _PROFILE_FACTORS:
+        raise ConfigError([f"unknown profile {cfg.profile!r}"])
+    factor = _PROFILE_FACTORS[cfg.profile]
+    if factor is None:
         draws = lcg_values(cfg.seed, int(np.prod(grid.cells)))
-        values = cfg.amplitude * (2.0 * draws - 1.0)
-        fld = init_field(grid, values.reshape(grid.cells))
+        fld = init_field(grid, (cfg.amplitude * (2.0 * draws - 1.0)).reshape(grid.cells))
     else:
-        factor = _axis_factor(cfg.profile)
-        periods = grid.periods
-        if grid.dimension == 1:
-            fn = lambda x: cfg.amplitude * factor(x, periods[0])
-        else:
-            fn = lambda x, y: cfg.amplitude * factor(x, periods[0]) * factor(y, periods[1])
-        fld = init_field(grid, fn)
+        fld = init_field(grid, lambda *xs: reduce(mul, map(factor, xs, grid.periods),
+                                                  cfg.amplitude))
     if cfg.zero_mean:
         fld.values -= fld.values.sum() / fld.values.size
     return fld

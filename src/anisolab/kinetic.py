@@ -60,6 +60,7 @@ PASS_FRACTION = 0.05
 TREND_NOISE = 0.10
 R_FACTOR = 2.0
 DEFAULT_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+DEFAULT_DELTA = 1.0
 # States scanned per frequency for resonance breakpoints.
 RESONANCE_SCAN = 257
 # Frequency points per batched worklist. The node arrays of one level grow
@@ -400,7 +401,7 @@ def _verdict(omegas, threshold):
     return "pass" if omegas[-1] < threshold else "fail"
 
 
-def check_condition(model, delta=1.0, lambdas=None, sampling=None):
+def check_condition(model, delta=DEFAULT_DELTA, lambdas=None, sampling=None):
     """Grade the nondegeneracy condition on a decreasing lambda ladder.
 
     The sampled sup must shrink with lambda and end below

@@ -548,6 +548,17 @@ def test_every_command_accepts_all_five_options(tmp_path, capsys, command, code)
     assert "usage:" not in captured.err
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_calls_the_command_the_module_holds_at_call_time(tmp_path, monkeypatch, command):
+    # A tracer wraps anisolab.cli.cmd_* by setting the module attribute.
+    calls = []
+    name = "cmd_" + command.replace("-", "_")
+    monkeypatch.setattr(f"anisolab.cli.{name}",
+                        lambda cfg, out_dir, quiet: calls.append((cfg.preset, out_dir)) or 7)
+    assert main([command, "--model", "burgers", "--out", str(tmp_path)]) == 7
+    assert calls == [("burgers", str(tmp_path))]
+
+
 def test_options_may_come_before_the_command(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["--quiet", "check-condition", "--model", "burgers"]) == 0

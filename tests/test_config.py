@@ -1,5 +1,6 @@
 """Tests for config parsing, serialization, and experiment builders."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -22,8 +23,9 @@ from anisolab.config import (
     parse_config,
     serialize_config,
 )
+from anisolab.kinetic import SamplingPlan, check_condition
 from anisolab.model import evaluate, list_presets, preset
-from anisolab.solver import INTEGRATORS
+from anisolab.solver import INTEGRATORS, SchemeConfig, stable_dt
 
 MINIMAL = "[model]\npreset = burgers\n"
 
@@ -383,6 +385,16 @@ def test_make_model_requires_some_model():
     cfg.preset = None
     with pytest.raises(ConfigError, match="preset or inline"):
         make_model(cfg)
+
+
+def test_experiment_config_defaults_are_the_library_defaults():
+    cfg, scheme, plan = ExperimentConfig(), SchemeConfig(t_end=1.0), SamplingPlan()
+    assert (cfg.cfl, cfg.integrator) == (scheme.cfl, scheme.integrator)
+    assert inspect.signature(stable_dt).parameters["cfl"].default == scheme.cfl
+    assert (cfg.n_dir, cfg.r_max, cfg.n_resonant, cfg.lattice) == (
+        plan.n_dir, plan.r_max, plan.n_resonant, plan.lattice)
+    assert cfg.delta == inspect.signature(check_condition).parameters["delta"].default
+    assert cfg.lambdas == DEFAULT_LAMBDAS
 
 
 def test_make_grid_defaults_periods():

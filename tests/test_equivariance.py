@@ -4,10 +4,12 @@ Translation by whole cells: the stencils read each cell's neighbours through
 periodic ghosts and the wave bounds and time step come from the field's range,
 so shifting the data shifts every field the scheme makes, step for step. A
 2-d field constant in y, under a model without y-flux, has no y-difference
-to act on: each of its columns is the 1-d scheme's field. Both catch index,
-shift and axis errors that bit-parity with an earlier tree cannot. Rows and
-lockstep distances are left out: their reductions sum the cells in another
-order.
+to act on: each of its columns is the 1-d scheme's field. Data constant on
+each diagonal i - j stay so under a model whose two axes are alike, as the
+shift by (1, 1) maps them to themselves: a wrap or index error at the grid's
+edge shows there. These catch index, shift and axis errors that bit-parity
+with an earlier tree cannot. Rows and lockstep distances are left out: their
+reductions sum the cells in another order.
 """
 
 import numpy as np
@@ -35,10 +37,10 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _steps(model, grid, values, scheme):
+def _steps(model, grid, values, scheme, steps=STEPS, dt=DT):
     fld = init_field(grid, values)
-    for _ in range(STEPS):
-        fld = step(fld, model, grid, scheme, dt=DT)
+    for _ in range(steps):
+        fld = step(fld, model, grid, scheme, dt=dt)
     return fld.values
 
 
@@ -89,3 +91,19 @@ def test_a_y_constant_field_is_the_1d_scheme_in_each_column(integrator):
     want = _steps(line, PeriodicGrid.make([1.0], [24]), g1, scheme)
     assert not _same_bits(want, g1)
     assert all(_same_bits(got[:, j], want) for j in range(8))
+
+
+@pytest.mark.parametrize("integrator", ["euler", "ssp-rk2"])
+def test_data_constant_on_each_diagonal_stay_so(integrator):
+    # f = (u^2/2, u^2/2), A = 0 on 32^2 from G[(i - j) mod 32]: 50 steps of 2e-4.
+    n = 32
+    model = polynomial_model("diagonal-burgers", [(0.0, 0.0, 0.5)] * 2, {}, 2, 1.0)
+    g = np.random.default_rng(3).uniform(-0.9, 0.9, n)
+    i = np.arange(n)[:, None]
+    u0 = g[(i - i.T) % n]
+    got = _steps(model, PeriodicGrid.make([1.0, 1.0], [n, n]), u0,
+                 SchemeConfig(t_end=1.0, integrator=integrator), steps=50, dt=2e-4)
+    # Column k of by_diagonal holds diagonal k, the cells (i, i - k).
+    by_diagonal = got[i, (i - i.T) % n]
+    assert np.abs(got - u0).max() > 0.1
+    assert (by_diagonal == by_diagonal[:1]).all()

@@ -582,6 +582,18 @@ def test_check_condition_advection_fails():
     assert all(om >= 2.0 - 1e-6 for om in report.omegas)
 
 
+# f = (u^2/2, u^2/2) leaves any u = G(x - y) stationary, with A = 0 and with the
+# control A = u^2 (1, 1)(1, 1)^T, which diffuses along (1, 1) only: neither decays.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("lattice", [False, True], ids=["free", "lattice"])
+@pytest.mark.parametrize("diffusion", [{}, dict.fromkeys([(0, 0), (0, 1), (1, 1)], (0, 0, 1))],
+                         ids=["hyperbolic", "control"])
+def test_a_model_resonant_along_the_diagonal_does_not_pass(diffusion, lattice):
+    model = polynomial_model("diagonal-burgers", [(0.0, 0.0, 0.5)] * 2, diffusion, 2, 1.0)
+    plan = SamplingPlan(lattice=lattice, periods=(1.0, 1.0) if lattice else None)
+    assert check_condition(model, sampling=plan).verdict != "pass"
+
+
 def test_verdict_flags_non_monotone_ladder():
     assert _verdict([0.1, 0.5], 0.2) == "inconclusive"
     assert _verdict([0.5, 0.1, 0.01], 0.2) == "pass"

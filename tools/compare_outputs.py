@@ -111,7 +111,9 @@ of the difference, and exits 1 if any case differs. The cases are:
   fractional, float and numpy integer cell counts (``inputs/grid-cells``);
   init_field of profiles of one coordinate on 4x6 cells, of a scalar
   constant in 1-d and 2-d and of an (n, 2) return, and the final shape of a
-  run from the x-only profile (``inputs/profiles``); and data so large that
+  run from the x-only profile (``inputs/profiles``); make_initial of a
+  directly built config with an unknown profile (``inputs/unknown-profile``);
+  and data so large that
   a wave bound overflows: Poly.max_abs past 1e154, stable_dt, step and run
   of burgers-degenerate at 1e160 and of porous-medium at 1e308, and the
   CLI ``run`` at amplitude 1e160 (``inputs/overflow``);
@@ -134,12 +136,16 @@ of the difference, and exits 1 if any case differs. The cases are:
   (unequal periods in 2-d), for every preset and for an inline 2-d model
   with an off-diagonal diffusion entry (coupled-cubic) on the default and
   lattice plans. ``cli/run/zero/...`` runs every preset from zero
-  amplitude. ``cli/run/off-diagonal-bump`` runs an inline 2-d model with
+  amplitude. ``cli/run/profile/<profile>/<1d|2d>`` runs each initial profile
+  with snapshots at t = 0, mid-run and the end, on 12 cells of period 0.5 in
+  1-d and on 12x10 cells with periods (1.0, 0.5) in 2-d, so that a swapped
+  axis shows in the profile and in the snapshot CSVs. ``cli/run/off-diagonal-bump`` runs an inline 2-d model with
   an off-diagonal diffusion entry at 16x12 from a narrow Gaussian bump
   (patched in for the configured profile, which has no such option); its
   audit fails per step with VIOLATED lines. ``cli/sweep/...`` runs a cfl
-  sweep with a blow-up row and a lambda_floor sweep, keeping the exit
-  code, stderr and stdout (the artifact directory masked).
+  sweep with a blow-up row, a cells sweep in 2-d, an amplitude sweep and a
+  lambda_floor sweep, keeping the exit code, stderr and stdout (the artifact
+  directory masked).
 """
 
 from __future__ import annotations
@@ -555,6 +561,19 @@ def _run_config(name, dimension, amplitude=0.95):
             f"output_every = {float(t_end) / 4!r}\n")
 
 
+def _profile_config(profile, dimension):
+    name, grid = (("burgers-degenerate", "cells = 12\nperiods = 0.5\n") if dimension == 1
+                  else ("anisotropic-2d", "cells = 12, 10\nperiods = 1.0, 0.5\n"))
+    return (f"[model]\npreset = {name}\n[grid]\n{grid}[initial]\nprofile = {profile}\n"
+            "amplitude = 0.9\nseed = 7\n[scheme]\nt_end = 0.002\nsnapshot_every = 0.001\n")
+
+
+def _unknown_profile_case():
+    from anisolab.config import ExperimentConfig, make_grid, make_initial
+    cfg = ExperimentConfig(profile="triangle", cells=(8,))
+    return _outcome(lambda: make_initial(cfg, make_grid(cfg))).encode()
+
+
 def _reduced_plan_config(name, dimension):
     text = f"[model]\npreset = {name}\n[grid]\ncells = {'64, 64' if dimension == 2 else '256'}\n"
     text += "[condition]\nlambdas = 0.1, 1e-06\n"
@@ -749,6 +768,10 @@ def cases():
     yield "oneshot/viscous-only", lambda: _oneshot_case(viscous)
     yield "step/viscous-only", lambda: _step_case(viscous)
     yield "cli/run/inline-interior", lambda: _cli_case(["run"], INLINE_CONFIG)
+    for profile in ("sine", "multi-sine", "square-wave", "random"):
+        for d in (1, 2):
+            yield (f"cli/run/profile/{profile}/{d}d",
+                   lambda p=profile, d=d: _cli_case(["run"], _profile_config(p, d)))
     yield "blow-up/burgers", lambda: _blow_up_case(models["burgers"])
     yield "blow-up/nan-beyond", lambda: _blow_up_case(_nan_beyond_model())
     yield ("run/window/burgers-degenerate",
@@ -791,10 +814,17 @@ def cases():
     yield "inputs/delta", _delta_case
     yield "inputs/grid-cells", _grid_cells_case
     yield "inputs/profiles", _profiles_case
+    yield "inputs/unknown-profile", _unknown_profile_case
     yield "inputs/overflow", _overflow_case
     yield ("cli/sweep/cfl", lambda: _sweep_case(
         "[model]\npreset = burgers\n[grid]\ncells = 32\n[scheme]\nt_end = 10.0\n"
         "[sweep]\naxis = cfl\nvalues = 0.4, 2.0\n"))
+    yield ("cli/sweep/cells", lambda: _sweep_case(
+        "[model]\npreset = anisotropic-2d\n[scheme]\nt_end = 0.002\n"
+        "[sweep]\naxis = cells\nvalues = 8, 12\n"))
+    yield ("cli/sweep/amplitude", lambda: _sweep_case(
+        "[model]\npreset = burgers-degenerate\n[grid]\ncells = 32\n[scheme]\nt_end = 0.01\n"
+        "[sweep]\naxis = amplitude\nvalues = 0.5, 0.9\n"))
     yield ("cli/sweep/lambda_floor", lambda: _sweep_case(
         "[model]\npreset = burgers\n[condition]\nn_dir = 8\nr_max = 4.0\n"
         "[sweep]\naxis = lambda_floor\nvalues = 0.01, 1e-05\n"))
