@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from itertools import product
 from pathlib import Path
@@ -37,7 +37,7 @@ from .diagnostics import audit, decay_summary
 from .kinetic import check_condition
 from .model import ModelError, validate_model
 from .quadrature import QuadratureError
-from .solver import BlowUpError, ConfigurationError, run
+from .solver import BlowUpError, ConfigurationError, DiagnosticsRow, run
 
 __all__ = [
     "main",
@@ -82,14 +82,10 @@ def _write_jsonl(path, records):
 
 
 def write_trajectory_csv(path, traj):
-    header = "t,mean,l1_to_mean,l2_energy,linf,dissipation_resolved,dissipation_budget"
-    rows = [
-        ",".join(_fmt(v) for v in (r.t, r.mean, r.l1_to_mean, r.l2_energy,
-                                   r.linf, r.dissipation_resolved,
-                                   r.dissipation_budget))
-        for r in traj.rows
-    ]
-    _write_csv(path, header, rows)
+    """One column per DiagnosticsRow field, in field order."""
+    names = [f.name for f in fields(DiagnosticsRow)]
+    rows = [",".join(_fmt(getattr(r, name)) for name in names) for r in traj.rows]
+    _write_csv(path, ",".join(names), rows)
 
 
 def write_snapshot_csv(path, snap, grid):
@@ -101,9 +97,9 @@ def write_snapshot_csv(path, snap, grid):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_condition_csv(path, report, dimension):
+def write_condition_csv(path, report):
     header = "lambda,omega,tau_witness," + ",".join(
-        f"kappa_witness_{c + 1}" for c in range(dimension))
+        f"kappa_witness_{c + 1}" for c in range(len(report.witnesses[0].kappa)))
     rows = []
     for lam, om, fp in zip(report.lambdas, report.omegas, report.witnesses):
         cells = [_fmt(lam), _fmt(om), _fmt(fp.tau)] + [_fmt(c) for c in fp.kappa]
@@ -184,7 +180,7 @@ def _check_and_write(cfg, out):
     report = check_condition(model, delta=cfg.delta, lambdas=list(cfg.lambdas),
                              sampling=make_sampling(cfg, grid=grid))
     out.mkdir(parents=True, exist_ok=True)
-    write_condition_csv(out / "condition.csv", report, model.dimension)
+    write_condition_csv(out / "condition.csv", report)
     _write_text(out / "condition.txt", "\n".join(report.lines()) + "\n")
     return report
 
@@ -203,11 +199,7 @@ def cmd_validate_model(cfg, out_dir, quiet=False):
     report = validate_model(model)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = [
-        {"check": name, "residual": c.residual, "tolerance": c.tolerance,
-         "passed": c.passed}
-        for name, c in sorted(report.checks.items())
-    ]
+    records = [{"check": name, **asdict(c)} for name, c in sorted(report.checks.items())]
     records.append({"model": report.model_name, "samples": report.samples,
                     "passed": report.overall_pass})
     _write_jsonl(out / "validation.jsonl", records)
@@ -242,19 +234,17 @@ def _sweep_condition_one(cfg, floor, out):
             report.verdict], False
 
 
-def cmd_sweep(cfg, out_dir, quiet=False, axis=None, values=None):
+def cmd_sweep(cfg, out_dir, quiet=False):
     """Repeat one experiment along a numeric axis; one CSV row per value.
 
     Rows run one after another in the order of the requested values. Exit
     2 flags rows that blew up or failed their audit; condition verdicts are
     findings, not failures.
     """
-    axis = axis if axis is not None else cfg.sweep_axis
-    values = values if values is not None else cfg.sweep_values
+    axis, values = cfg.sweep_axis, cfg.sweep_values
     if axis not in SWEEP_AXES:
         raise ConfigError([f"sweep axis must be {', '.join(SWEEP_AXES[:-1])} or "
                            f"{SWEEP_AXES[-1]}, got {axis!r}"])
-    values = list(values)
     error = sweep_value_error(axis, values) if values else "sweep needs a non-empty value list"
     if error is not None:
         raise ConfigError([error])

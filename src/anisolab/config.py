@@ -17,7 +17,7 @@ seed as the initial state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import reduce
 from operator import mul
 from typing import Optional
@@ -62,55 +62,13 @@ class ConfigError(Exception):
     """Carries the full list of problems found in a config text."""
 
     def __init__(self, errors):
-        if isinstance(errors, str):
-            errors = [errors]
         self.errors = list(errors)
         super().__init__("\n".join(self.errors))
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything one experiment needs, across all subcommands."""
-
-    # [model] -- preset name, or inline polynomial coefficients
-    preset: Optional[str] = None
-    model_name: Optional[str] = None
-    dimension: Optional[int] = None
-    flux_coeffs: Optional[tuple] = None
-    diffusion_coeffs: Optional[dict] = None
-    state_bound: float = 1.0
-    # [grid]
-    periods: Optional[tuple] = None
-    cells: Optional[tuple] = None
-    # [initial]
-    profile: str = "sine"
-    amplitude: float = 1.0
-    zero_mean: bool = False
-    seed: int = 0
-    # [scheme]
-    t_end: Optional[float] = None
-    cfl: float = SchemeConfig.cfl
-    integrator: str = SchemeConfig.integrator
-    output_every: Optional[float] = None
-    snapshot_every: Optional[float] = None
-    # [condition]
-    delta: float = DEFAULT_DELTA
-    lambdas: tuple = DEFAULT_LAMBDAS
-    n_dir: Optional[int] = None
-    r_max: float = SamplingPlan.r_max
-    n_resonant: int = SamplingPlan.n_resonant
-    lattice: bool = False
-    # [output]
-    directory: Optional[str] = None
-    # [sweep]
-    sweep_axis: Optional[str] = None
-    sweep_values: tuple = ()
 
 
 # Written even when every field holds its default; the others only when one differs.
 _ALWAYS_WRITTEN = ("model", "initial", "condition")
 _INLINE_MODEL_KEYS = ("f1", "f2", "A11", "A12", "A22")
-_DEFAULTS = ExperimentConfig()
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
 _LISTS = ("floats", "ints")
@@ -118,10 +76,10 @@ _LISTS = ("floats", "ints")
 
 @dataclass(frozen=True)
 class _Key:
-    """One config key: its value kind, its checks and the field it sets.
+    """One config key: its value kind, the default of its field, its checks and the field.
 
-    ``kind`` is float, int, bool, choice, str (kept as written) or a number
-    list, floats or ints. ``checks`` are (predicate, message) pairs tried in
+    ``kind`` is float, int, bool, str (kept as written) or a number list,
+    floats or ints. ``checks`` are (predicate, message) pairs tried in
     order on the parsed value; a message is formatted with key, raw (the
     text as written) and val. Every float must also be finite. ``field``
     defaults to the key; the inline model coefficients set no field.
@@ -129,6 +87,7 @@ class _Key:
 
     key: str
     kind: str
+    default: object = None
     checks: tuple = ()
     field: Optional[str] = None
 
@@ -144,49 +103,63 @@ def _one_of(options, message):
     return ((lambda raw: raw in options, message),)
 
 
-# Section by section, in the order serialize_config writes them.
+# Section by section, in the order serialize_config writes them; each row declares
+# its ExperimentConfig field and that field's default.
 _TABLE = {
     "model": (
-        _Key("preset", "choice", _one_of(list_presets(), "unknown preset {raw!r}; "
-                                         f"available: {', '.join(list_presets())}")),
+        _Key("preset", "str", checks=_one_of(
+            list_presets(), f"unknown preset {{raw!r}}; available: {', '.join(list_presets())}")),
         _Key("name", "str", field="model_name"),
-        _Key("dimension", "int", ((lambda d: d in (1, 2), "{key} must be 1 or 2, got {val}"),)),
+        _Key("dimension", "int",
+             checks=((lambda d: d in (1, 2), "{key} must be 1 or 2, got {val}"),)),
         *(_Key(key, "floats") for key in _INLINE_MODEL_KEYS),
-        _Key("state_bound", "float", _POSITIVE)),
+        _Key("state_bound", "float", 1.0, _POSITIVE)),
     "grid": (
         _Key("periods", "floats",
-             ((lambda v: all(map(_positive, v)), "{key} must be positive, got {raw}"),)),
+             checks=((lambda v: all(map(_positive, v)), "{key} must be positive, got {raw}"),)),
         _Key("cells", "ints",
-             ((lambda v: min(v) >= 4, "{key} must be at least 4 per axis, got {raw}"),))),
+             checks=((lambda v: min(v) >= 4, "{key} must be at least 4 per axis, got {raw}"),))),
     "initial": (
-        _Key("profile", "choice", _one_of(
+        _Key("profile", "str", "sine", _one_of(
             PROFILES, f"unknown profile {{raw!r}}; available: {', '.join(PROFILES)}")),
-        _Key("amplitude", "float"),
-        _Key("zero_mean", "bool"),
-        _Key("seed", "int", ((lambda n: n >= 0, "{key} must be nonnegative, got {val}"),))),
+        _Key("amplitude", "float", 1.0),
+        _Key("zero_mean", "bool", False),
+        _Key("seed", "int", 0, ((lambda n: n >= 0, "{key} must be nonnegative, got {val}"),))),
     "scheme": (
-        _Key("t_end", "float", _POSITIVE),
-        _Key("cfl", "float", _POSITIVE),
-        _Key("integrator", "choice", _one_of(
+        _Key("t_end", "float", None, _POSITIVE),
+        _Key("cfl", "float", SchemeConfig.cfl, _POSITIVE),
+        _Key("integrator", "str", SchemeConfig.integrator, _one_of(
             INTEGRATORS, f"{{key}} must be {' or '.join(INTEGRATORS)}, got {{raw!r}}")),
-        _Key("output_every", "float", _POSITIVE),
-        _Key("snapshot_every", "float", _POSITIVE)),
+        _Key("output_every", "float", None, _POSITIVE),
+        _Key("snapshot_every", "float", None, _POSITIVE)),
     "condition": (
-        _Key("delta", "float", _POSITIVE),
-        _Key("lambdas", "floats", (
+        _Key("delta", "float", DEFAULT_DELTA, _POSITIVE),
+        _Key("lambdas", "floats", DEFAULT_LAMBDAS, (
             (lambda v: all(x > 0 for x in v), "{key} must all be positive"),
             (lambda v: all(b < a for a, b in zip(v, v[1:])), "{key} must be strictly decreasing"))),
-        _Key("n_dir", "int", ((lambda n: n >= 4, "{key} must be at least 4, got {val}"),)),
-        _Key("r_max", "float", _POSITIVE),
-        _Key("n_resonant", "int", ((lambda n: n >= 2, "{key} must be at least 2, got {val}"),)),
-        _Key("lattice", "bool")),
+        _Key("n_dir", "int", None, ((lambda n: n >= 4, "{key} must be at least 4, got {val}"),)),
+        _Key("r_max", "float", SamplingPlan.r_max, _POSITIVE),
+        _Key("n_resonant", "int", SamplingPlan.n_resonant,
+             ((lambda n: n >= 2, "{key} must be at least 2, got {val}"),)),
+        _Key("lattice", "bool", False)),
     "output": (_Key("directory", "str"),),
     "sweep": (
-        _Key("axis", "choice", field="sweep_axis", checks=_one_of(
+        _Key("axis", "str", field="sweep_axis", checks=_one_of(
             SWEEP_AXES, f"{{key}} must be one of {', '.join(SWEEP_AXES)}, got {{raw!r}}")),
-        _Key("values", "floats", field="sweep_values")),
+        _Key("values", "floats", (), field="sweep_values")),
 }
 _BY_NAME = {(section, spec.key): spec for section, specs in _TABLE.items() for spec in specs}
+
+# The table's fields, then the inline model, which parse_config assembles from f1 ... A22.
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(spec.field or spec.key, "tuple" if spec.kind in _LISTS else spec.kind, spec.default)
+     for specs in _TABLE.values() for spec in specs if spec.key not in _INLINE_MODEL_KEYS]
+    + [("flux_coeffs", "tuple", None), ("diffusion_coeffs", "dict", None)],
+    # make_dataclass has no module= before Python 3.12; pickling needs __module__.
+    namespace={"__module__": __name__,
+               "__doc__": "Everything one experiment needs, across all subcommands."})
+_DEFAULTS = ExperimentConfig()
 
 # What the sweep values on an axis must be: (predicate, description).
 _SWEEP_VALUE_RULES = {
@@ -202,7 +175,7 @@ def _coeff_index(key):
 def _read(spec, raw):
     """(value, None) for an accepted raw value, else (None, error message)."""
     key, kind = spec.key, spec.kind
-    if kind in ("str", "choice"):
+    if kind == "str":
         val = raw
     elif kind == "bool":
         val = _BOOLEANS.get(raw.lower())

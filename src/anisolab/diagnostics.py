@@ -75,7 +75,7 @@ def parabolic_dissipation(model, field, grid):
 
 @dataclass(frozen=True)
 class AuditTolerances:
-    """Pass thresholds for audit(). Budget slack is scale*|box|*max|u0|^2."""
+    """The fixed pass thresholds of audit(). Budget slack is scale*|box|*max|u0|^2."""
 
     max_principle: float = 1e-10
     energy: float = 1e-12
@@ -165,14 +165,14 @@ def _max_positive_jump(series):
     return float(np.max(np.diff(series), initial=0.0))
 
 
-def audit(trajectory, tolerances=None):
+def audit(trajectory):
     """Check the trajectory against the scheme's structural guarantees.
 
     With per-step statistics present (any solver-produced trajectory) the
     extremes are per step; a hand-built trajectory without stats is audited
     at row granularity from the columns alone. Requires at least 2 rows.
     """
-    tol = tolerances if tolerances is not None else AuditTolerances()
+    tol = AuditTolerances()
     rows = trajectory.rows
     if len(rows) < 2:
         raise ValueError(f"audit needs at least 2 diagnostic rows, got {len(rows)}")

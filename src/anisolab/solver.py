@@ -308,7 +308,7 @@ def init_field(grid, profile):
         values = np.einsum("ijxy,x,y->ij", vals, _GAUSS3_WEIGHTS, _GAUSS3_WEIGHTS)
     if not np.isfinite(values).all():
         bad = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(f"initial profile is non-finite near cell index {tuple(bad)}")
+        raise ValueError(f"initial profile is non-finite near cell index {tuple(bad.tolist())}")
     return CellField(values=values, time=0.0)
 
 

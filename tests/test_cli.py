@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,16 @@ def test_run_with_an_overflowing_wave_bound_exits_1_with_partial_trajectory(tmp_
     assert code == 1
     assert "error: solution blew up at t=0 " in capsys.readouterr().err
     assert read_trajectory_csv(out / "trajectory.csv")["t"].tolist() == [0.0]
+
+
+def test_read_trajectory_csv_needs_a_header_line(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    path.write_text("# generated 2000-01-01T00:00:00Z\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no header line"):
+        read_trajectory_csv(path)
+    path.write_text("# generated 2000-01-01T00:00:00Z\nt,mean\n", encoding="utf-8")
+    cols = read_trajectory_csv(path)
+    assert list(cols) == ["t", "mean"] and all(c.shape == (0,) for c in cols.values())
 
 
 def test_run_with_an_overflowing_wave_bound_prints_only_the_error_line(tmp_path):
@@ -367,7 +378,8 @@ def test_sweep_rows_match_each_run_artifacts(tmp_path):
 
 def test_sweep_rejects_unknown_axis(tmp_path):
     with pytest.raises(ConfigError) as info:
-        cmd_sweep(default_config("burgers"), tmp_path / "o", axis="dt", values=[1.0])
+        cmd_sweep(replace(default_config("burgers"), sweep_axis="dt", sweep_values=[1.0]),
+                  tmp_path / "o")
     assert info.value.errors == [
         "sweep axis must be cells, cfl, amplitude or lambda_floor, got 'dt'"]
 
@@ -381,7 +393,8 @@ def test_sweep_rejects_unknown_axis(tmp_path):
 def test_sweep_entry_applies_the_config_value_rules(tmp_path, axis, values, error):
     # The message is the config path's, without its line number.
     with pytest.raises(ConfigError) as info:
-        cmd_sweep(default_config("burgers"), tmp_path / "o", axis=axis, values=values)
+        cmd_sweep(replace(default_config("burgers"), sweep_axis=axis, sweep_values=values),
+                  tmp_path / "o")
     assert info.value.errors == [error]
     assert not (tmp_path / "o").exists()
     text = "[model]\npreset = burgers\n[sweep]\naxis = {}\nvalues = {}\n".format(

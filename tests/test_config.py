@@ -1,7 +1,9 @@
 """Tests for config parsing, serialization, and experiment builders."""
 
 import inspect
+import pickle
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -138,9 +140,11 @@ def test_serialize_writes_numpy_scalars_as_plain_numbers():
      "line 5: values on the cells axis must be integers of at least 4, got 10.5"),
     (MINIMAL + "[sweep]\naxis = cells\nvalues = 16, 2\n",
      "line 5: values on the cells axis must be integers of at least 4, got 2.0"),
+    (MINIMAL + "[initial]\nzero_mean = maybe\n",
+     "line 4: zero_mean: expected true/false, got 'maybe'"),
 ], ids=["amplitude-nan", "amplitude-inf", "lambdas-inf", "f1-nan", "A11-inf",
         "cfl-values-nan", "cfl-values-negative", "lambda-floor-values-zero",
-        "cells-values-fraction", "cells-values-too-few"])
+        "cells-values-fraction", "cells-values-too-few", "zero-mean-not-a-bool"])
 def test_error_on_non_finite_and_ill_typed_values(text, error):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
@@ -395,6 +399,22 @@ def test_experiment_config_defaults_are_the_library_defaults():
         plan.n_dir, plan.r_max, plan.n_resonant, plan.lattice)
     assert cfg.delta == inspect.signature(check_condition).parameters["delta"].default
     assert cfg.lambdas == DEFAULT_LAMBDAS
+    assert {f.name: f.default for f in fields(ExperimentConfig)} == {
+        "preset": None, "model_name": None, "dimension": None, "state_bound": 1.0,
+        "periods": None, "cells": None,
+        "profile": "sine", "amplitude": 1.0, "zero_mean": False, "seed": 0,
+        "t_end": None, "cfl": 0.4, "integrator": "ssp-rk2", "output_every": None,
+        "snapshot_every": None,
+        "delta": 1.0, "lambdas": (0.1, 0.01, 0.001, 0.0001, 1e-05, 1e-06), "n_dir": None,
+        "r_max": 1000.0, "n_resonant": 33, "lattice": False,
+        "directory": None, "sweep_axis": None, "sweep_values": (),
+        "flux_coeffs": None, "diffusion_coeffs": None}
+
+
+def test_experiment_config_pickles():
+    for cfg in (ExperimentConfig(), default_config("anisotropic-2d"), parse_config(INLINE)):
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+    assert ExperimentConfig.__module__ == "anisolab.config"
 
 
 def test_make_grid_defaults_periods():
@@ -519,6 +539,14 @@ def test_make_initial_random_2d_row_major():
     fld = make_initial(cfg, g)
     want = (2.0 * lcg_values(3, 32) - 1.0).reshape(8, 4)
     assert np.array_equal(fld.values, want)
+
+
+def test_make_initial_rejects_an_unknown_profile_of_a_built_config():
+    # parse_config rejects the name first; a config built in code reaches make_initial.
+    cfg = ExperimentConfig(profile="triangle", cells=(8,))
+    with pytest.raises(ConfigError) as info:
+        make_initial(cfg, make_grid(cfg))
+    assert info.value.errors == ["unknown profile 'triangle'"]
 
 
 def test_make_initial_zero_mean_flag():

@@ -239,17 +239,22 @@ def test_audit_row_mode_max_principle():
     assert not report.passed
 
 
-def test_audit_tolerances_are_adjustable():
+def test_audit_tolerances_are_fixed():
     rows = [
         DiagnosticsRow(0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0),
         DiagnosticsRow(1.0, 0.0, 0.5, 1.0, 1.2, 0.0, 0.5),
     ]
-    loose = AuditTolerances(max_principle=0.5, telescope=10.0, global_budget=1.0)
-    report = audit(_row_only_trajectory(rows), loose)
-    assert report.passed
+    report = audit(_row_only_trajectory(rows))
+    assert report.tolerances == AuditTolerances()
+    assert _violated(report) == {"max principle", "budget telescoping"}
 
 
 # --- decay summary -----------------------------------------------------------
+
+def test_decay_summary_needs_a_row():
+    with pytest.raises(ValueError, match="at least one diagnostic row"):
+        decay_summary(_row_only_trajectory([]))
+
 
 def test_decay_summary_constant_data():
     g = PeriodicGrid.make([1.0], [32])

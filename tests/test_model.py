@@ -47,6 +47,12 @@ def test_state_bound_must_be_positive():
         preset("burgers", state_bound=-1.0)
 
 
+def test_model_dimension_must_be_1_or_2():
+    with pytest.raises(ValueError, match="dimension must be 1 or 2, got 3"):
+        ModelSpec(dimension=3, flux=np.zeros_like, diffusion=np.zeros_like,
+                  state_bound=1.0, name="cube")
+
+
 # --- pointwise evaluations ---------------------------------------------------
 
 def test_flux_burgers():

@@ -112,6 +112,8 @@ def test_panel_requires_batch_callable():
 def test_panel_ends_must_be_equal_length_1d(lo, hi):
     with pytest.raises(ValueError, match="equal-length 1-d"):
         gauss_kronrod_panel(np.cos, lo, hi)
+    with pytest.raises(ValueError, match="limits must be equal-length 1-d"):
+        adaptive_quadrature_batch(np.cos, lo, hi)
 
 
 def test_negative_max_levels_is_rejected():

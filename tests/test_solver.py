@@ -851,6 +851,17 @@ def test_step_detects_blow_up():
     assert info.value.max_abs == np.inf
 
 
+def test_step_of_a_model_without_dynamics_takes_the_output_cadence():
+    # Zero flux and zero A give no CFL step: output_every is the step, or there is none.
+    g = PeriodicGrid.make([1.0], [16])
+    still = polynomial_model("still", ((0.0,),), {}, 1, 1.0)
+    state = init_field(g, sin_profile)
+    out = step(state, still, g, SchemeConfig(t_end=1.0, output_every=0.25))
+    assert out.time == 0.25 and np.array_equal(out.values, state.values)
+    with pytest.raises(ConfigurationError, match="model has no dynamics"):
+        step(state, still, g, SchemeConfig(t_end=1.0))
+
+
 @pytest.mark.parametrize("dt", [-0.001, 0.0, np.nan, np.inf])
 def test_step_rejects_a_dt_that_is_not_positive(dt):
     # A negative step ran backwards in time and broke the maximum principle.
@@ -886,6 +897,13 @@ def test_cell_fields_are_checked_against_the_grid(entry):
         call(CellField(np.full(64, np.nan)))
     with pytest.raises(ValueError, match="non-finite"):
         call(CellField(np.where(np.arange(64) == 5, np.inf, 0.1)))
+
+
+def test_init_field_names_the_first_cell_a_profile_makes_non_finite():
+    g = PeriodicGrid.make([1.0], [16])
+    with pytest.raises(ValueError,
+                       match=re.escape("initial profile is non-finite near cell index (8,)")):
+        init_field(g, lambda x: np.where(x > 0.5, np.nan, 0.0))
 
 
 def test_checked_cell_fields_run_as_their_arrays():

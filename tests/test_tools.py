@@ -6,6 +6,8 @@ import re
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -19,13 +21,17 @@ def _tool(name):
 def test_loc_totals_are_the_modules_newline_counts(capsys):
     assert _tool("loc").main([str(ROOT / "src")]) == 0
     header, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert header == ["module", "lines", "code"]
+    assert header == ["module", "lines", "code", "compile_ms"]
     newlines = {f"anisolab/{p.name}": p.read_bytes().count(b"\n")
                 for p in (ROOT / "src" / "anisolab").glob("*.py")}
-    assert {name: int(lines) for name, lines, _ in rows} == newlines
-    assert all(0 < int(code) < int(lines) for _, lines, code in rows)
-    assert total == ["total", str(sum(newlines.values())),
-                     str(sum(int(code) for _, _, code in rows))]
+    assert {name: int(lines) for name, lines, _, _ in rows} == newlines
+    assert all(0 < int(code) < int(lines) for _, lines, code, _ in rows)
+    assert total[:3] == ["total", str(sum(newlines.values())),
+                         str(sum(int(code) for _, _, code, _ in rows))]
+    # Each printed time is rounded to 0.01 ms, so their sum may miss the total by that much.
+    times = [float(ms) for *_, ms in rows]
+    assert all(ms >= 0 for ms in times)
+    assert float(total[3]) == pytest.approx(sum(times), abs=0.005 * len(times) + 1e-9)
 
 
 def test_loc_counts_no_comment_blank_or_docstring_line_as_code():
