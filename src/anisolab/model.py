@@ -251,18 +251,28 @@ class Poly:
         if len(self.coeffs) == 1:
             top = abs(self.coeffs[0] / self.div)
         else:
-            top = max(abs(self._horner_at(lo)), abs(self._horner_at(hi)))
+            top, end = abs(self._horner_at(lo)), abs(self._horner_at(hi))
+            if end > top:
+                top = end
         inner = None
         for r, v in self._critical_abs:
-            if lo < r < hi:
-                inner = v if inner is None else max(inner, v)
+            if lo < r < hi and (inner is None or v > inner):
+                inner = v
         if inner is not None:
-            m = max(abs(lo), abs(hi))
+            m, end = abs(lo), abs(hi)
+            if end > m:
+                m = end
+            # A plain left-to-right sum: the builtin sum of floats is compensated from
+            # Python 3.12 on, and would move the bits with the interpreter.
+            scale = 0.0
             try:
-                scale = sum(c * m ** n for n, c in self._abs_terms) / self._abs_div
+                for n, c in self._abs_terms:
+                    scale += c * m ** n
             except OverflowError:
                 return float("inf")
-            top = max(top, inner + self._rounding * scale)
+            inner += self._rounding * (scale / self._abs_div)
+            if inner > top:
+                top = inner
         return float(top)
 
 
@@ -451,14 +461,16 @@ class ModelTable:
         return tuple((r, k, e.max_abs if isinstance(e, Poly) else partial(_max_abs, e))
                      for r, k, e in slots)
 
+    # bounds' rows of zeros, alphas then one per row of lams, copied on each call.
+    _zero_rows = cached_property(lambda self: [[0.0] * self.model.dimension
+                                               for _ in range(1 + self.model.dimension)])
+
     def bounds(self, lo, hi):
         """(alphas, lams) over [lo, hi], 0.0 for an absent entry."""
-        d = self.model.dimension
-        alphas, lams = [0.0] * d, [[0.0] * d for _ in range(d)]
-        rows = [alphas, *lams]
+        rows = [row[:] for row in self._zero_rows]
         for r, k, bound in self._bound_slots:
             rows[r][k] = bound(lo, hi)
-        return alphas, lams
+        return rows[0], rows[1:]
 
 
 def _max_abs(entry, lo, hi):

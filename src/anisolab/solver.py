@@ -9,9 +9,10 @@ the time-step rule, so the discrete maximum principle, L1 contraction and
 entropy decay hold step by step and are tracked while running. One step
 function and one stop-point loop serve step, run and run_lockstep; lockstep
 is a batch of two fields on that shared stepper. The step returns the new
-field with its range [min u, max u], its one min/max pass: the range sets
-the next step's wave bounds, tells whether the field is finite (np.min and
-np.max propagate NaN), and gives run's max-principle statistic and sup norm.
+field with its range [min u, max u], one argmin and one argmax: the range
+sets the next step's wave bounds, tells whether the field is finite (argmin
+and argmax find the first NaN), and gives run's max-principle statistic and
+sup norm.
 A wave bound that overflows (a CFL step of 0 or NaN) is a blow-up too.
 init_field broadcasts a profile's values to its quadrature nodes, so a
 profile of one coordinate, or a constant, fills every cell.
@@ -54,11 +55,12 @@ copies the field into the frame, fills the ghosts axis by axis (the corners
 too), writes the entries (one buffer and one evaluation per distinct entry
 object; an entry with in-place steps runs them, any other is copied in) and
 runs the diffusion terms, then the flux terms, bound for a model with flux
-or speed entries. 0.5 alpha_k and dt are explicit calls on Python floats.
-The second stage's field is written straight into the frame. No array
-handed back is a stencil buffer or a view of one. The kernels divide by h,
-h^2, 2h and 4 h_0 h_1, or multiply by the reciprocal when the divisor is a
-power of two (then both round the same real number), so they match the
+or speed entries. 0.5 alpha_k and dt are written into 0-d arrays, so no
+call of the step converts a Python float. The second stage's field is
+written straight into the frame. No array handed back is a stencil buffer
+or a view of one. The kernels divide by h, h^2, 2h and 4 h_0 h_1, or
+multiply by the reciprocal when the divisor is a power of two (then both
+round the same real number), so they match the
 whole-array periodic-shift form of each stencil bit for bit; the tests keep
 that form as the reference. The entries come from model.model_table.
 
@@ -113,8 +115,10 @@ _GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 _QUIET = dict(over="ignore", invalid="ignore")
 # The bytes of fields in one of run's measurement windows (module docstring).
 _WINDOW_BYTES = 2 ** 16
-# The second stage's factor, bound as _bind binds a program's floats.
+# The second stage's factor and a part's first addend, bound as _bind binds a
+# program's floats.
 _HALF = np.array(0.5)
+_ZERO = np.array(0.0)
 
 
 class ConfigurationError(Exception):
@@ -323,8 +327,10 @@ def _on_nodes(vals, shape):
 
 
 def _range(values):
-    """(min, max) of a field as floats; NaN if any value is NaN."""
-    return float(np.minimum.reduce(values, None)), float(np.maximum.reduce(values, None))
+    """(min, max) of a field as floats; NaN if any value is NaN, as argmin and argmax
+    return the first NaN. A zero extreme has the sign of its first occurrence."""
+    flat = values.ravel()
+    return flat.item(flat.argmin()), flat.item(flat.argmax())
 
 
 def _term(ufunc, plan, x, y, out):
@@ -415,6 +421,8 @@ class _Stencils:
         self.size, last = rows * row, pad + sum(map(mul, ns, strides))
         self.rows = rows
         self.u, *self.work = (self._frame() for _ in range(3))
+        # tendency's 0.5 alpha_k, a 0-d array so the multiply converts no float
+        self.half_alpha = np.array(0.0)
         # Cell (1, ..., 1) of the first row to (n_0, ..., n_last) of the last; a plan
         # is a term's (out, x, y) ranges.
         self.span = span = slice(pad + sum(strides), self.size - row + last + 1)
@@ -454,7 +462,10 @@ class _Stencils:
         field, so one copy serves a stage), after running ``program`` on it. A
         stack of k fields fills the first k rows; the others keep what they held."""
         if values is not self.u:
-            self.stack[:len(values)] = values
+            if values.shape == self.cells.shape:
+                self.cells[...] = values
+            else:
+                self.stack[:len(values)] = values
             self.fill_ghosts()
         _run(program)
         return self.u
@@ -533,17 +544,18 @@ class _Stencils:
         ``_MIXED``, scaled by 2 / (4 h_0 h_1).
         """
         program, flux, diffusion = self._programs
-        (diff, hyp), result = self.parts, self.work_span[1]
+        (diff, hyp), result, half_alpha = self.parts, self.work_span[1], self.half_alpha
         self.load(values, program)
         # The first term writes 0.0 + its result, the bits of a zero fill and an add.
         for i, steps in enumerate(diffusion):
             _run(steps)
-            np.add(diff if i else 0.0, result, out=diff)
+            np.add(diff if i else _ZERO, result, diff)
         for k, (before, rise, after) in enumerate(flux):
             _run(before)
-            np.multiply(rise, 0.5 * alphas[k], rise)
+            half_alpha[()] = 0.5 * alphas[k]
+            np.multiply(rise, half_alpha, rise)
             _run(after)
-            np.add(hyp if k else 0.0, result, out=hyp)
+            np.add(hyp if k else _ZERO, result, hyp)
 
     _beta = cached_property(lambda self: self._entries(self.table.beta))
 
@@ -676,7 +688,7 @@ def _stepper(stencils, scheme):
     new_rng, dt, cut)`` for fields of the stencils' shape, where ``rng`` and
     ``new_rng`` are the (min, max) of ``values`` and ``new_values`` over any
     leading batch axes too. The wave bounds, and so dt, come from ``rng``;
-    a ``new_rng`` that is not finite (np.min and np.max propagate NaN)
+    a ``new_rng`` that is not finite (_range propagates NaN)
     raises BlowUpError. Without a forced ``dt`` the step is the CFL step
     capped at ``cap``, replaced by ``idle`` when that is infinite (a model
     without dynamics); ``idle=None`` then raises ConfigurationError. A CFL
@@ -686,12 +698,14 @@ def _stepper(stencils, scheme):
     """
     two_stage = scheme.integrator != "euler"
     (diff, hyp), out, inc = stencils.parts, stencils.work_span[0], stencils.work_cells
+    # The step's dt, a 0-d array that each step writes and both stages read.
+    step_dt = np.array(0.0)
 
-    def increment(values, alphas, dt):
+    def increment(values, alphas):
         """dt (diffusion - flux) of one stage."""
         stencils.tendency(values, alphas)
-        np.subtract(diff, hyp, out=out)
-        np.multiply(out, dt, out=out)
+        np.subtract(diff, hyp, out)
+        np.multiply(out, step_dt, out)
 
     def advance(values, rng, t, cap, idle, dt=None):
         alphas, lams = stencils.bounds(*rng)
@@ -706,17 +720,18 @@ def _stepper(stencils, scheme):
                     raise ConfigurationError(
                         "model has no dynamics; set output_every or pass dt explicitly")
                 dt, cut = idle, True
-        increment(values, alphas, dt)
+        step_dt[()] = dt
+        increment(values, alphas)
         if two_stage:
             # 0.5 * ((u + u1) + dt * L(u1)), u1 = u + dt L(u) written as the stage field
-            np.add(values, inc, out=stencils.cells)
+            np.add(values, inc, stencils.cells)
             stencils.fill_ghosts()
-            increment(stencils.u, alphas, dt)
+            increment(stencils.u, alphas)
             new_values = np.add(stencils.cells, values)
-            new_values += inc
-            new_values *= _HALF
+            np.add(new_values, inc, new_values)
+            np.multiply(new_values, _HALF, new_values)
         else:
-            new_values = values + inc
+            new_values = np.add(values, inc)
         new_rng = lo, hi = _range(new_values)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             finite = new_values[np.isfinite(new_values)]

@@ -1,5 +1,6 @@
 """Tests for model construction, evaluation, and structural validation."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -591,11 +592,19 @@ def _reference_max_abs(p, lo, hi):
     if inner:
         m = max(abs(lo), abs(hi))
         try:
-            scale = sum(c * m ** n for n, c in p._abs_terms) / p._abs_div
+            scale = _sequential_sum(c * m ** n for n, c in p._abs_terms) / p._abs_div
         except OverflowError:
             return float("inf")
         top = max(top, max(inner) + p._rounding * scale)
     return float(top)
+
+
+def _sequential_sum(xs):
+    """The left-to-right float sum, Python 3.11's sum(): from 3.12 on sum() is compensated."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def _reference_bounds(table, lo, hi):
@@ -729,6 +738,23 @@ def test_max_abs_keeps_its_overflow_path_with_cached_critical_values():
     p = Poly((0.0, -1.0, 0.0, 1.0))
     assert p.max_abs(-1.0, 1.0) == p.max_abs(-1.0, 1.0) > abs(p(1.0 / np.sqrt(3.0)))
     assert Poly((0.0, 0.0, 1.0)).max_abs(-1e160, 1e160) == np.inf
+
+
+def test_max_abs_sums_its_rounding_scale_left_to_right():
+    # 1e16 (1 - u)^2 + 3 u^3 next to its double root at 1: the |c_n| m^n terms span
+    # some 16 decades, so a compensated sum (math.fsum, and sum() from Python 3.12 on)
+    # differs from the left-to-right one, and the bound there is mostly the rounding
+    # term, so the difference reaches the result.
+    p, lo, hi = Poly((1e16, -2e16, 1e16, 3.0)), 1.0 - 1e-9, 1.0 + 1e-9
+    terms = [c * hi ** n for n, c in p._abs_terms]
+    inner = max(v for r, v in p._critical_abs if lo < r < hi)
+    top = max(abs(p(lo)), abs(p(hi)))
+
+    def bound(scale):
+        return max(top, inner + p._rounding * scale)
+
+    assert bound(math.fsum(terms)) != bound(_sequential_sum(terms))
+    assert p.max_abs(lo, hi) == bound(_sequential_sum(terms))
 
 
 def test_replaced_callables_are_used_and_keep_sampled_bounds():

@@ -1378,6 +1378,77 @@ def test_a_step_runs_30_bound_steps_in_1d_and_42_in_2d(monkeypatch):
         assert sum(counted) == want
 
 
+@pytest.mark.parametrize("integrator", solver_mod.INTEGRATORS)
+@pytest.mark.parametrize("name,cells", [("burgers-degenerate", [16]), ("anisotropic-2d", [6, 5])])
+def test_a_step_passes_no_python_scalar_to_a_ufunc(name, cells, integrator, monkeypatch):
+    # Once its programs are bound, a step calls each ufunc directly only on arrays:
+    # dt, 0.5 alpha_k and the parts' first addend are 0-d arrays, never Python floats
+    # that the ufunc would convert on every call.
+    g = PeriodicGrid.make([1.0] * len(cells), cells)
+    values = np.random.default_rng(3).uniform(-0.9, 0.9, cells)
+    advance = solver_mod._stepper(_Stencils(preset(name), g, values.shape),
+                                  SchemeConfig(t_end=1.0, integrator=integrator))
+    values, rng, _, _ = advance(values, solver_mod._range(values), 0.0, math.inf, None)
+    seen = []
+
+    class Recording:
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+
+        def __call__(self, *args, **kwargs):
+            seen.extend(type(a).__name__ for a in (*args, *kwargs.values())
+                        if not isinstance(a, np.ndarray))
+            return self.ufunc(*args, **kwargs)
+
+        def __getattr__(self, attr):
+            return getattr(self.ufunc, attr)
+
+    class Numpy:
+        def __getattr__(self, attr):
+            value = getattr(np, attr)
+            return Recording(value) if isinstance(value, np.ufunc) else value
+
+    monkeypatch.setattr(solver_mod, "np", Numpy())
+    advance(values, rng, 0.0, math.inf, None)
+    assert seen == []
+
+
+_RANGE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                          st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _range_arrays(draw):
+    """A 1-d, 2-d or batched 2-d array of a few values, zeros of both signs and
+    non-finite ones among them, maybe as a non-contiguous view."""
+    shape = draw(st.sampled_from([(7,), (3, 4), (2, 3, 3)]))
+    values = np.array(draw(st.lists(_RANGE_VALUES, min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))).reshape(shape)
+    view = draw(st.sampled_from(["as is", "reversed", "transposed", "every other"]))
+    return {"as is": values, "reversed": values[..., ::-1], "transposed": values.T,
+            "every other": values[..., ::2]}[view]
+
+
+@example(np.array([0.0, -0.0, 1.0]))
+@example(np.array([[-0.0, 0.0], [0.0, -0.0]]).T)
+@example(np.array([1.0, np.nan, -np.inf]))
+@settings(max_examples=300, deadline=None)
+@given(_range_arrays())
+def test_range_is_the_reductions_with_the_first_zeros_sign(values):
+    # _range agrees with np.minimum.reduce and np.maximum.reduce, NaN included; of a
+    # zero extreme it keeps the sign of the extreme's first occurrence in C order.
+    lo, hi = solver_mod._range(values)
+    assert type(lo) is float and type(hi) is float
+    flat = values.ravel()
+    for got, reduced in ((lo, np.minimum.reduce(values, None)),
+                         (hi, np.maximum.reduce(values, None))):
+        assert math.isnan(got) == math.isnan(reduced)
+        if not math.isnan(got):
+            assert got == reduced
+        if got == 0.0:
+            assert math.copysign(1.0, got) == math.copysign(1.0, flat[flat == 0.0][0])
+
+
 @pytest.mark.parametrize("name,cells", [("burgers-degenerate", [64]), ("anisotropic-2d", [8, 8])])
 def test_run_measures_each_window_with_one_ladder_reduction(name, cells, monkeypatch):
     # Both grids make windows of 128 fields: in 1-d the cap cuts some, in 2-d only

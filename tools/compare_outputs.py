@@ -35,7 +35,11 @@ of the difference, and exits 1 if any case differs. The cases are:
   multiply and whose flux and B share the entry u^3/3
   (``run/cells-16x16/anisotropic-2d``); a lockstep pair on 7 cells, where each
   batch row of the frame is exactly two 64-byte lines with no tail between the
-  rows (``run/lockstep/cells-7/burgers-degenerate``);
+  rows (``run/lockstep/cells-7/burgers-degenerate``); a run (with stable_dt
+  and one step) and a lockstep pair of burgers-degenerate on 8 cells from
+  data whose minimum is both 0.0 and -0.0, where np.minimum.reduce and the
+  first minimum disagree on the zero's sign (``run/signed-zero-min/1d``,
+  ``run/signed-zero-min/lockstep``);
   and the run and step cases under the one-stage Euler integrator for
   burgers-degenerate and porous-medium (64 cells) and anisotropic-2d
   (16x12) (``run/euler/...``, ``step/euler/...``);
@@ -305,6 +309,32 @@ def _lockstep_case(model, cells):
         b = lambda x, y: 0.5 * np.cos(2 * np.pi * (x + y))  # noqa: E731
     times, dists, fa, fb = run_lockstep(model, grid, a, b, SchemeConfig(t_end=0.03))
     return pickle.dumps((times, dists, fa.values.tobytes(), fb.values.tobytes()))
+
+
+def _signed_zero_min():
+    """The first 8 values drawn from default_rng(0) whose minimum, a zero, has one sign
+    by np.minimum.reduce and the other at its first occurrence."""
+    import numpy as np
+    rng, levels = np.random.default_rng(0), np.array([0.0, -0.0, 0.25, 0.5, 0.75])
+    while True:
+        values = rng.choice(levels, 8)
+        if np.signbit(np.minimum.reduce(values)) != np.signbit(values[values.argmin()]):
+            return values
+
+
+def _signed_zero_min_case(model, lockstep=False):
+    """A run, stable_dt and one step, or a lockstep pair with the reversed data, of a
+    1-d model from _signed_zero_min's data."""
+    from anisolab.solver import PeriodicGrid, SchemeConfig, run, run_lockstep, stable_dt, step
+    grid, values = PeriodicGrid.make([1.0], [8]), _signed_zero_min()
+    scheme = SchemeConfig(t_end=0.05, output_every=0.01)
+    if lockstep:
+        times, dists, fa, fb = run_lockstep(model, grid, values, values[::-1].copy(), scheme)
+        return pickle.dumps((times, dists, fa.values.tobytes(), fb.values.tobytes()))
+    traj = run(model, grid, values, scheme)
+    state = step(traj.final, model, grid, scheme)
+    return pickle.dumps((_trajectory_record(traj), repr(stable_dt(model, values, grid)),
+                         repr(state.time), state.values.tobytes()))
 
 
 def _nan_beyond_model():
@@ -733,6 +763,9 @@ def cases():
            lambda: _lockstep_case(models["burgers-degenerate"], 48))
     yield ("run/lockstep/cells-7/burgers-degenerate",
            lambda: _lockstep_case(models["burgers-degenerate"], 7))
+    yield "run/signed-zero-min/1d", lambda: _signed_zero_min_case(models["burgers-degenerate"])
+    yield ("run/signed-zero-min/lockstep",
+           lambda: _signed_zero_min_case(models["burgers-degenerate"], lockstep=True))
     for name in ("burgers-degenerate", "porous-medium", "bare/burgers-degenerate"):
         for n in (4, 5):
             model = models[name]
